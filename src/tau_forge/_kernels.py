@@ -1,36 +1,20 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled integer-polynomial kernels.
+"""Integer-polynomial kernels.
 
-Same function surface and same results as ``_pykernels``; coefficients stay
-arbitrary-precision Python ints, the win is C-level loop and list handling
-in the convolution / remainder loops.
+These are the innermost loops of every exact computation in the package:
+ordinary polynomials in q with arbitrary-precision integer coefficients,
+represented as ``{exponent: coefficient}`` dicts with nonnegative exponents
+and no zero values.
 """
 
 from math import gcd
 
-BACKEND = "compiled"
+# recorded with benchmark results, which are only compared within one backend
+BACKEND = "pure"
 
 
-def ipoly_trim(dict a):
-    dead = [e for e, c in a.items() if c == 0]
-    for e in dead:
-        del a[e]
-    return a
-
-
-def ipoly_add(dict a, dict b):
-    cdef dict out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def ipoly_lin(dict a, ka, dict b, kb):
-    cdef dict out = {}
+def ipoly_lin(a, ka, b, kb):
+    """ka*a + kb*b."""
+    out = {}
     if ka:
         for e, c in a.items():
             out[e] = ka * c
@@ -44,52 +28,34 @@ def ipoly_lin(dict a, ka, dict b, kb):
     return out
 
 
-def ipoly_scale(dict a, k):
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
-
-
-def ipoly_shift(dict a, s):
-    if s == 0:
-        return dict(a)
-    return {e + s: c for e, c in a.items()}
-
-
-def ipoly_mul(dict a, dict b):
-    cdef Py_ssize_t amin, amax, bmin, bmax, da, db, i, j, base
+def ipoly_mul(a, b):
     if not a or not b:
         return {}
+    # dense convolution over the occupied exponent span; polys in q are
+    # near-dense in practice, so this beats dict-of-dict accumulation
     amin = min(a)
     amax = max(a)
     bmin = min(b)
     bmax = max(b)
     da = amax - amin
     db = bmax - bmin
-    cdef list va = [0] * (da + 1)
+    va = [0] * (da + 1)
     for e, c in a.items():
         va[e - amin] = c
-    cdef list vb = [0] * (db + 1)
+    vb = [0] * (db + 1)
     for e, c in b.items():
         vb[e - bmin] = c
-    cdef list vo = [0] * (da + db + 1)
-    for i in range(da + 1):
-        ca = va[i]
+    vo = [0] * (da + db + 1)
+    for i, ca in enumerate(va):
         if ca:
-            for j in range(db + 1):
-                cb = vb[j]
+            for j, cb in enumerate(vb):
                 if cb:
-                    vo[i + j] = vo[i + j] + ca * cb
+                    vo[i + j] += ca * cb
     base = amin + bmin
-    cdef dict out = {}
-    for i in range(da + db + 1):
-        c = vo[i]
-        if c:
-            out[base + i] = c
-    return out
+    return {base + i: c for i, c in enumerate(vo) if c}
 
 
-def ipoly_content(dict a):
+def ipoly_content(a):
     g = 0
     for c in a.values():
         g = gcd(g, c)
@@ -98,16 +64,16 @@ def ipoly_content(dict a):
     return g
 
 
-def ipoly_divexact(dict a, dict b):
-    cdef Py_ssize_t db, dr, ee
+def ipoly_divexact(a, b):
+    """Exact division a // b; raises ValueError if the division has a remainder."""
     if not b:
         raise ValueError("division by zero polynomial")
     if not a:
         return {}
-    cdef dict r = dict(a)
+    r = dict(a)
     db = max(b)
     lb = b[db]
-    cdef dict out = {}
+    out = {}
     while r:
         dr = max(r)
         if dr < db:
@@ -127,7 +93,7 @@ def ipoly_divexact(dict a, dict b):
     return out
 
 
-cdef dict _primitive(dict a):
+def _primitive(a):
     c = ipoly_content(a)
     if a[max(a)] < 0:
         c = -c
@@ -136,7 +102,11 @@ cdef dict _primitive(dict a):
     return a
 
 
-def ipoly_gcd(dict a, dict b):
+def ipoly_gcd(a, b):
+    """Primitive gcd in Z[q] with positive leading coefficient.
+
+    Primitive pseudo-remainder sequence; inputs need not be primitive.
+    """
     if not a:
         return _primitive(dict(b)) if b else {}
     if not b:
@@ -151,16 +121,16 @@ def ipoly_gcd(dict a, dict b):
     return a
 
 
-def ipoly_prem(dict a, dict b):
-    cdef Py_ssize_t db, dr, shift, ee
+def ipoly_prem(a, b):
+    """Pseudo-remainder of a by b (b nonzero, deg a >= deg b not required)."""
     db = max(b)
     lb = b[db]
-    cdef dict r = dict(a)
-    cdef dict nr
+    r = dict(a)
     while r and max(r) >= db:
         dr = max(r)
         lr = r[dr]
         shift = dr - db
+        # r <- lb*r - lr*q^shift*b
         nr = {}
         for e, c in r.items():
             nr[e] = lb * c
@@ -175,5 +145,5 @@ def ipoly_prem(dict a, dict b):
     return r
 
 
-def tup_add(tuple e1, tuple e2):
+def tup_add(e1, e2):
     return tuple(x + y for x, y in zip(e1, e2))

@@ -2,23 +2,22 @@
 
     tau-forge list
     tau-forge verify <selector> [--json] [--degree N] [--window M]
-                     [--j J] [--jprime J'] [--seed S] [--jobs K]
+                     [--j J] [--jprime J'] [--seed S]
 
-Selectors match check ids exactly or as shell-style globs.  Exit status is
-0 when every selected check passes, 1 on any failure, 2 on usage errors.
-Reports are deterministic; randomized property checks derive everything
-from --seed (default 0).
+Selectors match check ids exactly or as shell-style globs; the matching
+checks run one after another in id order.  Exit status is 0 when every
+selected check passes, 1 on any failure, 2 on usage errors.  Reports are
+deterministic; randomized property checks derive everything from --seed
+(default 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import fnmatch
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import funq, kpfock, ncalg, qhirota, qscalar, qvertex, toda, uqsl2
@@ -587,12 +586,11 @@ def select_checks(selector):
     return matched
 
 
-def run_check(selector, overrides=None, jobs=1):
+def run_check(selector, overrides=None):
     """Execute all checks matching the selector; deterministic id order."""
     overrides = overrides or {}
-    checks = select_checks(selector)
-
-    def execute(desc):
+    reports = []
+    for desc in select_checks(selector):
         params = dict(desc.params)
         for key, value in overrides.items():
             if value is None:
@@ -604,16 +602,8 @@ def run_check(selector, overrides=None, jobs=1):
         report = desc.fn(params)
         report.check_id = desc.check_id
         report.anchor = report.anchor or desc.anchor
-        shown = {k: v for k, v in params.items() if not callable(v)}
-        report.params = shown
-        return report
-
-    if jobs > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(execute, checks))
-    else:
-        reports = [execute(c) for c in checks]
-    reports.sort(key=lambda r: r.check_id)
+        report.params = {k: v for k, v in params.items() if not callable(v)}
+        reports.append(report)
     return reports
 
 
@@ -645,12 +635,6 @@ def main(argv=None):
     pv.add_argument("--j", type=_spin, default=None)
     pv.add_argument("--jprime", type=_spin, default=None)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("TAU_FORGE_JOBS", "1")),
-        help="concurrent checks (default from TAU_FORGE_JOBS)",
-    )
 
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -670,7 +654,7 @@ def main(argv=None):
         "seed": args.seed,
     }
     try:
-        reports = run_check(args.selector, overrides, jobs=max(1, args.jobs))
+        reports = run_check(args.selector, overrides)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

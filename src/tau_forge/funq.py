@@ -249,22 +249,7 @@ def _semantic_gauss(two_j, convention=None, vars=()):
         k = two_j - 2 * r
         word = ("Q",) * k if k >= 0 else ("Qinv",) * (-k)
         K[r][r] = NCPoly.word(pres, word, vars)
-    return _nc_mat_mul(_nc_mat_mul(R, K), Rbar)
-
-
-def _nc_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j_ in range(m):
-            acc = None
-            for t in range(k):
-                term = A[i][t].mul(B[t][j_])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    return la.mat_mul(la.mat_mul(R, K), Rbar)
 
 
 def _semantic_t(two_j, route="abstract", convention=None, vars=()):
@@ -392,54 +377,57 @@ def verify_funq(route, j=None, jp=None, convention=None):
       abstract T^(j) reproduces the gauss T^(j).
     """
     with Stopwatch() as sw:
-        if route == "gauss_relations":
-            details = []
-            ok_frozen = True
-            other_fails = False
-            for conv in GAUSS_CONVENTIONS:
-                residuals = gauss_relation_residuals(conv)
-                bad = [name for name, r in residuals.items() if not r.is_zero()]
-                if conv == FROZEN_GAUSS_CONVENTION:
-                    ok_frozen = not bad
-                    details.extend(f"[{conv}] residual {name} != 0" for name in bad)
-                else:
-                    other_fails = bool(bad)
-                    if not bad:
-                        details.append(f"[{conv}] unexpectedly also satisfies all relations")
-            verdict = ok_frozen and other_fails
-            return VerificationReport(
-                check_id="funq.gauss-relations",
-                verdict=verdict,
-                residual="" if verdict else "; ".join(details),
-                params={"frozen": FROZEN_GAUSS_CONVENTION},
-                anchor="defining relations of quantized SL2 in the parameter model",
-                ms=sw.ms,
-                details=details,
-            )
-        if route == "corep":
-            two_j, two_jp = twice(j), twice(jp)
-            res = corep_residual(two_j, two_jp)
-            bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
-            return VerificationReport(
-                check_id="funq.corep",
-                verdict=not bad,
-                residual="" if not bad else f"nonzero entries at {bad[:6]}",
-                params={"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)},
-                anchor="group-like property of the coordinate matrix",
-                ms=sw.ms,
-            )
-        if route == "dual_route":
-            two_j = twice(j)
-            res = dual_route_residuals(two_j, convention)
-            bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
-            return VerificationReport(
-                check_id="funq.dual-route",
-                verdict=not bad,
-                residual="" if not bad else f"nonzero entries at {bad[:6]}",
-                params={"j": Fraction(two_j, 2)},
-                anchor="abstract vs factorized coordinate matrices",
-                ms=sw.ms,
-            )
+        report = _verify_funq_route(route, j, jp, convention)
+    report.ms = sw.ms
+    return report
+
+
+def _verify_funq_route(route, j, jp, convention):
+    if route == "gauss_relations":
+        details = []
+        ok_frozen = True
+        other_fails = False
+        for conv in GAUSS_CONVENTIONS:
+            residuals = gauss_relation_residuals(conv)
+            bad = [name for name, r in residuals.items() if not r.is_zero()]
+            if conv == FROZEN_GAUSS_CONVENTION:
+                ok_frozen = not bad
+                details.extend(f"[{conv}] residual {name} != 0" for name in bad)
+            else:
+                other_fails = bool(bad)
+                if not bad:
+                    details.append(f"[{conv}] unexpectedly also satisfies all relations")
+        verdict = ok_frozen and other_fails
+        return VerificationReport(
+            check_id="funq.gauss-relations",
+            verdict=verdict,
+            residual="" if verdict else "; ".join(details),
+            params={"frozen": FROZEN_GAUSS_CONVENTION},
+            anchor="defining relations of quantized SL2 in the parameter model",
+            details=details,
+        )
+    if route == "corep":
+        two_j, two_jp = twice(j), twice(jp)
+        res = corep_residual(two_j, two_jp)
+        bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
+        return VerificationReport(
+            check_id="funq.corep",
+            verdict=not bad,
+            residual="" if not bad else f"nonzero entries at {bad[:6]}",
+            params={"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)},
+            anchor="group-like property of the coordinate matrix",
+        )
+    if route == "dual_route":
+        two_j = twice(j)
+        res = dual_route_residuals(two_j, convention)
+        bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
+        return VerificationReport(
+            check_id="funq.dual-route",
+            verdict=not bad,
+            residual="" if not bad else f"nonzero entries at {bad[:6]}",
+            params={"j": Fraction(two_j, 2)},
+            anchor="abstract vs factorized coordinate matrices",
+        )
     raise ValueError(f"unknown verify_funq route {route!r}")
 
 
@@ -448,9 +436,9 @@ def corep_residual(two_j, two_jp):
     semA = _semantic_t(two_j)
     semB = _semantic_t(two_jp)
     if two_j == 0:
-        return _nc_mat_sub(semB, _semantic_t(two_jp))
+        return la.mat_sub(semB, _semantic_t(two_jp))
     if two_jp == 0:
-        return _nc_mat_sub(semA, _semantic_t(two_j))
+        return la.mat_sub(semA, _semantic_t(two_j))
     iota, pi = embed_chain([Fraction(two_j, 2), Fraction(two_jp, 2)])
     dimA = two_j + 1
     dimB = two_jp + 1
@@ -472,11 +460,7 @@ def corep_residual(two_j, two_jp):
                                 continue
                             acc = acc + semA[b1][k1].mul(semB[b2][k2]).scale(c)
             out[m][r] = acc
-    return _nc_mat_sub(out, _semantic_t(two_j + two_jp))
-
-
-def _nc_mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return la.mat_sub(out, _semantic_t(two_j + two_jp))
 
 
 def dual_route_residuals(two_j, convention=None):

@@ -80,10 +80,6 @@ def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def mat_apply(A, fn):
-    return [[fn(x) for x in r] for r in A]
-
-
 def _complexity(x: QScalar):
     if x.is_zero():
         return (1 << 30, 0)

@@ -117,27 +117,6 @@ class TimesPoly:
                     out[m] = s
         return TimesPoly(self.vars, out)
 
-    def mul_truncated(self, other, weights, cap):
-        """Product dropping monomials of weighted degree above ``cap``."""
-        self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            w1 = sum(w * e for w, e in zip(weights, m1))
-            for m2, c2 in other.terms.items():
-                if w1 + sum(w * e for w, e in zip(weights, m2)) > cap:
-                    continue
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                m = tup_add(m1, m2)
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return TimesPoly(self.vars, out)
-
     def scale(self, c):
         c = qs(c)
         if c.is_zero():
@@ -178,28 +157,6 @@ class TimesPoly:
                 out[m] = s
         return TimesPoly(self.vars, out)
 
-    def subs_value(self, name, value):
-        """Substitute a QScalar value for a variable."""
-        idx = self.vars.index(name)
-        value = qs(value)
-        out = {}
-        for m, c in self.terms.items():
-            e = m[idx]
-            if e:
-                c = c * value**e
-                mm = list(m)
-                mm[idx] = 0
-                m = tuple(mm)
-            if c.is_zero():
-                continue
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return TimesPoly(self.vars, out)
-
     def derivative(self, name):
         """Classical partial derivative."""
         idx = self.vars.index(name)
@@ -226,15 +183,6 @@ class TimesPoly:
             if not v.is_zero():
                 out[m] = v
         return TimesPoly(self.vars, out)
-
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
-    def weighted_truncate(self, weights, cap):
-        return TimesPoly(
-            self.vars,
-            {m: c for m, c in self.terms.items() if sum(w * e for w, e in zip(weights, m)) <= cap},
-        )
 
     def __str__(self):
         if not self.terms:

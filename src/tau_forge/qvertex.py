@@ -28,13 +28,17 @@ from fractions import Fraction
 
 from . import linalg as la
 from .ncalg import TimesPoly
-from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket, qs
+from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket
 from .report import Stopwatch, VerificationReport
 from .uqsl2 import (
+    Rep,
     antipode_inv_matrices,
     antipode_matrices,
     make_rep,
     q_exp_nilpotent,
+    tensor_e,
+    tensor_f,
+    tensor_k,
     tp_lift,
     tp_scale_var,
     twice,
@@ -49,51 +53,34 @@ def _w_rep():
     return make_rep(Fraction(1, 2))
 
 
-def _w_matrices():
+def _twisted_dual_w():
+    """W* with x acting as rho(S'(x))^T; k^{-1} acts as k^T since S'(k^{-1}) = k."""
     w = _w_rep()
-    return {"e": w.E, "f": w.F, "k": w.K, "kinv": w.Kinv}
+    Sp = antipode_inv_matrices(w)
+    t = la.mat_transpose
+    return Rep(1, t(Sp["e"]), t(Sp["f"]), t(Sp["k"]), t(w.K))
 
 
-def _dual_twisted(mats):
-    """Auxiliary action on W* twisted by an antipode: x |-> rho(sigma(x))^T."""
-    return {name: la.mat_transpose(m) for name, m in mats.items()}
+def _action(rep):
+    """Matrices of e, f, k on a representation."""
+    return rep.E, rep.F, rep.K
 
 
-def _coproduct_pairs(repA, repB):
-    """Matrices of Delta(x) on repA ox repB for x in {e, f, k}."""
-    return {
-        "e": tensor_e_like(repA, repB),
-        "f": tensor_f_like(repA, repB),
-        "k": la.kron(repA["k"], repB["k"]),
-    }
+def _coproduct(repA, repB):
+    """Matrices of Delta(e), Delta(f), Delta(k) on repA ox repB."""
+    return tensor_e(repA, repB), tensor_f(repA, repB), tensor_k(repA, repB)
 
 
-def tensor_e_like(repA, repB):
-    IA = la.identity(len(repA["e"]))
-    IB = la.identity(len(repB["e"]))
-    return la.mat_add(la.kron(repA["e"], IB), la.kron(repA["kinv"], repB["e"]))
-
-
-def tensor_f_like(repA, repB):
-    IA = la.identity(len(repA["e"]))
-    IB = la.identity(len(repB["e"]))
-    return la.mat_add(la.kron(IA, repB["f"]), la.kron(repA["f"], repB["k"]))
-
-
-def _rep_dict(rep):
-    return {"e": rep.E, "f": rep.F, "k": rep.K, "kinv": rep.Kinv}
-
-
-def _solve_intertwiner(left_action, right_action, rows, cols):
-    """One-dimensional solution M of  left(x) M = M right(x)  for x=e,f,k.
+def _solve_intertwiner(left_action, right_action):
+    """One-dimensional solution M of  left(x) M = M right(x)  for x=e,f,k,
+    each action given as its (e, f, k) matrices.
 
     Unknowns are the entries of the rows x cols matrix M, flattened row-major.
     Raises ConventionError unless the nullspace is exactly one-dimensional.
     """
+    rows, cols = len(left_action[0]), len(right_action[0])
     eqs = []
-    for x in ("e", "f", "k"):
-        L = left_action[x]
-        R = right_action[x]
+    for L, R in zip(left_action, right_action):
         # (L M - M R)[i][j] = sum_t L[i][t] M[t][j] - sum_t M[i][t] R[t][j]
         for i in range(rows):
             for j in range(cols):
@@ -151,15 +138,11 @@ def solve_vertex_components(j):
 
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
-    W = _w_matrices()
-    srcd = _rep_dict(src)
-    tgtd = _rep_dict(tgt)
+    W = _w_rep()
     ds, dt = src.dim, tgt.dim
 
     # Phi: V_src ox W -> V_tgt with x Phi = Phi Delta(x)
-    big = _coproduct_pairs(srcd, W)
-    big["kinv"] = la.kron(src.Kinv, W["kinv"])
-    phi = _solve_intertwiner(tgtd, big, dt, ds * 2)
+    phi = _solve_intertwiner(_action(tgt), _coproduct(src, W))
     phi_p = [[phi[i][r * 2 + 0] for r in range(ds)] for i in range(dt)]
     phi_m = [[phi[i][r * 2 + 1] for r in range(ds)] for i in range(dt)]
     # normalize: Phi_+ |src highest> = |tgt highest>
@@ -171,9 +154,7 @@ def solve_vertex_components(j):
     phi_m = la.mat_scale(phi_m, ci)
 
     # Psi: V_src -> W ox V_tgt with Psi x = Delta(x) Psi
-    big = _coproduct_pairs(W, tgtd)
-    big["kinv"] = la.kron(W["kinv"], tgt.Kinv)
-    psi = _solve_intertwiner(big, srcd, 2 * dt, ds)
+    psi = _solve_intertwiner(_coproduct(W, tgt), _action(src))
     psi_p = [psi[0 * dt + i] for i in range(dt)]
     psi_m = [psi[1 * dt + i] for i in range(dt)]
     c = psi_m[0][0]
@@ -184,15 +165,13 @@ def solve_vertex_components(j):
     psi_m = la.mat_scale(psi_m, ci)
 
     # Phi^: V_src -> V_tgt ox W (creating right), components via the dual basis
-    big = _coproduct_pairs(tgtd, W)
-    phiup = _solve_intertwiner(big, srcd, dt * 2, ds)
+    phiup = _solve_intertwiner(_coproduct(tgt, W), _action(src))
     phiup_p = [phiup[i * 2 + 0] for i in range(dt)]
     phiup_m = [phiup[i * 2 + 1] for i in range(dt)]
     phiup_p, phiup_m = _normalize_pair(phiup_p, phiup_m)
 
     # Psi_: W ox V_src -> V_tgt (annihilating left)
-    big = _coproduct_pairs(W, srcd)
-    psidn = _solve_intertwiner(tgtd, big, dt, 2 * ds)
+    psidn = _solve_intertwiner(_action(tgt), _coproduct(W, src))
     psidn_p = [[psidn[i][0 * ds + r] for r in range(ds)] for i in range(dt)]
     psidn_m = [[psidn[i][1 * ds + r] for r in range(ds)] for i in range(dt)]
     psidn_p, psidn_m = _normalize_pair(psidn_p, psidn_m)
@@ -259,21 +238,8 @@ def _vec_sub(u, v):
 
 def _w_action_entry(x, i, j_):
     """Matrix entry: coefficient of w_i in x w_j (standard column-action)."""
-    W = _w_matrices()
-    return W[x][i][j_]
-
-
-def _delta_terms(x, repA, repB):
-    """Delta(x) as a list of (x1 matrix in repA, x2 matrix in repB) summands."""
-    if x == "e":
-        IB = la.identity(len(repB["e"]))
-        return [(repA["e"], IB), (repA["kinv"], repB["e"])]
-    if x == "f":
-        IA = la.identity(len(repA["e"]))
-        return [(IA, repB["f"]), (repA["f"], repB["k"])]
-    if x == "k":
-        return [(repA["k"], repB["k"])]
-    raise ValueError(x)
+    w = _w_rep()
+    return {"e": w.E, "f": w.F, "k": w.K}[x][i][j_]
 
 
 def verify_component_relations(j):
@@ -283,10 +249,6 @@ def verify_component_relations(j):
     comps = solve_vertex_components(j)
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
-    srcd, tgtd = _rep_dict(src), _rep_dict(tgt)
-    S_t = antipode_matrices(tgt)
-    Sp_t = antipode_inv_matrices(tgt)
-    W = _w_matrices()
     details = []
     ok = True
 
@@ -294,10 +256,6 @@ def verify_component_relations(j):
     psidn = comps.psi_dn
     phidn = (comps.phi_plus, comps.phi_minus)
     psiup = (comps.psi_plus, comps.psi_minus)
-
-    def s_of(x, mats):
-        # antipode of a generator as a matrix in the carrier of ``mats``
-        return mats[x]
 
     with Stopwatch() as sw:
         for x in ("e", "f", "k"):
@@ -381,11 +339,11 @@ def verify_component_relations(j):
         # annihilating-right solve over the S'-twisted dual of W; annihilating-
         # left components match a creating-left solve over the S'-twisted dual
         # (the S-twist is its inverse, so twisting twice returns W itself)
-        iso1 = _solve_phid_with_aux(j, _dual_twisted(antipode_inv_w()))
+        iso1 = _solve_phid_with_aux(j, _twisted_dual_w())
         if not _proportional_pairs(phiup, iso1):
             ok = False
             details.append("dual identification fails for creating-right components")
-        iso2 = _solve_psiu_style_with_aux(j, _dual_twisted(antipode_inv_w()))
+        iso2 = _solve_psiu_style_with_aux(j, _twisted_dual_w())
         if not _proportional_pairs(psidn, iso2):
             ok = False
             details.append("dual identification fails for annihilating-left components")
@@ -401,29 +359,13 @@ def verify_component_relations(j):
     )
 
 
-def antipode_w():
-    """S(x) matrices in W for x in {e, f, k} plus k^{-1} leg."""
-    w = _w_rep()
-    S = antipode_matrices(w)
-    return {"e": S["e"], "f": S["f"], "k": S["k"], "kinv": w.K}
-
-
-def antipode_inv_w():
-    w = _w_rep()
-    Sp = antipode_inv_matrices(w)
-    return {"e": Sp["e"], "f": Sp["f"], "k": Sp["k"], "kinv": w.K}
-
-
 def _solve_phid_with_aux(j, aux):
     """Annihilating-right solve with auxiliary action ``aux``; components in
     the dual basis ordering (w^+, w^-)."""
     two_j = twice(j)
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
-    srcd, tgtd = _rep_dict(src), _rep_dict(tgt)
-    big = _coproduct_pairs(srcd, aux)
-    big["kinv"] = la.kron(src.Kinv, aux["kinv"])
-    M = _solve_intertwiner(tgtd, big, tgt.dim, src.dim * 2)
+    M = _solve_intertwiner(_action(tgt), _coproduct(src, aux))
     mp = [[M[i][r * 2 + 0] for r in range(src.dim)] for i in range(tgt.dim)]
     mm = [[M[i][r * 2 + 1] for r in range(src.dim)] for i in range(tgt.dim)]
     return _normalize_pair(mp, mm)
@@ -434,10 +376,7 @@ def _solve_psiu_style_with_aux(j, aux):
     two_j = twice(j)
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
-    srcd, tgtd = _rep_dict(src), _rep_dict(tgt)
-    big = _coproduct_pairs(aux, tgtd)
-    big["kinv"] = la.kron(aux["kinv"], tgt.Kinv)
-    M = _solve_intertwiner(big, srcd, 2 * tgt.dim, src.dim)
+    M = _solve_intertwiner(_coproduct(aux, tgt), _action(src))
     mp = [M[0 * tgt.dim + i] for i in range(tgt.dim)]
     mm = [M[1 * tgt.dim + i] for i in range(tgt.dim)]
     return _normalize_pair(mp, mm)
@@ -515,7 +454,27 @@ def verify_qexp_commutation(j):
     """The eight exact commutation identities between the vertex components
     and exp_{q^2}(t e), exp_{q^-2}(s f), as TimesPoly matrix identities."""
     two_j = twice(j)
-    comps = solve_vertex_components(j)
+    details = []
+    ok = True
+    with Stopwatch() as sw:
+        for name, res in _qexp_commutation_residuals(two_j).items():
+            if not la.mat_is_zero(res):
+                ok = False
+                details.append(f"failed {name}")
+    return VerificationReport(
+        check_id="vertex.qexp-commutation",
+        verdict=ok,
+        residual="" if ok else "; ".join(details),
+        params={"j": Fraction(two_j, 2)},
+        anchor="vertex components vs q-exponential flows",
+        ms=sw.ms,
+        details=details,
+    )
+
+
+def _qexp_commutation_residuals(two_j):
+    """Residual TimesPoly matrices of the eight commutation identities."""
+    comps = solve_vertex_components(Fraction(two_j, 2))
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
     tvars = ("t", "s")
@@ -534,7 +493,7 @@ def verify_qexp_commutation(j):
     tvar = TimesPoly.var(tvars, "t")
     svar = TimesPoly.var(tvars, "s")
 
-    from .uqsl2 import _tp_mat_mul as mm, _tp_mat_sub as ms
+    mm, ms = la.mat_mul, la.mat_sub
 
     def tmul(M, tp):
         return [[x * tp for x in row] for row in M]
@@ -543,7 +502,7 @@ def verify_qexp_commutation(j):
     # exp(te) Phi+ = Phi+ exp(te)
     checks["exp(te)phi+"] = ms(mm(Et, Ap), mm(Ap, Es))
     # exp(te) Phi- = (t Phi+ k^{-1} + Phi-) exp(te)
-    inner = _tp_add(tmul(mm(Ap, Kinv_s), tvar), Am)
+    inner = la.mat_add(tmul(mm(Ap, Kinv_s), tvar), Am)
     checks["exp(te)phi-"] = ms(mm(Et, Am), mm(inner, Es))
     # exp(te) Psi+ = Psi+ exp(q t e) - q t Psi- exp(q^{-1} t e)
     Es_q = tp_scale_var(Es, "t", Q)
@@ -562,26 +521,7 @@ def verify_qexp_commutation(j):
     # Psi+ exp(sf) = exp(sf) Psi+
     checks["psi+exp(sf)"] = ms(mm(Bp, Fs), mm(Ft, Bp))
     # Psi- exp(sf) = exp(sf)(Psi- + s k Psi+)
-    inner = _tp_add(Bm, tmul(mm(K_t, Bp), svar))
+    inner = la.mat_add(Bm, tmul(mm(K_t, Bp), svar))
     checks["psi-exp(sf)"] = ms(mm(Bm, Fs), mm(Ft, inner))
 
-    details = []
-    ok = True
-    with Stopwatch() as sw:
-        for name, res in checks.items():
-            if any(not x.is_zero() for row in res for x in row):
-                ok = False
-                details.append(f"failed {name}")
-    return VerificationReport(
-        check_id="vertex.qexp-commutation",
-        verdict=ok,
-        residual="" if ok else "; ".join(details),
-        params={"j": Fraction(two_j, 2)},
-        anchor="vertex components vs q-exponential flows",
-        ms=sw.ms,
-        details=details,
-    )
-
-
-def _tp_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return checks

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import linalg as la
 from .ncalg import TimesPoly
 from .qscalar import ONE, ZERO, qs
 from .report import Stopwatch, VerificationReport
@@ -119,7 +120,7 @@ def _exp_h(size, coeffs, vars):
                     H[i][j] = H[i][j] + cpoly
     term = [[TimesPoly.const(vars, ONE if i == j else ZERO) for j in range(size)] for i in range(size)]
     for m in range(1, size):
-        term = _tp_mat_mul(term, H)
+        term = la.mat_mul(term, H)
         if all(x.is_zero() for row in term for x in row):
             break
         inv = qs(Fraction(1, factorial(m)))
@@ -127,21 +128,6 @@ def _exp_h(size, coeffs, vars):
             for j in range(size):
                 acc[i][j] = acc[i][j] + term[i][j].scale(inv)
     return acc
-
-
-def _tp_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def _tp_det(M):
@@ -187,7 +173,7 @@ def _flow_matrix(inst, times, vars):
     E = _exp_h(size, e_coeffs, vars)
     F = _exp_h(size, f_coeffs, vars)
     G = [[TimesPoly.const(vars, qs(x)) for x in row] for row in inst.g]
-    return _tp_mat_mul(_tp_mat_mul(E, G), F)
+    return la.mat_mul(la.mat_mul(E, G), F)
 
 
 def _vars_for(inst, times):

@@ -109,14 +109,12 @@ def _mat_pow(A, n):
 
 
 def tensor_e(repA, repB):
-    IA = la.identity(repA.dim)
     IB = la.identity(repB.dim)
     return la.mat_add(la.kron(repA.E, IB), la.kron(repA.Kinv, repB.E))
 
 
 def tensor_f(repA, repB):
     IA = la.identity(repA.dim)
-    IB = la.identity(repB.dim)
     return la.mat_add(la.kron(IA, repB.F), la.kron(repA.F, repB.K))
 
 
@@ -183,7 +181,7 @@ def q_exp_nilpotent(A, var, base_power, vars=None):
     out = [[TimesPoly.const(vars, ONE) if i == j else TimesPoly.zero(vars) for j in range(n)] for i in range(n)]
     power = [[TimesPoly.const(vars, ONE) if i == j else TimesPoly.zero(vars) for j in range(n)] for i in range(n)]
     for m in range(1, n + 1):
-        power = _tp_mat_mul(power, A)
+        power = la.mat_mul(power, A)
         if all(x.is_zero() for row in power for x in row):
             break
         if m == n:
@@ -204,10 +202,6 @@ def tp_lift(A, vars):
 
 def tp_scale_var(M, name, factor):
     return [[x.scale_var(name, factor) for x in row] for row in M]
-
-
-def tp_mat_is_zero(M):
-    return all(x.is_zero() for row in M for x in row)
 
 
 # -- Hopf-structure verification ---------------------------------------------
@@ -248,22 +242,22 @@ def verify_hopf_matrices(j, jp):
         lhs = q_exp_nilpotent(dE, "t", 2, t_vars)
         IB = la.identity(repB.dim)
         IA = la.identity(repA.dim)
-        rhs = _tp_mat_mul(
+        rhs = la.mat_mul(
             q_exp_nilpotent(la.kron(repA.Kinv, repB.E), "t", 2, t_vars),
             q_exp_nilpotent(la.kron(repA.E, IB), "t", 2, t_vars),
         )
-        if not tp_mat_is_zero(_tp_mat_sub(lhs, rhs)):
+        if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
             ok = False
             details.append("failed factorization of exp_{q^2}(t e)")
 
         # (c) factorization of exp_{q^-2}(s f)
         s_vars = ("s",)
         lhs = q_exp_nilpotent(dF, "s", -2, s_vars)
-        rhs = _tp_mat_mul(
+        rhs = la.mat_mul(
             q_exp_nilpotent(la.kron(IA, repB.F), "s", -2, s_vars),
             q_exp_nilpotent(la.kron(repA.F, repB.K), "s", -2, s_vars),
         )
-        if not tp_mat_is_zero(_tp_mat_sub(lhs, rhs)):
+        if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
             ok = False
             details.append("failed factorization of exp_{q^-2}(s f)")
 
@@ -291,22 +285,3 @@ def verify_hopf_matrices(j, jp):
         ms=sw.ms,
         details=details,
     )
-
-
-def _tp_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _tp_mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]

@@ -111,11 +111,17 @@ def test_reports_deterministic():
     assert a[0].details == b[0].details
 
 
-def test_concurrent_jobs_keep_order():
-    seq = run_check("qliouville.*", jobs=1)
-    par = run_check("qliouville.*", jobs=3)
-    assert [r.check_id for r in seq] == [r.check_id for r in par]
-    assert all(r.verdict for r in par)
+def test_glob_runs_in_sorted_order():
+    reports = run_check("qliouville.*")
+    ids = [r.check_id for r in reports]
+    assert ids == sorted(ids) and len(ids) == 3
+    assert all(r.verdict for r in reports)
+
+
+def test_every_check_reports_its_time():
+    reports = run_check("*")
+    assert [r.check_id for r in reports] == sorted(REGISTRY)
+    assert [r.check_id for r in reports if not r.ms > 0] == []
 
 
 def test_boundary_guard_surfaces_as_usage_error(capsys):

@@ -3,9 +3,11 @@
 The spin-j matrix of coordinate functions T^(j) is produced on two routes:
 
 * ``abstract`` - over the :func:`~tau_forge.ncalg.funq_sl2` presentation,
-  by embedding V_j into the 2j-fold tensor power of V_{1/2} and contracting
-  products of the fundamental entries a, b, c, d (first tensor factor's
-  element leftmost throughout).
+  by recursion on the spin: T^(j) is the spin-j block of the ordered entry
+  products of T^(j-1/2) and T^(1/2), cut out by the intertwiners between V_j
+  and V_{j-1/2} ox V_{1/2} (first tensor factor's element leftmost
+  throughout).  The same contraction for other spin pairs is the
+  corepresentation check.
 * ``gauss`` - over the :func:`~tau_forge.ncalg.gauss_param` parameter algebra,
   as the factorized group-like element
   exp_{q^-2}((q-q^-1) e ox s) . Q-diagonal . exp_{q^2}(-(q-q^-1) f ox sbar)
@@ -34,11 +36,10 @@ from .ncalg import (
     Presentation,
     funq_sl2,
     gauss_param,
-    normal_form,
 )
 from .qscalar import ONE, Q, QINV, ZERO, q_number
 from .report import Stopwatch, VerificationReport
-from .uqsl2 import make_rep, q_exp_nilpotent, twice
+from .uqsl2 import make_rep, q_exp_nilpotent, tensor_e, tensor_f, tensor_k, twice
 
 SCALAR_PRESENTATION = Presentation("scalar", (), {})
 
@@ -48,63 +49,30 @@ class EmbeddingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# iterated coproducts and tensor embeddings
+# two-factor embeddings and the spin-j recursion
 # ---------------------------------------------------------------------------
-
-
-def _iterated(reps, x):
-    """Matrix of the (n-1)-fold coproduct of generator x on reps[0] ox ... ."""
-    mats = []
-    n = len(reps)
-    for a in range(n):
-        if x == "e":
-            legs = [r.Kinv for r in reps[:a]] + [reps[a].E] + [la.identity(r.dim) for r in reps[a + 1 :]]
-        elif x == "f":
-            legs = [la.identity(r.dim) for r in reps[:a]] + [reps[a].F] + [r.K for r in reps[a + 1 :]]
-        else:
-            raise ValueError(x)
-        mats.append(_kron_chain(legs))
-    out = mats[0]
-    for m in mats[1:]:
-        out = la.mat_add(out, m)
-    return out
-
-
-def _iterated_k(reps, inverse=False):
-    legs = [(r.Kinv if inverse else r.K) for r in reps]
-    return _kron_chain(legs)
-
-
-def _kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = la.kron(out, m)
-    return out
-
 
 _EMBED_CACHE = {}
 
 
-def embed_chain(factor_spins):
-    """Embedding/projection pair between V_J (J = sum of factors) and the
-    ordered tensor product of the factor representations.
+def embed_chain(j1, j2):
+    """Embedding/projection pair between V_{j1+j2} and V_{j1} ox V_{j2}.
 
     iota sends the highest weight vector to the product of highest weight
-    vectors and intertwines the iterated coproduct action; pi intertwines the
-    other way with pi . iota = identity.  The top spin J occurs exactly once
-    in the tensor product, which pins pi down.
+    vectors and intertwines the coproduct action (:func:`~tau_forge.uqsl2.tensor_e`
+    and friends); pi intertwines the other way with pi . iota = identity.  The
+    top spin j1 + j2 occurs exactly once in the tensor product, which pins pi
+    down.  Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
     """
-    key = tuple(twice(j) for j in factor_spins)
+    key = (twice(j1), twice(j2))
     cached = _EMBED_CACHE.get(key)
     if cached is not None:
         return cached
-    reps = [make_rep(Fraction(tj, 2)) for tj in key]
+    repA, repB = (make_rep(Fraction(tj, 2)) for tj in key)
     two_J = sum(key)
     target = make_rep(Fraction(two_J, 2))
-    dim_T = 1
-    for r in reps:
-        dim_T *= r.dim
-    dF = _iterated(reps, "f")
+    dim_T = repA.dim * repB.dim
+    dF = tensor_f(repA, repB)
     # iota column r = (Delta F)^r applied to the tensor highest weight vector
     vec = [ONE] + [ZERO] * (dim_T - 1)
     cols = [vec]
@@ -114,8 +82,6 @@ def embed_chain(factor_spins):
     iota = [[cols[r][i] for r in range(two_J + 1)] for i in range(dim_T)]
 
     # pi: intertwiner with pi . iota = identity, solved exactly
-    dE = _iterated(reps, "e")
-    dK = _iterated_k(reps)
     dim_t = target.dim
     nunk = dim_t * dim_T
     rows = []
@@ -124,7 +90,7 @@ def embed_chain(factor_spins):
     def unk(i, t):
         return i * dim_T + t
 
-    for X_big, X_tgt in ((dE, target.E), (dF, target.F), (dK, target.K)):
+    for X_big, X_tgt in ((tensor_e(repA, repB), target.E), (dF, target.F), (tensor_k(repA, repB), target.K)):
         for i in range(dim_t):
             for t in range(dim_T):
                 row = [ZERO] * nunk
@@ -149,18 +115,39 @@ def embed_chain(factor_spins):
     try:
         sol = la.solve_exact(rows, rhs)
     except ValueError as exc:
-        raise EmbeddingError(f"projection solve failed for factors {factor_spins}: {exc}") from exc
+        raise EmbeddingError(f"projection solve failed for factors {j1}, {j2}: {exc}") from exc
     pi = [[sol[unk(i, t)] for t in range(dim_T)] for i in range(dim_t)]
     _EMBED_CACHE[key] = (iota, pi)
     return iota, pi
 
 
-def tensor_embedding(j):
-    """Embedding of V_j into the 2j-fold tensor power of V_{1/2}."""
-    two_j = twice(j)
-    if two_j < 1:
-        raise ValueError("need j >= 1/2")
-    return embed_chain([Fraction(1, 2)] * two_j)
+def _top_block(semA, semB):
+    """Spin-(j+j') block of the ordered entry products of the semantic
+    matrices T^(j) and T^(j'):
+
+        out[m][r] = sum pi[m][(b1, b2)] iota[(k1, k2)][r] T^(j)_{b1 k1} T^(j')_{b2 k2}
+
+    with (iota, pi) = embed_chain(j, j'), the T^(j) entry leftmost.
+    """
+    dimA, dimB = len(semA), len(semB)
+    iota, pi = embed_chain(Fraction(dimA - 1, 2), Fraction(dimB - 1, 2))
+    dim = dimA + dimB - 1
+    pres, vars = semA[0][0].pres, semA[0][0].vars
+    out = [[NCPoly.zero(pres, vars) for _ in range(dim)] for _ in range(dim)]
+    for m in range(dim):
+        for r in range(dim):
+            acc = out[m][r]
+            for b in range(dimA * dimB):
+                pm = pi[m][b]
+                if pm.is_zero():
+                    continue
+                for k in range(dimA * dimB):
+                    c = pm * iota[k][r]
+                    if c.is_zero():
+                        continue
+                    acc = acc + semA[b // dimB][k // dimB].mul(semB[b % dimB][k % dimB]).scale(c)
+            out[m][r] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +156,6 @@ def tensor_embedding(j):
 
 _TSEM_CACHE = {}
 
-# semantic (bra-row) letters of the fundamental matrix: entry (bra m, ket r)
-_FUND_LETTERS = (("a", "c"), ("b", "d"))
-
 
 def _nc_gen(name, vars=()):
     return NCPoly.generator(funq_sl2(), name, vars)
@@ -179,42 +163,16 @@ def _nc_gen(name, vars=()):
 
 def _semantic_abstract(two_j, vars=()):
     """Semantic spin-j matrix over the abstract presentation: entry (m, r)
-    pairs bra index m with ket index r."""
-    pres = funq_sl2()
+    pairs bra index m with ket index r.  For 2j >= 2 it is the top block of
+    T^(j-1/2) and T^(1/2)."""
     if two_j == 0:
-        return [[NCPoly.one(pres, vars)]]
+        return [[NCPoly.one(funq_sl2(), vars)]]
     if two_j == 1:
         return [
             [_nc_gen("a", vars), _nc_gen("c", vars)],
             [_nc_gen("b", vars), _nc_gen("d", vars)],
         ]
-    iota, pi = tensor_embedding(Fraction(two_j, 2))
-    n = two_j
-    dim = two_j + 1
-    dim_T = 1 << n
-    out = [[NCPoly.zero(pres, vars) for _ in range(dim)] for _ in range(dim)]
-    words = {}
-    for m in range(dim):
-        for r in range(dim):
-            acc = {}
-            for I in range(dim_T):
-                pm = pi[m][I]
-                if pm.is_zero():
-                    continue
-                for R in range(dim_T):
-                    c = pm * iota[R][r]
-                    if c.is_zero():
-                        continue
-                    word = tuple(
-                        _FUND_LETTERS[(I >> (n - 1 - s)) & 1][(R >> (n - 1 - s)) & 1]
-                        for s in range(n)
-                    )
-                    acc[word] = acc.get(word, ZERO) + c
-            poly = normal_form(
-                [(w, c) for w, c in acc.items() if not c.is_zero()], pres, vars
-            )
-            out[m][r] = poly
-    return out
+    return _top_block(_semantic_t(two_j - 1, vars=vars), _semantic_t(1, vars=vars))
 
 
 def _semantic_gauss(two_j, convention=None, vars=()):
@@ -433,34 +391,8 @@ def _verify_funq_route(route, j, jp, convention):
 
 def corep_residual(two_j, two_jp):
     """Semantic residual of the corepresentation law for the pair (j, j')."""
-    semA = _semantic_t(two_j)
-    semB = _semantic_t(two_jp)
-    if two_j == 0:
-        return la.mat_sub(semB, _semantic_t(two_jp))
-    if two_jp == 0:
-        return la.mat_sub(semA, _semantic_t(two_j))
-    iota, pi = embed_chain([Fraction(two_j, 2), Fraction(two_jp, 2)])
-    dimA = two_j + 1
-    dimB = two_jp + 1
-    dim = two_j + two_jp + 1
-    pres = funq_sl2()
-    out = [[NCPoly.zero(pres) for _ in range(dim)] for _ in range(dim)]
-    for m in range(dim):
-        for r in range(dim):
-            acc = NCPoly.zero(pres)
-            for b1 in range(dimA):
-                for b2 in range(dimB):
-                    pm = pi[m][b1 * dimB + b2]
-                    if pm.is_zero():
-                        continue
-                    for k1 in range(dimA):
-                        for k2 in range(dimB):
-                            c = pm * iota[k1 * dimB + k2][r]
-                            if c.is_zero():
-                                continue
-                            acc = acc + semA[b1][k1].mul(semB[b2][k2]).scale(c)
-            out[m][r] = acc
-    return la.mat_sub(out, _semantic_t(two_j + two_jp))
+    block = _top_block(_semantic_t(two_j), _semantic_t(two_jp))
+    return la.mat_sub(block, _semantic_t(two_j + two_jp))
 
 
 def dual_route_residuals(two_j, convention=None):

@@ -87,21 +87,16 @@ def _complexity(x: QScalar):
     return (len(x.nc) + len(x.dc), deg)
 
 
-def nullspace(A):
-    """Exact nullspace basis of a QScalar matrix (columns = unknowns).
+def _eliminate(rows, ncols):
+    """Division-free Gauss-Jordan elimination of ``rows`` in place.
 
-    Division-free forward elimination with complexity-scored pivoting;
-    back-substitution over the field at the end.  Returns a list of basis
-    vectors (lists of QScalar).
+    Pivots come from the first ``ncols`` columns, chosen by complexity
+    score; updates cover the whole row, so trailing (augmented) columns are
+    carried along.  Returns {pivot column: pivot row}.
     """
-    if not A:
-        return []
-    rows = [list(r) for r in A]
-    ncols = len(rows[0])
     pivot_of_col = {}
     used_rows = set()
     for _ in range(ncols):
-        # best remaining pivot
         best = None
         for i, row in enumerate(rows):
             if i in used_rows:
@@ -123,8 +118,23 @@ def nullspace(A):
             if i == pi or row[pj].is_zero():
                 continue
             f = row[pj]
-            for j in range(ncols):
+            for j in range(len(row)):
                 row[j] = row[j] * pval - prow[j] * f
+    return pivot_of_col
+
+
+def nullspace(A):
+    """Exact nullspace basis of a QScalar matrix (columns = unknowns).
+
+    Division-free forward elimination with complexity-scored pivoting;
+    back-substitution over the field at the end.  Returns a list of basis
+    vectors (lists of QScalar).
+    """
+    if not A:
+        return []
+    rows = [list(r) for r in A]
+    ncols = len(rows[0])
+    pivot_of_col = _eliminate(rows, ncols)
     free_cols = [j for j in range(ncols) if j not in pivot_of_col]
     basis = []
     # rows are fully eliminated against each other, so each pivot row relates
@@ -142,36 +152,11 @@ def nullspace(A):
 
 def solve_exact(A, b):
     """Solve A x = b exactly; raises ValueError if inconsistent or undetermined."""
-    n = len(A)
     ncols = len(A[0])
     rows = [list(r) + [bv] for r, bv in zip(A, b)]
     aug = ncols  # augmented column index
-    pivot_of_col = {}
-    used_rows = set()
-    for _ in range(ncols):
-        best = None
-        for i, row in enumerate(rows):
-            if i in used_rows:
-                continue
-            for j in range(ncols):
-                if j in pivot_of_col or row[j].is_zero():
-                    continue
-                score = _complexity(row[j])
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        used_rows.add(pi)
-        pivot_of_col[pj] = pi
-        prow = rows[pi]
-        pval = prow[pj]
-        for i, row in enumerate(rows):
-            if i == pi or row[pj].is_zero():
-                continue
-            f = row[pj]
-            for j in range(ncols + 1):
-                row[j] = row[j] * pval - prow[j] * f
+    pivot_of_col = _eliminate(rows, ncols)
+    used_rows = set(pivot_of_col.values())
     for i, row in enumerate(rows):
         if i not in used_rows and not row[aug].is_zero():
             raise ValueError("inconsistent linear system")

@@ -252,99 +252,49 @@ def verify_component_relations(j):
     details = []
     ok = True
 
-    phiup = comps.phi_up
-    psidn = comps.psi_dn
-    phidn = (comps.phi_plus, comps.phi_minus)
-    psiup = (comps.psi_plus, comps.psi_minus)
+    # (R1)  sum S(x1) Phi^i x2 = sum_j rho_j^i(x) Phi^j
+    # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
+    # (R3)  sum x2 Phi_i S'(x1) = sum_j rho_i^j(x) Phi_j
+    # (R4)  sum x1 Psi_i S(x2) = sum_j rho_i^j(x) Psi_j
+    # rows: name, _delta_split mode, components, whether rho is indexed (j, i)
+    families = (
+        ("R1", "S-first", comps.phi_up, False),
+        ("R2", "Sp-second", (comps.psi_plus, comps.psi_minus), False),
+        ("R3", "Sp-first", (comps.phi_plus, comps.phi_minus), True),
+        ("R4", "S-second", comps.psi_dn, True),
+    )
 
     with Stopwatch() as sw:
         for x in ("e", "f", "k"):
-            # (R1)  sum S(x1) Phi^i x2 = sum_j rho_j^i(x) Phi^j
-            for i in (0, 1):
-                lhs = None
-                for X1t, X2s in _delta_split(x, tgt, src, "S-first"):
-                    term = la.mat_mul(X1t, la.mat_mul(phiup[i], X2s))
-                    lhs = term if lhs is None else la.mat_add(lhs, term)
-                rhs = None
-                for jj in (0, 1):
-                    coef = _w_action_entry(x, i, jj)
-                    if coef.is_zero():
-                        continue
-                    term = la.mat_scale(phiup[jj], coef)
-                    rhs = term if rhs is None else la.mat_add(rhs, term)
-                if rhs is None:
-                    rhs = la.zeros(tgt.dim, src.dim)
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-                    ok = False
-                    details.append(f"R1 fails at x={x}, i={'+-'[i]}")
-
-            # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
-            for i in (0, 1):
-                lhs = None
-                for X2t, X1s in _delta_split(x, tgt, src, "Sp-second"):
-                    term = la.mat_mul(X2t, la.mat_mul(psiup[i], X1s))
-                    lhs = term if lhs is None else la.mat_add(lhs, term)
-                rhs = None
-                for jj in (0, 1):
-                    coef = _w_action_entry(x, i, jj)
-                    if coef.is_zero():
-                        continue
-                    term = la.mat_scale(psiup[jj], coef)
-                    rhs = term if rhs is None else la.mat_add(rhs, term)
-                if rhs is None:
-                    rhs = la.zeros(tgt.dim, src.dim)
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-                    ok = False
-                    details.append(f"R2 fails at x={x}, i={'+-'[i]}")
-
-            # (R3)  sum x2 Phi_i S'(x1) = sum_j rho_i^j(x) Phi_j
-            for i in (0, 1):
-                lhs = None
-                for X2t, X1s in _delta_split(x, tgt, src, "Sp-first"):
-                    term = la.mat_mul(X2t, la.mat_mul(phidn[i], X1s))
-                    lhs = term if lhs is None else la.mat_add(lhs, term)
-                rhs = None
-                for jj in (0, 1):
-                    coef = _w_action_entry(x, jj, i)
-                    if coef.is_zero():
-                        continue
-                    term = la.mat_scale(phidn[jj], coef)
-                    rhs = term if rhs is None else la.mat_add(rhs, term)
-                if rhs is None:
-                    rhs = la.zeros(tgt.dim, src.dim)
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-                    ok = False
-                    details.append(f"R3 fails at x={x}, i={'+-'[i]}")
-
-            # (R4)  sum x1 Psi_i S(x2) = sum_j rho_i^j(x) Psi_j
-            for i in (0, 1):
-                lhs = None
-                for X1t, X2s in _delta_split(x, tgt, src, "S-second"):
-                    term = la.mat_mul(X1t, la.mat_mul(psidn[i], X2s))
-                    lhs = term if lhs is None else la.mat_add(lhs, term)
-                rhs = None
-                for jj in (0, 1):
-                    coef = _w_action_entry(x, jj, i)
-                    if coef.is_zero():
-                        continue
-                    term = la.mat_scale(psidn[jj], coef)
-                    rhs = term if rhs is None else la.mat_add(rhs, term)
-                if rhs is None:
-                    rhs = la.zeros(tgt.dim, src.dim)
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-                    ok = False
-                    details.append(f"R4 fails at x={x}, i={'+-'[i]}")
+            for name, mode, comp, swapped in families:
+                for i in (0, 1):
+                    lhs = None
+                    for left, right in _delta_split(x, tgt, src, mode):
+                        term = la.mat_mul(left, la.mat_mul(comp[i], right))
+                        lhs = term if lhs is None else la.mat_add(lhs, term)
+                    rhs = None
+                    for jj in (0, 1):
+                        coef = _w_action_entry(x, jj, i) if swapped else _w_action_entry(x, i, jj)
+                        if coef.is_zero():
+                            continue
+                        term = la.mat_scale(comp[jj], coef)
+                        rhs = term if rhs is None else la.mat_add(rhs, term)
+                    if rhs is None:
+                        rhs = la.zeros(tgt.dim, src.dim)
+                    if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
+                        ok = False
+                        details.append(f"{name} fails at x={x}, i={'+-'[i]}")
 
         # canonical identifications: creating-right components match an
         # annihilating-right solve over the S'-twisted dual of W; annihilating-
         # left components match a creating-left solve over the S'-twisted dual
         # (the S-twist is its inverse, so twisting twice returns W itself)
         iso1 = _solve_phid_with_aux(j, _twisted_dual_w())
-        if not _proportional_pairs(phiup, iso1):
+        if not _proportional_pairs(comps.phi_up, iso1):
             ok = False
             details.append("dual identification fails for creating-right components")
         iso2 = _solve_psiu_style_with_aux(j, _twisted_dual_w())
-        if not _proportional_pairs(psidn, iso2):
+        if not _proportional_pairs(comps.psi_dn, iso2):
             ok = False
             details.append("dual identification fails for annihilating-left components")
 

@@ -5,30 +5,33 @@ import pytest
 from tau_forge import linalg as la
 from tau_forge.funq import (
     GaussModel,
+    _semantic_t,
+    _top_block,
     counit_map,
     dual_route_residuals,
+    embed_chain,
     entry_grading_ok,
     gauss_relation_residuals,
     t_matrix,
     tau_q,
-    tensor_embedding,
     verify_funq,
 )
 from tau_forge.ncalg import FROZEN_GAUSS_CONVENTION, NCPoly, TimesPoly, funq_sl2, gauss_param
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
+from tau_forge.uqsl2 import make_rep, tensor_e, tensor_f
 
 HALF = Fraction(1, 2)
 
 
 def test_embedding_half_is_identity():
-    iota, pi = tensor_embedding(HALF)
+    iota, pi = embed_chain(0, HALF)
     assert iota == la.identity(2)
     assert pi == la.identity(2)
 
 
 @pytest.mark.parametrize("j", [1, Fraction(3, 2)])
 def test_embedding_projects_back(j):
-    iota, pi = tensor_embedding(j)
+    iota, pi = embed_chain(j - HALF, HALF)
     assert la.mat_eq(la.mat_mul(pi, iota), la.identity(int(2 * j) + 1))
     # highest weight goes to the product of highest weights
     col0 = [iota[t][0] for t in range(len(iota))]
@@ -36,14 +39,10 @@ def test_embedding_projects_back(j):
 
 
 def test_embedding_intertwines():
-    from tau_forge.funq import _iterated
-    from tau_forge.uqsl2 import make_rep
-
-    j = Fraction(3, 2)
-    iota, pi = tensor_embedding(j)
-    reps = [make_rep(HALF)] * 3
-    tgt = make_rep(j)
-    for big, small in ((_iterated(reps, "e"), tgt.E), (_iterated(reps, "f"), tgt.F)):
+    iota, pi = embed_chain(1, HALF)
+    one, half = make_rep(1), make_rep(HALF)
+    tgt = make_rep(Fraction(3, 2))
+    for big, small in ((tensor_e(one, half), tgt.E), (tensor_f(one, half), tgt.F)):
         assert la.mat_is_zero(
             la.mat_sub(la.mat_mul(big, iota), la.mat_mul(iota, small))
         )
@@ -141,20 +140,30 @@ def test_gauss_relations_exactly_one_convention():
     assert verify_funq("gauss_relations").verdict
 
 
+# T^(j) is built as the top block of (j-1/2, 1/2), so those pairs would hold
+# by construction; these pairs are not built by the recursion
 @pytest.mark.parametrize(
-    "j,jp", [(HALF, HALF), (1, HALF), (HALF, 1), (0, 1), (1, 1)]
+    "j,jp", [(HALF, Fraction(3, 2)), (1, Fraction(3, 2)), (HALF, 1), (0, 1), (1, 1)]
 )
 def test_corep(j, jp):
     assert verify_funq("corep", j, jp).verdict
 
 
-@pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2)])
+def test_corep_fails_on_transposed_factor():
+    # negative control: the spin-1 factor in the public (transposed) index
+    # convention must not reproduce T^(3/2)
+    block = _top_block(_semantic_t(1), t_matrix(1))
+    res = la.mat_sub(block, _semantic_t(3))
+    assert any(not x.is_zero() for row in res for x in row)
+
+
+@pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), 2, Fraction(5, 2)])
 def test_dual_route(j):
     res = dual_route_residuals(int(2 * j))
     assert all(x.is_zero() for row in res for x in row)
 
 
-@pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2)])
+@pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), Fraction(5, 2), 3])
 def test_homogeneous_entries(j):
     M = t_matrix(j)
     for m in range(len(M)):

@@ -14,7 +14,25 @@ satisfy the Toda-molecule bilinear identity
 which is the Desnanot-Jacobi determinant identity in disguise: the mixed
 derivative of an entry shifts its row and column index down by one, so each
 derivative of a minor is itself a bordered minor.  Both formulations are
-implemented and compared; that cross-check is the oracle for the identity.
+computed and compared; that cross-check is the oracle for the identity.
+
+The minors are computed over the integers.  The flow matrix A is built once
+over Q; with c the lcm of its coefficient denominators, cA has integer
+polynomial entries, stored as {packed monomial: int} dicts.  A packed
+monomial holds the exponent tuple in one int of fixed-width bit fields, the
+width taken from the instance's degree bound, so adding two packed monomials
+multiplies them.  One table holds every row-prefix minor
+
+    D[cols] = det (cA)[:r, cols],   r = len(cols),
+
+each a Laplace expansion of row r-1 over the (r-1)-layer.  Every quantity is
+read off it: the leading minors c^k tau_k, d_u tau_k = D[0..k-2, k], and
+d_x tau_k and d_x d_u tau_k as one expansion each of row k over the
+(k-1)-layer.  A k x k minor of cA is c^k times the same minor of A, so each
+side of the identity at k scales by c^(2k) and the integer residual is zero
+exactly when the rational one is; tau_k is divided by c^k once, on return.
+(Bareiss elimination would give the leading minors alone and needs exact
+division of bivariate polynomials; the table gives the bordered minors too.)
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg as la
 from .ncalg import TimesPoly
@@ -39,6 +57,8 @@ class TodaInstance:
     def from_rows(cls, rows):
         rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         size = len(rows)
+        if size == 0:
+            raise ValueError("g must not be empty")
         if any(len(r) != size for r in rows):
             raise ValueError("g must be square")
         inst = cls(size=size, g=rows)
@@ -49,7 +69,11 @@ class TodaInstance:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        rows = data["g"]
+        rows = data.get("g") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError('expected an object {"g": [[entry, ...], ...]}')
+        if not all(isinstance(x, (int, float, str)) for r in rows for x in r):
+            raise ValueError("entries of g must be numbers or strings")
         if "size" in data and data["size"] != len(rows):
             raise ValueError("size field disagrees with matrix")
         return cls.from_rows(rows)
@@ -130,35 +154,6 @@ def _exp_h(size, coeffs, vars):
     return acc
 
 
-def _tp_det(M):
-    """Exact determinant of a TimesPoly matrix by column-subset recursion."""
-    n = len(M)
-    if n == 0:
-        return None
-    vars = M[0][0].vars
-    memo = {}
-
-    def rec(row, cols):
-        if not cols:
-            return TimesPoly.one(vars)
-        key = cols
-        got = memo.get((row, key))
-        if got is not None:
-            return got
-        acc = TimesPoly.zero(vars)
-        for pos, c in enumerate(cols):
-            entry = M[row][c]
-            if entry.is_zero():
-                continue
-            sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[(row, key)] = acc
-        return acc
-
-    return rec(0, tuple(range(n)))
-
-
 def _flow_matrix(inst, times, vars):
     """exp(H(x)) g exp(H'(u)) with the requested time content."""
     size = inst.size
@@ -182,6 +177,113 @@ def _vars_for(inst, times):
     return tuple([f"x{k}" for k in range(1, inst.size)] + [f"u{k}" for k in range(1, inst.size)])
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials with packed monomials: {packed exponents: int}
+# ---------------------------------------------------------------------------
+
+
+def _pack(mono, width):
+    """Exponent tuple -> one int of ``width``-bit fields, variable i in
+    field i counted from the low end."""
+    return sum(e << (i * width) for i, e in enumerate(mono))
+
+
+def _unpack(key, nvars, width):
+    mask = (1 << width) - 1
+    return tuple((key >> (i * width)) & mask for i in range(nvars))
+
+
+def _addmul(acc, a, b, sign=1):
+    """acc += sign * a * b; the sum of two packed monomials is their product
+    as long as no field overflows.  Cancelled terms stay in acc as zeros."""
+    get = acc.get
+    for m1, c1 in a.items():
+        c1 *= sign
+        for m2, c2 in b.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    return acc
+
+
+def _trim(p):
+    return {m: c for m, c in p.items() if c}
+
+
+def _pmul(a, b):
+    return _trim(_addmul({}, a, b))
+
+
+def _pderiv(p, idx, width):
+    """Partial derivative in variable ``idx``."""
+    shift = idx * width
+    mask = (1 << width) - 1
+    one = 1 << shift
+    out = {}
+    for m, c in p.items():
+        e = (m >> shift) & mask
+        if e:
+            out[m - one] = c * e
+    return out
+
+
+def _integer_flow(inst, times, vars):
+    """(width, c, cA): the flow matrix A once over Q, c the lcm of its
+    coefficient denominators and cA as packed integer polynomials."""
+    A = _flow_matrix(inst, times, vars)
+    coeffs = [q.as_rational() for row in A for p in row for q in p.terms.values()]
+    c = lcm(*(f.denominator for f in coeffs))
+    # a minor takes one entry from each row, so no exponent in a minor of A
+    # exceeds the sum over rows of the row's largest exponent, and none in a
+    # product of two minors exceeds twice that
+    bound = sum(max((e for p in row for m in p.terms for e in m), default=0) for row in A)
+    width = max(1, (2 * bound).bit_length())
+    cA = [[{_pack(m, width): int(q.as_rational() * c) for m, q in p.terms.items()} for p in row] for row in A]
+    return width, c, cA
+
+
+def _expand(row, mask, D):
+    """Laplace expansion along ``row``, placed below the rows of D's
+    (r-1)-layer, on the r columns set in ``mask``: sum over those columns of
+    +-row[col] * D[mask without col]."""
+    acc = {}
+    sign = 1 if mask.bit_count() % 2 else -1  # (-1)^(r-1) at the first column
+    col = 0
+    rest = mask
+    while rest:
+        if rest & 1:
+            entry = row[col]
+            if entry:
+                _addmul(acc, entry, D[mask ^ (1 << col)], sign)
+            sign = -sign
+        rest >>= 1
+        col += 1
+    return _trim(acc)
+
+
+def _tp_det(M):
+    """The row-prefix minor table of a square integer-polynomial matrix:
+    D[mask] = det M[:r, cols], with cols the r columns set in mask.  Each
+    entry expands its last row over the (r-1)-layer, n 2^(n-1) entry products
+    in all.  D[0] = 1 and D[2^k - 1] is the leading k x k minor."""
+    n = len(M)
+    D = [None] * (1 << n)
+    D[0] = {0: 1}
+    for mask in range(1, 1 << n):
+        D[mask] = _expand(M[mask.bit_count() - 1], mask, D)
+    return D
+
+
+def _lead(k):
+    """Mask of the columns 0..k-1."""
+    return (1 << k) - 1
+
+
+def _to_times(p, vars, width, scale):
+    """The packed integer polynomial p / scale as a TimesPoly over Q."""
+    n = len(vars)
+    return TimesPoly(vars, {_unpack(m, n, width): qs(Fraction(v, scale)) for m, v in p.items()})
+
+
 def toda_tau(inst, k, times="principal_only"):
     """The k-th tau function (leading principal k x k minor); tau_0 = 1."""
     if not 0 <= k <= inst.size:
@@ -189,41 +291,38 @@ def toda_tau(inst, k, times="principal_only"):
     vars = _vars_for(inst, times)
     if k == 0:
         return TimesPoly.one(vars)
-    A = _flow_matrix(inst, times, vars)
-    sub = [row[:k] for row in A[:k]]
-    return _tp_det(sub)
+    width, c, cA = _integer_flow(inst, times, vars)
+    D = _tp_det([row[:k] for row in cA[:k]])
+    return _to_times(D[_lead(k)], vars, width, c**k)
 
 
 def toda_tau_all(inst, times="principal_only"):
     vars = _vars_for(inst, times)
-    A = _flow_matrix(inst, times, vars)
-    taus = [TimesPoly.one(vars)]
-    for k in range(1, inst.size + 1):
-        sub = [row[:k] for row in A[:k]]
-        taus.append(_tp_det(sub))
-    return taus
+    width, c, cA = _integer_flow(inst, times, vars)
+    D = _tp_det(cA)
+    return [_to_times(D[_lead(k)], vars, width, c**k) for k in range(inst.size + 1)]
 
 
 def verify_toda_bilinear(inst):
     """tau_k d_x d_u tau_k - d_x tau_k d_u tau_k = tau_{k+1} tau_{k-1} for
     every interior k, plus the equivalent determinant (Desnanot-Jacobi)
-    formulation of the derivative minors as a cross-check."""
+    formulation of the derivative minors as a cross-check.  Both run on the
+    minors of cA, which scale every term of the identity by c^(2k)."""
+    if inst.size < 2:
+        raise ValueError("the bilinear identity needs size >= 2 (no interior k below)")
     details = []
-    ok = True
     with Stopwatch() as sw:
         vars = ("x", "u")
-        A = _flow_matrix(inst, "principal_only", vars)
-        taus = toda_tau_all(inst)
+        width, _c, cA = _integer_flow(inst, "principal_only", vars)
+        D = _tp_det(cA)
         for k in range(1, inst.size):
-            tk = taus[k]
-            dx = tk.derivative("x")
-            du = tk.derivative("u")
-            dxu = dx.derivative("u")
-            bilinear = tk * dxu - dx * du
-            target = taus[k + 1] * taus[k - 1]
-            res = bilinear - target
-            if not res.is_zero():
-                ok = False
+            tk = D[_lead(k)]
+            dx = _pderiv(tk, 0, width)
+            du = _pderiv(tk, 1, width)
+            dxu = _pderiv(dx, 1, width)
+            bilinear = _trim(_addmul(_addmul({}, tk, dxu), dx, du, -1))
+            target = _pmul(D[_lead(k + 1)], D[_lead(k - 1)])
+            if bilinear != target:
                 fitted = _fit_constant(bilinear, target)
                 details.append(
                     f"k={k}: residual nonzero"
@@ -231,20 +330,16 @@ def verify_toda_bilinear(inst):
                 )
             # derivative minors vs bordered determinant minors: differentiating
             # an entry shifts its row (d_x) or column (d_u) index by one, so
-            # each derivative of tau_k is a single minor of the (k+1)-block
-            B = [row[: k + 1] for row in A[: k + 1]]
-            dx_det = _tp_det(_delete(B, k - 1, k))
-            du_det = _tp_det(_delete(B, k, k - 1))
-            dxu_det = _tp_det(_delete(B, k - 1, k - 1))
-            if not (dx - dx_det).is_zero():
-                ok = False
+            # each derivative of tau_k is a single minor of the (k+1)-block:
+            # rows 0..k-2 and k (d_x) or columns 0..k-2 and k (d_u)
+            bordered = _lead(k - 1) | (1 << k)
+            if dx != _expand(cA[k], _lead(k), D):
                 details.append(f"k={k}: d_x tau_k != bordered minor")
-            if not (du - du_det).is_zero():
-                ok = False
+            if du != D[bordered]:
                 details.append(f"k={k}: d_u tau_k != bordered minor")
-            if not (dxu - dxu_det).is_zero():
-                ok = False
+            if dxu != _expand(cA[k], bordered, D):
                 details.append(f"k={k}: d_x d_u tau_k != inner minor")
+    ok = not details
     return VerificationReport(
         check_id="toda.bilinear",
         verdict=ok,
@@ -256,22 +351,17 @@ def verify_toda_bilinear(inst):
     )
 
 
-def _delete(B, i, j):
-    """Delete row index i and column index j (0-based) from B."""
-    return [
-        [x for cj, x in enumerate(row) if cj != j]
-        for ri, row in enumerate(B)
-        if ri != i
-    ]
-
-
 def _fit_constant(bilinear, target):
-    """Leading-coefficient ratio when bilinear = c * target; None otherwise."""
-    if target.is_zero():
+    """Ratio c when bilinear = c * target (packed integer polynomials); None
+    otherwise.  The ratio is the same as for the minors of A."""
+    if not target:
         return None
-    mono, coeff = next(iter(sorted(target.terms.items())))
-    num = bilinear.terms.get(mono)
+    mono = min(target)
+    num = bilinear.get(mono)
     if num is None:
         return None
-    c = num / coeff
-    return c if (bilinear - target.scale(c)).is_zero() else None
+    c = Fraction(num, target[mono])
+    fits = bilinear.keys() == target.keys() and all(
+        v * c.denominator == target[m] * c.numerator for m, v in bilinear.items()
+    )
+    return c if fits else None

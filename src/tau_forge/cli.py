@@ -5,10 +5,11 @@
                      [--j J] [--jprime J'] [--seed S]
 
 Selectors match check ids exactly or as shell-style globs; the matching
-checks run one after another in id order.  Exit status is 0 when every
-selected check passes, 1 on any failure, 2 on usage errors.  Reports are
-deterministic; randomized property checks derive everything from --seed
-(default 0).
+checks run one after another in id order.  A flag applies to the selected
+checks that take it.  Exit status is 0 when every selected check passes, 1
+on any failure, 2 on usage errors, among them a flag that none of the
+selected checks takes and --degree below 1.  Reports are deterministic;
+randomized property checks derive everything from --seed (default 0).
 """
 
 from __future__ import annotations
@@ -32,11 +33,17 @@ class CheckDescriptor:
     anchor: str
     params: dict
     fn: object
-    overridable: tuple = ()
 
 
 def _spin(value):
     return Fraction(value)
+
+
+def _degree(value):
+    degree = int(value)
+    if degree < 1:
+        raise argparse.ArgumentTypeError(f"degree must be at least 1, got {degree}")
+    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +428,7 @@ def build_registry():
         CheckDescriptor(
             "qscalar.canonical", "qscalar",
             "field axioms and structural equality of canonical forms",
-            {"seed": 0, "trials": 200}, run_qscalar_canonical, ("seed",),
+            {"seed": 0, "trials": 200}, run_qscalar_canonical,
         ),
         CheckDescriptor(
             "qscalar.qnumbers", "qscalar",
@@ -441,7 +448,7 @@ def build_registry():
         CheckDescriptor(
             "ncalg.qexp-addition", "ncalg",
             "q-exponential addition theorem for q-commuting variables",
-            {"degree": 8}, run_qexp_addition, ("degree",),
+            {"degree": 8}, run_qexp_addition,
         ),
         CheckDescriptor(
             "hopf.matrices", "uqsl2",
@@ -501,7 +508,7 @@ def build_registry():
         CheckDescriptor(
             "lm", "qhirota",
             "bilinear q-difference identity for neighbouring-spin taus",
-            {"j": Fraction(1, 2), "jprime": Fraction(1, 2)}, run_lm, ("j", "jprime"),
+            {"j": Fraction(1, 2), "jprime": Fraction(1, 2)}, run_lm,
         ),
         CheckDescriptor(
             "lm.grid", "qhirota",
@@ -512,34 +519,31 @@ def build_registry():
             "kp.m3", "kpfock",
             "fermion-sum bilinear relation for one-sided taus",
             {"degree": 6, "window": 8, "seed": 0}, run_kp("M3"),
-            ("degree", "window", "seed"),
         ),
         CheckDescriptor(
             "kp.m4", "kpfock",
             "Schur-operator Hirota relation for one-sided taus",
             {"degree": 6, "window": 8, "seed": 0}, run_kp("M4"),
-            ("degree", "window", "seed"),
         ),
         CheckDescriptor(
             "kp.h6", "kpfock",
             "two-sided Hirota relation across neighbouring charges",
-            {"degree": 4, "window": 8, "seed": 0}, run_h6,
-            ("degree", "window", "seed"),
+            {"degree": 4, "window": 8}, run_h6,
         ),
         CheckDescriptor(
             "kp.cauchy", "kpfock",
             "two-sided vacuum tau equals the exponential pairing",
-            {"degree": 5, "window": 8}, run_cauchy, ("degree", "window"),
+            {"degree": 5, "window": 8}, run_cauchy,
         ),
         CheckDescriptor(
             "kp.heisenberg", "kpfock",
             "flow-generator commutators on the mode window",
-            {"window": 8, "kmax": 4}, run_heisenberg, ("window",),
+            {"window": 8, "kmax": 4}, run_heisenberg,
         ),
         CheckDescriptor(
             "kp.fermions", "kpfock",
             "canonical anticommutation relations on window states",
-            {"window": 8, "seed": 0, "trials": 60}, run_fermions, ("window", "seed"),
+            {"window": 8, "seed": 0, "trials": 60}, run_fermions,
         ),
         CheckDescriptor(
             "toda.worked", "toda",
@@ -549,7 +553,7 @@ def build_registry():
         CheckDescriptor(
             "toda.random", "toda",
             "Toda-molecule identity on seeded random instances",
-            {"seed": 0}, run_toda_random, ("seed",),
+            {"seed": 0}, run_toda_random,
         ),
     ]
     return {c.check_id: c for c in checks}
@@ -573,17 +577,15 @@ def select_checks(selector):
 
 def run_check(selector, overrides=None):
     """Execute all checks matching the selector; deterministic id order."""
-    overrides = overrides or {}
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    selected = select_checks(selector)
+    for key in overrides:
+        if not any(key in desc.params for desc in selected):
+            raise UsageError(f"no check matching {selector!r} takes --{key}")
     reports = []
-    for desc in select_checks(selector):
+    for desc in selected:
         params = dict(desc.params)
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in ("j", "jprime") and key not in desc.params:
-                continue
-            if key in desc.overridable or key in desc.params:
-                params[key] = value
+        params.update((k, v) for k, v in overrides.items() if k in desc.params)
         report = desc.fn(params)
         report.check_id = desc.check_id
         report.anchor = report.anchor or desc.anchor
@@ -615,7 +617,7 @@ def main(argv=None):
     pv = sub.add_parser("verify", help="run checks matching a selector")
     pv.add_argument("selector", help="check id or glob, e.g. 'kp.*'")
     pv.add_argument("--json", action="store_true", help="machine-readable output")
-    pv.add_argument("--degree", type=int, default=None)
+    pv.add_argument("--degree", type=_degree, default=None)
     pv.add_argument("--window", type=int, default=None)
     pv.add_argument("--j", type=_spin, default=None)
     pv.add_argument("--jprime", type=_spin, default=None)

@@ -39,13 +39,9 @@ from .ncalg import (
 )
 from .qscalar import ONE, Q, QINV, ZERO, q_number
 from .report import Stopwatch, VerificationReport
-from .uqsl2 import make_rep, q_exp_nilpotent, tensor_e, tensor_f, tensor_k, twice
+from .uqsl2 import coproduct, make_rep, q_exp_nilpotent, twice
 
 SCALAR_PRESENTATION = Presentation("scalar", (), {})
-
-
-class EmbeddingError(RuntimeError):
-    """A tensor embedding/projection solve failed; convention mismatch."""
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +55,13 @@ def embed_chain(j1, j2):
     """Embedding/projection pair between V_{j1+j2} and V_{j1} ox V_{j2}.
 
     iota sends the highest weight vector to the product of highest weight
-    vectors and intertwines the coproduct action (:func:`~tau_forge.uqsl2.tensor_e`
-    and friends); pi intertwines the other way with pi . iota = identity.  The
-    top spin j1 + j2 occurs exactly once in the tensor product, which pins pi
-    down.  Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
+    vectors and intertwines the coproduct action
+    (:func:`~tau_forge.uqsl2.coproduct`); pi is the intertwiner the other way,
+    from :func:`~tau_forge.linalg.intertwiner`.  The top spin j1 + j2 occurs
+    exactly once in the tensor product, so pi is unique up to scale and
+    pi . iota is a scalar (Schur); since column 0 of iota is the tensor
+    highest weight vector, scaling pi by 1/pi[0][0] gives pi . iota = identity.
+    Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
     """
     key = (twice(j1), twice(j2))
     cached = _EMBED_CACHE.get(key)
@@ -70,9 +69,9 @@ def embed_chain(j1, j2):
         return cached
     repA, repB = (make_rep(Fraction(tj, 2)) for tj in key)
     two_J = sum(key)
-    target = make_rep(Fraction(two_J, 2))
     dim_T = repA.dim * repB.dim
-    dF = tensor_f(repA, repB)
+    delta = coproduct(repA, repB)
+    dF = delta[1]
     # iota column r = (Delta F)^r applied to the tensor highest weight vector
     vec = [ONE] + [ZERO] * (dim_T - 1)
     cols = [vec]
@@ -80,43 +79,8 @@ def embed_chain(j1, j2):
         vec = [sum((dF[i][t] * vec[t] for t in range(dim_T) if not vec[t].is_zero()), ZERO) for i in range(dim_T)]
         cols.append(vec)
     iota = [[cols[r][i] for r in range(two_J + 1)] for i in range(dim_T)]
-
-    # pi: intertwiner with pi . iota = identity, solved exactly
-    dim_t = target.dim
-    nunk = dim_t * dim_T
-    rows = []
-    rhs = []
-
-    def unk(i, t):
-        return i * dim_T + t
-
-    for X_big, X_tgt in ((tensor_e(repA, repB), target.E), (dF, target.F), (tensor_k(repA, repB), target.K)):
-        for i in range(dim_t):
-            for t in range(dim_T):
-                row = [ZERO] * nunk
-                # (pi X_big - X_tgt pi)[i][t]
-                for u in range(dim_T):
-                    if not X_big[u][t].is_zero():
-                        row[unk(i, u)] = row[unk(i, u)] + X_big[u][t]
-                for u in range(dim_t):
-                    if not X_tgt[i][u].is_zero():
-                        row[unk(u, t)] = row[unk(u, t)] - X_tgt[i][u]
-                if any(not v.is_zero() for v in row):
-                    rows.append(row)
-                    rhs.append(ZERO)
-    for i in range(dim_t):
-        for r in range(dim_t):
-            row = [ZERO] * nunk
-            for t in range(dim_T):
-                if not iota[t][r].is_zero():
-                    row[unk(i, t)] = iota[t][r]
-            rows.append(row)
-            rhs.append(ONE if i == r else ZERO)
-    try:
-        sol = la.solve_exact(rows, rhs)
-    except ValueError as exc:
-        raise EmbeddingError(f"projection solve failed for factors {j1}, {j2}: {exc}") from exc
-    pi = [[sol[unk(i, t)] for t in range(dim_T)] for i in range(dim_t)]
+    pi = la.intertwiner(make_rep(Fraction(two_J, 2)).action, delta)
+    pi = la.mat_scale(pi, pi[0][0].inv())
     _EMBED_CACHE[key] = (iota, pi)
     return iota, pi
 
@@ -182,26 +146,15 @@ def _semantic_gauss(two_j, convention=None, vars=()):
     dim = rep.dim
     lam = Q - QINV
 
-    def nilpotent_qexp(mat, letter, coeff, base):
-        """sum_n coeff^n (mat^n ox letter^n) / (n)_{q^base}!, terminating."""
-        out = [[NCPoly.from_scalar(pres, ONE if i == j_ else ZERO, vars) for j_ in range(dim)] for i in range(dim)]
-        power = la.identity(dim)
-        cpow = ONE
-        for nn in range(1, dim):
-            power = la.mat_mul(power, mat)
-            cpow = cpow * coeff
-            if la.mat_is_zero(power):
-                break
-            fact = q_number("paren_factorial", nn, base).inv()
-            for i in range(dim):
-                for j_ in range(dim):
-                    c = power[i][j_] * cpow * fact
-                    if not c.is_zero():
-                        out[i][j_] = out[i][j_] + NCPoly.word(pres, (letter,) * nn, vars, coeff=c)
-        return out
+    def weight(letter, coeff, base):
+        """m -> the normal-ordered word (coeff letter)^m / (m)_{q^base}!."""
+        return lambda m: NCPoly.word(
+            pres, (letter,) * m, vars, coeff=coeff**m * q_number("paren_factorial", m, base).inv()
+        )
 
-    R = nilpotent_qexp(rep.E, "s", lam, -2)
-    Rbar = nilpotent_qexp(rep.F, "sbar", -lam, 2)
+    one, zero = NCPoly.one(pres, vars), NCPoly.zero(pres, vars)
+    R = la.nilpotent_exp(rep.E, weight("s", lam, -2), one, zero)
+    Rbar = la.nilpotent_exp(rep.F, weight("sbar", -lam, 2), one, zero)
     K = [[NCPoly.zero(pres, vars) for _ in range(dim)] for _ in range(dim)]
     for r in range(dim):
         k = two_j - 2 * r

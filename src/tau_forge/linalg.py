@@ -1,10 +1,15 @@
 """Small exact-matrix helpers over QScalar (and any ring with +, *, -).
 
-Matrices are plain lists of lists.  The elimination routines are
-division-free until solution extraction (cross-multiplication style) with
-pivots chosen by a complexity score, which keeps rational-function entries
-from swelling on the small systems solved here (intertwiner solves,
-tensor-block projections).
+Matrices are plain lists of lists.  Besides the entrywise helpers the module
+is the one home of two constructions every other module uses:
+
+* :func:`intertwiner` sets up L_x M = M R_x for x = e, f, k and takes the
+  nullspace; it serves the vertex operators and the tensor projections.
+  The elimination is division-free until solution extraction
+  (cross-multiplication style), with pivots chosen by a complexity score,
+  which keeps rational-function entries from swelling.
+* :func:`nilpotent_exp` sums I + sum_m w_m A^m for a nilpotent A; it serves
+  the q-exponentials, the factorized group-like element and the Toda flows.
 """
 
 from __future__ import annotations
@@ -12,8 +17,12 @@ from __future__ import annotations
 from .qscalar import ONE, QScalar, ZERO
 
 
-def mat(rows):
-    return [list(r) for r in rows]
+class ConventionError(RuntimeError):
+    """An intertwiner solution space had dimension != 1."""
+
+
+class NonNilpotentError(ValueError):
+    """A nilpotent exponential was handed a matrix that is not nilpotent."""
 
 
 def zeros(n, m, zero=ZERO):
@@ -87,13 +96,17 @@ def _complexity(x: QScalar):
     return (len(x.nc) + len(x.dc), deg)
 
 
-def _eliminate(rows, ncols):
-    """Division-free Gauss-Jordan elimination of ``rows`` in place.
+def nullspace(A):
+    """Exact nullspace basis of a QScalar matrix (columns = unknowns).
 
-    Pivots come from the first ``ncols`` columns, chosen by complexity
-    score; updates cover the whole row, so trailing (augmented) columns are
-    carried along.  Returns {pivot column: pivot row}.
+    Division-free Gauss-Jordan elimination with complexity-scored pivoting;
+    back-substitution over the field at the end.  Returns a list of basis
+    vectors (lists of QScalar).
     """
+    if not A:
+        return []
+    rows = [list(r) for r in A]
+    ncols = len(rows[0])
     pivot_of_col = {}
     used_rows = set()
     for _ in range(ncols):
@@ -118,23 +131,8 @@ def _eliminate(rows, ncols):
             if i == pi or row[pj].is_zero():
                 continue
             f = row[pj]
-            for j in range(len(row)):
+            for j in range(ncols):
                 row[j] = row[j] * pval - prow[j] * f
-    return pivot_of_col
-
-
-def nullspace(A):
-    """Exact nullspace basis of a QScalar matrix (columns = unknowns).
-
-    Division-free forward elimination with complexity-scored pivoting;
-    back-substitution over the field at the end.  Returns a list of basis
-    vectors (lists of QScalar).
-    """
-    if not A:
-        return []
-    rows = [list(r) for r in A]
-    ncols = len(rows[0])
-    pivot_of_col = _eliminate(rows, ncols)
     free_cols = [j for j in range(ncols) if j not in pivot_of_col]
     basis = []
     # rows are fully eliminated against each other, so each pivot row relates
@@ -150,19 +148,58 @@ def nullspace(A):
     return basis
 
 
-def solve_exact(A, b):
-    """Solve A x = b exactly; raises ValueError if inconsistent or undetermined."""
-    ncols = len(A[0])
-    rows = [list(r) + [bv] for r, bv in zip(A, b)]
-    aug = ncols  # augmented column index
-    pivot_of_col = _eliminate(rows, ncols)
-    used_rows = set(pivot_of_col.values())
-    for i, row in enumerate(rows):
-        if i not in used_rows and not row[aug].is_zero():
-            raise ValueError("inconsistent linear system")
-    if len(pivot_of_col) < ncols:
-        raise ValueError("underdetermined linear system")
-    x = [ZERO] * ncols
-    for pj, pi in pivot_of_col.items():
-        x[pj] = rows[pi][aug] / rows[pi][pj]
-    return x
+def intertwiner(left, right):
+    """The matrix M, up to scale, with  left(x) M = M right(x)  for x = e, f, k,
+    each action given as its (e, f, k) matrices.
+
+    Unknowns are the entries of the rows x cols matrix M, flattened row-major.
+    Raises ConventionError unless the nullspace is exactly one-dimensional.
+    """
+    rows, cols = len(left[0]), len(right[0])
+    eqs = []
+    for L, R in zip(left, right):
+        # (L M - M R)[i][j] = sum_t L[i][t] M[t][j] - sum_t M[i][t] R[t][j]
+        for i in range(rows):
+            for j in range(cols):
+                row = [ZERO] * (rows * cols)
+                for t in range(rows):
+                    if not L[i][t].is_zero():
+                        row[t * cols + j] = row[t * cols + j] + L[i][t]
+                for t in range(cols):
+                    if not R[t][j].is_zero():
+                        row[i * cols + t] = row[i * cols + t] - R[t][j]
+                if any(not v.is_zero() for v in row):
+                    eqs.append(row)
+    # two 1 x 1 trivial actions give no nonzero equation on their one unknown
+    basis = nullspace(eqs or [[ZERO] * (rows * cols)])
+    if len(basis) != 1:
+        raise ConventionError(
+            f"intertwiner solution space has dimension {len(basis)}, expected 1"
+        )
+    vec = basis[0]
+    return [[vec[i * cols + j] for j in range(cols)] for i in range(rows)]
+
+
+def nilpotent_exp(A, weight, one, zero):
+    """I + sum_{m >= 1} weight(m) * A^m for a nilpotent square matrix A.
+
+    ``one`` and ``zero`` are the entries of I in the ring of the result, and
+    ``weight(m)`` multiplies the entries of A^m from the left.  The sum stops
+    at the first vanishing power; NonNilpotentError is raised if A^dim != 0,
+    because the series would not terminate.
+    """
+    n = len(A)
+    out = identity(n, one, zero)
+    power = A
+    for m in range(1, n + 1):
+        if mat_is_zero(power):
+            return out
+        if m == n:
+            raise NonNilpotentError("matrix is not nilpotent; the exponential would not terminate")
+        w = weight(m)
+        for i, row in enumerate(power):
+            for j, x in enumerate(row):
+                if not x.is_zero():
+                    out[i][j] = out[i][j] + w * x
+        power = mat_mul(power, A)
+    return out

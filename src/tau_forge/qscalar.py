@@ -27,8 +27,6 @@ from ._kernels import (
     ipoly_mul,
 )
 
-Rational = Fraction
-
 _ONE_POLY = {0: 1}
 
 
@@ -134,9 +132,6 @@ class QScalar:
 
     def is_zero(self):
         return self.s == 0
-
-    def is_one(self):
-        return self.s == 1 and self.nc == _ONE_POLY and self.dc == _ONE_POLY
 
     def is_rational(self):
         return self.nc == _ONE_POLY and self.dc == _ONE_POLY or self.s == 0
@@ -330,34 +325,6 @@ def q_number(kind, n, base_power=1):
             acc = acc * q_number(base_kind, m, base_power)
         return acc
     raise ValueError(f"unknown q-number kind: {kind!r}")
-
-
-def scalar_arith(op, lhs, rhs=None):
-    """Named dispatcher over the field operations (add, mul, div, neg)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    if op == "neg":
-        return -lhs
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def map_q(x, action, power=None):
-    """Named dispatcher over the q-variable maps.
-
-    ``substitute_power`` returns x with q replaced by q^power;
-    ``eval_q1`` returns the exact rational value at q = 1.
-    """
-    if action == "substitute_power":
-        if power is None:
-            raise ValueError("substitute_power needs a power")
-        return x.subs_power(power)
-    if action == "eval_q1":
-        return x.eval_q1()
-    raise ValueError(f"unknown action {action!r}")
 
 
 def paren(n, base_power=1):

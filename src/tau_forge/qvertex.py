@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
+from .linalg import ConventionError
 from .ncalg import TimesPoly
 from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket
 from .report import Stopwatch, VerificationReport
@@ -34,19 +35,13 @@ from .uqsl2 import (
     Rep,
     antipode_inv_matrices,
     antipode_matrices,
+    coproduct,
     make_rep,
     q_exp_nilpotent,
-    tensor_e,
-    tensor_f,
-    tensor_k,
     tp_lift,
     tp_scale_var,
     twice,
 )
-
-
-class ConventionError(RuntimeError):
-    """An intertwiner solution space had dimension != 1."""
 
 
 def _w_rep():
@@ -59,47 +54,6 @@ def _twisted_dual_w():
     Sp = antipode_inv_matrices(w)
     t = la.mat_transpose
     return Rep(1, t(Sp["e"]), t(Sp["f"]), t(Sp["k"]), t(w.K))
-
-
-def _action(rep):
-    """Matrices of e, f, k on a representation."""
-    return rep.E, rep.F, rep.K
-
-
-def _coproduct(repA, repB):
-    """Matrices of Delta(e), Delta(f), Delta(k) on repA ox repB."""
-    return tensor_e(repA, repB), tensor_f(repA, repB), tensor_k(repA, repB)
-
-
-def _solve_intertwiner(left_action, right_action):
-    """One-dimensional solution M of  left(x) M = M right(x)  for x=e,f,k,
-    each action given as its (e, f, k) matrices.
-
-    Unknowns are the entries of the rows x cols matrix M, flattened row-major.
-    Raises ConventionError unless the nullspace is exactly one-dimensional.
-    """
-    rows, cols = len(left_action[0]), len(right_action[0])
-    eqs = []
-    for L, R in zip(left_action, right_action):
-        # (L M - M R)[i][j] = sum_t L[i][t] M[t][j] - sum_t M[i][t] R[t][j]
-        for i in range(rows):
-            for j in range(cols):
-                row = [ZERO] * (rows * cols)
-                for t in range(rows):
-                    if not L[i][t].is_zero():
-                        row[t * cols + j] = row[t * cols + j] + L[i][t]
-                for t in range(cols):
-                    if not R[t][j].is_zero():
-                        row[i * cols + t] = row[i * cols + t] - R[t][j]
-                if any(not v.is_zero() for v in row):
-                    eqs.append(row)
-    basis = la.nullspace(eqs)
-    if len(basis) != 1:
-        raise ConventionError(
-            f"intertwiner solution space has dimension {len(basis)}, expected 1"
-        )
-    vec = basis[0]
-    return [[vec[i * cols + j] for j in range(cols)] for i in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -115,14 +69,6 @@ class VertexComponents:
     phi_up: tuple
     psi_dn: tuple
 
-    @property
-    def source_spin(self):
-        return Fraction(self.two_j - 1, 2)
-
-    @property
-    def target_spin(self):
-        return Fraction(self.two_j, 2)
-
 
 _VERTEX_CACHE = {}
 
@@ -136,66 +82,61 @@ def solve_vertex_components(j):
     if cached is not None:
         return cached
 
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
     W = _w_rep()
-    ds, dt = src.dim, tgt.dim
-
-    # Phi: V_src ox W -> V_tgt with x Phi = Phi Delta(x)
-    phi = _solve_intertwiner(_action(tgt), _coproduct(src, W))
-    phi_p = [[phi[i][r * 2 + 0] for r in range(ds)] for i in range(dt)]
-    phi_m = [[phi[i][r * 2 + 1] for r in range(ds)] for i in range(dt)]
-    # normalize: Phi_+ |src highest> = |tgt highest>
-    c = phi_p[0][0]
-    if c.is_zero():
-        raise ConventionError("Phi_+ does not reach the highest weight vector")
-    ci = c.inv()
-    phi_p = la.mat_scale(phi_p, ci)
-    phi_m = la.mat_scale(phi_m, ci)
-
-    # Psi: V_src -> W ox V_tgt with Psi x = Delta(x) Psi
-    psi = _solve_intertwiner(_coproduct(W, tgt), _action(src))
-    psi_p = [psi[0 * dt + i] for i in range(dt)]
-    psi_m = [psi[1 * dt + i] for i in range(dt)]
-    c = psi_m[0][0]
-    if c.is_zero():
-        raise ConventionError("Psi^- does not reach the highest weight vector")
-    ci = c.inv()
-    psi_p = la.mat_scale(psi_p, ci)
-    psi_m = la.mat_scale(psi_m, ci)
-
-    # Phi^: V_src -> V_tgt ox W (creating right), components via the dual basis
-    phiup = _solve_intertwiner(_coproduct(tgt, W), _action(src))
-    phiup_p = [phiup[i * 2 + 0] for i in range(dt)]
-    phiup_m = [phiup[i * 2 + 1] for i in range(dt)]
-    phiup_p, phiup_m = _normalize_pair(phiup_p, phiup_m)
-
-    # Psi_: W ox V_src -> V_tgt (annihilating left)
-    psidn = _solve_intertwiner(_action(tgt), _coproduct(W, src))
-    psidn_p = [[psidn[i][0 * ds + r] for r in range(ds)] for i in range(dt)]
-    psidn_m = [[psidn[i][1 * ds + r] for r in range(ds)] for i in range(dt)]
-    psidn_p, psidn_m = _normalize_pair(psidn_p, psidn_m)
-
+    phi_p, phi_m = _pinned(_family_components(two_j, "annihilating right", W), 0, "Phi_+")
+    psi_p, psi_m = _pinned(_family_components(two_j, "creating left", W), 1, "Psi^-")
     comps = VertexComponents(
         two_j=two_j,
         phi_plus=phi_p,
         phi_minus=phi_m,
         psi_plus=psi_p,
         psi_minus=psi_m,
-        phi_up=(phiup_p, phiup_m),
-        psi_dn=(psidn_p, psidn_m),
+        phi_up=_normalize_pair(_family_components(two_j, "creating right", W)),
+        psi_dn=_normalize_pair(_family_components(two_j, "annihilating left", W)),
     )
     _VERTEX_CACHE[two_j] = comps
     return comps
 
 
-def _normalize_pair(mp, mm):
-    for M in (mp, mm):
+def _family_components(two_j, family, aux):
+    """Solve one vertex family V_{j-1/2} -> V_j over the auxiliary
+    representation ``aux`` (basis indexed a = 0, 1 for +, -) and split it
+    into its (+, -) components, each a dim V_j x dim V_{j-1/2} matrix."""
+    src = make_rep(Fraction(two_j - 1, 2))
+    tgt = make_rep(Fraction(two_j, 2))
+    ds, dt = src.dim, tgt.dim
+    if family == "annihilating right":  # V_src ox aux -> V_tgt, column r * 2 + a
+        M = la.intertwiner(tgt.action, coproduct(src, aux))
+        return tuple([row[a::2] for row in M] for a in (0, 1))
+    if family == "creating left":  # V_src -> aux ox V_tgt, row a * dt + i
+        M = la.intertwiner(coproduct(aux, tgt), src.action)
+        return M[:dt], M[dt:]
+    if family == "creating right":  # V_src -> V_tgt ox aux, row i * 2 + a
+        M = la.intertwiner(coproduct(tgt, aux), src.action)
+        return M[0::2], M[1::2]
+    if family == "annihilating left":  # aux ox V_src -> V_tgt, column a * ds + r
+        M = la.intertwiner(tgt.action, coproduct(aux, src))
+        return [row[:ds] for row in M], [row[ds:] for row in M]
+    raise ValueError(f"unknown vertex family {family!r}")
+
+
+def _pinned(pair, which, name):
+    """Scale a (+, -) pair so that entry (0, 0) of component ``which`` is 1."""
+    c = pair[which][0][0]
+    if c.is_zero():
+        raise ConventionError(f"{name} does not reach the highest weight vector")
+    ci = c.inv()
+    return tuple(la.mat_scale(M, ci) for M in pair)
+
+
+def _normalize_pair(pair):
+    """Scale a (+, -) pair so that its first nonzero entry is 1."""
+    for M in pair:
         for row in M:
             for x in row:
                 if not x.is_zero():
                     ci = x.inv()
-                    return la.mat_scale(mp, ci), la.mat_scale(mm, ci)
+                    return tuple(la.mat_scale(N, ci) for N in pair)
     raise ConventionError("zero intertwiner")
 
 
@@ -289,12 +230,11 @@ def verify_component_relations(j):
         # annihilating-right solve over the S'-twisted dual of W; annihilating-
         # left components match a creating-left solve over the S'-twisted dual
         # (the S-twist is its inverse, so twisting twice returns W itself)
-        iso1 = _solve_phid_with_aux(j, _twisted_dual_w())
-        if not _proportional_pairs(comps.phi_up, iso1):
+        dual = _twisted_dual_w()
+        if not _proportional_pairs(comps.phi_up, _family_components(two_j, "annihilating right", dual)):
             ok = False
             details.append("dual identification fails for creating-right components")
-        iso2 = _solve_psiu_style_with_aux(j, _twisted_dual_w())
-        if not _proportional_pairs(comps.psi_dn, iso2):
+        if not _proportional_pairs(comps.psi_dn, _family_components(two_j, "creating left", dual)):
             ok = False
             details.append("dual identification fails for annihilating-left components")
 
@@ -307,29 +247,6 @@ def verify_component_relations(j):
         ms=sw.ms,
         details=details,
     )
-
-
-def _solve_phid_with_aux(j, aux):
-    """Annihilating-right solve with auxiliary action ``aux``; components in
-    the dual basis ordering (w^+, w^-)."""
-    two_j = twice(j)
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
-    M = _solve_intertwiner(_action(tgt), _coproduct(src, aux))
-    mp = [[M[i][r * 2 + 0] for r in range(src.dim)] for i in range(tgt.dim)]
-    mm = [[M[i][r * 2 + 1] for r in range(src.dim)] for i in range(tgt.dim)]
-    return _normalize_pair(mp, mm)
-
-
-def _solve_psiu_style_with_aux(j, aux):
-    """Creating-left solve with auxiliary action ``aux``; dual-basis components."""
-    two_j = twice(j)
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
-    M = _solve_intertwiner(_coproduct(aux, tgt), _action(src))
-    mp = [M[0 * tgt.dim + i] for i in range(tgt.dim)]
-    mm = [M[1 * tgt.dim + i] for i in range(tgt.dim)]
-    return _normalize_pair(mp, mm)
 
 
 def _proportional_pairs(pair1, pair2):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -31,9 +30,6 @@ class VerificationReport:
             "ms": round(self.ms, 3),
             "details": list(self.details),
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def text_line(self):
         line = f"{self.verdict_str} {self.check_id} ({self.anchor}) {self.ms:.0f}ms"

@@ -44,7 +44,7 @@ from math import factorial, lcm
 
 from . import linalg as la
 from .ncalg import TimesPoly
-from .qscalar import ONE, ZERO, qs
+from .qscalar import qs
 from .report import Stopwatch, VerificationReport
 
 
@@ -118,55 +118,26 @@ def _det_fraction(m):
     return det
 
 
-def _shift_matrix(size, k):
-    """I_k = sum of matrix units one step k above the diagonal (k < 0 below)."""
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        j = i + k
-        if 0 <= j < size:
-            out[i][j] = Fraction(1)
-    return out
-
-
-def _tp_zero_mat(n, m, vars):
-    return [[TimesPoly.zero(vars) for _ in range(m)] for _ in range(n)]
-
-
-def _exp_h(size, coeffs, vars):
-    """exp(sum_k coeff_k I_{sign k}) as a TimesPoly matrix (nilpotent, exact)."""
-    acc = [[TimesPoly.const(vars, ONE if i == j else ZERO) for j in range(size)] for i in range(size)]
-    H = _tp_zero_mat(size, size, vars)
-    for k, cpoly in coeffs:
-        S = _shift_matrix(size, k)
-        for i in range(size):
-            for j in range(size):
-                if S[i][j]:
-                    H[i][j] = H[i][j] + cpoly
-    term = [[TimesPoly.const(vars, ONE if i == j else ZERO) for j in range(size)] for i in range(size)]
-    for m in range(1, size):
-        term = la.mat_mul(term, H)
-        if all(x.is_zero() for row in term for x in row):
-            break
-        inv = qs(Fraction(1, factorial(m)))
-        for i in range(size):
-            for j in range(size):
-                acc[i][j] = acc[i][j] + term[i][j].scale(inv)
-    return acc
-
-
 def _flow_matrix(inst, times, vars):
-    """exp(H(x)) g exp(H'(u)) with the requested time content."""
+    """exp(H(x)) g exp(H'(u)) with the requested time content: H carries x_k
+    on the k-th superdiagonal and H' carries u_k on the k-th subdiagonal."""
     size = inst.size
     if times == "principal_only":
-        e_coeffs = [(1, TimesPoly.var(vars, "x"))]
-        f_coeffs = [(-1, TimesPoly.var(vars, "u"))]
+        xs, us = {1: "x"}, {1: "u"}
     elif times == "full":
-        e_coeffs = [(k, TimesPoly.var(vars, f"x{k}")) for k in range(1, size)]
-        f_coeffs = [(-k, TimesPoly.var(vars, f"u{k}")) for k in range(1, size)]
+        xs = {k: f"x{k}" for k in range(1, size)}
+        us = {k: f"u{k}" for k in range(1, size)}
     else:
         raise ValueError(times)
-    E = _exp_h(size, e_coeffs, vars)
-    F = _exp_h(size, f_coeffs, vars)
+    one, zero = TimesPoly.one(vars), TimesPoly.zero(vars)
+    H = [[TimesPoly.var(vars, xs[j - i]) if j - i in xs else zero for j in range(size)] for i in range(size)]
+    Hp = [[TimesPoly.var(vars, us[i - j]) if i - j in us else zero for j in range(size)] for i in range(size)]
+
+    def weight(m):
+        return TimesPoly.const(vars, Fraction(1, factorial(m)))
+
+    E = la.nilpotent_exp(H, weight, one, zero)
+    F = la.nilpotent_exp(Hp, weight, one, zero)
     G = [[TimesPoly.const(vars, qs(x)) for x in row] for row in inst.g]
     return la.mat_mul(la.mat_mul(E, G), F)
 

@@ -21,13 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
+from .linalg import NonNilpotentError  # noqa: F401  (re-exported; q_exp_nilpotent raises it)
 from .ncalg import TimesPoly
 from .qscalar import ONE, Q, QINV, QScalar, bracket, q_number
 from .report import Stopwatch, VerificationReport
-
-
-class NonNilpotentError(ValueError):
-    """q_exp_nilpotent was handed a matrix that is not nilpotent."""
 
 
 def twice(j):
@@ -53,6 +50,11 @@ class Rep:
     @property
     def spin(self):
         return Fraction(self.two_j, 2)
+
+    @property
+    def action(self):
+        """Matrices of e, f, k."""
+        return self.E, self.F, self.K
 
 
 _REP_CACHE = {}
@@ -122,6 +124,11 @@ def tensor_k(repA, repB):
     return la.kron(repA.K, repB.K)
 
 
+def coproduct(repA, repB):
+    """Matrices of Delta(e), Delta(f), Delta(k) on repA ox repB."""
+    return tensor_e(repA, repB), tensor_f(repA, repB), tensor_k(repA, repB)
+
+
 def tensor_kinv(repA, repB):
     return la.kron(repA.Kinv, repB.Kinv)
 
@@ -154,45 +161,19 @@ def q_exp_nilpotent(A, var, base_power, vars=None):
     already occur in A.  The series terminates at the nilpotency index; a
     non-nilpotent input raises NonNilpotentError because it would not.
     """
-    n = len(A)
     if isinstance(A[0][0], QScalar):
         vars = tuple(vars) if vars is not None else (var,)
-        out = [[TimesPoly.const(vars, ONE) if i == j else TimesPoly.zero(vars) for j in range(n)] for i in range(n)]
-        power = la.identity(n)
-        for m in range(1, n + 1):
-            power = la.mat_mul(power, A)
-            if la.mat_is_zero(power):
-                break
-            if m == n:
-                raise NonNilpotentError("matrix is not nilpotent; q-exponential would not terminate")
-            coef = q_number("paren_factorial", m, base_power).inv()
-            for i in range(n):
-                for j in range(n):
-                    c = power[i][j] * coef
-                    if not c.is_zero():
-                        out[i][j] = out[i][j] + TimesPoly.var(vars, var, coeff=c, power=m)
-        return out
-    vars = A[0][0].vars
-    vidx = vars.index(var)
-    for row in A:
-        for x in row:
-            if any(m[vidx] for m in x.terms):
-                raise ValueError(f"variable {var!r} already present in the matrix")
-    out = [[TimesPoly.const(vars, ONE) if i == j else TimesPoly.zero(vars) for j in range(n)] for i in range(n)]
-    power = [[TimesPoly.const(vars, ONE) if i == j else TimesPoly.zero(vars) for j in range(n)] for i in range(n)]
-    for m in range(1, n + 1):
-        power = la.mat_mul(power, A)
-        if all(x.is_zero() for row in power for x in row):
-            break
-        if m == n:
-            raise NonNilpotentError("matrix is not nilpotent; q-exponential would not terminate")
+    else:
+        vars = A[0][0].vars
+        vidx = vars.index(var)
+        if any(m[vidx] for row in A for x in row for m in x.terms):
+            raise ValueError(f"variable {var!r} already present in the matrix")
+
+    def weight(m):
         coef = q_number("paren_factorial", m, base_power).inv()
-        vm = TimesPoly.var(vars, var, coeff=coef, power=m)
-        for i in range(n):
-            for j in range(n):
-                if not power[i][j].is_zero():
-                    out[i][j] = out[i][j] + power[i][j] * vm
-    return out
+        return TimesPoly.var(vars, var, coeff=coef, power=m)
+
+    return la.nilpotent_exp(A, weight, TimesPoly.one(vars), TimesPoly.zero(vars))
 
 
 def tp_lift(A, vars):
@@ -216,9 +197,7 @@ def verify_hopf_matrices(j, jp):
     details = []
     ok = True
     with Stopwatch() as sw:
-        dE = tensor_e(repA, repB)
-        dF = tensor_f(repA, repB)
-        dK = tensor_k(repA, repB)
+        dE, dF, dK = coproduct(repA, repB)
         dKi = tensor_kinv(repA, repB)
         n = len(dE)
         lam = Q - QINV

@@ -140,3 +140,30 @@ def test_exit_one_on_failure(monkeypatch, capsys):
     assert main(["verify", "qscalar.qnumbers"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kp.m3", "--degree", "-1"],
+        ["kp.h6", "--degree", "-2"],
+        ["kp.cauchy", "--degree", "-1"],
+        ["ncalg.qexp-addition", "--degree", "-1"],
+        ["kp.m3", "--degree", "0"],
+    ],
+)
+def test_nonpositive_degree_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "degree must be at least 1" in capsys.readouterr().err
+
+
+def test_flag_no_selected_check_takes_is_usage_error(capsys):
+    assert main(["verify", "hopf.matrices", "--degree", "3"]) == 2
+    assert "--degree" in capsys.readouterr().err
+    # kp.h6 builds its group elements without randomness, so it takes no seed
+    assert "seed" not in REGISTRY["kp.h6"].params
+    assert main(["verify", "kp.h6", "--seed", "1"]) == 2
+    with pytest.raises(UsageError):
+        run_check("lm.grid", {"j": 1})

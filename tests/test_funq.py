@@ -18,7 +18,7 @@ from tau_forge.funq import (
 )
 from tau_forge.ncalg import FROZEN_GAUSS_CONVENTION, NCPoly, TimesPoly, funq_sl2, gauss_param
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
-from tau_forge.uqsl2 import make_rep, tensor_e, tensor_f
+from tau_forge.uqsl2 import coproduct, make_rep
 
 HALF = Fraction(1, 2)
 
@@ -29,26 +29,34 @@ def test_embedding_half_is_identity():
     assert pi == la.identity(2)
 
 
-@pytest.mark.parametrize("j", [1, Fraction(3, 2)])
+# factor pairs whose embeddings are checked: the recursion's (j-1/2, 1/2) for
+# j <= 5/2, and (1, 1) and (1/2, 3/2), which it does not use
+EMBED_PAIRS = [(Fraction(t, 2), HALF) for t in range(5)] + [(1, 1), (HALF, Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("j", [1, Fraction(3, 2), 2, Fraction(5, 2), HALF])
 def test_embedding_projects_back(j):
-    iota, pi = embed_chain(j - HALF, HALF)
-    assert la.mat_eq(la.mat_mul(pi, iota), la.identity(int(2 * j) + 1))
-    # highest weight goes to the product of highest weights
-    col0 = [iota[t][0] for t in range(len(iota))]
-    assert col0[0] == ONE and all(x.is_zero() for x in col0[1:])
+    pairs = [(j1, j2) for j1, j2 in EMBED_PAIRS if j1 + j2 == j]
+    assert pairs
+    for j1, j2 in pairs:
+        iota, pi = embed_chain(j1, j2)
+        assert la.mat_eq(la.mat_mul(pi, iota), la.identity(int(2 * j) + 1))
+        # highest weight goes to the product of highest weights
+        col0 = [iota[t][0] for t in range(len(iota))]
+        assert col0[0] == ONE and all(x.is_zero() for x in col0[1:])
 
 
 def test_embedding_intertwines():
-    iota, pi = embed_chain(1, HALF)
-    one, half = make_rep(1), make_rep(HALF)
-    tgt = make_rep(Fraction(3, 2))
-    for big, small in ((tensor_e(one, half), tgt.E), (tensor_f(one, half), tgt.F)):
-        assert la.mat_is_zero(
-            la.mat_sub(la.mat_mul(big, iota), la.mat_mul(iota, small))
-        )
-        assert la.mat_is_zero(
-            la.mat_sub(la.mat_mul(pi, big), la.mat_mul(small, pi))
-        )
+    for j1, j2 in EMBED_PAIRS:
+        iota, pi = embed_chain(j1, j2)
+        tgt = make_rep(j1 + j2)
+        for big, small in zip(coproduct(make_rep(j1), make_rep(j2)), tgt.action):
+            assert la.mat_is_zero(
+                la.mat_sub(la.mat_mul(big, iota), la.mat_mul(iota, small))
+            )
+            assert la.mat_is_zero(
+                la.mat_sub(la.mat_mul(pi, big), la.mat_mul(small, pi))
+            )
 
 
 def test_t_matrix_half_display():

@@ -108,19 +108,6 @@ def test_pow_negative():
     assert (Q + ONE) ** 0 == ONE
 
 
-def test_scalar_arith_dispatcher():
-    from tau_forge.qscalar import map_q, scalar_arith
-
-    assert scalar_arith("add", Q, QINV) == Q + QINV
-    assert scalar_arith("mul", Q, QINV) == ONE
-    assert scalar_arith("div", Q**2 - ONE, Q - ONE) == Q + ONE
-    assert scalar_arith("neg", Q) == -Q
-    with pytest.raises(QDivisionError):
-        scalar_arith("div", ONE, ZERO)
-    assert map_q(Q + QINV, "substitute_power", -1) == Q + QINV
-    assert map_q(bracket(7), "eval_q1") == 7
-
-
 def test_laurent_views():
     # (q^2 + 1)/q: numerator exponents {2, 0}, denominator {1}
     x = Q + QINV

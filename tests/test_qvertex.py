@@ -98,7 +98,7 @@ def test_denominators_are_bracket_products(j):
 
 def test_intertwining_residuals_zero():
     # rho_j(x) A - A (induced coproduct action) = 0 for the solved components
-    from tau_forge.qvertex import _coproduct
+    from tau_forge.uqsl2 import coproduct as _coproduct
 
     for j in SPINS:
         two_j = int(2 * j)
@@ -118,3 +118,24 @@ def test_intertwining_residuals_zero():
             lhs = la.mat_mul(tmat, phi)
             rhs = la.mat_mul(phi, big[x])
             assert la.mat_is_zero(la.mat_sub(lhs, rhs)), (j, x)
+
+
+def test_intertwiner_rejects_zero_dimensional_space():
+    # no nonzero map intertwines spin 1/2 into spin 1
+    with pytest.raises(la.ConventionError):
+        la.intertwiner(make_rep(1).action, make_rep(HALF).action)
+
+
+def test_intertwiner_rejects_two_dimensional_space():
+    # V_1/2 ox V_1/2 = V_1 + V_0, so its self-intertwiners form a 2-dim space
+    from tau_forge.uqsl2 import coproduct
+
+    delta = coproduct(make_rep(HALF), make_rep(HALF))
+    with pytest.raises(la.ConventionError):
+        la.intertwiner(delta, delta)
+
+
+def test_convention_error_is_shared():
+    from tau_forge import qvertex
+
+    assert qvertex.ConventionError is la.ConventionError

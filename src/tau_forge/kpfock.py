@@ -11,8 +11,27 @@ edge raises :class:`BoundaryError`, and the range of modes actually changed
 is recorded, so a finished computation carries a certificate that the
 window truncation was invisible at the reported degrees.
 
-Time-variable truncation is by weighted degree (x_k carries weight k), the
-energy grading of the flows, with independent caps per variable group.
+One build serves every KP check.  For each g and charge n,
+
+    tau_n(t, s) = <n| exp(sum t_k a_k) g exp(sum s_k a_{-k}) |n>
+
+is flowed once, truncated by weighted degree (t_k and s_k carry weight k)
+with one cap per time set.  The two-sided residuals need tau(x +- y, u +- v);
+the linear substitution t = x +- y, s = u +- v keeps every weighted degree,
+so it is exact to the same caps and no flow runs in four time sets.
+
+Polynomials are {packed monomial: int or Fraction} dicts (KP is q-free);
+TimesPoly appears only at the public boundary.  A packed monomial holds each
+exponent in a bit field and, in two more fields, its weighted degree in the
+(x, y) and in the (u, v) times, so adding packed monomials multiplies them
+and adds their weights.  The field width comes from the largest cap, and no
+product is formed past a cap: capped products bucket terms by weight.  Taus
+are cleared of denominators before the products.
+
+The caps are derived from the Schur operators, not fixed: the pair
+S_j(2y) S_{j+o}(-dtilde_y) lowers the (x, y) weight by o, so that set is
+built to degree + max(o, 0); the (u, v) pair raises it by o, so that set is
+built to degree + max(-o, 0) (:func:`schur_pair_caps`).
 """
 
 from __future__ import annotations
@@ -20,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm, perm
 
 from .ncalg import TimesPoly
 from .qscalar import qs
@@ -102,11 +121,7 @@ class FockSpace:
         return n, tuple(parts)
 
 
-# FockVector: dict mapping state tuples to TimesPoly coefficients
-
-
-def vector_single(space, state, vars):
-    return {state: TimesPoly.one(vars)}
+# Fock vectors: dicts mapping state tuples to coefficients
 
 
 def _vec_add_term(out, state, coeff):
@@ -120,165 +135,207 @@ def _vec_add_term(out, state, coeff):
 
 def apply_fermion(space, kind, mode, vec):
     """Insertion (psi) or removal (psi*) at a mode; sign counts occupied
-    modes strictly above the acted mode."""
+    modes strictly above the acted mode.  Distinct states stay distinct, so
+    any coefficient type that negates will do."""
     if not space.in_window(mode):
         raise BoundaryError(f"mode {mode} outside the window")
+    if kind not in ("psi", "psi_star"):
+        raise ValueError(kind)
     out = {}
     for state, coeff in vec.items():
         pos = bisect_right(state, mode)
         occupied = pos > 0 and state[pos - 1] == mode
-        above = len(state) - pos
-        sign = -1 if above % 2 else 1
-        if kind == "psi":
-            if occupied:
-                continue
-            space.note_change(mode)
-            new = list(state)
-            insort(new, mode)
-            _vec_add_term(out, tuple(new), coeff if sign > 0 else -coeff)
-        elif kind == "psi_star":
-            if not occupied:
-                continue
-            space.note_change(mode)
-            new = list(state)
+        if occupied != (kind == "psi_star"):
+            continue
+        space.note_change(mode)
+        new = list(state)
+        if occupied:
             new.remove(mode)
-            _vec_add_term(out, tuple(new), coeff if sign > 0 else -coeff)
         else:
-            raise ValueError(kind)
+            insort(new, mode)
+        out[tuple(new)] = -coeff if (len(state) - pos) % 2 else coeff
     return out
 
 
+def _flow_moves(space, k, state):
+    """a_k |state> as (state, sign) pairs: the window part of
+    a_k = sum_j psi_j psi*_{j+k} (k > 0 lowers energy, k < 0 raises), exact
+    on guard-certified computations."""
+    moves = []
+    for p in state:
+        t = p - k
+        if k > 0:
+            if t < -space.M:
+                # below the window everything is permanently occupied
+                continue
+        elif t > space.M - 1:
+            raise BoundaryError(f"raising flow needs mode {t} outside the window")
+        pos_t = bisect_right(state, t)
+        if pos_t > 0 and state[pos_t - 1] == t:
+            continue
+        # remove p, then insert t
+        pos_p = bisect_right(state, p)
+        sign = -1 if (len(state) - pos_p) % 2 else 1
+        removed = list(state)
+        removed.remove(p)
+        pos_t2 = bisect_right(removed, t)
+        if (len(removed) - pos_t2) % 2:
+            sign = -sign
+        space.note_change(p)
+        space.note_change(t)
+        insort(removed, t)
+        moves.append((tuple(removed), sign))
+    return moves
+
+
 def apply_flow_generator(space, k, vec):
-    """The window part of a_k = sum_j psi_j psi*_{j+k} (k > 0 lowers energy,
-    k < 0 raises); exact on guard-certified computations."""
+    """a_k on a vector with TimesPoly coefficients."""
     if k == 0:
         raise ValueError("k must be nonzero")
     out = {}
     for state, coeff in vec.items():
-        for p in state:
-            t = p - k
-            if k > 0:
-                if t < -space.M:
-                    # below the window everything is permanently occupied
-                    continue
-            else:
-                if t > space.M - 1:
-                    raise BoundaryError(f"raising flow needs mode {t} outside the window")
-            pos_t = bisect_right(state, t)
-            if pos_t > 0 and state[pos_t - 1] == t:
-                continue
-            # remove p, then insert t
-            pos_p = bisect_right(state, p)
-            sign = -1 if (len(state) - pos_p) % 2 else 1
-            removed = list(state)
-            removed.remove(p)
-            pos_t2 = bisect_right(removed, t)
-            if (len(removed) - pos_t2) % 2:
-                sign = -sign
-            space.note_change(p)
-            space.note_change(t)
-            insort(removed, t)
-            _vec_add_term(out, tuple(removed), coeff if sign > 0 else -coeff)
+        for nstate, sign in _flow_moves(space, k, state):
+            _vec_add_term(out, nstate, coeff if sign > 0 else -coeff)
     return out
 
 
 # ---------------------------------------------------------------------------
-# flows with weighted-degree truncation
+# packed polynomials in the time variables
 # ---------------------------------------------------------------------------
 
 
-class DegreeCaps:
-    """Weighted-degree caps per variable group, with per-monomial weights
-    computed once per polynomial in capped products."""
+class _Layout:
+    """Packed monomials over named times x_k, y_k, u_k, v_k (weight k): the
+    exponent of vars[i] in bit field i, the weighted degree of the (x, y)
+    times in field n and of the (u, v) times in field n + 1.  No exponent or
+    weight of a stored monomial may exceed ``bound``."""
 
-    __slots__ = ("items", "caps", "n")
+    def __init__(self, vars, bound):
+        self.vars = tuple(vars)
+        self.bound = bound
+        w = max(1, bound).bit_length()
+        self.mask = (1 << w) - 1
+        self.wshift = (len(self.vars) * w, (len(self.vars) + 1) * w)
+        self.shift = {v: i * w for i, v in enumerate(self.vars)}
+        self.group = {v: int(v[0] in "uv") for v in self.vars}
+        self.unit = {v: (1 << self.shift[v]) + (int(v[1:]) << self.wshift[self.group[v]]) for v in self.vars}
 
-    def __init__(self, vars, weights, groups, caps):
-        self.items = tuple(
-            (i, w, g) for i, (w, g) in enumerate(zip(weights, groups)) if w
+    def weight(self, mono, group):
+        return (mono >> self.wshift[group]) & self.mask
+
+    def pack(self, names, exps):
+        return sum(e * self.unit[v] for v, e in zip(names, exps))
+
+    def to_times(self, poly):
+        shifts = [self.shift[v] for v in self.vars]
+        return TimesPoly(
+            self.vars,
+            {tuple((m >> s) & self.mask for s in shifts): qs(Fraction(c)) for m, c in poly.items() if c},
         )
-        self.caps = tuple(caps)
-        self.n = len(self.caps)
-
-    def weigh(self, mono):
-        t = [0] * self.n
-        for i, w, g in self.items:
-            e = mono[i]
-            if e:
-                t[g] += w * e
-        return t
-
-    def keep(self, mono):
-        t = self.weigh(mono)
-        caps = self.caps
-        return all(t[g] <= caps[g] for g in range(self.n))
 
 
-def _keep_fn(vars, weights, groups, caps):
-    return DegreeCaps(vars, weights, groups, caps)
+def _var_names(prefix, d):
+    return [f"{prefix}{k}" for k in range(1, d + 1)]
 
 
-def _tp_truncate(tp, keep):
-    return TimesPoly(tp.vars, {m: c for m, c in tp.terms.items() if keep(m)})
+def _trim(p):
+    return {m: c for m, c in p.items() if c}
 
 
-def _tp_mul_capped(a, b, cap):
+def _mul_capped(a, b, lay, caps):
+    """a * b without the terms past the weighted-degree caps (one per time
+    set); terms are bucketed by weight, so no pair past a cap is formed."""
+    buckets = []
+    for p in (a, b):
+        by_weight = {}
+        for m, c in p.items():
+            by_weight.setdefault((lay.weight(m, 0), lay.weight(m, 1)), []).append((m, c))
+        buckets.append(by_weight.items())
     out = {}
-    from ._kernels import tup_add
-
-    caps = cap.caps
-    n = cap.n
-    bw = [(m2, c2, cap.weigh(m2)) for m2, c2 in b.terms.items()]
-    for m1, c1 in a.terms.items():
-        w1 = cap.weigh(m1)
-        for m2, c2, w2 in bw:
-            fits = True
-            for g in range(n):
-                if w1[g] + w2[g] > caps[g]:
-                    fits = False
-                    break
-            if not fits:
+    get = out.get
+    for (wa0, wa1), ta in buckets[0]:
+        for (wb0, wb1), tb in buckets[1]:
+            if wa0 + wb0 > caps[0] or wa1 + wb1 > caps[1]:
                 continue
-            c = c1 * c2
-            if c.is_zero():
-                continue
-            m = tup_add(m1, m2)
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return TimesPoly(a.vars, out)
+            for m1, c1 in ta:
+                for m2, c2 in tb:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+    return _trim(out)
 
 
-def flow(space, direction, times, vec, keep):
-    """Apply exp(sum_k coeff_k a_{+-k}) truncated by the monomial filter.
+def _substitute(p, lay, pairs, sign):
+    """p with t -> t + sign * y for every (t, y) pair of names; t and y share
+    a weight and a time set, so every weighted degree is kept."""
+    for t, y in pairs:
+        shift, step = lay.shift[t], lay.unit[y] - lay.unit[t]
+        out = {}
+        for m, c in p.items():
+            a = (m >> shift) & lay.mask
+            for i in range(a + 1):
+                key = m + i * step
+                out[key] = out.get(key, 0) + c * comb(a, i) * sign**i
+        p = out
+    return _trim(p)
 
-    ``times`` is a list of (k, TimesPoly coefficient) with k >= 1; direction
-    "positive" uses the lowering generators a_k, "negative" the raising a_{-k}.
-    """
-    sign = 1 if direction == "positive" else -1
-    acc = dict(vec)
+
+def _cleared(p):
+    """(c p, c) with c the lcm of the denominators of p, so c p is integral."""
+    c = lcm(*(f.denominator for f in p.values()))
+    return {m: f.numerator * (c // f.denominator) for m, f in p.items()}, c
+
+
+# ---------------------------------------------------------------------------
+# flows and the one tau build
+# ---------------------------------------------------------------------------
+
+
+def flow(space, sign, units, vec, lay, group, cap):
+    """exp(sum_k t_k a_{sign k}) on {state: packed polynomial}, with t_k the
+    packed monomial units[k-1] of weight k in ``group``.  Terms past ``cap``
+    are dropped before they move, so the boundary guard only ever sees modes
+    reached by terms that survive the truncation."""
+    acc = {state: dict(p) for state, p in vec.items()}
     term = vec
     m = 1
     while term:
         nxt = {}
-        inv_m = qs(Fraction(1, m))
-        for k, cpoly in times:
-            for state, coeff in term.items():
-                # truncate before moving so the boundary guard only ever sees
-                # modes reached by terms that survive the degree caps
-                c = _tp_mul_capped(coeff, cpoly, keep).scale(inv_m)
-                if c.is_zero():
+        for state, poly in term.items():
+            for k, unit in enumerate(units, 1):
+                kept = [(mono + unit, c) for mono, c in poly.items() if lay.weight(mono, group) + k <= cap]
+                if not kept:
                     continue
-                for nstate, ncoeff in apply_flow_generator(space, sign * k, {state: c}).items():
-                    _vec_add_term(nxt, nstate, ncoeff)
-        term = nxt
-        for state, coeff in term.items():
-            _vec_add_term(acc, state, coeff)
+                for nstate, s in _flow_moves(space, sign * k, state):
+                    tgt = nxt.setdefault(nstate, {})
+                    for mono, c in kept:
+                        tgt[mono] = tgt.get(mono, 0) + (c if s > 0 else -c)
+        term = {}
+        for state, poly in nxt.items():
+            poly = {mono: Fraction(c, m) for mono, c in poly.items() if c}
+            if poly:
+                term[state] = poly
+                tgt = acc.setdefault(state, {})
+                for mono, c in poly.items():
+                    tgt[mono] = tgt.get(mono, 0) + c
         m += 1
     return acc
+
+
+def _tau(g, n, lay, caps, window):
+    """tau_n with the x and u fields of ``lay`` as the times t and s, exact to
+    the weighted-degree caps (D_x, D_u): ({packed: Fraction}, certificate)."""
+    space = FockSpace(window)
+    _check_window_budget(space, n, caps[0], caps[1], g)
+    vec = {space.vacuum(n): {0: Fraction(1)}}
+    vec = flow(space, -1, [lay.unit[v] for v in _var_names("u", caps[1])], vec, lay, 1, caps[1])
+    moved = {}
+    for state, poly in vec.items():
+        for image, x in g.apply(space, {state: 1}).items():
+            tgt = moved.setdefault(image, {})
+            for mono, c in poly.items():
+                tgt[mono] = tgt.get(mono, 0) + x * c
+    moved = flow(space, 1, [lay.unit[v] for v in _var_names("x", caps[0])], moved, lay, 0, caps[0])
+    return _trim(moved.get(space.vacuum(n), {})), space.certificate()
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +374,18 @@ class GroupElementSpec:
         return cls(factors=tuple(factors))
 
     def apply(self, space, vec):
+        """g on a vector with int or Fraction coefficients."""
         for theta, i, j in reversed(self.factors):
             if i == j:
                 raise ValueError("factors need i != j")
-            moved = apply_fermion(space, "psi_star", j, vec)
-            moved = apply_fermion(space, "psi", i, moved)
+            moved = apply_fermion(space, "psi", i, apply_fermion(space, "psi_star", j, vec))
             out = dict(vec)
-            th = qs(theta)
-            for state, coeff in moved.items():
-                _vec_add_term(out, state, coeff.scale(th))
+            for state, c in moved.items():
+                s = out.get(state, 0) + theta * c
+                if s:
+                    out[state] = s
+                else:
+                    out.pop(state, None)
             vec = out
         return vec
 
@@ -334,7 +394,7 @@ class GroupElementSpec:
 
 
 # ---------------------------------------------------------------------------
-# Schur polynomials
+# Schur polynomials, on exponent tuples over the slots t_1, t_2, ...
 # ---------------------------------------------------------------------------
 
 
@@ -356,102 +416,100 @@ def schur_exponents(j):
     return table[j]
 
 
-def schur_poly(j, vars, names, slot_scale=Fraction(1)):
-    """S_j(slot_scale * t) as a TimesPoly, with slot k mapped to names[k-1]
-    (slots beyond the name list are frozen to zero)."""
-    if j < 0:
-        return TimesPoly.zero(vars)
-    out = TimesPoly.zero(vars)
+def schur_poly(j, slots, slot_scale=Fraction(1)):
+    """S_j(slot_scale * t) over the first ``slots`` times, as {exponent tuple
+    of length slots: Fraction}; later times are frozen to zero."""
+    out = {}
     for mono, c in schur_exponents(j).items():
-        if any(e and (k >= len(names)) for k, e in enumerate(mono)):
-            continue
-        term = TimesPoly.const(vars, qs(c * slot_scale ** sum(mono)))
-        for k, e in enumerate(mono):
-            if e:
-                term = term * TimesPoly.var(vars, names[k], power=e)
-        out = out + term
+        if not any(mono[slots:]):
+            out[(mono + (0,) * slots)[:slots]] = c * slot_scale ** sum(mono)
     return out
 
 
-def schur_diff_apply(j, poly, names, slot_scale=Fraction(-1)):
-    """Apply S_j(slot_scale * dtilde) to a TimesPoly, where slot k acts as
-    (slot_scale / k) d/d(names[k-1]); names beyond the list act as zero."""
-    if j < 0:
-        return TimesPoly.zero(poly.vars)
-    out = TimesPoly.zero(poly.vars)
-    for mono, c in schur_exponents(j).items():
-        if any(e and (k >= len(names)) for k, e in enumerate(mono)):
+def schur_diff_apply(j, mono, slot_scale=Fraction(-1)):
+    """S_j(slot_scale * dtilde) on the monomial t^mono, slot k acting as
+    (slot_scale / k) d/dt_k (slots past len(mono) act as zero)."""
+    out = {}
+    for d, c in schur_exponents(j).items():
+        if any(d[len(mono):]) or any(x > e for x, e in zip(d, mono)):
             continue
-        term = poly
-        scale = Fraction(c)
-        for k, e in enumerate(mono):
-            for _ in range(e):
-                term = term.derivative(names[k])
-            if e:
-                scale *= (slot_scale / Fraction(k + 1)) ** e
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
-        out = out + term.scale(qs(scale))
+        d = d[: len(mono)] + (0,) * (len(mono) - len(d))
+        for k, (x, e) in enumerate(zip(d, mono), 1):
+            c *= Fraction(slot_scale, k) ** x * perm(e, x)
+        out[tuple(e - x for e, x in zip(mono, d))] = c
     return out
 
 
+def schur_pair_caps(degree, offset):
+    """(D_xy, D_uv), the weighted degrees to which the taus of a Schur-pair
+    residual are built.  The y-side pair S_j(2y) S_{j+o}(-dtilde_y) lowers the
+    (x, y) weight by o and the v-side pair raises the (u, v) weight by o, so a
+    residual exact to ``degree`` needs that much more on the lowered side."""
+    return degree + max(offset, 0), degree + max(-offset, 0)
+
+
+def _schur_pair(G, lay, z, a, b, sigma, degree):
+    """sum_{j>=0} S_{j+a}(2 sigma z) S_{j+b}(-sigma dtilde_z) G, kept to
+    ``degree`` in both time sets, times L = (bound!)^2: (integer poly, L).
+
+    The pair acts on the z times alone and moves their weight by a - b, so
+    it is applied once per distinct z-monomial of G and multiplied back onto
+    the rest of each term.  Its coefficients have denominators dividing
+    (j+a)! (j+b)!, and j + a, j + b <= bound, so L clears them."""
+    group = lay.group[z[0]]
+    shifts = [lay.shift[v] for v in z]
+    zmask = sum(lay.mask << s for s in shifts)
+    L = factorial(lay.bound) ** 2
+    slots = len(z)
+    images, out = {}, {}
+    for m, c in G.items():
+        if lay.weight(m, group) + a - b > degree or lay.weight(m, 1 - group) > degree:
+            continue
+        zbits = m & zmask
+        image = images.get(zbits)
+        if image is None:
+            ez = tuple((zbits >> s) & lay.mask for s in shifts)
+            acc = {}
+            for j in range(max(0, -a, -b), sum(k * e for k, e in enumerate(ez, 1)) - b + 1):
+                dpart = schur_diff_apply(j + b, ez, -sigma)
+                for ms, cs in schur_poly(j + a, slots, 2 * sigma).items():
+                    for md, cd in dpart.items():
+                        key = lay.pack(z, map(sum, zip(ms, md)))
+                        acc[key] = acc.get(key, 0) + cs * cd * L
+            if any(v.denominator != 1 for v in acc.values()):
+                raise ArithmeticError("Schur-pair coefficient not cleared by (bound!)^2")
+            image = images[zbits] = (lay.pack(z, ez), [(mz, int(v)) for mz, v in acc.items() if v])
+        zmono, terms = image
+        rest = m - zmono
+        for mz, cz in terms:
+            key = rest + mz
+            out[key] = out.get(key, 0) + c * cz
+    return _trim(out), L
+
+
+def _residual(lay, lhs, sl, rhs=None, sr=1):
+    """lhs / sl - rhs / sr as a TimesPoly, from integer polynomials."""
+    out = {m: c * sr for m, c in lhs.items()}
+    for m, c in (rhs or {}).items():
+        out[m] = out.get(m, 0) - c * sl
+    return lay.to_times({m: Fraction(c, sl * sr) for m, c in out.items() if c})
+
+
 # ---------------------------------------------------------------------------
-# tau functions
+# tau functions and Hirota residuals
 # ---------------------------------------------------------------------------
 
 
-def _var_names(prefix, d):
-    return [f"{prefix}{k}" for k in range(1, d + 1)]
-
-
-def matrix_element_vacuum(space, n, vec):
-    """<vacuum(n)| vec as a TimesPoly (zero if absent)."""
-    key = space.vacuum(n)
-    for state, coeff in vec.items():
-        if state == key:
-            return coeff
-    return None
-
-
-def tau_kp(g, n, deg_x, deg_u=0, window=8, vars=None, x_names=None, u_names=None):
+def tau_kp(g, n, deg_x, deg_u=0, window=8):
     """tau as the vacuum-to-vacuum matrix element of flows around g.
 
     One-sided for deg_u = 0; otherwise the two-sided version with raising
     times u_k.  Returns (TimesPoly, BoundaryCertificate); all coefficients of
     monomials within the stated weighted degrees are exact.
     """
-    space = FockSpace(window)
-    x_names = x_names or _var_names("x", deg_x)
-    u_names = u_names or _var_names("u", deg_u)
-    if vars is None:
-        vars = tuple(x_names + u_names)
-    weights = []
-    groups = []
-    for v in vars:
-        if v in x_names:
-            weights.append(x_names.index(v) + 1)
-            groups.append(0)
-        elif v in u_names:
-            weights.append(u_names.index(v) + 1)
-            groups.append(1)
-        else:
-            weights.append(0)
-            groups.append(0)
-    keep = _keep_fn(vars, weights, groups, (deg_x, deg_u))
-    _check_window_budget(space, n, deg_x, deg_u, g)
-    vec = vector_single(space, space.vacuum(n), vars)
-    if deg_u:
-        times = [(k, TimesPoly.var(vars, u_names[k - 1])) for k in range(1, deg_u + 1)]
-        vec = flow(space, "negative", times, vec, keep)
-    vec = g.apply(space, vec)
-    if deg_x:
-        times = [(k, TimesPoly.var(vars, x_names[k - 1])) for k in range(1, deg_x + 1)]
-        vec = flow(space, "positive", times, vec, keep)
-    me = matrix_element_vacuum(space, n, vec)
-    poly = me if me is not None else TimesPoly.zero(vars)
-    return poly, space.certificate()
+    lay = _Layout(_var_names("x", deg_x) + _var_names("u", deg_u), max(deg_x, deg_u))
+    poly, cert = _tau(g, n, lay, (deg_x, deg_u), window)
+    return lay.to_times(poly), cert
 
 
 def _check_window_budget(space, n, deg_x, deg_u, g):
@@ -468,41 +526,6 @@ def _check_window_budget(space, n, deg_x, deg_u, g):
         )
 
 
-# ---------------------------------------------------------------------------
-# Hirota residuals
-# ---------------------------------------------------------------------------
-
-
-def _two_sided_tau(space, g, n, xy_names, uv_names, sx, su, keep, vars):
-    """tau_n(x +- y, u +- v): flows with coefficient polynomials x_k + sx y_k
-    (positive side) and u_k + su v_k (negative side)."""
-    x_names, y_names = xy_names
-    u_names, v_names = uv_names
-    vec = vector_single(space, space.vacuum(n), vars)
-    if u_names:
-        times = [
-            (
-                k,
-                TimesPoly.var(vars, u_names[k - 1])
-                + TimesPoly.var(vars, v_names[k - 1], coeff=qs(su)),
-            )
-            for k in range(1, len(u_names) + 1)
-        ]
-        vec = flow(space, "negative", times, vec, keep)
-    vec = g.apply(space, vec)
-    times = [
-        (
-            k,
-            TimesPoly.var(vars, x_names[k - 1])
-            + TimesPoly.var(vars, y_names[k - 1], coeff=qs(sx)),
-        )
-        for k in range(1, len(x_names) + 1)
-    ]
-    vec = flow(space, "positive", times, vec, keep)
-    me = matrix_element_vacuum(space, n, vec)
-    return me if me is not None else TimesPoly.zero(vars)
-
-
 def m3_residual(g, degree=6, window=8):
     """The window sum of products of charge +-1 matrix elements that the
     invariance of Omega = sum psi_j ox psi*_j forces to vanish.
@@ -516,42 +539,28 @@ def m3_residual(g, degree=6, window=8):
             f"window [-{window - 1},{window - 2}]; increase the window"
         )
     D = degree
-    x_names = _var_names("x", D)
-    y_names = _var_names("y", D)
-    vars = tuple(x_names + y_names)
-    weights = [x_names.index(v) + 1 if v in x_names else y_names.index(v) + 1 for v in vars]
-    groups = [0 if v in x_names else 1 for v in vars]
-    keep_joint = _keep_fn(vars, weights, groups, (D, D))
-    space = FockSpace(window)
-    _check_window_budget(space, 1, D, 0, g)
-    acc = TimesPoly.zero(vars)
-    certs = []
+    x_names, y_names = _var_names("x", D), _var_names("y", D)
+    lay = _Layout(x_names + y_names, 2 * D)
+    _check_window_budget(FockSpace(window), 1, D, 0, g)
+
+    def element(kind, j, names, charge):
+        sp = FockSpace(window)
+        vec = apply_fermion(sp, kind, j, g.apply(sp, {sp.vacuum(0): 1}))
+        vec = flow(sp, 1, [lay.unit[v] for v in names], {s: {0: c} for s, c in vec.items()}, lay, 0, D)
+        return vec.get(sp.vacuum(charge)), sp
+
+    acc, certs = {}, []
     for j in range(-window + 1, window - 1):
-        sx = FockSpace(window)
-        vec = vector_single(sx, sx.vacuum(0), vars)
-        vec = g.apply(sx, vec)
-        vec = apply_fermion(sx, "psi", j, vec)
-        if not vec:
-            continue
-        times = [(k, TimesPoly.var(vars, x_names[k - 1])) for k in range(1, D + 1)]
-        vec = flow(sx, "positive", times, vec, keep_joint)
-        left = matrix_element_vacuum(sx, 1, vec)
+        left, sx = element("psi", j, x_names, 1)
         if left is None:
             continue
-        sy = FockSpace(window)
-        vec = vector_single(sy, sy.vacuum(0), vars)
-        vec = g.apply(sy, vec)
-        vec = apply_fermion(sy, "psi_star", j, vec)
-        if not vec:
-            continue
-        times = [(k, TimesPoly.var(vars, y_names[k - 1])) for k in range(1, D + 1)]
-        vec = flow(sy, "positive", times, vec, keep_joint)
-        right = matrix_element_vacuum(sy, -1, vec)
+        right, sy = element("psi_star", j, y_names, -1)
         if right is None:
             continue
         certs.extend([sx.certificate(), sy.certificate()])
-        acc = acc + _tp_mul_capped(left, right, keep_joint)
-    return acc, certs
+        for m, c in _mul_capped(left, right, lay, (2 * D, 0)).items():
+            acc[m] = acc.get(m, 0) + c
+    return lay.to_times(acc), certs
 
 
 def m4_residual(g, degree=6, window=8):
@@ -559,112 +568,64 @@ def m4_residual(g, degree=6, window=8):
 
         sum_{j>=0} S_j(2 y) . S_{j+1}(-dtilde_y) [tau(x+y) tau(x-y)],
 
-    certified exact up to joint weighted degree ``degree`` (internally one
-    degree higher so the derivative loss is covered)."""
-    D = degree + 1
-    x_names = _var_names("x", D)
-    y_names = _var_names("y", D)
-    vars = tuple(x_names + y_names)
-    weights = [
-        x_names.index(v) + 1 if v in x_names else y_names.index(v) + 1 for v in vars
-    ]
-    groups = [0] * len(vars)
-    keep = _keep_fn(vars, weights, groups, (D,))
-    space_p = FockSpace(window)
-    _check_window_budget(space_p, 0, D, 0, g)
-    tau_plus = _two_sided_tau(space_p, g, 0, (x_names, y_names), ([], []), 1, 0, keep, vars)
-    space_m = FockSpace(window)
-    tau_minus = _two_sided_tau(space_m, g, 0, (x_names, y_names), ([], []), -1, 0, keep, vars)
-    G = _tp_mul_capped(tau_plus, tau_minus, keep)
-    acc = TimesPoly.zero(vars)
-    for j in range(0, D + 1):
-        dpart = schur_diff_apply(j + 1, G, y_names, Fraction(-1))
-        if dpart.is_zero():
-            continue
-        spart = schur_poly(j, vars, y_names, Fraction(2))
-        acc = acc + _tp_mul_capped(spart, dpart, keep)
-    keep_cert = _keep_fn(vars, weights, groups, (degree,))
-    return _tp_truncate(acc, keep_cert.keep), [space_p.certificate(), space_m.certificate()]
+    certified exact up to joint weighted degree ``degree``; the taus are
+    built to the margin the offset 1 costs (:func:`schur_pair_caps`)."""
+    D = schur_pair_caps(degree, 1)[0]
+    x_names, y_names = _var_names("x", D), _var_names("y", D)
+    lay = _Layout(x_names + y_names, D)
+    poly, cert = _tau(g, 0, lay, (D, 0), window)
+    tau, scale = _cleared(poly)
+    pairs = list(zip(x_names, y_names))
+    G = _mul_capped(_substitute(tau, lay, pairs, 1), _substitute(tau, lay, pairs, -1), lay, (D, 0))
+    lhs, L = _schur_pair(G, lay, y_names, 0, 1, 1, degree)
+    return _residual(lay, lhs, L * scale * scale), [cert]
 
 
 def h6_residual(g, n=0, m=0, degree=4, window=8):
     """Two-sided Hirota residual for charges (n, m): LHS with the y-side
-    Schur pair at offset n - m + 1 minus RHS with the v-side pair at the same
-    offset and charges (n+1, m-1); certified to ``degree`` per variable group."""
-    D = degree + 1
-    x_names = _var_names("x", D)
-    y_names = _var_names("y", D)
-    u_names = _var_names("u", D)
-    v_names = _var_names("v", D)
-    vars = tuple(x_names + y_names + u_names + v_names)
-    weights = []
-    groups = []
-    for v in vars:
-        prefix, idx = v[0], int(v[1:])
-        weights.append(idx)
-        groups.append(0 if prefix in ("x", "y") else 1)
-    keep = _keep_fn(vars, weights, groups, (D, D))
+    Schur pair at offset o = n - m + 1 minus RHS with the v-side pair at the
+    same offset and charges (n+1, m-1); certified to ``degree`` per time set,
+    with each tau built once per charge to :func:`schur_pair_caps`."""
     offset = n - m + 1
+    caps = schur_pair_caps(degree, offset)
+    names = {p: _var_names(p, caps[p in "uv"]) for p in "xyuv"}
+    lay = _Layout(names["x"] + names["y"] + names["u"] + names["v"], max(caps))
+    pairs = list(zip(names["x"], names["y"])) + list(zip(names["u"], names["v"]))
+    built, certs = {}, []
 
-    def pair_tau(charge_a, charge_b):
-        sp = FockSpace(window)
-        _check_window_budget(sp, charge_a, D, D, g)
-        ta = _two_sided_tau(sp, g, charge_a, (x_names, y_names), (u_names, v_names), 1, 1, keep, vars)
-        sm = FockSpace(window)
-        _check_window_budget(sm, charge_b, D, D, g)
-        tb = _two_sided_tau(sm, g, charge_b, (x_names, y_names), (u_names, v_names), -1, -1, keep, vars)
-        return _tp_mul_capped(ta, tb, keep), [sp.certificate(), sm.certificate()]
+    def tau(charge, sign):
+        if charge not in built:
+            poly, cert = _tau(g, charge, lay, caps, window)
+            built[charge] = _cleared(poly)
+            certs.append(cert)
+        poly, scale = built[charge]
+        return _substitute(poly, lay, pairs, sign), scale
 
-    G_lhs, certs1 = pair_tau(n, m)
-    G_rhs, certs2 = pair_tau(n + 1, m - 1)
-    lhs = TimesPoly.zero(vars)
-    for j in range(0, D + 1):
-        if j + offset < 0:
-            continue
-        dpart = schur_diff_apply(j + offset, G_lhs, y_names, Fraction(-1))
-        if dpart.is_zero():
-            continue
-        spart = schur_poly(j, vars, y_names, Fraction(2))
-        lhs = lhs + _tp_mul_capped(spart, dpart, keep)
-    rhs = TimesPoly.zero(vars)
-    for j in range(0, D + 1):
-        if j + offset < 0:
-            continue
-        dpart = schur_diff_apply(j, G_rhs, v_names, Fraction(1))
-        if dpart.is_zero():
-            continue
-        spart = schur_poly(j + offset, vars, v_names, Fraction(-2))
-        rhs = rhs + _tp_mul_capped(spart, dpart, keep)
-    keep_cert = _keep_fn(vars, weights, groups, (degree, degree))
-    return _tp_truncate(lhs - rhs, keep_cert.keep), certs1 + certs2
+    def side(charge_a, charge_b, z, a, b, sigma):
+        (ta, sa), (tb, sb) = tau(charge_a, 1), tau(charge_b, -1)
+        # the pair moves the weight of z's time set by a - b
+        need = [degree, degree]
+        need[lay.group[z[0]]] += b - a
+        G = _mul_capped(ta, tb, lay, [min(d, c) for d, c in zip(need, caps)])
+        poly, L = _schur_pair(G, lay, z, a, b, sigma, degree)
+        return poly, L * sa * sb
+
+    lhs, sl = side(n, m, names["y"], 0, offset, 1)
+    rhs, sr = side(n + 1, m - 1, names["v"], offset, 0, -1)
+    return _residual(lay, lhs, sl, rhs, sr), certs
 
 
 def cauchy_pair(degree=5, window=8):
     """Two independent routes to the two-sided vacuum tau at g = identity:
     the Fock matrix element and the direct expansion of exp(sum k x_k u_k)."""
-    g = GroupElementSpec.identity()
-    tau, cert = tau_kp(g, 0, degree, degree, window=window)
-    vars = tau.vars
-    x_names = _var_names("x", degree)
-    u_names = _var_names("u", degree)
-    direct = TimesPoly.one(vars)
+    tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree, window=window)
+    lay = _Layout(tau.vars, degree)
+    direct = {0: 1}
     for k in range(1, degree + 1):
-        block = TimesPoly.zero(vars)
-        a = 0
-        while k * a <= degree:
-            coeff = qs(Fraction(k**a, factorial(a)))
-            term = TimesPoly.const(vars, coeff)
-            if a:
-                term = term * TimesPoly.var(vars, x_names[k - 1], power=a) * TimesPoly.var(
-                    vars, u_names[k - 1], power=a
-                )
-            block = block + term
-            a += 1
-        weights = [int(v[1:]) for v in vars]
-        groups = [0 if v[0] == "x" else 1 for v in vars]
-        keep = _keep_fn(vars, weights, groups, (degree, degree))
-        direct = _tp_mul_capped(direct, block, keep)
-    return tau, direct, cert
+        xu = lay.unit[f"x{k}"] + lay.unit[f"u{k}"]
+        block = {a * xu: Fraction(k**a, factorial(a)) for a in range(degree // k + 1)}
+        direct = _mul_capped(direct, block, lay, (degree, degree))
+    return tau, lay.to_times(direct), cert
 
 
 # ---------------------------------------------------------------------------
@@ -674,29 +635,30 @@ def cauchy_pair(degree=5, window=8):
 
 def verify_hirota_kp(which, g=None, charges=(0, 0), degree=None, window=8):
     g = g if g is not None else GroupElementSpec.identity()
+    caps = None
     with Stopwatch() as sw:
         if which == "M3":
             degree = degree if degree is not None else 6
             res, certs = m3_residual(g, degree, window)
         elif which == "M4":
             degree = degree if degree is not None else 6
+            caps = (schur_pair_caps(degree, 1)[0], 0)
             res, certs = m4_residual(g, degree, window)
         elif which == "H6":
             degree = degree if degree is not None else 4
+            caps = schur_pair_caps(degree, charges[0] - charges[1] + 1)
             res, certs = h6_residual(g, charges[0], charges[1], degree, window)
         else:
             raise ValueError(f"unknown check {which!r}")
         ok = res.is_zero()
+    params = {"g": len(g.factors), "charges": charges, "degree": degree, "window": window}
+    if caps is not None:
+        params["caps"] = caps
     report = VerificationReport(
         check_id=f"kp.{which.lower()}",
         verdict=ok,
         residual="" if ok else str(res)[:400],
-        params={
-            "g": len(g.factors),
-            "charges": charges,
-            "degree": degree,
-            "window": window,
-        },
+        params=params,
         anchor="free-fermion Hirota relation",
         ms=sw.ms,
         details=[str(c) for c in certs[:4]],

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -167,3 +168,22 @@ def test_flag_no_selected_check_takes_is_usage_error(capsys):
     assert main(["verify", "kp.h6", "--seed", "1"]) == 2
     with pytest.raises(UsageError):
         run_check("lm.grid", {"j": 1})
+
+
+def test_kp_degree5_window10_passes(capsys):
+    # a true identity the old one-spare-weight margin failed (FAIL, 18 s)
+    t0 = time.perf_counter()
+    assert main(["verify", "kp.h6", "--degree", "5", "--window", "10"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    assert capsys.readouterr().out.startswith("PASS kp.h6")
+
+
+@pytest.mark.parametrize("window", [8, 10])
+def test_kp_parameter_domain_never_fails(window, capsys):
+    # around the defaults every run is a PASS or a usage error, never a FAIL
+    runs = [["kp.h6", "--degree", str(d)] for d in (3, 4, 5)]
+    runs += [["kp.m4", "--degree", str(d), "--seed", str(s)] for d in (5, 6, 7) for s in (0, 1, 2)]
+    for argv in runs:
+        code = main(["verify", *argv, "--window", str(window)])
+        out = capsys.readouterr().out
+        assert code in (0, 2), (argv, out)

@@ -148,21 +148,19 @@ def test_boundary_error_names_mode():
 def test_schur_polynomials():
     assert schur_exponents(1) == {(1,): Fraction(1)}
     assert schur_exponents(2) == {(0, 1): Fraction(1), (2, 0): Fraction(1, 2)}
-    vars = ("x1", "x2")
-    s2 = schur_poly(2, vars, ["x1", "x2"])
-    assert s2.coefficient((0, 1)) == ONE
-    assert s2.coefficient((2, 0)) == qs(Fraction(1, 2))
+    s2 = schur_poly(2, 2)
+    assert s2[(0, 1)] == 1
+    assert s2[(2, 0)] == Fraction(1, 2)
     # S_1(2 y) = 2 y_1
-    s1 = schur_poly(1, ("y1",), ["y1"], Fraction(2))
-    assert s1.coefficient((1,)) == qs(2)
-    assert schur_poly(-1, vars, ["x1"]).is_zero()
+    s1 = schur_poly(1, 1, Fraction(2))
+    assert s1 == {(1,): 2}
+    assert schur_poly(-1, 2) == {}
 
 
 def test_schur_diff_example():
-    vars = ("y1", "y2")
-    p = TimesPoly.var(vars, "y1", power=2)
-    out = schur_diff_apply(2, p, ["y1", "y2"], Fraction(-1))
-    assert out == TimesPoly.one(vars)
+    # S_2(-dtilde) y1^2 = (1/2) d1^2 y1^2 = 1
+    out = schur_diff_apply(2, (2, 0), Fraction(-1))
+    assert out == {(0, 0): 1}
 
 
 def test_tau_identity_is_one():
@@ -255,3 +253,120 @@ def test_export_json_roundtrip():
     data = json.loads(export_tau_json(tau))
     assert data["x1"] == "1/2"
     assert data["1"] == "1"
+
+
+def test_h6_margin_covers_the_schur_offset():
+    # charges (1, 0) put the y-side pair at offset 2, two weights past the
+    # certified degree; with one spare weight this g gave a nonzero residual
+    g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
+    for window in (8, 10):
+        res, certs = h6_residual(g, 1, 0, degree=3, window=window)
+        assert res.is_zero()
+        assert all(c.ok for c in certs)
+
+
+def test_h6_old_margin_mutant_fails(monkeypatch):
+    import tau_forge.kpfock as kpfock
+
+    monkeypatch.setattr(kpfock, "schur_pair_caps", lambda degree, offset: (degree + 1, degree + 1))
+    g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
+    res, _ = h6_residual(g, 1, 0, degree=3)
+    assert not res.is_zero()
+
+
+def test_caps_on_report():
+    g = GroupElementSpec.single(Fraction(1), 0, -1)
+    rep = verify_hirota_kp("H6", g, charges=(1, 0), degree=4)
+    assert rep.params["caps"] == (6, 4) and rep.params["degree"] == 4
+    rep = verify_hirota_kp("H6", g, charges=(0, 2), degree=3)
+    assert rep.params["caps"] == (3, 4)
+    assert verify_hirota_kp("M4", g, degree=4).params["caps"] == (5, 0)
+
+
+# Sato's expansion tau_n(x, u) = sum_{lambda, mu} s_lambda(x) <lambda, n| g |mu, n> s_mu(u)
+# (Jimbo-Miwa 1983), with s_lambda from Jacobi-Trudi over S_k and the matrix
+# elements read off g on partition states: no flow and no substitution.
+
+
+def _padd(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _pmul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _complete(k, slots):
+    """S_k over ``slots`` times as {exponent tuple: Fraction}."""
+    out = {}
+    for mono, c in schur_exponents(k).items():
+        if not any(mono[slots:]):
+            out[(mono + (0,) * slots)[:slots]] = c
+    return out
+
+
+def _det(rows):
+    if not rows:
+        return {(0,) * 6: Fraction(1)}
+    out = {}
+    for col, entry in enumerate(rows[0]):
+        if entry:
+            minor = _det([r[:col] + r[col + 1:] for r in rows[1:]])
+            out = _padd(out, _pmul(entry, minor), -1 if col % 2 else 1)
+    return out
+
+
+def _schur_function(lam, slots=6):
+    """Jacobi-Trudi: s_lambda = det [S_{lambda_i - i + j}]."""
+    r = len(lam)
+    return _det([[_complete(lam[i] - i + j, slots) for j in range(r)] for i in range(r)])
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _sato_tau(g, n, degree):
+    space = FockSpace(10)
+    parts = [lam for w in range(degree + 1) for lam in _partitions(w)]
+    schur = {lam: _schur_function(lam) for lam in parts}
+    out = {}
+    for mu in parts:
+        image = g.apply(space, {space.state_from_partition(n, mu): 1})
+        for state, c in image.items():
+            charge, lam = space.partition_of_state(state)
+            assert charge == n
+            if sum(lam) > degree:
+                continue
+            for mx, cx in schur[lam].items():
+                for mu_, cu in schur[mu].items():
+                    key = mx + mu_
+                    out[key] = out.get(key, 0) + c * cx * cu
+    return {m: c for m, c in out.items() if c}
+
+
+def test_sato_expansion_matches_the_build():
+    from tau_forge.cli import _g_suite
+
+    assert _schur_function((2, 1), 3) == {(3, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1)}
+    for g in _g_suite(0):
+        for n in (-1, 0, 1):
+            tau, cert = tau_kp(g, n, 6, 6)
+            assert cert.ok
+            assert tau.vars == tuple(f"x{k}" for k in range(1, 7)) + tuple(f"u{k}" for k in range(1, 7))
+            built = {m: c.as_rational() for m, c in tau.terms.items()}
+            assert built == _sato_tau(g, n, 6), (g, n)

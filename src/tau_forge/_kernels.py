@@ -105,12 +105,17 @@ def _primitive(a):
 def ipoly_gcd(a, b):
     """Primitive gcd in Z[q] with positive leading coefficient.
 
-    Primitive pseudo-remainder sequence; inputs need not be primitive.
+    Primitive pseudo-remainder sequence; inputs need not be primitive.  When
+    one argument is a single term c*q^k (every denominator of a q-shifted
+    Laurent polynomial is one), the primitive gcd is q^min(k, ord_q(other))
+    and is returned without a remainder sequence.
     """
     if not a:
         return _primitive(dict(b)) if b else {}
     if not b:
         return _primitive(dict(a))
+    if len(a) == 1 or len(b) == 1:
+        return {min(min(a), min(b)): 1}
     a = _primitive(dict(a))
     b = _primitive(dict(b))
     if max(a) < max(b):

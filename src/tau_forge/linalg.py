@@ -3,8 +3,11 @@
 Matrices are plain lists of lists.  Besides the entrywise helpers the module
 is the one home of two constructions every other module uses:
 
-* :func:`intertwiner` sets up L_x M = M R_x for x = e, f, k and takes the
+* :func:`intertwiner` solves L_x M = M R_x for x = e, f, k by one
   nullspace; it serves the vertex operators and the tensor projections.
+  An intertwiner commutes with k, so with k diagonal it only links vectors
+  of equal weight: the unknowns are the entries of M indexed by equal
+  weights, and only the e and f equations are assembled over them.
   The elimination is division-free until solution extraction
   (cross-multiplication style), with pivots chosen by a complexity score,
   which keeps rational-function entries from swelling.
@@ -152,32 +155,51 @@ def intertwiner(left, right):
     """The matrix M, up to scale, with  left(x) M = M right(x)  for x = e, f, k,
     each action given as its (e, f, k) matrices.
 
-    Unknowns are the entries of the rows x cols matrix M, flattened row-major.
+    Both k matrices must be diagonal (ValueError otherwise).  The k equation
+    (k_i - k_j) M[i][j] = 0 then zeroes every entry whose two weights differ,
+    so the unknowns are only the entries M[i][j] with left k[i][i] equal to
+    right k[j][j], numbered in row-major order, and only the e and f
+    equations are assembled over them; the k equation holds by construction.
+    Every other entry of M is zero.
     Raises ConventionError unless the nullspace is exactly one-dimensional.
     """
-    rows, cols = len(left[0]), len(right[0])
+    (Le, Lf, Lk), (Re, Rf, Rk) = left, right
+    rows, cols = len(Lk), len(Rk)
+    for K in (Lk, Rk):
+        if any(not x.is_zero() for i, r in enumerate(K) for t, x in enumerate(r) if t != i):
+            raise ValueError("intertwiner needs a diagonal k in both actions")
+    unknown = {}
+    for i in range(rows):
+        for j in range(cols):
+            if Lk[i][i] == Rk[j][j]:
+                unknown[i, j] = len(unknown)
     eqs = []
-    for L, R in zip(left, right):
+    for L, R in ((Le, Re), (Lf, Rf)):
         # (L M - M R)[i][j] = sum_t L[i][t] M[t][j] - sum_t M[i][t] R[t][j]
         for i in range(rows):
             for j in range(cols):
-                row = [ZERO] * (rows * cols)
+                row = [ZERO] * len(unknown)
                 for t in range(rows):
-                    if not L[i][t].is_zero():
-                        row[t * cols + j] = row[t * cols + j] + L[i][t]
+                    u = unknown.get((t, j))
+                    if u is not None and not L[i][t].is_zero():
+                        row[u] = row[u] + L[i][t]
                 for t in range(cols):
-                    if not R[t][j].is_zero():
-                        row[i * cols + t] = row[i * cols + t] - R[t][j]
+                    u = unknown.get((i, t))
+                    if u is not None and not R[t][j].is_zero():
+                        row[u] = row[u] - R[t][j]
                 if any(not v.is_zero() for v in row):
                     eqs.append(row)
     # two 1 x 1 trivial actions give no nonzero equation on their one unknown
-    basis = nullspace(eqs or [[ZERO] * (rows * cols)])
+    basis = nullspace(eqs or [[ZERO] * len(unknown)])
     if len(basis) != 1:
         raise ConventionError(
             f"intertwiner solution space has dimension {len(basis)}, expected 1"
         )
     vec = basis[0]
-    return [[vec[i * cols + j] for j in range(cols)] for i in range(rows)]
+    M = zeros(rows, cols)
+    for (i, j), u in unknown.items():
+        M[i][j] = vec[u]
+    return M
 
 
 def nilpotent_exp(A, weight, one, zero):

@@ -183,6 +183,8 @@ def test_kp_parameter_domain_never_fails(window, capsys):
     # around the defaults every run is a PASS or a usage error, never a FAIL
     runs = [["kp.h6", "--degree", str(d)] for d in (3, 4, 5)]
     runs += [["kp.m4", "--degree", str(d), "--seed", str(s)] for d in (5, 6, 7) for s in (0, 1, 2)]
+    runs += [["kp.m3", "--degree", str(d), "--seed", str(s)] for d in (5, 6, 7) for s in (0, 1, 2)]
+    runs += [["kp.cauchy", "--degree", str(d)] for d in (4, 5, 6)]
     for argv in runs:
         code = main(["verify", *argv, "--window", str(window)])
         out = capsys.readouterr().out

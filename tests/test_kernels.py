@@ -1,0 +1,132 @@
+import random
+from collections import Counter
+from math import gcd
+
+from tau_forge._kernels import ipoly_gcd
+
+
+# -- reference: the plain primitive pseudo-remainder sequence, no shortcuts --
+
+
+def _ref_primitive(a):
+    g = 0
+    for c in a.values():
+        g = gcd(g, c)
+    if a[max(a)] < 0:
+        g = -g
+    return {e: c // g for e, c in a.items()}
+
+
+def _ref_prem(a, b):
+    db = max(b)
+    lb = b[db]
+    r = dict(a)
+    while r and max(r) >= db:
+        dr = max(r)
+        lr = r[dr]
+        nr = {e: lb * c for e, c in r.items()}
+        for e, c in b.items():
+            ee = e + dr - db
+            nr[ee] = nr.get(ee, 0) - lr * c
+        r = {e: c for e, c in nr.items() if c}
+    return r
+
+
+def _ref_gcd(a, b):
+    if not a:
+        return _ref_primitive(b) if b else {}
+    if not b:
+        return _ref_primitive(a)
+    a, b = _ref_primitive(a), _ref_primitive(b)
+    if max(a) < max(b):
+        a, b = b, a
+    while b:
+        r = _ref_prem(a, b)
+        a, b = b, (_ref_primitive(r) if r else {})
+    return a
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+# -- generated pairs -----------------------------------------------------------
+
+_KINDS = ("zero", "monomial", "poly")
+
+
+def _random_poly(rng, kind):
+    if kind == "zero":
+        return {}
+    sign = rng.choice((1, -1))
+    content = rng.choice((1, 1, 2, 3, 6, 10))
+    shift = rng.randrange(5)
+    if kind == "monomial":
+        return {shift: sign * content * rng.randrange(1, 5)}
+    out = {}
+    while len(out) < 2:
+        out = {shift + rng.randrange(7): rng.randrange(-4, 5) for _ in range(rng.randrange(2, 6))}
+        out = {e: c for e, c in out.items() if c}
+    return {e: sign * content * c for e, c in out.items()}
+
+
+def _cases(n, seed):
+    rng = random.Random(seed)
+    for _ in range(n):
+        ka, kb = rng.choice(_KINDS), rng.choice(_KINDS)
+        a, b = _random_poly(rng, ka), _random_poly(rng, kb)
+        if a and b and rng.random() < 0.4:
+            # a common factor, often a bare q-power, shared by both sides
+            common = _random_poly(rng, rng.choice(("monomial", "poly")))
+            a, b = _ref_mul(a, common), _ref_mul(b, common)
+        yield a, b
+
+
+def _features(a, b, g):
+    feats = set()
+    for p in (a, b):
+        if not p:
+            feats.add("zero")
+        elif len(p) == 1:
+            feats.add("monomial")
+        if p and p[max(p)] < 0:
+            feats.add("negative leading")
+        if p and abs(p[max(p)] // _ref_primitive(p)[max(p)]) > 1:
+            feats.add("content")
+    if a and b and len(a) == 1 and len(b) == 1:
+        feats.add("both monomial")
+    if a and b and min(a) and min(b):
+        feats.add("shared q-power")
+    if a and b and len(g) > 1:
+        feats.add("nontrivial gcd")
+    return feats
+
+
+def test_ipoly_gcd_matches_prs_reference():
+    seen = Counter()
+    n = 0
+    for a, b in _cases(12000, seed=20261018):
+        a_in, b_in = dict(a), dict(b)
+        expect = _ref_gcd(a, b)
+        assert ipoly_gcd(a, b) == expect, (a, b)
+        assert ipoly_gcd(b, a) == expect, (b, a)
+        assert (a, b) == (a_in, b_in), "ipoly_gcd mutated its arguments"
+        seen.update(_features(a, b, expect))
+        n += 1
+    assert n >= 10000
+    for feat in ("zero", "monomial", "both monomial", "shared q-power",
+                 "negative leading", "content", "nontrivial gcd"):
+        assert seen[feat] >= 100, (feat, seen)
+
+
+def test_ipoly_gcd_monomial_cases():
+    assert ipoly_gcd({3: -6}, {1: 4, 5: 2}) == {1: 1}
+    assert ipoly_gcd({0: 5}, {2: 3, 4: 1}) == {0: 1}
+    assert ipoly_gcd({2: 3, 4: -1}, {7: -2}) == {2: 1}
+    assert ipoly_gcd({4: 2}, {6: -9}) == {4: 1}
+    assert ipoly_gcd({}, {3: -4}) == {3: 1}
+    assert ipoly_gcd({}, {}) == {}

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from tau_forge import qhirota
 from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
+    BilinearTerm,
     commutative_sl2,
     eq_half_residual,
     expand_hierarchy,
@@ -130,10 +132,31 @@ def test_eq_half_residual_zero():
         (Fraction(3, 2), Fraction(3, 2)),
         (2, 1),
         (2, 2),
+        (Fraction(5, 2), Fraction(5, 2)),
     ],
 )
 def test_lm_grid(j, jp):
     assert verify_lm(j, jp).verdict
+
+
+@pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1)])
+def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
+    # negative control: a canonical form that collapsed to a false zero
+    # would pass this mutant
+    sides = qhirota.lm_sides
+
+    def mutant(j, jp, vars=qhirota.LM_VARS):
+        lhs, rhs = sides(j, jp, vars)
+        rhs = [
+            BilinearTerm(t.prefactor.scale(Q), t.left, t.right, t.left_shifts, t.right_shifts)
+            for t in rhs
+        ]
+        return lhs, rhs
+
+    monkeypatch.setattr(qhirota, "lm_sides", mutant)
+    report = verify_lm(j, jp)
+    assert not report.verdict
+    assert report.residual
 
 
 def test_lm_rejects_spin_zero():

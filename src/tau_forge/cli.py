@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import math
 import random
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import funq, kpfock, ncalg, qhirota, qscalar, qvertex, toda, uqsl2
 from ._kernels import BACKEND
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 
 
 @dataclass
@@ -47,11 +49,17 @@ def _degree(value):
 
 
 # ---------------------------------------------------------------------------
-# runners (each returns a VerificationReport; ids/params are stamped after)
+# runners (each returns a VerificationReport; run_check times the call and
+# stamps the id, params and anchor)
 # ---------------------------------------------------------------------------
 
 
-def _combine(check_id, anchor, reports, params=None):
+def _spins(jmax):
+    """The positive half-integer spins 1/2, 1, ..., jmax."""
+    return [Fraction(t, 2) for t in range(1, int(2 * Fraction(jmax)) + 1)]
+
+
+def _combine(reports):
     ok = all(r.verdict for r in reports)
     details = []
     for r in reports:
@@ -62,37 +70,32 @@ def _combine(check_id, anchor, reports, params=None):
             if r.residual:
                 details.append(f"  residual: {r.residual[:200]}")
     return VerificationReport(
-        check_id=check_id,
+        check_id="",
         verdict=ok,
         residual="" if ok else "; ".join(d for d in details if not d.startswith("PASS"))[:400],
-        params=params or {},
-        anchor=anchor,
-        ms=sum(r.ms for r in reports),
         details=details,
     )
 
 
 def run_qscalar_canonical(params):
     rng = random.Random(params["seed"])
-    with Stopwatch() as sw:
-        failures = []
-        for trial in range(params.get("trials", 200)):
-            a = _random_scalar(rng)
-            b = _random_scalar(rng)
-            s = a + b
-            if not (s - b - a).is_zero():
-                failures.append(f"(a+b)-b-a != 0 at trial {trial}")
-            if not (a * b - b * a).is_zero():
-                failures.append(f"ab - ba != 0 at trial {trial}")
-            if not b.is_zero():
-                if not ((a / b) * b - a).is_zero():
-                    failures.append(f"(a/b)b != a at trial {trial}")
-            # canonical equality is structural
-            if (a - b).is_zero() != (a == b):
-                failures.append(f"structural equality mismatch at trial {trial}")
+    failures = []
+    for trial in range(params.get("trials", 200)):
+        a = _random_scalar(rng)
+        b = _random_scalar(rng)
+        s = a + b
+        if not (s - b - a).is_zero():
+            failures.append(f"(a+b)-b-a != 0 at trial {trial}")
+        if not (a * b - b * a).is_zero():
+            failures.append(f"ab - ba != 0 at trial {trial}")
+        if not b.is_zero():
+            if not ((a / b) * b - a).is_zero():
+                failures.append(f"(a/b)b != a at trial {trial}")
+        # canonical equality is structural
+        if (a - b).is_zero() != (a == b):
+            failures.append(f"structural equality mismatch at trial {trial}")
     return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:4]), ms=sw.ms,
-        details=failures[:8],
+        check_id="", verdict=not failures, residual="; ".join(failures[:4]), details=failures[:8]
     )
 
 
@@ -108,29 +111,24 @@ def _random_scalar(rng):
 
 
 def run_qscalar_qnumbers(params):
-    with Stopwatch() as sw:
-        failures = []
-        for n in range(1, 21):
-            lhs = qscalar.q_number("bracket", n, 1)
-            rhs = qscalar.QScalar.q_power(1 - n) * qscalar.q_number("paren", n, 2)
-            if lhs != rhs:
-                failures.append(f"[{n}]_q mismatch")
-        import math
-
-        for n in range(0, 11):
-            pairs = (
-                ("paren", Fraction(n)),
-                ("bracket", Fraction(n)),
-                ("paren_factorial", Fraction(math.factorial(n))),
-                ("bracket_factorial", Fraction(math.factorial(n))),
-            )
-            for kind, want in pairs:
-                got = qscalar.q_number(kind, n, 1).eval_q1()
-                if got != want:
-                    failures.append(f"eval_q1 {kind}({n}) = {got} != {want}")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:5]), ms=sw.ms
-    )
+    failures = []
+    for n in range(1, 21):
+        lhs = qscalar.q_number("bracket", n, 1)
+        rhs = qscalar.QScalar.q_power(1 - n) * qscalar.q_number("paren", n, 2)
+        if lhs != rhs:
+            failures.append(f"[{n}]_q mismatch")
+    for n in range(0, 11):
+        pairs = (
+            ("paren", Fraction(n)),
+            ("bracket", Fraction(n)),
+            ("paren_factorial", Fraction(math.factorial(n))),
+            ("bracket_factorial", Fraction(math.factorial(n))),
+        )
+        for kind, want in pairs:
+            got = qscalar.q_number(kind, n, 1).eval_q1()
+            if got != want:
+                failures.append(f"eval_q1 {kind}({n}) = {got} != {want}")
+    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:5]))
 
 
 def run_confluence(params):
@@ -140,61 +138,37 @@ def run_confluence(params):
 
 def run_qexp_addition(params):
     deg = params["degree"]
-    with Stopwatch() as sw:
-        pres = ncalg.q_commuting_pair()
-        x = ncalg.NCPoly.generator(pres, "x")
-        y = ncalg.NCPoly.generator(pres, "y")
-        lhs = ncalg.nc_exp_q(x + y, 1, deg)
-        rhs = ncalg.nc_exp_q(x, 1, deg).mul(ncalg.nc_exp_q(y, 1, deg), max_word_len=deg)
-        ok = (lhs - rhs).is_zero()
-    return VerificationReport(
-        check_id="", verdict=ok, residual="" if ok else str(lhs - rhs)[:200], ms=sw.ms
-    )
+    pres = ncalg.q_commuting_pair()
+    x = ncalg.NCPoly.generator(pres, "x")
+    y = ncalg.NCPoly.generator(pres, "y")
+    lhs = ncalg.nc_exp_q(x + y, 1, deg)
+    rhs = ncalg.nc_exp_q(x, 1, deg).mul(ncalg.nc_exp_q(y, 1, deg), max_word_len=deg)
+    ok = (lhs - rhs).is_zero()
+    return VerificationReport(check_id="", verdict=ok, residual="" if ok else str(lhs - rhs)[:200])
 
 
 def run_hopf_grid(params):
-    jmax = params["jmax"]
-    spins = [Fraction(t, 2) for t in range(0, int(2 * Fraction(jmax)) + 1)]
-    reports = [uqsl2.verify_hopf_matrices(j, jp) for j in spins for jp in spins]
-    return _combine("", "", reports)
+    spins = [0] + _spins(params["jmax"])
+    return _combine([uqsl2.verify_hopf_matrices(j, jp) for j in spins for jp in spins])
 
 
 def run_vertex_normalizations(params):
-    jmax = Fraction(params["jmax"])
-    with Stopwatch() as sw:
-        failures = []
-        t = 1
-        while Fraction(t, 2) <= jmax:
-            j = Fraction(t, 2)
-            res = qvertex.vacuum_normalization_residuals(j)
-            for name, vec in res.items():
-                if any(not x.is_zero() for x in vec):
-                    failures.append(f"j={j}: {name} mismatch")
-            t += 1
+    failures = []
+    for j in _spins(params["jmax"]):
+        for name, vec in qvertex.vacuum_normalization_residuals(j).items():
+            if any(not x.is_zero() for x in vec):
+                failures.append(f"j={j}: {name} mismatch")
     return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:6]), ms=sw.ms,
-        details=failures,
+        check_id="", verdict=not failures, residual="; ".join(failures[:6]), details=failures
     )
 
 
 def run_vertex_prop(params):
-    jmax = Fraction(params["jmax"])
-    reports = []
-    t = 1
-    while Fraction(t, 2) <= jmax:
-        reports.append(qvertex.verify_component_relations(Fraction(t, 2)))
-        t += 1
-    return _combine("", "", reports)
+    return _combine([qvertex.verify_component_relations(j) for j in _spins(params["jmax"])])
 
 
 def run_vertex_qexp(params):
-    jmax = Fraction(params["jmax"])
-    reports = []
-    t = 1
-    while Fraction(t, 2) <= jmax:
-        reports.append(qvertex.verify_qexp_commutation(Fraction(t, 2)))
-        t += 1
-    return _combine("", "", reports)
+    return _combine([qvertex.verify_qexp_commutation(j) for j in _spins(params["jmax"])])
 
 
 def run_gauss_relations(params):
@@ -204,40 +178,28 @@ def run_gauss_relations(params):
 def run_corep(params):
     # T^(j) for 2j >= 2 is itself the top block of (j-1/2, 1/2), so the
     # check uses a pair that the recursion does not build
-    return _combine("", "", [funq.verify_funq("corep", Fraction(1, 2), 1)])
+    return _combine([funq.verify_funq("corep", Fraction(1, 2), 1)])
 
 
 def run_dual_route(params):
-    jmax = Fraction(params["jmax"])
-    reports = []
-    t = 1
-    while Fraction(t, 2) <= jmax:
-        reports.append(funq.verify_funq("dual_route", Fraction(t, 2)))
-        t += 1
-    return _combine("", "", reports)
+    return _combine([funq.verify_funq("dual_route", j) for j in _spins(params["jmax"])])
 
 
 def run_funq_gradings(params):
-    jmax = Fraction(params["jmax"])
-    with Stopwatch() as sw:
-        failures = []
-        t = 1
-        while Fraction(t, 2) <= jmax:
-            j = Fraction(t, 2)
-            M = funq.t_matrix(j)
-            eps = funq.counit_map()
-            for m in range(len(M)):
-                for r in range(len(M)):
-                    if not funq.entry_grading_ok(j, m, r, M[m][r]):
-                        failures.append(f"grading fails at j={j} entry ({m},{r})")
-                    val = M[m][r].apply_generator_map(eps)
-                    want = qscalar.ONE if m == r else qscalar.ZERO
-                    if val.constant_word().constant_term() != want or len(val.terms) > (1 if m == r else 0):
-                        failures.append(f"counit fails at j={j} entry ({m},{r})")
-            t += 1
+    failures = []
+    eps = funq.counit_map()
+    for j in _spins(params["jmax"]):
+        M = funq.t_matrix(j)
+        for m in range(len(M)):
+            for r in range(len(M)):
+                if not funq.entry_grading_ok(j, m, r, M[m][r]):
+                    failures.append(f"grading fails at j={j} entry ({m},{r})")
+                val = M[m][r].apply_generator_map(eps)
+                want = qscalar.ONE if m == r else qscalar.ZERO
+                if val.constant_word().constant_term() != want or len(val.terms) > (1 if m == r else 0):
+                    failures.append(f"counit fails at j={j} entry ({m},{r})")
     return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:5]), ms=sw.ms,
-        details=failures,
+        check_id="", verdict=not failures, residual="; ".join(failures[:5]), details=failures
     )
 
 
@@ -250,18 +212,15 @@ def run_spin_half_suite(params):
 
 
 def run_hierarchy(params):
-    with Stopwatch() as sw:
-        half = Fraction(1, 2)
-        coeffs = qhirota.expand_hierarchy(half, half, 1, -1, 3, 3)
-        failures = [f"P_{c.k},{c.l} != 0" for c in coeffs if not c.value.is_zero()]
-        L = qhirota.expand_hierarchy(half, half, 1, -1, 2, 2, side="lhs")
-        R = qhirota.expand_hierarchy(half, half, 1, -1, 2, 2, side="rhs")
-        for a, b in zip(L, R):
-            if not (a.value - b.value).is_zero():
-                failures.append(f"P_{a.k},{a.l} differs between the two sides")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:5]), ms=sw.ms
-    )
+    half = Fraction(1, 2)
+    coeffs = qhirota.expand_hierarchy(half, half, 1, -1, 3, 3)
+    failures = [f"P_{c.k},{c.l} != 0" for c in coeffs if not c.value.is_zero()]
+    L = qhirota.expand_hierarchy(half, half, 1, -1, 2, 2, side="lhs")
+    R = qhirota.expand_hierarchy(half, half, 1, -1, 2, 2, side="rhs")
+    for a, b in zip(L, R):
+        if not (a.value - b.value).is_zero():
+            failures.append(f"P_{a.k},{a.l} differs between the two sides")
+    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:5]))
 
 
 def run_lm(params):
@@ -271,8 +230,7 @@ def run_lm(params):
 def run_lm_grid(params):
     half = Fraction(1, 2)
     pairs = ((half, half), (1, half), (1, 1), (Fraction(3, 2), 1))
-    reports = [qhirota.verify_lm(j, jp) for j, jp in pairs]
-    return _combine("", "", reports)
+    return _combine([qhirota.verify_lm(j, jp) for j, jp in pairs])
 
 
 def _g_suite(seed):
@@ -286,14 +244,10 @@ def _g_suite(seed):
 
 def run_kp(which):
     def runner(params):
-        reports = []
-        for g in _g_suite(params["seed"]):
-            reports.append(
-                kpfock.verify_hirota_kp(
-                    which, g, degree=params["degree"], window=params["window"]
-                )
-            )
-        return _combine("", "", reports)
+        return _combine([
+            kpfock.verify_hirota_kp(which, g, degree=params["degree"], window=params["window"])
+            for g in _g_suite(params["seed"])
+        ])
 
     return runner
 
@@ -307,115 +261,94 @@ def run_h6(params):
         "H6", kpfock.GroupElementSpec.single(Fraction(1), 0, -1), charges=(1, 0),
         degree=params["degree"], window=params["window"],
     )
-    return _combine("", "", [r1, r2])
+    return _combine([r1, r2])
 
 
 def run_cauchy(params):
-    with Stopwatch() as sw:
-        tau, direct, cert = kpfock.cauchy_pair(params["degree"], params["window"])
-        res = tau - direct
-        ok = res.is_zero()
+    tau, direct, cert = kpfock.cauchy_pair(params["degree"], params["window"])
+    res = tau - direct
+    ok = res.is_zero()
     return VerificationReport(
-        check_id="", verdict=ok, residual="" if ok else str(res)[:300], ms=sw.ms,
-        details=[str(cert)],
+        check_id="", verdict=ok, residual="" if ok else str(res)[:300], details=[str(cert)]
     )
+
+
+def _vec_sum(a, b, sign=1):
+    """a + sign * b for Fock vectors with int coefficients, zeros dropped."""
+    out = dict(a)
+    for st, c in b.items():
+        out[st] = out.get(st, 0) + sign * c
+    return {st: c for st, c in out.items() if c}
 
 
 def run_heisenberg(params):
+    failures = []
     kmax = params.get("kmax", 4)
-    with Stopwatch() as sw:
-        failures = []
-        for k in range(1, kmax + 1):
-            for l in range(1, kmax + 1):
-                space = kpfock.FockSpace(params["window"] + 4)
-                base = {space.vacuum(0): ncalg.TimesPoly.one(())}
-                a = kpfock.apply_flow_generator(space, k, kpfock.apply_flow_generator(space, -l, base))
-                inner = kpfock.apply_flow_generator(space, k, base)
-                b = kpfock.apply_flow_generator(space, -l, inner) if inner else {}
-                diff = dict(a)
-                for st, c in b.items():
-                    kpfock._vec_add_term(diff, st, -c)
-                want = {space.vacuum(0): Fraction(k)} if k == l else {}
-                got = {st: c.constant_term().as_rational() for st, c in diff.items() if not c.is_zero()}
-                if got != want:
-                    failures.append(f"[a_{k}, a_-{l}] wrong: {got}")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:4]), ms=sw.ms
-    )
+    for k in range(1, kmax + 1):
+        for l in range(1, kmax + 1):
+            space = kpfock.FockSpace(params["window"] + 4)
+            base = {space.vacuum(0): 1}
+            a = kpfock.apply_flow_generator(space, k, kpfock.apply_flow_generator(space, -l, base))
+            b = kpfock.apply_flow_generator(space, -l, kpfock.apply_flow_generator(space, k, base))
+            got = _vec_sum(a, b, -1)
+            if got != ({space.vacuum(0): k} if k == l else {}):
+                failures.append(f"[a_{k}, a_-{l}] wrong: {got}")
+    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:4]))
 
 
 def run_fermions(params):
     rng = random.Random(params["seed"])
-    with Stopwatch() as sw:
-        failures = []
-        for _ in range(params.get("trials", 60)):
-            space = kpfock.FockSpace(params["window"])
-            n = rng.randint(-1, 1)
-            partition = sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 3))), reverse=True)
-            try:
-                st = space.state_from_partition(n, tuple(partition))
-            except ValueError:
-                continue
-            vec = {st: ncalg.TimesPoly.one(())}
-            i = rng.randint(-4, 4)
-            j = rng.randint(-4, 4)
-            # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0
-            x = kpfock.apply_fermion(space, "psi", i, kpfock.apply_fermion(space, "psi_star", j, vec))
-            y = kpfock.apply_fermion(space, "psi_star", j, kpfock.apply_fermion(space, "psi", i, vec))
-            anti = dict(x)
-            for stq, c in y.items():
-                kpfock._vec_add_term(anti, stq, c)
-            want = dict(vec) if i == j else {}
-            if {k_: v.constant_term() for k_, v in anti.items()} != {
-                k_: v.constant_term() for k_, v in want.items()
-            }:
-                failures.append(f"anticommutator psi_{i} psi*_{j} wrong")
-            xx = kpfock.apply_fermion(space, "psi", i, kpfock.apply_fermion(space, "psi", j, vec))
-            yy = kpfock.apply_fermion(space, "psi", j, kpfock.apply_fermion(space, "psi", i, vec))
-            s = dict(xx)
-            for stq, c in yy.items():
-                kpfock._vec_add_term(s, stq, c)
-            if s:
-                failures.append(f"psi_{i} psi_{j} + psi_{j} psi_{i} != 0")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:4]), ms=sw.ms
-    )
+    failures = []
+    for _ in range(params.get("trials", 60)):
+        space = kpfock.FockSpace(params["window"])
+        n = rng.randint(-1, 1)
+        partition = sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 3))), reverse=True)
+        try:
+            st = space.state_from_partition(n, tuple(partition))
+        except ValueError:
+            continue
+        vec = {st: 1}
+        i = rng.randint(-4, 4)
+        j = rng.randint(-4, 4)
+        # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0
+        x = kpfock.apply_fermion(space, "psi", i, kpfock.apply_fermion(space, "psi_star", j, vec))
+        y = kpfock.apply_fermion(space, "psi_star", j, kpfock.apply_fermion(space, "psi", i, vec))
+        if _vec_sum(x, y) != (vec if i == j else {}):
+            failures.append(f"anticommutator psi_{i} psi*_{j} wrong")
+        xx = kpfock.apply_fermion(space, "psi", i, kpfock.apply_fermion(space, "psi", j, vec))
+        yy = kpfock.apply_fermion(space, "psi", j, kpfock.apply_fermion(space, "psi", i, vec))
+        if _vec_sum(xx, yy):
+            failures.append(f"psi_{i} psi_{j} + psi_{j} psi_{i} != 0")
+    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:4]))
 
 
 def run_toda_worked(params):
-    with Stopwatch() as sw:
-        inst = toda.TodaInstance.from_rows([[1, 0], [Fraction(3, 2), 1]])
-        vars = ("x", "u")
-        t1 = toda.toda_tau(inst, 1)
-        t2 = toda.toda_tau(inst, 2)
-        want1 = ncalg.TimesPoly(
-            vars,
-            {
-                (0, 0): qscalar.ONE,
-                (1, 0): qscalar.qs(Fraction(3, 2)),
-                (1, 1): qscalar.ONE,
-            },
-        )
-        failures = []
-        if t1 != want1:
-            failures.append(f"tau_1 = {t1}")
-        if t2 != ncalg.TimesPoly.one(vars):
-            failures.append(f"tau_2 = {t2}")
-        rep = toda.verify_toda_bilinear(inst)
-        if not rep.verdict:
-            failures.append("bilinear identity fails on the worked instance")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures), ms=sw.ms
+    inst = toda.TodaInstance.from_rows([[1, 0], [Fraction(3, 2), 1]])
+    vars = ("x", "u")
+    t1 = toda.toda_tau(inst, 1)
+    t2 = toda.toda_tau(inst, 2)
+    want1 = ncalg.TimesPoly(
+        vars,
+        {
+            (0, 0): qscalar.ONE,
+            (1, 0): qscalar.qs(Fraction(3, 2)),
+            (1, 1): qscalar.ONE,
+        },
     )
+    failures = []
+    if t1 != want1:
+        failures.append(f"tau_1 = {t1}")
+    if t2 != ncalg.TimesPoly.one(vars):
+        failures.append(f"tau_2 = {t2}")
+    if not toda.verify_toda_bilinear(inst).verdict:
+        failures.append("bilinear identity fails on the worked instance")
+    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures))
 
 
 def run_toda_random(params):
     rng = random.Random(params["seed"])
-    reports = []
-    for size in (2, 3, 4, 5):
-        inst = toda.TodaInstance.random(rng, size)
-        reports.append(toda.verify_toda_bilinear(inst))
-    return _combine("", "", reports)
+    instances = [toda.TodaInstance.random(rng, size) for size in (2, 3, 4, 5)]
+    return _combine([toda.verify_toda_bilinear(inst) for inst in instances])
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +509,10 @@ def select_checks(selector):
 
 
 def run_check(selector, overrides=None):
-    """Execute all checks matching the selector; deterministic id order."""
+    """Execute all checks matching the selector; deterministic id order.
+
+    Each report's ms is the wall time of the whole check, including any
+    builds it caches for later checks."""
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     selected = select_checks(selector)
     for key in overrides:
@@ -586,9 +522,11 @@ def run_check(selector, overrides=None):
     for desc in selected:
         params = dict(desc.params)
         params.update((k, v) for k, v in overrides.items() if k in desc.params)
+        t0 = time.perf_counter()
         report = desc.fn(params)
+        report.ms = (time.perf_counter() - t0) * 1000.0
         report.check_id = desc.check_id
-        report.anchor = report.anchor or desc.anchor
+        report.anchor = desc.anchor
         report.params = {k: v for k, v in params.items() if not callable(v)}
         reports.append(report)
     return reports

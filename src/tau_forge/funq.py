@@ -38,7 +38,7 @@ from .ncalg import (
     gauss_param,
 )
 from .qscalar import ONE, Q, QINV, ZERO, q_number
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 from .uqsl2 import coproduct, make_rep, q_exp_nilpotent, twice
 
 SCALAR_PRESENTATION = Presentation("scalar", (), {})
@@ -287,13 +287,6 @@ def verify_funq(route, j=None, jp=None, convention=None):
     * ``dual_route`` - substituting the gauss spin-1/2 entries into the
       abstract T^(j) reproduces the gauss T^(j).
     """
-    with Stopwatch() as sw:
-        report = _verify_funq_route(route, j, jp, convention)
-    report.ms = sw.ms
-    return report
-
-
-def _verify_funq_route(route, j, jp, convention):
     if route == "gauss_relations":
         details = []
         ok_frozen = True
@@ -314,7 +307,6 @@ def _verify_funq_route(route, j, jp, convention):
             verdict=verdict,
             residual="" if verdict else "; ".join(details),
             params={"frozen": FROZEN_GAUSS_CONVENTION},
-            anchor="defining relations of quantized SL2 in the parameter model",
             details=details,
         )
     if route == "corep":
@@ -326,7 +318,6 @@ def _verify_funq_route(route, j, jp, convention):
             verdict=not bad,
             residual="" if not bad else f"nonzero entries at {bad[:6]}",
             params={"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)},
-            anchor="group-like property of the coordinate matrix",
         )
     if route == "dual_route":
         two_j = twice(j)
@@ -337,7 +328,6 @@ def _verify_funq_route(route, j, jp, convention):
             verdict=not bad,
             residual="" if not bad else f"nonzero entries at {bad[:6]}",
             params={"j": Fraction(two_j, 2)},
-            anchor="abstract vs factorized coordinate matrices",
         )
     raise ValueError(f"unknown verify_funq route {route!r}")
 

@@ -43,7 +43,7 @@ from math import comb, factorial, lcm, perm
 
 from .ncalg import TimesPoly
 from .qscalar import qs
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 
 
 class BoundaryError(RuntimeError):
@@ -124,15 +124,6 @@ class FockSpace:
 # Fock vectors: dicts mapping state tuples to coefficients
 
 
-def _vec_add_term(out, state, coeff):
-    s = out.get(state)
-    s = coeff if s is None else s + coeff
-    if s.is_zero():
-        out.pop(state, None)
-    else:
-        out[state] = s
-
-
 def apply_fermion(space, kind, mode, vec):
     """Insertion (psi) or removal (psi*) at a mode; sign counts occupied
     modes strictly above the acted mode.  Distinct states stay distinct, so
@@ -189,14 +180,14 @@ def _flow_moves(space, k, state):
 
 
 def apply_flow_generator(space, k, vec):
-    """a_k on a vector with TimesPoly coefficients."""
+    """a_k on a vector with int or Fraction coefficients."""
     if k == 0:
         raise ValueError("k must be nonzero")
     out = {}
     for state, coeff in vec.items():
         for nstate, sign in _flow_moves(space, k, state):
-            _vec_add_term(out, nstate, coeff if sign > 0 else -coeff)
-    return out
+            out[nstate] = out.get(nstate, 0) + sign * coeff
+    return {st: c for st, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -636,44 +627,28 @@ def cauchy_pair(degree=5, window=8):
 def verify_hirota_kp(which, g=None, charges=(0, 0), degree=None, window=8):
     g = g if g is not None else GroupElementSpec.identity()
     caps = None
-    with Stopwatch() as sw:
-        if which == "M3":
-            degree = degree if degree is not None else 6
-            res, certs = m3_residual(g, degree, window)
-        elif which == "M4":
-            degree = degree if degree is not None else 6
-            caps = (schur_pair_caps(degree, 1)[0], 0)
-            res, certs = m4_residual(g, degree, window)
-        elif which == "H6":
-            degree = degree if degree is not None else 4
-            caps = schur_pair_caps(degree, charges[0] - charges[1] + 1)
-            res, certs = h6_residual(g, charges[0], charges[1], degree, window)
-        else:
-            raise ValueError(f"unknown check {which!r}")
-        ok = res.is_zero()
+    if which == "M3":
+        degree = degree if degree is not None else 6
+        res, certs = m3_residual(g, degree, window)
+    elif which == "M4":
+        degree = degree if degree is not None else 6
+        caps = (schur_pair_caps(degree, 1)[0], 0)
+        res, certs = m4_residual(g, degree, window)
+    elif which == "H6":
+        degree = degree if degree is not None else 4
+        caps = schur_pair_caps(degree, charges[0] - charges[1] + 1)
+        res, certs = h6_residual(g, charges[0], charges[1], degree, window)
+    else:
+        raise ValueError(f"unknown check {which!r}")
+    ok = res.is_zero()
     params = {"g": len(g.factors), "charges": charges, "degree": degree, "window": window}
     if caps is not None:
         params["caps"] = caps
-    report = VerificationReport(
+    return VerificationReport(
         check_id=f"kp.{which.lower()}",
         verdict=ok,
         residual="" if ok else str(res)[:400],
         params=params,
-        anchor="free-fermion Hirota relation",
-        ms=sw.ms,
         details=[str(c) for c in certs[:4]],
     )
-    return report
 
-
-def export_tau_json(poly):
-    """Variable-exponent map -> coefficient strings, for external comparison."""
-    import json
-
-    out = {}
-    for mono, c in sorted(poly.terms.items()):
-        key = "*".join(
-            (v if e == 1 else f"{v}^{e}") for v, e in zip(poly.vars, mono) if e
-        ) or "1"
-        out[key] = str(c)
-    return json.dumps(out, sort_keys=True)

@@ -88,10 +88,6 @@ def mat_is_zero(A):
     return all(x.is_zero() for r in A for x in r)
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def _complexity(x: QScalar):
     if x.is_zero():
         return (1 << 30, 0)

@@ -18,9 +18,9 @@ two commuting nilpotent-like parameters and a group-like Q (:func:`gauss_param`)
 
 from __future__ import annotations
 
-from .qscalar import ONE, QScalar, ZERO, parse_qscalar, qs
+from .qscalar import ONE, QScalar, ZERO, qs
 from ._kernels import tup_add
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 
 
 class PresentationError(RuntimeError):
@@ -588,38 +588,34 @@ def check_local_confluence(pres, max_len):
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     failures = []
-    with Stopwatch() as sw:
-        for word in _words_up_to(pres.gens, max_len):
-            steps = pres.one_step_reductions(word)
-            if len(steps) < 2:
-                continue
-            normals = []
-            for _, combo in steps:
-                nf = {}
-                for w, c in combo.items():
-                    for w2, c2 in pres.reduce_word(w).items():
-                        s = nf.get(w2)
-                        s = c * c2 if s is None else s + c * c2
-                        if s.is_zero():
-                            nf.pop(w2, None)
-                        else:
-                            nf[w2] = s
-                normals.append(nf)
-            first = normals[0]
-            for other in normals[1:]:
-                if other != first:
-                    failures.append("*".join(word))
-                    break
-    report = VerificationReport(
+    for word in _words_up_to(pres.gens, max_len):
+        steps = pres.one_step_reductions(word)
+        if len(steps) < 2:
+            continue
+        normals = []
+        for _, combo in steps:
+            nf = {}
+            for w, c in combo.items():
+                for w2, c2 in pres.reduce_word(w).items():
+                    s = nf.get(w2)
+                    s = c * c2 if s is None else s + c * c2
+                    if s.is_zero():
+                        nf.pop(w2, None)
+                    else:
+                        nf[w2] = s
+            normals.append(nf)
+        first = normals[0]
+        for other in normals[1:]:
+            if other != first:
+                failures.append("*".join(word))
+                break
+    return VerificationReport(
         check_id=f"confluence.{pres.name}",
         verdict=not failures,
         residual="" if not failures else f"divergent words: {', '.join(failures[:8])}",
         params={"max_len": max_len},
-        anchor=f"rewrite system of {pres.name}",
-        ms=sw.ms,
         details=failures[:32],
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -706,91 +702,3 @@ def q_commuting_pair():
         ("x", "y"),
         {("y", "x"): {("x", "y"): _Q}},
     )
-
-
-# ---------------------------------------------------------------------------
-# text parsing
-# ---------------------------------------------------------------------------
-
-
-def parse_nc(text, pres, vars=()):
-    """Parse the NCPoly rendering grammar back into a normal-form element."""
-    import re
-
-    tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\S", text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else ""
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    def atom():
-        t = take()
-        if t == "(":
-            v = expr()
-            if take() != ")":
-                raise ValueError("expected ')'")
-        elif t == "q":
-            v = NCPoly.from_scalar(pres, _Q, vars)
-        elif t in pres.gens:
-            v = NCPoly.generator(pres, t, vars)
-        elif t in vars:
-            v = NCPoly.from_times(pres, TimesPoly.var(vars, t))
-        elif t and (t[0].isdigit()):
-            v = NCPoly.from_scalar(pres, parse_qscalar(t), vars)
-        else:
-            raise ValueError(f"unexpected token {t!r}")
-        if peek() == "^":
-            take()
-            neg = False
-            if peek() == "-":
-                take()
-                neg = True
-            n = int(take())
-            if neg:
-                # only scalar bases (q-powers, rationals) can carry negative exponents
-                sc = v.constant_word().constant_term()
-                if list(v.terms) != [()] or len(v.constant_word().terms) != 1:
-                    raise ValueError("negative powers are only supported on scalars")
-                return NCPoly.from_scalar(pres, sc ** (-n), vars)
-            base = v
-            v = NCPoly.one(pres, vars)
-            for _ in range(n):
-                v = v.mul(base)
-        return v
-
-    def factor():
-        if peek() == "-":
-            take()
-            return -factor()
-        return atom()
-
-    def term():
-        v = factor()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                v = v.mul(factor())
-            else:
-                d = factor()
-                if list(d.terms) != [()] or len(d.constant_word().terms) != 1:
-                    raise ValueError("can only divide by scalars")
-                v = v.scale(d.constant_word().constant_term().inv())
-        return v
-
-    def expr():
-        v = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                v = v + term()
-            else:
-                v = v - term()
-        return v
-
-    out = expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing input")
-    return normal_form(out)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren, qs
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 from .uqsl2 import twice
 
 
@@ -232,16 +232,13 @@ def lm_residual(j, jp, side="residual"):
 
 def verify_lm(j, jp):
     """Exact zero test of the general bilinear identity for the spin pair."""
-    with Stopwatch() as sw:
-        res = lm_residual(j, jp)
-        ok = res.is_zero()
+    res = lm_residual(j, jp)
+    ok = res.is_zero()
     return VerificationReport(
         check_id="lm",
         verdict=ok,
         residual="" if ok else str(res),
         params={"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)},
-        anchor="bilinear q-difference identity for neighbouring-spin taus",
-        ms=sw.ms,
     )
 
 
@@ -316,15 +313,12 @@ def eq_half_residual():
 
 
 def verify_eq_half():
-    with Stopwatch() as sw:
-        res = eq_half_residual()
-        ok = res.is_zero()
+    res = eq_half_residual()
+    ok = res.is_zero()
     return VerificationReport(
         check_id="qliouville.eq-half",
         verdict=ok,
         residual="" if ok else str(res),
-        anchor="spin-1/2 q-difference Liouville identity",
-        ms=sw.ms,
     )
 
 
@@ -395,32 +389,29 @@ def spin_half_suite():
     details = []
     ok = True
     residual = ""
-    with Stopwatch() as sw:
-        for n in (1, 2, 3):
-            res = hierarchy_eq_residual(n)
-            if not res.is_zero():
-                ok = False
-                details.append(f"equation {n} residual nonzero: {res}")
-        # classical limit: commuting a, b, c, d with ad - bc = 1; the equation-2
-        # combination evaluated at q = 1 must vanish identically
-        try:
-            res = hierarchy_eq_residual(2, pres=commutative_sl2())
-            res_q1 = res.map_coefficients(
-                lambda c: QScalar.from_rational(c.eval_q1())
-            )
-            if not res_q1.is_zero():
-                ok = False
-                details.append(f"classical limit residual nonzero: {res_q1}")
-        except PoleAtQOne as exc:
+    for n in (1, 2, 3):
+        res = hierarchy_eq_residual(n)
+        if not res.is_zero():
             ok = False
-            details.append(f"classical limit aborted: {exc}")
+            details.append(f"equation {n} residual nonzero: {res}")
+    # classical limit: commuting a, b, c, d with ad - bc = 1; the equation-2
+    # combination evaluated at q = 1 must vanish identically
+    try:
+        res = hierarchy_eq_residual(2, pres=commutative_sl2())
+        res_q1 = res.map_coefficients(
+            lambda c: QScalar.from_rational(c.eval_q1())
+        )
+        if not res_q1.is_zero():
+            ok = False
+            details.append(f"classical limit residual nonzero: {res_q1}")
+    except PoleAtQOne as exc:
+        ok = False
+        details.append(f"classical limit aborted: {exc}")
     if not ok:
         residual = "; ".join(details)
     return VerificationReport(
         check_id="qliouville.suite",
         verdict=ok,
         residual=residual,
-        anchor="spin-1/2 bilinear hierarchy and classical Liouville limit",
-        ms=sw.ms,
         details=details,
     )

@@ -12,8 +12,8 @@ Internally the value is ``s * N(q) / D(q)`` where
 
 Laurent elements such as ``q + q^-1`` are therefore stored with the q-power
 cleared into the denominator: ``(q^2+1)/q``.  The module also provides the
-q-integers ``(n)_q`` and ``[n]_q`` with their factorials, substitution
-q -> q^k, and exact evaluation at q = 1.
+q-integers ``(n)_q`` and ``[n]_q`` with their factorials and exact
+evaluation at q = 1.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class QScalar:
         # nc/dc dicts are treated as immutable everywhere, so the unit
         # polynomial can be shared rather than copied per scalar
         return cls(f, _ONE_POLY, _ONE_POLY, _raw=True)
-
-    @classmethod
-    def from_int(cls, n):
-        return cls.from_rational(n)
 
     @classmethod
     def q_power(cls, k):
@@ -223,18 +219,6 @@ class QScalar:
 
     # -- q-specific maps -------------------------------------------------
 
-    def subs_power(self, k):
-        """Substitute q -> q^k (k a nonzero integer)."""
-        if k == 0:
-            raise ValueError("substitution power must be nonzero")
-        if self.s == 0 or (k == 1):
-            return self
-        return QScalar._make(
-            self.s,
-            {e * k: c for e, c in self.nc.items()},
-            {e * k: c for e, c in self.dc.items()},
-        )
-
     def eval_q1(self):
         """Exact value at q = 1; raises PoleAtQOne on a genuine pole."""
         if self.s == 0:
@@ -244,7 +228,7 @@ class QScalar:
             raise PoleAtQOne(f"pole at q=1 with denominator {_poly_str(self.dc)}")
         return self.s * Fraction(sum(self.nc.values()), den)
 
-    # -- rendering / parsing ----------------------------------------------
+    # -- rendering -------------------------------------------------------
 
     def __str__(self):
         if self.s == 0:
@@ -333,93 +317,3 @@ def paren(n, base_power=1):
 
 def bracket(n, base_power=1):
     return q_number("bracket", n, base_power)
-
-
-# -- parsing ---------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise ValueError(f"parse error at {self.pos} in {self.text!r}: {msg}")
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self):
-        acc = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                acc = acc + self.term()
-            elif c == "-":
-                self.pos += 1
-                acc = acc - self.term()
-            else:
-                return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                acc = acc * self.factor()
-            elif c == "/":
-                self.pos += 1
-                acc = acc / self.factor()
-            else:
-                return acc
-
-    def factor(self):
-        c = self.peek()
-        if c == "-":
-            self.pos += 1
-            return -self.factor()
-        if c == "(":
-            self.pos += 1
-            val = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return self.power_suffix(val)
-        if c == "q":
-            self.pos += 1
-            return self.power_suffix(Q)
-        if c.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            val = QScalar.from_int(int(self.text[start : self.pos]))
-            return self.power_suffix(val)
-        self.error("expected a factor")
-
-    def power_suffix(self, val):
-        if self.peek() == "^":
-            self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                sign = -1
-                self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.error("expected an integer exponent")
-            return val ** (sign * int(self.text[start : self.pos]))
-        return val
-
-
-def parse_qscalar(text):
-    """Parse the rendering grammar, e.g. ``(q^2+1)/(q)`` or ``1/2*q^3-1``."""
-    p = _Parser(text)
-    val = p.expr()
-    if p.peek():
-        p.error("trailing input")
-    return val

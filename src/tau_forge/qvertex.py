@@ -30,7 +30,7 @@ from . import linalg as la
 from .linalg import ConventionError
 from .ncalg import TimesPoly
 from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 from .uqsl2 import (
     Rep,
     antipode_inv_matrices,
@@ -205,46 +205,43 @@ def verify_component_relations(j):
         ("R4", "S-second", comps.psi_dn, True),
     )
 
-    with Stopwatch() as sw:
-        for x in ("e", "f", "k"):
-            for name, mode, comp, swapped in families:
-                for i in (0, 1):
-                    lhs = None
-                    for left, right in _delta_split(x, tgt, src, mode):
-                        term = la.mat_mul(left, la.mat_mul(comp[i], right))
-                        lhs = term if lhs is None else la.mat_add(lhs, term)
-                    rhs = None
-                    for jj in (0, 1):
-                        coef = _w_action_entry(x, jj, i) if swapped else _w_action_entry(x, i, jj)
-                        if coef.is_zero():
-                            continue
-                        term = la.mat_scale(comp[jj], coef)
-                        rhs = term if rhs is None else la.mat_add(rhs, term)
-                    if rhs is None:
-                        rhs = la.zeros(tgt.dim, src.dim)
-                    if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-                        ok = False
-                        details.append(f"{name} fails at x={x}, i={'+-'[i]}")
+    for x in ("e", "f", "k"):
+        for name, mode, comp, swapped in families:
+            for i in (0, 1):
+                lhs = None
+                for left, right in _delta_split(x, tgt, src, mode):
+                    term = la.mat_mul(left, la.mat_mul(comp[i], right))
+                    lhs = term if lhs is None else la.mat_add(lhs, term)
+                rhs = None
+                for jj in (0, 1):
+                    coef = _w_action_entry(x, jj, i) if swapped else _w_action_entry(x, i, jj)
+                    if coef.is_zero():
+                        continue
+                    term = la.mat_scale(comp[jj], coef)
+                    rhs = term if rhs is None else la.mat_add(rhs, term)
+                if rhs is None:
+                    rhs = la.zeros(tgt.dim, src.dim)
+                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
+                    ok = False
+                    details.append(f"{name} fails at x={x}, i={'+-'[i]}")
 
-        # canonical identifications: creating-right components match an
-        # annihilating-right solve over the S'-twisted dual of W; annihilating-
-        # left components match a creating-left solve over the S'-twisted dual
-        # (the S-twist is its inverse, so twisting twice returns W itself)
-        dual = _twisted_dual_w()
-        if not _proportional_pairs(comps.phi_up, _family_components(two_j, "annihilating right", dual)):
-            ok = False
-            details.append("dual identification fails for creating-right components")
-        if not _proportional_pairs(comps.psi_dn, _family_components(two_j, "creating left", dual)):
-            ok = False
-            details.append("dual identification fails for annihilating-left components")
+    # canonical identifications: creating-right components match an
+    # annihilating-right solve over the S'-twisted dual of W; annihilating-
+    # left components match a creating-left solve over the S'-twisted dual
+    # (the S-twist is its inverse, so twisting twice returns W itself)
+    dual = _twisted_dual_w()
+    if not _proportional_pairs(comps.phi_up, _family_components(two_j, "annihilating right", dual)):
+        ok = False
+        details.append("dual identification fails for creating-right components")
+    if not _proportional_pairs(comps.psi_dn, _family_components(two_j, "creating left", dual)):
+        ok = False
+        details.append("dual identification fails for annihilating-left components")
 
     return VerificationReport(
         check_id="vertex.component-relations",
         verdict=ok,
         residual="" if ok else "; ".join(details),
         params={"j": Fraction(two_j, 2)},
-        anchor="component form of the intertwining relations",
-        ms=sw.ms,
         details=details,
     )
 
@@ -323,18 +320,15 @@ def verify_qexp_commutation(j):
     two_j = twice(j)
     details = []
     ok = True
-    with Stopwatch() as sw:
-        for name, res in _qexp_commutation_residuals(two_j).items():
-            if not la.mat_is_zero(res):
-                ok = False
-                details.append(f"failed {name}")
+    for name, res in _qexp_commutation_residuals(two_j).items():
+        if not la.mat_is_zero(res):
+            ok = False
+            details.append(f"failed {name}")
     return VerificationReport(
         check_id="vertex.qexp-commutation",
         verdict=ok,
         residual="" if ok else "; ".join(details),
         params={"j": Fraction(two_j, 2)},
-        anchor="vertex components vs q-exponential flows",
-        ms=sw.ms,
         details=details,
     )
 

@@ -1,8 +1,12 @@
-"""Verification report shared by every verify_* operation."""
+"""Verification report shared by every verify_* operation.
+
+A verify_* function fills in the verdict, residual, params and details;
+``cli.run_check`` stamps the check id, the registry anchor and ``ms``, the
+wall time of the whole check.
+"""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 
@@ -39,17 +43,3 @@ class VerificationReport:
             line += "".join(f"\n  {d}" for d in self.details)
         return line
 
-
-class Stopwatch:
-    """Context manager that stamps wall time onto a report."""
-
-    def __init__(self):
-        self.ms = 0.0
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self._t0) * 1000.0
-        return False

@@ -37,7 +37,6 @@ division of bivariate polynomials; the table gives the bordered minors too.)
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -45,7 +44,7 @@ from math import factorial, lcm
 from . import linalg as la
 from .ncalg import TimesPoly
 from .qscalar import qs
-from .report import Stopwatch, VerificationReport
+from .report import VerificationReport
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,6 @@ class TodaInstance:
         if inst.det_g() == 0:
             raise ValueError("g must be invertible")
         return inst
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        rows = data.get("g") if isinstance(data, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError('expected an object {"g": [[entry, ...], ...]}')
-        if not all(isinstance(x, (int, float, str)) for r in rows for x in r):
-            raise ValueError("entries of g must be numbers or strings")
-        if "size" in data and data["size"] != len(rows):
-            raise ValueError("size field disagrees with matrix")
-        return cls.from_rows(rows)
 
     @classmethod
     def random(cls, rng, size):
@@ -282,42 +269,39 @@ def verify_toda_bilinear(inst):
     if inst.size < 2:
         raise ValueError("the bilinear identity needs size >= 2 (no interior k below)")
     details = []
-    with Stopwatch() as sw:
-        vars = ("x", "u")
-        width, _c, cA = _integer_flow(inst, "principal_only", vars)
-        D = _tp_det(cA)
-        for k in range(1, inst.size):
-            tk = D[_lead(k)]
-            dx = _pderiv(tk, 0, width)
-            du = _pderiv(tk, 1, width)
-            dxu = _pderiv(dx, 1, width)
-            bilinear = _trim(_addmul(_addmul({}, tk, dxu), dx, du, -1))
-            target = _pmul(D[_lead(k + 1)], D[_lead(k - 1)])
-            if bilinear != target:
-                fitted = _fit_constant(bilinear, target)
-                details.append(
-                    f"k={k}: residual nonzero"
-                    + (f", fitted constant {fitted}" if fitted is not None else "")
-                )
-            # derivative minors vs bordered determinant minors: differentiating
-            # an entry shifts its row (d_x) or column (d_u) index by one, so
-            # each derivative of tau_k is a single minor of the (k+1)-block:
-            # rows 0..k-2 and k (d_x) or columns 0..k-2 and k (d_u)
-            bordered = _lead(k - 1) | (1 << k)
-            if dx != _expand(cA[k], _lead(k), D):
-                details.append(f"k={k}: d_x tau_k != bordered minor")
-            if du != D[bordered]:
-                details.append(f"k={k}: d_u tau_k != bordered minor")
-            if dxu != _expand(cA[k], bordered, D):
-                details.append(f"k={k}: d_x d_u tau_k != inner minor")
+    vars = ("x", "u")
+    width, _c, cA = _integer_flow(inst, "principal_only", vars)
+    D = _tp_det(cA)
+    for k in range(1, inst.size):
+        tk = D[_lead(k)]
+        dx = _pderiv(tk, 0, width)
+        du = _pderiv(tk, 1, width)
+        dxu = _pderiv(dx, 1, width)
+        bilinear = _trim(_addmul(_addmul({}, tk, dxu), dx, du, -1))
+        target = _pmul(D[_lead(k + 1)], D[_lead(k - 1)])
+        if bilinear != target:
+            fitted = _fit_constant(bilinear, target)
+            details.append(
+                f"k={k}: residual nonzero"
+                + (f", fitted constant {fitted}" if fitted is not None else "")
+            )
+        # derivative minors vs bordered determinant minors: differentiating
+        # an entry shifts its row (d_x) or column (d_u) index by one, so
+        # each derivative of tau_k is a single minor of the (k+1)-block:
+        # rows 0..k-2 and k (d_x) or columns 0..k-2 and k (d_u)
+        bordered = _lead(k - 1) | (1 << k)
+        if dx != _expand(cA[k], _lead(k), D):
+            details.append(f"k={k}: d_x tau_k != bordered minor")
+        if du != D[bordered]:
+            details.append(f"k={k}: d_u tau_k != bordered minor")
+        if dxu != _expand(cA[k], bordered, D):
+            details.append(f"k={k}: d_x d_u tau_k != inner minor")
     ok = not details
     return VerificationReport(
         check_id="toda.bilinear",
         verdict=ok,
         residual="" if ok else "; ".join(details),
         params={"size": inst.size},
-        anchor="Toda-molecule bilinear identity for principal minors",
-        ms=sw.ms,
         details=details,
     )
 

@@ -123,6 +123,18 @@ def test_every_check_reports_its_time():
     reports = run_check("*")
     assert [r.check_id for r in reports] == sorted(REGISTRY)
     assert [r.check_id for r in reports if not r.ms > 0] == []
+    assert [r.check_id for r in reports if r.anchor != REGISTRY[r.check_id].anchor] == []
+
+
+def test_ms_covers_the_whole_check(monkeypatch):
+    # the vertex solves this check caches count towards its time
+    import tau_forge.qvertex as qvertex
+
+    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
+    t0 = time.perf_counter()
+    (report,) = run_check("vertex.component-relations")
+    wall = (time.perf_counter() - t0) * 1000.0
+    assert report.ms >= 0.9 * wall
 
 
 def test_boundary_guard_surfaces_as_usage_error(capsys):

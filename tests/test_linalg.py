@@ -33,7 +33,7 @@ def _dense_intertwiner(left, right):
 def _assert_equal_up_to_scale(M, ref):
     i, j = next((i, j) for i, r in enumerate(ref) for j, x in enumerate(r) if not x.is_zero())
     assert not M[i][j].is_zero()
-    assert la.mat_eq(la.mat_scale(M, ref[i][j] / M[i][j]), ref)
+    assert la.mat_scale(M, ref[i][j] / M[i][j]) == ref
 
 
 def _vertex_family(two_j, family):

@@ -12,7 +12,6 @@ from tau_forge.ncalg import (
     gauss_param,
     nc_exp_q,
     normal_form,
-    parse_nc,
     q_commuting_pair,
 )
 from tau_forge.qscalar import ONE, Q, QINV, qs
@@ -163,7 +162,8 @@ def test_times_variables_commute_through_words():
     assert left == right
 
 
-def test_parse_nc_roundtrip():
+def test_render_sample():
+    # the text a FAIL residual prints
     vars = ("u",)
     p = (
         NCPoly.word(PRES, ("d", "a"), vars)
@@ -171,8 +171,7 @@ def test_parse_nc_roundtrip():
         .mul_times(TimesPoly.var(vars, "u"))
         + NCPoly.from_scalar(PRES, Q + QINV, vars)
     )
-    text = str(p)
-    assert parse_nc(text, PRES, vars) == p
+    assert str(p) == "(q^2+1)/q + u*b + (q*u)*b*b*c"
 
 
 def test_rendering_deterministic_order():

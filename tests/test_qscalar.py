@@ -14,7 +14,6 @@ from tau_forge.qscalar import (
     ZERO,
     bracket,
     paren,
-    parse_qscalar,
     q_number,
     qs,
 )
@@ -25,9 +24,7 @@ def test_add_laurent():
 
 
 def test_div_cancellation():
-    num = parse_qscalar("q^2-1")
-    den = parse_qscalar("q-1")
-    assert num / den == parse_qscalar("q+1")
+    assert (Q * Q - ONE) / (Q - ONE) == Q + ONE
 
 
 def test_mul_inverse():
@@ -78,29 +75,18 @@ def test_eval_q1_pole():
 
 def test_eval_q1_removable_singularity_cancelled():
     # (q^2-1)/(q-1) canonicalizes to q+1 so evaluation succeeds
-    x = parse_qscalar("q^2-1") / parse_qscalar("q-1")
+    x = (Q * Q - ONE) / (Q - ONE)
     assert x.eval_q1() == 2
 
 
-def test_subs_power():
-    x = Q + QINV
-    assert x.subs_power(-1) == x
-    assert (Q**3).subs_power(2) == Q**6
-    with pytest.raises(ValueError):
-        x.subs_power(0)
-
-
-def test_parse_render_roundtrip():
-    samples = [
-        Q + QINV,
-        qs(Fraction(-3, 7)),
-        bracket(4),
-        (Q**2 - ONE) / (Q**3 + qs(2)),
-        ZERO,
-        -Q**5,
-    ]
-    for x in samples:
-        assert parse_qscalar(str(x)) == x
+def test_render_samples():
+    # the text a FAIL residual prints
+    assert str(Q + QINV) == "(q^2+1)/q"
+    assert str(qs(Fraction(-3, 7))) == "-3/7"
+    assert str(bracket(4)) == "(q^6+q^4+q^2+1)/q^3"
+    assert str((Q**2 - ONE) / (Q**3 + qs(2))) == "(q^2-1)/(q^3+2)"
+    assert str(ZERO) == "0"
+    assert str(-Q**5) == "-q^5"
 
 
 def test_pow_negative():

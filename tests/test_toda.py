@@ -73,13 +73,6 @@ def test_full_times_exploration():
     assert t2.coefficient((0, 1, 0, 1)) == ONE
 
 
-def test_json_loader():
-    inst = TodaInstance.from_json('{"size": 2, "g": [["1", "0"], ["3/2", "1"]]}')
-    assert inst.g[1][0] == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        TodaInstance.from_json('{"size": 3, "g": [["1"]]}')
-
-
 def test_empty_rows_rejected():
     with pytest.raises(ValueError):
         TodaInstance.from_rows([])
@@ -89,12 +82,6 @@ def test_size_one_has_no_identity_to_check():
     inst = TodaInstance.from_rows([[2]])
     with pytest.raises(ValueError):
         verify_toda_bilinear(inst)
-
-
-@pytest.mark.parametrize("text", ["{}", "[]", '{"g": 5}', '{"g": [5]}', '{"g": [[null]]}'])
-def test_json_loader_rejects_bad_shapes(text):
-    with pytest.raises(ValueError):
-        TodaInstance.from_json(text)
 
 
 # -- an oracle built here: numeric matrices and Fraction determinants --------

@@ -1,9 +1,14 @@
 """Integer-polynomial kernels.
 
 These are the innermost loops of every exact computation in the package:
-ordinary polynomials in q with arbitrary-precision integer coefficients,
-represented as ``{exponent: coefficient}`` dicts with nonnegative exponents
-and no zero values.
+
+* ordinary polynomials in q with arbitrary-precision integer coefficients,
+  represented as ``{exponent: coefficient}`` dicts with nonnegative
+  exponents and no zero values;
+* integer polynomials in several variables with packed monomials,
+  ``{packed exponents: coefficient}``: one int holds the exponent tuple in
+  fixed-width bit fields, so adding two keys multiplies the monomials as
+  long as no field overflows.  Callers take the width from a degree bound.
 """
 
 from math import gcd
@@ -152,3 +157,35 @@ def ipoly_prem(a, b):
 
 def tup_add(e1, e2):
     return tuple(x + y for x, y in zip(e1, e2))
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials with packed monomials: {packed exponents: int}
+# ---------------------------------------------------------------------------
+
+
+def _pack(mono, width):
+    """Exponent tuple -> one int of ``width``-bit fields, variable i in
+    field i counted from the low end."""
+    return sum(e << (i * width) for i, e in enumerate(mono))
+
+
+def _unpack(key, nvars, width):
+    mask = (1 << width) - 1
+    return tuple((key >> (i * width)) & mask for i in range(nvars))
+
+
+def _addmul(acc, a, b, sign=1):
+    """acc += sign * a * b; the sum of two packed monomials is their product
+    as long as no field overflows.  Cancelled terms stay in acc as zeros."""
+    get = acc.get
+    for m1, c1 in a.items():
+        c1 *= sign
+        for m2, c2 in b.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    return acc
+
+
+def _trim(p):
+    return {m: c for m, c in p.items() if c}

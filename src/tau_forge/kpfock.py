@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
+from ._kernels import _trim
 from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
@@ -227,10 +228,6 @@ class _Layout:
 
 def _var_names(prefix, d):
     return [f"{prefix}{k}" for k in range(1, d + 1)]
-
-
-def _trim(p):
-    return {m: c for m, c in p.items() if c}
 
 
 def _mul_capped(a, b, lay, caps):

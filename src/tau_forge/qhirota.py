@@ -24,6 +24,18 @@ differ, and the displayed equations hold for this one.
 Residuals live in the coordinate algebra itself, so a zero residual stays
 zero under any algebra representation; operator-valued solutions are
 covered by these checks without a separate evaluation engine.
+
+The general identity is evaluated without Q(q) arithmetic.  ``lm_sides``
+states it literally, as BilinearTerms over the taus; every tau coefficient
+is a Laurent polynomial in q with integer coefficients, and the only other
+denominators are the brackets [2j] and [2j'] in the prefactors.  Each side
+is therefore multiplied by [2j][2j'] and built over packed Laurent integers
+(``_LaurentRing``): q-shifts and q-derivatives move exponents on packed
+keys, and word products take their normal forms from ``reduce_word``.
+[2j][2j'] is a nonzero element of Q(q), so a scaled side, or the scaled
+residual, is zero exactly when the unscaled one is, and the zero test
+stays exact without a gcd.  ``lm_residual`` divides by [2j][2j'] once and
+returns an NCPoly over Q(q).
 """
 
 from __future__ import annotations
@@ -33,7 +45,8 @@ from fractions import Fraction
 
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
-from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren, qs
+from ._kernels import _addmul, _pack, _trim, _unpack
+from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
 from .uqsl2 import twice
 
@@ -127,30 +140,223 @@ def q_taylor_reconstruct(coeffs, var, center_var, alpha, base_power, vars):
 
 
 # ---------------------------------------------------------------------------
-# bilinear terms
+# bilinear terms over packed Laurent integers
 # ---------------------------------------------------------------------------
+
+
+def _laurent(c):
+    """{q-exponent: int} of a QScalar that is a Laurent polynomial over Z."""
+    # canonical denominators are primitive with a positive leading
+    # coefficient, so a single-term one is q^k
+    if len(c.dc) != 1:
+        raise ValueError(f"not a Laurent polynomial: {c}")
+    (k, _), = c.dc.items()
+    out = {}
+    for e, n in c.nc.items():
+        v = c.s * n
+        if v.denominator != 1:
+            raise ValueError(f"not a Laurent polynomial over the integers: {c}")
+        out[e - k] = int(v)
+    return out
+
+
+def _add_words(acc, p, sign=1):
+    """acc += sign * p for packed NC polynomials, in place; cancelled terms
+    stay as zeros."""
+    for w, d in p.items():
+        a = acc.get(w)
+        if a is None:
+            a = acc[w] = {}
+        for key, c in d.items():
+            a[key] = a.get(key, 0) + sign * c
+    return acc
+
+
+def _trim_words(p):
+    return {w: d for w, d in ((w, _trim(d)) for w, d in p.items()) if d}
+
+
+def _degrees(p):
+    """Largest exponent of each time variable in a TimesPoly or NCPoly."""
+    polys = p.terms.values() if isinstance(p, NCPoly) else (p,)
+    out = [0] * len(p.vars)
+    for tp in polys:
+        for m in tp.terms:
+            out = [max(a, b) for a, b in zip(out, m)]
+    return out
+
+
+def _degree_bound(terms):
+    """No exponent in any product term exceeds this: each variable's degree
+    in prefactor * left * right is at most the sum of the three degrees, a
+    q-shift keeps degrees and a q-derivative lowers them."""
+    return max(
+        (
+            max(sum(ds) for ds in zip(_degrees(t.prefactor), _degrees(t.left), _degrees(t.right)))
+            for t in terms
+        ),
+        default=0,
+    )
+
+
+class _LaurentRing:
+    """Noncommutative polynomials with Laurent-polynomial integer
+    coefficients, packed: {normal word: {key: int}}.
+
+    A key holds the time-variable exponents in ``width``-bit fields (variable
+    i in field i, ``_kernels._pack``) and the q-exponent above them, at bit
+    ``top``.  That field is signed and unbounded, so adding two keys
+    multiplies the monomials, q-powers included, as long as no time field
+    overflows; the width comes from ``_degree_bound`` over every term the
+    ring will multiply.  Normal forms of words come from the presentation's
+    ``reduce_word``, each converted once to packed q-powers.
+    """
+
+    def __init__(self, pres, vars, terms):
+        self.pres = pres
+        self.vars = vars
+        self.width = max(1, _degree_bound(terms).bit_length())
+        self.top = len(vars) * self.width
+        self._factors = {}
+        self._words = {}
+
+    def factor(self, p):
+        """An NCPoly with Laurent coefficients, packed (once per object)."""
+        hit = self._factors.get(id(p))
+        if hit is not None and hit[0] is p:
+            return hit[1]
+        out = {}
+        for w, tp in p.terms.items():
+            d = {}
+            for m, c in tp.terms.items():
+                base = _pack(m, self.width)
+                for e, v in _laurent(c).items():
+                    d[base + (e << self.top)] = v
+            out[w] = d
+        self._factors[id(p)] = (p, out)
+        return out
+
+    def times(self, tp, scale):
+        """The TimesPoly ``scale * tp``, whose coefficients must be Laurent."""
+        return {
+            _pack(m, self.width) + (e << self.top): v
+            for m, c in tp.terms.items()
+            for e, v in _laurent(c * scale).items()
+        }
+
+    def shift(self, p, var, k):
+        """var -> q^k var: the q field gains k times the var exponent."""
+        at = self.vars.index(var) * self.width
+        mask = (1 << self.width) - 1
+        top = self.top
+        return {
+            w: {key + ((((key >> at) & mask) * k) << top): c for key, c in d.items()}
+            for w, d in p.items()
+        }
+
+    def derivative(self, p, var, base_power):
+        """D^(q^base_power)_var: var^n -> (n)_{q^base} var^(n-1)."""
+        at = self.vars.index(var) * self.width
+        mask = (1 << self.width) - 1
+        one = 1 << at
+        top = self.top
+        out = {}
+        for w, d in p.items():
+            r = {}
+            for key, c in d.items():
+                n = (key >> at) & mask
+                if n:
+                    key -= one
+                    for i in range(n):
+                        kk = key + ((base_power * i) << top)
+                        r[kk] = r.get(kk, 0) + c
+            r = _trim(r)
+            if r:
+                out[w] = r
+        return out
+
+    def _normal(self, word):
+        """The normal form of a raw word with packed q-power coefficients."""
+        hit = self._words.get(word)
+        if hit is None:
+            top = self.top
+            hit = self._words[word] = [
+                (w, {e << top: v for e, v in _laurent(c).items()})
+                for w, c in self.pres.reduce_word(word).items()
+            ]
+        return hit
+
+    def product(self, pre, left, right):
+        """pre * left * right in normal form (pre a packed commutative
+        polynomial)."""
+        out = {}
+        for w1, d1 in left.items():
+            d1 = _addmul({}, pre, d1)
+            for w2, d2 in right.items():
+                d = _addmul({}, d1, d2)
+                for nw, qk in self._normal(w1 + w2):
+                    acc = out.get(nw)
+                    if acc is None:
+                        acc = out[nw] = {}
+                    _addmul(acc, d, qk)
+        return out
+
+    def sum(self, terms, scale):
+        """The sum of the flattened terms, each times scale."""
+        acc = {}
+        for t in terms:
+            _add_words(acc, t.flatten(scale, self))
+        return _trim_words(acc)
+
+    def to_ncpoly(self, p, divisor):
+        """p / divisor as an NCPoly over Q(q)."""
+        inv = divisor.inv()
+        low_mask = (1 << self.top) - 1
+        n = len(self.vars)
+        out = {}
+        for w, d in p.items():
+            groups = {}
+            for key, c in d.items():
+                groups.setdefault(key & low_mask, {})[key >> self.top] = c
+            out[w] = TimesPoly(
+                self.vars,
+                {_unpack(m, n, self.width): QScalar.from_terms(lau) * inv for m, lau in groups.items()},
+            )
+        return NCPoly(self.pres, self.vars, out)
 
 
 @dataclass
 class BilinearTerm:
-    """One product term of a bilinear identity: prefactor * left * right,
-    with per-variable q-power shifts applied to each factor before the
-    product is flattened (left factor stays to the left)."""
+    """One product term of a bilinear identity:
+
+        prefactor * D_left(left) * D_right(right),
+
+    each factor first q-shifted per variable (``*_shifts``: var -> k means
+    var -> q^k var), then q-differentiated (``*_derivs``: (var, base) pairs,
+    D^(q^base)_var, applied in order).  The left factor stays to the left."""
 
     prefactor: TimesPoly
     left: NCPoly
     right: NCPoly
     left_shifts: dict
     right_shifts: dict
+    left_derivs: tuple = ()
+    right_derivs: tuple = ()
 
-    def flatten(self):
-        lf = self.left
+    def flatten(self, scale, ring):
+        """scale times the term, packed in ``ring``; scale * prefactor and
+        both factors must have Laurent-polynomial coefficients."""
+        lf = ring.factor(self.left)
         for v, k in self.left_shifts.items():
-            lf = q_shift(lf, v, k)
-        rf = self.right
+            lf = ring.shift(lf, v, k)
+        for v, b in self.left_derivs:
+            lf = ring.derivative(lf, v, b)
+        rf = ring.factor(self.right)
         for v, k in self.right_shifts.items():
-            rf = q_shift(rf, v, k)
-        return lf.mul(rf).mul_times(self.prefactor)
+            rf = ring.shift(rf, v, k)
+        for v, b in self.right_derivs:
+            rf = ring.derivative(rf, v, b)
+        return ring.product(ring.times(self.prefactor, scale), lf, rf)
 
 
 @dataclass
@@ -174,26 +380,28 @@ def lm_sides(j, jp, vars=LM_VARS):
         raise ValueError("both spins must be at least 1/2")
     tj = tau_q(Fraction(two_j, 2), "u", "x", vars)
     tjp = tau_q(Fraction(two_jp, 2), "v", "y", vars)
-    dx_tj = q_derivative(tj, "x", -2)
-    dy_tjp = q_derivative(tjp, "y", -2)
+    dx = (("x", -2),)
+    dy = (("y", -2),)
     br_j = bracket(two_j)
     br_jp = bracket(two_jp)
     one = TimesPoly.one(vars)
 
     lhs = [
-        BilinearTerm(one.scale(br_jp.inv()), tj, dy_tjp, {}, {}),
+        BilinearTerm(one.scale(br_jp.inv()), tj, tjp, {}, {}, (), dy),
         BilinearTerm(
-            one.scale(-(QScalar.q_power(-two_j) * br_j.inv())), dx_tj, tjp, {}, {}
+            one.scale(-(QScalar.q_power(-two_j) * br_j.inv())), tj, tjp, {}, {}, dx, ()
         ),
         BilinearTerm(
             (
                 TimesPoly.var(vars, "y", coeff=QScalar.q_power(two_jp - two_j - 1))
                 - TimesPoly.var(vars, "x", coeff=QScalar.q_power(two_j - 1))
             ).scale((br_j * br_jp).inv()),
-            dx_tj,
-            dy_tjp,
+            tj,
+            tjp,
             {},
             {},
+            dx,
+            dy,
         ),
     ]
     tjm = tau_q(Fraction(two_j - 1, 2), "u", "x", vars)
@@ -210,35 +418,48 @@ def lm_sides(j, jp, vars=LM_VARS):
     return lhs, rhs
 
 
-def lm_residual(j, jp, side="residual"):
+def _lm_packed(j, jp):
+    """(ring, scale, LHS, RHS): both sides times scale = [2j][2j'] over
+    packed Laurent integers.  The scale clears the only denominators of the
+    prefactors, the brackets; it is nonzero, so either side, and their
+    difference, is zero exactly when it is zero before scaling."""
     lhs, rhs = lm_sides(j, jp)
-    if side == "lhs":
-        terms = lhs
-    elif side == "rhs":
-        terms = rhs
-    elif side == "residual":
-        terms = lhs + [
-            BilinearTerm(t.prefactor.scale(-ONE), t.left, t.right, t.left_shifts, t.right_shifts)
-            for t in rhs
-        ]
-    else:
+    scale = bracket(twice(j)) * bracket(twice(jp))
+    ring = _LaurentRing(lhs[0].left.pres, lhs[0].prefactor.vars, lhs + rhs)
+    return ring, scale, ring.sum(lhs, scale), ring.sum(rhs, scale)
+
+
+def lm_residual(j, jp, side="residual"):
+    """One side of the general identity, or LHS - RHS, as an NCPoly."""
+    if side not in ("lhs", "rhs", "residual"):
         raise ValueError(side)
-    acc = None
-    for t in terms:
-        f = t.flatten()
-        acc = f if acc is None else acc + f
-    return acc
+    ring, scale, lhs, rhs = _lm_packed(j, jp)
+    if side == "lhs":
+        p = lhs
+    elif side == "rhs":
+        p = rhs
+    else:
+        p = _trim_words(_add_words(lhs, rhs, -1))
+    return ring.to_ncpoly(p, scale)
 
 
 def verify_lm(j, jp):
-    """Exact zero test of the general bilinear identity for the spin pair."""
-    res = lm_residual(j, jp)
-    ok = res.is_zero()
+    """Exact zero test of the general bilinear identity for the spin pair.
+    A zero LHS fails: the identity would then hold vacuously."""
+    ring, scale, lhs, rhs = _lm_packed(j, jp)
+    params = {"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)}
+    if not lhs:
+        msg = "the left-hand side is zero, so the identity holds vacuously"
+        return VerificationReport(
+            check_id="lm", verdict=False, residual=msg, params=params, details=[msg]
+        )
+    res = _trim_words(_add_words(lhs, rhs, -1))
+    ok = not res
     return VerificationReport(
         check_id="lm",
         verdict=ok,
-        residual="" if ok else str(res),
-        params={"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)},
+        residual="" if ok else str(ring.to_ncpoly(res, scale)),
+        params=params,
     )
 
 

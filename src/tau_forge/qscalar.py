@@ -19,6 +19,7 @@ evaluation at q = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._kernels import (
     ipoly_divexact,
@@ -107,10 +108,13 @@ class QScalar:
     @classmethod
     def from_terms(cls, terms):
         """Build from {exponent: rational coefficient} (a Laurent polynomial)."""
-        acc = ZERO
-        for e, c in terms.items():
-            acc = acc + cls.from_rational(c) * cls.q_power(e)
-        return acc
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        if not terms:
+            return ZERO
+        den = lcm(*(c.denominator for c in terms.values()))
+        low = min(min(terms), 0)
+        num = {e - low: int(c * den) for e, c in terms.items()}
+        return cls._make(Fraction(1, den), num, {-low: 1})
 
     # -- Laurent views ---------------------------------------------------
 

@@ -42,6 +42,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg as la
+from ._kernels import _addmul, _pack, _trim, _unpack
 from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
@@ -138,33 +139,6 @@ def _vars_for(inst, times):
 # ---------------------------------------------------------------------------
 # integer polynomials with packed monomials: {packed exponents: int}
 # ---------------------------------------------------------------------------
-
-
-def _pack(mono, width):
-    """Exponent tuple -> one int of ``width``-bit fields, variable i in
-    field i counted from the low end."""
-    return sum(e << (i * width) for i, e in enumerate(mono))
-
-
-def _unpack(key, nvars, width):
-    mask = (1 << width) - 1
-    return tuple((key >> (i * width)) & mask for i in range(nvars))
-
-
-def _addmul(acc, a, b, sign=1):
-    """acc += sign * a * b; the sum of two packed monomials is their product
-    as long as no field overflows.  Cancelled terms stay in acc as zeros."""
-    get = acc.get
-    for m1, c1 in a.items():
-        c1 *= sign
-        for m2, c2 in b.items():
-            m = m1 + m2
-            acc[m] = get(m, 0) + c1 * c2
-    return acc
-
-
-def _trim(p):
-    return {m: c for m, c in p.items() if c}
 
 
 def _pmul(a, b):

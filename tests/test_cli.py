@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -201,3 +202,17 @@ def test_kp_parameter_domain_never_fails(window, capsys):
         code = main(["verify", *argv, "--window", str(window)])
         out = capsys.readouterr().out
         assert code in (0, 2), (argv, out)
+
+
+def test_lm_parameter_domain_passes():
+    spins = [Fraction(t, 2) for t in range(1, 5)]
+    for j in spins:
+        for jp in spins:
+            (report,) = run_check("lm", {"j": j, "jprime": jp})
+            assert report.verdict, (j, jp, report.residual)
+
+
+@pytest.mark.parametrize("argv", [["--j", "0"], ["--jprime", "0"], ["--j=-1/2"], ["--j", "1/3"]])
+def test_lm_spin_outside_the_domain_is_usage_error(argv, capsys):
+    assert main(["verify", "lm", *argv]) == 2
+    assert "invalid parameters" in capsys.readouterr().err

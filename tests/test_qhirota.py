@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tau_forge import qhirota
+from tau_forge.funq import tau_q
 from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
     BilinearTerm,
@@ -21,7 +22,7 @@ from tau_forge.qhirota import (
     verify_eq_half,
     verify_lm,
 )
-from tau_forge.qscalar import ONE, Q, QScalar, qs
+from tau_forge.qscalar import ONE, Q, QScalar, bracket, qs
 
 HALF = Fraction(1, 2)
 
@@ -133,10 +134,74 @@ def test_eq_half_residual_zero():
         (2, 1),
         (2, 2),
         (Fraction(5, 2), Fraction(5, 2)),
+        (3, 3),
     ],
 )
 def test_lm_grid(j, jp):
     assert verify_lm(j, jp).verdict
+
+
+def _lm_sides_over_qq(j, jp):
+    """Both sides of the general identity evaluated directly over Q(q):
+
+        LHS = [2j']^-1 tau_j D_y tau_j' - q^-2j [2j]^-1 D_x tau_j tau_j'
+              + ([2j][2j'])^-1 (q^(2j'-2j-1) y - q^(2j-1) x) D_x tau_j D_y tau_j',
+        RHS = (v - q^-2j u) tau_{j-1/2}(u, q^-1 x) tau_{j'-1/2}(q^-1 v, y),
+
+    all derivatives base q^-2."""
+    vars = ("u", "x", "v", "y")
+    two_j, two_jp = int(2 * j), int(2 * jp)
+    tj = tau_q(j, "u", "x", vars)
+    tjp = tau_q(jp, "v", "y", vars)
+    dx_tj = q_derivative(tj, "x", -2)
+    dy_tjp = q_derivative(tjp, "y", -2)
+    bj, bjp = bracket(two_j), bracket(two_jp)
+    cross = tp(vars, "y", coeff=QScalar.q_power(two_jp - two_j - 1)) - tp(
+        vars, "x", coeff=QScalar.q_power(two_j - 1)
+    )
+    lhs = (
+        tj.mul(dy_tjp).scale(bjp.inv())
+        - dx_tj.mul(tjp).scale(QScalar.q_power(-two_j) / bj)
+        + dx_tj.mul(dy_tjp).mul_times(cross.scale((bj * bjp).inv()))
+    )
+    tjm = q_shift(tau_q(j - HALF, "u", "x", vars), "x", -1)
+    tjpm = q_shift(tau_q(jp - HALF, "v", "y", vars), "v", -1)
+    rhs = tjm.mul(tjpm).mul_times(tp(vars, "v") - tp(vars, "u", coeff=QScalar.q_power(-two_j)))
+    return lhs, rhs
+
+
+ORACLE_PAIRS = [(HALF, HALF), (1, HALF), (Fraction(3, 2), 1)]
+
+
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS)
+def test_lm_sides_match_qq_oracle(j, jp):
+    # the packed evaluation, divided back by [2j][2j'], against Q(q)
+    # arithmetic that shares no code with it beyond the taus
+    lhs, rhs = _lm_sides_over_qq(Fraction(j), Fraction(jp))
+    assert not lhs.is_zero()
+    assert lm_residual(j, jp, side="lhs") == lhs
+    assert lm_residual(j, jp, side="rhs") == rhs
+    assert lm_residual(j, jp).is_zero()
+
+
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(2, 2), (Fraction(5, 2), Fraction(3, 2))])
+def test_lm_field_width_holds_every_term(j, jp):
+    ring = qhirota._lm_packed(j, jp)[0]
+    # tau_j has degree at most 2j in each of its variables (E and F are
+    # nilpotent of order 2j + 1) and a prefactor at most 1, so no term of
+    # either side has an exponent above max(2j, 2j') + 1; a field that
+    # overflowed would add into its neighbour, and a false identity could
+    # then pass
+    assert max(int(2 * j), int(2 * jp)) + 1 < 1 << ring.width
+    if (j, jp) in ORACLE_PAIRS:
+        for side in _lm_sides_over_qq(Fraction(j), Fraction(jp)):
+            top = max(e for t in side.terms.values() for m in t.terms for e in m)
+            assert top < 1 << ring.width
+
+
+def test_lm_rejects_unknown_side():
+    with pytest.raises(ValueError):
+        lm_residual(HALF, HALF, side="both")
 
 
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1)])
@@ -157,6 +222,17 @@ def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
     report = verify_lm(j, jp)
     assert not report.verdict
     assert report.residual
+
+
+def test_lm_fails_when_the_lhs_is_zero(monkeypatch):
+    # non-vacuity guard: with zero taus both sides vanish and the residual
+    # is zero, but nothing was checked
+    monkeypatch.setattr(
+        qhirota, "tau_q", lambda j, e_var, f_var, vars: NCPoly.zero(funq_sl2(), vars)
+    )
+    report = verify_lm(HALF, HALF)
+    assert not report.verdict
+    assert "left-hand side is zero" in report.residual
 
 
 def test_lm_rejects_spin_zero():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tau_forge import linalg as la
-from tau_forge.qscalar import ONE, Q, QINV, ZERO, bracket
+from tau_forge.qscalar import ONE, Q, QINV, ZERO
 from tau_forge.uqsl2 import (
     NonNilpotentError,
     make_rep,

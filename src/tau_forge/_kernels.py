@@ -60,13 +60,16 @@ def ipoly_mul(a, b):
     return {base + i: c for i, c in enumerate(vo) if c}
 
 
-def ipoly_content(a):
+def ipoly_signed_content(a):
+    """The content of a nonzero polynomial (the gcd of its coefficients),
+    negated when the leading coefficient is negative: a divided by it is
+    primitive with a positive leading coefficient."""
     g = 0
     for c in a.values():
         g = gcd(g, c)
         if g == 1:
-            return 1
-    return g
+            break
+    return -g if a[max(a)] < 0 else g
 
 
 def ipoly_divexact(a, b):
@@ -99,9 +102,7 @@ def ipoly_divexact(a, b):
 
 
 def _primitive(a):
-    c = ipoly_content(a)
-    if a[max(a)] < 0:
-        c = -c
+    c = ipoly_signed_content(a)
     if c != 1:
         a = {e: v // c for e, v in a.items()}
     return a

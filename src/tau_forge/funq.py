@@ -96,8 +96,8 @@ def _top_block(semA, semB):
     dimA, dimB = len(semA), len(semB)
     iota, pi = embed_chain(Fraction(dimA - 1, 2), Fraction(dimB - 1, 2))
     dim = dimA + dimB - 1
-    pres, vars = semA[0][0].pres, semA[0][0].vars
-    out = [[NCPoly.zero(pres, vars) for _ in range(dim)] for _ in range(dim)]
+    pres = semA[0][0].pres
+    out = [[NCPoly.zero(pres) for _ in range(dim)] for _ in range(dim)]
     for m in range(dim):
         for r in range(dim):
             acc = out[m][r]
@@ -121,25 +121,25 @@ def _top_block(semA, semB):
 _TSEM_CACHE = {}
 
 
-def _nc_gen(name, vars=()):
-    return NCPoly.generator(funq_sl2(), name, vars)
+def _nc_gen(name):
+    return NCPoly.generator(funq_sl2(), name)
 
 
-def _semantic_abstract(two_j, vars=()):
+def _semantic_abstract(two_j):
     """Semantic spin-j matrix over the abstract presentation: entry (m, r)
     pairs bra index m with ket index r.  For 2j >= 2 it is the top block of
     T^(j-1/2) and T^(1/2)."""
     if two_j == 0:
-        return [[NCPoly.one(funq_sl2(), vars)]]
+        return [[NCPoly.one(funq_sl2())]]
     if two_j == 1:
         return [
-            [_nc_gen("a", vars), _nc_gen("c", vars)],
-            [_nc_gen("b", vars), _nc_gen("d", vars)],
+            [_nc_gen("a"), _nc_gen("c")],
+            [_nc_gen("b"), _nc_gen("d")],
         ]
-    return _top_block(_semantic_t(two_j - 1, vars=vars), _semantic_t(1, vars=vars))
+    return _top_block(_semantic_t(two_j - 1), _semantic_t(1))
 
 
-def _semantic_gauss(two_j, convention=None, vars=()):
+def _semantic_gauss(two_j, convention=None):
     convention = convention or FROZEN_GAUSS_CONVENTION
     pres = gauss_param(convention)
     rep = make_rep(Fraction(two_j, 2))
@@ -149,28 +149,28 @@ def _semantic_gauss(two_j, convention=None, vars=()):
     def weight(letter, coeff, base):
         """m -> the normal-ordered word (coeff letter)^m / (m)_{q^base}!."""
         return lambda m: NCPoly.word(
-            pres, (letter,) * m, vars, coeff=coeff**m * q_number("paren_factorial", m, base).inv()
+            pres, (letter,) * m, coeff=coeff**m * q_number("paren_factorial", m, base).inv()
         )
 
-    one, zero = NCPoly.one(pres, vars), NCPoly.zero(pres, vars)
+    one, zero = NCPoly.one(pres), NCPoly.zero(pres)
     R = la.nilpotent_exp(rep.E, weight("s", lam, -2), one, zero)
     Rbar = la.nilpotent_exp(rep.F, weight("sbar", -lam, 2), one, zero)
-    K = [[NCPoly.zero(pres, vars) for _ in range(dim)] for _ in range(dim)]
+    K = [[zero for _ in range(dim)] for _ in range(dim)]
     for r in range(dim):
         k = two_j - 2 * r
         word = ("Q",) * k if k >= 0 else ("Qinv",) * (-k)
-        K[r][r] = NCPoly.word(pres, word, vars)
+        K[r][r] = NCPoly.word(pres, word)
     return la.mat_mul(la.mat_mul(R, K), Rbar)
 
 
-def _semantic_t(two_j, route="abstract", convention=None, vars=()):
-    key = (two_j, route, convention, tuple(vars))
+def _semantic_t(two_j, route="abstract", convention=None):
+    key = (two_j, route, convention)
     cached = _TSEM_CACHE.get(key)
     if cached is None:
         if route == "abstract":
-            cached = _semantic_abstract(two_j, vars)
+            cached = _semantic_abstract(two_j)
         elif route == "gauss":
-            cached = _semantic_gauss(two_j, convention, vars)
+            cached = _semantic_gauss(two_j, convention)
         else:
             raise ValueError(f"unknown route {route!r}")
         _TSEM_CACHE[key] = cached
@@ -208,19 +208,19 @@ class GaussModel:
 # ---------------------------------------------------------------------------
 
 
-def tau_q(j, e_var, f_var, vars=None, route="abstract", convention=None):
+def tau_q(j, e_var, f_var, vars=None):
     """tau_j with the e-side flow in slot 1 and the f-side flow in slot 2:
 
         tau_j(u, x) = sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}
 
-    over the semantic (bra-row) matrix T~; for j = 1/2 this is
-    a + b u + c x + d u x.  tau_0 = 1.
+    over the semantic (bra-row) matrix T~ of the abstract route; for j = 1/2
+    this is a + b u + c x + d u x.  tau_0 = 1.
     """
     if e_var == f_var:
         raise ValueError("e_var and f_var must differ")
     two_j = twice(j)
     vars = tuple(vars) if vars is not None else (e_var, f_var)
-    pres_poly = _semantic_t(two_j, route, convention, vars=())
+    pres_poly = _semantic_t(two_j)
     rep = make_rep(Fraction(two_j, 2))
     erow = q_exp_nilpotent(rep.E, e_var, 2, vars)[0]
     fexp = q_exp_nilpotent(rep.F, f_var, -2, vars)
@@ -270,14 +270,14 @@ def gauss_relation_residuals(convention):
     return out
 
 
-def counit_map(vars=()):
+def counit_map():
     """Generator images under a -> 1, b -> 0, c -> 0, d -> 1."""
-    one = NCPoly.one(SCALAR_PRESENTATION, vars)
-    zero = NCPoly.zero(SCALAR_PRESENTATION, vars)
+    one = NCPoly.one(SCALAR_PRESENTATION)
+    zero = NCPoly.zero(SCALAR_PRESENTATION)
     return {"a": one, "d": one, "b": zero, "c": zero}
 
 
-def verify_funq(route, j=None, jp=None, convention=None):
+def verify_funq(route, j=None, jp=None):
     """Named checks on the function-algebra constructions.
 
     * ``gauss_relations`` - the defining relations hold for the factorized
@@ -321,7 +321,7 @@ def verify_funq(route, j=None, jp=None, convention=None):
         )
     if route == "dual_route":
         two_j = twice(j)
-        res = dual_route_residuals(two_j, convention)
+        res = dual_route_residuals(two_j)
         bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
         return VerificationReport(
             check_id="funq.dual-route",
@@ -338,14 +338,13 @@ def corep_residual(two_j, two_jp):
     return la.mat_sub(block, _semantic_t(two_j + two_jp))
 
 
-def dual_route_residuals(two_j, convention=None):
+def dual_route_residuals(two_j):
     """Entrywise difference between the generator-substituted abstract matrix
-    and the factorized gauss matrix at spin j."""
-    convention = convention or FROZEN_GAUSS_CONVENTION
-    gm = GaussModel.build(convention)
+    and the factorized gauss matrix at spin j, on the frozen convention."""
+    gm = GaussModel.build()
     images = {"a": gm.a, "b": gm.b, "c": gm.c, "d": gm.d}
     A = t_matrix(Fraction(two_j, 2), "abstract")
-    G = t_matrix(Fraction(two_j, 2), "gauss", convention)
+    G = t_matrix(Fraction(two_j, 2), "gauss", gm.convention)
     out = []
     for ra, rg in zip(A, G):
         row = []

@@ -514,7 +514,7 @@ def _check_window_budget(space, n, deg_x, deg_u, g):
         )
 
 
-def m3_residual(g, degree=6, window=8):
+def m3_residual(g, degree, window=8):
     """The window sum of products of charge +-1 matrix elements that the
     invariance of Omega = sum psi_j ox psi*_j forces to vanish.
 
@@ -551,7 +551,7 @@ def m3_residual(g, degree=6, window=8):
     return lay.to_times(acc), certs
 
 
-def m4_residual(g, degree=6, window=8):
+def m4_residual(g, degree, window=8):
     """Literal transcription of the one-sided Hirota sum:
 
         sum_{j>=0} S_j(2 y) . S_{j+1}(-dtilde_y) [tau(x+y) tau(x-y)],
@@ -569,7 +569,7 @@ def m4_residual(g, degree=6, window=8):
     return _residual(lay, lhs, L * scale * scale), [cert]
 
 
-def h6_residual(g, n=0, m=0, degree=4, window=8):
+def h6_residual(g, n, m, degree, window=8):
     """Two-sided Hirota residual for charges (n, m): LHS with the y-side
     Schur pair at offset o = n - m + 1 minus RHS with the v-side pair at the
     same offset and charges (n+1, m-1); certified to ``degree`` per time set,
@@ -603,7 +603,7 @@ def h6_residual(g, n=0, m=0, degree=4, window=8):
     return _residual(lay, lhs, sl, rhs, sr), certs
 
 
-def cauchy_pair(degree=5, window=8):
+def cauchy_pair(degree, window=8):
     """Two independent routes to the two-sided vacuum tau at g = identity:
     the Fock matrix element and the direct expansion of exp(sum k x_k u_k)."""
     tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree, window=window)
@@ -621,18 +621,14 @@ def cauchy_pair(degree=5, window=8):
 # ---------------------------------------------------------------------------
 
 
-def verify_hirota_kp(which, g=None, charges=(0, 0), degree=None, window=8):
-    g = g if g is not None else GroupElementSpec.identity()
+def verify_hirota_kp(which, g, degree, window=8, charges=(0, 0)):
     caps = None
     if which == "M3":
-        degree = degree if degree is not None else 6
         res, certs = m3_residual(g, degree, window)
     elif which == "M4":
-        degree = degree if degree is not None else 6
         caps = (schur_pair_caps(degree, 1)[0], 0)
         res, certs = m4_residual(g, degree, window)
     elif which == "H6":
-        degree = degree if degree is not None else 4
         caps = schur_pair_caps(degree, charges[0] - charges[1] + 1)
         res, certs = h6_residual(g, charges[0], charges[1], degree, window)
     else:

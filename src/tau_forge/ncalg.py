@@ -522,23 +522,13 @@ def _composite(text):
     return any(ch in "+*/" for ch in text) or "-" in text[1:]
 
 
-def normal_form(p, pres=None, vars=()):
-    """Reduce a raw element to its normal form.
-
-    Accepts an :class:`NCPoly` (re-reduced defensively) or an iterable of
-    ``(word, coefficient)`` pairs together with a presentation.
-    """
-    if isinstance(p, NCPoly):
-        pres = p.pres
-        items = [(w, t) for w, t in p.terms.items()]
-        vars = p.vars
-    else:
-        items = [(tuple(w), TimesPoly.const(vars, qs(c))) for w, c in p]
+def normal_form(p):
+    """The NCPoly ``p`` with every word reduced to normal form in its
+    presentation (an NCPoly already in normal form is returned equal)."""
+    pres = p.pres
     out = {}
     budget = [_DEFAULT_STEP_BUDGET]
-    for w, t in items:
-        if isinstance(t, QScalar):
-            t = TimesPoly.const(vars, t)
+    for w, t in p.terms.items():
         for ww, c in pres.reduce_word(w, budget).items():
             add = t.scale(c)
             if add.is_zero():
@@ -549,7 +539,7 @@ def normal_form(p, pres=None, vars=()):
                 out.pop(ww, None)
             else:
                 out[ww] = s
-    return NCPoly(pres, vars, out)
+    return NCPoly(pres, p.vars, out)
 
 
 def nc_exp_q(p, base_power, max_degree):

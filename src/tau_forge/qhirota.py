@@ -373,8 +373,10 @@ class HierarchyCoefficient:
 LM_VARS = ("u", "x", "v", "y")
 
 
-def lm_sides(j, jp, vars=LM_VARS):
-    """LHS and RHS of the general identity as lists of BilinearTerms."""
+def lm_sides(j, jp):
+    """LHS and RHS of the general identity as lists of BilinearTerms over the
+    times ``LM_VARS``."""
+    vars = LM_VARS
     two_j, two_jp = twice(j), twice(jp)
     if two_j < 1 or two_jp < 1:
         raise ValueError("both spins must be at least 1/2")

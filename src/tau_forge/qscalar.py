@@ -26,6 +26,7 @@ from ._kernels import (
     ipoly_gcd,
     ipoly_lin,
     ipoly_mul,
+    ipoly_signed_content,
 )
 
 _ONE_POLY = {0: 1}
@@ -39,25 +40,12 @@ class PoleAtQOne(ArithmeticError):
     """Evaluation at q = 1 hit a non-removable pole; names the denominator."""
 
 
-def _content_and_sign(a):
-    from math import gcd
-
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if a[max(a)] < 0:
-        g = -g
-    return g
-
-
 class QScalar:
     __slots__ = ("s", "nc", "dc")
 
     def __init__(self, s, nc, dc, _raw=False):
         if not _raw:
-            raise TypeError("use the from_* constructors or parse()")
+            raise TypeError("use from_rational(), from_terms() or q_power()")
         self.s = s
         self.nc = nc
         self.dc = dc
@@ -76,8 +64,8 @@ class QScalar:
         if shift:
             nc = {e - shift: c for e, c in nc.items()}
             dc = {e - shift: c for e, c in dc.items()}
-        cn = _content_and_sign(nc)
-        cd = _content_and_sign(dc)
+        cn = ipoly_signed_content(nc)
+        cd = ipoly_signed_content(dc)
         if cn != 1:
             nc = {e: c // cn for e, c in nc.items()}
         if cd != 1:

@@ -1,13 +1,13 @@
 """Finite Toda lattice tau functions as principal minors.
 
-For an invertible rational matrix g of size n+1 the tau functions are the
-leading principal minors
+For an invertible rational matrix g of size n+1 the tau functions in the
+first times x = x_1 and u = u_1 are the leading principal minors
 
-    tau_k(x, u) = det [ exp(H(x)) g exp(H'(u)) ]_{k x k},
+    tau_k(x, u) = det [ exp(x I_1) g exp(u I_1^T) ]_{k x k},
 
-H(x) = sum x_k I_k over the upper shift sums I_k, H'(u) the transposed
-lowering side.  With only the first times kept (x = x_1, u = u_1) these
-satisfy the Toda-molecule bilinear identity
+I_1 the upper shift matrix (ones on the superdiagonal); ``toda_tau_all``
+returns tau_0 = 1, ..., tau_{n+1} = det g.  They satisfy the Toda-molecule
+bilinear identity
 
     tau_k d_x d_u tau_k - d_x tau_k d_u tau_k = tau_{k+1} tau_{k-1},
 
@@ -47,6 +47,9 @@ from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
 
+# the two times: x flows the rows, u the columns
+_VARS = ("x", "u")
+
 
 @dataclass(frozen=True)
 class TodaInstance:
@@ -68,6 +71,9 @@ class TodaInstance:
 
     @classmethod
     def random(cls, rng, size):
+        """A random invertible g; singular draws are redrawn."""
+        if size < 1:
+            raise ValueError(f"size must be at least 1, got {size}")
         while True:
             rows = [
                 [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
@@ -106,34 +112,22 @@ def _det_fraction(m):
     return det
 
 
-def _flow_matrix(inst, times, vars):
-    """exp(H(x)) g exp(H'(u)) with the requested time content: H carries x_k
-    on the k-th superdiagonal and H' carries u_k on the k-th subdiagonal."""
+def _flow_matrix(inst):
+    """exp(x I_1) g exp(u I_1^T) over Q: x on the superdiagonal of H and u
+    on the subdiagonal of H'."""
     size = inst.size
-    if times == "principal_only":
-        xs, us = {1: "x"}, {1: "u"}
-    elif times == "full":
-        xs = {k: f"x{k}" for k in range(1, size)}
-        us = {k: f"u{k}" for k in range(1, size)}
-    else:
-        raise ValueError(times)
-    one, zero = TimesPoly.one(vars), TimesPoly.zero(vars)
-    H = [[TimesPoly.var(vars, xs[j - i]) if j - i in xs else zero for j in range(size)] for i in range(size)]
-    Hp = [[TimesPoly.var(vars, us[i - j]) if i - j in us else zero for j in range(size)] for i in range(size)]
+    one, zero = TimesPoly.one(_VARS), TimesPoly.zero(_VARS)
+    x, u = TimesPoly.var(_VARS, "x"), TimesPoly.var(_VARS, "u")
+    H = [[x if j - i == 1 else zero for j in range(size)] for i in range(size)]
+    Hp = [[u if i - j == 1 else zero for j in range(size)] for i in range(size)]
 
     def weight(m):
-        return TimesPoly.const(vars, Fraction(1, factorial(m)))
+        return TimesPoly.const(_VARS, Fraction(1, factorial(m)))
 
     E = la.nilpotent_exp(H, weight, one, zero)
     F = la.nilpotent_exp(Hp, weight, one, zero)
-    G = [[TimesPoly.const(vars, qs(x)) for x in row] for row in inst.g]
+    G = [[TimesPoly.const(_VARS, qs(v)) for v in row] for row in inst.g]
     return la.mat_mul(la.mat_mul(E, G), F)
-
-
-def _vars_for(inst, times):
-    if times == "principal_only":
-        return ("x", "u")
-    return tuple([f"x{k}" for k in range(1, inst.size)] + [f"u{k}" for k in range(1, inst.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +152,10 @@ def _pderiv(p, idx, width):
     return out
 
 
-def _integer_flow(inst, times, vars):
+def _integer_flow(inst):
     """(width, c, cA): the flow matrix A once over Q, c the lcm of its
     coefficient denominators and cA as packed integer polynomials."""
-    A = _flow_matrix(inst, times, vars)
+    A = _flow_matrix(inst)
     coeffs = [q.as_rational() for row in A for p in row for q in p.terms.values()]
     c = lcm(*(f.denominator for f in coeffs))
     # a minor takes one entry from each row, so no exponent in a minor of A
@@ -216,23 +210,11 @@ def _to_times(p, vars, width, scale):
     return TimesPoly(vars, {_unpack(m, n, width): qs(Fraction(v, scale)) for m, v in p.items()})
 
 
-def toda_tau(inst, k, times="principal_only"):
-    """The k-th tau function (leading principal k x k minor); tau_0 = 1."""
-    if not 0 <= k <= inst.size:
-        raise ValueError(f"k must be within 0..{inst.size}")
-    vars = _vars_for(inst, times)
-    if k == 0:
-        return TimesPoly.one(vars)
-    width, c, cA = _integer_flow(inst, times, vars)
-    D = _tp_det([row[:k] for row in cA[:k]])
-    return _to_times(D[_lead(k)], vars, width, c**k)
-
-
-def toda_tau_all(inst, times="principal_only"):
-    vars = _vars_for(inst, times)
-    width, c, cA = _integer_flow(inst, times, vars)
+def toda_tau_all(inst):
+    """[tau_0, ..., tau_size]: tau_k is the leading k x k minor, tau_0 = 1."""
+    width, c, cA = _integer_flow(inst)
     D = _tp_det(cA)
-    return [_to_times(D[_lead(k)], vars, width, c**k) for k in range(inst.size + 1)]
+    return [_to_times(D[_lead(k)], _VARS, width, c**k) for k in range(inst.size + 1)]
 
 
 def verify_toda_bilinear(inst):
@@ -243,8 +225,7 @@ def verify_toda_bilinear(inst):
     if inst.size < 2:
         raise ValueError("the bilinear identity needs size >= 2 (no interior k below)")
     details = []
-    vars = ("x", "u")
-    width, _c, cA = _integer_flow(inst, "principal_only", vars)
+    width, _c, cA = _integer_flow(inst)
     D = _tp_det(cA)
     for k in range(1, inst.size):
         tk = D[_lead(k)]

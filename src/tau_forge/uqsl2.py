@@ -155,19 +155,13 @@ def antipode_inv_matrices(rep):
 
 
 def q_exp_nilpotent(A, var, base_power, vars=None):
-    """exp_{q^base}(var * A) for a nilpotent matrix A, as a TimesPoly matrix.
+    """exp_{q^base}(var * A) for a nilpotent QScalar matrix A, as a TimesPoly
+    matrix over ``vars`` (default: ``var`` alone).
 
-    Accepts QScalar or TimesPoly entries; in the latter case ``var`` must not
-    already occur in A.  The series terminates at the nilpotency index; a
-    non-nilpotent input raises NonNilpotentError because it would not.
+    The series terminates at the nilpotency index; a non-nilpotent input
+    raises NonNilpotentError because it would not.
     """
-    if isinstance(A[0][0], QScalar):
-        vars = tuple(vars) if vars is not None else (var,)
-    else:
-        vars = A[0][0].vars
-        vidx = vars.index(var)
-        if any(m[vidx] for row in A for x in row for m in x.terms):
-            raise ValueError(f"variable {var!r} already present in the matrix")
+    vars = tuple(vars) if vars is not None else (var,)
 
     def weight(m):
         coef = q_number("paren_factorial", m, base_power).inv()

@@ -164,11 +164,11 @@ def test_criterion_11_toda():
         ok = ok and toda.verify_toda_bilinear(inst).verdict
     inst = toda.TodaInstance.from_rows([[1, 0], [Fraction(3, 2), 1]])
     vars = ("x", "u")
-    t1 = toda.toda_tau(inst, 1)
+    _t0, t1, t2 = toda.toda_tau_all(inst)
     want = ncalg.TimesPoly(
         vars, {(0, 0): ONE, (1, 0): qscalar.qs(Fraction(3, 2)), (1, 1): ONE}
     )
-    ok = ok and t1 == want and toda.toda_tau(inst, 2) == ncalg.TimesPoly.one(vars)
+    ok = ok and t1 == want and t2 == ncalg.TimesPoly.one(vars)
     dt = time.perf_counter() - t0
     _report(11, "Toda-molecule identity, sizes 2-5 plus the worked instance", ok, dt)
 

@@ -13,7 +13,6 @@ def test_registry_ids_unique_and_documented():
     assert len(REGISTRY) == len({c.check_id for c in REGISTRY.values()})
     for desc in REGISTRY.values():
         assert desc.anchor
-        assert desc.module
 
 
 def test_select_exact_and_glob():
@@ -216,3 +215,41 @@ def test_lm_parameter_domain_passes():
 def test_lm_spin_outside_the_domain_is_usage_error(argv, capsys):
     assert main(["verify", "lm", *argv]) == 2
     assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_toda_parameter_domain_passes():
+    reports = [report for s in range(10) for report in run_check("toda.random", {"seed": s})]
+    reports += run_check("toda.worked")
+    assert [(r.check_id, r.params, r.residual) for r in reports if not r.verdict] == []
+
+
+class _ReadRecorder(dict):
+    """Params that record which keys a runner indexes; a runner that falls
+    back with ``get`` keeps a second default beside the registry's."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+        self.fallbacks = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.fallbacks.add(key)
+        return super().get(key, default)
+
+
+def test_every_registered_param_is_read():
+    # a flag a check takes must change what the check runs
+    unread, fallbacks = {}, {}
+    for cid, desc in sorted(REGISTRY.items()):
+        params = _ReadRecorder(desc.params)
+        assert desc.fn(params).verdict, cid
+        if set(desc.params) - params.read:
+            unread[cid] = sorted(set(desc.params) - params.read)
+        if params.fallbacks:
+            fallbacks[cid] = sorted(params.fallbacks)
+    assert unread == {}
+    assert fallbacks == {}

@@ -183,18 +183,3 @@ def test_gauss_route_spin_one_diagonal():
     M = t_matrix(1, "gauss")
     pres = gauss_param()
     assert M[2][2] == NCPoly.word(pres, ("Qinv", "Qinv"))
-
-
-def test_tau_gauss_route_matches_substitution():
-    # evaluating tau_1 on the gauss route equals substituting the gauss
-    # entries into the abstract tau_1
-    gm = GaussModel.build()
-    images = {"a": gm.a, "b": gm.b, "c": gm.c, "d": gm.d}
-    tau_abs = tau_q(1, "u", "x")
-    lifted_images = {
-        k: NCPoly(v.pres, ("u", "x"), {w: TimesPoly(("u", "x"), {(0, 0): t.constant_term()}) for w, t in v.terms.items()})
-        for k, v in images.items()
-    }
-    tau_sub = tau_abs.apply_generator_map(lifted_images)
-    tau_gauss = tau_q(1, "u", "x", route="gauss")
-    assert tau_sub == tau_gauss

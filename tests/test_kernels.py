@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from math import gcd
 
-from tau_forge._kernels import ipoly_gcd
+from tau_forge._kernels import ipoly_gcd, ipoly_signed_content
 
 
 # -- reference: the plain primitive pseudo-remainder sequence, no shortcuts --
@@ -130,3 +130,12 @@ def test_ipoly_gcd_monomial_cases():
     assert ipoly_gcd({4: 2}, {6: -9}) == {4: 1}
     assert ipoly_gcd({}, {3: -4}) == {3: 1}
     assert ipoly_gcd({}, {}) == {}
+
+
+def test_signed_content_leaves_the_reference_primitive_part():
+    # QScalar._make and the gcd both normalise through this one routine
+    for a, b in _cases(2000, seed=7):
+        for p in (a, b):
+            if p:
+                c = ipoly_signed_content(p)
+                assert {e: v // c for e, v in p.items()} == _ref_primitive(p), p

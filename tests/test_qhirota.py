@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tau_forge import qhirota
+from tau_forge.cli import run_check
 from tau_forge.funq import tau_q
 from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
@@ -204,22 +205,51 @@ def test_lm_rejects_unknown_side():
         lm_residual(HALF, HALF, side="both")
 
 
+_LM_SIDES = qhirota.lm_sides
+
+
+def _lm_sides_rhs_scaled_by_q(j, jp):
+    lhs, rhs = _LM_SIDES(j, jp)
+    rhs = [
+        BilinearTerm(t.prefactor.scale(Q), t.left, t.right, t.left_shifts, t.right_shifts)
+        for t in rhs
+    ]
+    return lhs, rhs
+
+
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1)])
 def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
     # negative control: a canonical form that collapsed to a false zero
     # would pass this mutant
-    sides = qhirota.lm_sides
-
-    def mutant(j, jp, vars=qhirota.LM_VARS):
-        lhs, rhs = sides(j, jp, vars)
-        rhs = [
-            BilinearTerm(t.prefactor.scale(Q), t.left, t.right, t.left_shifts, t.right_shifts)
-            for t in rhs
-        ]
-        return lhs, rhs
-
-    monkeypatch.setattr(qhirota, "lm_sides", mutant)
+    monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_rhs_scaled_by_q)
     report = verify_lm(j, jp)
+    assert not report.verdict
+    assert report.residual
+
+
+def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(monkeypatch):
+    monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_rhs_scaled_by_q)
+    (report,) = run_check("qliouville.hierarchy")
+    assert not report.verdict
+    assert "!= 0" in report.residual
+
+
+_SPIN_HALF_TAU = qhirota.spin_half_tau
+
+
+def _spin_half_tau_d_scaled_by_q(pres=None, vars=("u", "x")):
+    tau = _SPIN_HALF_TAU(pres, vars)
+    terms = dict(tau.terms)
+    terms[("d",)] = terms[("d",)].scale(Q)
+    return NCPoly(tau.pres, tau.vars, terms)
+
+
+@pytest.mark.parametrize("check_id", ["qliouville.eq-half", "qliouville.suite"])
+def test_spin_half_checks_fail_with_d_term_scaled_by_q(monkeypatch, check_id):
+    (report,) = run_check(check_id)
+    assert report.verdict
+    monkeypatch.setattr(qhirota, "spin_half_tau", _spin_half_tau_d_scaled_by_q)
+    (report,) = run_check(check_id)
     assert not report.verdict
     assert report.residual
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,13 @@ from tau_forge.qscalar import (
     q_number,
     qs,
 )
+
+
+def test_direct_construction_names_existing_constructors():
+    with pytest.raises(TypeError) as exc:
+        QScalar(Fraction(1), {0: 1}, {0: 1})
+    names = re.findall(r"(\w+)\(\)", str(exc.value))
+    assert names and all(callable(getattr(QScalar, n, None)) for n in names), names
 
 
 def test_add_laurent():

@@ -8,25 +8,19 @@ import pytest
 from tau_forge import toda
 from tau_forge.ncalg import TimesPoly
 from tau_forge.qscalar import ONE, qs
-from tau_forge.toda import TodaInstance, toda_tau, toda_tau_all, verify_toda_bilinear
+from tau_forge.toda import TodaInstance, toda_tau_all, verify_toda_bilinear
 
 
 def test_worked_instance():
     theta = Fraction(3, 2)
     inst = TodaInstance.from_rows([[1, 0], [theta, 1]])
     vars = ("x", "u")
-    t1 = toda_tau(inst, 1)
+    t0, t1, t2 = toda_tau_all(inst)
     # 1 + x(theta + u), computed by hand from the 2x2 product
     want = TimesPoly(vars, {(0, 0): ONE, (1, 0): qs(theta), (1, 1): ONE})
     assert t1 == want
-    assert toda_tau(inst, 2) == TimesPoly.one(vars)
-    assert toda_tau(inst, 0) == TimesPoly.one(vars)
-
-
-def test_k_out_of_range():
-    inst = TodaInstance.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        toda_tau(inst, 3)
+    assert t2 == TimesPoly.one(vars)
+    assert t0 == TimesPoly.one(vars)
 
 
 def test_singular_rejected():
@@ -65,17 +59,15 @@ def test_bilinear_identity_g():
     assert verify_toda_bilinear(inst).verdict
 
 
-def test_full_times_exploration():
-    inst = TodaInstance.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    t2 = toda_tau(inst, 2, times="full")
-    # coefficient of x1 u1 in the 2x2 minor of exp(H) exp(H')
-    assert t2.coefficient((1, 0, 1, 0)) == ONE
-    assert t2.coefficient((0, 1, 0, 1)) == ONE
-
-
 def test_empty_rows_rejected():
     with pytest.raises(ValueError):
         TodaInstance.from_rows([])
+
+
+def test_random_rejects_empty_size():
+    # no draw of size 0 is valid, so redrawing would never stop
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        TodaInstance.random(random.Random(0), 0)
 
 
 def test_size_one_has_no_identity_to_check():
@@ -101,23 +93,13 @@ def _mat_mul(a, b):
     return [[sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def _exp_nilpotent(h):
-    size = len(h)
-    acc = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    term = [row[:] for row in acc]
-    for m in range(1, size):
-        term = _mat_mul(term, h)
-        acc = [[a + t / factorial(m) for a, t in zip(ra, rt)] for ra, rt in zip(acc, term)]
-    return acc
-
-
-def _check_taus_on_grid(inst, times, point_matrix):
+def _check_taus_on_grid(inst, point_matrix):
     """Compare every tau_k with the Fraction determinant of the leading block
     of the numeric flow matrix on the grid {0..d}^(number of times), d the
     per-variable degree bound; both sides have degree <= d in each variable,
     so agreement on the grid is equality."""
     n = inst.size - 1
-    taus = toda_tau_all(inst, times)
+    taus = toda_tau_all(inst)
     nvars = len(taus[0].vars)
     d = n * (n + 1) // 2
     for k, t in enumerate(taus):
@@ -141,21 +123,7 @@ def test_taus_match_numeric_determinants(size):
         F = [[u ** (i - j) / factorial(i - j) if i >= j else Fraction(0) for j in range(size)] for i in range(size)]
         return _mat_mul(_mat_mul(E, g), F)
 
-    _check_taus_on_grid(inst, "principal_only", flow)
-
-
-def test_full_times_match_numeric_determinants():
-    size = 3
-    inst = TodaInstance.random(random.Random(7), size)
-    g = [list(r) for r in inst.g]
-
-    def flow(point):
-        xs, us = point[: size - 1], point[size - 1 :]
-        H = [[xs[j - i - 1] if j > i else Fraction(0) for j in range(size)] for i in range(size)]
-        Hp = [[us[i - j - 1] if i > j else Fraction(0) for j in range(size)] for i in range(size)]
-        return _mat_mul(_mat_mul(_exp_nilpotent(H), g), _exp_nilpotent(Hp))
-
-    _check_taus_on_grid(inst, "full", flow)
+    _check_taus_on_grid(inst, flow)
 
 
 # -- negative controls: a wrong minor must fail the check --------------------
@@ -240,11 +208,10 @@ def test_packed_kernels_match_timespoly():
         assert toda._to_times(toda._pderiv(pa, idx, width), vars, width, 1) == ta.derivative(vars[idx])
 
 
-@pytest.mark.parametrize("size,times", [(2, "principal_only"), (4, "principal_only"), (6, "principal_only"), (3, "full")])
-def test_field_width_holds_every_product(size, times):
+@pytest.mark.parametrize("size", [2, 4, 6], ids=lambda size: f"{size}-principal_only")
+def test_field_width_holds_every_product(size):
     inst = TodaInstance.random(random.Random(size), size)
-    vars = toda._vars_for(inst, times)
-    width, _c, _cA = toda._integer_flow(inst, times, vars)
+    width, _c, _cA = toda._integer_flow(inst)
     # no minor has degree above n(n+1)/2 in any time (the bound of
     # test_degree_bounds_and_top_tau at its largest), so no product of two
     # minors may overflow a field of this width

@@ -76,24 +76,6 @@ def test_q_exp_rejects_non_nilpotent():
         q_exp_nilpotent(rep.K, "t", 2)
 
 
-def test_q_exp_timespoly_matrix():
-    from tau_forge.ncalg import TimesPoly
-
-    vars = ("s", "t")
-    z = TimesPoly.zero(vars)
-    s = TimesPoly.var(vars, "s")
-    A = [[z, s], [z, z]]
-    M = q_exp_nilpotent(A, "t", 2)
-    assert M[0][1] == s * TimesPoly.var(vars, "t")
-    assert str(M[0][0]) == "1" and M[1][0].is_zero()
-    # exponentiation variable already present in the matrix is rejected
-    with pytest.raises(ValueError):
-        q_exp_nilpotent([[z, TimesPoly.var(vars, "t")], [z, z]], "t", 2)
-    # non-nilpotent TimesPoly matrix is rejected
-    with pytest.raises(NonNilpotentError):
-        q_exp_nilpotent([[TimesPoly.one(vars), z], [z, TimesPoly.one(vars)]], "t", 2)
-
-
 def test_q_exp_at_zero_is_identity():
     rep = make_rep(Fraction(3, 2))
     M = q_exp_nilpotent(rep.E, "t", 2)

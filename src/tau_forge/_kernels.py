@@ -9,6 +9,8 @@ These are the innermost loops of every exact computation in the package:
   ``{packed exponents: coefficient}``: one int holds the exponent tuple in
   fixed-width bit fields, so adding two keys multiplies the monomials as
   long as no field overflows.  Callers take the width from a degree bound.
+  A Laurent polynomial ``{q-exponent: int}`` is the one-variable case
+  with exponents of either sign, so ``_addmul`` multiplies those too.
 """
 
 from math import gcd
@@ -190,3 +192,8 @@ def _addmul(acc, a, b, sign=1):
 
 def _trim(p):
     return {m: c for m, c in p.items() if c}
+
+
+def _trim_words(p):
+    """{word: packed polynomial} with zero terms and then empty words dropped."""
+    return {w: d for w, d in ((w, _trim(d)) for w, d in p.items()) if d}

@@ -71,7 +71,7 @@ class BoundaryCertificate:
 class FockSpace:
     """Mode window plus the boundary guard for one computation."""
 
-    def __init__(self, window=8):
+    def __init__(self, window):
         if window < 3:
             raise ValueError("window too small")
         self.M = window
@@ -488,7 +488,7 @@ def _residual(lay, lhs, sl, rhs=None, sr=1):
 # ---------------------------------------------------------------------------
 
 
-def tau_kp(g, n, deg_x, deg_u=0, window=8):
+def tau_kp(g, n, deg_x, deg_u=0, *, window):
     """tau as the vacuum-to-vacuum matrix element of flows around g.
 
     One-sided for deg_u = 0; otherwise the two-sided version with raising
@@ -514,7 +514,7 @@ def _check_window_budget(space, n, deg_x, deg_u, g):
         )
 
 
-def m3_residual(g, degree, window=8):
+def m3_residual(g, degree, window):
     """The window sum of products of charge +-1 matrix elements that the
     invariance of Omega = sum psi_j ox psi*_j forces to vanish.
 
@@ -551,7 +551,7 @@ def m3_residual(g, degree, window=8):
     return lay.to_times(acc), certs
 
 
-def m4_residual(g, degree, window=8):
+def m4_residual(g, degree, window):
     """Literal transcription of the one-sided Hirota sum:
 
         sum_{j>=0} S_j(2 y) . S_{j+1}(-dtilde_y) [tau(x+y) tau(x-y)],
@@ -569,7 +569,7 @@ def m4_residual(g, degree, window=8):
     return _residual(lay, lhs, L * scale * scale), [cert]
 
 
-def h6_residual(g, n, m, degree, window=8):
+def h6_residual(g, n, m, degree, window):
     """Two-sided Hirota residual for charges (n, m): LHS with the y-side
     Schur pair at offset o = n - m + 1 minus RHS with the v-side pair at the
     same offset and charges (n+1, m-1); certified to ``degree`` per time set,
@@ -603,7 +603,7 @@ def h6_residual(g, n, m, degree, window=8):
     return _residual(lay, lhs, sl, rhs, sr), certs
 
 
-def cauchy_pair(degree, window=8):
+def cauchy_pair(degree, window):
     """Two independent routes to the two-sided vacuum tau at g = identity:
     the Fock matrix element and the direct expansion of exp(sum k x_k u_k)."""
     tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree, window=window)
@@ -621,7 +621,7 @@ def cauchy_pair(degree, window=8):
 # ---------------------------------------------------------------------------
 
 
-def verify_hirota_kp(which, g, degree, window=8, charges=(0, 0)):
+def verify_hirota_kp(which, g, degree, window, charges=(0, 0)):
     caps = None
     if which == "M3":
         res, certs = m3_residual(g, degree, window)

@@ -6,10 +6,15 @@ Three layers:
   (evolution parameters) with :class:`~tau_forge.qscalar.QScalar` coefficients.
 * :class:`Presentation` - a confluent rewrite system on two-letter words that
   fixes a normal-form (PBW-style) basis of an algebra given by generators and
-  quadratic-plus-unit relations.
+  quadratic-plus-unit relations.  Every rule coefficient is an integer
+  Laurent polynomial in q, so rewriting stays in Z[q, q^-1]: rules and the
+  ``reduce_word`` memo carry ``{q-exponent: int}`` coefficients, and no
+  Q(q) arithmetic runs while a word is reduced.
 * :class:`NCPoly` - elements of such an algebra: maps from normal words to
   TimesPoly coefficients.  Products are reduced to normal form eagerly, so
-  equality is structural and "residual is zero" is decidable.
+  equality is structural and "residual is zero" is decidable.  ``NCPoly.mul``
+  and :func:`normal_form` convert a normal form's Laurent coefficients to
+  QScalar only where they meet a TimesPoly.
 
 Built-in presentations: the quantized coordinate ring of SL2 with generators
 a, b, c, d (:func:`funq_sl2`), and the q-exponential parameter algebra with
@@ -19,7 +24,7 @@ two commuting nilpotent-like parameters and a group-like Q (:func:`gauss_param`)
 from __future__ import annotations
 
 from .qscalar import ONE, QScalar, ZERO, qs
-from ._kernels import tup_add
+from ._kernels import _addmul, _trim, _trim_words, tup_add
 from .report import VerificationReport
 
 
@@ -217,15 +222,29 @@ class TimesPoly:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_STEP_BUDGET = 10**6
+_UNIT = {0: 1}
+
+
+def _laurent_mul(a, b):
+    """a * b for nonzero Laurent polynomials {q-exponent: int}."""
+    if len(a) == 1:
+        ((k, m),) = a.items()
+        return {e + k: m * v for e, v in b.items()}
+    return _trim(_addmul({}, a, b))
 
 
 class Presentation:
     """A two-letter-word rewrite system with a declared generator order.
 
     ``rules`` maps a pair of generator names to a linear combination of
-    replacement words (word tuple -> QScalar).  Unit pairs (g, ginv) add the
-    rewrites g*ginv -> 1 and ginv*g -> 1.  Confluence is not assumed here;
-    it is checked explicitly by :func:`check_local_confluence`.
+    replacement words (word tuple -> coefficient).  A coefficient is any
+    value ``qs`` takes that is an integer Laurent polynomial in q; it is
+    stored as ``{q-exponent: int}``, and any other coefficient (1/2,
+    1/(1+q)) is a PresentationError naming the rule.  ``reduce_word`` and
+    ``one_step_reductions`` return such Laurent coefficients.  Unit pairs
+    (g, ginv) add the rewrites g*ginv -> 1 and ginv*g -> 1.  Confluence is
+    not assumed here; it is checked explicitly by
+    :func:`check_local_confluence`.
     """
 
     def __init__(self, name, gens, rules, unit_pairs=()):
@@ -237,15 +256,23 @@ class Presentation:
         for (x, y), rhs in items:
             if x not in gset or y not in gset:
                 raise PresentationError(f"rule on unknown generators: {x}, {y}")
-            for w in rhs:
+            laurent = {}
+            for w, c in rhs.items():
                 if any(g not in gset for g in w):
                     raise PresentationError(f"rule RHS uses unknown generators: {w}")
-            rule_list.append(
-                ((x, y), {tuple(w): qs(c) for w, c in rhs.items() if not qs(c).is_zero()})
-            )
+                try:
+                    lau = qs(c).as_laurent()
+                except ValueError:
+                    raise PresentationError(
+                        f"rule {x}*{y} in {name}: coefficient {c} of "
+                        f"{'*'.join(w) or '1'} is not an integer Laurent polynomial"
+                    ) from None
+                if lau:
+                    laurent[tuple(w)] = lau
+            rule_list.append(((x, y), laurent))
         for g, ginv in unit_pairs:
-            rule_list.append(((g, ginv), {(): ONE}))
-            rule_list.append(((ginv, g), {(): ONE}))
+            rule_list.append(((g, ginv), {(): _UNIT}))
+            rule_list.append(((ginv, g), {(): _UNIT}))
         self.rule_list = rule_list
         # first-match lookup used by reduce_word; duplicate-pair rules (allowed,
         # so deliberately inconsistent presentations can be expressed and caught
@@ -263,7 +290,7 @@ class Presentation:
         return self.gens.index(g)
 
     def reduce_word(self, word, budget=None):
-        """Normal form of a single word as {normal word: QScalar}.
+        """Normal form of a single word as {normal word: {q-exponent: int}}.
 
         A non-terminating rule set is reported as PresentationError, whether
         it exhausts the step budget sideways or the rewrite chain depth.
@@ -293,19 +320,21 @@ class Presentation:
                     "presentation is likely non-terminating"
                 )
             prefix, suffix = word[:i], word[i + 2 :]
-            out = {}
+            # only a normal word reached twice can cancel; memo values are
+            # shared, so they are copied before an in-place sum
+            acc = {}
+            merged = False
             for w, c in rhs.items():
                 for w2, c2 in self._reduce(prefix + w + suffix, budget).items():
-                    s = out.get(w2)
-                    s = c * c2 if s is None else s + c * c2
-                    if s.is_zero():
-                        out.pop(w2, None)
+                    a = acc.get(w2)
+                    if a is None:
+                        acc[w2] = c2 if c == _UNIT else _laurent_mul(c, c2)
                     else:
-                        out[w2] = s
-            memo[word] = out
+                        acc[w2] = _addmul(dict(a), c, c2)
+                        merged = True
+            out = memo[word] = _trim_words(acc) if merged else acc
             return out
-        out = {word: ONE}
-        memo[word] = out
+        out = memo[word] = {word: _UNIT}
         return out
 
     def one_step_reductions(self, word):
@@ -428,9 +457,7 @@ class NCPoly:
                 if t.is_zero():
                     continue
                 for w, c in pres.reduce_word(w1 + w2, budget).items():
-                    add = t.scale(c)
-                    if add.is_zero():
-                        continue
+                    add = _times_laurent(t, c)
                     s = out.get(w)
                     s = add if s is None else s + add
                     if s.is_zero():
@@ -522,6 +549,12 @@ def _composite(text):
     return any(ch in "+*/" for ch in text) or "-" in text[1:]
 
 
+def _times_laurent(t, c):
+    """The TimesPoly t times the nonzero Laurent polynomial c: where a
+    normal form meets Q(q)."""
+    return t if c == _UNIT else t.scale(QScalar.from_terms(c))
+
+
 def normal_form(p):
     """The NCPoly ``p`` with every word reduced to normal form in its
     presentation (an NCPoly already in normal form is returned equal)."""
@@ -530,9 +563,7 @@ def normal_form(p):
     budget = [_DEFAULT_STEP_BUDGET]
     for w, t in p.terms.items():
         for ww, c in pres.reduce_word(w, budget).items():
-            add = t.scale(c)
-            if add.is_zero():
-                continue
+            add = _times_laurent(t, c)
             s = out.get(ww)
             s = add if s is None else s + add
             if s.is_zero():
@@ -587,13 +618,11 @@ def check_local_confluence(pres, max_len):
             nf = {}
             for w, c in combo.items():
                 for w2, c2 in pres.reduce_word(w).items():
-                    s = nf.get(w2)
-                    s = c * c2 if s is None else s + c * c2
-                    if s.is_zero():
-                        nf.pop(w2, None)
-                    else:
-                        nf[w2] = s
-            normals.append(nf)
+                    a = nf.get(w2)
+                    if a is None:
+                        a = nf[w2] = {}
+                    _addmul(a, c, c2)
+            normals.append(_trim_words(nf))
         first = normals[0]
         for other in normals[1:]:
             if other != first:

@@ -29,12 +29,20 @@ The general identity is evaluated without Q(q) arithmetic.  ``lm_sides``
 states it literally, as BilinearTerms over the taus; every tau coefficient
 is a Laurent polynomial in q with integer coefficients, and the only other
 denominators are the brackets [2j] and [2j'] in the prefactors.  Each side
-is therefore multiplied by [2j][2j'] and built over packed Laurent integers
-(``_LaurentRing``): q-shifts and q-derivatives move exponents on packed
-keys, and word products take their normal forms from ``reduce_word``.
-[2j][2j'] is a nonzero element of Q(q), so a scaled side, or the scaled
-residual, is zero exactly when the unscaled one is, and the zero test
-stays exact without a gcd.  ``lm_residual`` divides by [2j][2j'] once and
+is therefore multiplied by [2j][2j'] and built in ``_LaurentRing``, over
+Z[q, q^-1] Kronecker-packed in q (Kronecker 1882; Harvey 2009, "Faster
+polynomial multiplication via multipoint Kronecker substitution"): each
+(normal word, time monomial) holds one integer, its Laurent polynomial
+evaluated at q = 2^B with its lowest exponent kept beside it.  A q-shift
+moves that exponent, a q-derivative multiplies by an encoded q-number, the
+commutative prefactor multiplies the sum over word pairs once, and word
+products take their Laurent normal forms from ``reduce_word``.  B comes
+from a proven l1 bound on every coefficient of LHS - RHS (see
+``_LaurentRing``), so ``verify_lm`` decides by testing the LHS - RHS
+integers for zero.  [2j][2j'] is a nonzero element of Q(q), so a scaled
+side, or the scaled residual, is zero exactly when the unscaled one is.
+Only ``lm_residual`` and the FAIL text decode the balanced base-2^B digits
+back to Laurent polynomials; ``lm_residual`` divides by [2j][2j'] once and
 returns an NCPoly over Q(q).
 """
 
@@ -45,7 +53,7 @@ from fractions import Fraction
 
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
-from ._kernels import _addmul, _pack, _trim, _unpack
+from ._kernels import _addmul, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
 from .uqsl2 import twice
@@ -140,40 +148,51 @@ def q_taylor_reconstruct(coeffs, var, center_var, alpha, base_power, vars):
 
 
 # ---------------------------------------------------------------------------
-# bilinear terms over packed Laurent integers
+# bilinear terms over Kronecker-packed Laurent integers
 # ---------------------------------------------------------------------------
 
 
-def _laurent(c):
-    """{q-exponent: int} of a QScalar that is a Laurent polynomial over Z."""
-    # canonical denominators are primitive with a positive leading
-    # coefficient, so a single-term one is q^k
-    if len(c.dc) != 1:
-        raise ValueError(f"not a Laurent polynomial: {c}")
-    (k, _), = c.dc.items()
+def _kronecker_bits(bound):
+    """The digit width B of q = 2^B for polynomials whose coefficients are
+    at most ``bound`` in absolute value: |c| <= bound < 2^(B-1), so each
+    coefficient is one balanced base-2^B digit."""
+    return bound.bit_length() + 1
+
+
+def _encode(lau, bits, low):
+    """q^-low times the Laurent polynomial ``lau`` ({q-exponent: int}, no
+    exponent below ``low``), evaluated at q = 2^bits."""
+    return sum(c << (bits * (e - low)) for e, c in lau.items())
+
+
+def _decode(v, bits, low):
+    """The Laurent polynomial that ``_encode(., bits, low)`` maps to ``v``:
+    the balanced base-2^bits digits of v, lowest first.  Exact when every
+    coefficient is below 2^(bits-1) in absolute value."""
+    base = 1 << bits
+    half = base >> 1
     out = {}
-    for e, n in c.nc.items():
-        v = c.s * n
-        if v.denominator != 1:
-            raise ValueError(f"not a Laurent polynomial over the integers: {c}")
-        out[e - k] = int(v)
+    e = low
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            out[e] = d
+        v = (v - d) >> bits
+        e += 1
     return out
 
 
-def _add_words(acc, p, sign=1):
-    """acc += sign * p for packed NC polynomials, in place; cancelled terms
-    stay as zeros."""
-    for w, d in p.items():
-        a = acc.get(w)
-        if a is None:
-            a = acc[w] = {}
-        for key, c in d.items():
-            a[key] = a.get(key, 0) + sign * c
-    return acc
+def _odd_part(c):
+    """(v, t) with c = v << t and v odd, for an int c != 0."""
+    t = (c & -c).bit_length() - 1
+    return c >> t, t
 
 
-def _trim_words(p):
-    return {w: d for w, d in ((w, _trim(d)) for w, d in p.items()) if d}
+def _lowest(laurents):
+    """The lowest q-exponent in some Laurent polynomials (0 if none)."""
+    return min((e for c in laurents for e in c), default=0)
 
 
 def _degrees(p):
@@ -199,130 +218,201 @@ def _degree_bound(terms):
     )
 
 
-class _LaurentRing:
-    """Noncommutative polynomials with Laurent-polynomial integer
-    coefficients, packed: {normal word: {key: int}}.
+def _l1(p, derivs=()):
+    """A bound on the l1 norm (the sum of |coefficient| over every word,
+    time monomial and power of q) of a TimesPoly or NCPoly p with Laurent
+    coefficients after its shifts and the derivatives ``derivs``: a shift
+    moves powers of q only, and D^(q^b) in a variable of degree n maps
+    c x^m to c (m)_{q^b} x^(m-1), whose l1 is m <= n times that of c."""
+    polys = p.terms.values() if isinstance(p, NCPoly) else (p,)
+    out = sum(abs(v) for tp in polys for c in tp.terms.values() for v in c.as_laurent().values())
+    degs = _degrees(p)
+    for var, _ in derivs:
+        out *= degs[p.vars.index(var)]
+    return out
 
-    A key holds the time-variable exponents in ``width``-bit fields (variable
-    i in field i, ``_kernels._pack``) and the q-exponent above them, at bit
-    ``top``.  That field is signed and unbounded, so adding two keys
-    multiplies the monomials, q-powers included, as long as no time field
-    overflows; the width comes from ``_degree_bound`` over every term the
-    ring will multiply.  Normal forms of words come from the presentation's
-    ``reduce_word``, each converted once to packed q-powers.
+
+class _LaurentRing:
+    """Noncommutative polynomials over Z[q, q^-1] in the time variables,
+    Kronecker-packed in q: an element is ``(low, {normal word: {time key:
+    int}})``.
+
+    A time key holds the time-variable exponents in ``width``-bit fields
+    (``_kernels._pack``); the width comes from ``_degree_bound`` over every
+    term the ring multiplies.  The int under (word, key) is that
+    coefficient's Laurent polynomial times q^-low, evaluated at q = 2^bits;
+    ``low`` is shared by the whole element and is at most every exponent in
+    it.  Evaluation at q = 2^bits is a ring homomorphism Z[q] -> Z, so sums
+    and products of the ints are exact at any size: a product adds the lows
+    and multiplies the ints, a sum aligns the lows by shifting.  Normal
+    forms of words come from the presentation's ``reduce_word``, each
+    encoded once.
+
+    Only the zero test and decoding need a bound.  A polynomial whose
+    coefficients are all below 2^(bits-1) in absolute value is its balanced
+    base-2^bits digits, so it is zero exactly when its int is 0, and
+    ``_decode`` recovers it.  ``bits`` comes from l1 bounds (``_l1``, the
+    sum of |coefficient| over words, time monomials and powers of q); the
+    l1 norm is subadditive and submultiplicative.  Term t of either side
+    contributes to each coefficient at most
+
+        l1(scale * prefactor) * l1(left') * l1(right') * max l1(normal form),
+
+    where left' and right' are the factors after their shifts and
+    derivatives and the maximum runs over the normal forms of every
+    concatenated word.  The sum of this over the terms of both sides bounds
+    every coefficient of LHS, RHS and LHS - RHS, and each of their partial
+    sums; ``_kronecker_bits`` takes one bit more than it.
+    Decoding, a Python loop over digits, runs only for ``lm_residual`` and
+    the FAIL text.
     """
 
-    def __init__(self, pres, vars, terms):
+    def __init__(self, pres, vars, terms, scale):
         self.pres = pres
         self.vars = vars
+        self.scale = scale
         self.width = max(1, _degree_bound(terms).bit_length())
-        self.top = len(vars) * self.width
+        words = {}
+        bound = 0
+        for t in terms:
+            bound += _l1(t.prefactor.scale(scale)) * _l1(t.left, t.left_derivs) * _l1(t.right, t.right_derivs)
+            for w1 in t.left.terms:
+                for w2 in t.right.terms:
+                    w = w1 + w2
+                    if w not in words:
+                        words[w] = pres.reduce_word(w)
+        nf_l1 = max((sum(abs(v) for c in nf.values() for v in c.values()) for nf in words.values()), default=0)
+        self.bits = _kronecker_bits(bound * nf_l1)
+        # one low for every normal form, so a product's low is the sum of
+        # its factors' lows and this
+        self.nf_low = _lowest(c for nf in words.values() for c in nf.values())
+        self._words = {
+            w: [(nw, *_odd_part(_encode(c, self.bits, self.nf_low))) for nw, c in nf.items()]
+            for w, nf in words.items()
+        }
         self._factors = {}
-        self._words = {}
+
+    def _laurents(self, tp):
+        """{time key: Laurent polynomial} of a TimesPoly."""
+        return {_pack(m, self.width): c.as_laurent() for m, c in tp.terms.items()}
 
     def factor(self, p):
         """An NCPoly with Laurent coefficients, packed (once per object)."""
         hit = self._factors.get(id(p))
         if hit is not None and hit[0] is p:
             return hit[1]
-        out = {}
-        for w, tp in p.terms.items():
-            d = {}
-            for m, c in tp.terms.items():
-                base = _pack(m, self.width)
-                for e, v in _laurent(c).items():
-                    d[base + (e << self.top)] = v
-            out[w] = d
+        laurents = {w: self._laurents(tp) for w, tp in p.terms.items()}
+        low = _lowest(c for d in laurents.values() for c in d.values())
+        out = low, {w: {k: _encode(c, self.bits, low) for k, c in d.items()} for w, d in laurents.items()}
         self._factors[id(p)] = (p, out)
         return out
 
-    def times(self, tp, scale):
-        """The TimesPoly ``scale * tp``, whose coefficients must be Laurent."""
-        return {
-            _pack(m, self.width) + (e << self.top): v
-            for m, c in tp.terms.items()
-            for e, v in _laurent(c * scale).items()
-        }
+    def times(self, tp):
+        """scale * tp for a TimesPoly tp, packed as (low, {key: int})."""
+        laurents = self._laurents(tp.scale(self.scale))
+        low = _lowest(laurents.values())
+        return low, {k: _encode(c, self.bits, low) for k, c in laurents.items()}
 
-    def shift(self, p, var, k):
-        """var -> q^k var: the q field gains k times the var exponent."""
+    def _exponents(self, p, var):
+        """(field offset, mask, largest exponent) of var in element p."""
         at = self.vars.index(var) * self.width
         mask = (1 << self.width) - 1
-        top = self.top
-        return {
-            w: {key + ((((key >> at) & mask) * k) << top): c for key, c in d.items()}
+        return at, mask, max(((key >> at) & mask for d in p.values() for key in d), default=0)
+
+    def shift(self, f, var, k):
+        """var -> q^k var: the coefficient of var^n gains q^(k n)."""
+        low, p = f
+        at, mask, top = self._exponents(p, var)
+        base = min(0, k * top)
+        bits = self.bits
+        return low + base, {
+            w: {key: c << (bits * (k * ((key >> at) & mask) - base)) for key, c in d.items()}
             for w, d in p.items()
         }
 
-    def derivative(self, p, var, base_power):
-        """D^(q^base_power)_var: var^n -> (n)_{q^base} var^(n-1)."""
-        at = self.vars.index(var) * self.width
-        mask = (1 << self.width) - 1
+    def derivative(self, f, var, b):
+        """D^(q^b)_var: var^n -> (n)_{q^b} var^(n-1)."""
+        low, p = f
+        at, mask, top = self._exponents(p, var)
+        base = min(0, b * (top - 1))
+        bits = self.bits
+        # (n)_{q^b} q^-base at q = 2^bits
+        paren = [sum(1 << (bits * (b * i - base)) for i in range(n)) for n in range(top + 1)]
         one = 1 << at
-        top = self.top
         out = {}
         for w, d in p.items():
-            r = {}
-            for key, c in d.items():
-                n = (key >> at) & mask
-                if n:
-                    key -= one
-                    for i in range(n):
-                        kk = key + ((base_power * i) << top)
-                        r[kk] = r.get(kk, 0) + c
-            r = _trim(r)
+            r = {key - one: c * paren[(key >> at) & mask] for key, c in d.items() if (key >> at) & mask}
             if r:
                 out[w] = r
-        return out
-
-    def _normal(self, word):
-        """The normal form of a raw word with packed q-power coefficients."""
-        hit = self._words.get(word)
-        if hit is None:
-            top = self.top
-            hit = self._words[word] = [
-                (w, {e << top: v for e, v in _laurent(c).items()})
-                for w, c in self.pres.reduce_word(word).items()
-            ]
-        return hit
+        return low + base, out
 
     def product(self, pre, left, right):
-        """pre * left * right in normal form (pre a packed commutative
-        polynomial)."""
-        out = {}
-        for w1, d1 in left.items():
-            d1 = _addmul({}, pre, d1)
-            for w2, d2 in right.items():
-                d = _addmul({}, d1, d2)
-                for nw, qk in self._normal(w1 + w2):
-                    acc = out.get(nw)
-                    if acc is None:
-                        acc = out[nw] = {}
-                    _addmul(acc, d, qk)
-        return out
-
-    def sum(self, terms, scale):
-        """The sum of the flattened terms, each times scale."""
+        """pre * left * right in normal form, pre a packed commutative
+        polynomial, factored out of the sum over word pairs."""
+        (ll, lp), (rl, rp) = left, right
+        # each int is multiplied as its odd part and shifted after: the
+        # shared low leaves zero digits below most coefficients, and most
+        # normal-form coefficients are +-q^e, whose odd part is +-1
+        rp = {w2: [(k2, *_odd_part(c2)) for k2, c2 in d2.items()] for w2, d2 in rp.items()}
+        words = self._words
         acc = {}
-        for t in terms:
-            _add_words(acc, t.flatten(scale, self))
-        return _trim_words(acc)
+        for w1, d1 in lp.items():
+            d1 = [(k1, *_odd_part(c1)) for k1, c1 in d1.items()]
+            for w2, d2 in rp.items():
+                nf = words[w1 + w2]
+                for k1, c1, t1 in d1:
+                    for k2, c2, t2 in d2:
+                        k = k1 + k2
+                        c = c1 * c2
+                        t = t1 + t2
+                        for nw, n, tn in nf:
+                            v = (c * n) << (t + tn)
+                            a = acc.get(nw)
+                            if a is None:
+                                acc[nw] = {k: v}
+                            else:
+                                a[k] = a.get(k, 0) + v
+        pl, pp = pre
+        return pl + ll + rl + self.nf_low, {nw: _addmul({}, pp, a) for nw, a in acc.items()}
 
-    def to_ncpoly(self, p, divisor):
-        """p / divisor as an NCPoly over Q(q)."""
+    def combine(self, *parts):
+        """The sum of sign * element over (sign, element) pairs, with zero
+        ints dropped."""
+        low = min((f[0] for _, f in parts), default=0)
+        acc = {}
+        for sign, (fl, p) in parts:
+            s = self.bits * (fl - low)
+            for w, d in p.items():
+                a = acc.get(w)
+                if a is None:
+                    a = acc[w] = {}
+                for key, c in d.items():
+                    a[key] = a.get(key, 0) + sign * (c << s)
+        return low, _trim_words(acc)
+
+    def sum(self, terms):
+        """The sum of the terms, each times scale."""
+        return self.combine(*((1, t.flatten(self)) for t in terms))
+
+    def to_ncpoly(self, f, divisor):
+        """f / divisor as an NCPoly over Q(q), decoded digit by digit."""
+        low, p = f
         inv = divisor.inv()
-        low_mask = (1 << self.top) - 1
         n = len(self.vars)
-        out = {}
-        for w, d in p.items():
-            groups = {}
-            for key, c in d.items():
-                groups.setdefault(key & low_mask, {})[key >> self.top] = c
-            out[w] = TimesPoly(
-                self.vars,
-                {_unpack(m, n, self.width): QScalar.from_terms(lau) * inv for m, lau in groups.items()},
-            )
-        return NCPoly(self.pres, self.vars, out)
+        return NCPoly(
+            self.pres,
+            self.vars,
+            {
+                w: TimesPoly(
+                    self.vars,
+                    {
+                        _unpack(key, n, self.width): QScalar.from_terms(_decode(c, self.bits, low)) * inv
+                        for key, c in d.items()
+                    },
+                )
+                for w, d in p.items()
+            },
+        )
 
 
 @dataclass
@@ -343,9 +433,10 @@ class BilinearTerm:
     left_derivs: tuple = ()
     right_derivs: tuple = ()
 
-    def flatten(self, scale, ring):
-        """scale times the term, packed in ``ring``; scale * prefactor and
-        both factors must have Laurent-polynomial coefficients."""
+    def flatten(self, ring):
+        """The ring's scale times the term, packed in ``ring``; scale *
+        prefactor and both factors must have Laurent-polynomial
+        coefficients."""
         lf = ring.factor(self.left)
         for v, k in self.left_shifts.items():
             lf = ring.shift(lf, v, k)
@@ -356,7 +447,7 @@ class BilinearTerm:
             rf = ring.shift(rf, v, k)
         for v, b in self.right_derivs:
             rf = ring.derivative(rf, v, b)
-        return ring.product(ring.times(self.prefactor, scale), lf, rf)
+        return ring.product(ring.times(self.prefactor), lf, rf)
 
 
 @dataclass
@@ -421,14 +512,14 @@ def lm_sides(j, jp):
 
 
 def _lm_packed(j, jp):
-    """(ring, scale, LHS, RHS): both sides times scale = [2j][2j'] over
-    packed Laurent integers.  The scale clears the only denominators of the
+    """(ring, scale, LHS, RHS): both sides times scale = [2j][2j'],
+    Kronecker-packed.  The scale clears the only denominators of the
     prefactors, the brackets; it is nonzero, so either side, and their
     difference, is zero exactly when it is zero before scaling."""
     lhs, rhs = lm_sides(j, jp)
     scale = bracket(twice(j)) * bracket(twice(jp))
-    ring = _LaurentRing(lhs[0].left.pres, lhs[0].prefactor.vars, lhs + rhs)
-    return ring, scale, ring.sum(lhs, scale), ring.sum(rhs, scale)
+    ring = _LaurentRing(lhs[0].left.pres, lhs[0].prefactor.vars, lhs + rhs, scale)
+    return ring, scale, ring.sum(lhs), ring.sum(rhs)
 
 
 def lm_residual(j, jp, side="residual"):
@@ -441,22 +532,23 @@ def lm_residual(j, jp, side="residual"):
     elif side == "rhs":
         p = rhs
     else:
-        p = _trim_words(_add_words(lhs, rhs, -1))
+        p = ring.combine((1, lhs), (-1, rhs))
     return ring.to_ncpoly(p, scale)
 
 
 def verify_lm(j, jp):
-    """Exact zero test of the general bilinear identity for the spin pair.
-    A zero LHS fails: the identity would then hold vacuously."""
+    """Exact zero test of the general bilinear identity for the spin pair:
+    every packed int of LHS - RHS must be 0.  A zero LHS fails: the identity
+    would then hold vacuously."""
     ring, scale, lhs, rhs = _lm_packed(j, jp)
     params = {"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)}
-    if not lhs:
+    if not lhs[1]:
         msg = "the left-hand side is zero, so the identity holds vacuously"
         return VerificationReport(
             check_id="lm", verdict=False, residual=msg, params=params, details=[msg]
         )
-    res = _trim_words(_add_words(lhs, rhs, -1))
-    ok = not res
+    res = ring.combine((1, lhs), (-1, rhs))
+    ok = not res[1]
     return VerificationReport(
         check_id="lm",
         verdict=ok,

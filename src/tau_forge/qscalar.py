@@ -96,6 +96,14 @@ class QScalar:
     @classmethod
     def from_terms(cls, terms):
         """Build from {exponent: rational coefficient} (a Laurent polynomial)."""
+        if len(terms) == 1:
+            # c*q^e is canonical as it stands
+            ((e, c),) = terms.items()
+            if not c:
+                return ZERO
+            if e >= 0:
+                return cls(Fraction(c), {e: 1} if e else _ONE_POLY, _ONE_POLY, _raw=True)
+            return cls(Fraction(c), _ONE_POLY, {-e: 1}, _raw=True)
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         if not terms:
             return ZERO
@@ -128,6 +136,22 @@ class QScalar:
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
         return self.s
+
+    def as_laurent(self):
+        """{q-exponent: int} of an integer Laurent polynomial; ValueError
+        for any other element."""
+        # canonical denominators are primitive with a positive leading
+        # coefficient, so a single-term one is q^k
+        if len(self.dc) != 1:
+            raise ValueError(f"not a Laurent polynomial: {self}")
+        ((k, _),) = self.dc.items()
+        out = {}
+        for e, n in self.nc.items():
+            v = self.s * n
+            if v.denominator != 1:
+                raise ValueError(f"not a Laurent polynomial over the integers: {self}")
+            out[e - k] = int(v)
+        return out
 
     # -- ring/field operations ------------------------------------------
 

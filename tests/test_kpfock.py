@@ -151,20 +151,20 @@ def test_schur_diff_example():
 
 
 def test_tau_identity_is_one():
-    tau, cert = tau_kp(GroupElementSpec.identity(), 0, 4)
+    tau, cert = tau_kp(GroupElementSpec.identity(), 0, 4, window=8)
     assert tau == TimesPoly.one(tau.vars)
     assert cert.ok
 
 
 def test_tau_single_factor():
     g = GroupElementSpec.single(Fraction(2, 3), 0, -1)
-    tau, cert = tau_kp(g, 0, 3)
+    tau, cert = tau_kp(g, 0, 3, window=8)
     assert tau == TimesPoly.one(tau.vars) + TimesPoly.var(tau.vars, "x1", coeff=qs(Fraction(2, 3)))
 
 
 def test_two_sided_cauchy_value():
     # frozen from the independent product expansion at degrees (3, 3)
-    tau, direct, cert = cauchy_pair(3)
+    tau, direct, cert = cauchy_pair(3, window=8)
     assert (tau - direct).is_zero()
     assert tau.coefficient((1, 0, 0, 1, 0, 0)) == ONE          # x1 u1
     assert tau.coefficient((2, 0, 0, 2, 0, 0)) == qs(Fraction(1, 2))  # x1^2 u1^2 / 2
@@ -174,13 +174,13 @@ def test_two_sided_cauchy_value():
 
 
 def test_m4_trivial_tau():
-    res, certs = m4_residual(GroupElementSpec.identity(), degree=4)
+    res, certs = m4_residual(GroupElementSpec.identity(), degree=4, window=8)
     assert res.is_zero()
     assert all(c.ok for c in certs)
 
 
 def test_m4_single_factor_degree6():
-    res, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6)
+    res, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6, window=8)
     assert res.is_zero()
 
 
@@ -189,27 +189,27 @@ def test_m3_residuals():
         GroupElementSpec.identity(),
         GroupElementSpec.single(Fraction(1), 0, -1),
     ):
-        res, _ = m3_residual(g, degree=4)
+        res, _ = m3_residual(g, degree=4, window=8)
         assert res.is_zero()
 
 
 def test_m3_m4_random_product_seeded():
     rng = random.Random(0)
     g = GroupElementSpec.random_unipotent(rng, 3, 2)
-    res, _ = m4_residual(g, degree=5)
+    res, _ = m4_residual(g, degree=5, window=8)
     assert res.is_zero()
-    res, _ = m3_residual(g, degree=5)
+    res, _ = m3_residual(g, degree=5, window=8)
     assert res.is_zero()
 
 
 def test_h6_identity_small():
-    res, certs = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3)
+    res, certs = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3, window=8)
     assert res.is_zero()
     assert all(c.ok for c in certs)
 
 
 def test_h6_nontrivial_charges_small():
-    res, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3)
+    res, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3, window=8)
     assert res.is_zero()
 
 
@@ -227,7 +227,7 @@ def test_m3_degree_needs_window_margin():
 
 
 def test_certificates_reported():
-    rep = verify_hirota_kp("M4", GroupElementSpec.identity(), degree=4)
+    rep = verify_hirota_kp("M4", GroupElementSpec.identity(), degree=4, window=8)
     assert rep.verdict
     assert any("window" in d for d in rep.details)
 
@@ -247,17 +247,17 @@ def test_h6_old_margin_mutant_fails(monkeypatch):
 
     monkeypatch.setattr(kpfock, "schur_pair_caps", lambda degree, offset: (degree + 1, degree + 1))
     g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
-    res, _ = h6_residual(g, 1, 0, degree=3)
+    res, _ = h6_residual(g, 1, 0, degree=3, window=8)
     assert not res.is_zero()
 
 
 def test_caps_on_report():
     g = GroupElementSpec.single(Fraction(1), 0, -1)
-    rep = verify_hirota_kp("H6", g, charges=(1, 0), degree=4)
+    rep = verify_hirota_kp("H6", g, charges=(1, 0), degree=4, window=8)
     assert rep.params["caps"] == (6, 4) and rep.params["degree"] == 4
-    rep = verify_hirota_kp("H6", g, charges=(0, 2), degree=3)
+    rep = verify_hirota_kp("H6", g, charges=(0, 2), degree=3, window=8)
     assert rep.params["caps"] == (3, 4)
-    assert verify_hirota_kp("M4", g, degree=4).params["caps"] == (5, 0)
+    assert verify_hirota_kp("M4", g, degree=4, window=8).params["caps"] == (5, 0)
 
 
 # Sato's expansion tau_n(x, u) = sum_{lambda, mu} s_lambda(x) <lambda, n| g |mu, n> s_mu(u)
@@ -342,7 +342,7 @@ def test_sato_expansion_matches_the_build():
     assert _schur_function((2, 1), 3) == {(3, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1)}
     for g in _g_suite(0):
         for n in (-1, 0, 1):
-            tau, cert = tau_kp(g, n, 6, 6)
+            tau, cert = tau_kp(g, n, 6, 6, window=8)
             assert cert.ok
             assert tau.vars == tuple(f"x{k}" for k in range(1, 7)) + tuple(f"u{k}" for k in range(1, 7))
             built = {m: c.as_rational() for m, c in tau.terms.items()}

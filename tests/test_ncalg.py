@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from tau_forge.ncalg import (
     normal_form,
     q_commuting_pair,
 )
-from tau_forge.qscalar import ONE, Q, QINV, qs
+from tau_forge.qscalar import ONE, Q, QINV, QScalar, qs
 
 PRES = funq_sl2()
 
@@ -100,7 +101,10 @@ def test_single_step_preserves_normal_form():
         w = tuple(rng.choice(PRES.gens) for _ in range(rng.randint(2, 6)))
         base = NCPoly.word(PRES, w)
         for _, combo in PRES.one_step_reductions(w):
-            alt = sum((NCPoly.word(PRES, w2, coeff=c) for w2, c in combo.items()), NCPoly.zero(PRES))
+            alt = sum(
+                (NCPoly.word(PRES, w2, coeff=QScalar.from_terms(c)) for w2, c in combo.items()),
+                NCPoly.zero(PRES),
+            )
             assert alt == base
 
 
@@ -187,3 +191,28 @@ def test_timespoly_ops():
     assert p.scale_var("u", Q).coefficient((2, 0)) == Q * Q
     q = p.subs_var_scaled("x", "u", Q)
     assert q == u * u - (u * u).scale(Q * Q)
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), (ONE + Q).inv()])
+def test_rule_coefficient_must_be_an_integer_laurent_polynomial(coeff):
+    with pytest.raises(PresentationError, match=r"rule b\*a .*not an integer Laurent"):
+        Presentation("half", ("a", "b"), {("b", "a"): {("a", "b"): coeff}})
+
+
+def _raise(*args):
+    raise AssertionError("QScalar arithmetic while rewriting")
+
+
+def test_cold_reduction_does_no_qscalar_arithmetic(monkeypatch):
+    fresh = Presentation(
+        "funq_sl2_fresh",
+        PRES.gens,
+        {pair: {w: QScalar.from_terms(c) for w, c in rhs.items()} for pair, rhs in PRES.rules.items()},
+    )
+    rng = random.Random(11)
+    words = [tuple(rng.choice(PRES.gens) for _ in range(rng.randint(2, 9))) for _ in range(40)]
+    monkeypatch.setattr(QScalar, "__mul__", _raise)
+    monkeypatch.setattr(QScalar, "__add__", _raise)
+    for w in words:
+        assert fresh.reduce_word(w) == PRES.reduce_word(w)
+    assert len(fresh._memo) > len(words)

@@ -6,7 +6,7 @@ import pytest
 from tau_forge import qhirota
 from tau_forge.cli import run_check
 from tau_forge.funq import tau_q
-from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2
+from tau_forge.ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
     BilinearTerm,
     commutative_sl2,
@@ -136,6 +136,7 @@ def test_eq_half_residual_zero():
         (2, 2),
         (Fraction(5, 2), Fraction(5, 2)),
         (3, 3),
+        (Fraction(7, 2), Fraction(7, 2)),
     ],
 )
 def test_lm_grid(j, jp):
@@ -200,6 +201,54 @@ def test_lm_field_width_holds_every_term(j, jp):
             assert top < 1 << ring.width
 
 
+_BOUNDS = (1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 2**40 - 1, 2**40, 2**40 + 1)
+
+
+@pytest.mark.parametrize("bound", _BOUNDS)
+def test_kronecker_round_trip_at_the_bound(bound):
+    # a polynomial whose largest coefficient reaches the bound comes back
+    # digit for digit, at any lowest exponent, with either sign on top
+    bits = qhirota._kronecker_bits(bound)
+    rng = random.Random(bound)
+    polys = [
+        {-3: bound, -2: -bound, 0: bound, 4: -bound},
+        {0: -bound, 1: bound},
+        {5: bound - 1 or bound, 6: -bound},
+        {e: rng.randint(-bound, bound) or bound for e in range(-4, 12)},
+    ]
+    for lau in polys:
+        for low in (min(lau), min(lau) - 2):
+            v = qhirota._encode(lau, bits, low)
+            assert v != 0
+            assert qhirota._decode(v, bits, low) == lau
+
+
+@pytest.mark.parametrize("bound", range(1, 8))
+def test_kronecker_nonzero_never_encodes_to_zero(bound):
+    # every nonzero polynomial with three coefficients in [-bound, bound]
+    bits = qhirota._kronecker_bits(bound)
+    span = range(-bound, bound + 1)
+    for c0 in span:
+        for c1 in span:
+            for c2 in span:
+                lau = {e: c for e, c in ((-1, c0), (0, c1), (1, c2)) if c}
+                if lau:
+                    assert qhirota._encode(lau, bits, -1) != 0
+
+
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(2, 2)])
+def test_lm_digit_width_holds_every_coefficient(j, jp):
+    # the l1 bound behind bits holds every coefficient of both scaled sides
+    ring, _, lhs, rhs = qhirota._lm_packed(j, jp)
+    for side in (lhs, rhs, ring.combine((1, lhs), (-1, rhs))):
+        low, p = side
+        for d in p.values():
+            for v in d.values():
+                lau = qhirota._decode(v, ring.bits, low)
+                assert max(abs(c) for c in lau.values()) < 1 << (ring.bits - 1)
+                assert qhirota._encode(lau, ring.bits, low) == v
+
+
 def test_lm_rejects_unknown_side():
     with pytest.raises(ValueError):
         lm_residual(HALF, HALF, side="both")
@@ -252,6 +301,33 @@ def test_spin_half_checks_fail_with_d_term_scaled_by_q(monkeypatch, check_id):
     (report,) = run_check(check_id)
     assert not report.verdict
     assert report.residual
+
+
+def _commutative_sl2_ad_mutant():
+    # ad -> 1 + 2bc in place of 1 + bc; rules are converted when a
+    # Presentation is built, so the mutant is a new one
+    return Presentation(
+        "commutative_sl2_ad_mutant",
+        ("a", "d", "b", "c"),
+        {
+            ("d", "a"): {(): ONE, ("b", "c"): ONE},
+            ("a", "d"): {(): ONE, ("b", "c"): qs(2)},
+            ("b", "a"): {("a", "b"): ONE},
+            ("c", "a"): {("a", "c"): ONE},
+            ("b", "d"): {("d", "b"): ONE},
+            ("c", "d"): {("d", "c"): ONE},
+            ("c", "b"): {("b", "c"): ONE},
+        },
+    )
+
+
+def test_suite_classical_limit_fails_with_mutated_ad_rule(monkeypatch):
+    # negative control for the q -> 1 branch: equations 1-3 run over
+    # funq_sl2 and stay zero, so only the classical limit can see it
+    monkeypatch.setattr(qhirota, "commutative_sl2", _commutative_sl2_ad_mutant)
+    (report,) = run_check("qliouville.suite")
+    assert not report.verdict
+    assert report.details == ["classical limit residual nonzero: b*c"]
 
 
 def test_lm_fails_when_the_lhs_is_zero(monkeypatch):

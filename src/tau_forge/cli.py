@@ -132,7 +132,7 @@ def run_qscalar_qnumbers(params):
 
 def run_confluence(params):
     pres = params["presentation"]()
-    return ncalg.check_local_confluence(pres, params["max_len"])
+    return ncalg.check_local_confluence(pres)
 
 
 def run_qexp_addition(params):
@@ -368,13 +368,13 @@ def build_registry():
         ),
         CheckDescriptor(
             "ncalg.confluence.funq-sl2",
-            "local confluence of the quantized-SL2 rewrite system",
-            {"presentation": ncalg.funq_sl2, "max_len": 4}, run_confluence,
+            "confluence of the quantized-SL2 rewrite system (diamond lemma)",
+            {"presentation": ncalg.funq_sl2}, run_confluence,
         ),
         CheckDescriptor(
             "ncalg.confluence.gauss-param",
-            "local confluence of the parameter-algebra rewrite system",
-            {"presentation": ncalg.gauss_param, "max_len": 4}, run_confluence,
+            "confluence of the parameter-algebra rewrite system (diamond lemma)",
+            {"presentation": ncalg.gauss_param}, run_confluence,
         ),
         CheckDescriptor(
             "ncalg.qexp-addition",

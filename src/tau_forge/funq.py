@@ -155,7 +155,7 @@ def _semantic_gauss(two_j, convention=None):
     one, zero = NCPoly.one(pres), NCPoly.zero(pres)
     R = la.nilpotent_exp(rep.E, weight("s", lam, -2), one, zero)
     Rbar = la.nilpotent_exp(rep.F, weight("sbar", -lam, 2), one, zero)
-    K = [[zero for _ in range(dim)] for _ in range(dim)]
+    K = la.zeros(dim, dim, zero)
     for r in range(dim):
         k = two_j - 2 * r
         word = ("Q",) * k if k >= 0 else ("Qinv",) * (-k)
@@ -183,7 +183,7 @@ def t_matrix(j, route="abstract", convention=None):
     [[a, b], [c, d]]."""
     two_j = twice(j)
     sem = _semantic_t(two_j, route, convention)
-    return [list(col) for col in zip(*sem)]
+    return la.mat_transpose(sem)
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ class GaussModel:
 # ---------------------------------------------------------------------------
 
 
-def tau_q(j, e_var, f_var, vars=None):
+def tau_q(j, e_var, f_var, vars):
     """tau_j with the e-side flow in slot 1 and the f-side flow in slot 2:
 
         tau_j(u, x) = sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}
@@ -219,7 +219,7 @@ def tau_q(j, e_var, f_var, vars=None):
     if e_var == f_var:
         raise ValueError("e_var and f_var must differ")
     two_j = twice(j)
-    vars = tuple(vars) if vars is not None else (e_var, f_var)
+    vars = tuple(vars)
     pres_poly = _semantic_t(two_j)
     rep = make_rep(Fraction(two_j, 2))
     erow = q_exp_nilpotent(rep.E, e_var, 2, vars)[0]

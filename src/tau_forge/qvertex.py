@@ -356,33 +356,30 @@ def _qexp_commutation_residuals(two_j):
 
     mm, ms = la.mat_mul, la.mat_sub
 
-    def tmul(M, tp):
-        return [[x * tp for x in row] for row in M]
-
     checks = {}
     # exp(te) Phi+ = Phi+ exp(te)
     checks["exp(te)phi+"] = ms(mm(Et, Ap), mm(Ap, Es))
     # exp(te) Phi- = (t Phi+ k^{-1} + Phi-) exp(te)
-    inner = la.mat_add(tmul(mm(Ap, Kinv_s), tvar), Am)
+    inner = la.mat_add(la.mat_scale(mm(Ap, Kinv_s), tvar), Am)
     checks["exp(te)phi-"] = ms(mm(Et, Am), mm(inner, Es))
     # exp(te) Psi+ = Psi+ exp(q t e) - q t Psi- exp(q^{-1} t e)
     Es_q = tp_scale_var(Es, "t", Q)
     Es_qi = tp_scale_var(Es, "t", QINV)
-    rhs = ms(mm(Bp, Es_q), tmul(mm(Bm, Es_qi), tvar.scale(Q)))
+    rhs = ms(mm(Bp, Es_q), la.mat_scale(mm(Bm, Es_qi), tvar.scale(Q)))
     checks["exp(te)psi+"] = ms(mm(Et, Bp), rhs)
     # exp(te) Psi- = Psi- exp(q^{-1} t e)
     checks["exp(te)psi-"] = ms(mm(Et, Bm), mm(Bm, Es_qi))
     # Phi+ exp(sf) = exp(q^{-1} s f) Phi+ - exp(q s f) q^{-1} s Phi-
     Ft_q = tp_scale_var(Ft, "s", Q)
     Ft_qi = tp_scale_var(Ft, "s", QINV)
-    rhs = ms(mm(Ft_qi, Ap), tmul(mm(Ft_q, Am), svar.scale(QINV)))
+    rhs = ms(mm(Ft_qi, Ap), la.mat_scale(mm(Ft_q, Am), svar.scale(QINV)))
     checks["phi+exp(sf)"] = ms(mm(Ap, Fs), rhs)
     # Phi- exp(sf) = exp(q s f) Phi-
     checks["phi-exp(sf)"] = ms(mm(Am, Fs), mm(Ft_q, Am))
     # Psi+ exp(sf) = exp(sf) Psi+
     checks["psi+exp(sf)"] = ms(mm(Bp, Fs), mm(Ft, Bp))
     # Psi- exp(sf) = exp(sf)(Psi- + s k Psi+)
-    inner = la.mat_add(Bm, tmul(mm(K_t, Bp), svar))
+    inner = la.mat_add(Bm, la.mat_scale(mm(K_t, Bp), svar))
     checks["psi-exp(sf)"] = ms(mm(Bm, Fs), mm(Ft, inner))
 
     return checks

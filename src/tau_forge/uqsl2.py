@@ -154,14 +154,14 @@ def antipode_inv_matrices(rep):
 # -- q-exponentials ----------------------------------------------------------
 
 
-def q_exp_nilpotent(A, var, base_power, vars=None):
+def q_exp_nilpotent(A, var, base_power, vars):
     """exp_{q^base}(var * A) for a nilpotent QScalar matrix A, as a TimesPoly
-    matrix over ``vars`` (default: ``var`` alone).
+    matrix over ``vars``.
 
     The series terminates at the nilpotency index; a non-nilpotent input
     raises NonNilpotentError because it would not.
     """
-    vars = tuple(vars) if vars is not None else (var,)
+    vars = tuple(vars)
 
     def weight(m):
         coef = q_number("paren_factorial", m, base_power).inv()

@@ -176,8 +176,8 @@ def test_criterion_11_toda():
 
 def test_criterion_12_infrastructure_properties():
     t0 = time.perf_counter()
-    ok = ncalg.check_local_confluence(ncalg.funq_sl2(), 4).verdict
-    ok = ok and ncalg.check_local_confluence(ncalg.gauss_param(), 4).verdict
+    ok = ncalg.check_local_confluence(ncalg.funq_sl2()).verdict
+    ok = ok and ncalg.check_local_confluence(ncalg.gauss_param()).verdict
     # Heisenberg commutators on boundary-safe states
     for k in range(1, 5):
         for l in range(1, 5):

@@ -94,6 +94,18 @@ def test_main_verify_json(capsys):
     assert data[0]["id"] == "toda.worked"
 
 
+def test_confluence_checks_take_no_length(capsys):
+    assert main(["list"]) == 0
+    assert "max_len" not in capsys.readouterr().out
+    assert main(["verify", "ncalg.confluence.*", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [d["id"] for d in data] == ["ncalg.confluence.funq-sl2", "ncalg.confluence.gauss-param"]
+    for entry in data:
+        assert entry["params"] == {}
+        assert entry["details"][0].startswith("order: (weight, inversions against ")
+        assert entry["details"][1].startswith("ambiguities: ")
+
+
 def test_main_unknown_selector(capsys):
     assert main(["verify", "does.not.exist"]) == 2
     assert "error" in capsys.readouterr().err

@@ -93,7 +93,7 @@ def test_counit_gives_identity():
 
 
 def test_tau_half_is_affine_in_each_slot():
-    tau = tau_q(HALF, "u", "x")
+    tau = tau_q(HALF, "u", "x", ("u", "x"))
     by_word = {w[0]: t for w, t in tau.terms.items()}
     assert str(by_word["a"]) == "1"
     assert str(by_word["b"]) == "u"
@@ -102,12 +102,12 @@ def test_tau_half_is_affine_in_each_slot():
 
 
 def test_tau_zero_spin():
-    assert tau_q(0, "u", "x") == NCPoly.one(funq_sl2(), ("u", "x"))
+    assert tau_q(0, "u", "x", ("u", "x")) == NCPoly.one(funq_sl2(), ("u", "x"))
 
 
 def test_tau_constant_coefficient_is_corner_entry():
     for j in (HALF, 1, Fraction(3, 2)):
-        tau = tau_q(j, "u", "x")
+        tau = tau_q(j, "u", "x", ("u", "x"))
         const = NCPoly(
             tau.pres,
             tau.vars,

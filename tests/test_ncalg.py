@@ -61,9 +61,83 @@ def test_single_relation_application_invariant():
 
 
 def test_confluence_builtins():
-    assert check_local_confluence(funq_sl2(), 4).verdict
-    assert check_local_confluence(gauss_param(), 4).verdict
-    assert check_local_confluence(gauss_param("q"), 4).verdict
+    from tau_forge.qhirota import commutative_sl2
+
+    for pres in (funq_sl2(), gauss_param(), gauss_param("q"), commutative_sl2()):
+        report = check_local_confluence(pres)
+        assert report.verdict, (pres.name, report.residual)
+        assert len(report.details[1].split(", ")) == 8
+    # y x -> q x y has no overlap: confluent with nothing to resolve
+    report = check_local_confluence(q_commuting_pair())
+    assert report.verdict
+    assert report.details == [
+        "order: (weight, inversions against x < y), weight 1 on no letter",
+        "ambiguities: none",
+    ]
+
+
+def test_confluence_report_names_order_and_ambiguities():
+    report = check_local_confluence(funq_sl2())
+    assert report.details == [
+        "order: (weight, inversions against a < d < b < c), weight 1 on a, d",
+        "ambiguities: d*a*d, a*d*a, b*a*d, c*a*d, b*d*a, c*d*a, c*b*a, c*b*d",
+    ]
+    assert check_local_confluence(gauss_param()).details[0] == (
+        "order: (weight, inversions against s < sbar < Q < Qinv), weight 1 on Q, Qinv"
+    )
+
+
+def _funq_variant(change):
+    """funq_sl2 with ``change`` applied to its {left side: {word: Laurent}} rules."""
+    rules = {lhs: dict(rhs) for lhs, rhs in PRES.rule_list}
+    change(rules)
+    return Presentation(
+        "funq_sl2_mutant",
+        PRES.gens,
+        {lhs: {w: QScalar.from_terms(c) for w, c in rhs.items()} for lhs, rhs in rules.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "lhs, divergent",
+    [
+        (("d", "a"), "d*a*d, a*d*a"),
+        (("a", "d"), "d*a*d, a*d*a"),
+        (("b", "a"), "a*d*a, b*a*d, b*d*a"),
+        (("c", "a"), "a*d*a, c*a*d, c*d*a"),
+        (("b", "d"), "d*a*d, b*a*d, b*d*a"),
+        (("c", "d"), "d*a*d, c*a*d, c*d*a"),
+    ],
+)
+def test_confluence_catches_each_flipped_q_power(lhs, divergent):
+    # ba -> q^-1 ab and cd -> q dc among these pass all of qliouville.suite
+    def flip(rules):
+        rules[lhs] = {w: {-e: v for e, v in c.items()} if w else c for w, c in rules[lhs].items()}
+
+    report = check_local_confluence(_funq_variant(flip))
+    assert not report.verdict
+    assert report.residual == f"divergent ambiguities: {divergent}"
+
+
+def test_confluence_fails_a_rule_against_the_order():
+    # ba -> q ab turned round into ab -> q^-1 ba raises the inversion count
+    def reverse(rules):
+        del rules[("b", "a")]
+        rules[("a", "b")] = {("b", "a"): {-1: 1}}
+
+    report = check_local_confluence(_funq_variant(reverse))
+    assert not report.verdict
+    assert report.residual == "rules that do not decrease the order: a*b -> b*a"
+
+
+def test_confluence_fails_a_growing_rule():
+    # cb -> bbc adds a letter: b and c become heavy, and the right side is heavier
+    def grow(rules):
+        rules[("c", "b")] = {("b", "b", "c"): {0: 1}}
+
+    report = check_local_confluence(_funq_variant(grow))
+    assert not report.verdict
+    assert "c*b -> b*b*c" in report.residual
 
 
 def test_confluence_contradictory_rules():
@@ -75,9 +149,9 @@ def test_confluence_contradictory_rules():
             (("y", "x"), {("x", "y"): qs(2)}),
         ],
     )
-    report = check_local_confluence(bad, 3)
+    report = check_local_confluence(bad)
     assert not report.verdict
-    assert "y*x" in report.residual
+    assert report.residual == "divergent ambiguities: y*x"
 
 
 def test_multiplicative_consistency_randomized():

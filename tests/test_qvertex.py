@@ -59,8 +59,8 @@ def test_first_commutation_relation_directly():
     comps = solve_vertex_components(HALF)
     src = make_rep(0)
     tgt = make_rep(HALF)
-    Et = q_exp_nilpotent(tgt.E, "t", 2)
-    Es = q_exp_nilpotent(src.E, "t", 2)
+    Et = q_exp_nilpotent(tgt.E, "t", 2, ("t",))
+    Es = q_exp_nilpotent(src.E, "t", 2, ("t",))
     Ap = tp_lift(comps.phi_plus, ("t",))
     res = la.mat_sub(la.mat_mul(Et, Ap), la.mat_mul(Ap, Es))
     assert all(x.is_zero() for row in res for x in row)
@@ -72,11 +72,11 @@ def test_lowering_exp_derivative_identity():
 
     for j in (HALF, 1, Fraction(3, 2)):
         rep = make_rep(j)
-        M = q_exp_nilpotent(rep.F, "s", -2)
+        M = q_exp_nilpotent(rep.F, "s", -2, ("s",))
         lhs = la.mat_mul(M, tp_lift(rep.F, ("s",)))
         rhs = [[q_derivative(x, "s", -2) for x in row] for row in M]
         assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
-        Me = q_exp_nilpotent(rep.E, "t", 2)
+        Me = q_exp_nilpotent(rep.E, "t", 2, ("t",))
         lhs = la.mat_mul(tp_lift(rep.E, ("t",)), Me)
         rhs = [[q_derivative(x, "t", 2) for x in row] for row in Me]
         assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))

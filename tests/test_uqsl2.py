@@ -56,13 +56,13 @@ def test_rep_relations(two_j):
 
 def test_q_exp_half():
     rep = make_rep(HALF)
-    M = q_exp_nilpotent(rep.E, "t", 2)
+    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
     assert str(M[0][1]) == "t" and str(M[0][0]) == "1"
 
 
 def test_q_exp_spin_one_f():
     rep = make_rep(1)
-    M = q_exp_nilpotent(rep.F, "s", -2)
+    M = q_exp_nilpotent(rep.F, "s", -2, ("s",))
     # I + sF + s^2 F^2 / (2)_{q^-2}
     from tau_forge.qscalar import q_number
 
@@ -73,12 +73,12 @@ def test_q_exp_spin_one_f():
 def test_q_exp_rejects_non_nilpotent():
     rep = make_rep(HALF)
     with pytest.raises(NonNilpotentError):
-        q_exp_nilpotent(rep.K, "t", 2)
+        q_exp_nilpotent(rep.K, "t", 2, ("t",))
 
 
 def test_q_exp_at_zero_is_identity():
     rep = make_rep(Fraction(3, 2))
-    M = q_exp_nilpotent(rep.E, "t", 2)
+    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
     for i in range(rep.dim):
         for j in range(rep.dim):
             val = M[i][j].constant_term()
@@ -96,7 +96,7 @@ def test_weight_grading_conjugation():
     # K exp_{q^2}(t E) K^-1 = exp_{q^2}(q^2 t E)
     for j in (HALF, 1, Fraction(3, 2)):
         rep = make_rep(j)
-        M = q_exp_nilpotent(rep.E, "t", 2)
+        M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
         lhs = la.mat_mul(tp_lift(rep.K, ("t",)), la.mat_mul(M, tp_lift(rep.Kinv, ("t",))))
         rhs = tp_scale_var(M, "t", Q * Q)
         assert all(x.is_zero() for row in la.mat_sub(lhs, rhs) for x in row)

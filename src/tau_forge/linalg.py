@@ -12,7 +12,7 @@ is the one home of two constructions every other module uses:
   (cross-multiplication style), with pivots chosen by a complexity score,
   which keeps rational-function entries from swelling.
 * :func:`nilpotent_exp` sums I + sum_m w_m A^m for a nilpotent A; it serves
-  the q-exponentials, the factorized group-like element and the Toda flows.
+  the q-exponentials and the factorized group-like element.
 """
 
 from __future__ import annotations

@@ -450,39 +450,16 @@ class NCPoly:
         return NCPoly(self.pres, self.vars, out)
 
     def scale(self, c):
-        c = qs(c)
-        if c.is_zero():
-            return NCPoly(self.pres, self.vars)
-        out = {}
-        for w, t in self.terms.items():
-            s = t.scale(c)
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(self.pres, self.vars, out)
+        return _map_terms(self, lambda t: t.scale(c))
 
     def mul_times(self, tp):
-        out = {}
-        for w, t in self.terms.items():
-            s = t * tp
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(self.pres, self.vars, out)
+        return _map_terms(self, lambda t: t * tp)
 
     def scale_var(self, name, factor):
-        out = {}
-        for w, t in self.terms.items():
-            s = t.scale_var(name, factor)
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(self.pres, self.vars, out)
+        return _map_terms(self, lambda t: t.scale_var(name, factor))
 
     def map_coefficients(self, fn):
-        out = {}
-        for w, t in self.terms.items():
-            s = t.map_coefficients(fn)
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(self.pres, self.vars, out)
+        return _map_terms(self, lambda t: t.map_coefficients(fn))
 
     def coefficient_of_word(self, word):
         return self.terms.get(tuple(word), TimesPoly.zero(self.vars))
@@ -525,6 +502,17 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self})"
+
+
+def _map_terms(p, fn):
+    """The NCPoly with ``fn`` applied to each TimesPoly coefficient of p, the
+    words whose image is zero dropped."""
+    out = {}
+    for w, t in p.terms.items():
+        s = fn(t)
+        if not s.is_zero():
+            out[w] = s
+    return NCPoly(p.pres, p.vars, out)
 
 
 def _composite(text):

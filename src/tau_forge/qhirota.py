@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .funq import tau_q
-from .ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
+from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2
 from ._kernels import _addmul, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
@@ -68,28 +68,15 @@ def q_derivative(p, var, base_power):
     """Apply D^(q^base) in ``var`` to a TimesPoly or an NCPoly (linearly,
     leaving noncommutative words untouched)."""
     if isinstance(p, NCPoly):
-        out = {}
-        for w, t in p.terms.items():
-            d = q_derivative(t, var, base_power)
-            if not d.is_zero():
-                out[w] = d
-        return NCPoly(p.pres, p.vars, out)
+        return _map_terms(p, lambda t: q_derivative(t, var, base_power))
+    # x^n -> (n)_{q^base} x^(n-1) sends distinct monomials to distinct ones and
+    # (n)_{q^base} != 0 for n >= 1, so no term merges or cancels
     idx = p.vars.index(var)
     out = {}
     for m, c in p.terms.items():
         n = m[idx]
-        if not n:
-            continue
-        mm = list(m)
-        mm[idx] = n - 1
-        mm = tuple(mm)
-        add = c * paren(n, base_power)
-        s = out.get(mm)
-        s = add if s is None else s + add
-        if s.is_zero():
-            out.pop(mm, None)
-        else:
-            out[mm] = s
+        if n:
+            out[m[:idx] + (n - 1,) + m[idx + 1:]] = c * paren(n, base_power)
     return TimesPoly(p.vars, out)
 
 
@@ -100,12 +87,7 @@ def q_shift(p, var, k):
 
 def _subs_scaled(p, src, dst, qpow):
     if isinstance(p, NCPoly):
-        out = {}
-        for w, t in p.terms.items():
-            s = t.subs_var_scaled(src, dst, qpow)
-            if not s.is_zero():
-                out[w] = s
-        return NCPoly(p.pres, p.vars, out)
+        return _map_terms(p, lambda t: t.subs_var_scaled(src, dst, qpow))
     return p.subs_var_scaled(src, dst, qpow)
 
 

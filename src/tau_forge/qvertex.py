@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg as la
 from .linalg import ConventionError
@@ -32,6 +33,7 @@ from .ncalg import TimesPoly
 from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket
 from .report import VerificationReport
 from .uqsl2 import (
+    COPRODUCT,
     Rep,
     antipode_inv_matrices,
     antipode_matrices,
@@ -49,11 +51,10 @@ def _w_rep():
 
 
 def _twisted_dual_w():
-    """W* with x acting as rho(S'(x))^T; k^{-1} acts as k^T since S'(k^{-1}) = k."""
-    w = _w_rep()
-    Sp = antipode_inv_matrices(w)
+    """W* with x acting as rho(S'(x))^T."""
+    Sp = antipode_inv_matrices(_w_rep())
     t = la.mat_transpose
-    return Rep(1, t(Sp["e"]), t(Sp["f"]), t(Sp["k"]), t(w.K))
+    return Rep(1, t(Sp["e"]), t(Sp["f"]), t(Sp["k"]), t(Sp["kinv"]))
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,6 @@ def _vec_sub(u, v):
 # -- Proposition-style component relations -----------------------------------
 
 
-def _w_action_entry(x, i, j_):
-    """Matrix entry: coefficient of w_i in x w_j (standard column-action)."""
-    w = _w_rep()
-    return {"e": w.E, "f": w.F, "k": w.K}[x][i][j_]
-
-
 def verify_component_relations(j):
     """Check the four component-relation families for x in {e, f, k}, plus the
     canonical identification of dual components with twisted-dual solves."""
@@ -197,31 +192,32 @@ def verify_component_relations(j):
     # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
     # (R3)  sum x2 Phi_i S'(x1) = sum_j rho_i^j(x) Phi_j
     # (R4)  sum x1 Psi_i S(x2) = sum_j rho_i^j(x) Psi_j
-    # rows: name, _delta_split mode, components, whether rho is indexed (j, i)
+    # rows: name, components, whether rho is indexed (j, i), the leg of each
+    # summand x1 ox x2 on the target side (0 for x1, 1 for x2; the other leg
+    # goes on the source side), and the target- and source-side tables, an
+    # antipode table on the twisted side
+    S_t, Sp_t = antipode_matrices(tgt), antipode_inv_matrices(tgt)
+    S_s, Sp_s = antipode_matrices(src), antipode_inv_matrices(src)
     families = (
-        ("R1", "S-first", comps.phi_up, False),
-        ("R2", "Sp-second", (comps.psi_plus, comps.psi_minus), False),
-        ("R3", "Sp-first", (comps.phi_plus, comps.phi_minus), True),
-        ("R4", "S-second", comps.psi_dn, True),
+        ("R1", comps.phi_up, False, 0, S_t, src.legs),
+        ("R2", (comps.psi_plus, comps.psi_minus), False, 1, Sp_t, src.legs),
+        ("R3", (comps.phi_plus, comps.phi_minus), True, 1, tgt.legs, Sp_s),
+        ("R4", comps.psi_dn, True, 0, tgt.legs, S_s),
     )
+    rho = _w_rep().legs
 
     for x in ("e", "f", "k"):
-        for name, mode, comp, swapped in families:
+        for name, comp, swapped, side, on_tgt, on_src in families:
             for i in (0, 1):
-                lhs = None
-                for left, right in _delta_split(x, tgt, src, mode):
-                    term = la.mat_mul(left, la.mat_mul(comp[i], right))
-                    lhs = term if lhs is None else la.mat_add(lhs, term)
-                rhs = None
+                lhs = reduce(la.mat_add, [
+                    la.mat_mul(on_tgt[legs[side]], la.mat_mul(comp[i], on_src[legs[1 - side]]))
+                    for legs in COPRODUCT[x]
+                ])
                 for jj in (0, 1):
-                    coef = _w_action_entry(x, jj, i) if swapped else _w_action_entry(x, i, jj)
-                    if coef.is_zero():
-                        continue
-                    term = la.mat_scale(comp[jj], coef)
-                    rhs = term if rhs is None else la.mat_add(rhs, term)
-                if rhs is None:
-                    rhs = la.zeros(tgt.dim, src.dim)
-                if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
+                    coef = rho[x][jj][i] if swapped else rho[x][i][jj]
+                    if not coef.is_zero():
+                        lhs = la.mat_sub(lhs, la.mat_scale(comp[jj], coef))
+                if not la.mat_is_zero(lhs):
                     ok = False
                     details.append(f"{name} fails at x={x}, i={'+-'[i]}")
 
@@ -261,54 +257,6 @@ def _proportional_pairs(pair1, pair2):
                     elif r != ratio:
                         return False
     return ratio is not None
-
-
-def _delta_split(x, tgt, src, mode):
-    """Summands of Delta(x) with an antipode applied to one leg.
-
-    Returns (target-side matrix, source-side matrix) pairs for each summand
-    x^{(1)} ox x^{(2)}:
-
-    * ``S-first``:  (S(x1) in tgt, x2 in src)
-    * ``Sp-second``:(S'(x2) in tgt, x1 in src)
-    * ``Sp-first``: (x2 in tgt, S'(x1) in src)
-    * ``S-second``: (x1 in tgt, S(x2) in src)
-    """
-    St, Spt = antipode_matrices(tgt), antipode_inv_matrices(tgt)
-    Ss, Sps = antipode_matrices(src), antipode_inv_matrices(src)
-
-    def tmat(rep, sym):
-        return {
-            "e": rep.E, "f": rep.F, "k": rep.K, "kinv": rep.Kinv, "one": la.identity(rep.dim)
-        }[sym]
-
-    def smat(table, sym, rep):
-        if sym == "one":
-            return la.identity(rep.dim)
-        if sym == "kinv":
-            return rep.K  # S(k^{-1}) = S'(k^{-1}) = k
-        return table[sym]
-
-    if x == "e":
-        summands = [("e", "one"), ("kinv", "e")]
-    elif x == "f":
-        summands = [("one", "f"), ("f", "k")]
-    else:
-        summands = [("k", "k")]
-
-    out = []
-    for x1, x2 in summands:
-        if mode == "S-first":
-            out.append((smat(St, x1, tgt), tmat(src, x2)))
-        elif mode == "Sp-second":
-            out.append((smat(Spt, x2, tgt), tmat(src, x1)))
-        elif mode == "Sp-first":
-            out.append((tmat(tgt, x2), smat(Sps, x1, src)))
-        elif mode == "S-second":
-            out.append((tmat(tgt, x1), smat(Ss, x2, src)))
-        else:
-            raise ValueError(mode)
-    return out
 
 
 # -- commutation with the q-exponential flows ---------------------------------

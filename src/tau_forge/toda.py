@@ -16,8 +16,8 @@ derivative of an entry shifts its row and column index down by one, so each
 derivative of a minor is itself a bordered minor.  Both formulations are
 computed and compared; that cross-check is the oracle for the identity.
 
-The minors are computed over the integers.  The flow matrix A is built once
-over Q; with c the lcm of its coefficient denominators, cA has integer
+The minors are computed over the integers.  The flow matrix A is read off g
+term by term; with c the lcm of its coefficient denominators, cA has integer
 polynomial entries, stored as {packed monomial: int} dicts.  A packed
 monomial holds the exponent tuple in one int of fixed-width bit fields, the
 width taken from the instance's degree bound, so adding two packed monomials
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from . import linalg as la
 from ._kernels import _addmul, _pack, _trim, _unpack
 from .ncalg import TimesPoly
 from .qscalar import qs
@@ -112,24 +111,6 @@ def _det_fraction(m):
     return det
 
 
-def _flow_matrix(inst):
-    """exp(x I_1) g exp(u I_1^T) over Q: x on the superdiagonal of H and u
-    on the subdiagonal of H'."""
-    size = inst.size
-    one, zero = TimesPoly.one(_VARS), TimesPoly.zero(_VARS)
-    x, u = TimesPoly.var(_VARS, "x"), TimesPoly.var(_VARS, "u")
-    H = [[x if j - i == 1 else zero for j in range(size)] for i in range(size)]
-    Hp = [[u if i - j == 1 else zero for j in range(size)] for i in range(size)]
-
-    def weight(m):
-        return TimesPoly.const(_VARS, Fraction(1, factorial(m)))
-
-    E = la.nilpotent_exp(H, weight, one, zero)
-    F = la.nilpotent_exp(Hp, weight, one, zero)
-    G = [[TimesPoly.const(_VARS, qs(v)) for v in row] for row in inst.g]
-    return la.mat_mul(la.mat_mul(E, G), F)
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials with packed monomials: {packed exponents: int}
 # ---------------------------------------------------------------------------
@@ -153,17 +134,27 @@ def _pderiv(p, idx, width):
 
 
 def _integer_flow(inst):
-    """(width, c, cA): the flow matrix A once over Q, c the lcm of its
-    coefficient denominators and cA as packed integer polynomials."""
-    A = _flow_matrix(inst)
-    coeffs = [q.as_rational() for row in A for p in row for q in p.terms.values()]
-    c = lcm(*(f.denominator for f in coeffs))
+    """(width, c, cA): the flow matrix A = exp(x I_1) g exp(u I_1^T), c the
+    lcm of its coefficient denominators and cA as packed integer polynomials.
+
+    A[i][k] = sum over a >= i, b >= k of g[a][b] x^(a-i) u^(b-k) / ((a-i)! (b-k)!),
+    one monomial per (a, b), so A is read off g term by term."""
+    n = inst.size
+    A = [
+        [
+            {(a - i, b - k): v / (factorial(a - i) * factorial(b - k))
+             for a in range(i, n) for b in range(k, n) if (v := inst.g[a][b])}
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    c = lcm(*(f.denominator for row in A for p in row for f in p.values()))
     # a minor takes one entry from each row, so no exponent in a minor of A
     # exceeds the sum over rows of the row's largest exponent, and none in a
     # product of two minors exceeds twice that
-    bound = sum(max((e for p in row for m in p.terms for e in m), default=0) for row in A)
+    bound = sum(max((e for p in row for m in p for e in m), default=0) for row in A)
     width = max(1, (2 * bound).bit_length())
-    cA = [[{_pack(m, width): int(q.as_rational() * c) for m, q in p.terms.items()} for p in row] for row in A]
+    cA = [[{_pack(m, width): int(f * c) for m, f in p.items()} for p in row] for row in A]
     return width, c, cA
 
 

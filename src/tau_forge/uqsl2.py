@@ -5,11 +5,16 @@ Conventions (validated by the relation and Hopf checks below):
 * basis v_0 .. v_{2j} with v_0 the highest weight vector,
 * K v_r = q^{2(j-r)} v_r,
 * F v_r = v_{r+1} (so F's matrix is 0/1 on the subdiagonal),
-* E v_r = [r]_q [2j-r+1]_q v_{r-1},
-* coproduct  D(e) = e ox 1 + k^{-1} ox e,  D(f) = 1 ox f + f ox k,
-  D(k) = k ox k,
-* antipode   S(e) = -k e,  S(f) = -f k^{-1},  S(k) = k^{-1}, with inverse
-  S'(e) = -e k, S'(f) = -k^{-1} f, S'(k) = k^{-1}.
+* E v_r = [r]_q [2j-r+1]_q v_{r-1}.
+
+The Hopf structure is stated once, here: ``COPRODUCT`` lists the summands
+of D(e) = k^{-1} ox e + e ox 1, D(f) = 1 ox f + f ox k, D(k) = k ox k and
+D(k^{-1}), each leg named e, f, k, kinv or one (``Rep.legs``);
+``antipode_matrices`` gives S(e) = -k e, S(f) = -f k^{-1}, S(k) = k^{-1} and
+``antipode_inv_matrices`` its inverse S'(e) = -e k, S'(f) = -k^{-1} f,
+S'(k) = k^{-1}, both for every leg name; ``COUNIT`` gives eps.  Every
+tensor product, Hopf check and antipode-twisted vertex relation reads these
+tables.
 
 Spins are stored as twice-spin integers; public entry points accept 1/2,
 Fraction(1, 2), or the integer/float equivalent.
@@ -19,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from . import linalg as la
 from .linalg import NonNilpotentError  # noqa: F401  (re-exported; q_exp_nilpotent raises it)
 from .ncalg import TimesPoly
-from .qscalar import ONE, Q, QINV, QScalar, bracket, q_number
+from .qscalar import ONE, Q, QINV, QScalar, bracket, q_number, qs
 from .report import VerificationReport
 
 
@@ -55,6 +61,11 @@ class Rep:
     def action(self):
         """Matrices of e, f, k."""
         return self.E, self.F, self.K
+
+    @cached_property
+    def legs(self):
+        """Matrix of each coproduct leg by name."""
+        return {"e": self.E, "f": self.F, "k": self.K, "kinv": self.Kinv, "one": la.identity(self.dim)}
 
 
 _REP_CACHE = {}
@@ -107,47 +118,49 @@ def _mat_pow(A, n):
     return acc
 
 
-# -- tensor products (iterated coproduct acts left-to-right) ----------------
+# -- the Hopf structure -------------------------------------------------------
+
+# D(x) = sum x1 ox x2; the summands of D(e) and D(f) are listed in the order
+# in which exp(D(x)) factors into the exponentials of the summands
+COPRODUCT = {
+    "e": (("kinv", "e"), ("e", "one")),
+    "f": (("one", "f"), ("f", "k")),
+    "k": (("k", "k"),),
+    "kinv": (("kinv", "kinv"),),
+}
+COUNIT = {"e": 0, "f": 0, "k": 1, "kinv": 1}
 
 
-def tensor_e(repA, repB):
-    IB = la.identity(repB.dim)
-    return la.mat_add(la.kron(repA.E, IB), la.kron(repA.Kinv, repB.E))
-
-
-def tensor_f(repA, repB):
-    IA = la.identity(repA.dim)
-    return la.mat_add(la.kron(IA, repB.F), la.kron(repA.F, repB.K))
-
-
-def tensor_k(repA, repB):
-    return la.kron(repA.K, repB.K)
+def _delta(x, repA, repB):
+    """The matrix of D(x) on repA ox repB."""
+    A, B = repA.legs, repB.legs
+    return reduce(la.mat_add, [la.kron(A[x1], B[x2]) for x1, x2 in COPRODUCT[x]])
 
 
 def coproduct(repA, repB):
     """Matrices of Delta(e), Delta(f), Delta(k) on repA ox repB."""
-    return tensor_e(repA, repB), tensor_f(repA, repB), tensor_k(repA, repB)
-
-
-def tensor_kinv(repA, repB):
-    return la.kron(repA.Kinv, repB.Kinv)
+    return tuple(_delta(x, repA, repB) for x in "efk")
 
 
 def antipode_matrices(rep):
-    """Matrices of S(e), S(f), S(k) in the representation."""
+    """Matrices of S(x) in the representation, for every leg name x."""
     return {
         "e": la.mat_neg(la.mat_mul(rep.K, rep.E)),
         "f": la.mat_neg(la.mat_mul(rep.F, rep.Kinv)),
         "k": rep.Kinv,
+        "kinv": rep.K,
+        "one": rep.legs["one"],
     }
 
 
 def antipode_inv_matrices(rep):
-    """Matrices of S'(e), S'(f), S'(k) where S' is the inverse antipode."""
+    """Matrices of S'(x), S' the inverse antipode, for every leg name x."""
     return {
         "e": la.mat_neg(la.mat_mul(rep.E, rep.K)),
         "f": la.mat_neg(la.mat_mul(rep.Kinv, rep.F)),
         "k": rep.Kinv,
+        "kinv": rep.K,
+        "one": rep.legs["one"],
     }
 
 
@@ -189,10 +202,8 @@ def verify_hopf_matrices(j, jp):
     repA = make_rep(j)
     repB = make_rep(jp)
     details = []
-    ok = True
     dE, dF, dK = coproduct(repA, repB)
-    dKi = tensor_kinv(repA, repB)
-    n = len(dE)
+    dKi = _delta("kinv", repA, repB)
     lam = Q - QINV
 
     # (a) defining relations hold for the coproduct images
@@ -202,52 +213,29 @@ def verify_hopf_matrices(j, jp):
             la.mat_sub(la.mat_mul(dE, dF), la.mat_mul(dF, dE)),
             la.mat_scale(la.mat_sub(dK, dKi), lam.inv()),
         ),
-        "delta:kk^-1": la.mat_sub(la.mat_mul(dK, dKi), la.identity(n)),
+        "delta:kk^-1": la.mat_sub(la.mat_mul(dK, dKi), la.identity(len(dE))),
     }
-    for name, res in checks.items():
-        if not la.mat_is_zero(res):
-            ok = False
-            details.append(f"failed {name}")
+    details += [f"failed {name}" for name, res in checks.items() if not la.mat_is_zero(res)]
 
-    # (b) factorization of exp_{q^2}(t e) under the coproduct
-    t_vars = ("t",)
-    lhs = q_exp_nilpotent(dE, "t", 2, t_vars)
-    IB = la.identity(repB.dim)
-    IA = la.identity(repA.dim)
-    rhs = la.mat_mul(
-        q_exp_nilpotent(la.kron(repA.Kinv, repB.E), "t", 2, t_vars),
-        q_exp_nilpotent(la.kron(repA.E, IB), "t", 2, t_vars),
-    )
-    if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-        ok = False
-        details.append("failed factorization of exp_{q^2}(t e)")
+    # (b), (c) exp_{q^2}(t D(e)) and exp_{q^-2}(s D(f)) are the products of
+    # the exponentials of their summands, in COPRODUCT order
+    A, B = repA.legs, repB.legs
+    for x, var, base, label in (("e", "t", 2, "exp_{q^2}(t e)"), ("f", "s", -2, "exp_{q^-2}(s f)")):
+        lhs = q_exp_nilpotent(_delta(x, repA, repB), var, base, (var,))
+        factors = [q_exp_nilpotent(la.kron(A[x1], B[x2]), var, base, (var,)) for x1, x2 in COPRODUCT[x]]
+        if not la.mat_is_zero(la.mat_sub(lhs, reduce(la.mat_mul, factors))):
+            details.append(f"failed factorization of {label}")
 
-    # (c) factorization of exp_{q^-2}(s f)
-    s_vars = ("s",)
-    lhs = q_exp_nilpotent(dF, "s", -2, s_vars)
-    rhs = la.mat_mul(
-        q_exp_nilpotent(la.kron(IA, repB.F), "s", -2, s_vars),
-        q_exp_nilpotent(la.kron(repA.F, repB.K), "s", -2, s_vars),
-    )
-    if not la.mat_is_zero(la.mat_sub(lhs, rhs)):
-        ok = False
-        details.append("failed factorization of exp_{q^-2}(s f)")
-
-    # (d) antipode axiom m(S ox id)Delta(x) = eps(x) 1 on generators,
-    #     checked in each factor representation
+    # (d) antipode axiom sum S(x1) x2 = eps(x) 1 over each D(x), checked in
+    #     each factor representation
     for rep in (repA, repB):
-        S = antipode_matrices(rep)
-        I = la.identity(rep.dim)
-        axiom = {
-            "e": la.mat_add(la.mat_mul(S["e"], I), la.mat_mul(rep.K, rep.E)),
-            "f": la.mat_add(rep.F, la.mat_mul(S["f"], rep.K)),
-            "k": la.mat_sub(la.mat_mul(S["k"], rep.K), I),
-        }
-        for name, res in axiom.items():
-            if not la.mat_is_zero(res):
-                ok = False
-                details.append(f"failed antipode axiom on {name} at spin {rep.spin}")
+        S, legs = antipode_matrices(rep), rep.legs
+        for x, summands in COPRODUCT.items():
+            total = reduce(la.mat_add, [la.mat_mul(S[x1], legs[x2]) for x1, x2 in summands])
+            if not la.mat_is_zero(la.mat_sub(total, la.mat_scale(legs["one"], qs(COUNIT[x])))):
+                details.append(f"failed antipode axiom on {x} at spin {rep.spin}")
 
+    ok = not details
     return VerificationReport(
         check_id="hopf.matrices",
         verdict=ok,

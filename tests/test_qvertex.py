@@ -139,3 +139,53 @@ def test_convention_error_is_shared():
     from tau_forge import qvertex
 
     assert qvertex.ConventionError is la.ConventionError
+
+
+def _failures(report):
+    """(relation, x) of each failed component relation in the details."""
+    return {(d.split()[0], d.split("x=")[1][0]) for d in report.details if " fails at x=" in d}
+
+
+def test_checks_fail_with_antipode_of_e_reversed(monkeypatch):
+    # S(e) = -e k in place of -k e
+    from tau_forge import qvertex, uqsl2
+    from tau_forge.cli import run_check
+
+    antipode = uqsl2.antipode_matrices
+
+    def reversed_e(rep):
+        return {**antipode(rep), "e": la.mat_neg(la.mat_mul(rep.E, rep.K))}
+
+    monkeypatch.setattr(uqsl2, "antipode_matrices", reversed_e)
+    monkeypatch.setattr(qvertex, "antipode_matrices", reversed_e)
+    (hopf,) = run_check("hopf.matrices")
+    assert not hopf.verdict
+    assert "failed antipode axiom on e" in hopf.residual
+    (relations,) = run_check("vertex.component-relations")
+    assert not relations.verdict
+    # R4 twists the source leg, and e = 0 on the source V_0 at j = 1/2
+    assert _failures(verify_component_relations(HALF)) == {("R1", "e")}
+    for j in (1, Fraction(3, 2), 2):
+        assert _failures(verify_component_relations(j)) == {("R1", "e"), ("R4", "e")}
+
+
+def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch):
+    # phi_- at j = 1 scaled by q
+    import dataclasses
+
+    from tau_forge import qvertex
+    from tau_forge.cli import run_check
+
+    comps = solve_vertex_components(1)
+    scaled = dataclasses.replace(comps, phi_minus=la.mat_scale(comps.phi_minus, Q))
+    monkeypatch.setitem(qvertex._VERTEX_CACHE, 2, scaled)
+    (relations, normalizations, commutation) = run_check("vertex.*")
+    assert [r.check_id for r in (relations, normalizations, commutation)] == [
+        "vertex.component-relations", "vertex.normalizations", "vertex.qexp-commutation",
+    ]
+    assert not relations.verdict
+    assert {name for name, _ in _failures(verify_component_relations(1))} == {"R3"}
+    assert not normalizations.verdict
+    assert "j=1: phi-|hw> mismatch" in normalizations.details
+    assert not commutation.verdict
+    assert verify_qexp_commutation(1).details == ["failed exp(te)phi-", "failed phi+exp(sf)"]

@@ -100,3 +100,14 @@ def test_weight_grading_conjugation():
         lhs = la.mat_mul(tp_lift(rep.K, ("t",)), la.mat_mul(M, tp_lift(rep.Kinv, ("t",))))
         rhs = tp_scale_var(M, "t", Q * Q)
         assert all(x.is_zero() for row in la.mat_sub(lhs, rhs) for x in row)
+
+
+def test_hopf_matrices_fail_with_mutated_coproduct(monkeypatch):
+    # D(e) = e ox 1 + k ox e in place of k^{-1} ox e: S(e) + S(k) e != 0
+    from tau_forge import uqsl2
+    from tau_forge.cli import run_check
+
+    monkeypatch.setitem(uqsl2.COPRODUCT, "e", (("k", "e"), ("e", "one")))
+    (report,) = run_check("hopf.matrices")
+    assert not report.verdict
+    assert "failed antipode axiom on e" in report.residual

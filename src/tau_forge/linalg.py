@@ -1,7 +1,16 @@
 """Small exact-matrix helpers over QScalar (and any ring with +, *, -).
 
-Matrices are plain lists of lists.  Besides the entrywise helpers the module
-is the one home of two constructions every other module uses:
+Matrices are plain lists of lists.  The products cost in proportion to the
+nonzero entries: :func:`mat_mul` forms A[i][t] B[t][j] only where both
+factors are nonzero, :func:`kron` gives a zero block for a zero entry of A
+without multiplying, and :func:`mat_add` / :func:`mat_sub` pass the left
+entry through where the right one is zero.  Zero means the exact
+``is_zero()``.  An entry with no nonzero term is the zero of the operands'
+ring, as a dense sum would give it: a TimesPoly zero keeps its ``vars`` and
+an NCPoly zero its presentation.
+
+Besides the entrywise helpers the module is the one home of two
+constructions every other module uses:
 
 * :func:`intertwiner` solves L_x M = M R_x for x = e, f, k by one
   nullspace; it serves the vertex operators and the tensor projections.
@@ -37,11 +46,11 @@ def identity(n, one=ONE, zero=ZERO):
 
 
 def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a if b.is_zero() else a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a if b.is_zero() else a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_neg(A):
@@ -53,19 +62,35 @@ def mat_scale(A, c):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+    """A B with one product per pair of nonzero entries A[i][t], B[t][j];
+    each entry sums its products in increasing t."""
+    m = len(B[0])
+    B_nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
+    zero = None
     out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = Ai[t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+    for Ai in A:
+        acc = {}
+        for t, a in enumerate(Ai):
+            if a.is_zero():
+                continue
+            for j, b in B_nonzero[t]:
+                term = a * b
+                acc[j] = acc[j] + term if j in acc else term
+        if len(acc) < m and zero is None:
+            zero = _product_zero(A, B)
+        out.append([acc.get(j, zero) for j in range(m)])
     return out
+
+
+def _product_zero(A, B):
+    """The zero of the ring of A's entries times B's, for a product whose
+    entry has no nonzero term: a zero entry of A if there is one, else one
+    product by a zero entry of B."""
+    for row in A:
+        for a in row:
+            if a.is_zero():
+                return a
+    return A[0][0] * next(b for row in B for b in row if b.is_zero())
 
 
 def mat_transpose(A):
@@ -73,14 +98,14 @@ def mat_transpose(A):
 
 
 def kron(A, B):
-    na, ma = len(A), len(A[0])
-    nb, mb = len(B), len(B[0])
-    out = zeros(na * nb, ma * mb, zero=None)
-    for i in range(na):
-        for j in range(ma):
-            for k in range(nb):
-                for l in range(mb):
-                    out[i * nb + k][j * mb + l] = A[i][j] * B[k][l]
+    out = []
+    for Ai in A:
+        blocks = [(a, a.is_zero()) for a in Ai]
+        for Bk in B:
+            row = []
+            for a, a_zero in blocks:
+                row.extend([a] * len(Bk) if a_zero else [a * b for b in Bk])
+            out.append(row)
     return out
 
 

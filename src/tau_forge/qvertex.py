@@ -73,6 +73,13 @@ class VertexComponents:
 
 _VERTEX_CACHE = {}
 
+# 2j -> the annihilating-right and creating-left solves over the twisted
+# dual of W that verify_component_relations compares against; a failed
+# solve is never stored
+_DUAL_CACHE = {}
+
+_DUAL_FAMILIES = ("annihilating right", "creating left")
+
 
 def solve_vertex_components(j):
     """Solve all vertex-operator components V_{j-1/2} -> V_j exactly."""
@@ -225,13 +232,23 @@ def verify_component_relations(j):
     # annihilating-right solve over the S'-twisted dual of W; annihilating-
     # left components match a creating-left solve over the S'-twisted dual
     # (the S-twist is its inverse, so twisting twice returns W itself)
-    dual = _twisted_dual_w()
-    if not _proportional_pairs(comps.phi_up, _family_components(two_j, "annihilating right", dual)):
-        ok = False
-        details.append("dual identification fails for creating-right components")
-    if not _proportional_pairs(comps.psi_dn, _family_components(two_j, "creating left", dual)):
-        ok = False
-        details.append("dual identification fails for annihilating-left components")
+    duals = _DUAL_CACHE.get(two_j)
+    if duals is None:
+        dual, duals = _twisted_dual_w(), {}
+        for family in _DUAL_FAMILIES:
+            try:
+                duals[family] = _family_components(two_j, family, dual)
+            except ConventionError as exc:
+                ok = False
+                details.append(f"twisted-dual {family} solve fails: {exc}")
+        if len(duals) == len(_DUAL_FAMILIES):
+            _DUAL_CACHE[two_j] = duals
+    for family, comp, name in zip(
+        _DUAL_FAMILIES, (comps.phi_up, comps.psi_dn), ("creating-right", "annihilating-left")
+    ):
+        if family in duals and not _proportional_pairs(comp, duals[family]):
+            ok = False
+            details.append(f"dual identification fails for {name} components")
 
     return VerificationReport(
         check_id="vertex.component-relations",

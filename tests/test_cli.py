@@ -143,10 +143,28 @@ def test_ms_covers_the_whole_check(monkeypatch):
     import tau_forge.qvertex as qvertex
 
     monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
+    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
     t0 = time.perf_counter()
     (report,) = run_check("vertex.component-relations")
     wall = (time.perf_counter() - t0) * 1000.0
     assert report.ms >= 0.9 * wall
+
+
+def test_component_relations_report_does_not_depend_on_caches(monkeypatch):
+    import tau_forge.qvertex as qvertex
+
+    def report():
+        (r,) = run_check("vertex.component-relations")
+        d = r.to_dict()
+        del d["ms"]
+        return d
+
+    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
+    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
+    cold = report()
+    run_check("*")
+    assert qvertex._DUAL_CACHE
+    assert report() == cold
 
 
 def test_boundary_guard_surfaces_as_usage_error(capsys):

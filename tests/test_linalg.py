@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tau_forge import linalg as la
-from tau_forge.qscalar import ONE, Q, QINV, ZERO
+from tau_forge.ncalg import NCPoly, TimesPoly, q_commuting_pair
+from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO
 from tau_forge.uqsl2 import coproduct, make_rep
 from test_funq import EMBED_PAIRS
 
@@ -70,3 +72,161 @@ def test_intertwiner_rejects_non_diagonal_k():
         la.intertwiner((rep.E, rep.F, upper), rep.action)
     with pytest.raises(ValueError):
         la.intertwiner(rep.action, (rep.E, rep.F, upper))
+
+
+# -- the products against the dense loops they replaced ----------------------
+
+
+def _dense_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                term = A[i][t] * B[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _dense_kron(A, B):
+    nb, mb = len(B), len(B[0])
+    out = [[None] * (len(A[0]) * mb) for _ in range(len(A) * nb)]
+    for i in range(len(A)):
+        for j in range(len(A[0])):
+            for k in range(nb):
+                for l in range(mb):
+                    out[i * nb + k][j * mb + l] = A[i][j] * B[k][l]
+    return out
+
+
+def _dense_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _dense_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+TVARS = ("t", "s")
+PAIR = q_commuting_pair()
+
+
+def _qscalar(rng):
+    return QScalar.from_rational(rng.choice([-2, -1, 1, 3])) * QScalar.q_power(rng.randint(-2, 2)) + (
+        ONE if rng.random() < 0.5 else ZERO
+    )
+
+
+def _timespoly(rng):
+    return TimesPoly.var(TVARS, rng.choice(TVARS), _qscalar(rng), rng.randint(0, 2))
+
+
+def _ncpoly(rng):
+    word = [rng.choice(PAIR.gens) for _ in range(rng.randint(0, 2))]
+    return NCPoly.word(PAIR, word, TVARS, _qscalar(rng)).mul_times(_timespoly(rng))
+
+
+RINGS = {
+    "qscalar": (_qscalar, ZERO),
+    "timespoly": (_timespoly, TimesPoly.zero(TVARS)),
+    "ncpoly": (_ncpoly, NCPoly.zero(PAIR, TVARS)),
+}
+
+
+def _sparse(rng, ring, n, m, zero_row=None, zero_col=None):
+    """A seeded n x m matrix over ``ring``, about a third nonzero, with row
+    ``zero_row`` and column ``zero_col`` all zero."""
+    entry, zero = RINGS[ring]
+    return [
+        [
+            entry(rng) if rng.random() < 0.35 and i != zero_row and j != zero_col else zero
+            for j in range(m)
+        ]
+        for i in range(n)
+    ]
+
+
+def _assert_same(M, ref):
+    assert M == ref
+    for row, ref_row in zip(M, ref):
+        for x, y in zip(row, ref_row):
+            assert type(x) is type(y)
+            if x.is_zero() and hasattr(y, "vars"):
+                assert x.vars == y.vars
+                assert getattr(x, "pres", None) is getattr(y, "pres", None)
+
+
+SHAPES = [(1, 4, 3), (4, 1, 3), (3, 4, 1), (1, 1, 1), (4, 5, 4), (5, 3, 2)]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n,k,m", SHAPES)
+def test_products_match_dense_loops(ring, seed, n, k, m):
+    rng = random.Random(seed * 1000 + n * 100 + k * 10 + m)
+    A = _sparse(rng, ring, n, k, zero_row=n - 1 if n > 1 else None, zero_col=0 if k > 1 else None)
+    B = _sparse(rng, ring, k, m, zero_row=k - 1 if k > 1 else None, zero_col=m - 1 if m > 1 else None)
+    _assert_same(la.mat_mul(A, B), _dense_mul(A, B))
+    _assert_same(la.kron(A, B), _dense_kron(A, B))
+    C = _sparse(rng, ring, n, k)
+    _assert_same(la.mat_add(A, C), _dense_add(A, C))
+    _assert_same(la.mat_sub(A, C), _dense_sub(A, C))
+
+
+def _nonzero_entry(rng, ring):
+    x = RINGS[ring][0](rng)
+    return x if not x.is_zero() else _nonzero_entry(rng, ring)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_dense_row_against_zero_column_keeps_the_ring(ring):
+    # no zero entry in A: the empty sums take their zero from one product
+    rng = random.Random(7)
+    zero = RINGS[ring][1]
+    A = [[_nonzero_entry(rng, ring) for _ in range(3)] for _ in range(2)]
+    B = [[_nonzero_entry(rng, ring), zero], [zero, zero], [_nonzero_entry(rng, ring), zero]]
+    _assert_same(la.mat_mul(A, B), _dense_mul(A, B))
+
+
+def test_mixed_rings_match_dense_loops():
+    # TimesPoly times QScalar scales; the product keeps the TimesPoly ring
+    rng = random.Random(3)
+    A = _sparse(rng, "timespoly", 3, 4, zero_row=2)
+    B = _sparse(rng, "qscalar", 4, 3, zero_col=1)
+    _assert_same(la.mat_mul(A, B), _dense_mul(A, B))
+    _assert_same(la.kron(A, B), _dense_kron(A, B))
+    dense = [[_nonzero_entry(rng, "timespoly") for _ in range(4)] for _ in range(2)]
+    _assert_same(la.mat_mul(dense, B), _dense_mul(dense, B))
+    P = _sparse(rng, "ncpoly", 2, 3, zero_row=1)
+    _assert_same(la.mat_mul(P, A), _dense_mul(P, A))
+
+
+def _nonzero_pairs(A, B):
+    """Number of pairs A[i][t], B[t][j] with both entries nonzero."""
+    return sum(
+        sum(not A[i][t].is_zero() for i in range(len(A))) * sum(not b.is_zero() for b in B[t])
+        for t in range(len(B))
+    )
+
+
+def test_mat_mul_multiplies_only_nonzero_pairs(monkeypatch):
+    rep = make_rep(2)
+    M = _sparse(random.Random(11), "qscalar", rep.dim, rep.dim)
+    cases = [(la.identity(rep.dim), M), (rep.K, rep.E), (rep.E, rep.F)]
+    expected = [_dense_mul(A, B) for A, B in cases]
+    calls = []
+    mul = QScalar.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QScalar, "__mul__", counting)
+    for (A, B), ref in zip(cases, expected):
+        calls.clear()
+        assert la.mat_mul(A, B) == ref
+        assert len(calls) <= _nonzero_pairs(A, B)

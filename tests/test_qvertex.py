@@ -189,3 +189,52 @@ def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch):
     assert "j=1: phi-|hw> mismatch" in normalizations.details
     assert not commutation.verdict
     assert verify_qexp_commutation(1).details == ["failed exp(te)phi-", "failed phi+exp(sf)"]
+
+
+def _fresh_caches(monkeypatch):
+    # a vertex or dual solve cached by an earlier test would hide the mutant
+    from tau_forge import qvertex
+
+    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
+    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
+
+
+def test_checks_fail_with_phi_up_plus_scaled_by_q(monkeypatch):
+    # phi_up[0] (creating right, + component) at j = 1 scaled by q
+    import dataclasses
+
+    from tau_forge import qvertex
+
+    _fresh_caches(monkeypatch)
+    comps = solve_vertex_components(1)
+    scaled = dataclasses.replace(comps, phi_up=(la.mat_scale(comps.phi_up[0], Q), comps.phi_up[1]))
+    monkeypatch.setitem(qvertex._VERTEX_CACHE, 2, scaled)
+    report = verify_component_relations(1)
+    assert not report.verdict
+    assert "dual identification fails for creating-right components" in report.details
+    assert "dual identification fails for annihilating-left components" not in report.details
+    assert _failures(report) == {("R1", "e"), ("R1", "f")}
+
+
+def test_wrong_inverse_antipode_fails_the_check_instead_of_raising(monkeypatch):
+    # S'(e) = -k e in place of -e k: the twisted dual of W has no intertwiner
+    from tau_forge import qvertex
+    from tau_forge.cli import run_check
+
+    _fresh_caches(monkeypatch)
+    antipode_inv = qvertex.antipode_inv_matrices
+
+    def k_first(rep):
+        return {**antipode_inv(rep), "e": la.mat_neg(la.mat_mul(rep.K, rep.E))}
+
+    monkeypatch.setattr(qvertex, "antipode_inv_matrices", k_first)
+    (relations,) = run_check("vertex.component-relations")
+    assert not relations.verdict
+    for j in (HALF, 1):
+        details = verify_component_relations(j).details
+        for family in ("annihilating right", "creating left"):
+            assert (
+                f"twisted-dual {family} solve fails: "
+                "intertwiner solution space has dimension 0, expected 1"
+            ) in details
+    assert qvertex._DUAL_CACHE == {}

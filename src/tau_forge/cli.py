@@ -171,17 +171,17 @@ def run_vertex_qexp(params):
 
 
 def run_gauss_relations(params):
-    return funq.verify_funq("gauss_relations")
+    return funq.verify_gauss_relations()
 
 
 def run_corep(params):
     # T^(j) for 2j >= 2 is itself the top block of (j-1/2, 1/2), so the
     # check uses a pair that the recursion does not build
-    return _combine([funq.verify_funq("corep", Fraction(1, 2), 1)])
+    return _combine([funq.verify_corep(Fraction(1, 2), 1)])
 
 
 def run_dual_route(params):
-    return _combine([funq.verify_funq("dual_route", j) for j in _spins(params["jmax"])])
+    return _combine([funq.verify_dual_route(j) for j in _spins(params["jmax"])])
 
 
 def run_funq_gradings(params):

@@ -1,15 +1,15 @@
 """Matrix elements of the quantized SL2 function algebra, two ways.
 
-The spin-j matrix of coordinate functions T^(j) is produced on two routes:
+The spin-j matrix of coordinate functions T^(j) is produced two ways:
 
-* ``abstract`` - over the :func:`~tau_forge.ncalg.funq_sl2` presentation,
+* :func:`t_matrix` - over the :func:`~tau_forge.ncalg.funq_sl2` presentation,
   by recursion on the spin: T^(j) is the spin-j block of the ordered entry
   products of T^(j-1/2) and T^(1/2), cut out by the intertwiners between V_j
   and V_{j-1/2} ox V_{1/2} (first tensor factor's element leftmost
   throughout).  The same contraction for other spin pairs is the
   corepresentation check.
-* ``gauss`` - over the :func:`~tau_forge.ncalg.gauss_param` parameter algebra,
-  as the factorized group-like element
+* :func:`gauss_t_matrix` - over the :func:`~tau_forge.ncalg.gauss_param`
+  parameter algebra, as the factorized group-like element
   exp_{q^-2}((q-q^-1) e ox s) . Q-diagonal . exp_{q^2}(-(q-q^-1) f ox sbar)
   evaluated in the spin-j representation, the diagonal being Q^{2(j-r)}.
 
@@ -25,8 +25,8 @@ deg a = (1,1), deg b = (1,-1), deg c = (-1,1), deg d = (-1,-1) the entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg as la
 from .ncalg import (
@@ -37,7 +37,7 @@ from .ncalg import (
     funq_sl2,
     gauss_param,
 )
-from .qscalar import ONE, Q, QINV, ZERO, q_number
+from .qscalar import ONE, Q, QINV, q_number
 from .report import VerificationReport
 from .uqsl2 import coproduct, make_rep, q_exp_nilpotent, twice
 
@@ -47,9 +47,6 @@ SCALAR_PRESENTATION = Presentation("scalar", (), {})
 # ---------------------------------------------------------------------------
 # two-factor embeddings and the spin-j recursion
 # ---------------------------------------------------------------------------
-
-_EMBED_CACHE = {}
-
 
 def embed_chain(j1, j2):
     """Embedding/projection pair between V_{j1+j2} and V_{j1} ox V_{j2}.
@@ -63,25 +60,24 @@ def embed_chain(j1, j2):
     highest weight vector, scaling pi by 1/pi[0][0] gives pi . iota = identity.
     Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
     """
-    key = (twice(j1), twice(j2))
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    repA, repB = (make_rep(Fraction(tj, 2)) for tj in key)
-    two_J = sum(key)
+    return _embed(twice(j1), twice(j2))
+
+
+@cache
+def _embed(tj1, tj2):
+    repA, repB = make_rep(Fraction(tj1, 2)), make_rep(Fraction(tj2, 2))
+    two_J = tj1 + tj2
     dim_T = repA.dim * repB.dim
     delta = coproduct(repA, repB)
-    dF = delta[1]
     # iota column r = (Delta F)^r applied to the tensor highest weight vector
-    vec = [ONE] + [ZERO] * (dim_T - 1)
-    cols = [vec]
+    col = la.zeros(dim_T, 1)
+    col[0][0] = ONE
+    cols = [col]
     for _ in range(two_J):
-        vec = [sum((dF[i][t] * vec[t] for t in range(dim_T) if not vec[t].is_zero()), ZERO) for i in range(dim_T)]
-        cols.append(vec)
-    iota = [[cols[r][i] for r in range(two_J + 1)] for i in range(dim_T)]
+        cols.append(la.mat_mul(delta[1], cols[-1]))
+    iota = [[c[i][0] for c in cols] for i in range(dim_T)]
     pi = la.intertwiner(make_rep(Fraction(two_J, 2)).action, delta)
     pi = la.mat_scale(pi, pi[0][0].inv())
-    _EMBED_CACHE[key] = (iota, pi)
     return iota, pi
 
 
@@ -93,42 +89,24 @@ def _top_block(semA, semB):
 
     with (iota, pi) = embed_chain(j, j'), the T^(j) entry leftmost.
     """
-    dimA, dimB = len(semA), len(semB)
-    iota, pi = embed_chain(Fraction(dimA - 1, 2), Fraction(dimB - 1, 2))
-    dim = dimA + dimB - 1
-    pres = semA[0][0].pres
-    out = [[NCPoly.zero(pres) for _ in range(dim)] for _ in range(dim)]
-    for m in range(dim):
-        for r in range(dim):
-            acc = out[m][r]
-            for b in range(dimA * dimB):
-                pm = pi[m][b]
-                if pm.is_zero():
-                    continue
-                for k in range(dimA * dimB):
-                    c = pm * iota[k][r]
-                    if c.is_zero():
-                        continue
-                    acc = acc + semA[b // dimB][k // dimB].mul(semB[b % dimB][k % dimB]).scale(c)
-            out[m][r] = acc
-    return out
+    iota, pi = embed_chain(Fraction(len(semA) - 1, 2), Fraction(len(semB) - 1, 2))
+    return la.mat_mul(la.mat_mul(pi, la.kron(semA, semB)), iota)
 
 
 # ---------------------------------------------------------------------------
 # T-matrices
 # ---------------------------------------------------------------------------
 
-_TSEM_CACHE = {}
-
 
 def _nc_gen(name):
     return NCPoly.generator(funq_sl2(), name)
 
 
-def _semantic_abstract(two_j):
-    """Semantic spin-j matrix over the abstract presentation: entry (m, r)
-    pairs bra index m with ket index r.  For 2j >= 2 it is the top block of
-    T^(j-1/2) and T^(1/2)."""
+@cache
+def _semantic_t(two_j):
+    """Semantic spin-j matrix over funq_sl2: entry (m, r) pairs bra index m
+    with ket index r.  For 2j >= 2 it is the top block of T^(j-1/2) and
+    T^(1/2)."""
     if two_j == 0:
         return [[NCPoly.one(funq_sl2())]]
     if two_j == 1:
@@ -139,8 +117,8 @@ def _semantic_abstract(two_j):
     return _top_block(_semantic_t(two_j - 1), _semantic_t(1))
 
 
-def _semantic_gauss(two_j, convention=None):
-    convention = convention or FROZEN_GAUSS_CONVENTION
+@cache
+def _semantic_gauss(two_j, convention):
     pres = gauss_param(convention)
     rep = make_rep(Fraction(two_j, 2))
     dim = rep.dim
@@ -163,44 +141,17 @@ def _semantic_gauss(two_j, convention=None):
     return la.mat_mul(la.mat_mul(R, K), Rbar)
 
 
-def _semantic_t(two_j, route="abstract", convention=None):
-    key = (two_j, route, convention)
-    cached = _TSEM_CACHE.get(key)
-    if cached is None:
-        if route == "abstract":
-            cached = _semantic_abstract(two_j)
-        elif route == "gauss":
-            cached = _semantic_gauss(two_j, convention)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        _TSEM_CACHE[key] = cached
-    return cached
-
-
-def t_matrix(j, route="abstract", convention=None):
-    """Public spin-j matrix of coordinate functions (see module docstring
-    for the index convention); spin 1/2 on the abstract route is exactly
+def t_matrix(j):
+    """Public spin-j matrix of coordinate functions over funq_sl2 (see the
+    module docstring for the index convention); spin 1/2 is exactly
     [[a, b], [c, d]]."""
-    two_j = twice(j)
-    sem = _semantic_t(two_j, route, convention)
-    return la.mat_transpose(sem)
+    return la.mat_transpose(_semantic_t(twice(j)))
 
 
-@dataclass(frozen=True)
-class GaussModel:
-    """Spin-1/2 coordinate images in the parameter algebra."""
-
-    convention: str
-    a: NCPoly
-    b: NCPoly
-    c: NCPoly
-    d: NCPoly
-
-    @classmethod
-    def build(cls, convention=None):
-        convention = convention or FROZEN_GAUSS_CONVENTION
-        M = t_matrix(Fraction(1, 2), "gauss", convention)
-        return cls(convention=convention, a=M[0][0], b=M[0][1], c=M[1][0], d=M[1][1])
+def gauss_t_matrix(j, convention=FROZEN_GAUSS_CONVENTION):
+    """Public spin-j matrix of the factorized group-like element over
+    gauss_param(convention), in the index convention of :func:`t_matrix`."""
+    return la.mat_transpose(_semantic_gauss(twice(j), convention))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +164,7 @@ def tau_q(j, e_var, f_var, vars):
 
         tau_j(u, x) = sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}
 
-    over the semantic (bra-row) matrix T~ of the abstract route; for j = 1/2
+    over the semantic (bra-row) matrix T~ of :func:`t_matrix`; for j = 1/2
     this is a + b u + c x + d u x.  tau_0 = 1.
     """
     if e_var == f_var:
@@ -263,11 +214,8 @@ _F_RELATIONS = (
 
 
 def gauss_relation_residuals(convention):
-    g = GaussModel.build(convention)
-    out = {}
-    for name, fn in _F_RELATIONS:
-        out[name] = fn(g.a, g.b, g.c, g.d)
-    return out
+    (a, b), (c, d) = gauss_t_matrix(Fraction(1, 2), convention)
+    return {name: fn(a, b, c, d) for name, fn in _F_RELATIONS}
 
 
 def counit_map():
@@ -277,59 +225,57 @@ def counit_map():
     return {"a": one, "d": one, "b": zero, "c": zero}
 
 
-def verify_funq(route, j=None, jp=None):
-    """Named checks on the function-algebra constructions.
+def verify_gauss_relations():
+    """The defining relations hold for the factorized group-like entries on
+    exactly one convention toggle, the frozen one: the other convention must
+    FAIL them, or the check cannot tell the two apart."""
+    details = []
+    ok_frozen = True
+    other_fails = False
+    for conv in GAUSS_CONVENTIONS:
+        residuals = gauss_relation_residuals(conv)
+        bad = [name for name, r in residuals.items() if not r.is_zero()]
+        if conv == FROZEN_GAUSS_CONVENTION:
+            ok_frozen = not bad
+            details.extend(f"[{conv}] residual {name} != 0" for name in bad)
+        else:
+            other_fails = bool(bad)
+            if not bad:
+                details.append(f"[{conv}] unexpectedly also satisfies all relations")
+    verdict = ok_frozen and other_fails
+    return VerificationReport(
+        check_id="funq.gauss-relations",
+        verdict=verdict,
+        residual="" if verdict else "; ".join(details),
+        params={"frozen": FROZEN_GAUSS_CONVENTION},
+        details=details,
+    )
 
-    * ``gauss_relations`` - the defining relations hold for the factorized
-      group-like entries on exactly one convention toggle (the frozen one).
-    * ``corep`` - the spin-(j+jp) block of the ordered entry products of
-      T^(j) and T^(jp) equals T^(j+jp) (group-like/corepresentation law).
-    * ``dual_route`` - substituting the gauss spin-1/2 entries into the
-      abstract T^(j) reproduces the gauss T^(j).
-    """
-    if route == "gauss_relations":
-        details = []
-        ok_frozen = True
-        other_fails = False
-        for conv in GAUSS_CONVENTIONS:
-            residuals = gauss_relation_residuals(conv)
-            bad = [name for name, r in residuals.items() if not r.is_zero()]
-            if conv == FROZEN_GAUSS_CONVENTION:
-                ok_frozen = not bad
-                details.extend(f"[{conv}] residual {name} != 0" for name in bad)
-            else:
-                other_fails = bool(bad)
-                if not bad:
-                    details.append(f"[{conv}] unexpectedly also satisfies all relations")
-        verdict = ok_frozen and other_fails
-        return VerificationReport(
-            check_id="funq.gauss-relations",
-            verdict=verdict,
-            residual="" if verdict else "; ".join(details),
-            params={"frozen": FROZEN_GAUSS_CONVENTION},
-            details=details,
-        )
-    if route == "corep":
-        two_j, two_jp = twice(j), twice(jp)
-        res = corep_residual(two_j, two_jp)
-        bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
-        return VerificationReport(
-            check_id="funq.corep",
-            verdict=not bad,
-            residual="" if not bad else f"nonzero entries at {bad[:6]}",
-            params={"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)},
-        )
-    if route == "dual_route":
-        two_j = twice(j)
-        res = dual_route_residuals(two_j)
-        bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
-        return VerificationReport(
-            check_id="funq.dual-route",
-            verdict=not bad,
-            residual="" if not bad else f"nonzero entries at {bad[:6]}",
-            params={"j": Fraction(two_j, 2)},
-        )
-    raise ValueError(f"unknown verify_funq route {route!r}")
+
+def verify_corep(j, jp):
+    """The spin-(j+jp) block of the ordered entry products of T^(j) and
+    T^(jp) equals T^(j+jp) (group-like/corepresentation law)."""
+    two_j, two_jp = twice(j), twice(jp)
+    return _zero_matrix_report(
+        "funq.corep", corep_residual(two_j, two_jp), {"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)}
+    )
+
+
+def verify_dual_route(j):
+    """Substituting the gauss spin-1/2 entries into the abstract T^(j)
+    reproduces the gauss T^(j)."""
+    two_j = twice(j)
+    return _zero_matrix_report("funq.dual-route", dual_route_residuals(two_j), {"j": Fraction(two_j, 2)})
+
+
+def _zero_matrix_report(check_id, res, params):
+    bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
+    return VerificationReport(
+        check_id=check_id,
+        verdict=not bad,
+        residual="" if not bad else f"nonzero entries at {bad[:6]}",
+        params=params,
+    )
 
 
 def corep_residual(two_j, two_jp):
@@ -339,19 +285,13 @@ def corep_residual(two_j, two_jp):
 
 
 def dual_route_residuals(two_j):
-    """Entrywise difference between the generator-substituted abstract matrix
-    and the factorized gauss matrix at spin j, on the frozen convention."""
-    gm = GaussModel.build()
-    images = {"a": gm.a, "b": gm.b, "c": gm.c, "d": gm.d}
-    A = t_matrix(Fraction(two_j, 2), "abstract")
-    G = t_matrix(Fraction(two_j, 2), "gauss", gm.convention)
-    out = []
-    for ra, rg in zip(A, G):
-        row = []
-        for x, g in zip(ra, rg):
-            row.append(x.apply_generator_map(images) - g)
-        out.append(row)
-    return out
+    """Entrywise difference between the generator-substituted T^(j) of
+    :func:`t_matrix` and :func:`gauss_t_matrix` at spin j, on the frozen
+    convention."""
+    (a, b), (c, d) = gauss_t_matrix(Fraction(1, 2))
+    images = {"a": a, "b": b, "c": c, "d": d}
+    A, G = t_matrix(Fraction(two_j, 2)), gauss_t_matrix(Fraction(two_j, 2))
+    return [[x.apply_generator_map(images) - g for x, g in zip(ra, rg)] for ra, rg in zip(A, G)]
 
 
 # ---------------------------------------------------------------------------

@@ -557,23 +557,26 @@ def m4_residual(g, degree, window):
         sum_{j>=0} S_j(2 y) . S_{j+1}(-dtilde_y) [tau(x+y) tau(x-y)],
 
     certified exact up to joint weighted degree ``degree``; the taus are
-    built to the margin the offset 1 costs (:func:`schur_pair_caps`)."""
+    built to the margin the offset 1 costs (:func:`schur_pair_caps`).
+    Returns (residual, certificates, the (x, u) degrees the tau was built to)."""
     D = schur_pair_caps(degree, 1)[0]
     x_names, y_names = _var_names("x", D), _var_names("y", D)
     lay = _Layout(x_names + y_names, D)
-    poly, cert = _tau(g, 0, lay, (D, 0), window)
+    caps = (D, 0)
+    poly, cert = _tau(g, 0, lay, caps, window)
     tau, scale = _cleared(poly)
     pairs = list(zip(x_names, y_names))
-    G = _mul_capped(_substitute(tau, lay, pairs, 1), _substitute(tau, lay, pairs, -1), lay, (D, 0))
+    G = _mul_capped(_substitute(tau, lay, pairs, 1), _substitute(tau, lay, pairs, -1), lay, caps)
     lhs, L = _schur_pair(G, lay, y_names, 0, 1, 1, degree)
-    return _residual(lay, lhs, L * scale * scale), [cert]
+    return _residual(lay, lhs, L * scale * scale), [cert], caps
 
 
 def h6_residual(g, n, m, degree, window):
     """Two-sided Hirota residual for charges (n, m): LHS with the y-side
     Schur pair at offset o = n - m + 1 minus RHS with the v-side pair at the
     same offset and charges (n+1, m-1); certified to ``degree`` per time set,
-    with each tau built once per charge to :func:`schur_pair_caps`."""
+    with each tau built once per charge to :func:`schur_pair_caps`.
+    Returns (residual, certificates, those caps)."""
     offset = n - m + 1
     caps = schur_pair_caps(degree, offset)
     names = {p: _var_names(p, caps[p in "uv"]) for p in "xyuv"}
@@ -600,7 +603,7 @@ def h6_residual(g, n, m, degree, window):
 
     lhs, sl = side(n, m, names["y"], 0, offset, 1)
     rhs, sr = side(n + 1, m - 1, names["v"], offset, 0, -1)
-    return _residual(lay, lhs, sl, rhs, sr), certs
+    return _residual(lay, lhs, sl, rhs, sr), certs, caps
 
 
 def cauchy_pair(degree, window):
@@ -626,11 +629,9 @@ def verify_hirota_kp(which, g, degree, window, charges=(0, 0)):
     if which == "M3":
         res, certs = m3_residual(g, degree, window)
     elif which == "M4":
-        caps = (schur_pair_caps(degree, 1)[0], 0)
-        res, certs = m4_residual(g, degree, window)
+        res, certs, caps = m4_residual(g, degree, window)
     elif which == "H6":
-        caps = schur_pair_caps(degree, charges[0] - charges[1] + 1)
-        res, certs = h6_residual(g, charges[0], charges[1], degree, window)
+        res, certs, caps = h6_residual(g, charges[0], charges[1], degree, window)
     else:
         raise ValueError(f"unknown check {which!r}")
     ok = res.is_zero()

@@ -23,6 +23,8 @@ two commuting nilpotent-like parameters and a group-like Q (:func:`gauss_param`)
 
 from __future__ import annotations
 
+from functools import cache
+
 from .qscalar import ONE, QScalar, ZERO, qs
 from ._kernels import _addmul, _trim, _trim_words, tup_add
 from .report import VerificationReport
@@ -432,6 +434,11 @@ class NCPoly:
             return self.mul_times(other)
         return self.mul(other)
 
+    def __rmul__(self, other):
+        if isinstance(other, QScalar):
+            return self.scale(other)
+        return NotImplemented
+
     def mul(self, other, max_word_len=None):
         self._check(other)
         out = {}
@@ -664,41 +671,39 @@ _FUNQ_SL2 = Presentation(
 #: The q <-> q^-1 convention toggle for the Gauss parameter algebra.  The
 #: setting "q_inverse" (Q s = q^-1 s Q) is the one on which the quantized-SL2
 #: relations hold for the factorized group-like element; it is frozen as the
-#: default after that check (see funq.verify_funq("gauss_relations")).
+#: default after that check (see funq.verify_gauss_relations).
 GAUSS_CONVENTIONS = ("q_inverse", "q")
 FROZEN_GAUSS_CONVENTION = "q_inverse"
 
-_GAUSS_CACHE = {}
 
-
-def gauss_param(convention=None):
+def gauss_param(convention=FROZEN_GAUSS_CONVENTION):
     """Parameter algebra for the factorized group-like element.
 
     Generators: commuting parameters s, sbar and an invertible Q with
     Q s = q^c s Q, Q sbar = q^c sbar Q where c = -1 for the frozen
     convention "q_inverse" and c = +1 for "q".
     """
-    convention = convention or FROZEN_GAUSS_CONVENTION
     if convention not in GAUSS_CONVENTIONS:
         raise ValueError(f"unknown gauss convention {convention!r}")
-    pres = _GAUSS_CACHE.get(convention)
-    if pres is None:
-        qc = _QI if convention == "q_inverse" else _Q
-        qci = _Q if convention == "q_inverse" else _QI
-        pres = Presentation(
-            f"gauss_param_{convention}",
-            ("s", "sbar", "Q", "Qinv"),
-            {
-                ("sbar", "s"): {("s", "sbar"): ONE},
-                ("Q", "s"): {("s", "Q"): qc},
-                ("Q", "sbar"): {("sbar", "Q"): qc},
-                ("Qinv", "s"): {("s", "Qinv"): qci},
-                ("Qinv", "sbar"): {("sbar", "Qinv"): qci},
-            },
-            unit_pairs=(("Q", "Qinv"),),
-        )
-        _GAUSS_CACHE[convention] = pres
-    return pres
+    return _gauss_param(convention)
+
+
+@cache
+def _gauss_param(convention):
+    qc = _QI if convention == "q_inverse" else _Q
+    qci = _Q if convention == "q_inverse" else _QI
+    return Presentation(
+        f"gauss_param_{convention}",
+        ("s", "sbar", "Q", "Qinv"),
+        {
+            ("sbar", "s"): {("s", "sbar"): ONE},
+            ("Q", "s"): {("s", "Q"): qc},
+            ("Q", "sbar"): {("sbar", "Q"): qc},
+            ("Qinv", "s"): {("s", "Qinv"): qci},
+            ("Qinv", "sbar"): {("sbar", "Qinv"): qci},
+        },
+        unit_pairs=(("Q", "Qinv"),),
+    )
 
 
 def q_commuting_pair():

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2
@@ -658,27 +659,22 @@ def hierarchy_eq_residual(n, pres=None):
     raise ValueError(n)
 
 
-_COMM_SL2 = None
-
-
+@cache
 def commutative_sl2():
     """Commuting a, b, c, d with ad - bc = 1 (the classical-limit carrier)."""
-    global _COMM_SL2
-    if _COMM_SL2 is None:
-        _COMM_SL2 = Presentation(
-            "commutative_sl2",
-            ("a", "d", "b", "c"),
-            {
-                ("d", "a"): {(): ONE, ("b", "c"): ONE},
-                ("a", "d"): {(): ONE, ("b", "c"): ONE},
-                ("b", "a"): {("a", "b"): ONE},
-                ("c", "a"): {("a", "c"): ONE},
-                ("b", "d"): {("d", "b"): ONE},
-                ("c", "d"): {("d", "c"): ONE},
-                ("c", "b"): {("b", "c"): ONE},
-            },
-        )
-    return _COMM_SL2
+    return Presentation(
+        "commutative_sl2",
+        ("a", "d", "b", "c"),
+        {
+            ("d", "a"): {(): ONE, ("b", "c"): ONE},
+            ("a", "d"): {(): ONE, ("b", "c"): ONE},
+            ("b", "a"): {("a", "b"): ONE},
+            ("c", "a"): {("a", "c"): ONE},
+            ("b", "d"): {("d", "b"): ONE},
+            ("c", "d"): {("d", "c"): ONE},
+            ("c", "b"): {("b", "c"): ONE},
+        },
+    )
 
 
 def spin_half_suite():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from . import linalg as la
 from .linalg import ConventionError
@@ -71,13 +71,6 @@ class VertexComponents:
     psi_dn: tuple
 
 
-_VERTEX_CACHE = {}
-
-# 2j -> the annihilating-right and creating-left solves over the twisted
-# dual of W that verify_component_relations compares against; a failed
-# solve is never stored
-_DUAL_CACHE = {}
-
 _DUAL_FAMILIES = ("annihilating right", "creating left")
 
 
@@ -86,14 +79,15 @@ def solve_vertex_components(j):
     two_j = twice(j)
     if two_j < 1:
         raise ValueError("need j >= 1/2")
-    cached = _VERTEX_CACHE.get(two_j)
-    if cached is not None:
-        return cached
+    return _vertex_components(two_j)
 
+
+@cache
+def _vertex_components(two_j):
     W = _w_rep()
     phi_p, phi_m = _pinned(_family_components(two_j, "annihilating right", W), 0, "Phi_+")
     psi_p, psi_m = _pinned(_family_components(two_j, "creating left", W), 1, "Psi^-")
-    comps = VertexComponents(
+    return VertexComponents(
         two_j=two_j,
         phi_plus=phi_p,
         phi_minus=phi_m,
@@ -102,8 +96,13 @@ def solve_vertex_components(j):
         phi_up=_normalize_pair(_family_components(two_j, "creating right", W)),
         psi_dn=_normalize_pair(_family_components(two_j, "annihilating left", W)),
     )
-    _VERTEX_CACHE[two_j] = comps
-    return comps
+
+
+@cache
+def _twisted_dual_components(two_j, family):
+    """``family`` solved over the twisted dual of W, the solve that
+    verify_component_relations compares the dual-route components against."""
+    return _family_components(two_j, family, _twisted_dual_w())
 
 
 def _family_components(two_j, family, aux):
@@ -232,17 +231,13 @@ def verify_component_relations(j):
     # annihilating-right solve over the S'-twisted dual of W; annihilating-
     # left components match a creating-left solve over the S'-twisted dual
     # (the S-twist is its inverse, so twisting twice returns W itself)
-    duals = _DUAL_CACHE.get(two_j)
-    if duals is None:
-        dual, duals = _twisted_dual_w(), {}
-        for family in _DUAL_FAMILIES:
-            try:
-                duals[family] = _family_components(two_j, family, dual)
-            except ConventionError as exc:
-                ok = False
-                details.append(f"twisted-dual {family} solve fails: {exc}")
-        if len(duals) == len(_DUAL_FAMILIES):
-            _DUAL_CACHE[two_j] = duals
+    duals = {}
+    for family in _DUAL_FAMILIES:
+        try:
+            duals[family] = _twisted_dual_components(two_j, family)
+        except ConventionError as exc:
+            ok = False
+            details.append(f"twisted-dual {family} solve fails: {exc}")
     for family, comp, name in zip(
         _DUAL_FAMILIES, (comps.phi_up, comps.psi_dn), ("creating-right", "annihilating-left")
     ):

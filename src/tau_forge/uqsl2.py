@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from . import linalg as la
 from .linalg import NonNilpotentError  # noqa: F401  (re-exported; q_exp_nilpotent raises it)
@@ -68,15 +68,13 @@ class Rep:
         return {"e": self.E, "f": self.F, "k": self.K, "kinv": self.Kinv, "one": la.identity(self.dim)}
 
 
-_REP_CACHE = {}
-
-
 def make_rep(j):
     """The spin-j irreducible representation."""
-    two_j = twice(j)
-    rep = _REP_CACHE.get(two_j)
-    if rep is not None:
-        return rep
+    return _rep(twice(j))
+
+
+@cache
+def _rep(two_j):
     n = two_j + 1
     E = la.zeros(n, n)
     F = la.zeros(n, n)
@@ -89,9 +87,7 @@ def make_rep(j):
             F[r + 1][r] = ONE
         if r >= 1:
             E[r - 1][r] = bracket(r) * bracket(two_j - r + 1)
-    rep = Rep(two_j, E, F, K, Kinv)
-    _REP_CACHE[two_j] = rep
-    return rep
+    return Rep(two_j, E, F, K, Kinv)
 
 
 def rep_relations_residuals(rep):
@@ -104,18 +100,9 @@ def rep_relations_residuals(rep):
     ef = la.mat_sub(la.mat_mul(rep.E, rep.F), la.mat_mul(rep.F, rep.E))
     res["[e,f]"] = la.mat_sub(ef, la.mat_scale(la.mat_sub(rep.K, rep.Kinv), lam.inv()))
     res["kk-1"] = la.mat_sub(la.mat_mul(rep.K, rep.Kinv), la.identity(n))
-    En = _mat_pow(rep.E, n)
-    Fn = _mat_pow(rep.F, n)
-    res["e^dim"] = En
-    res["f^dim"] = Fn
+    res["e^dim"] = reduce(la.mat_mul, [rep.E] * n)
+    res["f^dim"] = reduce(la.mat_mul, [rep.F] * n)
     return res
-
-
-def _mat_pow(A, n):
-    acc = la.identity(len(A))
-    for _ in range(n):
-        acc = la.mat_mul(acc, A)
-    return acc
 
 
 # -- the Hopf structure -------------------------------------------------------

@@ -138,19 +138,15 @@ def test_every_check_reports_its_time():
     assert [r.check_id for r in reports if r.anchor != REGISTRY[r.check_id].anchor] == []
 
 
-def test_ms_covers_the_whole_check(monkeypatch):
+def test_ms_covers_the_whole_check(fresh_caches):
     # the vertex solves this check caches count towards its time
-    import tau_forge.qvertex as qvertex
-
-    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
-    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
     t0 = time.perf_counter()
     (report,) = run_check("vertex.component-relations")
     wall = (time.perf_counter() - t0) * 1000.0
     assert report.ms >= 0.9 * wall
 
 
-def test_component_relations_report_does_not_depend_on_caches(monkeypatch):
+def test_component_relations_report_does_not_depend_on_caches(fresh_caches):
     import tau_forge.qvertex as qvertex
 
     def report():
@@ -159,11 +155,9 @@ def test_component_relations_report_does_not_depend_on_caches(monkeypatch):
         del d["ms"]
         return d
 
-    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
-    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
     cold = report()
     run_check("*")
-    assert qvertex._DUAL_CACHE
+    assert qvertex._twisted_dual_components.cache_info().currsize
     assert report() == cold
 
 

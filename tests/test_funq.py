@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from tau_forge import funq, ncalg
 from tau_forge import linalg as la
 from tau_forge.funq import (
-    GaussModel,
     _semantic_t,
     _top_block,
     counit_map,
@@ -12,9 +12,11 @@ from tau_forge.funq import (
     embed_chain,
     entry_grading_ok,
     gauss_relation_residuals,
+    gauss_t_matrix,
     t_matrix,
     tau_q,
-    verify_funq,
+    verify_corep,
+    verify_gauss_relations,
 )
 from tau_forge.ncalg import FROZEN_GAUSS_CONVENTION, NCPoly, TimesPoly, funq_sl2, gauss_param
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
@@ -127,17 +129,17 @@ def test_tau_constant_coefficient_is_corner_entry():
 
 
 def test_gauss_entries_frozen_convention():
-    g = GaussModel.build()
-    assert g.convention == FROZEN_GAUSS_CONVENTION
-    assert str(g.d) == "Qinv"
+    (a, b), (c, d) = gauss_t_matrix(HALF)
+    assert gauss_t_matrix(HALF) == gauss_t_matrix(HALF, FROZEN_GAUSS_CONVENTION)
+    assert str(d) == "Qinv"
     lam = Q - QINV
     pres = gauss_param()
     # c = (q - q^-1) s Q^-1, b = -(q - q^-1) Q^-1 sbar (normal-ordered)
-    assert g.c == NCPoly.word(pres, ("s", "Qinv")).scale(lam)
-    assert g.b == NCPoly.word(pres, ("Qinv", "sbar")).scale(-lam)
+    assert c == NCPoly.word(pres, ("s", "Qinv")).scale(lam)
+    assert b == NCPoly.word(pres, ("Qinv", "sbar")).scale(-lam)
     # a = Q - (q - q^-1)^2 s Q^-1 sbar
     want_a = NCPoly.word(pres, ("Q",)) - NCPoly.word(pres, ("s", "Qinv", "sbar")).scale(lam * lam)
-    assert g.a == want_a
+    assert a == want_a
 
 
 def test_gauss_relations_exactly_one_convention():
@@ -145,7 +147,16 @@ def test_gauss_relations_exactly_one_convention():
     assert all(r.is_zero() for r in frozen.values())
     other = gauss_relation_residuals("q")
     assert any(not r.is_zero() for r in other.values())
-    assert verify_funq("gauss_relations").verdict
+    assert verify_gauss_relations().verdict
+
+
+def test_gauss_relations_fail_when_both_conventions_satisfy_them(monkeypatch):
+    # negative control: a check that both conventions pass cannot tell them apart
+    frozen = gauss_relation_residuals(FROZEN_GAUSS_CONVENTION)
+    monkeypatch.setattr(funq, "gauss_relation_residuals", lambda convention: frozen)
+    report = verify_gauss_relations()
+    assert not report.verdict
+    assert report.details == ["[q] unexpectedly also satisfies all relations"]
 
 
 # T^(j) is built as the top block of (j-1/2, 1/2), so those pairs would hold
@@ -154,7 +165,7 @@ def test_gauss_relations_exactly_one_convention():
     "j,jp", [(HALF, Fraction(3, 2)), (1, Fraction(3, 2)), (HALF, 1), (0, 1), (1, 1)]
 )
 def test_corep(j, jp):
-    assert verify_funq("corep", j, jp).verdict
+    assert verify_corep(j, jp).verdict
 
 
 def test_corep_fails_on_transposed_factor():
@@ -180,6 +191,35 @@ def test_homogeneous_entries(j):
 
 
 def test_gauss_route_spin_one_diagonal():
-    M = t_matrix(1, "gauss")
+    M = gauss_t_matrix(1)
     pres = gauss_param()
     assert M[2][2] == NCPoly.word(pres, ("Qinv", "Qinv"))
+
+
+def test_top_block_entries_are_ncpolys():
+    # mat_mul takes the zero of an empty sum from its left factor, which
+    # here is the QScalar projection pi
+    for two_j in range(2, 6):
+        block = _top_block(_semantic_t(two_j - 1), _semantic_t(1))
+        assert all(isinstance(x, NCPoly) and x.pres is funq_sl2() for row in block for x in row)
+
+
+def test_cache_keys_are_normalized(fresh_caches):
+    from tau_forge.qvertex import solve_vertex_components
+
+    assert make_rep(HALF) is make_rep(Fraction(1, 2)) is make_rep(0.5)
+    assert embed_chain(1, HALF) is embed_chain(Fraction(1), 0.5)
+    assert solve_vertex_components(1) is solve_vertex_components(Fraction(2, 2))
+    assert gauss_param() is gauss_param("q_inverse")
+    # one build per spin, whatever the spelling of the spin or the default
+    t_matrix(1), t_matrix(Fraction(2, 2))
+    assert funq._semantic_t.cache_info().currsize == 2  # 2j = 2 and its 2j = 1 factor
+    gauss_t_matrix(1), gauss_t_matrix(1.0, FROZEN_GAUSS_CONVENTION)
+    assert funq._semantic_gauss.cache_info().currsize == 1
+
+
+def test_unknown_gauss_convention_caches_nothing(fresh_caches):
+    with pytest.raises(ValueError):
+        gauss_t_matrix(1, "bogus")
+    for cached in (funq._semantic_gauss, ncalg._gauss_param):
+        assert cached.cache_info().currsize == 0

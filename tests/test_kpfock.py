@@ -174,13 +174,13 @@ def test_two_sided_cauchy_value():
 
 
 def test_m4_trivial_tau():
-    res, certs = m4_residual(GroupElementSpec.identity(), degree=4, window=8)
+    res, certs, _ = m4_residual(GroupElementSpec.identity(), degree=4, window=8)
     assert res.is_zero()
     assert all(c.ok for c in certs)
 
 
 def test_m4_single_factor_degree6():
-    res, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6, window=8)
+    res, _, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6, window=8)
     assert res.is_zero()
 
 
@@ -196,20 +196,20 @@ def test_m3_residuals():
 def test_m3_m4_random_product_seeded():
     rng = random.Random(0)
     g = GroupElementSpec.random_unipotent(rng, 3, 2)
-    res, _ = m4_residual(g, degree=5, window=8)
+    res, _, _ = m4_residual(g, degree=5, window=8)
     assert res.is_zero()
     res, _ = m3_residual(g, degree=5, window=8)
     assert res.is_zero()
 
 
 def test_h6_identity_small():
-    res, certs = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3, window=8)
+    res, certs, _ = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3, window=8)
     assert res.is_zero()
     assert all(c.ok for c in certs)
 
 
 def test_h6_nontrivial_charges_small():
-    res, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3, window=8)
+    res, _, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3, window=8)
     assert res.is_zero()
 
 
@@ -237,7 +237,7 @@ def test_h6_margin_covers_the_schur_offset():
     # certified degree; with one spare weight this g gave a nonzero residual
     g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
     for window in (8, 10):
-        res, certs = h6_residual(g, 1, 0, degree=3, window=window)
+        res, certs, _ = h6_residual(g, 1, 0, degree=3, window=window)
         assert res.is_zero()
         assert all(c.ok for c in certs)
 
@@ -247,7 +247,7 @@ def test_h6_old_margin_mutant_fails(monkeypatch):
 
     monkeypatch.setattr(kpfock, "schur_pair_caps", lambda degree, offset: (degree + 1, degree + 1))
     g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
-    res, _ = h6_residual(g, 1, 0, degree=3, window=8)
+    res, _, _ = h6_residual(g, 1, 0, degree=3, window=8)
     assert not res.is_zero()
 
 
@@ -347,3 +347,22 @@ def test_sato_expansion_matches_the_build():
             assert tau.vars == tuple(f"x{k}" for k in range(1, 7)) + tuple(f"u{k}" for k in range(1, 7))
             built = {m: c.as_rational() for m, c in tau.terms.items()}
             assert built == _sato_tau(g, n, 6), (g, n)
+
+
+def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
+    import tau_forge.kpfock as kpfock
+
+    built = []
+    tau = kpfock._tau
+
+    def recording_tau(g, n, lay, caps, window):
+        built.append(tuple(caps))
+        return tau(g, n, lay, caps, window)
+
+    monkeypatch.setattr(kpfock, "_tau", recording_tau)
+    g = GroupElementSpec.single(Fraction(1), 0, -1)
+    for which, charges, degree in (("M4", (0, 0), 4), ("H6", (1, 0), 3), ("H6", (0, 2), 3)):
+        built.clear()
+        rep = verify_hirota_kp(which, g, charges=charges, degree=degree, window=8)
+        assert rep.verdict
+        assert built and set(built) == {rep.params["caps"]}

@@ -169,16 +169,22 @@ def test_checks_fail_with_antipode_of_e_reversed(monkeypatch):
         assert _failures(verify_component_relations(j)) == {("R1", "e"), ("R4", "e")}
 
 
-def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch):
+def _inject(monkeypatch, j, mutant):
+    """Make solve_vertex_components return ``mutant`` at spin j."""
+    from tau_forge import qvertex
+
+    solve = qvertex.solve_vertex_components
+    monkeypatch.setattr(qvertex, "solve_vertex_components", lambda spin: mutant if spin == j else solve(spin))
+
+
+def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch, fresh_caches):
     # phi_- at j = 1 scaled by q
     import dataclasses
 
-    from tau_forge import qvertex
     from tau_forge.cli import run_check
 
     comps = solve_vertex_components(1)
-    scaled = dataclasses.replace(comps, phi_minus=la.mat_scale(comps.phi_minus, Q))
-    monkeypatch.setitem(qvertex._VERTEX_CACHE, 2, scaled)
+    _inject(monkeypatch, 1, dataclasses.replace(comps, phi_minus=la.mat_scale(comps.phi_minus, Q)))
     (relations, normalizations, commutation) = run_check("vertex.*")
     assert [r.check_id for r in (relations, normalizations, commutation)] == [
         "vertex.component-relations", "vertex.normalizations", "vertex.qexp-commutation",
@@ -191,24 +197,13 @@ def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch):
     assert verify_qexp_commutation(1).details == ["failed exp(te)phi-", "failed phi+exp(sf)"]
 
 
-def _fresh_caches(monkeypatch):
-    # a vertex or dual solve cached by an earlier test would hide the mutant
-    from tau_forge import qvertex
-
-    monkeypatch.setattr(qvertex, "_VERTEX_CACHE", {})
-    monkeypatch.setattr(qvertex, "_DUAL_CACHE", {})
-
-
-def test_checks_fail_with_phi_up_plus_scaled_by_q(monkeypatch):
+def test_checks_fail_with_phi_up_plus_scaled_by_q(monkeypatch, fresh_caches):
     # phi_up[0] (creating right, + component) at j = 1 scaled by q
     import dataclasses
 
-    from tau_forge import qvertex
-
-    _fresh_caches(monkeypatch)
     comps = solve_vertex_components(1)
-    scaled = dataclasses.replace(comps, phi_up=(la.mat_scale(comps.phi_up[0], Q), comps.phi_up[1]))
-    monkeypatch.setitem(qvertex._VERTEX_CACHE, 2, scaled)
+    phi_up = (la.mat_scale(comps.phi_up[0], Q), comps.phi_up[1])
+    _inject(monkeypatch, 1, dataclasses.replace(comps, phi_up=phi_up))
     report = verify_component_relations(1)
     assert not report.verdict
     assert "dual identification fails for creating-right components" in report.details
@@ -216,12 +211,11 @@ def test_checks_fail_with_phi_up_plus_scaled_by_q(monkeypatch):
     assert _failures(report) == {("R1", "e"), ("R1", "f")}
 
 
-def test_wrong_inverse_antipode_fails_the_check_instead_of_raising(monkeypatch):
+def test_wrong_inverse_antipode_fails_the_check_instead_of_raising(monkeypatch, fresh_caches):
     # S'(e) = -k e in place of -e k: the twisted dual of W has no intertwiner
     from tau_forge import qvertex
     from tau_forge.cli import run_check
 
-    _fresh_caches(monkeypatch)
     antipode_inv = qvertex.antipode_inv_matrices
 
     def k_first(rep):
@@ -237,4 +231,5 @@ def test_wrong_inverse_antipode_fails_the_check_instead_of_raising(monkeypatch):
                 f"twisted-dual {family} solve fails: "
                 "intertwiner solution space has dimension 0, expected 1"
             ) in details
-    assert qvertex._DUAL_CACHE == {}
+    # a failed solve is never stored
+    assert qvertex._twisted_dual_components.cache_info().currsize == 0

@@ -175,9 +175,8 @@ def run_gauss_relations(params):
 
 
 def run_corep(params):
-    # T^(j) for 2j >= 2 is itself the top block of (j-1/2, 1/2), so the
-    # check uses a pair that the recursion does not build
-    return _combine([funq.verify_corep(Fraction(1, 2), 1)])
+    half = Fraction(1, 2)
+    return _combine([funq.verify_corep(j, jp) for j, jp in ((half, half), (1, half), (half, 1))])
 
 
 def run_dual_route(params):

@@ -3,11 +3,9 @@
 The spin-j matrix of coordinate functions T^(j) is produced two ways:
 
 * :func:`t_matrix` - over the :func:`~tau_forge.ncalg.funq_sl2` presentation,
-  by recursion on the spin: T^(j) is the spin-j block of the ordered entry
-  products of T^(j-1/2) and T^(1/2), cut out by the intertwiners between V_j
-  and V_{j-1/2} ox V_{1/2} (first tensor factor's element leftmost
-  throughout).  The same contraction for other spin pairs is the
-  corepresentation check.
+  from one quantum-plane table (:func:`_plane`) that :func:`tau_q` reads
+  too.  The spin-(j+j') block of the ordered entry products of T^(j) and
+  T^(j'), cut out by the intertwiners, is the corepresentation check.
 * :func:`gauss_t_matrix` - over the :func:`~tau_forge.ncalg.gauss_param`
   parameter algebra, as the factorized group-like element
   exp_{q^-2}((q-q^-1) e ox s) . Q-diagonal . exp_{q^2}(-(q-q^-1) f ox sbar)
@@ -29,23 +27,27 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg as la
+from ._kernels import _addmul, _trim_words
 from .ncalg import (
     FROZEN_GAUSS_CONVENTION,
     GAUSS_CONVENTIONS,
     NCPoly,
     Presentation,
+    TimesPoly,
+    _laurent_mul,
+    _times_laurent,
     funq_sl2,
     gauss_param,
 )
-from .qscalar import ONE, Q, QINV, q_number
+from .qscalar import ONE, Q, QINV, QScalar, paren, q_number
 from .report import VerificationReport
-from .uqsl2 import coproduct, make_rep, q_exp_nilpotent, twice
+from .uqsl2 import coproduct, make_rep, twice
 
 SCALAR_PRESENTATION = Presentation("scalar", (), {})
 
 
 # ---------------------------------------------------------------------------
-# two-factor embeddings and the spin-j recursion
+# two-factor embeddings
 # ---------------------------------------------------------------------------
 
 def embed_chain(j1, j2):
@@ -98,23 +100,54 @@ def _top_block(semA, semB):
 # ---------------------------------------------------------------------------
 
 
-def _nc_gen(name):
-    return NCPoly.generator(funq_sl2(), name)
+@cache
+def _q2_binomial(n, k):
+    """The Gaussian binomial [n choose k]_{q^2} as {q-exponent: int}, by the q-Pascal rule."""
+    if k in (0, n):
+        return {0: 1}
+    return _addmul(dict(_q2_binomial(n - 1, k - 1)), {2 * k: 1}, _q2_binomial(n - 1, k))
+
+
+@cache
+def _plane(two_j):
+    """P[p][r]: the coefficient of x^(2j-r) y^r in (ax+by)^(2j-p) (cx+dy)^p on
+    the quantum plane yx = q xy, as {normal word: {q-exponent: int}}.  As
+    ba = q ab gives (by)(ax) = q^2 (ax)(by), the q-binomial theorem gives
+    (ax+by)^n = sum_k [n choose k]_{q^2} a^(n-k) b^k x^(n-k) y^k, and
+    (cx+dy)^p alike over l; y^k x^(p-l) = q^(k(p-l)) x^(p-l) y^k then puts
+    the word a^(n-k) b^k c^(p-l) d^l, normalized once, on r = k + l."""
+    table = [[{} for _ in range(two_j + 1)] for _ in range(two_j + 1)]
+    for p, row in enumerate(table):
+        n = two_j - p
+        for k in range(n + 1):
+            for l in range(p + 1):
+                coeff = _laurent_mul({k * (p - l): 1}, _laurent_mul(_q2_binomial(n, k), _q2_binomial(p, l)))
+                word = ("a",) * (n - k) + ("b",) * k + ("c",) * (p - l) + ("d",) * l
+                for w, c in funq_sl2().reduce_word(word).items():
+                    row[k + l][w] = _addmul(row[k + l].get(w, {}), coeff, c)
+    return [[_trim_words(entry) for entry in row] for row in table]
 
 
 @cache
 def _semantic_t(two_j):
     """Semantic spin-j matrix over funq_sl2: entry (m, r) pairs bra index m
-    with ket index r.  For 2j >= 2 it is the top block of T^(j-1/2) and
-    T^(1/2)."""
-    if two_j == 0:
-        return [[NCPoly.one(funq_sl2())]]
-    if two_j == 1:
-        return [
-            [_nc_gen("a"), _nc_gen("c")],
-            [_nc_gen("b"), _nc_gen("d")],
-        ]
-    return _top_block(_semantic_t(two_j - 1), _semantic_t(1))
+    with ket index r, and is (D_r / D_m) P[r][m] over :func:`_plane`, with
+    D_m = q^(-m(m-1)/2) (2j)_{q^2}! / (2j-m)_{q^2}!.  The plane is a module
+    algebra under D(f) = 1 ox f + f ox k, with f x = y, k x = q x,
+    k y = q^-1 y, so f(x^n y^p) = q^-p (n)_{q^2} x^(n-1) y^(p+1) and
+    make_rep's v_m = F^m x^(2j) is D_m x^(2j-m) y^m.  The coaction
+    x -> a ox x + b ox y, y -> c ox x + d ox y is an algebra map: P on the
+    monomials, (D_m / D_r) P[m][r] on v, and its transpose here."""
+    D = [ONE]
+    for m in range(two_j):
+        D.append(D[-1] * QScalar.q_power(-m) * paren(two_j - m, 2))
+    P = _plane(two_j)
+
+    def entry(m, r):
+        ratio = TimesPoly.const((), D[r] / D[m])
+        return NCPoly(funq_sl2(), (), {w: _times_laurent(ratio, c) for w, c in P[r][m].items()})
+
+    return [[entry(m, r) for r in range(two_j + 1)] for m in range(two_j + 1)]
 
 
 @cache
@@ -165,37 +198,24 @@ def tau_q(j, e_var, f_var, vars):
         tau_j(u, x) = sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}
 
     over the semantic (bra-row) matrix T~ of :func:`t_matrix`; for j = 1/2
-    this is a + b u + c x + d u x.  tau_0 = 1.
+    this is a + b u + c x + d u x.  tau_0 = 1.  The flow entries
+    u^m [m]! [2j]! / ([2j-m]! (m)_{q^2}!) and x^r / (r)_{q^-2}! cancel D: the
+    coefficient of u^m x^r is q^(r(r-1)/2 - m(2j-m) - m(m-1)/2) times
+    [2j choose r]_{q^2} P[r][m], a Laurent polynomial.
     """
-    if e_var == f_var:
-        raise ValueError("e_var and f_var must differ")
-    two_j = twice(j)
     vars = tuple(vars)
-    pres_poly = _semantic_t(two_j)
-    rep = make_rep(Fraction(two_j, 2))
-    erow = q_exp_nilpotent(rep.E, e_var, 2, vars)[0]
-    fexp = q_exp_nilpotent(rep.F, f_var, -2, vars)
-    fcol = [fexp[i][0] for i in range(rep.dim)]
-    pres = pres_poly[0][0].pres
-    acc = NCPoly.zero(pres, vars)
-    for m in range(rep.dim):
-        em = erow[m]
-        if em.is_zero():
-            continue
-        for r in range(rep.dim):
-            tp = em * fcol[r]
-            if tp.is_zero():
-                continue
-            entry = pres_poly[m][r]
-            if entry.is_zero():
-                continue
-            lifted = {}
-            for w, t in entry.terms.items():
-                scaled = tp.scale(t.constant_term())
-                if not scaled.is_zero():
-                    lifted[w] = scaled
-            acc = acc + NCPoly(pres, vars, lifted)
-    return acc
+    if e_var == f_var or e_var not in vars or f_var not in vars:
+        raise ValueError(f"need two distinct flow variables from {vars}, got {e_var!r} and {f_var!r}")
+    two_j = twice(j)
+    terms = {}
+    for r, row in enumerate(_plane(two_j)):
+        for m, entry in enumerate(row):
+            mono = tuple(m if v == e_var else r if v == f_var else 0 for v in vars)
+            shift = r * (r - 1) // 2 - m * (two_j - m) - m * (m - 1) // 2
+            scale = _laurent_mul({shift: 1}, _q2_binomial(two_j, r))
+            for w, c in entry.items():
+                terms.setdefault(w, {})[mono] = QScalar.from_terms(_laurent_mul(scale, c))
+    return NCPoly(funq_sl2(), vars, {w: TimesPoly(vars, t) for w, t in terms.items()})
 
 
 # ---------------------------------------------------------------------------

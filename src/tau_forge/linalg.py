@@ -5,9 +5,9 @@ nonzero entries: :func:`mat_mul` forms A[i][t] B[t][j] only where both
 factors are nonzero, :func:`kron` gives a zero block for a zero entry of A
 without multiplying, and :func:`mat_add` / :func:`mat_sub` pass the left
 entry through where the right one is zero.  Zero means the exact
-``is_zero()``.  An entry with no nonzero term is the zero of the operands'
-ring, as a dense sum would give it: a TimesPoly zero keeps its ``vars`` and
-an NCPoly zero its presentation.
+``is_zero()``.  A :func:`mat_mul` entry with no nonzero term is the zero of
+the product's ring, as a dense sum would give it: a TimesPoly zero keeps its
+``vars`` and an NCPoly zero its presentation, also beside a QScalar factor.
 
 Besides the entrywise helpers the module is the one home of two
 constructions every other module uses:
@@ -77,20 +77,11 @@ def mat_mul(A, B):
                 term = a * b
                 acc[j] = acc[j] + term if j in acc else term
         if len(acc) < m and zero is None:
-            zero = _product_zero(A, B)
+            # an entry j with no nonzero term has A[i][0] or B[0][j] zero
+            a, b = Ai[0], B[0][next(j for j in range(m) if j not in acc)]
+            zero = (a if a.is_zero() else b) if type(a) is type(b) else a * b
         out.append([acc.get(j, zero) for j in range(m)])
     return out
-
-
-def _product_zero(A, B):
-    """The zero of the ring of A's entries times B's, for a product whose
-    entry has no nonzero term: a zero entry of A if there is one, else one
-    product by a zero entry of B."""
-    for row in A:
-        for a in row:
-            if a.is_zero():
-                return a
-    return A[0][0] * next(b for row in B for b in row if b.is_zero())
 
 
 def mat_transpose(A):

@@ -583,18 +583,8 @@ def eq_half_residual():
 
     all derivatives base q^-2."""
     vars = LM_VARS
-    pres = funq_sl2()
-    t1 = spin_half_tau(pres, vars)
-    t2 = NCPoly(
-        pres,
-        vars,
-        {
-            ("a",): TimesPoly.one(vars),
-            ("b",): TimesPoly.var(vars, "v"),
-            ("c",): TimesPoly.var(vars, "y"),
-            ("d",): TimesPoly.var(vars, "v") * TimesPoly.var(vars, "y"),
-        },
-    )
+    t1 = spin_half_tau(vars=vars)
+    t2 = _subs_scaled(_subs_scaled(t1, "u", "v", ONE), "x", "y", ONE)
     prod = t1.mul(t2)
     dy = q_derivative(prod, "y", -2)
     dx = q_derivative(prod, "x", -2)
@@ -605,7 +595,7 @@ def eq_half_residual():
         + dxy.mul_times(TimesPoly.var(vars, "y") - TimesPoly.var(vars, "x", coeff=Q))
     )
     rhs = NCPoly.from_times(
-        pres, TimesPoly.var(vars, "v", coeff=Q) - TimesPoly.var(vars, "u")
+        t1.pres, TimesPoly.var(vars, "v", coeff=Q) - TimesPoly.var(vars, "u")
     )
     return lhs - rhs
 

@@ -1,8 +1,9 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from tau_forge import funq, ncalg
+from tau_forge import cli, funq, ncalg, qhirota
 from tau_forge import linalg as la
 from tau_forge.funq import (
     _semantic_t,
@@ -19,8 +20,8 @@ from tau_forge.funq import (
     verify_gauss_relations,
 )
 from tau_forge.ncalg import FROZEN_GAUSS_CONVENTION, NCPoly, TimesPoly, funq_sl2, gauss_param
-from tau_forge.qscalar import ONE, Q, QINV, ZERO
-from tau_forge.uqsl2 import coproduct, make_rep
+from tau_forge.qscalar import ONE, Q, QINV, ZERO, QScalar
+from tau_forge.uqsl2 import coproduct, make_rep, q_exp_nilpotent
 
 HALF = Fraction(1, 2)
 
@@ -31,8 +32,8 @@ def test_embedding_half_is_identity():
     assert pi == la.identity(2)
 
 
-# factor pairs whose embeddings are checked: the recursion's (j-1/2, 1/2) for
-# j <= 5/2, and (1, 1) and (1/2, 3/2), which it does not use
+# factor pairs whose embeddings are checked: (j-1/2, 1/2) for j <= 5/2, and
+# (1, 1) and (1/2, 3/2)
 EMBED_PAIRS = [(Fraction(t, 2), HALF) for t in range(5)] + [(1, 1), (HALF, Fraction(3, 2))]
 
 
@@ -107,6 +108,57 @@ def test_tau_zero_spin():
     assert tau_q(0, "u", "x", ("u", "x")) == NCPoly.one(funq_sl2(), ("u", "x"))
 
 
+def _flow_contraction(j, e_var, f_var, vars):
+    """tau_j by its definition: sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}."""
+    rep = make_rep(j)
+    erow = q_exp_nilpotent(rep.E, e_var, 2, vars)[0]
+    fexp = q_exp_nilpotent(rep.F, f_var, -2, vars)
+    T = _semantic_t(rep.two_j)
+    acc = NCPoly.zero(funq_sl2(), vars)
+    for m in range(rep.dim):
+        for r in range(rep.dim):
+            flow = erow[m] * fexp[r][0]
+            lifted = {w: flow.scale(t.constant_term()) for w, t in T[m][r].terms.items()}
+            acc = acc + NCPoly(funq_sl2(), vars, {w: t for w, t in lifted.items() if not t.is_zero()})
+    return acc
+
+
+@pytest.mark.parametrize(
+    "e_var,f_var,vars", [("u", "x", ("u", "x")), ("x", "u", ("u", "x")), ("v", "y", qhirota.LM_VARS)]
+)
+@pytest.mark.parametrize("two_j", range(7))
+def test_tau_is_the_flow_contraction(two_j, e_var, f_var, vars):
+    j = Fraction(two_j, 2)
+    assert tau_q(j, e_var, f_var, vars) == _flow_contraction(j, e_var, f_var, vars)
+
+
+@pytest.mark.parametrize("e_var,f_var", [("u", "u"), ("u", "z")])
+def test_tau_flow_variables_must_be_two_of_vars(e_var, f_var):
+    with pytest.raises(ValueError):
+        tau_q(1, e_var, f_var, ("u", "x"))
+
+
+def test_closed_form_builds_without_intertwiners(fresh_caches, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("T^(j) and tau_j are built without intertwiner solves")
+
+    monkeypatch.setattr(funq, "embed_chain", refuse)
+    monkeypatch.setattr(la, "intertwiner", refuse)
+    calls = []
+    mul = QScalar.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QScalar, "__mul__", counting)
+    tau_q(2, "u", "x", ("u", "x"))
+    assert calls == []
+    for two_j in range(5):
+        t_matrix(Fraction(two_j, 2))
+        tau_q(Fraction(two_j, 2), "u", "x", ("u", "x"))
+
+
 def test_tau_constant_coefficient_is_corner_entry():
     for j in (HALF, 1, Fraction(3, 2)):
         tau = tau_q(j, "u", "x", ("u", "x"))
@@ -159,10 +211,13 @@ def test_gauss_relations_fail_when_both_conventions_satisfy_them(monkeypatch):
     assert report.details == ["[q] unexpectedly also satisfies all relations"]
 
 
-# T^(j) is built as the top block of (j-1/2, 1/2), so those pairs would hold
-# by construction; these pairs are not built by the recursion
+# T^(j) comes from the quantum plane, not from smaller T's, so every pair is a
+# check of the closed form against embed_chain; (j, 1/2) is the step of the
+# spin recursion that built T^(j) before
 @pytest.mark.parametrize(
-    "j,jp", [(HALF, Fraction(3, 2)), (1, Fraction(3, 2)), (HALF, 1), (0, 1), (1, 1)]
+    "j,jp",
+    [(Fraction(t, 2), HALF) for t in range(1, 7)]
+    + [(HALF, Fraction(3, 2)), (1, Fraction(3, 2)), (HALF, 1), (0, 1), (1, 1)],
 )
 def test_corep(j, jp):
     assert verify_corep(j, jp).verdict
@@ -197,8 +252,8 @@ def test_gauss_route_spin_one_diagonal():
 
 
 def test_top_block_entries_are_ncpolys():
-    # mat_mul takes the zero of an empty sum from its left factor, which
-    # here is the QScalar projection pi
+    # the projection pi is a QScalar matrix, but an empty sum in mat_mul is
+    # the zero of the product's ring
     for two_j in range(2, 6):
         block = _top_block(_semantic_t(two_j - 1), _semantic_t(1))
         assert all(isinstance(x, NCPoly) and x.pres is funq_sl2() for row in block for x in row)
@@ -213,7 +268,7 @@ def test_cache_keys_are_normalized(fresh_caches):
     assert gauss_param() is gauss_param("q_inverse")
     # one build per spin, whatever the spelling of the spin or the default
     t_matrix(1), t_matrix(Fraction(2, 2))
-    assert funq._semantic_t.cache_info().currsize == 2  # 2j = 2 and its 2j = 1 factor
+    assert funq._semantic_t.cache_info().currsize == 1
     gauss_t_matrix(1), gauss_t_matrix(1.0, FROZEN_GAUSS_CONVENTION)
     assert funq._semantic_gauss.cache_info().currsize == 1
 
@@ -223,3 +278,47 @@ def test_unknown_gauss_convention_caches_nothing(fresh_caches):
         gauss_t_matrix(1, "bogus")
     for cached in (funq._semantic_gauss, ncalg._gauss_param):
         assert cached.cache_info().currsize == 0
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    """Replace ``module.name`` by a copy of its source with ``old`` changed to
+    ``new``; the copy reads the module's other names."""
+    src = inspect.getsource(getattr(module, name))
+    assert src.count(old) == 1
+    namespace = dict(vars(module))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+    return namespace[name]
+
+
+def _verdicts(*check_ids):
+    return [cli.run_check(check_id)[0].verdict for check_id in check_ids]
+
+
+def test_mutant_d_fails_dual_route(fresh_caches, monkeypatch):
+    # D_m = q^(-m(m+1)/2) (2j)_{q^2}! / (2j-m)_{q^2}!.  funq.corep cannot see
+    # it: a diagonal similarity that scales each weight space commutes with
+    # the weight-preserving embed_chain, so it only moves T^(j) to another
+    # basis of the same corepresentation.
+    _mutate(monkeypatch, funq, "_semantic_t", "QScalar.q_power(-m)", "QScalar.q_power(-m - 1)")
+    assert not funq.verify_dual_route(HALF).verdict
+    assert _verdicts("funq.corep") == [True]
+
+
+def test_mutant_plane_relation_fails(fresh_caches, monkeypatch):
+    # yx = q^-1 xy in place of yx = q xy
+    _mutate(monkeypatch, funq, "_plane", "{k * (p - l): 1}", "{-k * (p - l): 1}")
+    assert _verdicts("funq.corep", "funq.dual-route", "lm.grid") == [False, False, False]
+
+
+@pytest.mark.parametrize(
+    "old,new,check_id",
+    [
+        # the q-power of u^m shifted by +m: tau_j(q u, x)
+        ("shift = r * (r - 1) // 2", "shift = m + r * (r - 1) // 2", "lm"),
+        ("_q2_binomial(two_j, r)", "_q2_binomial(two_j, m)", "lm.grid"),
+    ],
+)
+def test_mutant_tau_fails_lm(fresh_caches, monkeypatch, old, new, check_id):
+    monkeypatch.setattr(qhirota, "tau_q", _mutate(monkeypatch, funq, "tau_q", old, new))
+    assert _verdicts(check_id) == [False]

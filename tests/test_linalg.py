@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tau_forge import linalg as la
-from tau_forge.ncalg import NCPoly, TimesPoly, q_commuting_pair
+from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2, q_commuting_pair
 from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO
 from tau_forge.uqsl2 import coproduct, make_rep
 from test_funq import EMBED_PAIRS
@@ -203,6 +203,16 @@ def test_mixed_rings_match_dense_loops():
     _assert_same(la.mat_mul(dense, B), _dense_mul(dense, B))
     P = _sparse(rng, "ncpoly", 2, 3, zero_row=1)
     _assert_same(la.mat_mul(P, A), _dense_mul(P, A))
+
+
+def test_mixed_ring_empty_entry_is_the_products_zero():
+    # a QScalar row times NCPoly columns: the empty entry is an NCPoly zero,
+    # not the QScalar zero of the row
+    pres = funq_sl2()
+    a, zero = NCPoly.generator(pres, "a"), NCPoly.zero(pres)
+    out = la.mat_mul([[ZERO, ONE]], [[a, zero], [a, zero]])
+    assert out == [[a, zero]]
+    assert isinstance(out[0][1], NCPoly)
 
 
 def _nonzero_pairs(A, B):

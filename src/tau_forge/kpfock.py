@@ -39,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm, perm
 
 from ._kernels import _trim
@@ -386,9 +387,10 @@ class GroupElementSpec:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def schur_exponents(j):
     """S_j as {exponent tuple over slots 1..j: Fraction} from the recurrence
-    j S_j = sum_k k x_k S_{j-k}."""
+    j S_j = sum_k k x_k S_{j-k}.  Cached: callers only read the dict."""
     if j < 0:
         return {}
     table = [{(): Fraction(1)}]

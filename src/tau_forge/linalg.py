@@ -95,7 +95,8 @@ def kron(A, B):
         for Bk in B:
             row = []
             for a, a_zero in blocks:
-                row.extend([a] * len(Bk) if a_zero else [a * b for b in Bk])
+                # a zero block takes mat_mul's zero: a itself within one ring
+                row.extend(a if a_zero and type(a) is type(b) else a * b for b in Bk)
             out.append(row)
     return out
 

@@ -11,7 +11,14 @@ Internally the value is ``s * N(q) / D(q)`` where
   ``gcd(N, D) = 1`` and no common power of q.
 
 Laurent elements such as ``q + q^-1`` are therefore stored with the q-power
-cleared into the denominator: ``(q^2+1)/q``.  The module also provides the
+cleared into the denominator: ``(q^2+1)/q``, and zero is the one element
+with an empty numerator.  ``_make`` canonicalizes raw input; the arithmetic
+keeps the form by Henrici's rules (J. ACM 3, 1956; Knuth, TAOCP vol. 2,
+4.5.1), since products of primitive, positive-leading polynomials are such
+(Gauss's lemma): ``a*b`` cancels gcd(N1, D2) and gcd(N2, D1) and nothing
+else; ``a+b`` over g = gcd(D1, D2) cancels only h = gcd(num, g) from
+num = k1 N1 (D2/g) + k2 N2 (D1/g), coprime to D1/g and D2/g, and moves num's
+content into s; ``inv`` swaps N and D.  The module also provides the
 q-integers ``(n)_q`` and ``[n]_q`` with their factorials and exact
 evaluation at q = 1.
 """
@@ -127,10 +134,10 @@ class QScalar:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return self.s == 0
+        return not self.nc
 
     def is_rational(self):
-        return self.nc == _ONE_POLY and self.dc == _ONE_POLY or self.s == 0
+        return not self.nc or self.nc == _ONE_POLY and self.dc == _ONE_POLY
 
     def as_rational(self):
         if not self.is_rational():
@@ -145,22 +152,20 @@ class QScalar:
         if len(self.dc) != 1:
             raise ValueError(f"not a Laurent polynomial: {self}")
         ((k, _),) = self.dc.items()
-        out = {}
-        for e, n in self.nc.items():
-            v = self.s * n
-            if v.denominator != 1:
-                raise ValueError(f"not a Laurent polynomial over the integers: {self}")
-            out[e - k] = int(v)
-        return out
+        # N is primitive, so s*N is integral exactly when s is
+        if self.s.denominator != 1:
+            raise ValueError(f"not a Laurent polynomial over the integers: {self}")
+        s = self.s.numerator
+        return {e - k: s * n for e, n in self.nc.items()}
 
     # -- ring/field operations ------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.s == 0:
+        if not self.nc:
             return other
-        if other.s == 0:
+        if not other.nc:
             return self
         if self.is_rational() and other.is_rational():
             return QScalar.from_rational(self.s + other.s)
@@ -174,21 +179,32 @@ class QScalar:
         b = ipoly_mul(other.nc, d1r)
         s1, s2 = self.s, other.s
         num = ipoly_lin(a, s1.numerator * s2.denominator, b, s2.numerator * s1.denominator)
-        den = ipoly_mul(self.dc, d2r)
-        return QScalar._make(Fraction(1, s1.denominator * s2.denominator), num, den)
+        if not num:
+            return ZERO
+        c = ipoly_signed_content(num)
+        if c != 1:
+            num = {e: v // c for e, v in num.items()}
+        d1 = self.dc
+        if g != _ONE_POLY:
+            h = ipoly_gcd(num, g)
+            if h != _ONE_POLY:
+                num, d1 = ipoly_divexact(num, h), ipoly_divexact(d1, h)
+        # (D1/h)(D2/g) = (D1/g)(D2/g)(g/h)
+        den = ipoly_mul(d1, d2r)
+        return QScalar(Fraction(c, s1.denominator * s2.denominator), num, den, _raw=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.s == 0:
+        if not self.nc:
             return self
         return QScalar(-self.s, self.nc, self.dc, _raw=True)
 
     def __mul__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.s == 0 or other.s == 0:
+        if not self.nc or not other.nc:
             return ZERO
         # scaling a canonical fraction by a nonzero rational keeps it canonical
         if self.is_rational():
@@ -201,12 +217,12 @@ class QScalar:
         d2 = other.dc if g1 == _ONE_POLY else ipoly_divexact(other.dc, g1)
         n2 = other.nc if g2 == _ONE_POLY else ipoly_divexact(other.nc, g2)
         d1 = self.dc if g2 == _ONE_POLY else ipoly_divexact(self.dc, g2)
-        return QScalar._make(self.s * other.s, ipoly_mul(n1, n2), ipoly_mul(d1, d2))
+        return QScalar(self.s * other.s, ipoly_mul(n1, n2), ipoly_mul(d1, d2), _raw=True)
 
     def inv(self):
-        if self.s == 0:
+        if not self.nc:
             raise QDivisionError("inverse of zero in Q(q)")
-        return QScalar._make(1 / self.s, dict(self.dc), dict(self.nc))
+        return QScalar(1 / self.s, self.dc, self.nc, _raw=True)
 
     def __truediv__(self, other):
         if not isinstance(other, QScalar):
@@ -237,7 +253,7 @@ class QScalar:
 
     def eval_q1(self):
         """Exact value at q = 1; raises PoleAtQOne on a genuine pole."""
-        if self.s == 0:
+        if not self.nc:
             return Fraction(0)
         den = sum(self.dc.values())
         if den == 0:
@@ -247,7 +263,7 @@ class QScalar:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if self.s == 0:
+        if not self.nc:
             return "0"
         num = _poly_str(self.nc, self.s)
         if self.dc == _ONE_POLY:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tau_forge.cli import run_check
 from tau_forge.kpfock import (
     BoundaryError,
     FockSpace,
@@ -142,6 +143,16 @@ def test_schur_polynomials():
     s1 = schur_poly(1, 1, Fraction(2))
     assert s1 == {(1,): 2}
     assert schur_poly(-1, 2) == {}
+
+
+def test_kp_runs_leave_schur_exponents_unchanged(fresh_caches):
+    # every caller shares the cached dict, so one that wrote to it would
+    # change S_j for all later callers
+    for check_id in ("kp.m3", "kp.m4", "kp.h6", "kp.cauchy"):
+        assert all(r.verdict for r in run_check(check_id))
+    assert schur_exponents.cache_info().hits
+    for j in range(-1, 10):
+        assert schur_exponents(j) == schur_exponents.__wrapped__(j)
 
 
 def test_schur_diff_example():

@@ -213,6 +213,10 @@ def test_mixed_ring_empty_entry_is_the_products_zero():
     out = la.mat_mul([[ZERO, ONE]], [[a, zero], [a, zero]])
     assert out == [[a, zero]]
     assert isinstance(out[0][1], NCPoly)
+    # kron's zero block likewise
+    out = la.kron([[ZERO, ONE]], [[a]])
+    assert out == [[zero, a]]
+    assert isinstance(out[0][0], NCPoly)
 
 
 def _nonzero_pairs(A, B):

@@ -3,8 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from tau_forge._kernels import ipoly_lin, ipoly_mul
 from tau_forge.qscalar import (
     ONE,
     PoleAtQOne,
@@ -149,3 +150,106 @@ def test_canonical_equality_is_structural(a, b):
 def test_double_inverse(a):
     if not a.is_zero():
         assert a.inv().inv() == a
+
+
+# -- the canonical form, reached without _make ---------------------------------
+
+polys = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-4, max_value=4).filter(bool),
+    min_size=1,
+    max_size=3,
+)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+def _key(x):
+    return (x.s, x.nc, x.dc)
+
+
+def _cross_sum(a, b, sign):
+    """_make of a + sign*b over the unreduced denominator D1*D2."""
+    k1 = a.s.numerator * b.s.denominator
+    k2 = sign * b.s.numerator * a.s.denominator
+    num = ipoly_lin(ipoly_mul(a.nc, b.dc), k1, ipoly_mul(b.nc, a.dc), k2)
+    return QScalar._make(Fraction(1, a.s.denominator * b.s.denominator), num, ipoly_mul(a.dc, b.dc))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two nonzero scalars built from raw fractions that share a factor f:
+    f divides D1, N2 and D2 before _make.  In half the draws b is c - a for
+    an unrelated c, so a + b must cancel all of a's denominator."""
+    f = draw(polys)
+    a = QScalar._make(draw(rationals), draw(polys), ipoly_mul(draw(polys), f))
+    if draw(st.booleans()):
+        b = QScalar._make(draw(rationals), ipoly_mul(draw(polys), f), ipoly_mul(draw(polys), f))
+    else:
+        b = _cross_sum(QScalar._make(draw(rationals), draw(polys), draw(polys)), a, -1)
+    assume(not b.is_zero())
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(factor_pairs())
+def test_arithmetic_equals_make_of_the_unreduced_fraction(pair):
+    a, b = pair
+    make = QScalar._make
+    assert _key(a * b) == _key(make(a.s * b.s, ipoly_mul(a.nc, b.nc), ipoly_mul(a.dc, b.dc)))
+    assert _key(a + b) == _key(_cross_sum(a, b, 1))
+    assert _key(a - b) == _key(_cross_sum(a, b, -1))
+    assert _key(a / b) == _key(make(a.s / b.s, ipoly_mul(a.nc, b.dc), ipoly_mul(a.dc, b.nc)))
+    assert _key(a.inv()) == _key(make(1 / a.s, a.dc, a.nc))
+
+
+def _frac(num, den):
+    return QScalar._make(Fraction(1), num, den)
+
+
+Q_PLUS_1 = {0: 1, 1: 1}
+
+
+def test_sum_cancels_gcd_of_numerator_and_common_denominator():
+    # 1/(q+1) + q/(q+1): num = 1 + q shares q + 1 with g = gcd(D1, D2)
+    assert _frac({0: 1}, Q_PLUS_1) + _frac({1: 1}, Q_PLUS_1) == ONE
+
+
+def test_product_cancels_cross_gcds():
+    # (q+1)/q * q/(q+1): gcd(N1, D2) = q + 1 and gcd(N2, D1) = q
+    assert _frac(Q_PLUS_1, {1: 1}) * _frac({1: 1}, Q_PLUS_1) == ONE
+
+
+def test_sum_moves_numerator_content_into_s():
+    # 2q/(q+1) + 2/(q+1) = 2: num = 2q + 2 has content 2
+    assert _frac({1: 2}, Q_PLUS_1) + _frac({0: 2}, Q_PLUS_1) == qs(2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(factor_pairs())
+def test_zero_is_the_empty_numerator(pair):
+    a, b = pair
+    assert (a - a).nc == {}
+    assert (a - a).is_zero() and (a - a) == ZERO
+    assert (a - b).is_zero() == (a - b == ZERO)
+    assert (a * ZERO).nc == {} and (ZERO * a).nc == {}
+
+
+def test_arithmetic_never_calls_make(monkeypatch):
+    # _make canonicalizes raw input only; the arithmetic keeps the form itself
+    pairs = [
+        (_frac({0: 1}, Q_PLUS_1), _frac({1: 1}, Q_PLUS_1)),
+        (_frac(Q_PLUS_1, {1: 1}), _frac({1: 1}, Q_PLUS_1)),
+        (_frac({1: 2}, Q_PLUS_1), _frac({0: 2}, Q_PLUS_1)),
+        (Q + QINV, QINV),
+        (bracket(3), paren(2) / Q**2),
+    ]
+    laurent = qs(3) * (Q + QINV)
+
+    def refuse(*args):
+        raise AssertionError("QScalar._make called from the arithmetic")
+
+    monkeypatch.setattr(QScalar, "_make", staticmethod(refuse))
+    for a, b in pairs:
+        assert not a.is_rational() and not b.is_rational()
+        a * b, a + b, a - b, a / b, a.inv()
+    assert laurent.as_laurent() == {1: 3, -1: 3}

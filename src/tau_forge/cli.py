@@ -59,21 +59,18 @@ def _spins(jmax):
 
 
 def _combine(reports):
-    ok = all(r.verdict for r in reports)
-    details = []
+    """One line per report; a failing report adds its details and residual,
+    and those lines are the combined check's failures."""
+    details, failures = [], []
     for r in reports:
-        tag = f"{r.params}" if r.params else ""
-        details.append(f"{r.verdict_str} {tag}")
+        lines = [f"{r.verdict_str} {r.params or ''}"]
         if not r.verdict:
-            details.extend(f"  {d}" for d in r.details[:4])
+            lines += [f"  {d}" for d in r.details]
             if r.residual:
-                details.append(f"  residual: {r.residual[:200]}")
-    return VerificationReport(
-        check_id="",
-        verdict=ok,
-        residual="" if ok else "; ".join(d for d in details if not d.startswith("PASS"))[:400],
-        details=details,
-    )
+                lines.append(f"  residual: {r.residual}")
+            failures += lines
+        details += lines
+    return VerificationReport.from_failures(failures, details=details)
 
 
 def run_qscalar_canonical(params):
@@ -93,9 +90,7 @@ def run_qscalar_canonical(params):
         # canonical equality is structural
         if (a - b).is_zero() != (a == b):
             failures.append(f"structural equality mismatch at trial {trial}")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:4]), details=failures[:8]
-    )
+    return VerificationReport.from_failures(failures)
 
 
 def _random_scalar(rng):
@@ -112,27 +107,22 @@ def _random_scalar(rng):
 def run_qscalar_qnumbers(params):
     failures = []
     for n in range(1, 21):
-        lhs = qscalar.q_number("bracket", n, 1)
-        rhs = qscalar.QScalar.q_power(1 - n) * qscalar.q_number("paren", n, 2)
+        lhs = qscalar.bracket(n, 1)
+        rhs = qscalar.QScalar.q_power(1 - n) * qscalar.paren(n, 2)
         if lhs != rhs:
             failures.append(f"[{n}]_q mismatch")
     for n in range(0, 11):
         pairs = (
-            ("paren", Fraction(n)),
-            ("bracket", Fraction(n)),
-            ("paren_factorial", Fraction(math.factorial(n))),
-            ("bracket_factorial", Fraction(math.factorial(n))),
+            (qscalar.paren, Fraction(n)),
+            (qscalar.bracket, Fraction(n)),
+            (qscalar.paren_factorial, Fraction(math.factorial(n))),
+            (qscalar.bracket_factorial, Fraction(math.factorial(n))),
         )
-        for kind, want in pairs:
-            got = qscalar.q_number(kind, n, 1).eval_q1()
+        for fn, want in pairs:
+            got = fn(n, 1).eval_q1()
             if got != want:
-                failures.append(f"eval_q1 {kind}({n}) = {got} != {want}")
-    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:5]))
-
-
-def run_confluence(params):
-    pres = params["presentation"]()
-    return ncalg.check_local_confluence(pres)
+                failures.append(f"eval_q1 {fn.__name__}({n}) = {got} != {want}")
+    return VerificationReport.from_failures(failures)
 
 
 def run_qexp_addition(params):
@@ -142,8 +132,8 @@ def run_qexp_addition(params):
     y = ncalg.NCPoly.generator(pres, "y")
     lhs = ncalg.nc_exp_q(x + y, 1, deg)
     rhs = ncalg.nc_exp_q(x, 1, deg).mul(ncalg.nc_exp_q(y, 1, deg), max_word_len=deg)
-    ok = (lhs - rhs).is_zero()
-    return VerificationReport(check_id="", verdict=ok, residual="" if ok else str(lhs - rhs)[:200])
+    res = lhs - rhs
+    return VerificationReport.from_failures([] if res.is_zero() else [str(res)])
 
 
 def run_hopf_grid(params):
@@ -157,9 +147,7 @@ def run_vertex_normalizations(params):
         for name, vec in qvertex.vacuum_normalization_residuals(j).items():
             if any(not x.is_zero() for x in vec):
                 failures.append(f"j={j}: {name} mismatch")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:6]), details=failures
-    )
+    return VerificationReport.from_failures(failures)
 
 
 def run_vertex_prop(params):
@@ -196,9 +184,7 @@ def run_funq_gradings(params):
                 want = qscalar.ONE if m == r else qscalar.ZERO
                 if val.constant_word().constant_term() != want or len(val.terms) > (1 if m == r else 0):
                     failures.append(f"counit fails at j={j} entry ({m},{r})")
-    return VerificationReport(
-        check_id="", verdict=not failures, residual="; ".join(failures[:5]), details=failures
-    )
+    return VerificationReport.from_failures(failures)
 
 
 def run_eq_half(params):
@@ -218,7 +204,7 @@ def run_hierarchy(params):
     for a, b in zip(L, R):
         if not (a.value - b.value).is_zero():
             failures.append(f"P_{a.k},{a.l} differs between the two sides")
-    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:5]))
+    return VerificationReport.from_failures(failures)
 
 
 def run_lm(params):
@@ -265,10 +251,7 @@ def run_h6(params):
 def run_cauchy(params):
     tau, direct, cert = kpfock.cauchy_pair(params["degree"], params["window"])
     res = tau - direct
-    ok = res.is_zero()
-    return VerificationReport(
-        check_id="", verdict=ok, residual="" if ok else str(res)[:300], details=[str(cert)]
-    )
+    return VerificationReport.from_failures([] if res.is_zero() else [str(res)], details=[str(cert)])
 
 
 def _vec_sum(a, b, sign=1):
@@ -282,16 +265,16 @@ def _vec_sum(a, b, sign=1):
 def run_heisenberg(params):
     failures = []
     kmax = params["kmax"]
+    space = kpfock.FockSpace(params["window"])
+    base = {space.vacuum(0): 1}
     for k in range(1, kmax + 1):
         for l in range(1, kmax + 1):
-            space = kpfock.FockSpace(params["window"] + 4)
-            base = {space.vacuum(0): 1}
             a = kpfock.apply_flow_generator(space, k, kpfock.apply_flow_generator(space, -l, base))
             b = kpfock.apply_flow_generator(space, -l, kpfock.apply_flow_generator(space, k, base))
             got = _vec_sum(a, b, -1)
             if got != ({space.vacuum(0): k} if k == l else {}):
                 failures.append(f"[a_{k}, a_-{l}] wrong: {got}")
-    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:4]))
+    return VerificationReport.from_failures(failures)
 
 
 def run_fermions(params):
@@ -317,7 +300,7 @@ def run_fermions(params):
         yy = kpfock.apply_fermion(space, "psi", j, kpfock.apply_fermion(space, "psi", i, vec))
         if _vec_sum(xx, yy):
             failures.append(f"psi_{i} psi_{j} + psi_{j} psi_{i} != 0")
-    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures[:4]))
+    return VerificationReport.from_failures(failures)
 
 
 def run_toda_worked(params):
@@ -339,7 +322,7 @@ def run_toda_worked(params):
         failures.append(f"tau_2 = {t2}")
     if not toda.verify_toda_bilinear(inst).verdict:
         failures.append("bilinear identity fails on the worked instance")
-    return VerificationReport(check_id="", verdict=not failures, residual="; ".join(failures))
+    return VerificationReport.from_failures(failures)
 
 
 def run_toda_random(params):
@@ -368,12 +351,12 @@ def build_registry():
         CheckDescriptor(
             "ncalg.confluence.funq-sl2",
             "confluence of the quantized-SL2 rewrite system (diamond lemma)",
-            {"presentation": ncalg.funq_sl2}, run_confluence,
+            {}, lambda params: ncalg.check_local_confluence(ncalg.funq_sl2()),
         ),
         CheckDescriptor(
             "ncalg.confluence.gauss-param",
             "confluence of the parameter-algebra rewrite system (diamond lemma)",
-            {"presentation": ncalg.gauss_param}, run_confluence,
+            {}, lambda params: ncalg.check_local_confluence(ncalg.gauss_param()),
         ),
         CheckDescriptor(
             "ncalg.qexp-addition",
@@ -524,7 +507,7 @@ def run_check(selector, overrides=None):
         report.ms = (time.perf_counter() - t0) * 1000.0
         report.check_id = desc.check_id
         report.anchor = desc.anchor
-        report.params = {k: v for k, v in params.items() if not callable(v)}
+        report.params = params
         reports.append(report)
     return reports
 
@@ -561,7 +544,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "list":
         for cid, desc in sorted(REGISTRY.items()):
-            defaults = {k: str(v) for k, v in desc.params.items() if not callable(v)}
+            defaults = {k: str(v) for k, v in desc.params.items()}
             print(f"{cid:32s} {desc.anchor}" + (f"  {defaults}" if defaults else ""))
         print(f"# kernel backend: {BACKEND}")
         return 0

@@ -39,7 +39,7 @@ from .ncalg import (
     funq_sl2,
     gauss_param,
 )
-from .qscalar import ONE, Q, QINV, QScalar, paren, q_number
+from .qscalar import ONE, Q, QINV, QScalar, paren, paren_factorial
 from .report import VerificationReport
 from .uqsl2 import coproduct, make_rep, twice
 
@@ -160,7 +160,7 @@ def _semantic_gauss(two_j, convention):
     def weight(letter, coeff, base):
         """m -> the normal-ordered word (coeff letter)^m / (m)_{q^base}!."""
         return lambda m: NCPoly.word(
-            pres, (letter,) * m, coeff=coeff**m * q_number("paren_factorial", m, base).inv()
+            pres, (letter,) * m, coeff=coeff**m * paren_factorial(m, base).inv()
         )
 
     one, zero = NCPoly.one(pres), NCPoly.zero(pres)
@@ -250,26 +250,14 @@ def verify_gauss_relations():
     exactly one convention toggle, the frozen one: the other convention must
     FAIL them, or the check cannot tell the two apart."""
     details = []
-    ok_frozen = True
-    other_fails = False
     for conv in GAUSS_CONVENTIONS:
         residuals = gauss_relation_residuals(conv)
         bad = [name for name, r in residuals.items() if not r.is_zero()]
         if conv == FROZEN_GAUSS_CONVENTION:
-            ok_frozen = not bad
             details.extend(f"[{conv}] residual {name} != 0" for name in bad)
-        else:
-            other_fails = bool(bad)
-            if not bad:
-                details.append(f"[{conv}] unexpectedly also satisfies all relations")
-    verdict = ok_frozen and other_fails
-    return VerificationReport(
-        check_id="funq.gauss-relations",
-        verdict=verdict,
-        residual="" if verdict else "; ".join(details),
-        params={"frozen": FROZEN_GAUSS_CONVENTION},
-        details=details,
-    )
+        elif not bad:
+            details.append(f"[{conv}] unexpectedly also satisfies all relations")
+    return VerificationReport.from_failures(details, params={"frozen": FROZEN_GAUSS_CONVENTION})
 
 
 def verify_corep(j, jp):
@@ -277,7 +265,7 @@ def verify_corep(j, jp):
     T^(jp) equals T^(j+jp) (group-like/corepresentation law)."""
     two_j, two_jp = twice(j), twice(jp)
     return _zero_matrix_report(
-        "funq.corep", corep_residual(two_j, two_jp), {"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)}
+        corep_residual(two_j, two_jp), {"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)}
     )
 
 
@@ -285,17 +273,12 @@ def verify_dual_route(j):
     """Substituting the gauss spin-1/2 entries into the abstract T^(j)
     reproduces the gauss T^(j)."""
     two_j = twice(j)
-    return _zero_matrix_report("funq.dual-route", dual_route_residuals(two_j), {"j": Fraction(two_j, 2)})
+    return _zero_matrix_report(dual_route_residuals(two_j), {"j": Fraction(two_j, 2)})
 
 
-def _zero_matrix_report(check_id, res, params):
+def _zero_matrix_report(res, params):
     bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
-    return VerificationReport(
-        check_id=check_id,
-        verdict=not bad,
-        residual="" if not bad else f"nonzero entries at {bad[:6]}",
-        params=params,
-    )
+    return VerificationReport.from_failures([f"nonzero entries at {bad}"] if bad else [], params)
 
 
 def corep_residual(two_j, two_jp):

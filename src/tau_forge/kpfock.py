@@ -636,15 +636,10 @@ def verify_hirota_kp(which, g, degree, window, charges=(0, 0)):
         res, certs, caps = h6_residual(g, charges[0], charges[1], degree, window)
     else:
         raise ValueError(f"unknown check {which!r}")
-    ok = res.is_zero()
     params = {"g": len(g.factors), "charges": charges, "degree": degree, "window": window}
     if caps is not None:
         params["caps"] = caps
-    return VerificationReport(
-        check_id=f"kp.{which.lower()}",
-        verdict=ok,
-        residual="" if ok else str(res)[:400],
-        params=params,
-        details=[str(c) for c in certs[:4]],
+    return VerificationReport.from_failures(
+        [] if res.is_zero() else [str(res)], params, details=[str(c) for c in certs[:4]]
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .qscalar import ONE, QScalar, ZERO, qs
+from .qscalar import ONE, QScalar, ZERO, paren_factorial, qs
 from ._kernels import _addmul, _trim, _trim_words, tup_add
 from .report import VerificationReport
 
@@ -548,15 +548,13 @@ def normal_form(p):
 
 def nc_exp_q(p, base_power, max_degree):
     """Truncated q-exponential sum_n p^n / (n)_{q^base}! up to word length max_degree."""
-    from .qscalar import q_number
-
     acc = NCPoly.one(p.pres, p.vars)
     pw = NCPoly.one(p.pres, p.vars)
     for n in range(1, max_degree + 1):
         pw = pw.mul(p, max_word_len=max_degree)
         if pw.is_zero():
             break
-        acc = acc + pw.scale(q_number("paren_factorial", n, base_power).inv())
+        acc = acc + pw.scale(paren_factorial(n, base_power).inv())
     return acc
 
 
@@ -603,11 +601,8 @@ def check_local_confluence(pres):
         and not (sorted(w) == sorted(lhs) and inversions(w) < inversions(lhs))
     ]
     if unordered:
-        return VerificationReport(
-            check_id=f"confluence.{pres.name}",
-            verdict=False,
-            residual=f"rules that do not decrease the order: {', '.join(unordered)}",
-            details=[order],
+        return VerificationReport.from_failures(
+            [f"rules that do not decrease the order: {', '.join(unordered)}"], details=[order]
         )
     lefts = list(dict.fromkeys(lhs for lhs, _ in rules))
     ambiguities = [(x, y, z) for x, y in lefts for y2, z in lefts if y2 == y]
@@ -623,10 +618,8 @@ def check_local_confluence(pres):
             normals.append(_trim_words(nf))
         if any(nf != normals[0] for nf in normals[1:]):
             divergent.append("*".join(word))
-    return VerificationReport(
-        check_id=f"confluence.{pres.name}",
-        verdict=not divergent,
-        residual=f"divergent ambiguities: {', '.join(divergent)}" if divergent else "",
+    return VerificationReport.from_failures(
+        [f"divergent ambiguities: {', '.join(divergent)}"] if divergent else [],
         details=[order, "ambiguities: " + (", ".join("*".join(w) for w in ambiguities) or "none")],
     )
 

@@ -526,18 +526,11 @@ def verify_lm(j, jp):
     ring, scale, lhs, rhs = _lm_packed(j, jp)
     params = {"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)}
     if not lhs[1]:
-        msg = "the left-hand side is zero, so the identity holds vacuously"
-        return VerificationReport(
-            check_id="lm", verdict=False, residual=msg, params=params, details=[msg]
-        )
-    res = ring.combine((1, lhs), (-1, rhs))
-    ok = not res[1]
-    return VerificationReport(
-        check_id="lm",
-        verdict=ok,
-        residual="" if ok else str(ring.to_ncpoly(res, scale)),
-        params=params,
-    )
+        failures = ["the left-hand side is zero, so the identity holds vacuously"]
+    else:
+        res = ring.combine((1, lhs), (-1, rhs))
+        failures = [str(ring.to_ncpoly(res, scale))] if res[1] else []
+    return VerificationReport.from_failures(failures, params)
 
 
 def expand_hierarchy(j, jp, alpha, beta, kmax=3, lmax=3, side="residual"):
@@ -602,12 +595,7 @@ def eq_half_residual():
 
 def verify_eq_half():
     res = eq_half_residual()
-    ok = res.is_zero()
-    return VerificationReport(
-        check_id="qliouville.eq-half",
-        verdict=ok,
-        residual="" if ok else str(res),
-    )
+    return VerificationReport.from_failures([] if res.is_zero() else [str(res)])
 
 
 def _shifted(tau, us, xs):
@@ -670,12 +658,9 @@ def commutative_sl2():
 def spin_half_suite():
     """The displayed spin-1/2 equations plus the classical Liouville limit."""
     details = []
-    ok = True
-    residual = ""
     for n in (1, 2, 3):
         res = hierarchy_eq_residual(n)
         if not res.is_zero():
-            ok = False
             details.append(f"equation {n} residual nonzero: {res}")
     # classical limit: commuting a, b, c, d with ad - bc = 1; the equation-2
     # combination evaluated at q = 1 must vanish identically
@@ -685,16 +670,7 @@ def spin_half_suite():
             lambda c: QScalar.from_rational(c.eval_q1())
         )
         if not res_q1.is_zero():
-            ok = False
             details.append(f"classical limit residual nonzero: {res_q1}")
     except PoleAtQOne as exc:
-        ok = False
         details.append(f"classical limit aborted: {exc}")
-    if not ok:
-        residual = "; ".join(details)
-    return VerificationReport(
-        check_id="qliouville.suite",
-        verdict=ok,
-        residual=residual,
-        details=details,
-    )
+    return VerificationReport.from_failures(details)

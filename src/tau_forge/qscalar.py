@@ -26,6 +26,7 @@ evaluation at q = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from ._kernels import (
@@ -318,34 +319,37 @@ def qs(value):
 # -- q-combinatorics ------------------------------------------------------
 
 
-def q_number(kind, n, base_power=1):
-    """q-integers and their factorials in the variable q^base_power.
-
-    ``paren``:   (n)_{q^k} = 1 + q^k + ... + q^{k(n-1)}
-    ``bracket``: [n]_{q^k} = (q^{kn} - q^{-kn}) / (q^k - q^{-k})
-    plus ``paren_factorial`` and ``bracket_factorial``; (0)! = [0]! = 1.
-    """
+def _check_q_number(n, base_power):
     if n < 0:
-        raise ValueError("q_number requires n >= 0")
+        raise ValueError("q-numbers require n >= 0")
     if base_power == 0:
         raise ValueError("base power must be nonzero")
-    if kind == "paren":
-        return QScalar.from_terms({base_power * i: 1 for i in range(n)})
-    if kind == "bracket":
-        body = QScalar.from_terms({2 * base_power * i: 1 for i in range(n)})
-        return QScalar.q_power(-base_power * (n - 1)) * body if n else ZERO
-    if kind in ("paren_factorial", "bracket_factorial"):
-        base_kind = "paren" if kind.startswith("paren") else "bracket"
-        acc = ONE
-        for m in range(1, n + 1):
-            acc = acc * q_number(base_kind, m, base_power)
-        return acc
-    raise ValueError(f"unknown q-number kind: {kind!r}")
 
 
+@cache
 def paren(n, base_power=1):
-    return q_number("paren", n, base_power)
+    """(n)_{q^k} = 1 + q^k + ... + q^{k(n-1)}, for k = base_power."""
+    _check_q_number(n, base_power)
+    return QScalar.from_terms({base_power * i: 1 for i in range(n)})
 
 
+@cache
 def bracket(n, base_power=1):
-    return q_number("bracket", n, base_power)
+    """[n]_{q^k} = (q^{kn} - q^{-kn}) / (q^k - q^{-k}), for k = base_power."""
+    _check_q_number(n, base_power)
+    body = QScalar.from_terms({2 * base_power * i: 1 for i in range(n)})
+    return QScalar.q_power(-base_power * (n - 1)) * body if n else ZERO
+
+
+@cache
+def paren_factorial(n, base_power=1):
+    """(n)_{q^k}! = (1)(2)...(n); (0)! = 1."""
+    _check_q_number(n, base_power)
+    return paren_factorial(n - 1, base_power) * paren(n, base_power) if n else ONE
+
+
+@cache
+def bracket_factorial(n, base_power=1):
+    """[n]_{q^k}! = [1][2]...[n]; [0]! = 1."""
+    _check_q_number(n, base_power)
+    return bracket_factorial(n - 1, base_power) * bracket(n, base_power) if n else ONE

@@ -192,7 +192,6 @@ def verify_component_relations(j):
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
     details = []
-    ok = True
 
     # (R1)  sum S(x1) Phi^i x2 = sum_j rho_j^i(x) Phi^j
     # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
@@ -224,7 +223,6 @@ def verify_component_relations(j):
                     if not coef.is_zero():
                         lhs = la.mat_sub(lhs, la.mat_scale(comp[jj], coef))
                 if not la.mat_is_zero(lhs):
-                    ok = False
                     details.append(f"{name} fails at x={x}, i={'+-'[i]}")
 
     # canonical identifications: creating-right components match an
@@ -236,22 +234,14 @@ def verify_component_relations(j):
         try:
             duals[family] = _twisted_dual_components(two_j, family)
         except ConventionError as exc:
-            ok = False
             details.append(f"twisted-dual {family} solve fails: {exc}")
     for family, comp, name in zip(
         _DUAL_FAMILIES, (comps.phi_up, comps.psi_dn), ("creating-right", "annihilating-left")
     ):
         if family in duals and not _proportional_pairs(comp, duals[family]):
-            ok = False
             details.append(f"dual identification fails for {name} components")
 
-    return VerificationReport(
-        check_id="vertex.component-relations",
-        verdict=ok,
-        residual="" if ok else "; ".join(details),
-        params={"j": Fraction(two_j, 2)},
-        details=details,
-    )
+    return VerificationReport.from_failures(details, params={"j": Fraction(two_j, 2)})
 
 
 def _proportional_pairs(pair1, pair2):
@@ -278,19 +268,10 @@ def verify_qexp_commutation(j):
     """The eight exact commutation identities between the vertex components
     and exp_{q^2}(t e), exp_{q^-2}(s f), as TimesPoly matrix identities."""
     two_j = twice(j)
-    details = []
-    ok = True
-    for name, res in _qexp_commutation_residuals(two_j).items():
-        if not la.mat_is_zero(res):
-            ok = False
-            details.append(f"failed {name}")
-    return VerificationReport(
-        check_id="vertex.qexp-commutation",
-        verdict=ok,
-        residual="" if ok else "; ".join(details),
-        params={"j": Fraction(two_j, 2)},
-        details=details,
-    )
+    failures = [
+        f"failed {name}" for name, res in _qexp_commutation_residuals(two_j).items() if not la.mat_is_zero(res)
+    ]
+    return VerificationReport.from_failures(failures, params={"j": Fraction(two_j, 2)})
 
 
 def _qexp_commutation_residuals(two_j):

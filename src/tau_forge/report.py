@@ -1,13 +1,17 @@
 """Verification report shared by every verify_* operation.
 
-A verify_* function fills in the verdict, residual, params and details;
-``cli.run_check`` stamps the check id, the registry anchor and ``ms``, the
-wall time of the whole check.
+The registry in ``cli`` names a check: ``cli.run_check`` stamps the check
+id, the registry anchor, the params and ``ms``, the wall time of the whole
+check.  :meth:`VerificationReport.from_failures` decides it: a check is its
+list of failures, and it passes exactly when that list is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+# length of a FAIL residual; the details keep every failure in full
+RESIDUAL_CAP = 400
 
 
 @dataclass
@@ -19,6 +23,20 @@ class VerificationReport:
     anchor: str = ""
     ms: float = 0.0
     details: list = field(default_factory=list)
+
+    @classmethod
+    def from_failures(cls, failures, params=None, details=None):
+        """PASS exactly when ``failures`` is empty; the residual is the
+        failures joined by "; " and cut at RESIDUAL_CAP characters.  The
+        details are the failures unless the caller passes its own lines."""
+        failures = list(failures)
+        return cls(
+            check_id="",
+            verdict=not failures,
+            residual="; ".join(failures)[:RESIDUAL_CAP],
+            params=params or {},
+            details=failures if details is None else details,
+        )
 
     @property
     def verdict_str(self):
@@ -42,4 +60,3 @@ class VerificationReport:
         if not self.verdict and self.details:
             line += "".join(f"\n  {d}" for d in self.details)
         return line
-

@@ -242,14 +242,7 @@ def verify_toda_bilinear(inst):
             details.append(f"k={k}: d_u tau_k != bordered minor")
         if dxu != _expand(cA[k], bordered, D):
             details.append(f"k={k}: d_x d_u tau_k != inner minor")
-    ok = not details
-    return VerificationReport(
-        check_id="toda.bilinear",
-        verdict=ok,
-        residual="" if ok else "; ".join(details),
-        params={"size": inst.size},
-        details=details,
-    )
+    return VerificationReport.from_failures(details, params={"size": inst.size})
 
 
 def _fit_constant(bilinear, target):

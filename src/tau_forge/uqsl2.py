@@ -29,7 +29,7 @@ from functools import cache, cached_property, reduce
 from . import linalg as la
 from .linalg import NonNilpotentError  # noqa: F401  (re-exported; q_exp_nilpotent raises it)
 from .ncalg import TimesPoly
-from .qscalar import ONE, Q, QINV, QScalar, bracket, q_number, qs
+from .qscalar import ONE, Q, QINV, QScalar, bracket, paren_factorial, qs
 from .report import VerificationReport
 
 
@@ -164,7 +164,7 @@ def q_exp_nilpotent(A, var, base_power, vars):
     vars = tuple(vars)
 
     def weight(m):
-        coef = q_number("paren_factorial", m, base_power).inv()
+        coef = paren_factorial(m, base_power).inv()
         return TimesPoly.var(vars, var, coeff=coef, power=m)
 
     return la.nilpotent_exp(A, weight, TimesPoly.one(vars), TimesPoly.zero(vars))
@@ -222,11 +222,6 @@ def verify_hopf_matrices(j, jp):
             if not la.mat_is_zero(la.mat_sub(total, la.mat_scale(legs["one"], qs(COUNIT[x])))):
                 details.append(f"failed antipode axiom on {x} at spin {rep.spin}")
 
-    ok = not details
-    return VerificationReport(
-        check_id="hopf.matrices",
-        verdict=ok,
-        residual="" if ok else "; ".join(details),
-        params={"j": Fraction(twice(j), 2), "jp": Fraction(twice(jp), 2)},
-        details=details,
+    return VerificationReport.from_failures(
+        details, params={"j": Fraction(twice(j), 2), "jp": Fraction(twice(jp), 2)}
     )

@@ -227,6 +227,13 @@ def test_kp_parameter_domain_never_fails(window, capsys):
         assert code in (0, 2), (argv, out)
 
 
+def test_heisenberg_runs_on_the_window_it_reports(capsys):
+    # a_-l raises modes up to l = kmax = 4 on the vacuum: window 4 reaches its edge
+    assert main(["verify", "kp.heisenberg", "--window", "4"]) == 2
+    assert "touches the window edge" in capsys.readouterr().err
+    assert main(["verify", "kp.heisenberg", "--window", "5"]) == 0
+
+
 def test_lm_parameter_domain_passes():
     spins = [Fraction(t, 2) for t in range(1, 5)]
     for j in spins:

@@ -15,8 +15,9 @@ from tau_forge.qscalar import (
     QScalar,
     ZERO,
     bracket,
+    bracket_factorial,
     paren,
-    q_number,
+    paren_factorial,
     qs,
 )
 
@@ -49,13 +50,31 @@ def test_division_by_zero():
 
 
 def test_q_number_examples():
-    assert q_number("bracket", 2, 1) == Q + QINV
-    assert q_number("paren", 3, 1) == ONE + Q + Q * Q
+    assert bracket(2, 1) == Q + QINV
+    assert paren(3, 1) == ONE + Q + Q * Q
     # factorial of (n)_{q^2}: (1)(1+q^2)(1+q^2+q^4)
     expect = (ONE) * (ONE + Q**2) * (ONE + Q**2 + Q**4)
-    assert q_number("paren_factorial", 3, 2) == expect
-    assert q_number("paren_factorial", 0, 1) == ONE
-    assert q_number("bracket_factorial", 0, 3) == ONE
+    assert paren_factorial(3, 2) == expect
+    assert paren_factorial(0, 1) == ONE
+    assert bracket_factorial(0, 3) == ONE
+    for fn in (paren, bracket, paren_factorial, bracket_factorial):
+        with pytest.raises(ValueError):
+            fn(-1, 1)
+        with pytest.raises(ValueError):
+            fn(2, 0)
+
+
+def test_repeated_factorial_makes_no_make_call(monkeypatch):
+    # each q-number is built once per (n, base); the factorial of n reuses n - 1's
+    paren_factorial.cache_clear()
+    first = paren_factorial(7, -2)
+
+    def refuse(*args):
+        raise AssertionError("QScalar._make called for a cached q-number")
+
+    monkeypatch.setattr(QScalar, "_make", staticmethod(refuse))
+    assert paren_factorial(7, -2) is first
+    assert paren_factorial(6, -2) * paren(7, -2) == first
 
 
 def test_bracket_paren_relation():
@@ -66,10 +85,10 @@ def test_bracket_paren_relation():
 
 def test_eval_q1_classical_values():
     for n in range(0, 11):
-        assert q_number("paren", n, 1).eval_q1() == n
-        assert q_number("bracket", n, 1).eval_q1() == n
-        assert q_number("paren_factorial", n, 1).eval_q1() == math.factorial(n)
-        assert q_number("bracket_factorial", n, 2).eval_q1() == math.factorial(n)
+        assert paren(n, 1).eval_q1() == n
+        assert bracket(n, 1).eval_q1() == n
+        assert paren_factorial(n, 1).eval_q1() == math.factorial(n)
+        assert bracket_factorial(n, 2).eval_q1() == math.factorial(n)
 
 
 def test_eval_q1_brackets():

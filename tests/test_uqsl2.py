@@ -64,9 +64,9 @@ def test_q_exp_spin_one_f():
     rep = make_rep(1)
     M = q_exp_nilpotent(rep.F, "s", -2, ("s",))
     # I + sF + s^2 F^2 / (2)_{q^-2}
-    from tau_forge.qscalar import q_number
+    from tau_forge.qscalar import paren_factorial
 
-    coeff = q_number("paren_factorial", 2, -2).inv()
+    coeff = paren_factorial(2, -2).inv()
     assert M[2][0].coefficient((2,)) == coeff
 
 

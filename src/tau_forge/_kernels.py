@@ -10,7 +10,11 @@ These are the innermost loops of every exact computation in the package:
   fixed-width bit fields, so adding two keys multiplies the monomials as
   long as no field overflows.  Callers take the width from a degree bound.
   A Laurent polynomial ``{q-exponent: int}`` is the one-variable case
-  with exponents of either sign, so ``_addmul`` multiplies those too.
+  with exponents of either sign, so ``_addmul`` multiplies those too;
+* Laurent polynomials Kronecker-packed in q (Kronecker 1882): one int, the
+  polynomial's value at q = 2^B.  Evaluation at 2^B is a ring homomorphism,
+  so sums, products and exact quotients of the ints are exact at any size;
+  a bound on the coefficients is needed only to test for zero and decode.
 """
 
 from math import gcd
@@ -197,3 +201,40 @@ def _trim(p):
 def _trim_words(p):
     """{word: packed polynomial} with zero terms and then empty words dropped."""
     return {w: d for w, d in ((w, _trim(d)) for w, d in p.items()) if d}
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials packed as their value at q = 2^bits
+# ---------------------------------------------------------------------------
+
+
+def _kronecker_bits(bound):
+    """The digit width B of q = 2^B for polynomials whose coefficients are
+    at most ``bound`` in absolute value: |c| <= bound < 2^(B-1), so each
+    coefficient is one balanced base-2^B digit."""
+    return bound.bit_length() + 1
+
+
+def _encode(lau, bits, low):
+    """q^-low times the Laurent polynomial ``lau`` ({q-exponent: int}, no
+    exponent below ``low``), evaluated at q = 2^bits."""
+    return sum(c << (bits * (e - low)) for e, c in lau.items())
+
+
+def _decode(v, bits, low):
+    """The Laurent polynomial that ``_encode(., bits, low)`` maps to ``v``:
+    the balanced base-2^bits digits of v, lowest first.  Exact when every
+    coefficient is below 2^(bits-1) in absolute value."""
+    base = 1 << bits
+    half = base >> 1
+    out = {}
+    e = low
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            out[e] = d
+        v = (v - d) >> bits
+        e += 1
+    return out

@@ -59,14 +59,15 @@ def _spins(jmax):
 
 
 def _combine(reports):
-    """One line per report; a failing report adds its details and residual,
-    and those lines are the combined check's failures."""
+    """One line per report; a failing report adds its details and, unless
+    they hold it, its residual, and those lines are the combined check's
+    failures."""
     details, failures = [], []
     for r in reports:
         lines = [f"{r.verdict_str} {r.params or ''}"]
         if not r.verdict:
             lines += [f"  {d}" for d in r.details]
-            if r.residual:
+            if r.residual and not r.details_hold_residual():
                 lines.append(f"  residual: {r.residual}")
             failures += lines
         details += lines

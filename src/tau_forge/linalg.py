@@ -17,15 +17,18 @@ constructions every other module uses:
   An intertwiner commutes with k, so with k diagonal it only links vectors
   of equal weight: the unknowns are the entries of M indexed by equal
   weights, and only the e and f equations are assembled over them.
-  The elimination is division-free until solution extraction
-  (cross-multiplication style), with pivots chosen by a complexity score,
-  which keeps rational-function entries from swelling.
+  :func:`nullspace` runs over Z[q]: each row is cleared of denominators
+  and packed as its values at q = 2^B, and fraction-free Gauss-Jordan
+  elimination works on those ints (see its docstring for the bound on B).
 * :func:`nilpotent_exp` sums I + sum_m w_m A^m for a nilpotent A; it serves
   the q-exponentials and the factorized group-like element.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
+
+from ._kernels import _decode, _encode, _kronecker_bits, ipoly_divexact, ipoly_gcd, ipoly_mul
 from .qscalar import ONE, QScalar, ZERO
 
 
@@ -105,61 +108,109 @@ def mat_is_zero(A):
     return all(x.is_zero() for r in A for x in r)
 
 
-def _complexity(x: QScalar):
-    if x.is_zero():
-        return (1 << 30, 0)
-    deg = (max(x.nc) if x.nc else 0) + (max(x.dc) if x.dc else 0)
-    return (len(x.nc) + len(x.dc), deg)
+def _integral_row(row):
+    """A nonzero multiple of a QScalar row over Z[q, q^-1], as {column:
+    Laurent polynomial} on its nonzero entries ({} for a zero row): the row
+    times the lcm of its rational denominators and of its denominators'
+    parts prime to q, with q^-k taken into the Laurent exponents."""
+    entries = []
+    den, L = 1, {0: 1}
+    for j, x in enumerate(row):
+        if x.is_zero():
+            continue
+        k = min(x.dc)
+        d = {e - k: c for e, c in x.dc.items()} if k else x.dc
+        if len(d) > 1 and d != L:
+            L = ipoly_mul(L, ipoly_divexact(d, ipoly_gcd(L, d)))
+        den = lcm(den, x.s.denominator)
+        entries.append((j, x, k, d))
+    out = {}
+    for j, x, k, d in entries:
+        c = x.s.numerator * (den // x.s.denominator)
+        p = {e - k: c * v for e, v in x.nc.items()}
+        out[j] = p if d == L else ipoly_mul(p, ipoly_divexact(L, d))
+    return out
 
 
 def nullspace(A):
-    """Exact nullspace basis of a QScalar matrix (columns = unknowns).
+    """Exact nullspace basis of a QScalar matrix (columns = unknowns): one
+    list of QScalar per free column, with 1 there and 0 in the other free
+    columns.
 
-    Division-free Gauss-Jordan elimination with complexity-scored pivoting;
-    back-substitution over the field at the end.  Returns a list of basis
-    vectors (lists of QScalar).
+    Scaling a row by a nonzero element of Q(q) keeps the nullspace, so each
+    row is made integral (``_integral_row``), shifted to lowest exponent 0
+    and packed as its value at q = 2^B (``_kernels._encode``).
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968;
+    Nakos, Turner and Williams, SIGSAM Bull. 31, 1997), pivoting on the
+    smallest |value| left, sets each entry a of every row but the pivot row
+    to (a p - b f) / prev: p the pivot, f the row's entry in the pivot
+    column, b the pivot row's entry in a's column, prev the previous pivot.
+    By Sylvester's identity every entry is then, up to sign, a minor of the
+    integral matrix, and every pivot row holds the last pivot in its pivot
+    column.
+
+    The bound: a minor is a signed sum of products of one entry per row,
+    and the l1 norm (the sum of |coefficient|) is subadditive and
+    submultiplicative, so its l1 norm is at most the product of its rows'
+    l1 norms.  A minor has at most ncols rows and a nonzero row has l1 norm
+    >= 1, so the product of the ncols largest row l1 norms bounds every
+    coefficient of every minor; ``_kronecker_bits`` puts B one bit above
+    it.  A polynomial in Z[q] with coefficients below 2^(B-1) in absolute
+    value is zero exactly when its value at 2^B is, and its balanced base
+    2^B digits are its coefficients, so the zero tests are exact and the
+    pivot rows decode.  The products a p and b f need no bound: evaluation
+    at 2^B is a ring homomorphism Z[q] -> Z and prev divides a p - b f in
+    Z[q], so its nonzero value divides the integer; a remainder raises
+    ArithmeticError.  The basis entry in pivot column j is minus the pivot
+    row's entry in the free column over the last pivot.
     """
     if not A:
         return []
-    rows = [list(r) for r in A]
-    ncols = len(rows[0])
-    pivot_of_col = {}
-    used_rows = set()
-    for _ in range(ncols):
-        best = None
-        for i, row in enumerate(rows):
-            if i in used_rows:
-                continue
-            for j in range(ncols):
-                if j in pivot_of_col or row[j].is_zero():
-                    continue
-                score = _complexity(row[j])
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        used_rows.add(pi)
-        pivot_of_col[pj] = pi
-        prow = rows[pi]
-        pval = prow[pj]
-        for i, row in enumerate(rows):
-            if i == pi or row[pj].is_zero():
-                continue
-            f = row[pj]
-            for j in range(ncols):
-                row[j] = row[j] * pval - prow[j] * f
-    free_cols = [j for j in range(ncols) if j not in pivot_of_col]
+    ncols = len(A[0])
+    rows = [r for r in map(_integral_row, A) if r]
+    l1 = sorted((sum(abs(c) for p in r.values() for c in p.values()) for r in rows), reverse=True)
+    bits = _kronecker_bits(prod(l1[:ncols]))
+    rest = []
+    for r in rows:
+        low = min(min(p) for p in r.values())
+        rest.append({j: _encode(p, bits, low) for j, p in r.items()})
+    pivots = []
+    prev = 1
+    while rest:
+        _, pi, pj = min((abs(v), i, j) for i, r in enumerate(rest) for j, v in r.items())
+        prow = rest.pop(pi)
+        p = prow[pj]
+
+        def step(row):
+            f = row.get(pj, 0)
+            out = {}
+            for j in (row.keys() | prow.keys()) if f else row:
+                v, rem = divmod(p * row.get(j, 0) - f * prow.get(j, 0), prev)
+                if rem:
+                    raise ArithmeticError("inexact fraction-free division")
+                if v:
+                    out[j] = v
+            return out
+
+        # a non-pivot row left zero stays zero
+        rest = [r for r in map(step, rest) if r]
+        pivots = [(step(r), j) for r, j in pivots] + [(prow, pj)]
+        prev = p
+
+    def decode(v):
+        return QScalar.from_terms(_decode(v, bits, 0))
+
+    scale = -decode(prev).inv()
+    pivot_cols = {j for _, j in pivots}
     basis = []
-    # rows are fully eliminated against each other, so each pivot row relates
-    # its pivot column only to free columns
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for pj, pi in pivot_of_col.items():
-            prow = rows[pi]
-            if not prow[fc].is_zero():
-                vec[pj] = -prow[fc] / prow[pj]
+        for r, j in pivots:
+            if fc in r:
+                vec[j] = decode(r[fc]) * scale
         basis.append(vec)
     return basis
 

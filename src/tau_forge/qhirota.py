@@ -54,7 +54,7 @@ from functools import cache
 
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2
-from ._kernels import _addmul, _pack, _trim_words, _unpack
+from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
 from .uqsl2 import twice
@@ -133,38 +133,6 @@ def q_taylor_reconstruct(coeffs, var, center_var, alpha, base_power, vars):
 # ---------------------------------------------------------------------------
 # bilinear terms over Kronecker-packed Laurent integers
 # ---------------------------------------------------------------------------
-
-
-def _kronecker_bits(bound):
-    """The digit width B of q = 2^B for polynomials whose coefficients are
-    at most ``bound`` in absolute value: |c| <= bound < 2^(B-1), so each
-    coefficient is one balanced base-2^B digit."""
-    return bound.bit_length() + 1
-
-
-def _encode(lau, bits, low):
-    """q^-low times the Laurent polynomial ``lau`` ({q-exponent: int}, no
-    exponent below ``low``), evaluated at q = 2^bits."""
-    return sum(c << (bits * (e - low)) for e, c in lau.items())
-
-
-def _decode(v, bits, low):
-    """The Laurent polynomial that ``_encode(., bits, low)`` maps to ``v``:
-    the balanced base-2^bits digits of v, lowest first.  Exact when every
-    coefficient is below 2^(bits-1) in absolute value."""
-    base = 1 << bits
-    half = base >> 1
-    out = {}
-    e = low
-    while v:
-        d = v & (base - 1)
-        if d >= half:
-            d -= base
-        if d:
-            out[e] = d
-        v = (v - d) >> bits
-        e += 1
-    return out
 
 
 def _odd_part(c):

@@ -53,9 +53,21 @@ class VerificationReport:
             "details": list(self.details),
         }
 
+    def details_hold_residual(self):
+        """True when the residual is some of the detail lines, in order,
+        joined by "; " (the last one possibly cut at RESIDUAL_CAP), so the
+        details already show all of it."""
+        rest = self.residual
+        for d in self.details:
+            if d.startswith(rest):
+                return True
+            if rest.startswith(d + "; "):
+                rest = rest[len(d) + 2 :]
+        return not rest
+
     def text_line(self):
         line = f"{self.verdict_str} {self.check_id} ({self.anchor}) {self.ms:.0f}ms"
-        if not self.verdict and self.residual:
+        if not self.verdict and self.residual and not self.details_hold_residual():
             line += f"\n  residual: {self.residual}"
         if not self.verdict and self.details:
             line += "".join(f"\n  {d}" for d in self.details)

@@ -159,10 +159,14 @@ def q_exp_nilpotent(A, var, base_power, vars):
     matrix over ``vars``.
 
     The series terminates at the nilpotency index; a non-nilpotent input
-    raises NonNilpotentError because it would not.
+    raises NonNilpotentError because it would not.  Equal arguments return
+    the same cached matrix, which callers only read.
     """
-    vars = tuple(vars)
+    return _q_exp(tuple(map(tuple, A)), var, base_power, tuple(vars))
 
+
+@cache
+def _q_exp(A, var, base_power, vars):
     def weight(m):
         coef = paren_factorial(m, base_power).inv()
         return TimesPoly.var(vars, var, coeff=coef, power=m)

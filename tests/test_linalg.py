@@ -5,16 +5,71 @@ import pytest
 
 from tau_forge import linalg as la
 from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2, q_commuting_pair
-from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO
+from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO, bracket, paren
 from tau_forge.uqsl2 import coproduct, make_rep
 from test_funq import EMBED_PAIRS
 
 HALF = Fraction(1, 2)
 
 
-def _dense_intertwiner(left, right):
-    """Reference solve: every entry of M is an unknown, and the e, f and k
-    equations are all assembled."""
+# -- reference: division-free Gauss-Jordan over Q(q) itself ------------------
+
+
+def _complexity(x):
+    if x.is_zero():
+        return (1 << 30, 0)
+    deg = (max(x.nc) if x.nc else 0) + (max(x.dc) if x.dc else 0)
+    return (len(x.nc) + len(x.dc), deg)
+
+
+def _reference_nullspace(A):
+    """Nullspace basis by QScalar elimination: cross-multiplied row updates
+    with pivots chosen by a complexity score, back-substitution in Q(q)."""
+    if not A:
+        return []
+    rows = [list(r) for r in A]
+    ncols = len(rows[0])
+    pivot_of_col = {}
+    used_rows = set()
+    for _ in range(ncols):
+        best = None
+        for i, row in enumerate(rows):
+            if i in used_rows:
+                continue
+            for j in range(ncols):
+                if j in pivot_of_col or row[j].is_zero():
+                    continue
+                score = _complexity(row[j])
+                if best is None or score < best[0]:
+                    best = (score, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        used_rows.add(pi)
+        pivot_of_col[pj] = pi
+        prow = rows[pi]
+        pval = prow[pj]
+        for i, row in enumerate(rows):
+            if i == pi or row[pj].is_zero():
+                continue
+            f = row[pj]
+            for j in range(ncols):
+                row[j] = row[j] * pval - prow[j] * f
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivot_of_col):
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for pj, pi in pivot_of_col.items():
+            prow = rows[pi]
+            if not prow[fc].is_zero():
+                vec[pj] = -prow[fc] / prow[pj]
+        basis.append(vec)
+    return basis
+
+
+def _dense_equations(left, right):
+    """The e, f and k equations of  left(x) M = M right(x)  with every entry
+    of M an unknown, M[i][j] numbered i * cols + j."""
     rows, cols = len(left[0]), len(right[0])
     eqs = []
     for L, R in zip(left, right):
@@ -27,7 +82,14 @@ def _dense_intertwiner(left, right):
                     row[i * cols + t] = row[i * cols + t] - R[t][j]
                 if any(not v.is_zero() for v in row):
                     eqs.append(row)
-    basis = la.nullspace(eqs)
+    return eqs
+
+
+def _dense_intertwiner(left, right):
+    """Reference solve: every entry of M is an unknown, and the e, f and k
+    equations are all assembled."""
+    rows, cols = len(left[0]), len(right[0])
+    basis = _reference_nullspace(_dense_equations(left, right))
     assert len(basis) == 1
     return [[basis[0][i * cols + j] for j in range(cols)] for i in range(rows)]
 
@@ -72,6 +134,116 @@ def test_intertwiner_rejects_non_diagonal_k():
         la.intertwiner((rep.E, rep.F, upper), rep.action)
     with pytest.raises(ValueError):
         la.intertwiner(rep.action, (rep.E, rep.F, upper))
+
+
+# -- nullspace over Z[q] against the Q(q) elimination -----------------------
+
+
+def _apply(A, v):
+    return [sum((a * x for a, x in zip(row, v) if not a.is_zero() and not x.is_zero()), ZERO) for row in A]
+
+
+def _assert_nullspace(A):
+    """Every basis vector solves A v = 0 exactly, the basis is independent,
+    and its size is the reference's nullity."""
+    basis = la.nullspace(A)
+    assert len(basis) == len(_reference_nullspace(A))
+    for v in basis:
+        assert all(x.is_zero() for x in _apply(A, v))
+    if basis:
+        assert len(_reference_nullspace(basis)) == len(A[0]) - len(basis)
+    return basis
+
+
+# denominators that are not powers of q: 1/[2], 1/(q+1), q^2/(q^2+q+1),
+# 1/(q^2+q), and the rational -3/7
+NASTY = [
+    bracket(2).inv(),
+    paren(2).inv(),
+    (Q + QINV + ONE).inv() * Q,
+    (Q * Q + Q).inv(),
+    QScalar.from_rational(Fraction(-3, 7)),
+]
+
+
+def _qq_entry(rng):
+    """A Laurent, rational or non-Laurent element of Q(q)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return QScalar.from_terms({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))})
+    if kind == 1:
+        return QScalar.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return rng.choice(NASTY) * QScalar.from_terms({rng.randint(-2, 2): rng.choice([-2, -1, 1, 5])})
+
+
+def _random_system(rng, n, m, rank, zero_row=None, zero_col=None):
+    """An n x m system B C with B n x rank and C rank x m random, so its
+    nullity is at least m - rank; row ``zero_row`` and column ``zero_col``
+    are zero."""
+    B = [[_qq_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(rank)] for _ in range(n)]
+    C = [[_qq_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(m)] for _ in range(rank)]
+    A = la.mat_mul(B, C) if rank else la.zeros(n, m)
+    return [[ZERO if i == zero_row or j == zero_col else x for j, x in enumerate(r)] for i, r in enumerate(A)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize(
+    "n,m,rank",
+    [(3, 3, 3), (4, 3, 3), (3, 5, 2), (5, 5, 3), (4, 6, 2), (2, 4, 1), (3, 3, 0), (6, 4, 4)],
+)
+def test_nullspace_matches_reference_on_random_systems(seed, n, m, rank):
+    rng = random.Random(seed * 1000 + n * 100 + m * 10 + rank)
+    A = _random_system(rng, n, m, rank, *((rng.randrange(n), rng.randrange(m)) if seed % 3 == 0 else ()))
+    _assert_nullspace(A)
+
+
+def test_nullspace_edge_shapes():
+    a, b = bracket(2).inv(), paren(2).inv()
+    # full rank: empty basis
+    assert la.nullspace([[a, ONE], [ONE, b]]) == []
+    # all zero: the unit vectors
+    assert la.nullspace([[ZERO, ZERO, ZERO]]) == [la.identity(3)[i] for i in range(3)]
+    # rank 1 with a zero column: nullity 3, and the zero column's unknown
+    # is free, so its unit vector is a basis vector
+    basis = _assert_nullspace([[a, ZERO, b, Q], [a * Q, ZERO, b * Q, Q * Q]])
+    assert len(basis) == 3
+    assert la.identity(4)[1] in basis
+
+
+def test_nullspace_multiplies_no_qscalar_while_eliminating(monkeypatch):
+    eqs = _dense_equations(*_vertex_family(5, "annihilating right"))
+    calls = []
+    mul = QScalar.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(QScalar, "__mul__", counting)
+    basis = la.nullspace(eqs)
+    ncols = len(eqs[0])
+    # one product per decoded entry: at most one per pivot column and free column
+    assert len(calls) <= ncols * len(basis)
+    monkeypatch.undo()
+    assert len(basis) == len(_reference_nullspace(eqs))
+
+
+def test_too_small_a_bound_is_caught_or_wrong(monkeypatch):
+    # entries with coefficients far above 2 bits: two-bit digits overlap,
+    # so the elimination must raise or return a basis that fails A v = 0
+    big = QScalar.from_terms({0: 37, 1: -29, 2: 41})
+    A = [
+        [big, QScalar.from_terms({1: 19, 0: 23}), ONE, ZERO],
+        [QScalar.from_terms({0: 31, 3: 17}), big * big, QScalar.from_terms({2: -13}), ONE],
+        [ONE, QScalar.from_terms({0: 11, 1: 7}), big, QScalar.from_terms({1: 43})],
+    ]
+    _assert_nullspace(A)
+    monkeypatch.setattr(la, "_kronecker_bits", lambda bound: 2)
+    try:
+        basis = la.nullspace(A)
+    except ArithmeticError:
+        return
+    assert len(basis) != 1 or any(not x.is_zero() for v in basis for x in _apply(A, v))
 
 
 # -- the products against the dense loops they replaced ----------------------

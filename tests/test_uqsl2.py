@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tau_forge import linalg as la
+from tau_forge.cli import run_check
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
 from tau_forge.uqsl2 import (
     NonNilpotentError,
@@ -74,6 +75,26 @@ def test_q_exp_rejects_non_nilpotent():
     rep = make_rep(HALF)
     with pytest.raises(NonNilpotentError):
         q_exp_nilpotent(rep.K, "t", 2, ("t",))
+
+
+def test_q_exp_is_built_once_per_argument():
+    rep = make_rep(Fraction(3, 2))
+    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
+    # equal matrices given as a fresh list, and vars as a list, hit the cache
+    assert q_exp_nilpotent([list(r) for r in rep.E], "t", 2, ["t"]) is M
+    assert q_exp_nilpotent(rep.E, "t", -2, ("t",)) is not M
+
+
+def test_checks_leave_the_cached_q_exp_unchanged(fresh_caches):
+    # the cache hands one matrix to every caller, so no caller may write to it
+    tgt = make_rep(Fraction(3, 2))
+    M = q_exp_nilpotent(tgt.E, "t", 2, ("t", "s"))
+    before = [[str(x) for x in row] for row in M]
+    for check_id in ("vertex.qexp-commutation", "hopf.matrices"):
+        (rep,) = run_check(check_id)
+        assert rep.verdict
+    assert q_exp_nilpotent(tgt.E, "t", 2, ("t", "s")) is M
+    assert [[str(x) for x in row] for row in M] == before
 
 
 def test_q_exp_at_zero_is_identity():

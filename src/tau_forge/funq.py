@@ -35,8 +35,10 @@ from .ncalg import (
     Presentation,
     TimesPoly,
     _laurent_mul,
+    _q2_binomial,
     _times_laurent,
     funq_sl2,
+    funq_sl2_blocks,
     gauss_param,
 )
 from .qscalar import ONE, Q, QINV, QScalar, paren, paren_factorial
@@ -101,30 +103,26 @@ def _top_block(semA, semB):
 
 
 @cache
-def _q2_binomial(n, k):
-    """The Gaussian binomial [n choose k]_{q^2} as {q-exponent: int}, by the q-Pascal rule."""
-    if k in (0, n):
-        return {0: 1}
-    return _addmul(dict(_q2_binomial(n - 1, k - 1)), {2 * k: 1}, _q2_binomial(n - 1, k))
-
-
-@cache
 def _plane(two_j):
     """P[p][r]: the coefficient of x^(2j-r) y^r in (ax+by)^(2j-p) (cx+dy)^p on
     the quantum plane yx = q xy, as {normal word: {q-exponent: int}}.  As
     ba = q ab gives (by)(ax) = q^2 (ax)(by), the q-binomial theorem gives
     (ax+by)^n = sum_k [n choose k]_{q^2} a^(n-k) b^k x^(n-k) y^k, and
     (cx+dy)^p alike over l; y^k x^(p-l) = q^(k(p-l)) x^(p-l) y^k then puts
-    the word a^(n-k) b^k c^(p-l) d^l, normalized once, on r = k + l."""
+    the word a^(n-k) b^k c^(p-l) d^l on r = k + l, normalized once as the
+    product of the PBW blocks a^(n-k) b^k c^(p-l) and d^l
+    (:func:`~tau_forge.ncalg.funq_sl2_blocks`)."""
     table = [[{} for _ in range(two_j + 1)] for _ in range(two_j + 1)]
     for p, row in enumerate(table):
         n = two_j - p
         for k in range(n + 1):
             for l in range(p + 1):
+                w, e, twist, zs = funq_sl2_blocks("a", n - k, "d", l)
                 coeff = _laurent_mul({k * (p - l): 1}, _laurent_mul(_q2_binomial(n, k), _q2_binomial(p, l)))
-                word = ("a",) * (n - k) + ("b",) * k + ("c",) * (p - l) + ("d",) * l
-                for w, c in funq_sl2().reduce_word(word).items():
-                    row[k + l][w] = _addmul(row[k + l].get(w, {}), coeff, c)
+                coeff = _laurent_mul({twist * (k + p - l): 1}, coeff)
+                for r, c in zs:
+                    word = (w,) * e + ("b",) * (k + r) + ("c",) * (p - l + r)
+                    row[k + l][word] = _addmul(row[k + l].get(word, {}), coeff, c)
     return [[_trim_words(entry) for entry in row] for row in table]
 
 

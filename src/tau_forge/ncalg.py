@@ -642,9 +642,51 @@ def funq_sl2():
     both a and d exposes the reducible pair after sorting; with the textbook
     order a<b<c<d the word b*a*d has two reducts with distinct normal forms
     (the a..d pair hides behind b), so that system is not confluent.  Normal
-    words here are a^i b^j c^k and d^l b^j c^k.
+    words here are a^i b^j c^k and d^l b^j c^k, a PBW basis, and the rules
+    give their products in closed form (:func:`funq_sl2_blocks`): b and c
+    pass a^m at q^m and d^m at q^-m, and d^n a^m, a^n d^m expand by the
+    q-binomial theorem into a^|n-m| or d^|n-m| times a polynomial in bc.
     """
     return _FUNQ_SL2
+
+
+@cache
+def _q2_binomial(n, k):
+    """The Gaussian binomial [n choose k]_{q^2} as {q-exponent: int}, by the q-Pascal rule."""
+    if k in (0, n):
+        return {0: 1}
+    return _addmul(dict(_q2_binomial(n - 1, k - 1)), {2 * k: 1}, _q2_binomial(n - 1, k))
+
+
+@cache
+def funq_sl2_blocks(x, n, y, m):
+    """The product of the PBW blocks x^n and y^m of funq_sl2, x, y in {a, d}:
+    with z = bc,
+
+        (x^n b^i c^k)(y^m b^i' c^k') = q^(twist (i+k)) sum_r c_r w^e b^(i+i'+r) c^(k+k'+r),
+
+    returned as (w, e, twist, ((r, c_r), ...)) with each c_r a {q-exponent:
+    int}; a block of power 0 is ("a", 0).  b and c pass a at q and d at
+    q^-1 (ba = q ab, bd = q^-1 db, and c alike), so twist = m for y = a and
+    -m for y = d.  For x = y, n = 0 or m = 0, w^e = x^n y^m and c_0 = 1.
+    Otherwise, with p = min(n, m) and w the letter of the larger power,
+    d^n a^m = w^|n-m| prod_{s<p} (1 + q^(base+2s) z) with base = 2(m-p)+1,
+    and a^n d^m alike with base = -(2m-1) (Klimyk-Schmudgen 1997, 4.1); the
+    q-binomial theorem prod_{s<p} (1 + q^(2s) t) = sum_r q^(r(r-1))
+    [p choose r]_{q^2} t^r (Gasper-Rahman, ch. 1) then gives
+    c_r = q^(r base + r(r-1)) [p choose r]_{q^2}, whose l1 norms sum to 2^p.
+    """
+    twist = m if y == "a" else -m
+    if x == y or not n or not m:
+        e = n + m
+        return (x if n else y) if e else "a", e, twist, ((0, _UNIT),)
+    p = min(n, m)
+    base = 2 * (m - p) + 1 if x == "d" else 1 - 2 * m
+    w = "a" if n == m else x if n > m else y
+    zs = tuple(
+        (r, {e + r * base + r * (r - 1): v for e, v in _q2_binomial(p, r).items()}) for r in range(p + 1)
+    )
+    return w, abs(n - m), twist, zs
 
 
 _FUNQ_SL2 = Presentation(

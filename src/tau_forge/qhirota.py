@@ -35,12 +35,13 @@ polynomial multiplication via multipoint Kronecker substitution"): each
 (normal word, time monomial) holds one integer, its Laurent polynomial
 evaluated at q = 2^B with its lowest exponent kept beside it.  A q-shift
 moves that exponent, a q-derivative multiplies by an encoded q-number, the
-commutative prefactor multiplies the sum over word pairs once, and word
-products take their Laurent normal forms from ``reduce_word``.  B comes
-from a proven l1 bound on every coefficient of LHS - RHS (see
-``_LaurentRing``), so ``verify_lm`` decides by testing the LHS - RHS
-integers for zero.  [2j][2j'] is a nonzero element of Q(q), so a scaled
-side, or the scaled residual, is zero exactly when the unscaled one is.
+commutative prefactor multiplies the sum over block pairs once, and words
+multiply by PBW block (the power of a or d) with the closed form
+``funq_sl2_blocks``, without rewriting.  B comes from a proven l1 bound on
+every coefficient of LHS - RHS (see ``_LaurentRing``), so ``verify_lm``
+decides by testing the LHS - RHS integers for zero.  [2j][2j'] is a
+nonzero element of Q(q), so a scaled side, or the scaled residual, is zero
+exactly when the unscaled one is.
 Only ``lm_residual`` and the FAIL text decode the balanced base-2^B digits
 back to Laurent polynomials; ``lm_residual`` divides by [2j][2j'] once and
 returns an NCPoly over Q(q).
@@ -53,8 +54,8 @@ from fractions import Fraction
 from functools import cache
 
 from .funq import tau_q
-from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2
-from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
+from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2, funq_sl2_blocks
+from ._kernels import _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
 from .uqsl2 import twice
@@ -141,6 +142,24 @@ def _odd_part(c):
     return c >> t, t
 
 
+def _odd_parts(d):
+    """[(key, v, t)] with d[key] = v << t, v odd, for a {key: int}; zero
+    ints, which a sum can leave, are dropped."""
+    return [(k, *_odd_part(c)) for k, c in d.items() if c]
+
+
+def _addmul_odd(acc, a, b, shift):
+    """acc += (a * b) << shift, for a and b as ``_odd_parts`` lists; each
+    product is of the odd parts, shifted after."""
+    get = acc.get
+    for k1, c1, t1 in a:
+        t1 += shift
+        for k2, c2, t2 in b:
+            k = k1 + k2
+            acc[k] = get(k, 0) + ((c1 * c2) << (t1 + t2))
+    return acc
+
+
 def _lowest(laurents):
     """The lowest q-exponent in some Laurent polynomials (0 if none)."""
     return min((e for c in laurents for e in c), default=0)
@@ -183,21 +202,37 @@ def _l1(p, derivs=()):
     return out
 
 
+def _word_length(p):
+    """The longest word of an NCPoly (0 if none)."""
+    return max(map(len, p.terms), default=0)
+
+
+def _ad_power(p):
+    """The largest power of a or d in a word of an NCPoly over funq_sl2."""
+    return max((len(w) - w.count("b") - w.count("c") for w in p.terms), default=0)
+
+
 class _LaurentRing:
-    """Noncommutative polynomials over Z[q, q^-1] in the time variables,
-    Kronecker-packed in q: an element is ``(low, {normal word: {time key:
+    """Polynomials in the time variables over funq_sl2 with coefficients in
+    Z[q, q^-1], Kronecker-packed in q: an element is ``(low, {block: {key:
     int}})``.
 
-    A time key holds the time-variable exponents in ``width``-bit fields
-    (``_kernels._pack``); the width comes from ``_degree_bound`` over every
-    term the ring multiplies.  The int under (word, key) is that
-    coefficient's Laurent polynomial times q^-low, evaluated at q = 2^bits;
-    ``low`` is shared by the whole element and is at most every exponent in
-    it.  Evaluation at q = 2^bits is a ring homomorphism Z[q] -> Z, so sums
-    and products of the ints are exact at any size: a product adds the lows
-    and multiplies the ints, a sum aligns the lows by shifting.  Normal
-    forms of words come from the presentation's ``reduce_word``, each
-    encoded once.
+    A normal word of funq_sl2 is x^n b^i c^k with x in {a, d}; (x, n) is
+    its block, ("a", 0) for no a or d.  A key holds the time-variable
+    exponents and then i and k in ``width``-bit fields (``_kernels._pack``).
+    No field overflows: the time degrees are at most ``_degree_bound`` over
+    every term the ring multiplies, and the b and c degrees of x^n b^i c^k
+    times y^m b^i' c^k' are i + i' + r and k + k' + r with r <= min(n, m),
+    at most the sum of the two word lengths (2j + 2j' for tau_j tau_j').
+    The int under (block, key) is that coefficient's Laurent polynomial
+    times q^-low, evaluated at q = 2^bits; ``low`` is shared by the whole
+    element and is at most every exponent in it.  Evaluation at q = 2^bits
+    is a ring homomorphism Z[q] -> Z, so sums and products of the ints are
+    exact at any size: a product adds the lows and multiplies the ints, a
+    sum aligns the lows by shifting.  Words multiply block by block, by the
+    closed form ``funq_sl2_blocks``: a twist q^(twist (i+k)) of the left
+    factor, a convolution of the two blocks' terms, and a polynomial in
+    z = bc, whose z^r term shifts the b and c fields by r.
 
     Only the zero test and decoding need a bound.  A polynomial whose
     coefficients are all below 2^(bits-1) in absolute value is its balanced
@@ -207,54 +242,51 @@ class _LaurentRing:
     l1 norm is subadditive and submultiplicative.  Term t of either side
     contributes to each coefficient at most
 
-        l1(scale * prefactor) * l1(left') * l1(right') * max l1(normal form),
+        l1(scale * prefactor) * l1(left') * l1(right') * max 2^min(n, m),
 
     where left' and right' are the factors after their shifts and
-    derivatives and the maximum runs over the normal forms of every
-    concatenated word.  The sum of this over the terms of both sides bounds
-    every coefficient of LHS, RHS and LHS - RHS, and each of their partial
-    sums; ``_kronecker_bits`` takes one bit more than it.
-    Decoding, a Python loop over digits, runs only for ``lm_residual`` and
-    the FAIL text.
+    derivatives, and the maximum runs over their a- and d-powers n and m:
+    the twist is a monomial, and the z-polynomial of a block pair has l1
+    norm sum_r [p choose r]_{q^2}(1) = 2^p, p = min(n, m) (1 for equal
+    letters).  The sum of this over the terms of both sides bounds every
+    coefficient of LHS, RHS and LHS - RHS, and each of their partial sums;
+    ``_kronecker_bits`` takes one bit more than it.  Decoding, a Python
+    loop over digits, runs only for ``lm_residual`` and the FAIL text.
     """
 
-    def __init__(self, pres, vars, terms, scale):
-        self.pres = pres
+    def __init__(self, vars, terms, scale):
         self.vars = vars
         self.scale = scale
-        self.width = max(1, _degree_bound(terms).bit_length())
-        words = {}
+        words = max((_word_length(t.left) + _word_length(t.right) for t in terms), default=0)
+        self.width = max(1, max(_degree_bound(terms), words).bit_length())
         bound = 0
+        top = 0
         for t in terms:
             bound += _l1(t.prefactor.scale(scale)) * _l1(t.left, t.left_derivs) * _l1(t.right, t.right_derivs)
-            for w1 in t.left.terms:
-                for w2 in t.right.terms:
-                    w = w1 + w2
-                    if w not in words:
-                        words[w] = pres.reduce_word(w)
-        nf_l1 = max((sum(abs(v) for c in nf.values() for v in c.values()) for nf in words.values()), default=0)
-        self.bits = _kronecker_bits(bound * nf_l1)
-        # one low for every normal form, so a product's low is the sum of
-        # its factors' lows and this
-        self.nf_low = _lowest(c for nf in words.values() for c in nf.values())
-        self._words = {
-            w: [(nw, *_odd_part(_encode(c, self.bits, self.nf_low))) for nw, c in nf.items()]
-            for w, nf in words.items()
-        }
+            top = max(top, min(_ad_power(t.left), _ad_power(t.right)))
+        self.bits = _kronecker_bits(bound << top)
+        # the b field, then the c field, above the times
+        self._b_at = len(vars) * self.width
         self._factors = {}
 
-    def _laurents(self, tp):
-        """{time key: Laurent polynomial} of a TimesPoly."""
-        return {_pack(m, self.width): c.as_laurent() for m, c in tp.terms.items()}
+    def _laurents(self, tp, extra=()):
+        """{time key: Laurent polynomial} of a TimesPoly, ``extra`` in the
+        fields after the times."""
+        return {_pack(m + extra, self.width): c.as_laurent() for m, c in tp.terms.items()}
 
     def factor(self, p):
-        """An NCPoly with Laurent coefficients, packed (once per object)."""
+        """An NCPoly over funq_sl2 with Laurent coefficients, packed (once
+        per object)."""
         hit = self._factors.get(id(p))
         if hit is not None and hit[0] is p:
             return hit[1]
-        laurents = {w: self._laurents(tp) for w, tp in p.terms.items()}
+        laurents = {}
+        for w, tp in p.terms.items():
+            i, k = w.count("b"), w.count("c")
+            n = len(w) - i - k
+            laurents.setdefault((w[0] if n else "a", n), {}).update(self._laurents(tp, (i, k)))
         low = _lowest(c for d in laurents.values() for c in d.values())
-        out = low, {w: {k: _encode(c, self.bits, low) for k, c in d.items()} for w, d in laurents.items()}
+        out = low, {blk: {k: _encode(c, self.bits, low) for k, c in d.items()} for blk, d in laurents.items()}
         self._factors[id(p)] = (p, out)
         return out
 
@@ -299,32 +331,39 @@ class _LaurentRing:
 
     def product(self, pre, left, right):
         """pre * left * right in normal form, pre a packed commutative
-        polynomial, factored out of the sum over word pairs."""
+        polynomial, factored out of the sum over block pairs."""
         (ll, lp), (rl, rp) = left, right
+        bits, width, at = self.bits, self.width, self._b_at
+        mask = (1 << width) - 1
+        z = (1 << at) | (1 << (at + width))
         # each int is multiplied as its odd part and shifted after: the
-        # shared low leaves zero digits below most coefficients, and most
-        # normal-form coefficients are +-q^e, whose odd part is +-1
-        rp = {w2: [(k2, *_odd_part(c2)) for k2, c2 in d2.items()] for w2, d2 in rp.items()}
-        words = self._words
+        # shared low leaves zero digits below most coefficients
+        rp = {blk: _odd_parts(d) for blk, d in rp.items()}
+        pairs = []
+        for (x, n), d1 in lp.items():
+            # (key, b and c degree, odd part, zero bits) of each left term
+            d1 = [(k, ((k >> at) & mask) + (k >> (at + width)), *_odd_part(c)) for k, c in d1.items()]
+            lo = min(t[1] for t in d1)
+            hi = max(t[1] for t in d1)
+            for (y, m), d2 in rp.items():
+                w, e, twist, zs = funq_sl2_blocks(x, n, y, m)
+                tlow = twist * (lo if twist > 0 else hi)
+                pairs.append(((w, e), d1, d2, twist, tlow, zs, _lowest(c for _, c in zs)))
+        # one low for every pair, so a product's low is the sum of its
+        # factors' lows and this
+        low = min((tlow + zlow for *_, tlow, _, zlow in pairs), default=0)
         acc = {}
-        for w1, d1 in lp.items():
-            d1 = [(k1, *_odd_part(c1)) for k1, c1 in d1.items()]
-            for w2, d2 in rp.items():
-                nf = words[w1 + w2]
-                for k1, c1, t1 in d1:
-                    for k2, c2, t2 in d2:
-                        k = k1 + k2
-                        c = c1 * c2
-                        t = t1 + t2
-                        for nw, n, tn in nf:
-                            v = (c * n) << (t + tn)
-                            a = acc.get(nw)
-                            if a is None:
-                                acc[nw] = {k: v}
-                            else:
-                                a[k] = a.get(k, 0) + v
+        for blk, d1, d2, twist, tlow, zs, zlow in pairs:
+            twisted = [(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1]
+            conv = _addmul_odd({}, twisted, d2, 0)
+            zp = [(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs]
+            a = acc.get(blk)
+            if a is None:
+                a = acc[blk] = {}
+            _addmul_odd(a, _odd_parts(conv), zp, bits * (tlow + zlow - low))
         pl, pp = pre
-        return pl + ll + rl + self.nf_low, {nw: _addmul({}, pp, a) for nw, a in acc.items()}
+        pp = _odd_parts(pp)
+        return pl + ll + rl + low, {blk: _addmul_odd({}, _odd_parts(a), pp, 0) for blk, a in acc.items()}
 
     def combine(self, *parts):
         """The sum of sign * element over (sign, element) pairs, with zero
@@ -350,20 +389,13 @@ class _LaurentRing:
         low, p = f
         inv = divisor.inv()
         n = len(self.vars)
-        return NCPoly(
-            self.pres,
-            self.vars,
-            {
-                w: TimesPoly(
-                    self.vars,
-                    {
-                        _unpack(key, n, self.width): QScalar.from_terms(_decode(c, self.bits, low)) * inv
-                        for key, c in d.items()
-                    },
-                )
-                for w, d in p.items()
-            },
-        )
+        terms = {}
+        for (x, e), d in p.items():
+            for key, c in d.items():
+                *m, i, k = _unpack(key, n + 2, self.width)
+                word = (x,) * e + ("b",) * i + ("c",) * k
+                terms.setdefault(word, {})[tuple(m)] = QScalar.from_terms(_decode(c, self.bits, low)) * inv
+        return NCPoly(funq_sl2(), self.vars, {w: TimesPoly(self.vars, t) for w, t in terms.items()})
 
 
 @dataclass
@@ -469,7 +501,7 @@ def _lm_packed(j, jp):
     difference, is zero exactly when it is zero before scaling."""
     lhs, rhs = lm_sides(j, jp)
     scale = bracket(twice(j)) * bracket(twice(jp))
-    ring = _LaurentRing(lhs[0].left.pres, lhs[0].prefactor.vars, lhs + rhs, scale)
+    ring = _LaurentRing(lhs[0].prefactor.vars, lhs + rhs, scale)
     return ring, scale, ring.sum(lhs), ring.sum(rhs)
 
 

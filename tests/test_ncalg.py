@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tau_forge import funq, ncalg, qhirota
 from tau_forge.ncalg import (
     NCPoly,
     Presentation,
@@ -10,12 +11,15 @@ from tau_forge.ncalg import (
     TimesPoly,
     check_local_confluence,
     funq_sl2,
+    funq_sl2_blocks,
     gauss_param,
     nc_exp_q,
     normal_form,
     q_commuting_pair,
 )
 from tau_forge.qscalar import ONE, Q, QINV, QScalar, qs
+from test_funq import _mutate
+from test_qhirota import LM_GRID
 
 PRES = funq_sl2()
 
@@ -290,3 +294,46 @@ def test_cold_reduction_does_no_qscalar_arithmetic(monkeypatch):
     for w in words:
         assert fresh.reduce_word(w) == PRES.reduce_word(w)
     assert len(fresh._memo) > len(words)
+
+
+def _pbw(x, n, i, k):
+    return (x,) * n + ("b",) * i + ("c",) * k
+
+
+# every normal word x^n b^i c^k of funq_sl2 of length at most 6
+PBW_WORDS = [
+    (x, n, i, k)
+    for n in range(7)
+    for x in (("a", "d") if n else ("a",))
+    for i in range(7 - n)
+    for k in range(7 - n - i)
+]
+
+
+def _block_mismatches(blocks):
+    """Pairs of PBW_WORDS whose product by the closed form ``blocks``
+    differs from their concatenation rewritten by ``reduce_word``."""
+    bad = 0
+    for x, n, i, k in PBW_WORDS:
+        for y, m, i2, k2 in PBW_WORDS:
+            w, e, twist, zs = blocks(x, n, y, m)
+            closed = {
+                _pbw(w, e, i + i2 + r, k + k2 + r): {s + twist * (i + k): v for s, v in c.items()}
+                for r, c in zs
+            }
+            bad += closed != PRES.reduce_word(_pbw(x, n, i, k) + _pbw(y, m, i2, k2))
+    return bad
+
+
+def test_block_products_match_rewriting():
+    assert len(PBW_WORDS) ** 2 == 19_600
+    assert _block_mismatches(funq_sl2_blocks) == 0
+
+
+def test_block_product_mutant_fails_rewriting_and_lm(fresh_caches, monkeypatch):
+    # base of a^n d^m moved by one: -(2m-3) in place of -(2m-1)
+    mutant = _mutate(monkeypatch, ncalg, "funq_sl2_blocks", "1 - 2 * m", "3 - 2 * m")
+    assert _block_mismatches(mutant) > 0
+    monkeypatch.setattr(funq, "funq_sl2_blocks", mutant)
+    monkeypatch.setattr(qhirota, "funq_sl2_blocks", mutant)
+    assert any(not qhirota.verify_lm(j, jp).verdict for j, jp in LM_GRID)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tau_forge import qhirota
+from tau_forge import ncalg, qhirota
 from tau_forge._kernels import _decode, _encode, _kronecker_bits
 from tau_forge.cli import run_check
 from tau_forge.funq import tau_q
@@ -25,6 +25,7 @@ from tau_forge.qhirota import (
     verify_lm,
 )
 from tau_forge.qscalar import ONE, Q, QScalar, bracket, qs
+from test_funq import _mutate
 
 HALF = Fraction(1, 2)
 
@@ -124,22 +125,22 @@ def test_eq_half_residual_zero():
     assert verify_eq_half().verdict
 
 
-@pytest.mark.parametrize(
-    "j,jp",
-    [
-        (HALF, HALF),
-        (1, HALF),
-        (HALF, 1),
-        (1, 1),
-        (Fraction(3, 2), 1),
-        (Fraction(3, 2), Fraction(3, 2)),
-        (2, 1),
-        (2, 2),
-        (Fraction(5, 2), Fraction(5, 2)),
-        (3, 3),
-        (Fraction(7, 2), Fraction(7, 2)),
-    ],
-)
+LM_GRID = [
+    (HALF, HALF),
+    (1, HALF),
+    (HALF, 1),
+    (1, 1),
+    (Fraction(3, 2), 1),
+    (Fraction(3, 2), Fraction(3, 2)),
+    (2, 1),
+    (2, 2),
+    (Fraction(5, 2), Fraction(5, 2)),
+    (3, 3),
+    (Fraction(7, 2), Fraction(7, 2)),
+]
+
+
+@pytest.mark.parametrize("j,jp", LM_GRID)
 def test_lm_grid(j, jp):
     assert verify_lm(j, jp).verdict
 
@@ -173,7 +174,8 @@ def _lm_sides_over_qq(j, jp):
     return lhs, rhs
 
 
-ORACLE_PAIRS = [(HALF, HALF), (1, HALF), (Fraction(3, 2), 1)]
+# (2, 2) multiplies block pairs with min(n, m) up to 4 on both routes
+ORACLE_PAIRS = [(HALF, HALF), (1, HALF), (Fraction(3, 2), 1), (2, 2)]
 
 
 @pytest.mark.parametrize("j,jp", ORACLE_PAIRS)
@@ -187,18 +189,22 @@ def test_lm_sides_match_qq_oracle(j, jp):
     assert lm_residual(j, jp).is_zero()
 
 
-@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(2, 2), (Fraction(5, 2), Fraction(3, 2))])
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(Fraction(5, 2), Fraction(3, 2))])
 def test_lm_field_width_holds_every_term(j, jp):
     ring = qhirota._lm_packed(j, jp)[0]
     # tau_j has degree at most 2j in each of its variables (E and F are
     # nilpotent of order 2j + 1) and a prefactor at most 1, so no term of
-    # either side has an exponent above max(2j, 2j') + 1; a field that
-    # overflowed would add into its neighbour, and a false identity could
-    # then pass
+    # either side has an exponent above max(2j, 2j') + 1; a word of tau_j
+    # has length at most 2j, so no product word has more than 2j + 2j'
+    # letters b or c.  A field that overflowed would add into its
+    # neighbour, and a false identity could then pass
     assert max(int(2 * j), int(2 * jp)) + 1 < 1 << ring.width
+    assert int(2 * j) + int(2 * jp) < 1 << ring.width
     if (j, jp) in ORACLE_PAIRS:
         for side in _lm_sides_over_qq(Fraction(j), Fraction(jp)):
             top = max(e for t in side.terms.values() for m in t.terms for e in m)
+            assert top < 1 << ring.width
+            top = max(w.count(g) for w in side.terms for g in "bc")
             assert top < 1 << ring.width
 
 
@@ -237,7 +243,7 @@ def test_kronecker_nonzero_never_encodes_to_zero(bound):
                     assert _encode(lau, bits, -1) != 0
 
 
-@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(2, 2)])
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS)
 def test_lm_digit_width_holds_every_coefficient(j, jp):
     # the l1 bound behind bits holds every coefficient of both scaled sides
     ring, _, lhs, rhs = qhirota._lm_packed(j, jp)
@@ -248,6 +254,46 @@ def test_lm_digit_width_holds_every_coefficient(j, jp):
                 lau = _decode(v, ring.bits, low)
                 assert max(abs(c) for c in lau.values()) < 1 << (ring.bits - 1)
                 assert _encode(lau, ring.bits, low) == v
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ('twist = m if y == "a" else -m', 'twist = -m if y == "a" else m'),
+        ('twist = m if y == "a" else -m', 'twist = m + 1 if y == "a" else -m'),
+    ],
+    ids=["sign", "one-off"],
+)
+def test_lm_fails_with_a_mutant_twist(fresh_caches, monkeypatch, old, new):
+    # b^i c^k y^m = q^(twist (i+k)) y^m b^i c^k, wrong in the block products
+    # only: the taus and the Q(q) oracle still multiply by rewriting
+    mutant = _mutate(monkeypatch, ncalg, "funq_sl2_blocks", old, new)
+    monkeypatch.setattr(qhirota, "funq_sl2_blocks", mutant)
+    assert any(not verify_lm(j, jp).verdict for j, jp in LM_GRID)
+    j, jp = ORACLE_PAIRS[0]
+    lhs, rhs = _lm_sides_over_qq(Fraction(j), Fraction(jp))
+    assert (lm_residual(j, jp, side="lhs"), lm_residual(j, jp, side="rhs")) != (lhs, rhs)
+
+
+def test_ring_product_with_cancelling_terms():
+    # (b - c)(b + c) = b^2 - c^2: the two b*c terms meet under one key of
+    # one block pair and cancel to a zero int
+    vars = ("u",)
+    one = TimesPoly.one(vars)
+    left = NCPoly(funq_sl2(), vars, {("b",): one, ("c",): -one})
+    right = NCPoly(funq_sl2(), vars, {("b",): one, ("c",): one})
+    term = BilinearTerm(one, left, right, {}, {})
+    ring = qhirota._LaurentRing(vars, [term], ONE)
+    assert ring.to_ncpoly(ring.sum([term]), ONE) == left.mul(right)
+
+
+def test_lm_does_not_rewrite(fresh_caches):
+    # the plane table and the block products are closed forms: nothing on
+    # the lm path fills the rewrite memo
+    memo = len(funq_sl2()._memo)
+    assert verify_lm(2, 2).verdict
+    assert lm_residual(Fraction(3, 2), 1).is_zero()
+    assert len(funq_sl2()._memo) == memo
 
 
 def test_lm_rejects_unknown_side():

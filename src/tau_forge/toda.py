@@ -1,38 +1,51 @@
-"""Finite Toda lattice tau functions as principal minors.
+"""Finite Toda lattice tau functions as matrix elements of Lambda^k g.
 
-For an invertible rational matrix g of size n+1 the tau functions in the
+For an invertible rational matrix g of size n the tau functions in the
 first times x = x_1 and u = u_1 are the leading principal minors
 
     tau_k(x, u) = det [ exp(x I_1) g exp(u I_1^T) ]_{k x k},
 
 I_1 the upper shift matrix (ones on the superdiagonal); ``toda_tau_all``
-returns tau_0 = 1, ..., tau_{n+1} = det g.  They satisfy the Toda-molecule
-bilinear identity
+returns tau_0 = 1, ..., tau_n = det g.  In the fundamental representations
+of sl_n, tau_k = <w_k| e^(xE) Lambda^k(g) e^(uF) |w_k> (Kostant 1979), and
+Cauchy-Binet writes it as a sum over the k-subsets S, T of {0..n-1}:
+
+    tau_k = sum_{S, T} det exp(x I_1)[:k, S] det g[S, T] det exp(u I_1)[:k, T].
+
+Entry (i, s) of exp(x I_1) is x^(s-i) / (s-i)!, so the weight
+det exp(x I_1)[:k, S] is x^(sum S - k(k-1)/2) times the row-prefix minor
+det exp(I_1)[:k, S].  These numbers are read off one table of the row-prefix
+minors of the integer matrix N = (n-1)! exp(I_1) (``_tp_det``).  With L the
+lcm of the denominators of g and G = L g, the bi-subset minors det G[S, T]
+are built layer by layer in ints, each a Laplace expansion along row max S.
+A k x k minor of N or G is ((n-1)!)^k or L^k times the one of exp(I_1) or
+g, so the sum gives c^k tau_k, c = ((n-1)!)^2 L, with integer coefficients;
+tau_k is divided by c^k once, on return.
+
+They satisfy the Toda-molecule bilinear identity
 
     tau_k d_x d_u tau_k - d_x tau_k d_u tau_k = tau_{k+1} tau_{k-1},
 
-which is the Desnanot-Jacobi determinant identity in disguise: the mixed
-derivative of an entry shifts its row and column index down by one, so each
-derivative of a minor is itself a bordered minor.  Both formulations are
-computed and compared; that cross-check is the oracle for the identity.
+which is the Desnanot-Jacobi determinant identity in disguise:
+d_x exp(x I_1) = I_1 exp(x I_1) replaces row i of the flow matrix by row
+i+1, so d_x tau_k is the bordered minor on rows {0..k-2, k}, d_u tau_k the
+one on columns {0..k-2, k} and d_x d_u tau_k the inner minor on both.  The
+check builds these as the same Cauchy-Binet sums with the weights
+det N[{0..k-2, k}, S], each a Laplace expansion of row k of N over the
+table, and compares them with the derivatives of tau_k.  Both sides of the
+identity at k are products of two k-minors, scaled by c^(2k), so the
+integer residual is zero exactly when the rational one is.
 
-The minors are computed over the integers.  The flow matrix A is read off g
-term by term; with c the lcm of its coefficient denominators, cA has integer
-polynomial entries, stored as {packed monomial: int} dicts.  A packed
-monomial holds the exponent tuple in one int of fixed-width bit fields, the
-width taken from the instance's degree bound, so adding two packed monomials
-multiplies them.  One table holds every row-prefix minor
-
-    D[cols] = det (cA)[:r, cols],   r = len(cols),
-
-each a Laplace expansion of row r-1 over the (r-1)-layer.  Every quantity is
-read off it: the leading minors c^k tau_k, d_u tau_k = D[0..k-2, k], and
-d_x tau_k and d_x d_u tau_k as one expansion each of row k over the
-(k-1)-layer.  A k x k minor of cA is c^k times the same minor of A, so each
-side of the identity at k scales by c^(2k) and the integer residual is zero
-exactly when the rational one is; tau_k is divided by c^k once, on return.
-(Bareiss elimination would give the leading minors alone and needs exact
-division of bivariate polynomials; the table gives the bordered minors too.)
+The identity is decided by one integer equation per k.  Each factor
+p(x, u) is packed as p(q, q^X) at q = 2^B (``_kernels._encode``).  X is one
+more than the largest x-degree of the three products, so q^(a + X b) names
+x^a u^b alone and the substitution keeps the coefficients of every product
+and of the residual.  A product's l1 norm is at most the product of its
+factors' norms, so every coefficient of the residual, and of either side,
+is at most the sum over the three products ab of l1(a) l1(b).  With B from
+``_kronecker_bits`` of that sum each such coefficient is one balanced
+base-2^B digit: the residual packs to 0 only if it is the zero polynomial,
+and on a failure each side decodes exactly (``_kernels._decode``).
 """
 
 from __future__ import annotations
@@ -40,8 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
-from ._kernels import _addmul, _pack, _trim, _unpack
+from ._kernels import _decode, _encode, _kronecker_bits, _trim
 from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
@@ -111,143 +125,138 @@ def _det_fraction(m):
     return det
 
 
-# ---------------------------------------------------------------------------
-# integer polynomials with packed monomials: {packed exponents: int}
-# ---------------------------------------------------------------------------
-
-
-def _pmul(a, b):
-    return _trim(_addmul({}, a, b))
-
-
-def _pderiv(p, idx, width):
-    """Partial derivative in variable ``idx``."""
-    shift = idx * width
-    mask = (1 << width) - 1
-    one = 1 << shift
-    out = {}
-    for m, c in p.items():
-        e = (m >> shift) & mask
-        if e:
-            out[m - one] = c * e
-    return out
-
-
-def _integer_flow(inst):
-    """(width, c, cA): the flow matrix A = exp(x I_1) g exp(u I_1^T), c the
-    lcm of its coefficient denominators and cA as packed integer polynomials.
-
-    A[i][k] = sum over a >= i, b >= k of g[a][b] x^(a-i) u^(b-k) / ((a-i)! (b-k)!),
-    one monomial per (a, b), so A is read off g term by term."""
-    n = inst.size
-    A = [
-        [
-            {(a - i, b - k): v / (factorial(a - i) * factorial(b - k))
-             for a in range(i, n) for b in range(k, n) if (v := inst.g[a][b])}
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-    c = lcm(*(f.denominator for row in A for p in row for f in p.values()))
-    # a minor takes one entry from each row, so no exponent in a minor of A
-    # exceeds the sum over rows of the row's largest exponent, and none in a
-    # product of two minors exceeds twice that
-    bound = sum(max((e for p in row for m in p for e in m), default=0) for row in A)
-    width = max(1, (2 * bound).bit_length())
-    cA = [[{_pack(m, width): int(f * c) for m, f in p.items()} for p in row] for row in A]
-    return width, c, cA
-
-
 def _expand(row, mask, D):
-    """Laplace expansion along ``row``, placed below the rows of D's
-    (r-1)-layer, on the r columns set in ``mask``: sum over those columns of
-    +-row[col] * D[mask without col]."""
-    acc = {}
+    """Laplace expansion along ``row``, placed below the rows behind the
+    (r-1)-layer of D, on the r columns set in ``mask``: the sum over those
+    columns of +-row[col] * D[mask without col]."""
+    acc = 0
     sign = 1 if mask.bit_count() % 2 else -1  # (-1)^(r-1) at the first column
     col = 0
     rest = mask
     while rest:
         if rest & 1:
-            entry = row[col]
-            if entry:
-                _addmul(acc, entry, D[mask ^ (1 << col)], sign)
+            if row[col]:
+                acc += sign * row[col] * D[mask ^ (1 << col)]
             sign = -sign
         rest >>= 1
         col += 1
-    return _trim(acc)
+    return acc
 
 
 def _tp_det(M):
-    """The row-prefix minor table of a square integer-polynomial matrix:
-    D[mask] = det M[:r, cols], with cols the r columns set in mask.  Each
-    entry expands its last row over the (r-1)-layer, n 2^(n-1) entry products
-    in all.  D[0] = 1 and D[2^k - 1] is the leading k x k minor."""
-    n = len(M)
-    D = [None] * (1 << n)
-    D[0] = {0: 1}
-    for mask in range(1, 1 << n):
+    """The row-prefix minor table of a square integer matrix:
+    D[mask] = det M[:r, cols], with cols the r columns set in mask, each
+    entry its last row expanded over the (r-1)-layer.  D[0] = 1."""
+    D = [1] * (1 << len(M))
+    for mask in range(1, len(D)):
         D[mask] = _expand(M[mask.bit_count() - 1], mask, D)
     return D
 
 
-def _lead(k):
-    """Mask of the columns 0..k-1."""
-    return (1 << k) - 1
+def _row_sums(M, layer, right):
+    """{S: {u-degree: sum over T of det G[S, T] right[T]}} for S in layer,
+    with M[S][T] = det G[S, T] and ``right`` mapping a subset to (degree, int)."""
+    by_degree = {}
+    for T, (b, v) in right.items():
+        Ts, vs = by_degree.setdefault(b, ([], []))
+        Ts.append(T)
+        vs.append(v)
+    return {S: {b: sum(map(mul, map(M[S].__getitem__, Ts), vs)) for b, (Ts, vs) in by_degree.items()} for S in layer}
 
 
-def _to_times(p, vars, width, scale):
-    """The packed integer polynomial p / scale as a TimesPoly over Q."""
-    n = len(vars)
-    return TimesPoly(vars, {_unpack(m, n, width): qs(Fraction(v, scale)) for m, v in p.items()})
+def _contract(left, rows):
+    """sum over S of left[S] rows[S] as {(x-degree, u-degree): int}."""
+    out = {}
+    for S, (a, w) in left.items():
+        for b, s in rows[S].items():
+            out[a, b] = out.get((a, b), 0) + w * s
+    return _trim(out)
+
+
+def _minors(inst):
+    """(c, taus, bordered) as {(x-degree, u-degree): int}: taus[k] = c^k tau_k
+    and, for 0 < k < size, bordered[k] the c^k-scaled minors that
+    d_x tau_k, d_u tau_k and d_x d_u tau_k equal (module docstring)."""
+    n = inst.size
+    L = lcm(*(f.denominator for row in inst.g for f in row))
+    G = [[int(f * L) for f in row] for row in inst.g]
+    N = [[factorial(n - 1) // factorial(s - i) if s >= i else 0 for s in range(n)] for i in range(n)]
+    table = _tp_det(N)
+    layers = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
+    M = {0: {0: 1}}  # M[S][T] = det G[S, T], Laplace along row max S
+    for k in range(1, n + 1):
+        for S in layers[k]:
+            r = S.bit_length() - 1
+            M[S] = {T: _expand(G[r], T, M[S ^ (1 << r)]) for T in layers[k]}
+    taus, bordered = [{(0, 0): 1}], [None]
+    for k in range(1, n + 1):
+        low = k * (k - 1) // 2
+        deg = {S: sum(i for i in range(n) if S >> i & 1) - low for S in layers[k]}
+        lead = {S: (deg[S], table[S]) for S in layers[k]}
+        rows = _row_sums(M, layers[k], lead)
+        taus.append(_contract(lead, rows))
+        if k < n:  # rows {0..k-2, k} of N: one x-degree less
+            edge = {S: (deg[S] - 1, v) for S in layers[k] if (v := _expand(N[k], S, table))}
+            edge_rows = _row_sums(M, layers[k], edge)
+            bordered.append((_contract(edge, rows), _contract(lead, edge_rows), _contract(edge, edge_rows)))
+    return factorial(n - 1) ** 2 * L, taus, bordered
 
 
 def toda_tau_all(inst):
     """[tau_0, ..., tau_size]: tau_k is the leading k x k minor, tau_0 = 1."""
-    width, c, cA = _integer_flow(inst)
-    D = _tp_det(cA)
-    return [_to_times(D[_lead(k)], _VARS, width, c**k) for k in range(inst.size + 1)]
+    c, taus, _bordered = _minors(inst)
+    return [TimesPoly(_VARS, {m: qs(Fraction(v, c**k)) for m, v in p.items()}) for k, p in enumerate(taus)]
+
+
+def _packed_products(pairs):
+    """(bits, X, [a * b for a, b in pairs]), each polynomial p(x, u) packed as
+    its value p(q, q^X) at q = 2^bits: X exceeds the x-degree of every
+    product, and every coefficient of a signed sum of the products is at most
+    the sum of l1(a) l1(b), which ``_kronecker_bits`` fits in one digit."""
+    X = 1 + max(max((m[0] for m in a), default=0) + max((m[0] for m in b), default=0) for a, b in pairs)
+    bits = _kronecker_bits(sum(sum(map(abs, a.values())) * sum(map(abs, b.values())) for a, b in pairs))
+
+    def pack(p):
+        return _encode({a + X * b: v for (a, b), v in p.items()}, bits, 0)
+
+    return bits, X, [pack(a) * pack(b) for a, b in pairs]
 
 
 def verify_toda_bilinear(inst):
     """tau_k d_x d_u tau_k - d_x tau_k d_u tau_k = tau_{k+1} tau_{k-1} for
-    every interior k, plus the equivalent determinant (Desnanot-Jacobi)
-    formulation of the derivative minors as a cross-check.  Both run on the
-    minors of cA, which scale every term of the identity by c^(2k)."""
+    every interior k, one integer equation each, plus the bordered and inner
+    (Desnanot-Jacobi) minors as a cross-check of the derivatives.  Every
+    term of the identity at k is scaled by c^(2k)."""
     if inst.size < 2:
         raise ValueError("the bilinear identity needs size >= 2 (no interior k below)")
     details = []
-    width, _c, cA = _integer_flow(inst)
-    D = _tp_det(cA)
+    _c, taus, bordered = _minors(inst)
     for k in range(1, inst.size):
-        tk = D[_lead(k)]
-        dx = _pderiv(tk, 0, width)
-        du = _pderiv(tk, 1, width)
-        dxu = _pderiv(dx, 1, width)
-        bilinear = _trim(_addmul(_addmul({}, tk, dxu), dx, du, -1))
-        target = _pmul(D[_lead(k + 1)], D[_lead(k - 1)])
-        if bilinear != target:
-            fitted = _fit_constant(bilinear, target)
+        tk = taus[k]
+        dx = {(a - 1, b): a * v for (a, b), v in tk.items() if a}
+        du = {(a, b - 1): b * v for (a, b), v in tk.items() if b}
+        dxu = {(a, b - 1): b * v for (a, b), v in dx.items() if b}
+        bits, _X, (left, right, target) = _packed_products(((tk, dxu), (dx, du), (taus[k + 1], taus[k - 1])))
+        if left - right != target:
+            fitted = _fit_constant(_decode(left - right, bits, 0), _decode(target, bits, 0))
             details.append(
                 f"k={k}: residual nonzero"
                 + (f", fitted constant {fitted}" if fitted is not None else "")
             )
-        # derivative minors vs bordered determinant minors: differentiating
-        # an entry shifts its row (d_x) or column (d_u) index by one, so
-        # each derivative of tau_k is a single minor of the (k+1)-block:
-        # rows 0..k-2 and k (d_x) or columns 0..k-2 and k (d_u)
-        bordered = _lead(k - 1) | (1 << k)
-        if dx != _expand(cA[k], _lead(k), D):
+        bx, bu, inner = bordered[k]
+        if dx != bx:
             details.append(f"k={k}: d_x tau_k != bordered minor")
-        if du != D[bordered]:
+        if du != bu:
             details.append(f"k={k}: d_u tau_k != bordered minor")
-        if dxu != _expand(cA[k], bordered, D):
+        if dxu != inner:
             details.append(f"k={k}: d_x d_u tau_k != inner minor")
     return VerificationReport.from_failures(details, params={"size": inst.size})
 
 
 def _fit_constant(bilinear, target):
-    """Ratio c when bilinear = c * target (packed integer polynomials); None
-    otherwise.  The ratio is the same as for the minors of A."""
+    """Ratio c when bilinear = c * target (integer polynomials, one key per
+    monomial); None otherwise.  The ratio is the same as for the minors of
+    the flow matrix."""
     if not target:
         return None
     mono = min(target)

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from tau_forge import toda
+from tau_forge._kernels import _addmul, _decode, _pack, _trim, _unpack
 from tau_forge.ncalg import TimesPoly
 from tau_forge.qscalar import ONE, qs
 from tau_forge.toda import TodaInstance, toda_tau_all, verify_toda_bilinear
@@ -126,23 +127,164 @@ def test_taus_match_numeric_determinants(size):
     _check_taus_on_grid(inst, flow)
 
 
+# -- the oracle: the row-prefix table of the polynomial flow matrix -----------
+#
+# The Cauchy-Binet build shares nothing with this route but the Laplace
+# expansion of ints: here the flow matrix A = exp(x I_1) g exp(u I_1^T) is
+# read off g term by term, scaled to integer polynomials with packed
+# monomials, and every minor is a row-prefix minor of it.
+
+
+def _pmul(a, b):
+    return _trim(_addmul({}, a, b))
+
+
+def _pderiv(p, idx, width):
+    """Partial derivative of a packed polynomial in variable ``idx``."""
+    shift = idx * width
+    mask = (1 << width) - 1
+    one = 1 << shift
+    return {m - one: c * e for m, c in p.items() if (e := (m >> shift) & mask)}
+
+
+def _to_times(p, vars, width, scale):
+    """The packed integer polynomial p / scale as a TimesPoly over Q."""
+    return TimesPoly(vars, {_unpack(m, len(vars), width): qs(Fraction(v, scale)) for m, v in p.items()})
+
+
+def _integer_flow(inst):
+    """(width, c, cA): the flow matrix A, c the lcm of its coefficient
+    denominators and cA as packed integer polynomials.
+
+    A[i][k] = sum over a >= i, b >= k of g[a][b] x^(a-i) u^(b-k) / ((a-i)! (b-k)!),
+    one monomial per (a, b).  No exponent in a product of two minors exceeds
+    twice the sum over rows of the row's largest exponent."""
+    n = inst.size
+    A = [
+        [
+            {(a - i, b - k): v / (factorial(a - i) * factorial(b - k))
+             for a in range(i, n) for b in range(k, n) if (v := inst.g[a][b])}
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    c = lcm(*(f.denominator for row in A for p in row for f in p.values()))
+    bound = sum(max((e for p in row for m in p for e in m), default=0) for row in A)
+    width = max(1, (2 * bound).bit_length())
+    cA = [[{_pack(m, width): int(f * c) for m, f in p.items()} for p in row] for row in A]
+    return width, c, cA
+
+
+def _expand_poly(row, mask, D):
+    """Laplace expansion of the polynomial ``row`` below the (r-1)-layer of D."""
+    acc = {}
+    sign = 1 if mask.bit_count() % 2 else -1
+    for col in range(mask.bit_length()):
+        if mask >> col & 1:
+            if row[col]:
+                _addmul(acc, row[col], D[mask ^ (1 << col)], sign)
+            sign = -sign
+    return _trim(acc)
+
+
+def _row_prefix_table(M):
+    D = [{0: 1}] + [None] * ((1 << len(M)) - 1)
+    for mask in range(1, 1 << len(M)):
+        D[mask] = _expand_poly(M[mask.bit_count() - 1], mask, D)
+    return D
+
+
+def _lead(k):
+    return (1 << k) - 1
+
+
+def _rational(p, width, scale):
+    return {_unpack(m, 2, width): Fraction(v, scale) for m, v in p.items()}
+
+
+def _oracle_minors(inst):
+    """[tau_k] and {k: (d_x minor, d_u minor, inner minor)}, as
+    {(x-degree, u-degree): Fraction}, from the row-prefix table of cA."""
+    width, c, cA = _integer_flow(inst)
+    D = _row_prefix_table(cA)
+    taus = [_rational(D[_lead(k)], width, c**k) for k in range(inst.size + 1)]
+    bordered = {}
+    for k in range(1, inst.size):
+        rows = _lead(k - 1) | 1 << k
+        minors = (_expand_poly(cA[k], _lead(k), D), D[rows], _expand_poly(cA[k], rows, D))
+        bordered[k] = tuple(_rational(p, width, c**k) for p in minors)
+    return taus, bordered
+
+
+def _built_minors(inst):
+    """The same quantities from the Cauchy-Binet build."""
+    c, taus, bordered = toda._minors(inst)
+    scaled = [{m: Fraction(v, c**k) for m, v in p.items()} for k, p in enumerate(taus)]
+    return scaled, {
+        k: tuple({m: Fraction(v, c**k) for m, v in p.items()} for p in bordered[k])
+        for k in range(1, inst.size)
+    }
+
+
+@pytest.mark.parametrize("size,seed", [(s, seed) for s in range(2, 8) for seed in (0, 1)] + [(8, 0)])
+def test_cauchy_binet_matches_row_prefix_oracle(size, seed):
+    inst = TodaInstance.random(random.Random(1000 * seed + size), size)
+    assert _built_minors(inst) == _oracle_minors(inst)
+
+
+def _factorial_off(m):
+    """2! read as 3!: one factorial off in the table of (n-1)! exp(I_1)."""
+    return factorial(3) if m == 2 else factorial(m)
+
+
+def _flip_one_laplace_sign(monkeypatch, inst):
+    """Flip the sign of the first column's term whenever a row of G = L g
+    is expanded on two columns: one Laplace sign of the bi-subset recursion."""
+    L = lcm(*(f.denominator for row in inst.g for f in row))
+    g_rows = {tuple(int(f * L) for f in row) for row in inst.g}
+    real = toda._expand
+
+    def flipped(row, mask, D):
+        value = real(row, mask, D)
+        if mask.bit_count() == 2 and tuple(row) in g_rows:
+            col = (mask & -mask).bit_length() - 1
+            value += 2 * row[col] * D[mask ^ (1 << col)]  # its sign was -1
+        return value
+
+    monkeypatch.setattr(toda, "_expand", flipped)
+
+
+@pytest.mark.parametrize("mutant", ["factorial", "laplace_sign"])
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_mutants_fail_the_oracle_and_the_check(monkeypatch, mutant, size):
+    inst = TodaInstance.random(random.Random(size), size)
+    want = _oracle_minors(inst)
+    if mutant == "factorial":
+        monkeypatch.setattr(toda, "factorial", _factorial_off)
+    else:
+        _flip_one_laplace_sign(monkeypatch, inst)
+    assert _built_minors(inst) != want
+    assert not verify_toda_bilinear(inst).verdict
+
+
 # -- negative controls: a wrong minor must fail the check --------------------
 
 
-def _patch_table(monkeypatch, mask, change):
-    """Rebind the minor-table builder so that entry ``mask`` of every table
-    it returns goes through ``change`` after the table is complete."""
-    real = toda._tp_det
+def _patch_table(monkeypatch, change):
+    """Rebind the step that assembles tau_k and the bordered minors so that
+    ``change`` edits its (c, taus, bordered) after it is complete."""
+    real = toda._minors
 
-    def perturbed(M):
-        D = real(M)
-        D[mask] = change(dict(D[mask]))
-        return D
+    def perturbed(inst):
+        c, taus, bordered = real(inst)
+        change(taus, bordered)
+        return c, taus, bordered
 
-    monkeypatch.setattr(toda, "_tp_det", perturbed)
+    monkeypatch.setattr(toda, "_minors", perturbed)
 
 
 def _bump_lowest(p):
+    p = dict(p)
     p[min(p)] += 1
     return p
 
@@ -150,7 +292,11 @@ def _bump_lowest(p):
 def test_perturbed_leading_minor_fails(monkeypatch):
     inst = TodaInstance.random(random.Random(4), 4)
     assert verify_toda_bilinear(inst).verdict
-    _patch_table(monkeypatch, toda._lead(2), _bump_lowest)
+
+    def bump_tau_2(taus, _bordered):
+        taus[2] = _bump_lowest(taus[2])
+
+    _patch_table(monkeypatch, bump_tau_2)
     rep = verify_toda_bilinear(inst)
     assert not rep.verdict
     assert "k=2: residual nonzero" in rep.details
@@ -159,8 +305,13 @@ def test_perturbed_leading_minor_fails(monkeypatch):
 
 def test_perturbed_bordered_minor_fails(monkeypatch):
     inst = TodaInstance.random(random.Random(4), 4)
-    # d_u tau_2 is the row-prefix minor on columns 0 and 2
-    _patch_table(monkeypatch, toda._lead(1) | 1 << 2, _bump_lowest)
+
+    def bump_du_2(_taus, bordered):
+        # d_u tau_2 is the minor on rows 0, 1 and columns 0, 2
+        dx, du, inner = bordered[2]
+        bordered[2] = (dx, _bump_lowest(du), inner)
+
+    _patch_table(monkeypatch, bump_du_2)
     rep = verify_toda_bilinear(inst)
     assert not rep.verdict
     assert "k=2: d_u tau_k != bordered minor" in rep.details
@@ -171,14 +322,18 @@ def test_fitted_constant_reported(monkeypatch):
     inst = TodaInstance.random(random.Random(3), 3)
     # 2 tau_2 in place of tau_2: the identity at k=1 and k=2 holds up to the
     # constants 1/2 and 4, and the report names them
-    _patch_table(monkeypatch, toda._lead(2), lambda p: {m: 2 * v for m, v in p.items()})
+
+    def double_tau_2(taus, _bordered):
+        taus[2] = {m: 2 * v for m, v in taus[2].items()}
+
+    _patch_table(monkeypatch, double_tau_2)
     rep = verify_toda_bilinear(inst)
     assert not rep.verdict
     assert "k=1: residual nonzero, fitted constant 1/2" in rep.details
     assert "k=2: residual nonzero, fitted constant 4" in rep.details
 
 
-# -- the packed integer kernels against TimesPoly ----------------------------
+# -- the packed integer kernels of the oracle against TimesPoly ---------------
 
 
 def test_packed_kernels_match_timespoly():
@@ -198,22 +353,66 @@ def test_packed_kernels_match_timespoly():
 
         a = draw(split)
         b = draw([top - s for s in split])
-        pa = {toda._pack(m, width): v for m, v in a.items()}
-        pb = {toda._pack(m, width): v for m, v in b.items()}
-        assert {toda._unpack(m, nvars, width) for m in pa} == set(a)
+        pa = {_pack(m, width): v for m, v in a.items()}
+        pb = {_pack(m, width): v for m, v in b.items()}
+        assert {_unpack(m, nvars, width) for m in pa} == set(a)
         ta = TimesPoly(vars, {m: qs(v) for m, v in a.items()})
         tb = TimesPoly(vars, {m: qs(v) for m, v in b.items()})
-        assert toda._to_times(toda._pmul(pa, pb), vars, width, 1) == ta * tb
+        assert _to_times(_pmul(pa, pb), vars, width, 1) == ta * tb
         idx = rng.randrange(nvars)
-        assert toda._to_times(toda._pderiv(pa, idx, width), vars, width, 1) == ta.derivative(vars[idx])
+        assert _to_times(_pderiv(pa, idx, width), vars, width, 1) == ta.derivative(vars[idx])
+
+
+# -- the identity as Kronecker-packed integer products ------------------------
+
+
+def _identity_factors(inst):
+    """{k: the three factor pairs of the identity at k}, from the build."""
+    _c, taus, _bordered = toda._minors(inst)
+    out = {}
+    for k in range(1, inst.size):
+        tk = taus[k]
+        dx = {(a - 1, b): a * v for (a, b), v in tk.items() if a}
+        du = {(a, b - 1): b * v for (a, b), v in tk.items() if b}
+        dxu = {(a, b - 1): b * v for (a, b), v in dx.items() if b}
+        out[k] = ((tk, dxu), (dx, du), (taus[k + 1], taus[k - 1]))
+    return out
+
+
+def _dict_product(a, b):
+    """a * b by ``_addmul`` on packed monomials, as {(x-degree, u-degree): int}."""
+    width = 1 + max((e for p in (a, b) for m in p for e in m), default=0).bit_length()
+    pa, pb = ({_pack(m, width): v for m, v in p.items()} for p in (a, b))
+    return {_unpack(m, 2, width): v for m, v in _pmul(pa, pb).items()}
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7])
+def test_packed_products_decode_to_dict_products(size):
+    inst = TodaInstance.random(random.Random(50 + size), size)
+    for pairs in _identity_factors(inst).values():
+        bits, X, packed = toda._packed_products(pairs)
+        products = [_dict_product(a, b) for a, b in pairs]
+        for v, want in zip(packed, products):
+            assert {(e % X, e // X): c for e, c in _decode(v, bits, 0).items()} == want
+        # the bound: every coefficient of the residual, and of each side,
+        # is one balanced digit, and the l1 bound covers it
+        residual = {}
+        for sign, p in zip((1, -1, -1), products):
+            for m, c in p.items():
+                residual[m] = residual.get(m, 0) + sign * c
+        bound = sum(sum(map(abs, a.values())) * sum(map(abs, b.values())) for a, b in pairs)
+        assert all(abs(c) <= bound for p in (*products, residual) for c in p.values())
+        assert 2 * bound < 1 << bits
+        assert not _trim(residual)
 
 
 @pytest.mark.parametrize("size", [2, 4, 6], ids=lambda size: f"{size}-principal_only")
 def test_field_width_holds_every_product(size):
     inst = TodaInstance.random(random.Random(size), size)
-    width, _c, _cA = toda._integer_flow(inst)
-    # no minor has degree above n(n+1)/2 in any time (the bound of
-    # test_degree_bounds_and_top_tau at its largest), so no product of two
-    # minors may overflow a field of this width
-    n = size - 1
-    assert 2 * (n * (n + 1) // 2) < 1 << width
+    n = size
+    for k, pairs in _identity_factors(inst).items():
+        _bits, X, _packed = toda._packed_products(pairs)
+        # no factor has x-degree above k(n-k) (the bound of
+        # test_degree_bounds_and_top_tau), so every product's x-degree is at
+        # most 2k(n-k), and q^(a + X b) must name x^a u^b alone
+        assert max(m[0] for a, b in pairs for m in _dict_product(a, b)) < X <= 2 * k * (n - k) + 1

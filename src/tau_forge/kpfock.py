@@ -20,13 +20,16 @@ with one cap per time set.  The two-sided residuals need tau(x +- y, u +- v);
 the linear substitution t = x +- y, s = u +- v keeps every weighted degree,
 so it is exact to the same caps and no flow runs in four time sets.
 
-Polynomials are {packed monomial: int or Fraction} dicts (KP is q-free);
-TimesPoly appears only at the public boundary.  A packed monomial holds each
+Polynomials are {packed monomial: int} dicts (KP is q-free), and each
+build carries one int scale: it holds scale times the value it stands for.
+A flow to cap D multiplies by D!, g by the product of the denominators of
+its thetas, a Schur pair by (bound!)^2, and a product by the product of the
+scales.  Only a residual or a tau leaving the module is divided by its
+scale, once, as it becomes a TimesPoly.  A packed monomial holds each
 exponent in a bit field and, in two more fields, its weighted degree in the
 (x, y) and in the (u, v) times, so adding packed monomials multiplies them
 and adds their weights.  The field width comes from the largest cap, and no
-product is formed past a cap: capped products bucket terms by weight.  Taus
-are cleared of denominators before the products.
+product is formed past a cap: capped products bucket terms by weight.
 
 The caps are derived from the Schur operators, not fixed: the pair
 S_j(2y) S_{j+o}(-dtilde_y) lowers the (x, y) weight by o, so that set is
@@ -40,7 +43,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm, prod
 
 from ._kernels import _trim
 from .ncalg import TimesPoly
@@ -91,7 +94,7 @@ class FockSpace:
         return -self.M <= mode <= self.M - 1
 
     def vacuum(self, n):
-        if len(range(-self.M, n)) != self.M + n:
+        if not -self.M <= n <= self.M:
             raise ValueError("charge out of window")
         return tuple(range(-self.M, n))
 
@@ -182,7 +185,7 @@ def _flow_moves(space, k, state):
 
 
 def apply_flow_generator(space, k, vec):
-    """a_k on a vector with int or Fraction coefficients."""
+    """a_k on a vector."""
     if k == 0:
         raise ValueError("k must be nonzero")
     out = {}
@@ -219,11 +222,12 @@ class _Layout:
     def pack(self, names, exps):
         return sum(e * self.unit[v] for v, e in zip(names, exps))
 
-    def to_times(self, poly):
+    def to_times(self, poly, scale):
+        """poly / scale as a TimesPoly, for an int polynomial and scale."""
         shifts = [self.shift[v] for v in self.vars]
         return TimesPoly(
             self.vars,
-            {tuple((m >> s) & self.mask for s in shifts): qs(Fraction(c)) for m, c in poly.items() if c},
+            {tuple((m >> s) & self.mask for s in shifts): qs(Fraction(c, scale)) for m, c in poly.items() if c},
         )
 
 
@@ -268,26 +272,28 @@ def _substitute(p, lay, pairs, sign):
     return _trim(p)
 
 
-def _cleared(p):
-    """(c p, c) with c the lcm of the denominators of p, so c p is integral."""
-    c = lcm(*(f.denominator for f in p.values()))
-    return {m: f.numerator * (c // f.denominator) for m, f in p.items()}, c
-
-
 # ---------------------------------------------------------------------------
 # flows and the one tau build
 # ---------------------------------------------------------------------------
 
 
+def _flow_weights(cap):
+    """cap!/m! for m = 0..cap, the weight of term order m in a flow to cap."""
+    return [perm(cap, cap - m) for m in range(cap + 1)]
+
+
 def flow(space, sign, units, vec, lay, group, cap):
-    """exp(sum_k t_k a_{sign k}) on {state: packed polynomial}, with t_k the
-    packed monomial units[k-1] of weight k in ``group``.  Terms past ``cap``
-    are dropped before they move, so the boundary guard only ever sees modes
-    reached by terms that survive the truncation."""
-    acc = {state: dict(p) for state, p in vec.items()}
+    """cap! exp(sum_k t_k a_{sign k}) on {state: packed int polynomial}, with
+    t_k the packed monomial units[k-1] of weight k in ``group``.  Term order m
+    is carried as A^m vec, A = sum_k t_k a_{sign k}, and added with the weight
+    cap!/m!, which is an int: each t_k adds weight k >= 1, so a term of order
+    m past cap is empty.  Terms past ``cap`` are dropped before they move, so
+    the boundary guard only ever sees modes reached by terms that survive the
+    truncation."""
+    weights = _flow_weights(cap)
+    acc = {state: {mono: weights[0] * c for mono, c in p.items()} for state, p in vec.items()}
     term = vec
-    m = 1
-    while term:
+    for w in weights[1:]:
         nxt = {}
         for state, poly in term.items():
             for k, unit in enumerate(units, 1):
@@ -300,31 +306,34 @@ def flow(space, sign, units, vec, lay, group, cap):
                         tgt[mono] = tgt.get(mono, 0) + (c if s > 0 else -c)
         term = {}
         for state, poly in nxt.items():
-            poly = {mono: Fraction(c, m) for mono, c in poly.items() if c}
+            poly = _trim(poly)
             if poly:
                 term[state] = poly
                 tgt = acc.setdefault(state, {})
                 for mono, c in poly.items():
-                    tgt[mono] = tgt.get(mono, 0) + c
-        m += 1
+                    tgt[mono] = tgt.get(mono, 0) + w * c
+        if not term:
+            break
     return acc
 
 
 def _tau(g, n, lay, caps, window):
     """tau_n with the x and u fields of ``lay`` as the times t and s, exact to
-    the weighted-degree caps (D_x, D_u): ({packed: Fraction}, certificate)."""
+    the weighted-degree caps (D_x, D_u): ({packed: int}, scale, certificate),
+    the polynomial being scale * tau_n."""
     space = FockSpace(window)
     _check_window_budget(space, n, caps[0], caps[1], g)
-    vec = {space.vacuum(n): {0: Fraction(1)}}
+    vec = {space.vacuum(n): {0: 1}}
     vec = flow(space, -1, [lay.unit[v] for v in _var_names("u", caps[1])], vec, lay, 1, caps[1])
     moved = {}
     for state, poly in vec.items():
-        for image, x in g.apply(space, {state: 1}).items():
+        for image, x in g.scaled_apply(space, {state: 1})[0].items():
             tgt = moved.setdefault(image, {})
             for mono, c in poly.items():
                 tgt[mono] = tgt.get(mono, 0) + x * c
     moved = flow(space, 1, [lay.unit[v] for v in _var_names("x", caps[0])], moved, lay, 0, caps[0])
-    return _trim(moved.get(space.vacuum(n), {})), space.certificate()
+    scale = factorial(caps[0]) * factorial(caps[1]) * g.denominator()
+    return _trim(moved.get(space.vacuum(n), {})), scale, space.certificate()
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +371,32 @@ class GroupElementSpec:
             factors.append((theta, i, j))
         return cls(factors=tuple(factors))
 
-    def apply(self, space, vec):
-        """g on a vector with int or Fraction coefficients."""
+    def denominator(self):
+        """The product of the denominators of the thetas."""
+        return prod(theta.denominator for theta, _, _ in self.factors)
+
+    def scaled_apply(self, space, vec):
+        """(Q g vec, Q) with Q = :meth:`denominator`: a factor with theta =
+        p/q acts as q + p psi_i psi*_j, so int coefficients stay int."""
         for theta, i, j in reversed(self.factors):
             if i == j:
                 raise ValueError("factors need i != j")
+            p, q = theta.numerator, theta.denominator
             moved = apply_fermion(space, "psi", i, apply_fermion(space, "psi_star", j, vec))
-            out = dict(vec)
+            out = {state: q * c for state, c in vec.items()}
             for state, c in moved.items():
-                s = out.get(state, 0) + theta * c
+                s = out.get(state, 0) + p * c
                 if s:
                     out[state] = s
                 else:
                     out.pop(state, None)
             vec = out
-        return vec
+        return vec, self.denominator()
+
+    def apply(self, space, vec):
+        """g on a vector, exactly."""
+        vec, scale = self.scaled_apply(space, vec)
+        return {state: Fraction(c, scale) for state, c in vec.items()}
 
     def mode_span(self):
         return max((max(abs(i), abs(j)) for _, i, j in self.factors), default=0)
@@ -406,26 +426,40 @@ def schur_exponents(j):
     return table[j]
 
 
-def schur_poly(j, slots, slot_scale=Fraction(1)):
-    """S_j(slot_scale * t) over the first ``slots`` times, as {exponent tuple
-    of length slots: Fraction}; later times are frozen to zero."""
+@cache
+def _schur_ints(j):
+    """j! S_j, an int polynomial: S_j's monomial prod t_k^(x_k) has the
+    coefficient 1 / prod x_k!, and sum x_k <= j.  Cached: callers only read
+    the dict."""
+    f = factorial(max(j, 0))
+    return {mono: int(c * f) for mono, c in schur_exponents(j).items()}
+
+
+def schur_poly(j, slots, slot_scale=1):
+    """j! S_j(slot_scale * t) over the first ``slots`` times, as {exponent
+    tuple of length slots: int}, for an int slot_scale; later times are
+    frozen to zero."""
     out = {}
-    for mono, c in schur_exponents(j).items():
+    for mono, c in _schur_ints(j).items():
         if not any(mono[slots:]):
             out[(mono + (0,) * slots)[:slots]] = c * slot_scale ** sum(mono)
     return out
 
 
-def schur_diff_apply(j, mono, slot_scale=Fraction(-1)):
-    """S_j(slot_scale * dtilde) on the monomial t^mono, slot k acting as
-    (slot_scale / k) d/dt_k (slots past len(mono) act as zero)."""
+def schur_diff_apply(j, mono, slot_scale=-1):
+    """j! S_j(slot_scale * dtilde) on the monomial t^mono, slot k acting as
+    (slot_scale / k) d/dt_k (slots past len(mono) act as zero), as {exponent
+    tuple: int} for an int slot_scale.  It is integral because j! over
+    prod x_k! k^(x_k) counts the permutations of j things with x_k cycles of
+    length k, for every monomial prod t_k^(x_k) of S_j."""
     out = {}
-    for d, c in schur_exponents(j).items():
+    for d, c in _schur_ints(j).items():
         if any(d[len(mono):]) or any(x > e for x, e in zip(d, mono)):
             continue
         d = d[: len(mono)] + (0,) * (len(mono) - len(d))
-        for k, (x, e) in enumerate(zip(d, mono), 1):
-            c *= Fraction(slot_scale, k) ** x * perm(e, x)
+        c //= prod(k**x for k, x in enumerate(d, 1))
+        for x, e in zip(d, mono):
+            c *= slot_scale**x * perm(e, x)
         out[tuple(e - x for e, x in zip(mono, d))] = c
     return out
 
@@ -444,8 +478,9 @@ def _schur_pair(G, lay, z, a, b, sigma, degree):
 
     The pair acts on the z times alone and moves their weight by a - b, so
     it is applied once per distinct z-monomial of G and multiplied back onto
-    the rest of each term.  Its coefficients have denominators dividing
-    (j+a)! (j+b)!, and j + a, j + b <= bound, so L clears them."""
+    the rest of each term.  Term j is built from the int tables
+    (j+a)! S_{j+a} and (j+b)! S_{j+b} and weighted by L / ((j+a)! (j+b)!),
+    an int because j + a, j + b <= bound."""
     group = lay.group[z[0]]
     shifts = [lay.shift[v] for v in z]
     zmask = sum(lay.mask << s for s in shifts)
@@ -461,14 +496,15 @@ def _schur_pair(G, lay, z, a, b, sigma, degree):
             ez = tuple((zbits >> s) & lay.mask for s in shifts)
             acc = {}
             for j in range(max(0, -a, -b), sum(k * e for k, e in enumerate(ez, 1)) - b + 1):
+                w, r = divmod(L, factorial(j + a) * factorial(j + b))
+                if r:
+                    raise ArithmeticError("Schur-pair coefficient not cleared by (bound!)^2")
                 dpart = schur_diff_apply(j + b, ez, -sigma)
                 for ms, cs in schur_poly(j + a, slots, 2 * sigma).items():
                     for md, cd in dpart.items():
                         key = lay.pack(z, map(sum, zip(ms, md)))
-                        acc[key] = acc.get(key, 0) + cs * cd * L
-            if any(v.denominator != 1 for v in acc.values()):
-                raise ArithmeticError("Schur-pair coefficient not cleared by (bound!)^2")
-            image = images[zbits] = (lay.pack(z, ez), [(mz, int(v)) for mz, v in acc.items() if v])
+                        acc[key] = acc.get(key, 0) + w * cs * cd
+            image = images[zbits] = (lay.pack(z, ez), [(mz, v) for mz, v in acc.items() if v])
         zmono, terms = image
         rest = m - zmono
         for mz, cz in terms:
@@ -482,7 +518,7 @@ def _residual(lay, lhs, sl, rhs=None, sr=1):
     out = {m: c * sr for m, c in lhs.items()}
     for m, c in (rhs or {}).items():
         out[m] = out.get(m, 0) - c * sl
-    return lay.to_times({m: Fraction(c, sl * sr) for m, c in out.items() if c})
+    return lay.to_times(out, sl * sr)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +534,8 @@ def tau_kp(g, n, deg_x, deg_u=0, *, window):
     monomials within the stated weighted degrees are exact.
     """
     lay = _Layout(_var_names("x", deg_x) + _var_names("u", deg_u), max(deg_x, deg_u))
-    poly, cert = _tau(g, n, lay, (deg_x, deg_u), window)
-    return lay.to_times(poly), cert
+    poly, scale, cert = _tau(g, n, lay, (deg_x, deg_u), window)
+    return lay.to_times(poly, scale), cert
 
 
 def _check_window_budget(space, n, deg_x, deg_u, g):
@@ -534,8 +570,9 @@ def m3_residual(g, degree, window):
     _check_window_budget(FockSpace(window), 1, D, 0, g)
 
     def element(kind, j, names, charge):
+        # the matrix element times g.denominator() * D!, the same for every j
         sp = FockSpace(window)
-        vec = apply_fermion(sp, kind, j, g.apply(sp, {sp.vacuum(0): 1}))
+        vec = apply_fermion(sp, kind, j, g.scaled_apply(sp, {sp.vacuum(0): 1})[0])
         vec = flow(sp, 1, [lay.unit[v] for v in names], {s: {0: c} for s, c in vec.items()}, lay, 0, D)
         return vec.get(sp.vacuum(charge)), sp
 
@@ -550,7 +587,7 @@ def m3_residual(g, degree, window):
         certs.extend([sx.certificate(), sy.certificate()])
         for m, c in _mul_capped(left, right, lay, (2 * D, 0)).items():
             acc[m] = acc.get(m, 0) + c
-    return lay.to_times(acc), certs
+    return lay.to_times(acc, (g.denominator() * factorial(D)) ** 2), certs
 
 
 def m4_residual(g, degree, window):
@@ -565,8 +602,7 @@ def m4_residual(g, degree, window):
     x_names, y_names = _var_names("x", D), _var_names("y", D)
     lay = _Layout(x_names + y_names, D)
     caps = (D, 0)
-    poly, cert = _tau(g, 0, lay, caps, window)
-    tau, scale = _cleared(poly)
+    tau, scale, cert = _tau(g, 0, lay, caps, window)
     pairs = list(zip(x_names, y_names))
     G = _mul_capped(_substitute(tau, lay, pairs, 1), _substitute(tau, lay, pairs, -1), lay, caps)
     lhs, L = _schur_pair(G, lay, y_names, 0, 1, 1, degree)
@@ -588,8 +624,8 @@ def h6_residual(g, n, m, degree, window):
 
     def tau(charge, sign):
         if charge not in built:
-            poly, cert = _tau(g, charge, lay, caps, window)
-            built[charge] = _cleared(poly)
+            poly, scale, cert = _tau(g, charge, lay, caps, window)
+            built[charge] = poly, scale
             certs.append(cert)
         poly, scale = built[charge]
         return _substitute(poly, lay, pairs, sign), scale
@@ -613,12 +649,13 @@ def cauchy_pair(degree, window):
     the Fock matrix element and the direct expansion of exp(sum k x_k u_k)."""
     tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree, window=window)
     lay = _Layout(tau.vars, degree)
-    direct = {0: 1}
+    direct, scale = {0: 1}, 1
     for k in range(1, degree + 1):
-        xu = lay.unit[f"x{k}"] + lay.unit[f"u{k}"]
-        block = {a * xu: Fraction(k**a, factorial(a)) for a in range(degree // k + 1)}
-        direct = _mul_capped(direct, block, lay, (degree, degree))
-    return tau, lay.to_times(direct), cert
+        # exp(k x_k u_k) to x_k^top, times top!
+        xu, top = lay.unit[f"x{k}"] + lay.unit[f"u{k}"], degree // k
+        block = {a * xu: k**a * perm(top, top - a) for a in range(top + 1)}
+        direct, scale = _mul_capped(direct, block, lay, (degree, degree)), scale * factorial(top)
+    return tau, lay.to_times(direct, scale), cert
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,11 @@ def _integral_row(row):
         d = {e - k: c for e, c in x.dc.items()} if k else x.dc
         if len(d) > 1 and d != L:
             L = ipoly_mul(L, ipoly_divexact(d, ipoly_gcd(L, d)))
-        den = lcm(den, x.s.denominator)
+        den = lcm(den, x.sd)
         entries.append((j, x, k, d))
     out = {}
     for j, x, k, d in entries:
-        c = x.s.numerator * (den // x.s.denominator)
+        c = x.sn * (den // x.sd)
         p = {e - k: c * v for e, v in x.nc.items()}
         out[j] = p if d == L else ipoly_mul(p, ipoly_divexact(L, d))
     return out

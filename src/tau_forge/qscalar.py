@@ -2,10 +2,10 @@
 
 A :class:`QScalar` is kept in a canonical fraction form at all times, so
 equality (in particular, equality to zero) is a structural comparison.
-Internally the value is ``s * N(q) / D(q)`` where
+Internally the value is ``(sn / sd) * N(q) / D(q)`` where
 
-* ``s`` is a :class:`fractions.Fraction` carrying the sign and all rational
-  content,
+* ``sn`` and ``sd > 0`` are coprime ints carrying the sign and all rational
+  content (``s`` is their read-only :class:`fractions.Fraction` view),
 * ``N`` and ``D`` are primitive integer polynomials in q (dicts mapping
   nonnegative exponent to coefficient) with positive leading coefficients,
   ``gcd(N, D) = 1`` and no common power of q.
@@ -18,7 +18,10 @@ keeps the form by Henrici's rules (J. ACM 3, 1956; Knuth, TAOCP vol. 2,
 (Gauss's lemma): ``a*b`` cancels gcd(N1, D2) and gcd(N2, D1) and nothing
 else; ``a+b`` over g = gcd(D1, D2) cancels only h = gcd(num, g) from
 num = k1 N1 (D2/g) + k2 N2 (D1/g), coprime to D1/g and D2/g, and moves num's
-content into s; ``inv`` swaps N and D.  The module also provides the
+content into the rational part; ``inv`` swaps N and D.  When both
+denominators are powers of q (Laurent operands), the only common factor
+left is a power of q, so a product or sum cancels q^min(ord_q N, K) from
+N / q^K and computes no polynomial gcd.  The module also provides the
 q-integers ``(n)_q`` and ``[n]_q`` with their factorials and exact
 evaluation at q = 1.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from ._kernels import (
     ipoly_divexact,
@@ -48,15 +51,37 @@ class PoleAtQOne(ArithmeticError):
     """Evaluation at q = 1 hit a non-removable pole; names the denominator."""
 
 
-class QScalar:
-    __slots__ = ("s", "nc", "dc")
+def _pair(value):
+    """(numerator, denominator > 0) of an int or a rational, in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    f = Fraction(value)
+    return f.numerator, f.denominator
 
-    def __init__(self, s, nc, dc, _raw=False):
+
+def _rmul(an, ad, bn, bd):
+    """(an/ad)(bn/bd) in lowest terms, from two lowest-terms pairs."""
+    if ad == 1 and bd == 1:
+        return an * bn, 1
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+class QScalar:
+    __slots__ = ("sn", "sd", "nc", "dc")
+
+    def __init__(self, sn, sd, nc, dc, _raw=False):
         if not _raw:
             raise TypeError("use from_rational(), from_terms() or q_power()")
-        self.s = s
+        self.sn = sn
+        self.sd = sd
         self.nc = nc
         self.dc = dc
+
+    @property
+    def s(self):
+        """The rational part sn/sd as a Fraction."""
+        return Fraction(self.sn, self.sd)
 
     # -- construction -------------------------------------------------
 
@@ -78,28 +103,40 @@ class QScalar:
             nc = {e: c // cn for e, c in nc.items()}
         if cd != 1:
             dc = {e: c // cd for e, c in dc.items()}
-        s = s * Fraction(cn, cd)
+        s = Fraction(s) * Fraction(cn, cd)
         g = ipoly_gcd(nc, dc)
         if g != _ONE_POLY:
             nc = ipoly_divexact(nc, g)
             dc = ipoly_divexact(dc, g)
-        return QScalar(s, nc, dc, _raw=True)
+        return QScalar(s.numerator, s.denominator, nc, dc, _raw=True)
+
+    @staticmethod
+    def _laurent(num, den, k):
+        """num / (den q^k) in canonical form, for a nonzero integer
+        polynomial num and an int den > 0: the content of num moves into the
+        rational part and q^min(ord_q num, k) cancels; no other factor can."""
+        c = ipoly_signed_content(num)
+        low = min(min(num), k)
+        if c != 1 or low:
+            num = {e - low: v // c for e, v in num.items()}
+        h = gcd(c, den)
+        return QScalar(c // h, den // h, num, {k - low: 1}, _raw=True)
 
     @classmethod
     def from_rational(cls, value):
-        f = Fraction(value)
-        if f == 0:
+        n, d = _pair(value)
+        if not n:
             return ZERO
         # nc/dc dicts are treated as immutable everywhere, so the unit
         # polynomial can be shared rather than copied per scalar
-        return cls(f, _ONE_POLY, _ONE_POLY, _raw=True)
+        return cls(n, d, _ONE_POLY, _ONE_POLY, _raw=True)
 
     @classmethod
     def q_power(cls, k):
         """The monomial q^k (k may be negative)."""
         if k >= 0:
-            return cls(Fraction(1), {k: 1}, dict(_ONE_POLY), _raw=True)
-        return cls(Fraction(1), dict(_ONE_POLY), {-k: 1}, _raw=True)
+            return cls(1, 1, {k: 1}, dict(_ONE_POLY), _raw=True)
+        return cls(1, 1, dict(_ONE_POLY), {-k: 1}, _raw=True)
 
     @classmethod
     def from_terms(cls, terms):
@@ -107,25 +144,27 @@ class QScalar:
         if len(terms) == 1:
             # c*q^e is canonical as it stands
             ((e, c),) = terms.items()
-            if not c:
+            n, d = _pair(c)
+            if not n:
                 return ZERO
             if e >= 0:
-                return cls(Fraction(c), {e: 1} if e else _ONE_POLY, _ONE_POLY, _raw=True)
-            return cls(Fraction(c), _ONE_POLY, {-e: 1}, _raw=True)
-        terms = {e: Fraction(c) for e, c in terms.items() if c}
+                return cls(n, d, {e: 1} if e else _ONE_POLY, _ONE_POLY, _raw=True)
+            return cls(n, d, _ONE_POLY, {-e: 1}, _raw=True)
+        terms = {e: _pair(c) for e, c in terms.items() if c}
         if not terms:
             return ZERO
-        den = lcm(*(c.denominator for c in terms.values()))
+        den = lcm(*(d for _, d in terms.values()))
         low = min(min(terms), 0)
-        num = {e - low: int(c * den) for e, c in terms.items()}
-        return cls._make(Fraction(1, den), num, {-low: 1})
+        num = {e - low: n * (den // d) for e, (n, d) in terms.items()}
+        return cls._laurent(num, den, -low)
 
     # -- Laurent views ---------------------------------------------------
 
     @property
     def numerator(self):
         """Numerator as {exponent: Fraction}; carries the rational content."""
-        return {e: c * self.s for e, c in self.nc.items()}
+        s = self.s
+        return {e: c * s for e, c in self.nc.items()}
 
     @property
     def denominator(self):
@@ -154,9 +193,9 @@ class QScalar:
             raise ValueError(f"not a Laurent polynomial: {self}")
         ((k, _),) = self.dc.items()
         # N is primitive, so s*N is integral exactly when s is
-        if self.s.denominator != 1:
+        if self.sd != 1:
             raise ValueError(f"not a Laurent polynomial over the integers: {self}")
-        s = self.s.numerator
+        s = self.sn
         return {e - k: s * n for e, n in self.nc.items()}
 
     # -- ring/field operations ------------------------------------------
@@ -168,18 +207,36 @@ class QScalar:
             return other
         if not other.nc:
             return self
+        an, ad, bn, bd = self.sn, self.sd, other.sn, other.sd
         if self.is_rational() and other.is_rational():
-            return QScalar.from_rational(self.s + other.s)
+            n, d = an * bd + bn * ad, ad * bd
+            if not n:
+                return ZERO
+            t = gcd(n, d)
+            return QScalar(n // t, d // t, _ONE_POLY, _ONE_POLY, _raw=True)
+        r = gcd(ad, bd)
+        k1, k2, den = an * (bd // r), bn * (ad // r), (ad // r) * bd
+        if len(self.dc) == 1 and len(other.dc) == 1:
+            # Laurent operands: N1 q^(K-K1) k1 + N2 q^(K-K2) k2 over q^K
+            (e1,), (e2,) = self.dc, other.dc
+            top = max(e1, e2)
+            num = {e + top - e1: k1 * c for e, c in self.nc.items()}
+            shift = top - e2
+            for e, c in other.nc.items():
+                e += shift
+                v = num.get(e, 0) + k2 * c
+                if v:
+                    num[e] = v
+                else:
+                    del num[e]
+            return QScalar._laurent(num, den, top) if num else ZERO
         g = ipoly_gcd(self.dc, other.dc)
         if g == _ONE_POLY:
             d1r, d2r = self.dc, other.dc
         else:
             d1r = ipoly_divexact(self.dc, g)
             d2r = ipoly_divexact(other.dc, g)
-        a = ipoly_mul(self.nc, d2r)
-        b = ipoly_mul(other.nc, d1r)
-        s1, s2 = self.s, other.s
-        num = ipoly_lin(a, s1.numerator * s2.denominator, b, s2.numerator * s1.denominator)
+        num = ipoly_lin(ipoly_mul(self.nc, d2r), k1, ipoly_mul(other.nc, d1r), k2)
         if not num:
             return ZERO
         c = ipoly_signed_content(num)
@@ -191,8 +248,8 @@ class QScalar:
             if h != _ONE_POLY:
                 num, d1 = ipoly_divexact(num, h), ipoly_divexact(d1, h)
         # (D1/h)(D2/g) = (D1/g)(D2/g)(g/h)
-        den = ipoly_mul(d1, d2r)
-        return QScalar(Fraction(c, s1.denominator * s2.denominator), num, den, _raw=True)
+        t = gcd(c, den)
+        return QScalar(c // t, den // t, num, ipoly_mul(d1, d2r), _raw=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -200,30 +257,43 @@ class QScalar:
     def __neg__(self):
         if not self.nc:
             return self
-        return QScalar(-self.s, self.nc, self.dc, _raw=True)
+        return QScalar(-self.sn, self.sd, self.nc, self.dc, _raw=True)
 
     def __mul__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
         if not self.nc or not other.nc:
             return ZERO
+        sn, sd = _rmul(self.sn, self.sd, other.sn, other.sd)
         # scaling a canonical fraction by a nonzero rational keeps it canonical
         if self.is_rational():
-            return QScalar(self.s * other.s, other.nc, other.dc, _raw=True)
+            return QScalar(sn, sd, other.nc, other.dc, _raw=True)
         if other.is_rational():
-            return QScalar(self.s * other.s, self.nc, self.dc, _raw=True)
+            return QScalar(sn, sd, self.nc, self.dc, _raw=True)
+        if len(self.dc) == 1 and len(other.dc) == 1:
+            # Laurent operands: N1 N2 is primitive, so only a power of q
+            # can cancel against q^(K1+K2)
+            (e1,), (e2,) = self.dc, other.dc
+            top = e1 + e2
+            num = ipoly_mul(self.nc, other.nc)
+            low = min(min(num), top)
+            if low:
+                num = {e - low: c for e, c in num.items()}
+            return QScalar(sn, sd, num, {top - low: 1}, _raw=True)
         g1 = ipoly_gcd(self.nc, other.dc)
         g2 = ipoly_gcd(other.nc, self.dc)
         n1 = self.nc if g1 == _ONE_POLY else ipoly_divexact(self.nc, g1)
         d2 = other.dc if g1 == _ONE_POLY else ipoly_divexact(other.dc, g1)
         n2 = other.nc if g2 == _ONE_POLY else ipoly_divexact(other.nc, g2)
         d1 = self.dc if g2 == _ONE_POLY else ipoly_divexact(self.dc, g2)
-        return QScalar(self.s * other.s, ipoly_mul(n1, n2), ipoly_mul(d1, d2), _raw=True)
+        return QScalar(sn, sd, ipoly_mul(n1, n2), ipoly_mul(d1, d2), _raw=True)
 
     def inv(self):
         if not self.nc:
             raise QDivisionError("inverse of zero in Q(q)")
-        return QScalar(1 / self.s, self.dc, self.nc, _raw=True)
+        if self.sn < 0:
+            return QScalar(-self.sd, -self.sn, self.dc, self.nc, _raw=True)
+        return QScalar(self.sd, self.sn, self.dc, self.nc, _raw=True)
 
     def __truediv__(self, other):
         if not isinstance(other, QScalar):
@@ -245,10 +315,12 @@ class QScalar:
     def __eq__(self, other):
         if not isinstance(other, QScalar):
             return NotImplemented
-        return self.s == other.s and self.nc == other.nc and self.dc == other.dc
+        return (
+            self.sn == other.sn and self.sd == other.sd and self.nc == other.nc and self.dc == other.dc
+        )
 
     def __hash__(self):
-        return hash((self.s, frozenset(self.nc.items()), frozenset(self.dc.items())))
+        return hash((self.sn, self.sd, frozenset(self.nc.items()), frozenset(self.dc.items())))
 
     # -- q-specific maps -------------------------------------------------
 
@@ -259,7 +331,7 @@ class QScalar:
         den = sum(self.dc.values())
         if den == 0:
             raise PoleAtQOne(f"pole at q=1 with denominator {_poly_str(self.dc)}")
-        return self.s * Fraction(sum(self.nc.values()), den)
+        return Fraction(self.sn * sum(self.nc.values()), self.sd * den)
 
     # -- rendering -------------------------------------------------------
 
@@ -303,8 +375,8 @@ def _poly_str(poly, scale=Fraction(1)):
     return "".join(parts)
 
 
-ZERO = QScalar(Fraction(0), {}, dict(_ONE_POLY), _raw=True)
-ONE = QScalar(Fraction(1), dict(_ONE_POLY), dict(_ONE_POLY), _raw=True)
+ZERO = QScalar(0, 1, {}, dict(_ONE_POLY), _raw=True)
+ONE = QScalar(1, 1, dict(_ONE_POLY), dict(_ONE_POLY), _raw=True)
 Q = QScalar.q_power(1)
 QINV = QScalar.q_power(-1)
 

@@ -8,6 +8,7 @@ from tau_forge.kpfock import (
     BoundaryError,
     FockSpace,
     GroupElementSpec,
+    _schur_ints,
     apply_fermion,
     apply_flow_generator,
     cauchy_pair,
@@ -34,6 +35,17 @@ def test_vacuum_and_partitions():
     assert sp.charge(sp.vacuum(2)) == 2
     st = sp.state_from_partition(0, (3, 1))
     assert sp.partition_of_state(st) == (0, (3, 1))
+
+
+def test_vacuum_charge_bounds():
+    # the window [-M, M-1] holds M + n modes of the charge-n vacuum, so
+    # -M <= n <= M; above M the modes would leave the window
+    sp = FockSpace(4)
+    assert sp.vacuum(-4) == ()
+    assert sp.vacuum(4) == tuple(range(-4, 4))
+    for n in (-5, 5, 6):
+        with pytest.raises(ValueError):
+            sp.vacuum(n)
 
 
 def test_hole_creation_sign():
@@ -136,29 +148,29 @@ def test_boundary_error_names_mode():
 def test_schur_polynomials():
     assert schur_exponents(1) == {(1,): Fraction(1)}
     assert schur_exponents(2) == {(0, 1): Fraction(1), (2, 0): Fraction(1, 2)}
-    s2 = schur_poly(2, 2)
-    assert s2[(0, 1)] == 1
-    assert s2[(2, 0)] == Fraction(1, 2)
-    # S_1(2 y) = 2 y_1
-    s1 = schur_poly(1, 1, Fraction(2))
-    assert s1 == {(1,): 2}
+    # schur_poly is j! S_j in ints: 2! S_2 = 2 t_2 + t_1^2
+    assert schur_poly(2, 2) == {(0, 1): 2, (2, 0): 1}
+    # 1! S_1(2 y) = 2 y_1
+    assert schur_poly(1, 1, 2) == {(1,): 2}
     assert schur_poly(-1, 2) == {}
 
 
 def test_kp_runs_leave_schur_exponents_unchanged(fresh_caches):
-    # every caller shares the cached dict, so one that wrote to it would
-    # change S_j for all later callers
+    # every caller shares the cached dicts, so one that wrote to them would
+    # change S_j for all later callers; the KP builds read the int table
     for check_id in ("kp.m3", "kp.m4", "kp.h6", "kp.cauchy"):
         assert all(r.verdict for r in run_check(check_id))
-    assert schur_exponents.cache_info().hits
+    assert _schur_ints.cache_info().hits
     for j in range(-1, 10):
         assert schur_exponents(j) == schur_exponents.__wrapped__(j)
+        assert _schur_ints(j) == _schur_ints.__wrapped__(j)
 
 
 def test_schur_diff_example():
-    # S_2(-dtilde) y1^2 = (1/2) d1^2 y1^2 = 1
-    out = schur_diff_apply(2, (2, 0), Fraction(-1))
-    assert out == {(0, 0): 1}
+    # 2! S_2(-dtilde) y1^2 = d1^2 y1^2 = 2
+    assert schur_diff_apply(2, (2, 0), -1) == {(0, 0): 2}
+    # 2! S_2(-dtilde) y2 = 2! (-1/2) d2 y2 = -1
+    assert schur_diff_apply(2, (0, 1), -1) == {(0, 0): -1}
 
 
 def test_tau_identity_is_one():
@@ -377,3 +389,47 @@ def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
         rep = verify_hirota_kp(which, g, charges=charges, degree=degree, window=8)
         assert rep.verdict
         assert built and set(built) == {rep.params["caps"]}
+
+
+def test_flow_weight_mutant_fails_sato_m4_and_h6(monkeypatch):
+    """A flow that adds term order 2 with the weight cap!/1! in place of
+    cap!/2! no longer builds Sato's tau, and FAILs kp.m4 and kp.h6.  kp.m3
+    is blind to every flow mutant: its residual is <1|F(x) (x) <-1|F(y)
+    applied to sum_j psi_j g|0> (x) psi*_j g|0>, which is zero before the
+    flows F act, so it checks g and the fermions, not the flows."""
+    import tau_forge.kpfock as kpfock
+    from tau_forge.cli import _g_suite
+
+    weights = kpfock._flow_weights
+
+    def off_by_one_factorial(cap):
+        w = weights(cap)
+        if cap >= 2:
+            w[2] *= 2
+        return w
+
+    monkeypatch.setattr(kpfock, "_flow_weights", off_by_one_factorial)
+    for g in _g_suite(0):
+        for n in (-1, 0, 1):
+            tau, _ = tau_kp(g, n, 6, 6, window=8)
+            built = {m: c.as_rational() for m, c in tau.terms.items()}
+            assert built != _sato_tau(g, n, 6), (g, n)
+    for check_id in ("kp.m4", "kp.h6"):
+        assert not all(r.verdict for r in run_check(check_id)), check_id
+
+
+def test_wrong_scale_on_one_charge_fails_h6(monkeypatch):
+    """The tau of charge 1 carried with twice its scale FAILs kp.h6, whose
+    two sides multiply taus of different charges.  kp.m4 is blind to a
+    uniform scale: its identity is bilinear in one tau, so a wrong scale s
+    only multiplies the residual by s^2."""
+    import tau_forge.kpfock as kpfock
+
+    tau = kpfock._tau
+
+    def doubled_scale(g, n, lay, caps, window):
+        poly, scale, cert = tau(g, n, lay, caps, window)
+        return poly, scale * 2 if n == 1 else scale, cert
+
+    monkeypatch.setattr(kpfock, "_tau", doubled_scale)
+    assert not all(r.verdict for r in run_check("kp.h6"))

@@ -3,8 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from tau_forge import qscalar
 from tau_forge._kernels import ipoly_lin, ipoly_mul
 from tau_forge.qscalar import (
     ONE,
@@ -24,7 +25,7 @@ from tau_forge.qscalar import (
 
 def test_direct_construction_names_existing_constructors():
     with pytest.raises(TypeError) as exc:
-        QScalar(Fraction(1), {0: 1}, {0: 1})
+        QScalar(1, 1, {0: 1}, {0: 1})
     names = re.findall(r"(\w+)\(\)", str(exc.value))
     assert names and all(callable(getattr(QScalar, n, None)) for n in names), names
 
@@ -209,8 +210,42 @@ def factor_pairs(draw):
     return a, b
 
 
+laurents = st.dictionaries(st.integers(min_value=-3, max_value=3), rationals, min_size=1, max_size=3)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two nonzero Laurent polynomials with rational coefficients, so both
+    denominators are powers of q.  b is drawn free, as -a (a + b = 0) or as
+    r - a for a rational r."""
+    a = QScalar.from_terms(draw(laurents))
+    b = QScalar.from_terms(draw(laurents))
+    kind = draw(st.sampled_from(("free", "zero", "rational")))
+    if kind == "zero":
+        b = -a
+    elif kind == "rational":
+        b = QScalar.from_rational(draw(rationals)) - a
+    assume(not b.is_zero())
+    return a, b
+
+
+def _laurent(terms):
+    return QScalar.from_terms({e: Fraction(c) for e, c in terms.items()})
+
+
+# q-power cancellation both ways: ord_q N < K and ord_q N > K
+Q_CANCELS_AGAINST_NUMERATOR = (_laurent({2: 1, 3: 1}), _laurent({-3: 1, -1: 1}))
+Q_CANCELS_AGAINST_DENOMINATOR = (_laurent({-1: 1, -2: 1}), _laurent({4: 1, 5: 2}))
+FRACTIONAL = (_laurent({1: "1/2", -1: "1/3"}), _laurent({-2: "3/4", 0: "-5/2"}))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(factor_pairs())
+@given(st.one_of(factor_pairs(), laurent_pairs()))
+@example(Q_CANCELS_AGAINST_NUMERATOR)
+@example(Q_CANCELS_AGAINST_DENOMINATOR)
+@example(FRACTIONAL)
+@example((FRACTIONAL[0], -FRACTIONAL[0]))
+@example((FRACTIONAL[0], qs(Fraction(7, 3)) - FRACTIONAL[0]))
 def test_arithmetic_equals_make_of_the_unreduced_fraction(pair):
     a, b = pair
     make = QScalar._make
@@ -263,12 +298,28 @@ def test_arithmetic_never_calls_make(monkeypatch):
         (bracket(3), paren(2) / Q**2),
     ]
     laurent = qs(3) * (Q + QINV)
+    # both denominators powers of q: no polynomial gcd either
+    laurent_pairs = [
+        (Q + QINV, QINV),
+        Q_CANCELS_AGAINST_NUMERATOR,
+        Q_CANCELS_AGAINST_DENOMINATOR,
+        FRACTIONAL,
+        (FRACTIONAL[0], qs(Fraction(7, 3)) - FRACTIONAL[0]),
+    ]
 
     def refuse(*args):
         raise AssertionError("QScalar._make called from the arithmetic")
+
+    def refuse_gcd(*args):
+        raise AssertionError("ipoly_gcd called on Laurent operands")
 
     monkeypatch.setattr(QScalar, "_make", staticmethod(refuse))
     for a, b in pairs:
         assert not a.is_rational() and not b.is_rational()
         a * b, a + b, a - b, a / b, a.inv()
     assert laurent.as_laurent() == {1: 3, -1: 3}
+    monkeypatch.setattr(qscalar, "ipoly_gcd", refuse_gcd)
+    for a, b in laurent_pairs:
+        assert not a.is_rational() and not b.is_rational()
+        assert len(a.dc) == 1 and len(b.dc) == 1
+        a * b, a + b, a - b

@@ -223,7 +223,7 @@ def _g_suite(seed):
     return (
         kpfock.GroupElementSpec.identity(),
         kpfock.GroupElementSpec.single(Fraction(1), 0, -1),
-        kpfock.GroupElementSpec.random_unipotent(rng, 3, 2),
+        kpfock.GroupElementSpec.random_unipotent(rng),
     )
 
 

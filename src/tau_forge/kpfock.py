@@ -1,9 +1,11 @@
 """Charged free-fermion Fock space on a finite mode window, exactly.
 
-States are tuples of occupied modes (ascending) inside the window
-[-M, M-1]; everything below the window is permanently occupied and
-everything above permanently empty.  A state of charge n occupies M + n
-window modes; the charge-n vacuum occupies n-1, n-2, ..., -M.
+A state is an int whose bit m + M is set when window mode m is occupied,
+for the window [-M, M-1]; everything below the window is permanently
+occupied and everything above permanently empty.  A state of charge n
+occupies M + n window modes; the charge-n vacuum occupies n-1, n-2, ..., -M,
+the low M + n bits.  A fermion flips one bit, and its sign is the parity of
+the occupied modes above it, a popcount.
 
 Every computation runs inside a :class:`FockSpace`, which doubles as a
 boundary guard: any occupancy change at a mode within one step of the window
@@ -39,7 +41,6 @@ built to degree + max(-o, 0) (:func:`schur_pair_caps`).
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -96,10 +97,10 @@ class FockSpace:
     def vacuum(self, n):
         if not -self.M <= n <= self.M:
             raise ValueError("charge out of window")
-        return tuple(range(-self.M, n))
+        return (1 << (self.M + n)) - 1
 
     def charge(self, state):
-        return len(state) - self.M
+        return state.bit_count() - self.M
 
     def certificate(self):
         if self.max_changed < self.min_changed:  # nothing changed
@@ -112,21 +113,21 @@ class FockSpace:
         modes = [n - i + parts[i - 1] for i in range(1, self.M + n + 1)]
         if any(not self.in_window(m) for m in modes):
             raise BoundaryError("partition does not fit the window")
-        modes = tuple(sorted(modes))
-        if len(set(modes)) != len(modes):
+        state = sum(1 << (m + self.M) for m in set(modes))
+        if state.bit_count() != len(modes):
             raise ValueError("not a valid partition (repeated mode)")
-        return modes
+        return state
 
     def partition_of_state(self, state):
         n = self.charge(state)
-        desc = sorted(state, reverse=True)
+        desc = [b - self.M for b in range(state.bit_length() - 1, -1, -1) if state >> b & 1]
         parts = [m - (n - i) for i, m in enumerate(desc, start=1)]
         while parts and parts[-1] == 0:
             parts.pop()
         return n, tuple(parts)
 
 
-# Fock vectors: dicts mapping state tuples to coefficients
+# Fock vectors: dicts mapping int states to coefficients
 
 
 def apply_fermion(space, kind, mode, vec):
@@ -137,50 +138,43 @@ def apply_fermion(space, kind, mode, vec):
         raise BoundaryError(f"mode {mode} outside the window")
     if kind not in ("psi", "psi_star"):
         raise ValueError(kind)
+    bit = 1 << (mode + space.M)
+    full = bit if kind == "psi_star" else 0
     out = {}
     for state, coeff in vec.items():
-        pos = bisect_right(state, mode)
-        occupied = pos > 0 and state[pos - 1] == mode
-        if occupied != (kind == "psi_star"):
+        if state & bit != full:
             continue
         space.note_change(mode)
-        new = list(state)
-        if occupied:
-            new.remove(mode)
-        else:
-            insort(new, mode)
-        out[tuple(new)] = -coeff if (len(state) - pos) % 2 else coeff
+        out[state ^ bit] = -coeff if (state >> (mode + space.M + 1)).bit_count() & 1 else coeff
     return out
 
 
 def _flow_moves(space, k, state):
     """a_k |state> as (state, sign) pairs: the window part of
     a_k = sum_j psi_j psi*_{j+k} (k > 0 lowers energy, k < 0 raises), exact
-    on guard-certified computations."""
+    on guard-certified computations.  Removing p and then inserting t is
+    signed by the occupied modes above p in the state and above t after the
+    removal."""
+    M = space.M
+    # p moves to t = p - k only if t is empty; every mode below the window
+    # is permanently occupied
+    if k > 0:
+        movable = state & ~(state << k) & -(1 << k)
+    else:
+        movable = state & ~(state >> -k)
     moves = []
-    for p in state:
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        p = bit.bit_length() - 1 - M
         t = p - k
-        if k > 0:
-            if t < -space.M:
-                # below the window everything is permanently occupied
-                continue
-        elif t > space.M - 1:
+        if t > M - 1:
             raise BoundaryError(f"raising flow needs mode {t} outside the window")
-        pos_t = bisect_right(state, t)
-        if pos_t > 0 and state[pos_t - 1] == t:
-            continue
-        # remove p, then insert t
-        pos_p = bisect_right(state, p)
-        sign = -1 if (len(state) - pos_p) % 2 else 1
-        removed = list(state)
-        removed.remove(p)
-        pos_t2 = bisect_right(removed, t)
-        if (len(removed) - pos_t2) % 2:
-            sign = -sign
+        removed = state ^ bit
+        odd = ((state >> (p + M + 1)).bit_count() + (removed >> (t + M + 1)).bit_count()) & 1
         space.note_change(p)
         space.note_change(t)
-        insort(removed, t)
-        moves.append((tuple(removed), sign))
+        moves.append((removed | 1 << (t + M), -1 if odd else 1))
     return moves
 
 
@@ -360,13 +354,15 @@ class GroupElementSpec:
         return cls(factors=((Fraction(theta), i, j),))
 
     @classmethod
-    def random_unipotent(cls, rng, nfactors=3, mode_span=2):
+    def random_unipotent(cls, rng):
+        """Three factors, each with modes i != j in [-2, 2] and theta = a/b
+        for a, b in 1..9."""
         factors = []
-        for _ in range(nfactors):
-            i = rng.randint(-mode_span, mode_span)
-            j = rng.randint(-mode_span, mode_span)
+        for _ in range(3):
+            i = rng.randint(-2, 2)
+            j = rng.randint(-2, 2)
             while j == i:
-                j = rng.randint(-mode_span, mode_span)
+                j = rng.randint(-2, 2)
             theta = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             factors.append((theta, i, j))
         return cls(factors=tuple(factors))

@@ -615,6 +615,13 @@ def hierarchy_eq_residual(n, pres=None):
     n = 2: tau . Dx Du tau(q^-1 u, q x) - Dx tau . Du tau(q^-1 u, q x) - 1
     n = 3: tau . Dx^2 tau(q^-1 u, q x) - Dx tau . Dx tau(q^-1 u, q x)
            + q^2 Dx tau . Dx tau(q^-1 u, q^-1 x)
+
+    Equation 3 holds for every tau affine in x, whatever its coefficient
+    words: for tau = a + b u + c x + d u x, Dx^2 tau(q^-1 u, q x) = 0, and
+    the other two terms are one product, (c + d u)(q c + d u), once negated
+    and once as q^2 (c + d u)(q^-1 c + q^-2 d u).  No relation of the
+    algebra is used, so no mutant of a, b, c, d or of the rules reaches it;
+    only a term of degree 2 or more in x can.
     """
     pres = pres or funq_sl2()
     tau = spin_half_tau(pres)

@@ -31,7 +31,7 @@ def unit_vec(space, state):
 
 def test_vacuum_and_partitions():
     sp = FockSpace(8)
-    assert sp.vacuum(0) == tuple(range(-8, 0))
+    assert sp.vacuum(0) == sum(1 << (m + 8) for m in range(-8, 0))
     assert sp.charge(sp.vacuum(2)) == 2
     st = sp.state_from_partition(0, (3, 1))
     assert sp.partition_of_state(st) == (0, (3, 1))
@@ -41,8 +41,8 @@ def test_vacuum_charge_bounds():
     # the window [-M, M-1] holds M + n modes of the charge-n vacuum, so
     # -M <= n <= M; above M the modes would leave the window
     sp = FockSpace(4)
-    assert sp.vacuum(-4) == ()
-    assert sp.vacuum(4) == tuple(range(-4, 4))
+    assert sp.vacuum(-4) == 0
+    assert sp.vacuum(4) == sum(1 << (m + 4) for m in range(-4, 4))
     for n in (-5, 5, 6):
         with pytest.raises(ValueError):
             sp.vacuum(n)
@@ -218,7 +218,7 @@ def test_m3_residuals():
 
 def test_m3_m4_random_product_seeded():
     rng = random.Random(0)
-    g = GroupElementSpec.random_unipotent(rng, 3, 2)
+    g = GroupElementSpec.random_unipotent(rng)
     res, _, _ = m4_residual(g, degree=5, window=8)
     assert res.is_zero()
     res, _ = m3_residual(g, degree=5, window=8)
@@ -258,7 +258,7 @@ def test_certificates_reported():
 def test_h6_margin_covers_the_schur_offset():
     # charges (1, 0) put the y-side pair at offset 2, two weights past the
     # certified degree; with one spare weight this g gave a nonzero residual
-    g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
+    g = GroupElementSpec.random_unipotent(random.Random(0))
     for window in (8, 10):
         res, certs, _ = h6_residual(g, 1, 0, degree=3, window=window)
         assert res.is_zero()
@@ -269,7 +269,7 @@ def test_h6_old_margin_mutant_fails(monkeypatch):
     import tau_forge.kpfock as kpfock
 
     monkeypatch.setattr(kpfock, "schur_pair_caps", lambda degree, offset: (degree + 1, degree + 1))
-    g = GroupElementSpec.random_unipotent(random.Random(0), 3, 2)
+    g = GroupElementSpec.random_unipotent(random.Random(0))
     res, _, _ = h6_residual(g, 1, 0, degree=3, window=8)
     assert not res.is_zero()
 
@@ -433,3 +433,32 @@ def test_wrong_scale_on_one_charge_fails_h6(monkeypatch):
 
     monkeypatch.setattr(kpfock, "_tau", doubled_scale)
     assert not all(r.verdict for r in run_check("kp.h6"))
+
+
+def test_flow_sign_mutant_fails_sato_and_the_flow_checks(monkeypatch):
+    """A flow move p -> t signed only by the occupied modes above t after
+    the removal, without the sign of removing p, no longer builds Sato's
+    tau, and FAILs kp.m4, kp.h6, kp.cauchy and kp.heisenberg.  kp.m3 still
+    passes under it: its residual is zero before the flows act, so it sees
+    no linear flow, right or wrong."""
+    import tau_forge.kpfock as kpfock
+    from tau_forge.cli import _g_suite
+
+    moves = kpfock._flow_moves
+
+    def above_t_only(space, k, state):
+        out = []
+        for new, _ in moves(space, k, state):
+            removed = state & new
+            t_bit = new ^ removed
+            out.append((new, -1 if (removed >> t_bit.bit_length()).bit_count() & 1 else 1))
+        return out
+
+    monkeypatch.setattr(kpfock, "_flow_moves", above_t_only)
+    for g in _g_suite(0):
+        for n in (-1, 0, 1):
+            tau, _ = tau_kp(g, n, 6, 6, window=8)
+            built = {m: c.as_rational() for m, c in tau.terms.items()}
+            assert built != _sato_tau(g, n, 6), (g, n)
+    for check_id in ("kp.m4", "kp.h6", "kp.cauchy", "kp.heisenberg"):
+        assert not all(r.verdict for r in run_check(check_id)), check_id

@@ -420,6 +420,37 @@ def test_spin_half_equations():
         assert hierarchy_eq_residual(n).is_zero(), f"equation {n}"
 
 
+def _random_words(rng, pres, vars):
+    """A sum of up to three words of funq_sl2, each of length 0..3, with
+    coefficients n q^e, n in 1..5 and e in -2..2."""
+    out = NCPoly.zero(pres, vars)
+    for _ in range(rng.randint(1, 3)):
+        letters = [rng.choice("abcd") for _ in range(rng.randint(0, 3))]
+        coeff = qs(rng.randint(1, 5)) * QScalar.q_power(rng.randint(-2, 2))
+        out = out + NCPoly.word(pres, letters, vars, coeff)
+    return out
+
+
+def test_equation_3_vanishes_for_every_tau_affine_in_x(monkeypatch):
+    """Equation 3 of qliouville.suite is zero for every tau = a + b u + c x
+    + d u x, whatever the words a, b, c, d (hierarchy_eq_residual gives the
+    derivation), and nonzero once tau gains an x^2 term.  No mutant of the
+    spin-1/2 tau's coefficients or of the rules can reach it; only a tau of
+    degree 2 in x can."""
+    rng = random.Random(0)
+    pres = funq_sl2()
+    vars = ("u", "x")
+    u, x = tp(vars, "u"), tp(vars, "x")
+    for _ in range(6):
+        a, b, c, d, e = (_random_words(rng, pres, vars) for _ in range(5))
+        tau = a + b.mul_times(u) + c.mul_times(x) + d.mul_times(u * x)
+        monkeypatch.setattr(qhirota, "spin_half_tau", lambda pres=None, tau=tau: tau)
+        assert hierarchy_eq_residual(3).is_zero()
+        quadratic = tau + e.mul_times(x * x)
+        monkeypatch.setattr(qhirota, "spin_half_tau", lambda pres=None, tau=quadratic: tau)
+        assert not hierarchy_eq_residual(3).is_zero()
+
+
 def test_spin_half_eq2_rhs_is_one():
     # the bilinear combination itself equals 1 before subtracting
     pres = funq_sl2()

@@ -552,6 +552,9 @@ def m3_residual(g, degree, window):
     """The window sum of products of charge +-1 matrix elements that the
     invariance of Omega = sum psi_j ox psi*_j forces to vanish.
 
+    The vector sum_j psi_j g|0> ox psi*_j g|0> is already zero before the
+    linear flows act, so this checks g and the fermion signs, not the flows.
+
     Insertion modes beyond the guarded window are omitted; their terms need
     more energy than ``degree`` supplies, which is only sound while the
     degree stays at least two modes clear of the window edge."""

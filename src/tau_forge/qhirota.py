@@ -43,8 +43,10 @@ decides by testing the LHS - RHS integers for zero.  [2j][2j'] is a
 nonzero element of Q(q), so a scaled side, or the scaled residual, is zero
 exactly when the unscaled one is.
 Only ``lm_residual`` and the FAIL text decode the balanced base-2^B digits
-back to Laurent polynomials; ``lm_residual`` divides by [2j][2j'] once and
-returns an NCPoly over Q(q).
+back to Laurent polynomials; ``lm_residual`` decodes both sides of one
+packed build, divides each by [2j][2j'] once and returns them as NCPolys
+over Q(q).  The hierarchy equations are their q-Taylor coefficients
+(``expand_hierarchy``), compared side by side.
 """
 
 from __future__ import annotations
@@ -505,18 +507,11 @@ def _lm_packed(j, jp):
     return ring, scale, ring.sum(lhs), ring.sum(rhs)
 
 
-def lm_residual(j, jp, side="residual"):
-    """One side of the general identity, or LHS - RHS, as an NCPoly."""
-    if side not in ("lhs", "rhs", "residual"):
-        raise ValueError(side)
+def lm_residual(j, jp):
+    """(LHS, RHS) of the general identity as NCPolys over Q(q), both decoded
+    from one packed build; the identity holds when they are equal."""
     ring, scale, lhs, rhs = _lm_packed(j, jp)
-    if side == "lhs":
-        p = lhs
-    elif side == "rhs":
-        p = rhs
-    else:
-        p = ring.combine((1, lhs), (-1, rhs))
-    return ring.to_ncpoly(p, scale)
+    return ring.to_ncpoly(lhs, scale), ring.to_ncpoly(rhs, scale)
 
 
 def verify_lm(j, jp):
@@ -533,11 +528,11 @@ def verify_lm(j, jp):
     return VerificationReport.from_failures(failures, params)
 
 
-def expand_hierarchy(j, jp, alpha, beta, kmax=3, lmax=3, side="residual"):
-    """Double q-Taylor expansion (base q^-2) of the identity polynomial in
-    y around q^alpha x and in v around q^beta u; returns the coefficients
-    P_{k,l} for k <= kmax, l <= lmax."""
-    poly = lm_residual(j, jp, side)
+def expand_hierarchy(poly, alpha, beta, kmax=3, lmax=3):
+    """Double q-Taylor expansion (base q^-2) of ``poly``, one side of the
+    identity, in y around q^alpha x and in v around q^beta u; returns the
+    coefficients P_{k,l} for k <= kmax, l <= lmax.  q_taylor is linear, so
+    the identity's hierarchy equations are P_{k,l}(LHS) = P_{k,l}(RHS)."""
     out = []
     cks = q_taylor(poly, "y", "x", alpha, -2, kmax)
     for k, ck in enumerate(cks):

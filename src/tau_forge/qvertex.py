@@ -9,8 +9,10 @@ f w_+ = w_-, k w_+- = q^{+-1} w_+-):
 * ``creating right``       Phi^W : V_{j-1/2} -> V_j ox W     (Phi x = D(x) Phi)
 * ``annihilating left``    Psi_W : W ox V_{j-1/2} -> V_j     (x Psi = Psi D(x))
 
-Each solution space is one-dimensional (asserted, not assumed); the first two
-are normalized by their highest-weight actions
+Each solution space is one-dimensional (asserted, not assumed).  Phi_W and
+Psi_W are the top projections pi of ``funq.embed_chain(j-1/2, 1/2)`` and
+``embed_chain(1/2, j-1/2)``, solved and cached once.  The first two families
+are normalized by their highest-weight actions (pi by its own pi . iota = 1)
 
     Phi_+ |j-1/2> = |j>,          Phi_- |j-1/2> = q^{1-2j}/[2j] f |j>,
     Psi^+ |j-1/2> = -q/[2j] f |j>, Psi^- |j-1/2> = |j>.
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
+from . import funq
 from . import linalg as la
 from .linalg import ConventionError
 from .ncalg import TimesPoly
@@ -85,16 +88,21 @@ def solve_vertex_components(j):
 @cache
 def _vertex_components(two_j):
     W = _w_rep()
-    phi_p, phi_m = _pinned(_family_components(two_j, "annihilating right", W), 0, "Phi_+")
-    psi_p, psi_m = _pinned(_family_components(two_j, "creating left", W), 1, "Psi^-")
+    src, half = Fraction(two_j - 1, 2), Fraction(1, 2)
+    phi = funq.embed_chain(src, half)[1]  # column r * 2 + a
+    psi = funq.embed_chain(half, src)[1]  # column a * dim V_src + r, dim V_src = 2j
+    psi_p, psi_m = _family_components(two_j, "creating left", W)
+    c = psi_m[0][0]
+    if c.is_zero():
+        raise ConventionError("Psi^- does not reach the highest weight vector")
     return VertexComponents(
         two_j=two_j,
-        phi_plus=phi_p,
-        phi_minus=phi_m,
-        psi_plus=psi_p,
-        psi_minus=psi_m,
+        phi_plus=[row[0::2] for row in phi],
+        phi_minus=[row[1::2] for row in phi],
+        psi_plus=la.mat_scale(psi_p, c.inv()),
+        psi_minus=la.mat_scale(psi_m, c.inv()),
         phi_up=_normalize_pair(_family_components(two_j, "creating right", W)),
-        psi_dn=_normalize_pair(_family_components(two_j, "annihilating left", W)),
+        psi_dn=([row[:two_j] for row in psi], [row[two_j:] for row in psi]),
     )
 
 
@@ -111,7 +119,7 @@ def _family_components(two_j, family, aux):
     into its (+, -) components, each a dim V_j x dim V_{j-1/2} matrix."""
     src = make_rep(Fraction(two_j - 1, 2))
     tgt = make_rep(Fraction(two_j, 2))
-    ds, dt = src.dim, tgt.dim
+    dt = tgt.dim
     if family == "annihilating right":  # V_src ox aux -> V_tgt, column r * 2 + a
         M = la.intertwiner(tgt.action, coproduct(src, aux))
         return tuple([row[a::2] for row in M] for a in (0, 1))
@@ -121,19 +129,7 @@ def _family_components(two_j, family, aux):
     if family == "creating right":  # V_src -> V_tgt ox aux, row i * 2 + a
         M = la.intertwiner(coproduct(tgt, aux), src.action)
         return M[0::2], M[1::2]
-    if family == "annihilating left":  # aux ox V_src -> V_tgt, column a * ds + r
-        M = la.intertwiner(tgt.action, coproduct(aux, src))
-        return [row[:ds] for row in M], [row[ds:] for row in M]
     raise ValueError(f"unknown vertex family {family!r}")
-
-
-def _pinned(pair, which, name):
-    """Scale a (+, -) pair so that entry (0, 0) of component ``which`` is 1."""
-    c = pair[which][0][0]
-    if c.is_zero():
-        raise ConventionError(f"{name} does not reach the highest weight vector")
-    ci = c.inv()
-    return tuple(la.mat_scale(M, ci) for M in pair)
 
 
 def _normalize_pair(pair):

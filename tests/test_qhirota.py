@@ -184,9 +184,8 @@ def test_lm_sides_match_qq_oracle(j, jp):
     # arithmetic that shares no code with it beyond the taus
     lhs, rhs = _lm_sides_over_qq(Fraction(j), Fraction(jp))
     assert not lhs.is_zero()
-    assert lm_residual(j, jp, side="lhs") == lhs
-    assert lm_residual(j, jp, side="rhs") == rhs
-    assert lm_residual(j, jp).is_zero()
+    assert lm_residual(j, jp) == (lhs, rhs)
+    assert lhs == rhs
 
 
 @pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(Fraction(5, 2), Fraction(3, 2))])
@@ -272,7 +271,7 @@ def test_lm_fails_with_a_mutant_twist(fresh_caches, monkeypatch, old, new):
     assert any(not verify_lm(j, jp).verdict for j, jp in LM_GRID)
     j, jp = ORACLE_PAIRS[0]
     lhs, rhs = _lm_sides_over_qq(Fraction(j), Fraction(jp))
-    assert (lm_residual(j, jp, side="lhs"), lm_residual(j, jp, side="rhs")) != (lhs, rhs)
+    assert lm_residual(j, jp) != (lhs, rhs)
 
 
 def test_ring_product_with_cancelling_terms():
@@ -292,13 +291,9 @@ def test_lm_does_not_rewrite(fresh_caches):
     # the lm path fills the rewrite memo
     memo = len(funq_sl2()._memo)
     assert verify_lm(2, 2).verdict
-    assert lm_residual(Fraction(3, 2), 1).is_zero()
+    lhs, rhs = lm_residual(Fraction(3, 2), 1)
+    assert lhs == rhs
     assert len(funq_sl2()._memo) == memo
-
-
-def test_lm_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        lm_residual(HALF, HALF, side="both")
 
 
 _LM_SIDES = qhirota.lm_sides
@@ -324,10 +319,34 @@ def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
 
 
 def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(monkeypatch):
+    # every P_k,l of the RHS is scaled by q, so exactly the nonzero ones differ
+    lhs, _ = lm_residual(HALF, HALF)
+    nonzero = [c for c in expand_hierarchy(lhs, 1, -1, 3, 3) if not c.value.is_zero()]
+    assert 0 < len(nonzero) < 16
     monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_rhs_scaled_by_q)
     (report,) = run_check("qliouville.hierarchy")
     assert not report.verdict
-    assert "!= 0" in report.residual
+    assert report.details == [f"P_{c.k},{c.l} differs between the two sides" for c in nonzero]
+
+
+def test_hierarchy_check_packs_the_identity_once(monkeypatch):
+    calls = []
+    packed = qhirota._lm_packed
+    monkeypatch.setattr(qhirota, "_lm_packed", lambda j, jp: calls.append((j, jp)) or packed(j, jp))
+    (report,) = run_check("qliouville.hierarchy")
+    assert report.verdict
+    assert calls == [(HALF, HALF)]
+
+
+def test_hierarchy_check_fails_when_the_lhs_is_zero(monkeypatch):
+    # non-vacuity guard: with zero taus every P_k,l of both sides is zero
+    # and they agree, but nothing was checked
+    monkeypatch.setattr(
+        qhirota, "tau_q", lambda j, e_var, f_var, vars: NCPoly.zero(funq_sl2(), vars)
+    )
+    (report,) = run_check("qliouville.hierarchy")
+    assert not report.verdict
+    assert "holds vacuously" in report.residual
 
 
 _SPIN_HALF_TAU = qhirota.spin_half_tau
@@ -394,21 +413,21 @@ def test_lm_rejects_spin_zero():
 
 
 def test_expand_hierarchy_zero_on_residual():
-    coeffs = expand_hierarchy(HALF, HALF, 1, -1, 3, 3)
+    lhs, rhs = lm_residual(HALF, HALF)
+    coeffs = expand_hierarchy(lhs - rhs, 1, -1, 3, 3)
     assert all(c.value.is_zero() for c in coeffs)
     assert len(coeffs) == 16
 
 
 def test_expand_hierarchy_sides_match():
-    L = expand_hierarchy(HALF, HALF, 1, -1, 2, 2, side="lhs")
-    R = expand_hierarchy(HALF, HALF, 1, -1, 2, 2, side="rhs")
+    L, R = (expand_hierarchy(side, 1, -1, 2, 2) for side in lm_residual(HALF, HALF))
     assert any(not a.value.is_zero() for a in L)
     for a, b in zip(L, R):
         assert (a.value - b.value).is_zero()
 
 
 def test_expand_hierarchy_reconstructs_lhs():
-    poly = lm_residual(HALF, HALF, side="lhs")
+    poly, _ = lm_residual(HALF, HALF)
     kmax = 3
     cks = q_taylor(poly, "y", "x", 1, -2, kmax)
     rec = q_taylor_reconstruct(cks, "y", "x", 1, -2, poly.vars)

@@ -18,9 +18,13 @@ One build serves every KP check.  For each g and charge n,
     tau_n(t, s) = <n| exp(sum t_k a_k) g exp(sum s_k a_{-k}) |n>
 
 is flowed once, truncated by weighted degree (t_k and s_k carry weight k)
-with one cap per time set.  The two-sided residuals need tau(x +- y, u +- v);
-the linear substitution t = x +- y, s = u +- v keeps every weighted degree,
-so it is exact to the same caps and no flow runs in four time sets.
+with one cap per time set.  The Hirota residuals need the product
+tau_a(x + y, u + v) tau_b(x - y, u - v).  It is formed from the two built
+taus in one capped product, with no substituted tau: the exponents a and b
+of a time in the two factors expand by Krawtchouk's coefficients,
+(x + y)^a (x - y)^b = sum_i K_i(a, b) x^(a+b-i) y^i.  The substitution
+keeps every weighted degree, so the product is exact to the same caps and no
+flow runs in four time sets.
 
 Polynomials are {packed monomial: int} dicts (KP is q-free), and each
 build carries one int scale: it holds scale times the value it stands for.
@@ -229,41 +233,70 @@ def _var_names(prefix, d):
     return [f"{prefix}{k}" for k in range(1, d + 1)]
 
 
-def _mul_capped(a, b, lay, caps):
-    """a * b without the terms past the weighted-degree caps (one per time
-    set); terms are bucketed by weight, so no pair past a cap is formed."""
+def _capped_pairs(a, b, lay, caps):
+    """The (terms of a, terms of b) pairs of weight buckets whose products
+    stay within the weighted-degree caps (one per time set): terms are
+    bucketed by (weight_0, weight_1), so no pair past a cap is formed."""
     buckets = []
     for p in (a, b):
         by_weight = {}
         for m, c in p.items():
             by_weight.setdefault((lay.weight(m, 0), lay.weight(m, 1)), []).append((m, c))
         buckets.append(by_weight.items())
-    out = {}
-    get = out.get
     for (wa0, wa1), ta in buckets[0]:
         for (wb0, wb1), tb in buckets[1]:
-            if wa0 + wb0 > caps[0] or wa1 + wb1 > caps[1]:
-                continue
-            for m1, c1 in ta:
-                for m2, c2 in tb:
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
+            if wa0 + wb0 <= caps[0] and wa1 + wb1 <= caps[1]:
+                yield ta, tb
+
+
+def _mul_capped(a, b, lay, caps):
+    """a * b without the terms past the weighted-degree caps."""
+    out = {}
+    get = out.get
+    for ta, tb in _capped_pairs(a, b, lay, caps):
+        for m1, c1 in ta:
+            for m2, c2 in tb:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
     return _trim(out)
 
 
-def _substitute(p, lay, pairs, sign):
-    """p with t -> t + sign * y for every (t, y) pair of names; t and y share
-    a weight and a time set, so every weighted degree is kept."""
-    for t, y in pairs:
-        shift, step = lay.shift[t], lay.unit[y] - lay.unit[t]
-        out = {}
-        for m, c in p.items():
-            a = (m >> shift) & lay.mask
-            for i in range(a + 1):
-                key = m + i * step
-                out[key] = out.get(key, 0) + c * comb(a, i) * sign**i
-        p = out
-    return _trim(p)
+@cache
+def _krawtchouk_row(a, b):
+    """(K_0, ..., K_{a+b}) with (x + y)^a (x - y)^b = sum_i K_i x^(a+b-i) y^i:
+    K_i = sum_s C(a, i-s) C(b, s) (-1)^s, Krawtchouk's coefficients."""
+    return tuple(
+        sum(comb(a, i - s) * comb(b, s) * (-1) ** s for s in range(max(0, i - a), min(i, b) + 1))
+        for i in range(a + b + 1)
+    )
+
+
+def _sum_diff_product(ta, tb, lay, pairs, caps):
+    """ta(x + y) * tb(x - y) to the weighted-degree caps, for every (x, y)
+    pair of names, in one capped product of the unsubstituted polynomials
+    (which hold no y).
+
+    x and y share a weight and a time set, so the substitution keeps every
+    weighted degree and the cap test on the pairs of unsubstituted terms is
+    exact.  The product of x^a (from ta) and x^b (from tb) becomes
+    sum_i K_i(a, b) x^(a+b-i) y^i, one Krawtchouk row per pair of names."""
+    steps = [(lay.shift[x], lay.unit[y] - lay.unit[x]) for x, y in pairs]
+    mask = lay.mask
+    out = {}
+    get = out.get
+    for ga, gb in _capped_pairs(ta, tb, lay, caps):
+        for m1, c1 in ga:
+            for m2, c2 in gb:
+                terms = [(m1 + m2, c1 * c2)]
+                for shift, step in steps:
+                    a = (m1 >> shift) & mask
+                    b = (m2 >> shift) & mask
+                    if a or b:
+                        row = _krawtchouk_row(a, b)
+                        terms = [(m + i * step, c * k) for m, c in terms for i, k in enumerate(row) if k]
+                for m, c in terms:
+                    out[m] = get(m, 0) + c
+    return _trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +635,7 @@ def m4_residual(g, degree, window):
     lay = _Layout(x_names + y_names, D)
     caps = (D, 0)
     tau, scale, cert = _tau(g, 0, lay, caps, window)
-    pairs = list(zip(x_names, y_names))
-    G = _mul_capped(_substitute(tau, lay, pairs, 1), _substitute(tau, lay, pairs, -1), lay, caps)
+    G = _sum_diff_product(tau, tau, lay, list(zip(x_names, y_names)), caps)
     lhs, L = _schur_pair(G, lay, y_names, 0, 1, 1, degree)
     return _residual(lay, lhs, L * scale * scale), [cert], caps
 
@@ -621,20 +653,20 @@ def h6_residual(g, n, m, degree, window):
     pairs = list(zip(names["x"], names["y"])) + list(zip(names["u"], names["v"]))
     built, certs = {}, []
 
-    def tau(charge, sign):
+    def tau(charge):
         if charge not in built:
             poly, scale, cert = _tau(g, charge, lay, caps, window)
             built[charge] = poly, scale
             certs.append(cert)
-        poly, scale = built[charge]
-        return _substitute(poly, lay, pairs, sign), scale
+        return built[charge]
 
     def side(charge_a, charge_b, z, a, b, sigma):
-        (ta, sa), (tb, sb) = tau(charge_a, 1), tau(charge_b, -1)
+        # tau_a(x + y, u + v) tau_b(x - y, u - v)
+        (ta, sa), (tb, sb) = tau(charge_a), tau(charge_b)
         # the pair moves the weight of z's time set by a - b
         need = [degree, degree]
         need[lay.group[z[0]]] += b - a
-        G = _mul_capped(ta, tb, lay, [min(d, c) for d, c in zip(need, caps)])
+        G = _sum_diff_product(ta, tb, lay, pairs, [min(d, c) for d, c in zip(need, caps)])
         poly, L = _schur_pair(G, lay, z, a, b, sigma, degree)
         return poly, L * sa * sb
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,7 +9,13 @@ from tau_forge.kpfock import (
     BoundaryError,
     FockSpace,
     GroupElementSpec,
+    _Layout,
+    _krawtchouk_row,
+    _mul_capped,
     _schur_ints,
+    _sum_diff_product,
+    _tau,
+    _var_names,
     apply_fermion,
     apply_flow_generator,
     cauchy_pair,
@@ -17,6 +24,7 @@ from tau_forge.kpfock import (
     m4_residual,
     schur_diff_apply,
     schur_exponents,
+    schur_pair_caps,
     schur_poly,
     tau_kp,
     verify_hirota_kp,
@@ -462,3 +470,131 @@ def test_flow_sign_mutant_fails_sato_and_the_flow_checks(monkeypatch):
             assert built != _sato_tau(g, n, 6), (g, n)
     for check_id in ("kp.m4", "kp.h6", "kp.cauchy", "kp.heisenberg"):
         assert not all(r.verdict for r in run_check(check_id)), check_id
+
+
+# tau_a(x + y) tau_b(x - y) by the route the product replaced: substitute
+# t -> t +- y term by term into each tau, then multiply the two expansions.
+
+
+def _substitute(p, lay, pairs, sign):
+    """p with t -> t + sign * y for every (t, y) pair of names."""
+    for t, y in pairs:
+        shift, step = lay.shift[t], lay.unit[y] - lay.unit[t]
+        out = {}
+        for m, c in p.items():
+            a = (m >> shift) & lay.mask
+            for i in range(a + 1):
+                key = m + i * step
+                out[key] = out.get(key, 0) + c * comb(a, i) * sign**i
+        p = out
+    return {m: c for m, c in p.items() if c}
+
+
+def _substituted_product(ta, tb, lay, pairs, caps):
+    return _mul_capped(_substitute(ta, lay, pairs, 1), _substitute(tb, lay, pairs, -1), lay, caps)
+
+
+def _h6_layout(degree, offset):
+    """The layout, name pairs and build caps h6_residual uses at this offset."""
+    caps = schur_pair_caps(degree, offset)
+    names = {p: _var_names(p, caps[p in "uv"]) for p in "xyuv"}
+    lay = _Layout(names["x"] + names["y"] + names["u"] + names["v"], max(caps))
+    pairs = list(zip(names["x"], names["y"])) + list(zip(names["u"], names["v"]))
+    return lay, pairs, caps
+
+
+def _sum_diff_cases():
+    """(shape, ta, tb, lay, pairs, product caps) over the taus of
+    _g_suite(0) at charges -1..2: the one-sided m4 shape and both h6 side
+    shapes."""
+    from tau_forge.cli import _g_suite
+
+    for g in _g_suite(0):
+        D = 5
+        names = _var_names("x", D) + _var_names("y", D)
+        lay = _Layout(names, D)
+        tau = _tau(g, 0, lay, (D, 0), 8)[0]
+        yield "m4", tau, tau, lay, list(zip(names[:D], names[D:])), (D, 0)
+        degree, offset = 3, 2
+        lay, pairs, caps = _h6_layout(degree, offset)
+        taus = {n: _tau(g, n, lay, caps, 8)[0] for n in (-1, 0, 1, 2)}
+        for n in (-1, 0, 1):
+            # the y-side pair raises the x cap by the offset, the v-side
+            # pair lowers the u cap by it
+            yield "h6 y-side", taus[n], taus[n + 1], lay, pairs, caps
+            yield "h6 v-side", taus[n + 1], taus[n], lay, pairs, (degree, degree - offset)
+            yield "h6 v-side", taus[n], taus[n], lay, pairs, (degree, degree - offset)
+
+
+def test_sum_diff_product_equals_the_substituted_product():
+    cases = list(_sum_diff_cases())
+    assert any(ta != tb for _, ta, tb, *_ in cases)
+    cut = set()
+    for shape, ta, tb, lay, pairs, caps in cases:
+        fused = _sum_diff_product(ta, tb, lay, pairs, caps)
+        assert fused == _substituted_product(ta, tb, lay, pairs, caps)
+        wide = (2 * lay.bound, 2 * lay.bound)
+        if len(_sum_diff_product(ta, tb, lay, pairs, wide)) > len(fused):
+            cut.add(shape)
+    # every shape has caps that cut terms the uncapped product keeps
+    assert cut == {shape for shape, *_ in cases}
+
+
+def _naive_row(a, b):
+    """The coefficients of y^i in (x + y)^a (x - y)^b, by multiplying out."""
+    row = [1]
+    for sign in [1] * a + [-1] * b:
+        nxt = row + [0]
+        for i, c in enumerate(row):
+            nxt[i + 1] += sign * c
+        row = nxt
+    return tuple(row)
+
+
+def test_krawtchouk_rows_expand_the_sum_and_difference():
+    assert _krawtchouk_row(1, 1) == (1, 0, -1)
+    for a in range(9):
+        assert _krawtchouk_row(a, 0) == tuple(comb(a, i) for i in range(a + 1))
+        assert _krawtchouk_row(0, a) == tuple((-1) ** i * comb(a, i) for i in range(a + 1))
+        for b in range(9):
+            assert _krawtchouk_row(a, b) == _naive_row(a, b), (a, b)
+
+
+def test_unsigned_krawtchouk_mutant_fails_the_oracle_m4_and_h6(monkeypatch):
+    """Rows without (-1)^s expand tau_a(x + y) tau_b(x + y): the product
+    differs from the substituted route, and kp.m4 and kp.h6 FAIL."""
+    import tau_forge.kpfock as kpfock
+
+    def unsigned(a, b):
+        return tuple(
+            sum(comb(a, i - s) * comb(b, s) for s in range(max(0, i - a), min(i, b) + 1))
+            for i in range(a + b + 1)
+        )
+
+    monkeypatch.setattr(kpfock, "_krawtchouk_row", unsigned)
+    for _, ta, tb, lay, pairs, caps in _sum_diff_cases():
+        same = kpfock._sum_diff_product(ta, tb, lay, pairs, caps) == _substituted_product(ta, tb, lay, pairs, caps)
+        # a constant pair has no time to expand
+        assert same == (len(ta) + len(tb) == 2)
+    for check_id in ("kp.m4", "kp.h6"):
+        assert not all(r.verdict for r in run_check(check_id)), check_id
+
+
+def test_swapped_factor_mutant_fails_the_oracle_and_h6(monkeypatch):
+    """tau_b(x + y) tau_a(x - y) in place of tau_a(x + y) tau_b(x - y)
+    FAILs kp.h6 and differs from the substituted route wherever ta != tb.
+    kp.m4 passes under it: its two factors are one tau, so the swap changes
+    nothing there."""
+    import tau_forge.kpfock as kpfock
+
+    product = kpfock._sum_diff_product
+
+    def swapped(ta, tb, lay, pairs, caps):
+        return product(tb, ta, lay, pairs, caps)
+
+    monkeypatch.setattr(kpfock, "_sum_diff_product", swapped)
+    for _, ta, tb, lay, pairs, caps in _sum_diff_cases():
+        same = kpfock._sum_diff_product(ta, tb, lay, pairs, caps) == _substituted_product(ta, tb, lay, pairs, caps)
+        assert same == (ta == tb)
+    assert not all(r.verdict for r in run_check("kp.h6"))
+    assert all(r.verdict for r in run_check("kp.m4"))

@@ -215,10 +215,25 @@ def _kronecker_bits(bound):
     return bound.bit_length() + 1
 
 
+# above this many terms a sum of shifted terms, quadratic in the output
+# size, is slower than summing a dense digit list pairwise by halves
+_ENCODE_PLAIN_TERMS = 32
+
+
 def _encode(lau, bits, low):
     """q^-low times the Laurent polynomial ``lau`` ({q-exponent: int}, no
     exponent below ``low``), evaluated at q = 2^bits."""
-    return sum(c << (bits * (e - low)) for e, c in lau.items())
+    if len(lau) <= _ENCODE_PLAIN_TERMS:
+        return sum(c << (bits * (e - low)) for e, c in lau.items())
+    digits = [0] * (max(lau) - low + 1)
+    for e, c in lau.items():
+        digits[e - low] = c
+    while len(digits) > 1:  # digits 2i and 2i + 1 join into one of twice the width
+        if len(digits) & 1:
+            digits.append(0)
+        digits = [lo + (hi << bits) for lo, hi in zip(digits[::2], digits[1::2])]
+        bits *= 2
+    return digits[0]
 
 
 def _decode(v, bits, low):

@@ -320,14 +320,20 @@ def flow(space, sign, units, vec, lay, group, cap):
     weights = _flow_weights(cap)
     acc = {state: {mono: weights[0] * c for mono, c in p.items()} for state, p in vec.items()}
     term = vec
+    moves = {}  # (state, k) -> a_{sign k} |state>, for the terms that survive the cap
     for w in weights[1:]:
         nxt = {}
         for state, poly in term.items():
+            by_weight = {}
+            for mono, c in poly.items():
+                by_weight.setdefault(lay.weight(mono, group), []).append((mono, c))
             for k, unit in enumerate(units, 1):
-                kept = [(mono + unit, c) for mono, c in poly.items() if lay.weight(mono, group) + k <= cap]
+                kept = [(mono + unit, c) for wt, terms in by_weight.items() if wt + k <= cap for mono, c in terms]
                 if not kept:
                     continue
-                for nstate, s in _flow_moves(space, sign * k, state):
+                if (state, k) not in moves:
+                    moves[state, k] = _flow_moves(space, sign * k, state)
+                for nstate, s in moves[state, k]:
                     tgt = nxt.setdefault(nstate, {})
                     for mono, c in kept:
                         tgt[mono] = tgt.get(mono, 0) + (c if s > 0 else -c)

@@ -7,20 +7,37 @@ first times x = x_1 and u = u_1 are the leading principal minors
 
 I_1 the upper shift matrix (ones on the superdiagonal); ``toda_tau_all``
 returns tau_0 = 1, ..., tau_n = det g.  In the fundamental representations
-of sl_n, tau_k = <w_k| e^(xE) Lambda^k(g) e^(uF) |w_k> (Kostant 1979), and
-Cauchy-Binet writes it as a sum over the k-subsets S, T of {0..n-1}:
+of sl_n, tau_k = <w_k| e^(xE) Lambda^k(g) e^(uF) |w_k> (Kostant 1979).
 
-    tau_k = sum_{S, T} det exp(x I_1)[:k, S] det g[S, T] det exp(u I_1)[:k, T].
+Only the rows are flowed.  With L the lcm of the denominators of g, G = L g
+and N(x) = (n-1)! exp(x I_1) (entry (i, s) is (n-1)!/(s-i)! x^(s-i)), the
+half-flowed matrix P(x) = N(x) G has integer polynomial entries, and
+Cauchy-Binet over the k-subsets T of the columns gives
 
-Entry (i, s) of exp(x I_1) is x^(s-i) / (s-i)!, so the weight
-det exp(x I_1)[:k, S] is x^(sum S - k(k-1)/2) times the row-prefix minor
-det exp(I_1)[:k, S].  These numbers are read off one table of the row-prefix
-minors of the integer matrix N = (n-1)! exp(I_1) (``_tp_det``).  With L the
-lcm of the denominators of g and G = L g, the bi-subset minors det G[S, T]
-are built layer by layer in ints, each a Laplace expansion along row max S.
-A k x k minor of N or G is ((n-1)!)^k or L^k times the one of exp(I_1) or
-g, so the sum gives c^k tau_k, c = ((n-1)!)^2 L, with integer coefficients;
-tau_k is divided by c^k once, on return.
+    c^k tau_k = sum_T det P[:k, T] det N[:k, T] u^(sum T - k(k-1)/2),
+
+c = ((n-1)!)^2 L: det exp(u I_1)[:k, T] is u^(sum T - k(k-1)/2) times
+det exp(I_1)[:k, T], and a k x k minor of N = N(1) is ((n-1)!)^k times that
+of exp(I_1).  The minors det P[:k, T] form one row-prefix table D of P and
+the weights one of N (``_tp_det``): 2^n entries each, every entry a Laplace
+expansion of its last row over the layer below.  tau_k is one sum of D
+entries per u-degree; it is divided by c^k once, on return.
+
+Each entry of P is packed as its value at x = 2^B (``_kernels._encode``), so
+D is a table of ints, and each per-u-degree sum is decoded once
+(``_kernels._decode``).  B comes from an l1 bound on every coefficient so
+decoded.  Such a sum is sum_T w_T m_T, m_T the minor of P on some k rows R
+and columns T, so its coefficients are at most sum_T |w_T| l1(m_T).  A minor
+is a signed sum over the bijections s: R -> T of prod_{i in R} P[i, s(i)],
+and the l1 norm of a product is at most the product of the norms, so l1(m_T)
+is at most prod_{i in R} |P_i|, |P_i| = sum_j l1(P[i, j]) the l1 norm of row
+i: the bijections are among the maps f from R to the columns, and the
+products prod_{i in R} l1(P[i, f(i)]) over all maps sum to exactly that
+product of row norms.  P is invertible, so no row is zero and every |P_i| is
+at least 1: the product over R is at most the product over all n rows.
+Every coefficient is therefore at most W prod_i |P_i|, W the largest
+sum_T |w_T| of the sums taken, and with B from ``_kronecker_bits`` of that
+bound it is one balanced base-2^B digit.
 
 They satisfy the Toda-molecule bilinear identity
 
@@ -30,11 +47,12 @@ which is the Desnanot-Jacobi determinant identity in disguise:
 d_x exp(x I_1) = I_1 exp(x I_1) replaces row i of the flow matrix by row
 i+1, so d_x tau_k is the bordered minor on rows {0..k-2, k}, d_u tau_k the
 one on columns {0..k-2, k} and d_x d_u tau_k the inner minor on both.  The
-check builds these as the same Cauchy-Binet sums with the weights
-det N[{0..k-2, k}, S], each a Laplace expansion of row k of N over the
-table, and compares them with the derivatives of tau_k.  Both sides of the
-identity at k are products of two k-minors, scaled by c^(2k), so the
-integer residual is zero exactly when the rational one is.
+check builds these from the same two tables: row k of P expanded over the
+(k-1)-layer of D gives det P[{0..k-2, k}, T], and row k of N expanded over
+its table gives the weights det N[{0..k-2, k}, T], one u-degree lower.  It
+compares them with the derivatives of tau_k.  Both sides of the identity at
+k are products of two k-minors, scaled by c^(2k), so the integer residual is
+zero exactly when the rational one is.
 
 The identity is decided by one integer equation per k.  Each factor
 p(x, u) is packed as p(q, q^X) at q = 2^B (``_kernels._encode``).  X is one
@@ -52,10 +70,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import mul
+from math import factorial, lcm, prod
 
-from ._kernels import _decode, _encode, _kronecker_bits, _trim
+from ._kernels import _decode, _encode, _kronecker_bits
 from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
@@ -153,24 +170,14 @@ def _tp_det(M):
     return D
 
 
-def _row_sums(M, layer, right):
-    """{S: {u-degree: sum over T of det G[S, T] right[T]}} for S in layer,
-    with M[S][T] = det G[S, T] and ``right`` mapping a subset to (degree, int)."""
-    by_degree = {}
-    for T, (b, v) in right.items():
-        Ts, vs = by_degree.setdefault(b, ([], []))
-        Ts.append(T)
-        vs.append(v)
-    return {S: {b: sum(map(mul, map(M[S].__getitem__, Ts), vs)) for b, (Ts, vs) in by_degree.items()} for S in layer}
-
-
-def _contract(left, rows):
-    """sum over S of left[S] rows[S] as {(x-degree, u-degree): int}."""
-    out = {}
-    for S, (a, w) in left.items():
-        for b, s in rows[S].items():
-            out[a, b] = out.get((a, b), 0) + w * s
-    return _trim(out)
+def _by_u_degree(minors, weights, bits):
+    """sum over T of minors[T] w as {(x-degree, u-degree): int}, ``weights``
+    mapping T to (u-degree, w) and each minor packed at x = 2^bits: one
+    decode per u-degree."""
+    sums = {}
+    for T, (b, w) in weights.items():
+        sums[b] = sums.get(b, 0) + w * minors[T]
+    return {(a, b): v for b, s in sums.items() for a, v in _decode(s, bits, 0).items()}
 
 
 def _minors(inst):
@@ -182,23 +189,24 @@ def _minors(inst):
     G = [[int(f * L) for f in row] for row in inst.g]
     N = [[factorial(n - 1) // factorial(s - i) if s >= i else 0 for s in range(n)] for i in range(n)]
     table = _tp_det(N)
-    layers = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
-    M = {0: {0: 1}}  # M[S][T] = det G[S, T], Laplace along row max S
-    for k in range(1, n + 1):
-        for S in layers[k]:
-            r = S.bit_length() - 1
-            M[S] = {T: _expand(G[r], T, M[S ^ (1 << r)]) for T in layers[k]}
-    taus, bordered = [{(0, 0): 1}], [None]
-    for k in range(1, n + 1):
-        low = k * (k - 1) // 2
-        deg = {S: sum(i for i in range(n) if S >> i & 1) - low for S in layers[k]}
-        lead = {S: (deg[S], table[S]) for S in layers[k]}
-        rows = _row_sums(M, layers[k], lead)
-        taus.append(_contract(lead, rows))
-        if k < n:  # rows {0..k-2, k} of N: one x-degree less
-            edge = {S: (deg[S] - 1, v) for S in layers[k] if (v := _expand(N[k], S, table))}
-            edge_rows = _row_sums(M, layers[k], edge)
-            bordered.append((_contract(edge, rows), _contract(lead, edge_rows), _contract(edge, edge_rows)))
+    # P = N(x) G: the coefficient of x^a in P[i][j] is N[i][i + a] G[i + a][j]
+    P = [[{a: N[i][i + a] * G[i + a][j] for a in range(n - i)} for j in range(n)] for i in range(n)]
+    lead, edge = [], []  # per k: {T: (u-degree, weight)} of rows :k and {0..k-2, k} of N
+    for k in range(n + 1):
+        layer = [T for T in range(1 << n) if T.bit_count() == k]
+        deg = {T: sum(i for i in range(n) if T >> i & 1) - k * (k - 1) // 2 for T in layer}
+        lead.append({T: (deg[T], v) for T in layer if (v := table[T])})
+        edge.append({T: (deg[T] - 1, v) for T in layer if 0 < k < n and (v := _expand(N[k], T, table))})
+    weight = max(sum(abs(v) for _b, v in w.values()) for w in lead + edge)
+    bits = _kronecker_bits(weight * prod(sum(abs(v) for p in row for v in p.values()) for row in P))
+    P = [[_encode(p, bits, 0) for p in row] for row in P]
+    D = _tp_det(P)
+    taus, bordered = [], [None]
+    for k in range(n + 1):
+        taus.append(_by_u_degree(D, lead[k], bits))
+        if 0 < k < n:  # rows {0..k-2, k} of P
+            E = {T: _expand(P[k], T, D) for T in lead[k].keys() | edge[k].keys()}
+            bordered.append((_by_u_degree(E, lead[k], bits), _by_u_degree(D, edge[k], bits), _by_u_degree(E, edge[k], bits)))
     return factorial(n - 1) ** 2 * L, taus, bordered
 
 

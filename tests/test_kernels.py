@@ -2,7 +2,8 @@ import random
 from collections import Counter
 from math import gcd
 
-from tau_forge._kernels import ipoly_gcd, ipoly_signed_content
+from tau_forge import _kernels
+from tau_forge._kernels import _decode, _encode, ipoly_gcd, ipoly_signed_content
 
 
 # -- reference: the plain primitive pseudo-remainder sequence, no shortcuts --
@@ -139,3 +140,40 @@ def test_signed_content_leaves_the_reference_primitive_part():
             if p:
                 c = ipoly_signed_content(p)
                 assert {e: v // c for e, v in p.items()} == _ref_primitive(p), p
+
+
+# -- Kronecker packing: the pairwise sum against the plain shifted sum ----------
+
+
+def _plain_encode(lau, bits, low):
+    return sum(c << (bits * (e - low)) for e, c in lau.items())
+
+
+def _encode_cases():
+    """(lau, bits, low): seeded signed inputs below, at and above the term
+    count where ``_encode`` leaves the plain sum, plus sparse, one-term and
+    empty ones."""
+    rng = random.Random(27)
+    top = _kernels._ENCODE_PLAIN_TERMS
+    for terms in (2, top - 1, top, top + 1, 2 * top + 1, 100, 1000):
+        for bits in (3, 64, 250):
+            low = rng.randint(-5, 5)
+            lau = {low + e: rng.randint(-(1 << (bits - 1)) + 1, (1 << (bits - 1)) - 1) for e in range(terms)}
+            yield lau, bits, low
+            yield {e: c for e, c in lau.items() if c}, bits, low - rng.randint(0, 3)
+    for terms in (top + 1, 3 * top):  # sparse: long zero runs between terms
+        spots = rng.sample(range(20 * terms), terms)
+        yield {e: rng.choice((-1, 1)) * rng.randint(1, 1 << 40) for e in spots}, 42, 0
+    yield {7: -5}, 4, 2
+    yield {}, 10, 0
+
+
+def test_encode_equals_the_plain_shifted_sum():
+    longs = 0
+    for lau, bits, low in _encode_cases():
+        v = _encode(lau, bits, low)
+        assert v == _plain_encode(lau, bits, low), (len(lau), bits, low)
+        if all(abs(c) < 1 << (bits - 1) for c in lau.values()):
+            assert _decode(v, bits, low) == {e: c for e, c in lau.items() if c}
+        longs += len(lau) > _kernels._ENCODE_PLAIN_TERMS
+    assert longs >= 20

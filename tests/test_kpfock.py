@@ -580,11 +580,8 @@ def test_unsigned_krawtchouk_mutant_fails_the_oracle_m4_and_h6(monkeypatch):
         assert not all(r.verdict for r in run_check(check_id)), check_id
 
 
-def test_swapped_factor_mutant_fails_the_oracle_and_h6(monkeypatch):
-    """tau_b(x + y) tau_a(x - y) in place of tau_a(x + y) tau_b(x - y)
-    FAILs kp.h6 and differs from the substituted route wherever ta != tb.
-    kp.m4 passes under it: its two factors are one tau, so the swap changes
-    nothing there."""
+def _swap_sum_diff_factors(monkeypatch):
+    """tau_b(x + y) tau_a(x - y) in place of tau_a(x + y) tau_b(x - y)."""
     import tau_forge.kpfock as kpfock
 
     product = kpfock._sum_diff_product
@@ -593,8 +590,25 @@ def test_swapped_factor_mutant_fails_the_oracle_and_h6(monkeypatch):
         return product(tb, ta, lay, pairs, caps)
 
     monkeypatch.setattr(kpfock, "_sum_diff_product", swapped)
+
+
+def test_swapped_factor_mutant_fails_the_oracle_and_h6(monkeypatch):
+    """Swapped factors FAIL kp.h6 and differ from the substituted route
+    wherever ta != tb."""
+    import tau_forge.kpfock as kpfock
+
+    _swap_sum_diff_factors(monkeypatch)
     for _, ta, tb, lay, pairs, caps in _sum_diff_cases():
         same = kpfock._sum_diff_product(ta, tb, lay, pairs, caps) == _substituted_product(ta, tb, lay, pairs, caps)
         assert same == (ta == tb)
     assert not all(r.verdict for r in run_check("kp.h6"))
+
+
+def test_m4_is_blind_to_swapped_factors(monkeypatch):
+    """kp.m4 PASSes with swapped factors, at its defaults and at degree 6,
+    window 10: its two factors are one tau, so no m4 input can see which
+    one takes x + y.  Only kp.h6 (charges (1, 0)) and the oracle catch the
+    swap (the test above)."""
+    _swap_sum_diff_factors(monkeypatch)
     assert all(r.verdict for r in run_check("kp.m4"))
+    assert all(r.verdict for r in run_check("kp.m4", {"degree": 6, "window": 10}))

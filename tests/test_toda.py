@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 import pytest
 
@@ -129,10 +130,11 @@ def test_taus_match_numeric_determinants(size):
 
 # -- the oracle: the row-prefix table of the polynomial flow matrix -----------
 #
-# The Cauchy-Binet build shares nothing with this route but the Laplace
-# expansion of ints: here the flow matrix A = exp(x I_1) g exp(u I_1^T) is
-# read off g term by term, scaled to integer polynomials with packed
-# monomials, and every minor is a row-prefix minor of it.
+# The build flows only the rows and packs them as ints; this route shares
+# nothing with it but the Laplace expansion: here the whole flow matrix
+# A = exp(x I_1) g exp(u I_1^T) is read off g term by term, scaled to integer
+# polynomials with packed monomials, and every minor is a row-prefix minor
+# of it.
 
 
 def _pmul(a, b):
@@ -216,20 +218,87 @@ def _oracle_minors(inst):
     return taus, bordered
 
 
-def _built_minors(inst):
-    """The same quantities from the Cauchy-Binet build."""
-    c, taus, bordered = toda._minors(inst)
+# -- the second oracle: Cauchy-Binet over bi-subset minors of G = L g ---------
+#
+# c^k tau_k is the sum over k-subsets S, T of det N[:k, S] det G[S, T]
+# det N[:k, T] x^(sum S - k(k-1)/2) u^(sum T - k(k-1)/2), with every
+# bi-subset minor det G[S, T] built layer by layer, a Laplace expansion along
+# row max S.  It forms C(2n, n) minors of G
+# where the build forms 2^n minors of the half-flowed matrix N(x) G.
+
+
+def _row_sums(M, layer, right):
+    """{S: {u-degree: sum over T of det G[S, T] right[T]}} for S in layer,
+    with M[S][T] = det G[S, T] and ``right`` mapping a subset to (degree, int)."""
+    by_degree = {}
+    for T, (b, v) in right.items():
+        Ts, vs = by_degree.setdefault(b, ([], []))
+        Ts.append(T)
+        vs.append(v)
+    return {S: {b: sum(map(mul, map(M[S].__getitem__, Ts), vs)) for b, (Ts, vs) in by_degree.items()} for S in layer}
+
+
+def _contract(left, rows):
+    """sum over S of left[S] rows[S] as {(x-degree, u-degree): int}."""
+    out = {}
+    for S, (a, w) in left.items():
+        for b, s in rows[S].items():
+            out[a, b] = out.get((a, b), 0) + w * s
+    return _trim(out)
+
+
+def _cauchy_binet_minors(inst):
+    """(c, taus, bordered) as ``toda._minors`` returns them, by Cauchy-Binet
+    over every pair of k-subsets."""
+    n = inst.size
+    L = lcm(*(f.denominator for row in inst.g for f in row))
+    G = [[int(f * L) for f in row] for row in inst.g]
+    N = [[factorial(n - 1) // factorial(s - i) if s >= i else 0 for s in range(n)] for i in range(n)]
+    table = toda._tp_det(N)
+    layers = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
+    M = {0: {0: 1}}  # M[S][T] = det G[S, T], Laplace along row max S
+    for k in range(1, n + 1):
+        for S in layers[k]:
+            r = S.bit_length() - 1
+            M[S] = {T: toda._expand(G[r], T, M[S ^ (1 << r)]) for T in layers[k]}
+    taus, bordered = [{(0, 0): 1}], [None]
+    for k in range(1, n + 1):
+        low = k * (k - 1) // 2
+        deg = {S: sum(i for i in range(n) if S >> i & 1) - low for S in layers[k]}
+        lead = {S: (deg[S], table[S]) for S in layers[k]}
+        rows = _row_sums(M, layers[k], lead)
+        taus.append(_contract(lead, rows))
+        if k < n:  # rows {0..k-2, k} of N: one x-degree less
+            edge = {S: (deg[S] - 1, v) for S in layers[k] if (v := toda._expand(N[k], S, table))}
+            edge_rows = _row_sums(M, layers[k], edge)
+            bordered.append((_contract(edge, rows), _contract(lead, edge_rows), _contract(edge, edge_rows)))
+    return factorial(n - 1) ** 2 * L, taus, bordered
+
+
+def _rational_minors(minors, size):
+    """(c, taus, bordered) divided out to ([tau_k], {k: bordered minors}) as
+    {(x-degree, u-degree): Fraction}, the form ``_oracle_minors`` returns."""
+    c, taus, bordered = minors
     scaled = [{m: Fraction(v, c**k) for m, v in p.items()} for k, p in enumerate(taus)]
     return scaled, {
         k: tuple({m: Fraction(v, c**k) for m, v in p.items()} for p in bordered[k])
-        for k in range(1, inst.size)
+        for k in range(1, size)
     }
+
+
+def _built_minors(inst):
+    """The same quantities from the half-flowed build."""
+    return _rational_minors(toda._minors(inst), inst.size)
 
 
 @pytest.mark.parametrize("size,seed", [(s, seed) for s in range(2, 8) for seed in (0, 1)] + [(8, 0)])
 def test_cauchy_binet_matches_row_prefix_oracle(size, seed):
+    """The build equals both oracles: the bi-subset Cauchy-Binet sum and the
+    row-prefix table of the polynomial flow matrix."""
     inst = TodaInstance.random(random.Random(1000 * seed + size), size)
-    assert _built_minors(inst) == _oracle_minors(inst)
+    want = _oracle_minors(inst)
+    assert _rational_minors(_cauchy_binet_minors(inst), size) == want
+    assert _built_minors(inst) == want
 
 
 def _factorial_off(m):
@@ -238,15 +307,17 @@ def _factorial_off(m):
 
 
 def _flip_one_laplace_sign(monkeypatch, inst):
-    """Flip the sign of the first column's term whenever a row of G = L g
-    is expanded on two columns: one Laplace sign of the bi-subset recursion."""
-    L = lcm(*(f.denominator for row in inst.g for f in row))
-    g_rows = {tuple(int(f * L) for f in row) for row in inst.g}
+    """Flip the sign of the first column's term whenever a row of the packed
+    half-flowed table P = N(x) G is expanded on two columns: one Laplace sign
+    of its row-prefix table and of its bordered rows.  The build expands rows
+    of N and of P only, so every other row is one of P."""
+    n = inst.size
+    n_rows = {tuple(factorial(n - 1) // factorial(s - i) if s >= i else 0 for s in range(n)) for i in range(n)}
     real = toda._expand
 
     def flipped(row, mask, D):
         value = real(row, mask, D)
-        if mask.bit_count() == 2 and tuple(row) in g_rows:
+        if mask.bit_count() == 2 and tuple(row) not in n_rows:
             col = (mask & -mask).bit_length() - 1
             value += 2 * row[col] * D[mask ^ (1 << col)]  # its sign was -1
         return value

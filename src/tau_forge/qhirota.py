@@ -34,19 +34,19 @@ Z[q, q^-1] Kronecker-packed in q (Kronecker 1882; Harvey 2009, "Faster
 polynomial multiplication via multipoint Kronecker substitution"): each
 (normal word, time monomial) holds one integer, its Laurent polynomial
 evaluated at q = 2^B with its lowest exponent kept beside it.  A q-shift
-moves that exponent, a q-derivative multiplies by an encoded q-number, the
-commutative prefactor multiplies the sum over block pairs once, and words
-multiply by PBW block (the power of a or d) with the closed form
-``funq_sl2_blocks``, without rewriting.  B comes from a proven l1 bound on
-every coefficient of LHS - RHS (see ``_LaurentRing``), so ``verify_lm``
-decides by testing the LHS - RHS integers for zero.  [2j][2j'] is a
-nonzero element of Q(q), so a scaled side, or the scaled residual, is zero
-exactly when the unscaled one is.
-Only ``lm_residual`` and the FAIL text decode the balanced base-2^B digits
-back to Laurent polynomials; ``lm_residual`` decodes both sides of one
-packed build, divides each by [2j][2j'] once and returns them as NCPolys
-over Q(q).  The hierarchy equations are their q-Taylor coefficients
-(``expand_hierarchy``), compared side by side.
+moves that exponent, a q-derivative multiplies by an encoded q-number,
+each monomial of the central prefactors folds into a factor, so that terms
+sharing a factor make one product (two per side), and words multiply by
+PBW block (the power of a or d) with the closed form ``funq_sl2_blocks``,
+without rewriting.  B comes from a proven l1 bound on every coefficient of
+LHS - RHS (see ``_LaurentRing``), so ``verify_lm`` decides by testing the
+LHS - RHS integers for zero.  [2j][2j'] is a nonzero element of Q(q), so a
+scaled side, or the scaled residual, is zero exactly when the unscaled one
+is.  Only ``lm_residual`` and the FAIL text decode the balanced base-2^B
+digits back to Laurent polynomials; ``lm_residual`` decodes both sides of
+one packed build, divides each by [2j][2j'] once and returns them as
+NCPolys over Q(q).  The hierarchy equations are their q-Taylor
+coefficients (``expand_hierarchy``), compared side by side.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from functools import cache
 
 from .funq import tau_q
 from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2, funq_sl2_blocks
-from ._kernels import _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
+from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
 from .uqsl2 import twice
@@ -177,19 +177,6 @@ def _degrees(p):
     return out
 
 
-def _degree_bound(terms):
-    """No exponent in any product term exceeds this: each variable's degree
-    in prefactor * left * right is at most the sum of the three degrees, a
-    q-shift keeps degrees and a q-derivative lowers them."""
-    return max(
-        (
-            max(sum(ds) for ds in zip(_degrees(t.prefactor), _degrees(t.left), _degrees(t.right)))
-            for t in terms
-        ),
-        default=0,
-    )
-
-
 def _l1(p, derivs=()):
     """A bound on the l1 norm (the sum of |coefficient| over every word,
     time monomial and power of q) of a TimesPoly or NCPoly p with Laurent
@@ -222,10 +209,11 @@ class _LaurentRing:
     A normal word of funq_sl2 is x^n b^i c^k with x in {a, d}; (x, n) is
     its block, ("a", 0) for no a or d.  A key holds the time-variable
     exponents and then i and k in ``width``-bit fields (``_kernels._pack``).
-    No field overflows: the time degrees are at most ``_degree_bound`` over
-    every term the ring multiplies, and the b and c degrees of x^n b^i c^k
-    times y^m b^i' c^k' are i + i' + r and k + k' + r with r <= min(n, m),
-    at most the sum of the two word lengths (2j + 2j' for tau_j tau_j').
+    No field overflows: a term's time degrees are at most the sums of its
+    prefactor's and factors' (a shift keeps degrees, a derivative lowers
+    them), and the b and c degrees of x^n b^i c^k times y^m b^i' c^k' are
+    i + i' + r and k + k' + r, r <= min(n, m), at most the sum of the two
+    word lengths (2j + 2j' for tau_j tau_j').
     The int under (block, key) is that coefficient's Laurent polynomial
     times q^-low, evaluated at q = 2^bits; ``low`` is shared by the whole
     element and is at most every exponent in it.  Evaluation at q = 2^bits
@@ -250,25 +238,31 @@ class _LaurentRing:
     derivatives, and the maximum runs over their a- and d-powers n and m:
     the twist is a monomial, and the z-polynomial of a block pair has l1
     norm sum_r [p choose r]_{q^2}(1) = 2^p, p = min(n, m) (1 for equal
-    letters).  The sum of this over the terms of both sides bounds every
-    coefficient of LHS, RHS and LHS - RHS, and each of their partial sums;
-    ``_kronecker_bits`` takes one bit more than it.  Decoding, a Python
-    loop over digits, runs only for ``lm_residual`` and the FAIL text.
+    letters).  A product is (sum m L) R or L (sum m R) over monomials m of
+    the terms' scale * prefactor; l1(m L) <= l1(m) l1(L), and a prefactor's
+    monomials' l1 norms sum to its own, so the sum of this bound over the
+    terms of both sides bounds every coefficient of each product and of LHS,
+    RHS and LHS - RHS; ``_kronecker_bits`` takes one bit more than it.
+    Decoding, a Python loop over digits, runs only for ``lm_residual`` and
+    the FAIL text.
     """
 
     def __init__(self, vars, terms, scale):
         self.vars = vars
         self.scale = scale
+        degs = [(_degrees(t.prefactor), _degrees(t.left), _degrees(t.right)) for t in terms]
+        times = max((max(map(sum, zip(*d))) for d in degs), default=0)
         words = max((_word_length(t.left) + _word_length(t.right) for t in terms), default=0)
-        self.width = max(1, max(_degree_bound(terms), words).bit_length())
-        bound = 0
-        top = 0
+        self.width = max(1, max(times, words).bit_length())
+        bound = top = 0
         for t in terms:
             bound += _l1(t.prefactor.scale(scale)) * _l1(t.left, t.left_derivs) * _l1(t.right, t.right_derivs)
             top = max(top, min(_ad_power(t.left), _ad_power(t.right)))
         self.bits = _kronecker_bits(bound << top)
         # the b field, then the c field, above the times
         self._b_at = len(vars) * self.width
+        # every field of a time variable that some right factor has
+        self._right = _pack([((1 << self.width) - 1) * any(r) for r in zip(*(d[2] for d in degs))], self.width)
         self._factors = {}
 
     def _laurents(self, tp, extra=()):
@@ -276,27 +270,31 @@ class _LaurentRing:
         fields after the times."""
         return {_pack(m + extra, self.width): c.as_laurent() for m, c in tp.terms.items()}
 
-    def factor(self, p):
-        """An NCPoly over funq_sl2 with Laurent coefficients, packed (once
-        per object)."""
-        hit = self._factors.get(id(p))
+    def factor(self, p, shifts, derivs):
+        """An NCPoly over funq_sl2 with Laurent coefficients, packed, then
+        q-shifted by each var -> k of ``shifts`` and q-differentiated by each
+        (var, base) of ``derivs``; once per object and operations, so that
+        terms sharing a factor share one object."""
+        key = id(p), tuple(shifts.items()), derivs
+        hit = self._factors.get(key)
         if hit is not None and hit[0] is p:
             return hit[1]
-        laurents = {}
-        for w, tp in p.terms.items():
-            i, k = w.count("b"), w.count("c")
-            n = len(w) - i - k
-            laurents.setdefault((w[0] if n else "a", n), {}).update(self._laurents(tp, (i, k)))
-        low = _lowest(c for d in laurents.values() for c in d.values())
-        out = low, {blk: {k: _encode(c, self.bits, low) for k, c in d.items()} for blk, d in laurents.items()}
-        self._factors[id(p)] = (p, out)
+        if shifts or derivs:
+            out = self.factor(p, {}, ())
+            for v, k in shifts.items():
+                out = self.shift(out, v, k)
+            for v, b in derivs:
+                out = self.derivative(out, v, b)
+        else:
+            laurents = {}
+            for w, tp in p.terms.items():
+                i, k = w.count("b"), w.count("c")
+                n = len(w) - i - k
+                laurents.setdefault((w[0] if n else "a", n), {}).update(self._laurents(tp, (i, k)))
+            low = _lowest(c for d in laurents.values() for c in d.values())
+            out = low, {blk: {k: _encode(c, self.bits, low) for k, c in d.items()} for blk, d in laurents.items()}
+        self._factors[key] = (p, out)
         return out
-
-    def times(self, tp):
-        """scale * tp for a TimesPoly tp, packed as (low, {key: int})."""
-        laurents = self._laurents(tp.scale(self.scale))
-        low = _lowest(laurents.values())
-        return low, {k: _encode(c, self.bits, low) for k, c in laurents.items()}
 
     def _exponents(self, p, var):
         """(field offset, mask, largest exponent) of var in element p."""
@@ -331,9 +329,8 @@ class _LaurentRing:
                 out[w] = r
         return low + base, out
 
-    def product(self, pre, left, right):
-        """pre * left * right in normal form, pre a packed commutative
-        polynomial, factored out of the sum over block pairs."""
+    def product(self, left, right):
+        """left * right in normal form."""
         (ll, lp), (rl, rp) = left, right
         bits, width, at = self.bits, self.width, self._b_at
         mask = (1 << width) - 1
@@ -357,15 +354,13 @@ class _LaurentRing:
         acc = {}
         for blk, d1, d2, twist, tlow, zs, zlow in pairs:
             twisted = [(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1]
-            conv = _addmul_odd({}, twisted, d2, 0)
+            a = acc.setdefault(blk, {})
+            if len(zs) == 1:  # z-polynomial 1: the convolution goes straight in
+                _addmul_odd(a, twisted, d2, bits * (tlow - low))
+                continue
             zp = [(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs]
-            a = acc.get(blk)
-            if a is None:
-                a = acc[blk] = {}
-            _addmul_odd(a, _odd_parts(conv), zp, bits * (tlow + zlow - low))
-        pl, pp = pre
-        pp = _odd_parts(pp)
-        return pl + ll + rl + low, {blk: _addmul_odd({}, _odd_parts(a), pp, 0) for blk, a in acc.items()}
+            _addmul_odd(a, _odd_parts(_addmul_odd({}, twisted, d2, 0)), zp, bits * (tlow + zlow - low))
+        return ll + rl + low, acc
 
     def combine(self, *parts):
         """The sum of sign * element over (sign, element) pairs, with zero
@@ -375,16 +370,35 @@ class _LaurentRing:
         for sign, (fl, p) in parts:
             s = self.bits * (fl - low)
             for w, d in p.items():
-                a = acc.get(w)
-                if a is None:
-                    a = acc[w] = {}
+                a = acc.setdefault(w, {})
                 for key, c in d.items():
-                    a[key] = a.get(key, 0) + sign * (c << s)
+                    c = sign * (c << s) if s or sign < 0 else c
+                    a[key] = a[key] + c if key in a else c
         return low, _trim_words(acc)
 
     def sum(self, terms):
-        """The sum of the terms, each times scale."""
-        return self.combine(*((1, t.flatten(self)) for t in terms))
+        """The sum of the terms, each times scale, one product per group.  A
+        monomial m of scale * prefactor (Laurent coefficients) is central and
+        folds into a factor: m in a right-factor variable into the right one,
+        as L (sum m R) with the others of left factor L; m in another one as
+        (sum m L) R; a constant joins a group that has one of its factors."""
+        pieces = []
+        for t in terms:
+            lf = self.factor(t.left, t.left_shifts, t.left_derivs)
+            rf = self.factor(t.right, t.right_shifts, t.right_derivs)
+            laurents = self._laurents(t.prefactor.scale(self.scale))
+            low = _lowest(laurents.values())
+            pieces += [(key, (low, {key: _encode(c, self.bits, low)}), lf, rf) for key, c in laurents.items()]
+        # constants last, to find the others' groups; a group is keyed by
+        # (1 if it shares the right factor, the shared factor's id)
+        groups = {}
+        for key, (ml, mp), lf, rf in sorted(pieces, key=lambda p: not p[0]):
+            side = not key & self._right if key else (1, id(rf)) in groups
+            f, (gl, gp) = (rf, lf) if side else (lf, rf)
+            folded = ml + gl, {blk: _addmul({}, mp, d) for blk, d in gp.items()}  # m * g by block
+            groups.setdefault((side, id(f)), (f, []))[1].append((1, folded))
+        parts = ((side, f, self.combine(*g)) for (side, _), (f, g) in groups.items())
+        return self.combine(*((1, self.product(g, f) if side else self.product(f, g)) for side, f, g in parts))
 
     def to_ncpoly(self, f, divisor):
         """f / divisor as an NCPoly over Q(q), decoded digit by digit."""
@@ -417,22 +431,6 @@ class BilinearTerm:
     right_shifts: dict
     left_derivs: tuple = ()
     right_derivs: tuple = ()
-
-    def flatten(self, ring):
-        """The ring's scale times the term, packed in ``ring``; scale *
-        prefactor and both factors must have Laurent-polynomial
-        coefficients."""
-        lf = ring.factor(self.left)
-        for v, k in self.left_shifts.items():
-            lf = ring.shift(lf, v, k)
-        for v, b in self.left_derivs:
-            lf = ring.derivative(lf, v, b)
-        rf = ring.factor(self.right)
-        for v, k in self.right_shifts.items():
-            rf = ring.shift(rf, v, k)
-        for v, b in self.right_derivs:
-            rf = ring.derivative(rf, v, b)
-        return ring.product(ring.times(self.prefactor), lf, rf)
 
 
 @dataclass

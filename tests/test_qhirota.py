@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -137,6 +138,7 @@ LM_GRID = [
     (Fraction(5, 2), Fraction(5, 2)),
     (3, 3),
     (Fraction(7, 2), Fraction(7, 2)),
+    (4, 4),
 ]
 
 
@@ -178,7 +180,9 @@ def _lm_sides_over_qq(j, jp):
 ORACLE_PAIRS = [(HALF, HALF), (1, HALF), (Fraction(3, 2), 1), (2, 2)]
 
 
-@pytest.mark.parametrize("j,jp", ORACLE_PAIRS)
+# (5/2, 2) is unequal, with block pairs of min(n, m) = 4 on the LHS and 3
+# on the RHS; its Q(q) side takes about a second
+@pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(Fraction(5, 2), 2)])
 def test_lm_sides_match_qq_oracle(j, jp):
     # the packed evaluation, divided back by [2j][2j'], against Q(q)
     # arithmetic that shares no code with it beyond the taus
@@ -316,6 +320,49 @@ def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
     report = verify_lm(j, jp)
     assert not report.verdict
     assert report.residual
+
+
+def _lm_sides_cross_monomial_scaled_by_q(var):
+    """lm_sides with only the ``var`` monomial of the third LHS term's
+    prefactor, (q^(2j'-2j-1) y - q^(2j-1) x) / ([2j][2j']), scaled by q."""
+
+    def sides(j, jp):
+        lhs, rhs = _LM_SIDES(j, jp)
+        t = lhs[2]
+        at = t.prefactor.vars.index(var)
+        terms = {m: c * Q if m[at] else c for m, c in t.prefactor.terms.items()}
+        assert len(terms) == 2 and sum(m[at] for m in terms) == 1
+        pre = TimesPoly(t.prefactor.vars, terms)
+        lhs[2] = BilinearTerm(pre, t.left, t.right, t.left_shifts, t.right_shifts, t.left_derivs, t.right_derivs)
+        return lhs, rhs
+
+    return sides
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_lm_fails_with_one_cross_monomial_scaled_by_q(monkeypatch, var):
+    # the x monomial folds into the left factor and the y monomial into the
+    # right one, each in its own product: each is read from lm_sides and
+    # reaches the build on its own
+    monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_cross_monomial_scaled_by_q(var))
+    assert any(not verify_lm(j, jp).verdict for j, jp in LM_GRID)
+    j, jp = ORACLE_PAIRS[2]
+    lhs, rhs = _lm_sides_over_qq(Fraction(j), Fraction(jp))
+    assert lm_residual(j, jp) != (lhs, rhs)
+
+
+@pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1), (2, 2)])
+def test_lm_builds_each_side_in_two_products(monkeypatch, j, jp):
+    # the three LHS terms share factors, so they make two products, and the
+    # RHS prefactor's two monomials two; a product takes its two factors only
+    ring = qhirota._LaurentRing
+    assert list(inspect.signature(ring.product).parameters) == ["self", "left", "right"]
+    calls = []
+    product, side = ring.product, ring.sum
+    monkeypatch.setattr(ring, "product", lambda self, *args: calls.append(len(args)) or product(self, *args))
+    monkeypatch.setattr(ring, "sum", lambda self, terms: calls.append("side") or side(self, terms))
+    qhirota._lm_packed(j, jp)
+    assert calls == ["side", 2, 2, "side", 2, 2]
 
 
 def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(monkeypatch):

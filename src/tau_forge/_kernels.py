@@ -239,7 +239,24 @@ def _encode(lau, bits, low):
 def _decode(v, bits, low):
     """The Laurent polynomial that ``_encode(., bits, low)`` maps to ``v``:
     the balanced base-2^bits digits of v, lowest first.  Exact when every
-    coefficient is below 2^(bits-1) in absolute value."""
+    coefficient is below 2^(bits-1) in absolute value.
+
+    Above ``_ENCODE_PLAIN_TERMS`` digits v splits by halves.  Each balanced
+    digit d lies in [-2^(bits-1), 2^(bits-1)), so the low h digits plus
+    off = sum_{i<h} 2^(bits-1) 2^(bits i) have the plain base-2^bits digits
+    d + 2^(bits-1): the low part is ((v + off) mod 2^(bits h)) - off, and
+    the high digits are those of (v - low part) >> (bits h).  Each level
+    copies v a bounded number of times, where peeling one digit at a time
+    copies it once per digit."""
+    ndigits = abs(v).bit_length() // bits + 1
+    if ndigits > _ENCODE_PLAIN_TERMS:
+        h = ndigits // 2
+        mask = (1 << (bits * h)) - 1
+        off = mask // ((1 << bits) - 1) << (bits - 1)
+        lo = ((v + off) & mask) - off
+        out = _decode(lo, bits, low)
+        out.update(_decode((v - lo) >> (bits * h), bits, low + h))
+        return out
     base = 1 << bits
     half = base >> 1
     out = {}

@@ -54,8 +54,12 @@ def _degree(value):
 
 
 def _spins(jmax):
-    """The positive half-integer spins 1/2, 1, ..., jmax."""
-    return [Fraction(t, 2) for t in range(1, int(2 * Fraction(jmax)) + 1)]
+    """The positive half-integer spins 1/2, 1, ..., jmax; ValueError unless
+    jmax is a half-integer of at least 1/2."""
+    top = uqsl2.twice(jmax)
+    if top < 1:
+        raise ValueError(f"jmax must be at least 1/2, got {jmax}")
+    return [Fraction(t, 2) for t in range(1, top + 1)]
 
 
 def _combine(reports):

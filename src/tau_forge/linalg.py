@@ -21,14 +21,18 @@ constructions every other module uses:
   and packed as its values at q = 2^B, and fraction-free Gauss-Jordan
   elimination works on those ints (see its docstring for the bound on B).
 * :func:`nilpotent_exp` sums I + sum_m w_m A^m for a nilpotent A; it serves
-  the q-exponentials and the factorized group-like element.
+  the factorized group-like element.
+
+The ``lau_*`` helpers are the same products over Z[q, q^-1], on Laurent
+matrices of {q-exponent: int} entries; :func:`lau_cleared` clears QScalar
+matrices to them by one scale.  The Hopf and vertex relations run on them.
 """
 
 from __future__ import annotations
 
 from math import lcm, prod
 
-from ._kernels import _decode, _encode, _kronecker_bits, ipoly_divexact, ipoly_gcd, ipoly_mul
+from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _trim, ipoly_divexact, ipoly_gcd, ipoly_mul
 from .qscalar import ONE, QScalar, ZERO
 
 
@@ -109,10 +113,12 @@ def mat_is_zero(A):
 
 
 def _integral_row(row):
-    """A nonzero multiple of a QScalar row over Z[q, q^-1], as {column:
-    Laurent polynomial} on its nonzero entries ({} for a zero row): the row
-    times the lcm of its rational denominators and of its denominators'
-    parts prime to q, with q^-k taken into the Laurent exponents."""
+    """(scale, cleared): ``cleared`` is the QScalar row times ``scale`` over
+    Z[q, q^-1], as {column: Laurent polynomial} on its nonzero entries ({}
+    for a zero row), and ``scale`` ({q-exponent: int}, nonzero) is the lcm
+    of the row's rational denominators times the lcm of its denominators'
+    parts prime to q; the q^-k of each denominator goes into the entry's
+    Laurent exponents."""
     entries = []
     den, L = 1, {0: 1}
     for j, x in enumerate(row):
@@ -129,7 +135,7 @@ def _integral_row(row):
         c = x.sn * (den // x.sd)
         p = {e - k: c * v for e, v in x.nc.items()}
         out[j] = p if d == L else ipoly_mul(p, ipoly_divexact(L, d))
-    return out
+    return {e: den * c for e, c in L.items()}, out
 
 
 def nullspace(A):
@@ -167,7 +173,7 @@ def nullspace(A):
     if not A:
         return []
     ncols = len(A[0])
-    rows = [r for r in map(_integral_row, A) if r]
+    rows = [r for _, r in map(_integral_row, A) if r]
     l1 = sorted((sum(abs(c) for p in r.values() for c in p.values()) for r in rows), reverse=True)
     bits = _kronecker_bits(prod(l1[:ncols]))
     rest = []
@@ -289,3 +295,90 @@ def nilpotent_exp(A, weight, one, zero):
                     out[i][j] = out[i][j] + w * x
         power = mat_mul(power, A)
     return out
+
+
+# -- matrices over Z[q, q^-1] -------------------------------------------------
+#
+# A Laurent matrix is a list of rows {column: {q-exponent: int}} with zero
+# entries absent.  Entries multiply by ``_kernels._addmul`` (the
+# one-variable case of its packed monomials), which may leave cancelled
+# terms as zero coefficients, so the zero test reads the coefficients and
+# needs no bound.
+
+LAU_ONE = {0: 1}
+
+
+def lau_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def lau_poly_mul(a, b):
+    return _trim(_addmul({}, a, b))
+
+
+def lau_matrix(A):
+    """The Laurent matrix of a QScalar matrix whose entries lie in Z[q, q^-1]."""
+    return [{j: x.as_laurent() for j, x in enumerate(row) if not x.is_zero()} for row in A]
+
+
+def lau_cleared(mats):
+    """(scale, views): the QScalar matrices ``mats`` times one nonzero
+    scale, the lcm of their denominators (``_integral_row`` of all their
+    entries as one row), as Laurent matrices."""
+    scale, cleared = _integral_row([x for M in mats for row in M for x in row])
+    views, k = [], 0
+    for M in mats:
+        view = []
+        for row in M:
+            view.append({j: cleared[k + j] for j in range(len(row)) if k + j in cleared})
+            k += len(row)
+        views.append(view)
+    return scale, views
+
+
+def lau_identity(n):
+    return [{i: LAU_ONE} for i in range(n)]
+
+
+def lau_mul(A, B):
+    """A B, one ``_addmul`` per pair of nonzero entries A[i][t], B[t][j]."""
+    out = []
+    for row in A:
+        acc = {}
+        for t, a in row.items():
+            for j, b in B[t].items():
+                p = acc.get(j)
+                if p is None:
+                    p = acc[j] = {}
+                _addmul(p, a, b)
+        out.append(acc)
+    return out
+
+
+def lau_kron(A, B):
+    """A ox B for square Laurent matrices."""
+    nb = len(B)
+    return [
+        {i * nb + k: _addmul({}, a, b) for i, a in ra.items() for k, b in rb.items()}
+        for ra in A for rb in B
+    ]
+
+
+def lau_lin(terms):
+    """sum c M over the pairs (c, M) of ``terms`` (at least one): c a Laurent
+    polynomial, M a Laurent matrix, all M of one shape."""
+    out = None
+    for c, M in terms:
+        if out is None:
+            out = [{} for _ in M]
+        for acc, row in zip(out, M):
+            for j, p in row.items():
+                q = acc.get(j)
+                if q is None:
+                    q = acc[j] = {}
+                _addmul(q, p, c)
+    return out
+
+
+def lau_is_zero(M):
+    return not any(c for row in M for p in row.values() for c in p.values())

@@ -21,30 +21,42 @@ The module verifies those normalizations, the component form of the
 intertwining relations (with antipode twists), the canonical identification
 of the "dual" components with components for the twisted-dual auxiliary
 space, and the eight commutation relations with the q-exponential flows.
+
+All but the normalizations run over Z[q, q^-1], with no division and no
+gcd.  The four components Phi_+-, Psi^+- are cleared by one scale, the lcm
+of their denominators (``linalg.lau_cleared``), and each dual pair by its
+own; the legs and antipode tables have Laurent entries, and the
+q-exponentials are in divided powers (``uqsl2._q_exp``): the t^m
+coefficient times (m)_{q^+-2}! is the Laurent matrix x^m.  Every relation
+is linear in the components of one pair, so its residual over Z[q, q^-1]
+(in t^m, for the flows) is the Q(q) residual times a nonzero scale, and
+Z[q, q^-1] has no zero divisors: it is zero exactly when the Q(q) residual
+is.  The dual identification compares the cleared pairs by cross products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 from . import funq
 from . import linalg as la
 from .linalg import ConventionError
-from .ncalg import TimesPoly
-from .qscalar import ONE, Q, QINV, QScalar, ZERO, bracket
+from .qscalar import ONE, Q, QScalar, ZERO, bracket
 from .report import VerificationReport
 from .uqsl2 import (
     COPRODUCT,
     Rep,
+    _lau_legs,
+    _lau_table,
+    _q_exp,
+    _q_paren,
+    _rep,
     antipode_inv_matrices,
     antipode_matrices,
     coproduct,
     make_rep,
-    q_exp_nilpotent,
-    tp_lift,
-    tp_scale_var,
     twice,
 )
 
@@ -109,8 +121,22 @@ def _vertex_components(two_j):
 @cache
 def _twisted_dual_components(two_j, family):
     """``family`` solved over the twisted dual of W, the solve that
-    verify_component_relations compares the dual-route components against."""
-    return _family_components(two_j, family, _twisted_dual_w())
+    verify_component_relations compares the dual-route components against,
+    as a Laurent pair over one scale (``linalg.lau_cleared``)."""
+    return la.lau_cleared(_family_components(two_j, family, _twisted_dual_w()))[1]
+
+
+@cache
+def _lau_components(two_j):
+    """``solve_vertex_components`` over Z[q, q^-1], as three (scale, views)
+    pairs (``linalg.lau_cleared``): the four components (Phi_+, Phi_-,
+    Psi^+, Psi^-) times one nonzero scale, and each dual pair, phi_up and
+    psi_dn, times its own.  Every relation below is linear in the
+    components of one pair, so its residual over the cleared pair is the
+    Q(q) residual times the pair's scale."""
+    comps = solve_vertex_components(Fraction(two_j, 2))
+    four = la.lau_cleared([comps.phi_plus, comps.phi_minus, comps.psi_plus, comps.psi_minus])
+    return four, la.lau_cleared(comps.phi_up), la.lau_cleared(comps.psi_dn)
 
 
 def _family_components(two_j, family, aux):
@@ -184,10 +210,34 @@ def verify_component_relations(j):
     """Check the four component-relation families for x in {e, f, k}, plus the
     canonical identification of dual components with twisted-dual solves."""
     two_j = twice(j)
-    comps = solve_vertex_components(j)
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
-    details = []
+    details = [
+        f"{name} fails at x={x}, i={'+-'[i]}"
+        for (name, x, i), res in _component_relation_residuals(two_j).items()
+        if not la.lau_is_zero(res)
+    ]
+
+    # canonical identifications: creating-right components match an
+    # annihilating-right solve over the S'-twisted dual of W; annihilating-
+    # left components match a creating-left solve over the S'-twisted dual
+    # (the S-twist is its inverse, so twisting twice returns W itself)
+    _, (_, phi_up), (_, psi_dn) = _lau_components(two_j)
+    duals = {}
+    for family in _DUAL_FAMILIES:
+        try:
+            duals[family] = _twisted_dual_components(two_j, family)
+        except ConventionError as exc:
+            details.append(f"twisted-dual {family} solve fails: {exc}")
+    for family, comp, name in zip(_DUAL_FAMILIES, (phi_up, psi_dn), ("creating-right", "annihilating-left")):
+        if family in duals and not _proportional_pairs(comp, duals[family]):
+            details.append(f"dual identification fails for {name} components")
+
+    return VerificationReport.from_failures(details, params={"j": Fraction(two_j, 2)})
+
+
+def _component_relation_residuals(two_j):
+    """{(name, x, i): residual} of the relations R1-R4 over Z[q, q^-1]: the
+    Q(q) residual times the scale of the family's pair (``_lau_components``)."""
+    (_, (ap, am, bp, bm)), (_, phi_up), (_, psi_dn) = _lau_components(two_j)
 
     # (R1)  sum S(x1) Phi^i x2 = sum_j rho_j^i(x) Phi^j
     # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
@@ -196,65 +246,48 @@ def verify_component_relations(j):
     # rows: name, components, whether rho is indexed (j, i), the leg of each
     # summand x1 ox x2 on the target side (0 for x1, 1 for x2; the other leg
     # goes on the source side), and the target- and source-side tables, an
-    # antipode table on the twisted side
-    S_t, Sp_t = antipode_matrices(tgt), antipode_inv_matrices(tgt)
-    S_s, Sp_s = antipode_matrices(src), antipode_inv_matrices(src)
+    # antipode table on the twisted side; every table has Laurent entries
+    src, tgt = _rep(two_j - 1), _rep(two_j)
+    S_t, Sp_t = _lau_table(antipode_matrices(tgt)), _lau_table(antipode_inv_matrices(tgt))
+    S_s, Sp_s = _lau_table(antipode_matrices(src)), _lau_table(antipode_inv_matrices(src))
+    legs_s, legs_t = _lau_legs(two_j - 1), _lau_legs(two_j)
     families = (
-        ("R1", comps.phi_up, False, 0, S_t, src.legs),
-        ("R2", (comps.psi_plus, comps.psi_minus), False, 1, Sp_t, src.legs),
-        ("R3", (comps.phi_plus, comps.phi_minus), True, 1, tgt.legs, Sp_s),
-        ("R4", comps.psi_dn, True, 0, tgt.legs, S_s),
+        ("R1", phi_up, False, 0, S_t, legs_s),
+        ("R2", (bp, bm), False, 1, Sp_t, legs_s),
+        ("R3", (ap, am), True, 1, legs_t, Sp_s),
+        ("R4", psi_dn, True, 0, legs_t, S_s),
     )
-    rho = _w_rep().legs
-
+    rho = _lau_legs(1)
+    mm = la.lau_mul
+    out = {}
     for x in ("e", "f", "k"):
         for name, comp, swapped, side, on_tgt, on_src in families:
             for i in (0, 1):
-                lhs = reduce(la.mat_add, [
-                    la.mat_mul(on_tgt[legs[side]], la.mat_mul(comp[i], on_src[legs[1 - side]]))
+                terms = [
+                    (la.LAU_ONE, mm(on_tgt[legs[side]], mm(comp[i], on_src[legs[1 - side]])))
                     for legs in COPRODUCT[x]
-                ])
+                ]
                 for jj in (0, 1):
-                    coef = rho[x][jj][i] if swapped else rho[x][i][jj]
-                    if not coef.is_zero():
-                        lhs = la.mat_sub(lhs, la.mat_scale(comp[jj], coef))
-                if not la.mat_is_zero(lhs):
-                    details.append(f"{name} fails at x={x}, i={'+-'[i]}")
-
-    # canonical identifications: creating-right components match an
-    # annihilating-right solve over the S'-twisted dual of W; annihilating-
-    # left components match a creating-left solve over the S'-twisted dual
-    # (the S-twist is its inverse, so twisting twice returns W itself)
-    duals = {}
-    for family in _DUAL_FAMILIES:
-        try:
-            duals[family] = _twisted_dual_components(two_j, family)
-        except ConventionError as exc:
-            details.append(f"twisted-dual {family} solve fails: {exc}")
-    for family, comp, name in zip(
-        _DUAL_FAMILIES, (comps.phi_up, comps.psi_dn), ("creating-right", "annihilating-left")
-    ):
-        if family in duals and not _proportional_pairs(comp, duals[family]):
-            details.append(f"dual identification fails for {name} components")
-
-    return VerificationReport.from_failures(details, params={"j": Fraction(two_j, 2)})
+                    coef = rho[x][jj].get(i) if swapped else rho[x][i].get(jj)
+                    if coef:
+                        terms.append((la.lau_neg(coef), comp[jj]))
+                out[name, x, i] = la.lau_lin(terms)
+    return out
 
 
 def _proportional_pairs(pair1, pair2):
-    """True when (A+, A-) equals (B+, B-) up to one overall nonzero scalar."""
-    ratio = None
-    for M, N in zip(pair1, pair2):
-        for rm, rn in zip(M, N):
-            for a, b in zip(rm, rn):
-                if a.is_zero() != b.is_zero():
-                    return False
-                if not a.is_zero():
-                    r = a / b
-                    if ratio is None:
-                        ratio = r
-                    elif r != ratio:
-                        return False
-    return ratio is not None
+    """True when the Laurent pairs (A+, A-) and (B+, B-) agree up to one
+    overall nonzero factor of Q(q): the same nonzero entries, and
+    a b0 = b a0 at each, (a0, b0) the first nonzero pair."""
+    flat1, flat2 = (
+        {(m, i, j): p for m, M in enumerate(pair) for i, row in enumerate(M) for j, p in row.items()}
+        for pair in (pair1, pair2)
+    )
+    if not flat1 or flat1.keys() != flat2.keys():
+        return False
+    first = next(iter(flat1))
+    a0, b0 = flat1[first], flat2[first]
+    return all(la.lau_poly_mul(a, b0) == la.lau_poly_mul(flat2[k], a0) for k, a in flat1.items())
 
 
 # -- commutation with the q-exponential flows ---------------------------------
@@ -262,61 +295,71 @@ def _proportional_pairs(pair1, pair2):
 
 def verify_qexp_commutation(j):
     """The eight exact commutation identities between the vertex components
-    and exp_{q^2}(t e), exp_{q^-2}(s f), as TimesPoly matrix identities."""
+    and exp_{q^2}(t e), exp_{q^-2}(s f), as matrix identities over
+    Z[q, q^-1] in each power of t (of s in the last four)."""
     two_j = twice(j)
     failures = [
-        f"failed {name}" for name, res in _qexp_commutation_residuals(two_j).items() if not la.mat_is_zero(res)
+        f"failed {name}"
+        for name, res in _qexp_commutation_residuals(two_j).items()
+        if not all(map(la.lau_is_zero, res))
     ]
     return VerificationReport.from_failures(failures, params={"j": Fraction(two_j, 2)})
 
 
 def _qexp_commutation_residuals(two_j):
-    """Residual TimesPoly matrices of the eight commutation identities."""
-    comps = solve_vertex_components(Fraction(two_j, 2))
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
-    tvars = ("t", "s")
-    Et = q_exp_nilpotent(tgt.E, "t", 2, tvars)
-    Es = q_exp_nilpotent(src.E, "t", 2, tvars)
-    Ft = q_exp_nilpotent(tgt.F, "s", -2, tvars)
-    Fs = q_exp_nilpotent(src.F, "s", -2, tvars)
+    """{name: residuals} of the eight commutation identities: residuals[m]
+    is the t^m coefficient of the Q(q) residual times the components'
+    scale and (m)_{q^b}!, b = 2 for e and -2 for f.  Each term of an
+    identity is L exp(q^c t x) R times q^e t^k, L and R products of
+    components and legs, and the exponentials are in divided powers
+    (``uqsl2._q_exp``), so its t^m coefficient times (m)_{q^b}! is
+    q^(e + c (m - k)) ((m)_{q^b} if k else 1) L x^(m-k) R."""
+    (_, (Ap, Am, Bp, Bm)), _, _ = _lau_components(two_j)
+    mm = la.lau_mul
+    ApKinv = mm(Ap, _lau_legs(two_j - 1)["kinv"])
+    KBp = mm(_lau_legs(two_j)["k"], Bp)
+    Et, Es = _q_exp((("e",),), (two_j,)), _q_exp((("e",),), (two_j - 1,))
+    Ft, Fs = _q_exp((("f",),), (two_j,)), _q_exp((("f",),), (two_j - 1,))
+    plus, minus, q, qinv = {0: 1}, {0: -1}, {1: 1}, {-1: 1}
+    # name: (b, terms), each term (+-q^e, c, k, L, exponential, R), the
+    # source-side exponentials on the right, the target-side ones on the left
+    identities = {
+        # exp(te) Phi+ = Phi+ exp(te)
+        "exp(te)phi+": (2, [(plus, 0, 0, None, Et, Ap), (minus, 0, 0, Ap, Es, None)]),
+        # exp(te) Phi- = (t Phi+ k^{-1} + Phi-) exp(te)
+        "exp(te)phi-": (2, [
+            (plus, 0, 0, None, Et, Am), (minus, 0, 1, ApKinv, Es, None), (minus, 0, 0, Am, Es, None),
+        ]),
+        # exp(te) Psi+ = Psi+ exp(q t e) - q t Psi- exp(q^{-1} t e)
+        "exp(te)psi+": (2, [(plus, 0, 0, None, Et, Bp), (minus, 1, 0, Bp, Es, None), (q, -1, 1, Bm, Es, None)]),
+        # exp(te) Psi- = Psi- exp(q^{-1} t e)
+        "exp(te)psi-": (2, [(plus, 0, 0, None, Et, Bm), (minus, -1, 0, Bm, Es, None)]),
+        # Phi+ exp(sf) = exp(q^{-1} s f) Phi+ - exp(q s f) q^{-1} s Phi-
+        "phi+exp(sf)": (-2, [
+            (plus, 0, 0, Ap, Fs, None), (minus, -1, 0, None, Ft, Ap), (qinv, 1, 1, None, Ft, Am),
+        ]),
+        # Phi- exp(sf) = exp(q s f) Phi-
+        "phi-exp(sf)": (-2, [(plus, 0, 0, Am, Fs, None), (minus, 1, 0, None, Ft, Am)]),
+        # Psi+ exp(sf) = exp(sf) Psi+
+        "psi+exp(sf)": (-2, [(plus, 0, 0, Bp, Fs, None), (minus, 0, 0, None, Ft, Bp)]),
+        # Psi- exp(sf) = exp(sf)(Psi- + s k Psi+)
+        "psi-exp(sf)": (-2, [
+            (plus, 0, 0, Bm, Fs, None), (minus, 0, 0, None, Ft, Bm), (minus, 0, 1, None, Ft, KBp),
+        ]),
+    }
 
-    def lift(M):
-        return tp_lift(M, tvars)
+    def degree(m, base, terms):
+        for mono, c, k, L, S, R in terms:
+            if 0 <= m - k < len(S):
+                coef = {e + c * (m - k): v for e, v in mono.items()}
+                M = S[m - k]
+                if L:
+                    M = mm(L, M)
+                if R:
+                    M = mm(M, R)
+                yield (la.lau_poly_mul(coef, _q_paren(m, base)) if k else coef), M
 
-    Ap, Am = lift(comps.phi_plus), lift(comps.phi_minus)
-    Bp, Bm = lift(comps.psi_plus), lift(comps.psi_minus)
-    Kinv_s = lift(src.Kinv)
-    K_t = lift(tgt.K)
-    tvar = TimesPoly.var(tvars, "t")
-    svar = TimesPoly.var(tvars, "s")
-
-    mm, ms = la.mat_mul, la.mat_sub
-
-    checks = {}
-    # exp(te) Phi+ = Phi+ exp(te)
-    checks["exp(te)phi+"] = ms(mm(Et, Ap), mm(Ap, Es))
-    # exp(te) Phi- = (t Phi+ k^{-1} + Phi-) exp(te)
-    inner = la.mat_add(la.mat_scale(mm(Ap, Kinv_s), tvar), Am)
-    checks["exp(te)phi-"] = ms(mm(Et, Am), mm(inner, Es))
-    # exp(te) Psi+ = Psi+ exp(q t e) - q t Psi- exp(q^{-1} t e)
-    Es_q = tp_scale_var(Es, "t", Q)
-    Es_qi = tp_scale_var(Es, "t", QINV)
-    rhs = ms(mm(Bp, Es_q), la.mat_scale(mm(Bm, Es_qi), tvar.scale(Q)))
-    checks["exp(te)psi+"] = ms(mm(Et, Bp), rhs)
-    # exp(te) Psi- = Psi- exp(q^{-1} t e)
-    checks["exp(te)psi-"] = ms(mm(Et, Bm), mm(Bm, Es_qi))
-    # Phi+ exp(sf) = exp(q^{-1} s f) Phi+ - exp(q s f) q^{-1} s Phi-
-    Ft_q = tp_scale_var(Ft, "s", Q)
-    Ft_qi = tp_scale_var(Ft, "s", QINV)
-    rhs = ms(mm(Ft_qi, Ap), la.mat_scale(mm(Ft_q, Am), svar.scale(QINV)))
-    checks["phi+exp(sf)"] = ms(mm(Ap, Fs), rhs)
-    # Phi- exp(sf) = exp(q s f) Phi-
-    checks["phi-exp(sf)"] = ms(mm(Am, Fs), mm(Ft_q, Am))
-    # Psi+ exp(sf) = exp(sf) Psi+
-    checks["psi+exp(sf)"] = ms(mm(Bp, Fs), mm(Ft, Bp))
-    # Psi- exp(sf) = exp(sf)(Psi- + s k Psi+)
-    inner = la.mat_add(Bm, la.mat_scale(mm(K_t, Bp), svar))
-    checks["psi-exp(sf)"] = ms(mm(Bm, Fs), mm(Ft, inner))
-
-    return checks
+    return {
+        name: [la.lau_lin(degree(m, base, terms)) for m in range(two_j + 1)]
+        for name, (base, terms) in identities.items()
+    }

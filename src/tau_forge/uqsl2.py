@@ -16,6 +16,17 @@ S'(k) = k^{-1}, both for every leg name; ``COUNIT`` gives eps.  Every
 tensor product, Hopf check and antipode-twisted vertex relation reads these
 tables.
 
+The q-exponentials and the Hopf checks run over Z[q, q^-1], with no
+division and no gcd.  The legs, their Kronecker products and the antipode
+tables have Laurent entries (``linalg``'s Laurent matrices).  A
+q-exponential exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}! is kept in divided
+powers (``_q_exp``): its t^m coefficient times the scale (m)_{q^b}! is the
+Laurent matrix A^m, and a product of two such series has Gaussian binomial
+weights.  Each identity is checked as its Q(q) residual times a nonzero
+scale (q - q^-1 for [e, f], (m)_{q^b}! in t^m for the factorizations, 1
+otherwise); Z[q, q^-1] has no zero divisors, so the scaled residual is zero
+exactly when the Q(q) residual is.
+
 Spins are stored as twice-spin integers; public entry points accept 1/2,
 Fraction(1, 2), or the integer/float equivalent.
 """
@@ -27,9 +38,10 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 
 from . import linalg as la
-from .linalg import NonNilpotentError  # noqa: F401  (re-exported; q_exp_nilpotent raises it)
-from .ncalg import TimesPoly
-from .qscalar import ONE, Q, QINV, QScalar, bracket, paren_factorial, qs
+from ._kernels import _trim_words
+from .linalg import NonNilpotentError  # noqa: F401  (re-exported; _q_exp raises it)
+from .ncalg import _q2_binomial
+from .qscalar import ONE, Q, QINV, QScalar, bracket
 from .report import VerificationReport
 
 
@@ -154,33 +166,64 @@ def antipode_inv_matrices(rep):
 # -- q-exponentials ----------------------------------------------------------
 
 
-def q_exp_nilpotent(A, var, base_power, vars):
-    """exp_{q^base}(var * A) for a nilpotent QScalar matrix A, as a TimesPoly
-    matrix over ``vars``.
+@cache
+def _lau_legs(two_j):
+    """The Laurent matrix of each coproduct leg of V_j (``Rep.legs``)."""
+    return _lau_table(_rep(two_j).legs)
 
-    The series terminates at the nilpotency index; a non-nilpotent input
-    raises NonNilpotentError because it would not.  Equal arguments return
-    the same cached matrix, which callers only read.
-    """
-    return _q_exp(tuple(map(tuple, A)), var, base_power, tuple(vars))
+
+def _lau_table(table):
+    """A table of QScalar matrices by leg name, as Laurent matrices."""
+    return {x: la.lau_matrix(M) for x, M in table.items()}
+
+
+def _leg_sum(summands, two_js):
+    """sum over ``summands`` of the Kronecker product of the named legs of
+    V_{j_1}, V_{j_2}, ..., one leg name per spin, as a Laurent matrix."""
+    legs = [_lau_legs(tj) for tj in two_js]
+    return la.lau_lin([(la.LAU_ONE, reduce(la.lau_kron, [L[x] for L, x in zip(legs, names)])) for names in summands])
 
 
 @cache
-def _q_exp(A, var, base_power, vars):
-    def weight(m):
-        coef = paren_factorial(m, base_power).inv()
-        return TimesPoly.var(vars, var, coeff=coef, power=m)
+def _q_exp(summands, two_js):
+    """exp_{q^b}(t A) over Z[q, q^-1], in divided powers: the powers
+    (I, A, ..., A^(n-1)) of A = ``_leg_sum(summands, two_js)``, n its
+    nilpotency index.  exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}!, so
+    power m is the t^m coefficient times its scale (m)_{q^b}!, for either
+    base b; the base enters only where a product or a factor t moves a
+    term between degrees (``_series_mul``, ``_q_paren``).
 
-    return la.nilpotent_exp(A, weight, TimesPoly.one(vars), TimesPoly.zero(vars))
+    The series terminates at n; a non-nilpotent A raises NonNilpotentError,
+    because it would not.  Equal arguments return the same cached tuple,
+    which callers only read.
+    """
+    A = [_trim_words(row) for row in _leg_sum(summands, two_js)]
+    powers = [la.lau_identity(len(A))]
+    power = A
+    while any(power):
+        if len(powers) == len(A):
+            raise la.NonNilpotentError("matrix is not nilpotent; the exponential would not terminate")
+        powers.append(power)
+        power = [_trim_words(row) for row in la.lau_mul(power, A)]
+    return tuple(powers)
 
 
-def tp_lift(A, vars):
-    """Lift a QScalar matrix to a TimesPoly matrix over ``vars``."""
-    return [[TimesPoly.const(vars, x) for x in row] for row in A]
+def _q_paren(n, base):
+    """(n)_{q^base} = 1 + q^base + ... + q^(base (n-1)): a factor t takes
+    t^(n-1)/(n-1)! to (n)_{q^base} t^n/(n)!."""
+    return {base * i: 1 for i in range(n)}
 
 
-def tp_scale_var(M, name, factor):
-    return [[x.scale_var(name, factor) for x in row] for row in M]
+def _series_mul(S1, S2, base):
+    """The product of two divided-power series in t of base q^base:
+    t^a/(a)! t^c/(c)! = [a+c choose a]_{q^base} t^(a+c)/(a+c)!, the Gaussian
+    binomial of ``ncalg._q2_binomial`` (base 2 or -2)."""
+    by_degree = [[] for _ in range(len(S1) + len(S2) - 1)]
+    for a, A in enumerate(S1):
+        for c, C in enumerate(S2):
+            binom = {e * base // 2: v for e, v in _q2_binomial(a + c, a).items()}
+            by_degree[a + c].append((binom, la.lau_mul(A, C)))
+    return [la.lau_lin(terms) for terms in by_degree]
 
 
 # -- Hopf-structure verification ---------------------------------------------
@@ -190,42 +233,49 @@ def verify_hopf_matrices(j, jp):
     """Check, in the tensor of spins (j, jp): the defining relations for the
     coproduct images, both q-exponential factorization identities, and the
     antipode axiom on generators.  All checks are exact matrix identities."""
-    repA = make_rep(j)
-    repB = make_rep(jp)
-    details = []
-    dE, dF, dK = coproduct(repA, repB)
-    dKi = _delta("kinv", repA, repB)
-    lam = Q - QINV
+    tj, tjp = twice(j), twice(jp)
+    details = [
+        f"failed {name}" for name, res in _hopf_residuals(tj, tjp) if not all(map(la.lau_is_zero, res))
+    ]
+    return VerificationReport.from_failures(details, params={"j": Fraction(tj, 2), "jp": Fraction(tjp, 2)})
 
-    # (a) defining relations hold for the coproduct images
-    checks = {
-        "delta:ke=q2ek": la.mat_sub(la.mat_mul(dK, dE), la.mat_scale(la.mat_mul(dE, dK), Q * Q)),
-        "delta:[e,f]": la.mat_sub(
-            la.mat_sub(la.mat_mul(dE, dF), la.mat_mul(dF, dE)),
-            la.mat_scale(la.mat_sub(dK, dKi), lam.inv()),
-        ),
-        "delta:kk^-1": la.mat_sub(la.mat_mul(dK, dKi), la.identity(len(dE))),
-    }
-    details += [f"failed {name}" for name, res in checks.items() if not la.mat_is_zero(res)]
+
+def _hopf_residuals(tj, tjp):
+    """(name, residuals) of each identity of ``verify_hopf_matrices`` over
+    Z[q, q^-1], residuals[m] the t^m coefficient of its Q(q) residual times
+    a nonzero scale: q - q^-1 for [e, f], (m)_{q^b}! for the factorizations
+    of exp_{q^b}, 1 otherwise; so each is zero exactly when the Q(q) one
+    is."""
+    spins = (tj, tjp)
+    mm, lin = la.lau_mul, la.lau_lin
+    dE, dF, dK, dKi = (_leg_sum(COPRODUCT[x], spins) for x in ("e", "f", "k", "kinv"))
+    one, neg, lam = la.LAU_ONE, {0: -1}, {1: 1, -1: -1}
+
+    # (a) defining relations hold for the coproduct images; [e, f] is
+    #     multiplied through by q - q^-1
+    out = [
+        ("delta:ke=q2ek", [lin([(one, mm(dK, dE)), ({2: -1}, mm(dE, dK))])]),
+        ("delta:[e,f]", [lin([(lam, mm(dE, dF)), (la.lau_neg(lam), mm(dF, dE)), (neg, dK), (one, dKi)])]),
+        ("delta:kk^-1", [lin([(one, mm(dK, dKi)), (neg, la.lau_identity(len(dK)))])]),
+    ]
 
     # (b), (c) exp_{q^2}(t D(e)) and exp_{q^-2}(s D(f)) are the products of
     # the exponentials of their summands, in COPRODUCT order
-    A, B = repA.legs, repB.legs
-    for x, var, base, label in (("e", "t", 2, "exp_{q^2}(t e)"), ("f", "s", -2, "exp_{q^-2}(s f)")):
-        lhs = q_exp_nilpotent(_delta(x, repA, repB), var, base, (var,))
-        factors = [q_exp_nilpotent(la.kron(A[x1], B[x2]), var, base, (var,)) for x1, x2 in COPRODUCT[x]]
-        if not la.mat_is_zero(la.mat_sub(lhs, reduce(la.mat_mul, factors))):
-            details.append(f"failed factorization of {label}")
+    for x, base, label in (("e", 2, "exp_{q^2}(t e)"), ("f", -2, "exp_{q^-2}(s f)")):
+        lhs = _q_exp(COPRODUCT[x], spins)
+        rhs = reduce(lambda S1, S2: _series_mul(S1, S2, base), [_q_exp((s,), spins) for s in COPRODUCT[x]])
+        res = [
+            lin([(c, S[m]) for c, S in ((one, lhs), (neg, rhs)) if m < len(S)])
+            for m in range(max(len(lhs), len(rhs)))
+        ]
+        out.append((f"factorization of {label}", res))
 
     # (d) antipode axiom sum S(x1) x2 = eps(x) 1 over each D(x), checked in
     #     each factor representation
-    for rep in (repA, repB):
-        S, legs = antipode_matrices(rep), rep.legs
+    for t in spins:
+        S = _lau_table(antipode_matrices(_rep(t)))
+        legs = _lau_legs(t)
         for x, summands in COPRODUCT.items():
-            total = reduce(la.mat_add, [la.mat_mul(S[x1], legs[x2]) for x1, x2 in summands])
-            if not la.mat_is_zero(la.mat_sub(total, la.mat_scale(legs["one"], qs(COUNIT[x])))):
-                details.append(f"failed antipode axiom on {x} at spin {rep.spin}")
-
-    return VerificationReport.from_failures(
-        details, params={"j": Fraction(twice(j), 2), "jp": Fraction(twice(jp), 2)}
-    )
+            terms = [(one, mm(S[x1], legs[x2])) for x1, x2 in summands] + [({0: -COUNIT[x]}, legs["one"])]
+            out.append((f"antipode axiom on {x} at spin {Fraction(t, 2)}", [lin(terms)]))
+    return out

@@ -284,3 +284,14 @@ def test_every_registered_param_is_read():
             fallbacks[cid] = sorted(params.fallbacks)
     assert unread == {}
     assert fallbacks == {}
+
+
+@pytest.mark.parametrize("check_id", [
+    "hopf.matrices", "vertex.component-relations", "vertex.normalizations", "vertex.qexp-commutation",
+    "funq.dual-route", "funq.gradings",
+])
+@pytest.mark.parametrize("jmax", [0, -1, Fraction(5, 4)])
+def test_jmax_below_half_or_off_the_half_integers_is_rejected(check_id, jmax):
+    # jmax 0 and -1 used to pass with no spin checked, and 5/4 ran to 1
+    with pytest.raises(ValueError):
+        run_check(check_id, {"jmax": jmax})

@@ -2,6 +2,7 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from uq_oracle import q_exp_nilpotent
 
 from tau_forge import cli, funq, ncalg, qhirota
 from tau_forge import linalg as la
@@ -21,7 +22,7 @@ from tau_forge.funq import (
 )
 from tau_forge.ncalg import FROZEN_GAUSS_CONVENTION, NCPoly, TimesPoly, funq_sl2, gauss_param
 from tau_forge.qscalar import ONE, Q, QINV, ZERO, QScalar
-from tau_forge.uqsl2 import coproduct, make_rep, q_exp_nilpotent
+from tau_forge.uqsl2 import coproduct, make_rep
 
 HALF = Fraction(1, 2)
 

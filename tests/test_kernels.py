@@ -177,3 +177,41 @@ def test_encode_equals_the_plain_shifted_sum():
             assert _decode(v, bits, low) == {e: c for e, c in lau.items() if c}
         longs += len(lau) > _kernels._ENCODE_PLAIN_TERMS
     assert longs >= 20
+
+
+def _plain_decode(v, bits, low):
+    """The balanced digits of v peeled one at a time."""
+    base, half, out, e = 1 << bits, 1 << (bits - 1), {}, low
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            out[e] = d
+        v = (v - d) >> bits
+        e += 1
+    return out
+
+
+def test_decode_by_halves_equals_the_plain_loop():
+    # the extreme digits -2^(bits-1) and 2^(bits-1) - 1 are where a split
+    # point taken as a symmetric balanced residue goes wrong
+    rng = random.Random(29)
+    top = _kernels._ENCODE_PLAIN_TERMS
+    splits = 0
+    for terms in (1, 2, top - 1, top, top + 1, 2 * top + 3, 300):
+        for bits in (2, 3, 8, 61):
+            half = 1 << (bits - 1)
+            for _ in range(4):
+                digits = [rng.choice((-half, half - 1, -half + 1, 0, 0, rng.randint(-half, half - 1))) for _ in range(terms)]
+                if rng.random() < 0.3:  # a zero run
+                    a = rng.randrange(terms)
+                    digits[a:a + terms // 3] = [0] * len(digits[a:a + terms // 3])
+                low = rng.randint(-6, 6)
+                lau = {low + e: c for e, c in enumerate(digits) if c}
+                v = _encode(lau, bits, low)
+                assert _decode(v, bits, low) == _plain_decode(v, bits, low) == lau, (terms, bits, low)
+                splits += abs(v).bit_length() // bits >= top
+    assert splits >= 20
+    for v in (0, 1, -1, 1 << 700, -(1 << 700)):
+        assert _decode(v, 7, 3) == _plain_decode(v, 7, 3)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from uq_oracle import q_exp_nilpotent, tp_lift
 
 from tau_forge import linalg as la
 from tau_forge.qscalar import ONE, Q, QINV, ZERO, bracket
@@ -10,7 +11,7 @@ from tau_forge.qvertex import (
     verify_component_relations,
     verify_qexp_commutation,
 )
-from tau_forge.uqsl2 import make_rep, q_exp_nilpotent, tp_lift
+from tau_forge.uqsl2 import make_rep
 
 HALF = Fraction(1, 2)
 SPINS = [HALF, 1, Fraction(3, 2), 2, Fraction(5, 2)]

@@ -1,17 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from uq_oracle import q_exp_nilpotent, tp_lift, tp_scale_var
 
 from tau_forge import linalg as la
 from tau_forge.cli import run_check
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
 from tau_forge.uqsl2 import (
     NonNilpotentError,
+    _q_exp,
     make_rep,
-    q_exp_nilpotent,
     rep_relations_residuals,
-    tp_lift,
-    tp_scale_var,
     twice,
     verify_hopf_matrices,
 )
@@ -75,26 +74,37 @@ def test_q_exp_rejects_non_nilpotent():
     rep = make_rep(HALF)
     with pytest.raises(NonNilpotentError):
         q_exp_nilpotent(rep.K, "t", 2, ("t",))
+    with pytest.raises(NonNilpotentError):
+        _q_exp((("k",),), (1,))
 
 
-def test_q_exp_is_built_once_per_argument():
-    rep = make_rep(Fraction(3, 2))
-    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
-    # equal matrices given as a fresh list, and vars as a list, hit the cache
-    assert q_exp_nilpotent([list(r) for r in rep.E], "t", 2, ["t"]) is M
-    assert q_exp_nilpotent(rep.E, "t", -2, ("t",)) is not M
-
-
-def test_checks_leave_the_cached_q_exp_unchanged(fresh_caches):
-    # the cache hands one matrix to every caller, so no caller may write to it
-    tgt = make_rep(Fraction(3, 2))
-    M = q_exp_nilpotent(tgt.E, "t", 2, ("t", "s"))
-    before = [[str(x) for x in row] for row in M]
+def test_q_exp_is_built_once_per_argument(fresh_caches):
+    M = _q_exp((("e",),), (3,))
+    # equal arguments hit the cache; another leg or spin is its own build
+    assert _q_exp((("e",),), (3,)) is M
+    assert _q_exp((("f",),), (3,)) is not M
+    assert _q_exp((("e",),), (2,)) is not M
+    # every argument the checks ask for is built once
     for check_id in ("vertex.qexp-commutation", "hopf.matrices"):
         (rep,) = run_check(check_id)
         assert rep.verdict
-    assert q_exp_nilpotent(tgt.E, "t", 2, ("t", "s")) is M
-    assert [[str(x) for x in row] for row in M] == before
+    info = _q_exp.cache_info()
+    assert info.misses == info.currsize
+    run_check("vertex.qexp-commutation")
+    run_check("hopf.matrices")
+    assert _q_exp.cache_info().misses == info.misses
+
+
+def test_checks_leave_the_cached_q_exp_unchanged(fresh_caches):
+    # the cache hands one tuple of powers to every caller, so no caller may
+    # write to it
+    M = _q_exp((("e",),), (3,))
+    before = [[{j: dict(p) for j, p in row.items()} for row in power] for power in M]
+    for check_id in ("vertex.qexp-commutation", "hopf.matrices"):
+        (rep,) = run_check(check_id)
+        assert rep.verdict
+    assert _q_exp((("e",),), (3,)) is M
+    assert [[{j: dict(p) for j, p in row.items()} for row in power] for power in M] == before
 
 
 def test_q_exp_at_zero_is_identity():
@@ -104,6 +114,7 @@ def test_q_exp_at_zero_is_identity():
         for j in range(rep.dim):
             val = M[i][j].constant_term()
             assert val == (ONE if i == j else ZERO)
+    assert _q_exp((("e",),), (3,))[0] == la.lau_identity(rep.dim)
 
 
 @pytest.mark.parametrize(

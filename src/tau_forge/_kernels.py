@@ -198,6 +198,19 @@ def _trim(p):
     return {m: c for m, c in p.items() if c}
 
 
+# the Laurent polynomial 1, shared: no caller writes to it
+_LAURENT_ONE = {0: 1}
+
+
+def _laurent_mul(a, b):
+    """a * b for nonzero Laurent polynomials {q-exponent: int} with no zero
+    coefficients."""
+    if len(a) == 1:
+        ((k, m),) = a.items()
+        return {e + k: m * v for e, v in b.items()}
+    return _trim(_addmul({}, a, b))
+
+
 def _trim_words(p):
     """{word: packed polynomial} with zero terms and then empty words dropped."""
     return {w: d for w, d in ((w, _trim(d)) for w, d in p.items()) if d}

@@ -19,6 +19,13 @@ e-side flow on r, so that the spin-1/2 matrix reads [[a, b], [c, d]] while
 expands to a + b u + c x + d u x for j = 1/2.  Under the weight grading
 deg a = (1,1), deg b = (1,-1), deg c = (-1,1), deg d = (-1,-1) the entry
 (m, r) is homogeneous of degree (2(j-m), 2(j-r)).
+
+The representation matrices are Laurent matrices over Z[q, q^-1]
+(``uqsl2``).  Q(q) enters as the coefficients of the function-algebra
+entries, and in :func:`embed_chain`, which divides the Laurent projection
+(:func:`_projection`) by its normalizing entry; the factorized element
+reads the powers of E and F from ``uqsl2._q_exp`` and divides them by
+their q-factorials there.
 """
 
 from __future__ import annotations
@@ -27,14 +34,13 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg as la
-from ._kernels import _addmul, _trim_words
+from ._kernels import _LAURENT_ONE, _addmul, _laurent_mul, _trim_words
 from .ncalg import (
     FROZEN_GAUSS_CONVENTION,
     GAUSS_CONVENTIONS,
     NCPoly,
     Presentation,
     TimesPoly,
-    _laurent_mul,
     _q2_binomial,
     _times_laurent,
     funq_sl2,
@@ -43,7 +49,7 @@ from .ncalg import (
 )
 from .qscalar import ONE, Q, QINV, QScalar, paren, paren_factorial
 from .report import VerificationReport
-from .uqsl2 import coproduct, make_rep, twice
+from .uqsl2 import _q_exp, _rep, coproduct, twice
 
 SCALAR_PRESENTATION = Presentation("scalar", (), {})
 
@@ -58,31 +64,36 @@ def embed_chain(j1, j2):
     iota sends the highest weight vector to the product of highest weight
     vectors and intertwines the coproduct action
     (:func:`~tau_forge.uqsl2.coproduct`); pi is the intertwiner the other way,
-    from :func:`~tau_forge.linalg.intertwiner`.  The top spin j1 + j2 occurs
-    exactly once in the tensor product, so pi is unique up to scale and
-    pi . iota is a scalar (Schur); since column 0 of iota is the tensor
-    highest weight vector, scaling pi by 1/pi[0][0] gives pi . iota = identity.
-    Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
+    solved over Z[q, q^-1] (:func:`_projection`).  The top spin j1 + j2
+    occurs exactly once in the tensor product, so pi is unique up to scale
+    and pi . iota is a scalar (Schur); since column 0 of iota is the tensor
+    highest weight vector, dividing pi by pi[0][0] gives pi . iota =
+    identity.  That division is where Q(q) enters; both are QScalar
+    matrices.  Index (b1, b2) of the tensor product is b1 * dim V_{j2} + b2.
     """
     return _embed(twice(j1), twice(j2))
 
 
 @cache
+def _projection(tj1, tj2):
+    """pi of ``embed_chain`` undivided, a Laurent matrix: the intertwiner
+    from V_{j1} ox V_{j2} onto V_{j1+j2}, solved once here for the public
+    pi and the vertex operators of ``qvertex``."""
+    return la.intertwiner(_rep(tj1 + tj2).action, coproduct(_rep(tj1), _rep(tj2)))
+
+
+@cache
 def _embed(tj1, tj2):
-    repA, repB = make_rep(Fraction(tj1, 2)), make_rep(Fraction(tj2, 2))
-    two_J = tj1 + tj2
-    dim_T = repA.dim * repB.dim
-    delta = coproduct(repA, repB)
+    dim_T = (tj1 + 1) * (tj2 + 1)
+    delta_f = coproduct(_rep(tj1), _rep(tj2))[1]
     # iota column r = (Delta F)^r applied to the tensor highest weight vector
-    col = la.zeros(dim_T, 1)
-    col[0][0] = ONE
+    col = [{0: _LAURENT_ONE}] + [{} for _ in range(dim_T - 1)]
     cols = [col]
-    for _ in range(two_J):
-        cols.append(la.mat_mul(delta[1], cols[-1]))
-    iota = [[c[i][0] for c in cols] for i in range(dim_T)]
-    pi = la.intertwiner(make_rep(Fraction(two_J, 2)).action, delta)
-    pi = la.mat_scale(pi, pi[0][0].inv())
-    return iota, pi
+    for _ in range(tj1 + tj2):
+        cols.append(la.lau_mul(delta_f, cols[-1]))
+    iota = [{r: c[i][0] for r, c in enumerate(cols) if c[i].get(0)} for i in range(dim_T)]
+    pi = _projection(tj1, tj2)
+    return la.lau_divided(iota, len(cols), _LAURENT_ONE), la.lau_divided(pi, dim_T, pi[0][0])
 
 
 def _top_block(semA, semB):
@@ -151,19 +162,23 @@ def _semantic_t(two_j):
 @cache
 def _semantic_gauss(two_j, convention):
     pres = gauss_param(convention)
-    rep = make_rep(Fraction(two_j, 2))
-    dim = rep.dim
+    dim = two_j + 1
     lam = Q - QINV
+    zero = NCPoly.zero(pres)
 
-    def weight(letter, coeff, base):
-        """m -> the normal-ordered word (coeff letter)^m / (m)_{q^base}!."""
-        return lambda m: NCPoly.word(
-            pres, (letter,) * m, coeff=coeff**m * paren_factorial(m, base).inv()
-        )
+    def q_exp(leg, letter, coeff, base):
+        """exp_{q^base}(coeff letter x) = sum_m (coeff letter)^m / (m)_{q^base}! x^m
+        for the leg x of V_j, from the powers x^m of ``uqsl2._q_exp``."""
+        out = la.zeros(dim, dim, zero)
+        for m, power in enumerate(_q_exp(((leg,),), (two_j,))):
+            w = NCPoly.word(pres, (letter,) * m, coeff=coeff**m * paren_factorial(m, base).inv())
+            for i, row in enumerate(power):
+                for j, p in row.items():
+                    out[i][j] = out[i][j] + w * QScalar.from_terms(p)
+        return out
 
-    one, zero = NCPoly.one(pres), NCPoly.zero(pres)
-    R = la.nilpotent_exp(rep.E, weight("s", lam, -2), one, zero)
-    Rbar = la.nilpotent_exp(rep.F, weight("sbar", -lam, 2), one, zero)
+    R = q_exp("e", "s", lam, -2)
+    Rbar = q_exp("f", "sbar", -lam, 2)
     K = la.zeros(dim, dim, zero)
     for r in range(dim):
         k = two_j - 2 * r

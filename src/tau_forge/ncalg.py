@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 
 from .qscalar import ONE, QScalar, ZERO, paren_factorial, qs
-from ._kernels import _addmul, _trim, _trim_words, tup_add
+from ._kernels import _LAURENT_ONE, _addmul, _laurent_mul, _trim_words, tup_add
 from .report import VerificationReport
 
 
@@ -219,15 +219,6 @@ class TimesPoly:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_STEP_BUDGET = 10**6
-_UNIT = {0: 1}
-
-
-def _laurent_mul(a, b):
-    """a * b for nonzero Laurent polynomials {q-exponent: int}."""
-    if len(a) == 1:
-        ((k, m),) = a.items()
-        return {e + k: m * v for e, v in b.items()}
-    return _trim(_addmul({}, a, b))
 
 
 class Presentation:
@@ -270,8 +261,8 @@ class Presentation:
                     laurent[tuple(w)] = lau
             rule_list.append(((x, y), laurent))
         for g, ginv in unit_pairs:
-            rule_list.append(((g, ginv), {(): _UNIT}))
-            rule_list.append(((ginv, g), {(): _UNIT}))
+            rule_list.append(((g, ginv), {(): _LAURENT_ONE}))
+            rule_list.append(((ginv, g), {(): _LAURENT_ONE}))
         self.rule_list = rule_list
         # first-match lookup used by reduce_word; duplicate-pair rules (allowed,
         # so deliberately inconsistent presentations can be expressed and caught
@@ -323,13 +314,13 @@ class Presentation:
                 for w2, c2 in self._reduce(prefix + w + suffix, budget).items():
                     a = acc.get(w2)
                     if a is None:
-                        acc[w2] = c2 if c == _UNIT else _laurent_mul(c, c2)
+                        acc[w2] = c2 if c == _LAURENT_ONE else _laurent_mul(c, c2)
                     else:
                         acc[w2] = _addmul(dict(a), c, c2)
                         merged = True
             out = memo[word] = _trim_words(acc) if merged else acc
             return out
-        out = memo[word] = {word: _UNIT}
+        out = memo[word] = {word: _LAURENT_ONE}
         return out
 
     def one_step_reductions(self, word):
@@ -530,7 +521,7 @@ def _composite(text):
 def _times_laurent(t, c):
     """The TimesPoly t times the nonzero Laurent polynomial c: where a
     normal form meets Q(q)."""
-    return t if c == _UNIT else t.scale(QScalar.from_terms(c))
+    return t if c == _LAURENT_ONE else t.scale(QScalar.from_terms(c))
 
 
 def normal_form(p):
@@ -679,7 +670,7 @@ def funq_sl2_blocks(x, n, y, m):
     twist = m if y == "a" else -m
     if x == y or not n or not m:
         e = n + m
-        return (x if n else y) if e else "a", e, twist, ((0, _UNIT),)
+        return (x if n else y) if e else "a", e, twist, ((0, _LAURENT_ONE),)
     p = min(n, m)
     base = 2 * (m - p) + 1 if x == "d" else 1 - 2 * m
     w = "a" if n == m else x if n > m else y

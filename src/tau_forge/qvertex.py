@@ -11,8 +11,9 @@ f w_+ = w_-, k w_+- = q^{+-1} w_+-):
 
 Each solution space is one-dimensional (asserted, not assumed).  Phi_W and
 Psi_W are the top projections pi of ``funq.embed_chain(j-1/2, 1/2)`` and
-``embed_chain(1/2, j-1/2)``, solved and cached once.  The first two families
-are normalized by their highest-weight actions (pi by its own pi . iota = 1)
+``embed_chain(1/2, j-1/2)``, solved and cached once
+(``funq._projection``).  The first two families are normalized by their
+highest-weight actions (pi by its own pi . iota = 1)
 
     Phi_+ |j-1/2> = |j>,          Phi_- |j-1/2> = q^{1-2j}/[2j] f |j>,
     Psi^+ |j-1/2> = -q/[2j] f |j>, Psi^- |j-1/2> = |j>.
@@ -23,15 +24,19 @@ of the "dual" components with components for the twisted-dual auxiliary
 space, and the eight commutation relations with the q-exponential flows.
 
 All but the normalizations run over Z[q, q^-1], with no division and no
-gcd.  The four components Phi_+-, Psi^+- are cleared by one scale, the lcm
-of their denominators (``linalg.lau_cleared``), and each dual pair by its
-own; the legs and antipode tables have Laurent entries, and the
-q-exponentials are in divided powers (``uqsl2._q_exp``): the t^m
-coefficient times (m)_{q^+-2}! is the Laurent matrix x^m.  Every relation
-is linear in the components of one pair, so its residual over Z[q, q^-1]
-(in t^m, for the flows) is the Q(q) residual times a nonzero scale, and
-Z[q, q^-1] has no zero divisors: it is zero exactly when the Q(q) residual
-is.  The dual identification compares the cleared pairs by cross products.
+gcd, on one source: ``_raw_components``, the undivided intertwiner solves
+(``linalg.intertwiner``), cached once per target spin.  The legs and
+antipode tables are Laurent matrices, and the q-exponentials are in
+divided powers (``uqsl2._q_exp``): the t^m coefficient times
+(m)_{q^+-2}! is the Laurent matrix x^m.  Every relation is linear in the
+components of one pair, and a raw pair is its normalized pair times the
+entry it is normalized by, so its residual over Z[q, q^-1] (in t^m, for
+the flows) is the Q(q) residual times a nonzero scale, and Z[q, q^-1] has
+no zero divisors: it is zero exactly when the Q(q) residual is.  The dual
+identification compares raw pairs by cross products.  Q(q) enters only in
+``solve_vertex_components``, which divides each raw pair once by its
+normalizing entry (``_normalizers``) for the normalizations and the public
+view.
 """
 
 from __future__ import annotations
@@ -42,39 +47,35 @@ from functools import cache
 
 from . import funq
 from . import linalg as la
+from ._kernels import _LAURENT_ONE, _laurent_mul
 from .linalg import ConventionError
 from .qscalar import ONE, Q, QScalar, ZERO, bracket
 from .report import VerificationReport
 from .uqsl2 import (
     COPRODUCT,
     Rep,
-    _lau_legs,
-    _lau_table,
     _q_exp,
     _q_paren,
     _rep,
     antipode_inv_matrices,
     antipode_matrices,
     coproduct,
-    make_rep,
     twice,
 )
 
 
-def _w_rep():
-    return make_rep(Fraction(1, 2))
-
-
 def _twisted_dual_w():
     """W* with x acting as rho(S'(x))^T."""
-    Sp = antipode_inv_matrices(_w_rep())
-    t = la.mat_transpose
+    Sp = antipode_inv_matrices(_rep(1))
+    t = la.lau_transpose
     return Rep(1, t(Sp["e"]), t(Sp["f"]), t(Sp["k"]), t(Sp["kinv"]))
 
 
 @dataclass(frozen=True)
 class VertexComponents:
-    """Components of the four vertex-operator families at a given target spin."""
+    """Components of the four vertex-operator families at a given target
+    spin: QScalar matrices in ``solve_vertex_components``, undivided Laurent
+    matrices in ``_raw_components``."""
 
     two_j: int
     phi_plus: list
@@ -99,56 +100,86 @@ def solve_vertex_components(j):
 
 @cache
 def _vertex_components(two_j):
-    W = _w_rep()
-    src, half = Fraction(two_j - 1, 2), Fraction(1, 2)
-    phi = funq.embed_chain(src, half)[1]  # column r * 2 + a
-    psi = funq.embed_chain(half, src)[1]  # column a * dim V_src + r, dim V_src = 2j
-    psi_p, psi_m = _family_components(two_j, "creating left", W)
-    c = psi_m[0][0]
-    if c.is_zero():
+    """``_raw_components`` with each pair divided by its normalizing entry
+    (``_normalizers``), as QScalar matrices: the one place the vertex
+    operators enter Q(q)."""
+    raw = _raw_components(two_j)
+    phi, psi, up, dn = _normalizers(raw)
+    if psi is None:
         raise ConventionError("Psi^- does not reach the highest weight vector")
+
+    def divided(pair, den):
+        return tuple(la.lau_divided(M, two_j, den) for M in pair)
+
+    phi_plus, phi_minus = divided((raw.phi_plus, raw.phi_minus), phi)
+    psi_plus, psi_minus = divided((raw.psi_plus, raw.psi_minus), psi)
     return VertexComponents(
         two_j=two_j,
-        phi_plus=[row[0::2] for row in phi],
-        phi_minus=[row[1::2] for row in phi],
-        psi_plus=la.mat_scale(psi_p, c.inv()),
-        psi_minus=la.mat_scale(psi_m, c.inv()),
-        phi_up=_normalize_pair(_family_components(two_j, "creating right", W)),
-        psi_dn=([row[:two_j] for row in psi], [row[two_j:] for row in psi]),
+        phi_plus=phi_plus,
+        phi_minus=phi_minus,
+        psi_plus=psi_plus,
+        psi_minus=psi_minus,
+        phi_up=divided(raw.phi_up, up),
+        psi_dn=divided(raw.psi_dn, dn),
     )
+
+
+def _normalizers(raw):
+    """The entry each raw pair is divided by, in the order Phi_+-, Psi^+-,
+    phi_up, psi_dn: pi[0][0] for the two embedding projections (as
+    ``funq.embed_chain``), Psi^-'s highest-weight entry (None if it is
+    zero) and phi_up's first nonzero entry."""
+    up = next(row[min(row)] for M in raw.phi_up for row in M if row)
+    return raw.phi_plus[0][0], raw.psi_minus[0].get(0), up, raw.psi_dn[0][0][0]
+
+
+@cache
+def _raw_components(two_j):
+    """The vertex components V_{j-1/2} -> V_j over Z[q, q^-1], each family's
+    pair undivided: Phi_+- and psi_dn split the projections
+    ``funq._projection`` of V_{j-1/2} ox W and W ox V_{j-1/2}, and Psi^+-
+    and phi_up the creating solves over W.  Every relation below is linear
+    in one pair, so its residual over the raw pair is the Q(q) residual
+    times the pair's normalizing entry."""
+    W = _rep(1)
+    phi = funq._projection(two_j - 1, 1)  # column r * 2 + a
+    psi = funq._projection(1, two_j - 1)  # column a * ds + r
+    ds = two_j  # dim V_src
+    psi_plus, psi_minus = _family_components(two_j, "creating left", W)
+    return VertexComponents(
+        two_j=two_j,
+        phi_plus=_columns(phi, 0, 2),
+        phi_minus=_columns(phi, 1, 2),
+        psi_plus=psi_plus,
+        psi_minus=psi_minus,
+        phi_up=_family_components(two_j, "creating right", W),
+        psi_dn=tuple([{c - a * ds: p for c, p in row.items() if c // ds == a} for row in psi] for a in (0, 1)),
+    )
+
+
+def _columns(M, a, step):
+    """Columns a, a + step, a + 2 step, ... of the Laurent matrix M."""
+    return [{c // step: p for c, p in row.items() if c % step == a} for row in M]
 
 
 @cache
 def _twisted_dual_components(two_j, family):
     """``family`` solved over the twisted dual of W, the solve that
     verify_component_relations compares the dual-route components against,
-    as a Laurent pair over one scale (``linalg.lau_cleared``)."""
-    return la.lau_cleared(_family_components(two_j, family, _twisted_dual_w()))[1]
-
-
-@cache
-def _lau_components(two_j):
-    """``solve_vertex_components`` over Z[q, q^-1], as three (scale, views)
-    pairs (``linalg.lau_cleared``): the four components (Phi_+, Phi_-,
-    Psi^+, Psi^-) times one nonzero scale, and each dual pair, phi_up and
-    psi_dn, times its own.  Every relation below is linear in the
-    components of one pair, so its residual over the cleared pair is the
-    Q(q) residual times the pair's scale."""
-    comps = solve_vertex_components(Fraction(two_j, 2))
-    four = la.lau_cleared([comps.phi_plus, comps.phi_minus, comps.psi_plus, comps.psi_minus])
-    return four, la.lau_cleared(comps.phi_up), la.lau_cleared(comps.psi_dn)
+    as an undivided Laurent pair."""
+    return _family_components(two_j, family, _twisted_dual_w())
 
 
 def _family_components(two_j, family, aux):
     """Solve one vertex family V_{j-1/2} -> V_j over the auxiliary
     representation ``aux`` (basis indexed a = 0, 1 for +, -) and split it
-    into its (+, -) components, each a dim V_j x dim V_{j-1/2} matrix."""
-    src = make_rep(Fraction(two_j - 1, 2))
-    tgt = make_rep(Fraction(two_j, 2))
+    into its (+, -) components, each a dim V_j x dim V_{j-1/2} Laurent
+    matrix."""
+    src, tgt = _rep(two_j - 1), _rep(two_j)
     dt = tgt.dim
     if family == "annihilating right":  # V_src ox aux -> V_tgt, column r * 2 + a
         M = la.intertwiner(tgt.action, coproduct(src, aux))
-        return tuple([row[a::2] for row in M] for a in (0, 1))
+        return _columns(M, 0, 2), _columns(M, 1, 2)
     if family == "creating left":  # V_src -> aux ox V_tgt, row a * dt + i
         M = la.intertwiner(coproduct(aux, tgt), src.action)
         return M[:dt], M[dt:]
@@ -158,24 +189,12 @@ def _family_components(two_j, family, aux):
     raise ValueError(f"unknown vertex family {family!r}")
 
 
-def _normalize_pair(pair):
-    """Scale a (+, -) pair so that its first nonzero entry is 1."""
-    for M in pair:
-        for row in M:
-            for x in row:
-                if not x.is_zero():
-                    ci = x.inv()
-                    return tuple(la.mat_scale(N, ci) for N in pair)
-    raise ConventionError("zero intertwiner")
-
-
 def vacuum_normalization_residuals(j):
     """Exact residuals of the six highest-weight actions of Phi_+-, Psi^+-."""
     two_j = twice(j)
     comps = solve_vertex_components(j)
-    tgt = make_rep(Fraction(two_j, 2))
-    dt = tgt.dim
-    ds = dt - 1
+    ds = two_j
+    dt = ds + 1
     res = {}
 
     def col(M, r):
@@ -220,14 +239,14 @@ def verify_component_relations(j):
     # annihilating-right solve over the S'-twisted dual of W; annihilating-
     # left components match a creating-left solve over the S'-twisted dual
     # (the S-twist is its inverse, so twisting twice returns W itself)
-    _, (_, phi_up), (_, psi_dn) = _lau_components(two_j)
+    raw = _raw_components(two_j)
     duals = {}
     for family in _DUAL_FAMILIES:
         try:
             duals[family] = _twisted_dual_components(two_j, family)
         except ConventionError as exc:
             details.append(f"twisted-dual {family} solve fails: {exc}")
-    for family, comp, name in zip(_DUAL_FAMILIES, (phi_up, psi_dn), ("creating-right", "annihilating-left")):
+    for family, comp, name in zip(_DUAL_FAMILIES, (raw.phi_up, raw.psi_dn), ("creating-right", "annihilating-left")):
         if family in duals and not _proportional_pairs(comp, duals[family]):
             details.append(f"dual identification fails for {name} components")
 
@@ -236,8 +255,9 @@ def verify_component_relations(j):
 
 def _component_relation_residuals(two_j):
     """{(name, x, i): residual} of the relations R1-R4 over Z[q, q^-1]: the
-    Q(q) residual times the scale of the family's pair (``_lau_components``)."""
-    (_, (ap, am, bp, bm)), (_, phi_up), (_, psi_dn) = _lau_components(two_j)
+    Q(q) residual times the normalizing entry of the family's raw pair
+    (``_raw_components``)."""
+    raw = _raw_components(two_j)
 
     # (R1)  sum S(x1) Phi^i x2 = sum_j rho_j^i(x) Phi^j
     # (R2)  sum S'(x2) Psi^i x1 = sum_j rho_j^i(x) Psi^j
@@ -248,23 +268,23 @@ def _component_relation_residuals(two_j):
     # goes on the source side), and the target- and source-side tables, an
     # antipode table on the twisted side; every table has Laurent entries
     src, tgt = _rep(two_j - 1), _rep(two_j)
-    S_t, Sp_t = _lau_table(antipode_matrices(tgt)), _lau_table(antipode_inv_matrices(tgt))
-    S_s, Sp_s = _lau_table(antipode_matrices(src)), _lau_table(antipode_inv_matrices(src))
-    legs_s, legs_t = _lau_legs(two_j - 1), _lau_legs(two_j)
+    S_t, Sp_t = antipode_matrices(tgt), antipode_inv_matrices(tgt)
+    S_s, Sp_s = antipode_matrices(src), antipode_inv_matrices(src)
+    legs_s, legs_t = src.legs, tgt.legs
     families = (
-        ("R1", phi_up, False, 0, S_t, legs_s),
-        ("R2", (bp, bm), False, 1, Sp_t, legs_s),
-        ("R3", (ap, am), True, 1, legs_t, Sp_s),
-        ("R4", psi_dn, True, 0, legs_t, S_s),
+        ("R1", raw.phi_up, False, 0, S_t, legs_s),
+        ("R2", (raw.psi_plus, raw.psi_minus), False, 1, Sp_t, legs_s),
+        ("R3", (raw.phi_plus, raw.phi_minus), True, 1, legs_t, Sp_s),
+        ("R4", raw.psi_dn, True, 0, legs_t, S_s),
     )
-    rho = _lau_legs(1)
+    rho = _rep(1).legs
     mm = la.lau_mul
     out = {}
     for x in ("e", "f", "k"):
         for name, comp, swapped, side, on_tgt, on_src in families:
             for i in (0, 1):
                 terms = [
-                    (la.LAU_ONE, mm(on_tgt[legs[side]], mm(comp[i], on_src[legs[1 - side]])))
+                    (_LAURENT_ONE, mm(on_tgt[legs[side]], mm(comp[i], on_src[legs[1 - side]])))
                     for legs in COPRODUCT[x]
                 ]
                 for jj in (0, 1):
@@ -287,7 +307,7 @@ def _proportional_pairs(pair1, pair2):
         return False
     first = next(iter(flat1))
     a0, b0 = flat1[first], flat2[first]
-    return all(la.lau_poly_mul(a, b0) == la.lau_poly_mul(flat2[k], a0) for k, a in flat1.items())
+    return all(_laurent_mul(a, b0) == _laurent_mul(flat2[k], a0) for k, a in flat1.items())
 
 
 # -- commutation with the q-exponential flows ---------------------------------
@@ -308,16 +328,18 @@ def verify_qexp_commutation(j):
 
 def _qexp_commutation_residuals(two_j):
     """{name: residuals} of the eight commutation identities: residuals[m]
-    is the t^m coefficient of the Q(q) residual times the components'
-    scale and (m)_{q^b}!, b = 2 for e and -2 for f.  Each term of an
+    is the t^m coefficient of the Q(q) residual times the normalizing entry
+    of the raw pair it reads (``_raw_components``: Phi_+- or Psi^+-) and
+    (m)_{q^b}!, b = 2 for e and -2 for f.  Each term of an
     identity is L exp(q^c t x) R times q^e t^k, L and R products of
     components and legs, and the exponentials are in divided powers
     (``uqsl2._q_exp``), so its t^m coefficient times (m)_{q^b}! is
     q^(e + c (m - k)) ((m)_{q^b} if k else 1) L x^(m-k) R."""
-    (_, (Ap, Am, Bp, Bm)), _, _ = _lau_components(two_j)
+    raw = _raw_components(two_j)
+    Ap, Am, Bp, Bm = raw.phi_plus, raw.phi_minus, raw.psi_plus, raw.psi_minus
     mm = la.lau_mul
-    ApKinv = mm(Ap, _lau_legs(two_j - 1)["kinv"])
-    KBp = mm(_lau_legs(two_j)["k"], Bp)
+    ApKinv = mm(Ap, _rep(two_j - 1).Kinv)
+    KBp = mm(_rep(two_j).K, Bp)
     Et, Es = _q_exp((("e",),), (two_j,)), _q_exp((("e",),), (two_j - 1,))
     Ft, Fs = _q_exp((("f",),), (two_j,)), _q_exp((("f",),), (two_j - 1,))
     plus, minus, q, qinv = {0: 1}, {0: -1}, {1: 1}, {-1: 1}
@@ -357,7 +379,7 @@ def _qexp_commutation_residuals(two_j):
                     M = mm(L, M)
                 if R:
                     M = mm(M, R)
-                yield (la.lau_poly_mul(coef, _q_paren(m, base)) if k else coef), M
+                yield (_laurent_mul(coef, _q_paren(m, base)) if k else coef), M
 
     return {
         name: [la.lau_lin(degree(m, base, terms)) for m in range(two_j + 1)]

@@ -16,11 +16,14 @@ S'(k) = k^{-1}, both for every leg name; ``COUNIT`` gives eps.  Every
 tensor product, Hopf check and antipode-twisted vertex relation reads these
 tables.
 
-The q-exponentials and the Hopf checks run over Z[q, q^-1], with no
-division and no gcd.  The legs, their Kronecker products and the antipode
-tables have Laurent entries (``linalg``'s Laurent matrices).  A
-q-exponential exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}! is kept in divided
-powers (``_q_exp``): its t^m coefficient times the scale (m)_{q^b}! is the
+Everything here is over Z[q, q^-1], with no division and no gcd: the
+representation matrices E, F, K, K^-1, their coproducts (``_leg_sum``) and
+the antipode tables are ``linalg``'s Laurent matrices, the one form of
+every U_q(sl2) matrix in the package.  Q(q) enters only where
+``funq.embed_chain`` and ``qvertex.solve_vertex_components`` divide an
+intertwiner solve by its normalizing entry.  A q-exponential
+exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}! is kept in divided powers
+(``_q_exp``): its t^m coefficient times the scale (m)_{q^b}! is the
 Laurent matrix A^m, and a product of two such series has Gaussian binomial
 weights.  Each identity is checked as its Q(q) residual times a nonzero
 scale (q - q^-1 for [e, f], (m)_{q^b}! in t^m for the factorizations, 1
@@ -38,10 +41,9 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 
 from . import linalg as la
-from ._kernels import _trim_words
+from ._kernels import _LAURENT_ONE, _laurent_mul, _trim_words
 from .linalg import NonNilpotentError  # noqa: F401  (re-exported; _q_exp raises it)
 from .ncalg import _q2_binomial
-from .qscalar import ONE, Q, QINV, QScalar, bracket
 from .report import VerificationReport
 
 
@@ -55,6 +57,8 @@ def twice(j):
 
 @dataclass(frozen=True)
 class Rep:
+    """A representation: e, f, k, k^-1 as square Laurent matrices."""
+
     two_j: int
     E: list
     F: list
@@ -77,7 +81,7 @@ class Rep:
     @cached_property
     def legs(self):
         """Matrix of each coproduct leg by name."""
-        return {"e": self.E, "f": self.F, "k": self.K, "kinv": self.Kinv, "one": la.identity(self.dim)}
+        return {"e": self.E, "f": self.F, "k": self.K, "kinv": self.Kinv, "one": la.lau_identity(self.dim)}
 
 
 def make_rep(j):
@@ -88,33 +92,42 @@ def make_rep(j):
 @cache
 def _rep(two_j):
     n = two_j + 1
-    E = la.zeros(n, n)
-    F = la.zeros(n, n)
-    K = la.zeros(n, n)
-    Kinv = la.zeros(n, n)
-    for r in range(n):
-        K[r][r] = QScalar.q_power(two_j - 2 * r)
-        Kinv[r][r] = QScalar.q_power(2 * r - two_j)
-        if r + 1 < n:
-            F[r + 1][r] = ONE
-        if r >= 1:
-            E[r - 1][r] = bracket(r) * bracket(two_j - r + 1)
+
+    def bracket(m):
+        return {2 * i + 1 - m: 1 for i in range(m)}
+
+    E = [{r + 1: _laurent_mul(bracket(r + 1), bracket(two_j - r))} if r < two_j else {} for r in range(n)]
+    F = [{r - 1: _LAURENT_ONE} if r else {} for r in range(n)]
+    K = [{r: {two_j - 2 * r: 1}} for r in range(n)]
+    Kinv = [{r: {2 * r - two_j: 1}} for r in range(n)]
     return Rep(two_j, E, F, K, Kinv)
 
 
 def rep_relations_residuals(rep):
-    """Residual matrices of the defining relations; all zero for a valid rep."""
-    lam = Q - QINV
-    n = rep.dim
-    res = {}
-    res["ke=q2ek"] = la.mat_sub(la.mat_mul(rep.K, rep.E), la.mat_scale(la.mat_mul(rep.E, rep.K), Q * Q))
-    res["kf=q-2fk"] = la.mat_sub(la.mat_mul(rep.K, rep.F), la.mat_scale(la.mat_mul(rep.F, rep.K), QINV * QINV))
-    ef = la.mat_sub(la.mat_mul(rep.E, rep.F), la.mat_mul(rep.F, rep.E))
-    res["[e,f]"] = la.mat_sub(ef, la.mat_scale(la.mat_sub(rep.K, rep.Kinv), lam.inv()))
-    res["kk-1"] = la.mat_sub(la.mat_mul(rep.K, rep.Kinv), la.identity(n))
-    res["e^dim"] = reduce(la.mat_mul, [rep.E] * n)
-    res["f^dim"] = reduce(la.mat_mul, [rep.F] * n)
-    return res
+    """Residual matrices of the defining relations over Z[q, q^-1], [e, f]
+    times q - q^-1; all zero for a valid rep."""
+    ke, ef, kk = _relations(rep.E, rep.F, rep.K, rep.Kinv)
+    kf = la.lau_lin([(_LAURENT_ONE, la.lau_mul(rep.K, rep.F)), ({-2: -1}, la.lau_mul(rep.F, rep.K))])
+    return {
+        "ke=q2ek": ke,
+        "kf=q-2fk": kf,
+        "[e,f]": ef,
+        "kk-1": kk,
+        "e^dim": reduce(la.lau_mul, [rep.E] * rep.dim),
+        "f^dim": reduce(la.lau_mul, [rep.F] * rep.dim),
+    }
+
+
+def _relations(E, F, K, Kinv):
+    """The residuals of k e = q^2 e k, (q - q^-1)[e, f] = k - k^-1 and
+    k k^-1 = 1 over Z[q, q^-1]."""
+    mm, lin = la.lau_mul, la.lau_lin
+    one, neg, lam = _LAURENT_ONE, {0: -1}, {1: 1, -1: -1}
+    return (
+        lin([(one, mm(K, E)), ({2: -1}, mm(E, K))]),
+        lin([(lam, mm(E, F)), (la.lau_neg(lam), mm(F, E)), (neg, K), (one, Kinv)]),
+        lin([(one, mm(K, Kinv)), (neg, la.lau_identity(len(K)))]),
+    )
 
 
 # -- the Hopf structure -------------------------------------------------------
@@ -130,22 +143,28 @@ COPRODUCT = {
 COUNIT = {"e": 0, "f": 0, "k": 1, "kinv": 1}
 
 
-def _delta(x, repA, repB):
-    """The matrix of D(x) on repA ox repB."""
-    A, B = repA.legs, repB.legs
-    return reduce(la.mat_add, [la.kron(A[x1], B[x2]) for x1, x2 in COPRODUCT[x]])
+def _leg_sum(summands, tables):
+    """sum over ``summands`` of the Kronecker product of the named legs of
+    the leg tables ``tables`` (``Rep.legs``), one leg name per table, as a
+    Laurent matrix with no zero term."""
+    terms = [(_LAURENT_ONE, reduce(la.lau_kron, [T[x] for T, x in zip(tables, names)])) for names in summands]
+    return [_trim_words(row) for row in la.lau_lin(terms)]
 
 
 def coproduct(repA, repB):
     """Matrices of Delta(e), Delta(f), Delta(k) on repA ox repB."""
-    return tuple(_delta(x, repA, repB) for x in "efk")
+    return tuple(_leg_sum(COPRODUCT[x], (repA.legs, repB.legs)) for x in "efk")
+
+
+def _negated(M):
+    return la.lau_lin([({0: -1}, M)])
 
 
 def antipode_matrices(rep):
     """Matrices of S(x) in the representation, for every leg name x."""
     return {
-        "e": la.mat_neg(la.mat_mul(rep.K, rep.E)),
-        "f": la.mat_neg(la.mat_mul(rep.F, rep.Kinv)),
+        "e": _negated(la.lau_mul(rep.K, rep.E)),
+        "f": _negated(la.lau_mul(rep.F, rep.Kinv)),
         "k": rep.Kinv,
         "kinv": rep.K,
         "one": rep.legs["one"],
@@ -155,8 +174,8 @@ def antipode_matrices(rep):
 def antipode_inv_matrices(rep):
     """Matrices of S'(x), S' the inverse antipode, for every leg name x."""
     return {
-        "e": la.mat_neg(la.mat_mul(rep.E, rep.K)),
-        "f": la.mat_neg(la.mat_mul(rep.Kinv, rep.F)),
+        "e": _negated(la.lau_mul(rep.E, rep.K)),
+        "f": _negated(la.lau_mul(rep.Kinv, rep.F)),
         "k": rep.Kinv,
         "kinv": rep.K,
         "one": rep.legs["one"],
@@ -167,37 +186,20 @@ def antipode_inv_matrices(rep):
 
 
 @cache
-def _lau_legs(two_j):
-    """The Laurent matrix of each coproduct leg of V_j (``Rep.legs``)."""
-    return _lau_table(_rep(two_j).legs)
-
-
-def _lau_table(table):
-    """A table of QScalar matrices by leg name, as Laurent matrices."""
-    return {x: la.lau_matrix(M) for x, M in table.items()}
-
-
-def _leg_sum(summands, two_js):
-    """sum over ``summands`` of the Kronecker product of the named legs of
-    V_{j_1}, V_{j_2}, ..., one leg name per spin, as a Laurent matrix."""
-    legs = [_lau_legs(tj) for tj in two_js]
-    return la.lau_lin([(la.LAU_ONE, reduce(la.lau_kron, [L[x] for L, x in zip(legs, names)])) for names in summands])
-
-
-@cache
 def _q_exp(summands, two_js):
     """exp_{q^b}(t A) over Z[q, q^-1], in divided powers: the powers
-    (I, A, ..., A^(n-1)) of A = ``_leg_sum(summands, two_js)``, n its
-    nilpotency index.  exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}!, so
-    power m is the t^m coefficient times its scale (m)_{q^b}!, for either
-    base b; the base enters only where a product or a factor t moves a
-    term between degrees (``_series_mul``, ``_q_paren``).
+    (I, A, ..., A^(n-1)) of A = ``_leg_sum`` of ``summands`` over the
+    spins ``two_js``, n its nilpotency index.  exp_{q^b}(t A) =
+    sum_m t^m A^m / (m)_{q^b}!, so power m is the t^m coefficient times its
+    scale (m)_{q^b}!, for either base b; the base enters only where a
+    product or a factor t moves a term between degrees (``_series_mul``,
+    ``_q_paren``).
 
     The series terminates at n; a non-nilpotent A raises NonNilpotentError,
     because it would not.  Equal arguments return the same cached tuple,
     which callers only read.
     """
-    A = [_trim_words(row) for row in _leg_sum(summands, two_js)]
+    A = _leg_sum(summands, [_rep(tj).legs for tj in two_js])
     powers = [la.lau_identity(len(A))]
     power = A
     while any(power):
@@ -248,16 +250,14 @@ def _hopf_residuals(tj, tjp):
     is."""
     spins = (tj, tjp)
     mm, lin = la.lau_mul, la.lau_lin
-    dE, dF, dK, dKi = (_leg_sum(COPRODUCT[x], spins) for x in ("e", "f", "k", "kinv"))
-    one, neg, lam = la.LAU_ONE, {0: -1}, {1: 1, -1: -1}
+    tables = (_rep(tj).legs, _rep(tjp).legs)
+    dE, dF, dK, dKi = (_leg_sum(COPRODUCT[x], tables) for x in ("e", "f", "k", "kinv"))
+    one, neg = _LAURENT_ONE, {0: -1}
 
     # (a) defining relations hold for the coproduct images; [e, f] is
     #     multiplied through by q - q^-1
-    out = [
-        ("delta:ke=q2ek", [lin([(one, mm(dK, dE)), ({2: -1}, mm(dE, dK))])]),
-        ("delta:[e,f]", [lin([(lam, mm(dE, dF)), (la.lau_neg(lam), mm(dF, dE)), (neg, dK), (one, dKi)])]),
-        ("delta:kk^-1", [lin([(one, mm(dK, dKi)), (neg, la.lau_identity(len(dK)))])]),
-    ]
+    names = ("delta:ke=q2ek", "delta:[e,f]", "delta:kk^-1")
+    out = [(name, [res]) for name, res in zip(names, _relations(dE, dF, dK, dKi))]
 
     # (b), (c) exp_{q^2}(t D(e)) and exp_{q^-2}(s D(f)) are the products of
     # the exponentials of their summands, in COPRODUCT order
@@ -270,11 +270,10 @@ def _hopf_residuals(tj, tjp):
         ]
         out.append((f"factorization of {label}", res))
 
-    # (d) antipode axiom sum S(x1) x2 = eps(x) 1 over each D(x), checked in
-    #     each factor representation
-    for t in spins:
-        S = _lau_table(antipode_matrices(_rep(t)))
-        legs = _lau_legs(t)
+    # (d) antipode axiom sum S(x1) x2 = eps(x) 1 over each D(x), checked once
+    #     in each distinct factor representation
+    for t in dict.fromkeys(spins):
+        S, legs = antipode_matrices(_rep(t)), _rep(t).legs
         for x, summands in COPRODUCT.items():
             terms = [(one, mm(S[x1], legs[x2])) for x1, x2 in summands] + [({0: -COUNIT[x]}, legs["one"])]
             out.append((f"antipode axiom on {x} at spin {Fraction(t, 2)}", [lin(terms)]))

@@ -9,11 +9,10 @@ from fractions import Fraction
 import pytest
 import uq_oracle
 
-from tau_forge import linalg as la
 from tau_forge import qvertex, uqsl2
 from tau_forge.cli import run_check
 from tau_forge.qscalar import ONE, Q, QScalar, paren_factorial
-from tau_forge.qvertex import solve_vertex_components, verify_component_relations, verify_qexp_commutation
+from tau_forge.qvertex import verify_component_relations, verify_qexp_commutation
 from tau_forge.uqsl2 import make_rep, verify_hopf_matrices
 
 HALF = Fraction(1, 2)
@@ -33,7 +32,7 @@ def _coefficient(M, var, m):
 
 
 def _nonzero(M):
-    return not la.mat_is_zero(M)
+    return not uq_oracle.mat_is_zero(M)
 
 
 # -- the q-exponential commutation relations ----------------------------------
@@ -43,10 +42,11 @@ def _assert_qexp_matches(two_j):
     """The Laurent residuals equal the oracle's; returns whether any fails."""
     new = qvertex._qexp_commutation_residuals(two_j)
     old = uq_oracle.qexp_commutation_residuals(two_j)
-    (c_scale, _), _, _ = qvertex._lau_components(two_j)
+    phi, psi, _, _ = qvertex._normalizers(qvertex._raw_components(two_j))
     shape = (two_j + 1, two_j)
     for name, res in new.items():
         base, var = (2, 0) if name.startswith("exp") else (-2, 1)
+        c_scale = phi if "phi" in name else psi
         assert len(res) == two_j + 1
         for m, R in enumerate(res):
             scale = QScalar.from_terms(c_scale) * paren_factorial(m, base)
@@ -116,22 +116,24 @@ MUTANTS = {"factorial term": _power_times_q(2), "scale": _exp_times_q()}
 def test_qexp_commutation_mutants_fail_both_routes_alike(monkeypatch, fresh_caches, mutant, two_j):
     # exp_{q^2}(t e) on V_j mutated in both routes
     new, old = MUTANTS[mutant]
-    _mutate_q_exp(monkeypatch, (("e",),), (two_j,), 2, "t", make_rep(Fraction(two_j, 2)).E, new, old)
+    E = uq_oracle.qs_matrix(make_rep(Fraction(two_j, 2)).E)
+    _mutate_q_exp(monkeypatch, (("e",),), (two_j,), 2, "t", E, new, old)
     assert _assert_qexp_matches(two_j)
     assert not verify_qexp_commutation(Fraction(two_j, 2)).verdict
 
 
 def _inject(monkeypatch, two_j, mutant):
-    solve = qvertex.solve_vertex_components
-    monkeypatch.setattr(
-        qvertex, "solve_vertex_components", lambda spin: mutant if spin == Fraction(two_j, 2) else solve(spin)
-    )
+    """Make the raw vertex solve return ``mutant`` at 2j = ``two_j``: the
+    Laurent residuals read it, and the oracle reads it through
+    ``solve_vertex_components``."""
+    solve = qvertex._raw_components
+    monkeypatch.setattr(qvertex, "_raw_components", lambda tj: mutant if tj == two_j else solve(tj))
 
 
 @pytest.mark.parametrize("two_j", TWO_JS)
 def test_phi_minus_times_q_fails_both_routes_alike(monkeypatch, fresh_caches, two_j):
-    comps = solve_vertex_components(Fraction(two_j, 2))
-    _inject(monkeypatch, two_j, dataclasses.replace(comps, phi_minus=la.mat_scale(comps.phi_minus, Q)))
+    raw = qvertex._raw_components(two_j)
+    _inject(monkeypatch, two_j, dataclasses.replace(raw, phi_minus=_times_q(raw.phi_minus)))
     assert _assert_qexp_matches(two_j)
     assert not verify_qexp_commutation(Fraction(two_j, 2)).verdict
     _assert_relations_match(two_j)
@@ -144,8 +146,8 @@ def test_phi_minus_times_q_fails_both_routes_alike(monkeypatch, fresh_caches, tw
 def _assert_relations_match(two_j):
     new = qvertex._component_relation_residuals(two_j)
     old = uq_oracle.component_relation_residuals(Fraction(two_j, 2))
-    four, up, dn = qvertex._lau_components(two_j)
-    scales = {name: QScalar.from_terms(s) for name, (s, _) in (("R1", up), ("R2", four), ("R3", four), ("R4", dn))}
+    phi, psi, up, dn = qvertex._normalizers(qvertex._raw_components(two_j))
+    scales = {name: QScalar.from_terms(s) for name, s in (("R1", up), ("R2", psi), ("R3", phi), ("R4", dn))}
     assert new.keys() == old.keys()
     for key, R in new.items():
         assert _divided(R, (two_j + 1, two_j), scales[key[0]]) == old[key], (two_j, key)
@@ -195,7 +197,7 @@ def test_hopf_residuals_equal_the_oracle(tj, tjp):
 def test_hopf_mutants_fail_both_routes_alike(monkeypatch, fresh_caches, mutant):
     # exp_{q^2}(t D(e)) on V_1 ox V_1/2 mutated in both routes
     new, old = MUTANTS[mutant]
-    delta = uqsl2._delta("e", make_rep(1), make_rep(HALF))
+    delta = uq_oracle.delta("e", make_rep(1), make_rep(HALF))
     _mutate_q_exp(monkeypatch, uqsl2.COPRODUCT["e"], (2, 1), 2, "t", delta, new, old)
     assert _assert_hopf_matches(2, 1) == ["factorization of exp_{q^2}(t e)"]
     assert verify_hopf_matrices(1, HALF).details == ["failed factorization of exp_{q^2}(t e)"]
@@ -226,3 +228,20 @@ def test_kinv_coproduct_as_k_ox_kinv_fails_the_relations(monkeypatch):
     assert [d for d in details if d[len("failed "):] in relations] == ["failed delta:[e,f]", "failed delta:kk^-1"]
     (report,) = run_check("hopf.matrices")
     assert not report.verdict
+
+
+def test_cold_laurent_checks_make_no_qscalar_arithmetic(monkeypatch, fresh_caches):
+    # the legs, tensor actions, antipode tables, intertwiner solves and
+    # residuals of these checks are all over Z[q, q^-1]
+    calls = []
+    for name in ("__mul__", "__add__", "inv"):
+
+        def counting(*args, _original=getattr(QScalar, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(QScalar, name, counting)
+    for check_id in ("hopf.matrices", "vertex.component-relations", "vertex.qexp-commutation"):
+        (report,) = run_check(check_id)
+        assert report.verdict
+    assert calls == []

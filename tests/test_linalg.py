@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from test_funq import EMBED_PAIRS
+from uq_oracle import identity, mat_add, mat_scale, qs_matrix
+
 from tau_forge import linalg as la
 from tau_forge.ncalg import NCPoly, TimesPoly, funq_sl2, q_commuting_pair
-from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO, bracket, paren
+from tau_forge.qscalar import ONE, QScalar, ZERO
 from tau_forge.uqsl2 import coproduct, make_rep
-from test_funq import EMBED_PAIRS
 
 HALF = Fraction(1, 2)
 
@@ -86,8 +88,10 @@ def _dense_equations(left, right):
 
 
 def _dense_intertwiner(left, right):
-    """Reference solve: every entry of M is an unknown, and the e, f and k
-    equations are all assembled."""
+    """Reference solve over Q(q) of the Laurent actions ``left`` and
+    ``right``: every entry of M is an unknown, and the e, f and k equations
+    are all assembled."""
+    left, right = [qs_matrix(M) for M in left], [qs_matrix(M) for M in right]
     rows, cols = len(left[0]), len(right[0])
     basis = _reference_nullspace(_dense_equations(left, right))
     assert len(basis) == 1
@@ -95,9 +99,11 @@ def _dense_intertwiner(left, right):
 
 
 def _assert_equal_up_to_scale(M, ref):
+    """The Laurent matrix M is the QScalar matrix ``ref`` times a scalar."""
+    M = qs_matrix(M, len(ref[0]))
     i, j = next((i, j) for i, r in enumerate(ref) for j, x in enumerate(r) if not x.is_zero())
     assert not M[i][j].is_zero()
-    assert la.mat_scale(M, ref[i][j] / M[i][j]) == ref
+    assert mat_scale(M, ref[i][j] / M[i][j]) == ref
 
 
 def _vertex_family(two_j, family):
@@ -129,7 +135,7 @@ def test_intertwiner_matches_dense_solve_on_vertex_families(two_j, family):
 
 def test_intertwiner_rejects_non_diagonal_k():
     rep = make_rep(HALF)
-    upper = [[Q, ONE], [ZERO, QINV]]
+    upper = [{0: {1: 1}, 1: {0: 1}}, {1: {-1: 1}}]
     with pytest.raises(ValueError):
         la.intertwiner((rep.E, rep.F, upper), rep.action)
     with pytest.raises(ValueError):
@@ -143,47 +149,60 @@ def _apply(A, v):
     return [sum((a * x for a, x in zip(row, v) if not a.is_zero() and not x.is_zero()), ZERO) for row in A]
 
 
+def _qs_rows(A):
+    """Rows of Laurent entries, one per column, as a dense QScalar matrix."""
+    return qs_matrix([dict(enumerate(row)) for row in A], len(A[0]))
+
+
+def _laurent_rows(A):
+    """A QScalar matrix with entries in Z[q, q^-1] as rows of Laurent
+    entries, one per column, {} for zero."""
+    return [[{} if x.is_zero() else x.as_laurent() for x in row] for row in A]
+
+
 def _assert_nullspace(A):
     """Every basis vector solves A v = 0 exactly, the basis is independent,
-    and its size is the reference's nullity."""
+    and its size is the reference's nullity; A and the basis over Z[q, q^-1]
+    as rows of Laurent entries."""
     basis = la.nullspace(A)
-    assert len(basis) == len(_reference_nullspace(A))
+    ref_A = _qs_rows(A)
+    assert len(basis) == len(_reference_nullspace(ref_A))
     for v in basis:
-        assert all(x.is_zero() for x in _apply(A, v))
+        assert all(x.is_zero() for x in _apply(ref_A, _qs_rows([v])[0]))
     if basis:
-        assert len(_reference_nullspace(basis)) == len(A[0]) - len(basis)
+        assert len(_reference_nullspace(_qs_rows(basis))) == len(A[0]) - len(basis)
     return basis
 
 
-# denominators that are not powers of q: 1/[2], 1/(q+1), q^2/(q^2+q+1),
-# 1/(q^2+q), and the rational -3/7
-NASTY = [
-    bracket(2).inv(),
-    paren(2).inv(),
-    (Q + QINV + ONE).inv() * Q,
-    (Q * Q + Q).inv(),
-    QScalar.from_rational(Fraction(-3, 7)),
+# factors with roots off q = 0: [2], (2), q^2 + q + 1, q^2 + q and 7
+FACTORS = [
+    QScalar.from_terms({1: 1, -1: 1}),
+    QScalar.from_terms({0: 1, 1: 1}),
+    QScalar.from_terms({0: 1, 1: 1, 2: 1}),
+    QScalar.from_terms({1: 1, 2: 1}),
+    QScalar.from_terms({0: 7}),
 ]
 
 
-def _qq_entry(rng):
-    """A Laurent, rational or non-Laurent element of Q(q)."""
+def _laurent_entry(rng):
+    """A sparse, constant or factored element of Z[q, q^-1]."""
     kind = rng.randrange(3)
     if kind == 0:
         return QScalar.from_terms({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))})
     if kind == 1:
-        return QScalar.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
-    return rng.choice(NASTY) * QScalar.from_terms({rng.randint(-2, 2): rng.choice([-2, -1, 1, 5])})
+        return QScalar.from_terms({0: rng.randint(-9, 9)})
+    return rng.choice(FACTORS) * QScalar.from_terms({rng.randint(-2, 2): rng.choice([-2, -1, 1, 5])})
 
 
 def _random_system(rng, n, m, rank, zero_row=None, zero_col=None):
-    """An n x m system B C with B n x rank and C rank x m random, so its
-    nullity is at least m - rank; row ``zero_row`` and column ``zero_col``
-    are zero."""
-    B = [[_qq_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(rank)] for _ in range(n)]
-    C = [[_qq_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(m)] for _ in range(rank)]
+    """An n x m system B C over Z[q, q^-1] with B n x rank and C rank x m
+    random, so its nullity is at least m - rank; row ``zero_row`` and column
+    ``zero_col`` are zero."""
+    B = [[_laurent_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(rank)] for _ in range(n)]
+    C = [[_laurent_entry(rng) if rng.random() < 0.8 else ZERO for _ in range(m)] for _ in range(rank)]
     A = la.mat_mul(B, C) if rank else la.zeros(n, m)
-    return [[ZERO if i == zero_row or j == zero_col else x for j, x in enumerate(r)] for i, r in enumerate(A)]
+    A = [[ZERO if i == zero_row or j == zero_col else x for j, x in enumerate(r)] for i, r in enumerate(A)]
+    return _laurent_rows(A)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -198,20 +217,22 @@ def test_nullspace_matches_reference_on_random_systems(seed, n, m, rank):
 
 
 def test_nullspace_edge_shapes():
-    a, b = bracket(2).inv(), paren(2).inv()
+    a, b, one, q = {1: 1, -1: 1}, {0: 1, 1: 1}, {0: 1}, {1: 1}
     # full rank: empty basis
-    assert la.nullspace([[a, ONE], [ONE, b]]) == []
-    # all zero: the unit vectors
-    assert la.nullspace([[ZERO, ZERO, ZERO]]) == [la.identity(3)[i] for i in range(3)]
+    assert la.nullspace([[a, one], [one, b]]) == []
+    # all zero: the unit vectors, the last pivot being 1
+    assert la.nullspace([[{}, {}, {}]]) == [[one if j == i else {} for j in range(3)] for i in range(3)]
     # rank 1 with a zero column: nullity 3, and the zero column's unknown
-    # is free, so its unit vector is a basis vector
-    basis = _assert_nullspace([[a, ZERO, b, Q], [a * Q, ZERO, b * Q, Q * Q]])
+    # is free, so a multiple of its unit vector is a basis vector
+    aq, bq = {2: 1, 0: 1}, {1: 1, 2: 1}
+    basis = _assert_nullspace([[a, {}, b, q], [aq, {}, bq, {2: 1}]])
     assert len(basis) == 3
-    assert la.identity(4)[1] in basis
+    assert any(v[1] and not any(v[j] for j in (0, 2, 3)) for v in basis)
 
 
 def test_nullspace_multiplies_no_qscalar_while_eliminating(monkeypatch):
-    eqs = _dense_equations(*_vertex_family(5, "annihilating right"))
+    left, right = _vertex_family(5, "annihilating right")
+    eqs = _laurent_rows(_dense_equations([qs_matrix(M) for M in left], [qs_matrix(M) for M in right]))
     calls = []
     mul = QScalar.__mul__
 
@@ -221,29 +242,28 @@ def test_nullspace_multiplies_no_qscalar_while_eliminating(monkeypatch):
 
     monkeypatch.setattr(QScalar, "__mul__", counting)
     basis = la.nullspace(eqs)
-    ncols = len(eqs[0])
-    # one product per decoded entry: at most one per pivot column and free column
-    assert len(calls) <= ncols * len(basis)
+    # the rows and the basis are over Z[q, q^-1]: no Q(q) arithmetic at all
+    assert calls == []
     monkeypatch.undo()
-    assert len(basis) == len(_reference_nullspace(eqs))
+    assert len(basis) == len(_reference_nullspace(_qs_rows(eqs)))
 
 
 def test_too_small_a_bound_is_caught_or_wrong(monkeypatch):
     # entries with coefficients far above 2 bits: two-bit digits overlap,
     # so the elimination must raise or return a basis that fails A v = 0
     big = QScalar.from_terms({0: 37, 1: -29, 2: 41})
-    A = [
+    A = _laurent_rows([
         [big, QScalar.from_terms({1: 19, 0: 23}), ONE, ZERO],
         [QScalar.from_terms({0: 31, 3: 17}), big * big, QScalar.from_terms({2: -13}), ONE],
         [ONE, QScalar.from_terms({0: 11, 1: 7}), big, QScalar.from_terms({1: 43})],
-    ]
+    ])
     _assert_nullspace(A)
     monkeypatch.setattr(la, "_kronecker_bits", lambda bound: 2)
     try:
         basis = la.nullspace(A)
     except ArithmeticError:
         return
-    assert len(basis) != 1 or any(not x.is_zero() for v in basis for x in _apply(A, v))
+    assert len(basis) != 1 or any(not x.is_zero() for v in basis for x in _apply(_qs_rows(A), _qs_rows([v])[0]))
 
 
 # -- the products against the dense loops they replaced ----------------------
@@ -345,7 +365,7 @@ def test_products_match_dense_loops(ring, seed, n, k, m):
     _assert_same(la.mat_mul(A, B), _dense_mul(A, B))
     _assert_same(la.kron(A, B), _dense_kron(A, B))
     C = _sparse(rng, ring, n, k)
-    _assert_same(la.mat_add(A, C), _dense_add(A, C))
+    _assert_same(mat_add(A, C), _dense_add(A, C))
     _assert_same(la.mat_sub(A, C), _dense_sub(A, C))
 
 
@@ -402,7 +422,8 @@ def _nonzero_pairs(A, B):
 def test_mat_mul_multiplies_only_nonzero_pairs(monkeypatch):
     rep = make_rep(2)
     M = _sparse(random.Random(11), "qscalar", rep.dim, rep.dim)
-    cases = [(la.identity(rep.dim), M), (rep.K, rep.E), (rep.E, rep.F)]
+    K, E, F = qs_matrix(rep.K), qs_matrix(rep.E), qs_matrix(rep.F)
+    cases = [(identity(rep.dim), M), (K, E), (E, F)]
     expected = [_dense_mul(A, B) for A, B in cases]
     calls = []
     mul = QScalar.__mul__

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from uq_oracle import q_exp_nilpotent, tp_lift
+from uq_oracle import q_exp_nilpotent, qs_matrix, qs_table, tp_lift
 
 from tau_forge import linalg as la
 from tau_forge.qscalar import ONE, Q, QINV, ZERO, bracket
@@ -60,8 +60,8 @@ def test_first_commutation_relation_directly():
     comps = solve_vertex_components(HALF)
     src = make_rep(0)
     tgt = make_rep(HALF)
-    Et = q_exp_nilpotent(tgt.E, "t", 2, ("t",))
-    Es = q_exp_nilpotent(src.E, "t", 2, ("t",))
+    Et = q_exp_nilpotent(qs_matrix(tgt.E), "t", 2, ("t",))
+    Es = q_exp_nilpotent(qs_matrix(src.E), "t", 2, ("t",))
     Ap = tp_lift(comps.phi_plus, ("t",))
     res = la.mat_sub(la.mat_mul(Et, Ap), la.mat_mul(Ap, Es))
     assert all(x.is_zero() for row in res for x in row)
@@ -72,13 +72,13 @@ def test_lowering_exp_derivative_identity():
     from tau_forge.qhirota import q_derivative
 
     for j in (HALF, 1, Fraction(3, 2)):
-        rep = make_rep(j)
-        M = q_exp_nilpotent(rep.F, "s", -2, ("s",))
-        lhs = la.mat_mul(M, tp_lift(rep.F, ("s",)))
+        E, F = qs_matrix(make_rep(j).E), qs_matrix(make_rep(j).F)
+        M = q_exp_nilpotent(F, "s", -2, ("s",))
+        lhs = la.mat_mul(M, tp_lift(F, ("s",)))
         rhs = [[q_derivative(x, "s", -2) for x in row] for row in M]
         assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
-        Me = q_exp_nilpotent(rep.E, "t", 2, ("t",))
-        lhs = la.mat_mul(tp_lift(rep.E, ("t",)), Me)
+        Me = q_exp_nilpotent(E, "t", 2, ("t",))
+        lhs = la.mat_mul(tp_lift(E, ("t",)), Me)
         rhs = [[q_derivative(x, "t", 2) for x in row] for row in Me]
         assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 
@@ -107,7 +107,7 @@ def test_intertwining_residuals_zero():
         src = make_rep(Fraction(two_j - 1, 2))
         tgt = make_rep(j)
         W = make_rep(HALF)
-        big = dict(zip("efk", _coproduct(src, W)))
+        big = dict(zip("efk", map(qs_matrix, _coproduct(src, W))))
         phi = [
             [None] * (2 * src.dim) for _ in range(tgt.dim)
         ]
@@ -115,10 +115,11 @@ def test_intertwining_residuals_zero():
             for r in range(src.dim):
                 phi[i][2 * r] = comps.phi_plus[i][r]
                 phi[i][2 * r + 1] = comps.phi_minus[i][r]
-        for x, tmat in (("e", tgt.E), ("f", tgt.F), ("k", tgt.K)):
+        legs = qs_table(tgt.legs)
+        for x, tmat in (("e", legs["e"]), ("f", legs["f"]), ("k", legs["k"])):
             lhs = la.mat_mul(tmat, phi)
             rhs = la.mat_mul(phi, big[x])
-            assert la.mat_is_zero(la.mat_sub(lhs, rhs)), (j, x)
+            assert all(x.is_zero() for row in la.mat_sub(lhs, rhs) for x in row), (j, x)
 
 
 def test_intertwiner_rejects_zero_dimensional_space():
@@ -155,7 +156,7 @@ def test_checks_fail_with_antipode_of_e_reversed(monkeypatch):
     antipode = uqsl2.antipode_matrices
 
     def reversed_e(rep):
-        return {**antipode(rep), "e": la.mat_neg(la.mat_mul(rep.E, rep.K))}
+        return {**antipode(rep), "e": la.lau_lin([({0: -1}, la.lau_mul(rep.E, rep.K))])}
 
     monkeypatch.setattr(uqsl2, "antipode_matrices", reversed_e)
     monkeypatch.setattr(qvertex, "antipode_matrices", reversed_e)
@@ -170,22 +171,31 @@ def test_checks_fail_with_antipode_of_e_reversed(monkeypatch):
         assert _failures(verify_component_relations(j)) == {("R1", "e"), ("R4", "e")}
 
 
-def _inject(monkeypatch, j, mutant):
-    """Make solve_vertex_components return ``mutant`` at spin j."""
+def _inject(monkeypatch, j, mutate):
+    """Make the raw vertex solve, which every vertex check reads, return
+    ``mutate`` of its components at spin j; the caches must be fresh."""
+    import dataclasses
+
     from tau_forge import qvertex
 
-    solve = qvertex.solve_vertex_components
-    monkeypatch.setattr(qvertex, "solve_vertex_components", lambda spin: mutant if spin == j else solve(spin))
+    solve = qvertex._raw_components
+    monkeypatch.setattr(
+        qvertex,
+        "_raw_components",
+        lambda two_j: dataclasses.replace(solve(two_j), **mutate(solve(two_j))) if two_j == 2 * j else solve(two_j),
+    )
+
+
+def _times_q(M):
+    """The Laurent matrix M times q."""
+    return la.lau_lin([({1: 1}, M)])
 
 
 def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch, fresh_caches):
     # phi_- at j = 1 scaled by q
-    import dataclasses
-
     from tau_forge.cli import run_check
 
-    comps = solve_vertex_components(1)
-    _inject(monkeypatch, 1, dataclasses.replace(comps, phi_minus=la.mat_scale(comps.phi_minus, Q)))
+    _inject(monkeypatch, 1, lambda raw: {"phi_minus": _times_q(raw.phi_minus)})
     (relations, normalizations, commutation) = run_check("vertex.*")
     assert [r.check_id for r in (relations, normalizations, commutation)] == [
         "vertex.component-relations", "vertex.normalizations", "vertex.qexp-commutation",
@@ -200,11 +210,7 @@ def test_checks_fail_with_phi_minus_scaled_by_q(monkeypatch, fresh_caches):
 
 def test_checks_fail_with_phi_up_plus_scaled_by_q(monkeypatch, fresh_caches):
     # phi_up[0] (creating right, + component) at j = 1 scaled by q
-    import dataclasses
-
-    comps = solve_vertex_components(1)
-    phi_up = (la.mat_scale(comps.phi_up[0], Q), comps.phi_up[1])
-    _inject(monkeypatch, 1, dataclasses.replace(comps, phi_up=phi_up))
+    _inject(monkeypatch, 1, lambda raw: {"phi_up": (_times_q(raw.phi_up[0]), raw.phi_up[1])})
     report = verify_component_relations(1)
     assert not report.verdict
     assert "dual identification fails for creating-right components" in report.details
@@ -220,7 +226,7 @@ def test_wrong_inverse_antipode_fails_the_check_instead_of_raising(monkeypatch, 
     antipode_inv = qvertex.antipode_inv_matrices
 
     def k_first(rep):
-        return {**antipode_inv(rep), "e": la.mat_neg(la.mat_mul(rep.K, rep.E))}
+        return {**antipode_inv(rep), "e": la.lau_lin([({0: -1}, la.lau_mul(rep.K, rep.E))])}
 
     monkeypatch.setattr(qvertex, "antipode_inv_matrices", k_first)
     (relations,) = run_check("vertex.component-relations")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from uq_oracle import q_exp_nilpotent, tp_lift, tp_scale_var
+from uq_oracle import q_exp_nilpotent, qs_matrix, tp_lift, tp_scale_var
 
 from tau_forge import linalg as la
 from tau_forge.cli import run_check
@@ -30,39 +30,40 @@ def test_twice():
 
 def test_make_rep_half():
     rep = make_rep(HALF)
-    assert rep.E == [[ZERO, ONE], [ZERO, ZERO]]
-    assert rep.F == [[ZERO, ZERO], [ONE, ZERO]]
-    assert rep.K == [[Q, ZERO], [ZERO, QINV]]
+    assert qs_matrix(rep.E) == [[ZERO, ONE], [ZERO, ZERO]]
+    assert qs_matrix(rep.F) == [[ZERO, ZERO], [ONE, ZERO]]
+    assert qs_matrix(rep.K) == [[Q, ZERO], [ZERO, QINV]]
 
 
 def test_make_rep_spin_one_lowering():
     rep = make_rep(1)
     # E v_1 = [1][2] v_0 = (q + q^-1) v_0
-    assert rep.E[0][1] == Q + QINV
-    assert rep.F[1][0] == ONE and rep.F[2][1] == ONE
+    E, F = qs_matrix(rep.E), qs_matrix(rep.F)
+    assert E[0][1] == Q + QINV
+    assert F[1][0] == ONE and F[2][1] == ONE
 
 
 def test_make_rep_trivial():
     rep = make_rep(0)
-    assert rep.E == [[ZERO]] and rep.F == [[ZERO]] and rep.K == [[ONE]]
+    assert qs_matrix(rep.E) == [[ZERO]] and qs_matrix(rep.F) == [[ZERO]] and qs_matrix(rep.K) == [[ONE]]
 
 
 @pytest.mark.parametrize("two_j", range(0, 7))
 def test_rep_relations(two_j):
     rep = make_rep(Fraction(two_j, 2))
     for name, res in rep_relations_residuals(rep).items():
-        assert la.mat_is_zero(res), name
+        assert la.lau_is_zero(res), name
 
 
 def test_q_exp_half():
     rep = make_rep(HALF)
-    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
+    M = q_exp_nilpotent(qs_matrix(rep.E), "t", 2, ("t",))
     assert str(M[0][1]) == "t" and str(M[0][0]) == "1"
 
 
 def test_q_exp_spin_one_f():
     rep = make_rep(1)
-    M = q_exp_nilpotent(rep.F, "s", -2, ("s",))
+    M = q_exp_nilpotent(qs_matrix(rep.F), "s", -2, ("s",))
     # I + sF + s^2 F^2 / (2)_{q^-2}
     from tau_forge.qscalar import paren_factorial
 
@@ -73,7 +74,7 @@ def test_q_exp_spin_one_f():
 def test_q_exp_rejects_non_nilpotent():
     rep = make_rep(HALF)
     with pytest.raises(NonNilpotentError):
-        q_exp_nilpotent(rep.K, "t", 2, ("t",))
+        q_exp_nilpotent(qs_matrix(rep.K), "t", 2, ("t",))
     with pytest.raises(NonNilpotentError):
         _q_exp((("k",),), (1,))
 
@@ -109,7 +110,7 @@ def test_checks_leave_the_cached_q_exp_unchanged(fresh_caches):
 
 def test_q_exp_at_zero_is_identity():
     rep = make_rep(Fraction(3, 2))
-    M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
+    M = q_exp_nilpotent(qs_matrix(rep.E), "t", 2, ("t",))
     for i in range(rep.dim):
         for j in range(rep.dim):
             val = M[i][j].constant_term()
@@ -128,8 +129,8 @@ def test_weight_grading_conjugation():
     # K exp_{q^2}(t E) K^-1 = exp_{q^2}(q^2 t E)
     for j in (HALF, 1, Fraction(3, 2)):
         rep = make_rep(j)
-        M = q_exp_nilpotent(rep.E, "t", 2, ("t",))
-        lhs = la.mat_mul(tp_lift(rep.K, ("t",)), la.mat_mul(M, tp_lift(rep.Kinv, ("t",))))
+        M = q_exp_nilpotent(qs_matrix(rep.E), "t", 2, ("t",))
+        lhs = la.mat_mul(tp_lift(qs_matrix(rep.K), ("t",)), la.mat_mul(M, tp_lift(qs_matrix(rep.Kinv), ("t",))))
         rhs = tp_scale_var(M, "t", Q * Q)
         assert all(x.is_zero() for row in la.mat_sub(lhs, rhs) for x in row)
 
@@ -143,3 +144,16 @@ def test_hopf_matrices_fail_with_mutated_coproduct(monkeypatch):
     (report,) = run_check("hopf.matrices")
     assert not report.verdict
     assert "failed antipode axiom on e" in report.residual
+
+
+def test_antipode_axiom_is_checked_once_per_distinct_spin(monkeypatch):
+    # D(k^-1) = k ox k^-1 fails (d) on kinv; a pair of equal spins has one
+    # factor representation, so the failure is listed once
+    from tau_forge import uqsl2
+
+    monkeypatch.setitem(uqsl2.COPRODUCT, "kinv", (("k", "kinv"),))
+    details = verify_hopf_matrices(HALF, HALF).details
+    assert details.count("failed antipode axiom on kinv at spin 1/2") == 1
+    details = verify_hopf_matrices(HALF, 1).details
+    assert "failed antipode axiom on kinv at spin 1/2" in details
+    assert "failed antipode axiom on kinv at spin 1" in details

@@ -3,7 +3,7 @@
 The spin-j matrix of coordinate functions T^(j) is produced two ways:
 
 * :func:`t_matrix` - over the :func:`~tau_forge.ncalg.funq_sl2` presentation,
-  from one quantum-plane table (:func:`_plane`) that :func:`tau_q` reads
+  from one quantum-plane table (:func:`_plane`) that the tau tables read
   too.  The spin-(j+j') block of the ordered entry products of T^(j) and
   T^(j'), cut out by the intertwiners, is the corepresentation check.
 * :func:`gauss_t_matrix` - over the :func:`~tau_forge.ncalg.gauss_param`
@@ -16,7 +16,11 @@ e-side flow on r, so that the spin-1/2 matrix reads [[a, b], [c, d]] while
 
     tau_j(u, x) = <top| exp_{q^2}(u e) . exp_{q^-2}(x f) |top>
 
-expands to a + b u + c x + d u x for j = 1/2.  Under the weight grading
+expands to a + b u + c x + d u x for j = 1/2.  :func:`_tau_table` holds
+tau_j once per spin as integer Laurent coefficients by PBW block, with its
+l1 norm; the general bilinear identity of ``qhirota`` (``lm``) packs these
+tables as integers and reads nothing else of this module, so it meets no
+Q(q) arithmetic.  Under the weight grading
 deg a = (1,1), deg b = (1,-1), deg c = (-1,1), deg d = (-1,-1) the entry
 (m, r) is homogeneous of degree (2(j-m), 2(j-r)).
 
@@ -201,34 +205,35 @@ def gauss_t_matrix(j, convention=FROZEN_GAUSS_CONVENTION):
 
 
 # ---------------------------------------------------------------------------
-# tau as an element of the function algebra
+# tau as a table over Z[q, q^-1]
 # ---------------------------------------------------------------------------
 
 
-def tau_q(j, e_var, f_var, vars):
-    """tau_j with the e-side flow in slot 1 and the f-side flow in slot 2:
+@cache
+def _tau_table(two_j):
+    """tau_j over Z[q, q^-1], with the e-side flow u and the f-side flow x:
 
         tau_j(u, x) = sum_{m,r} [exp_{q^2}(u E)]_{0m} T~_{mr} [exp_{q^-2}(x F)]_{r0}
 
     over the semantic (bra-row) matrix T~ of :func:`t_matrix`; for j = 1/2
-    this is a + b u + c x + d u x.  tau_0 = 1.  The flow entries
+    this is a + b u + c x + d u x, and tau_0 = 1.  The flow entries
     u^m [m]! [2j]! / ([2j-m]! (m)_{q^2}!) and x^r / (r)_{q^-2}! cancel D: the
     coefficient of u^m x^r is q^(r(r-1)/2 - m(2j-m) - m(m-1)/2) times
-    [2j choose r]_{q^2} P[r][m], a Laurent polynomial.
+    [2j choose r]_{q^2} P[r][m], a Laurent polynomial.  Returned as
+    ({PBW block: {(m, r, i, k): {q-exponent: int}}}, l1 norm): the
+    coefficient of u^m x^r w^n b^i c^k sits under block (w, n), ("a", 0)
+    for no a or d, and the norm is the sum of |coefficient| over them all.
     """
-    vars = tuple(vars)
-    if e_var == f_var or e_var not in vars or f_var not in vars:
-        raise ValueError(f"need two distinct flow variables from {vars}, got {e_var!r} and {f_var!r}")
-    two_j = twice(j)
-    terms = {}
+    blocks = {}
     for r, row in enumerate(_plane(two_j)):
         for m, entry in enumerate(row):
-            mono = tuple(m if v == e_var else r if v == f_var else 0 for v in vars)
             shift = r * (r - 1) // 2 - m * (two_j - m) - m * (m - 1) // 2
             scale = _laurent_mul({shift: 1}, _q2_binomial(two_j, r))
             for w, c in entry.items():
-                terms.setdefault(w, {})[mono] = QScalar.from_terms(_laurent_mul(scale, c))
-    return NCPoly(funq_sl2(), vars, {w: TimesPoly(vars, t) for w, t in terms.items()})
+                i, k = w.count("b"), w.count("c")
+                n = len(w) - i - k
+                blocks.setdefault((w[0] if n else "a", n), {})[m, r, i, k] = _laurent_mul(scale, c)
+    return blocks, sum(abs(v) for d in blocks.values() for c in d.values() for v in c.values())
 
 
 # ---------------------------------------------------------------------------

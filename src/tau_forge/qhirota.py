@@ -25,28 +25,32 @@ Residuals live in the coordinate algebra itself, so a zero residual stays
 zero under any algebra representation; operator-valued solutions are
 covered by these checks without a separate evaluation engine.
 
-The general identity is evaluated without Q(q) arithmetic.  ``lm_sides``
-states it literally, as BilinearTerms over the taus; every tau coefficient
-is a Laurent polynomial in q with integer coefficients, and the only other
-denominators are the brackets [2j] and [2j'] in the prefactors.  Each side
-is therefore multiplied by [2j][2j'] and built in ``_LaurentRing``, over
-Z[q, q^-1] Kronecker-packed in q (Kronecker 1882; Harvey 2009, "Faster
-polynomial multiplication via multipoint Kronecker substitution"): each
-(normal word, time monomial) holds one integer, its Laurent polynomial
-evaluated at q = 2^B with its lowest exponent kept beside it.  A q-shift
-moves that exponent, a q-derivative multiplies by an encoded q-number,
-each monomial of the central prefactors folds into a factor, so that terms
-sharing a factor make one product (two per side), and words multiply by
-PBW block (the power of a or d) with the closed form ``funq_sl2_blocks``,
-without rewriting.  B comes from a proven l1 bound on every coefficient of
-LHS - RHS (see ``_LaurentRing``), so ``verify_lm`` decides by testing the
-LHS - RHS integers for zero.  [2j][2j'] is a nonzero element of Q(q), so a
-scaled side, or the scaled residual, is zero exactly when the unscaled one
-is.  Only ``lm_residual`` and the FAIL text decode the balanced base-2^B
-digits back to Laurent polynomials; ``lm_residual`` decodes both sides of
-one packed build, divides each by [2j][2j'] once and returns them as
-NCPolys over Q(q).  The hierarchy equations are their q-Taylor
-coefficients (``expand_hierarchy``), compared side by side.
+The general identity is evaluated without Q(q) arithmetic.  Every tau
+coefficient is a Laurent polynomial in q with integer coefficients, held
+once per spin in ``funq._tau_table`` beside its l1 norm, and the only other
+denominators are the brackets [2j] and [2j'] of the prefactors, so
+``lm_sides`` states the identity times [2j][2j'], as BilinearTerms over
+the tables with Laurent prefactors.  Both sides are built in
+``_LaurentRing``, over Z[q, q^-1] Kronecker-packed in q (Kronecker 1882;
+Harvey 2009, "Faster polynomial multiplication via multipoint Kronecker
+substitution"): each (normal word, time monomial) holds one integer, its
+Laurent polynomial evaluated at q = 2^B with a lowest exponent kept
+beside it.  A q-shift moves that exponent, a q-derivative multiplies by an
+encoded q-number, each monomial of the central prefactors folds into a
+factor, so that terms sharing a factor make one product (two per side),
+and words multiply by PBW block (the power of a or d) with the closed form
+``funq_sl2_blocks``, without rewriting.  Every product adds into one
+{block: {key: int}} at one lowest exponent fixed before the first product.
+B comes from a proven l1 bound on every coefficient of LHS - RHS, taken
+from the table norms (see ``_LaurentRing``), so ``verify_lm`` decides by
+testing integers for zero: the LHS first, then the LHS with the RHS
+subtracted into it.  [2j][2j'] is a nonzero element of Q(q), so a scaled
+side, or the scaled residual, is zero exactly when the unscaled one is.
+Only ``lm_residual`` and the FAIL text decode the balanced base-2^B digits
+back to Laurent polynomials; ``lm_residual`` decodes both sides of one
+packed build, divides each by [2j][2j'] once and returns them as NCPolys
+over Q(q).  The hierarchy equations are their q-Taylor coefficients
+(``expand_hierarchy``), compared side by side.
 """
 
 from __future__ import annotations
@@ -55,12 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .funq import tau_q
+from .funq import _tau_table
 from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2, funq_sl2_blocks
-from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _pack, _trim_words, _unpack
+from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _laurent_mul, _pack, _trim_words, _unpack
 from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
 from .report import VerificationReport
-from .uqsl2 import twice
+from .uqsl2 import _q_bracket, twice
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +154,14 @@ def _odd_parts(d):
     return [(k, *_odd_part(c)) for k, c in d.items() if c]
 
 
-def _addmul_odd(acc, a, b, shift):
-    """acc += (a * b) << shift, for a and b as ``_odd_parts`` lists; each
-    product is of the odd parts, shifted after."""
+def _addmul_odd(acc, a, b, shift, sign=1):
+    """acc += sign * (a * b) << shift, for a and b as ``_odd_parts`` lists;
+    each product is of the odd parts, shifted after."""
     get = acc.get
     for k1, c1, t1 in a:
         t1 += shift
+        if sign < 0:
+            c1 = -c1
         for k2, c2, t2 in b:
             k = k1 + k2
             acc[k] = get(k, 0) + ((c1 * c2) << (t1 + t2))
@@ -164,141 +170,128 @@ def _addmul_odd(acc, a, b, shift):
 
 def _lowest(laurents):
     """The lowest q-exponent in some Laurent polynomials (0 if none)."""
-    return min((e for c in laurents for e in c), default=0)
+    return min(map(min, laurents), default=0)
 
 
-def _degrees(p):
-    """Largest exponent of each time variable in a TimesPoly or NCPoly."""
-    polys = p.terms.values() if isinstance(p, NCPoly) else (p,)
-    out = [0] * len(p.vars)
-    for tp in polys:
-        for m in tp.terms:
-            out = [max(a, b) for a, b in zip(out, m)]
-    return out
-
-
-def _l1(p, derivs=()):
-    """A bound on the l1 norm (the sum of |coefficient| over every word,
-    time monomial and power of q) of a TimesPoly or NCPoly p with Laurent
-    coefficients after its shifts and the derivatives ``derivs``: a shift
-    moves powers of q only, and D^(q^b) in a variable of degree n maps
-    c x^m to c (m)_{q^b} x^(m-1), whose l1 is m <= n times that of c."""
-    polys = p.terms.values() if isinstance(p, NCPoly) else (p,)
-    out = sum(abs(v) for tp in polys for c in tp.terms.values() for v in c.as_laurent().values())
-    degs = _degrees(p)
-    for var, _ in derivs:
-        out *= degs[p.vars.index(var)]
-    return out
-
-
-def _word_length(p):
-    """The longest word of an NCPoly (0 if none)."""
-    return max(map(len, p.terms), default=0)
-
-
-def _ad_power(p):
-    """The largest power of a or d in a word of an NCPoly over funq_sl2."""
-    return max((len(w) - w.count("b") - w.count("c") for w in p.terms), default=0)
+def _nonzero(acc):
+    """Whether a {block: {key: int}} holds an int other than 0."""
+    return any(any(d.values()) for d in acc.values())
 
 
 class _LaurentRing:
-    """Polynomials in the time variables over funq_sl2 with coefficients in
-    Z[q, q^-1], Kronecker-packed in q: an element is ``(low, {block: {key:
-    int}})``.
+    """Polynomials in the times ``LM_VARS`` over funq_sl2 with coefficients
+    in Z[q, q^-1], Kronecker-packed in q, for the two sides of one
+    bilinear identity.  A factor is ``(low, {block: {key: int}})``.
 
     A normal word of funq_sl2 is x^n b^i c^k with x in {a, d}; (x, n) is
-    its block, ("a", 0) for no a or d.  A key holds the time-variable
-    exponents and then i and k in ``width``-bit fields (``_kernels._pack``).
-    No field overflows: a term's time degrees are at most the sums of its
+    its block, ("a", 0) for no a or d.  A key holds the exponents of u, x,
+    v and y and then i and k in ``width``-bit fields (``_kernels._pack``).
+    The factors are tau tables (``funq._tau_table``): tau_j has degree at
+    most 2j in each of its flows and words of length at most 2j, a left
+    factor flows in u and x and a right one in v and y.  No field
+    overflows: a term's time degrees are at most the sums of its
     prefactor's and factors' (a shift keeps degrees, a derivative lowers
     them), and the b and c degrees of x^n b^i c^k times y^m b^i' c^k' are
-    i + i' + r and k + k' + r, r <= min(n, m), at most the sum of the two
-    word lengths (2j + 2j' for tau_j tau_j').
-    The int under (block, key) is that coefficient's Laurent polynomial
-    times q^-low, evaluated at q = 2^bits; ``low`` is shared by the whole
-    element and is at most every exponent in it.  Evaluation at q = 2^bits
-    is a ring homomorphism Z[q] -> Z, so sums and products of the ints are
-    exact at any size: a product adds the lows and multiplies the ints, a
-    sum aligns the lows by shifting.  Words multiply block by block, by the
-    closed form ``funq_sl2_blocks``: a twist q^(twist (i+k)) of the left
-    factor, a convolution of the two blocks' terms, and a polynomial in
-    z = bc, whose z^r term shifts the b and c fields by r.
+    i + i' + r and k + k' + r, r <= min(n, m), at most 2j + 2j'.
+    A factor's int under (block, key) is that coefficient's Laurent
+    polynomial times q^-low, evaluated at q = 2^bits, its ``low`` at most
+    every exponent in it.  Evaluation at q = 2^bits is a ring homomorphism
+    Z[q] -> Z, so sums and products of the ints are exact at any size.
+    Words multiply block by block, by the closed form ``funq_sl2_blocks``:
+    a twist q^(twist (i+k)) of the left factor, a convolution of the two
+    blocks' terms, and a polynomial in z = bc, whose z^r term shifts the b
+    and c fields by r.
+
+    Both sides are planned when the ring is built: each side's terms fold
+    into one product per group of terms that share a factor (``sum``), and
+    each product into one entry per block pair, with its lowest exponent
+    (``product``).  The ring's ``low``, the least of these over both
+    sides, is fixed before any product is taken, and ``add`` adds products
+    into one {block: {key: int}} at that low, so no product is shifted and
+    re-added whole: ``verify_lm`` adds the LHS, tests it, subtracts the RHS
+    into the same dict and tests that.
 
     Only the zero test and decoding need a bound.  A polynomial whose
     coefficients are all below 2^(bits-1) in absolute value is its balanced
     base-2^bits digits, so it is zero exactly when its int is 0, and
-    ``_decode`` recovers it.  ``bits`` comes from l1 bounds (``_l1``, the
-    sum of |coefficient| over words, time monomials and powers of q); the
-    l1 norm is subadditive and submultiplicative.  Term t of either side
-    contributes to each coefficient at most
+    ``_decode`` recovers it.  ``bits`` comes from l1 bounds (the sum of
+    |coefficient| over words, time monomials and powers of q); the l1 norm
+    is subadditive and submultiplicative.  A tau table's norm is cached
+    beside it, a shift moves powers of q only, and D^(q^b) in a variable of
+    degree n maps c x^m to c (m)_{q^b} x^(m-1), whose l1 is m <= n <= 2j
+    times that of c.  Term t of either side contributes to each
+    coefficient at most
 
-        l1(scale * prefactor) * l1(left') * l1(right') * max 2^min(n, m),
+        l1(prefactor) * l1(left') * l1(right') * 2^min(2j, 2j'),
 
     where left' and right' are the factors after their shifts and
-    derivatives, and the maximum runs over their a- and d-powers n and m:
-    the twist is a monomial, and the z-polynomial of a block pair has l1
-    norm sum_r [p choose r]_{q^2}(1) = 2^p, p = min(n, m) (1 for equal
-    letters).  A product is (sum m L) R or L (sum m R) over monomials m of
-    the terms' scale * prefactor; l1(m L) <= l1(m) l1(L), and a prefactor's
-    monomials' l1 norms sum to its own, so the sum of this bound over the
-    terms of both sides bounds every coefficient of each product and of LHS,
-    RHS and LHS - RHS; ``_kronecker_bits`` takes one bit more than it.
-    Decoding, a Python loop over digits, runs only for ``lm_residual`` and
-    the FAIL text.
+    derivatives: the twist is a monomial, and the z-polynomial of a block
+    pair has l1 norm sum_r [p choose r]_{q^2}(1) = 2^p, p = min(n, m) (1
+    for equal letters), n <= 2j and m <= 2j' the blocks' powers.  A
+    product is (sum m L) R or L (sum m R) over monomials m of the terms'
+    prefactors; l1(m L) <= l1(m) l1(L), and a prefactor's monomials' l1
+    norms sum to its own, so the sum of this bound over the terms of both
+    sides bounds every coefficient of each product and of LHS, RHS and
+    LHS - RHS; ``_kronecker_bits`` takes one bit more than it.  Decoding,
+    a Python loop over digits, runs only for ``lm_residual`` and the FAIL
+    text.
     """
 
-    def __init__(self, vars, terms, scale):
-        self.vars = vars
-        self.scale = scale
-        degs = [(_degrees(t.prefactor), _degrees(t.left), _degrees(t.right)) for t in terms]
-        times = max((max(map(sum, zip(*d))) for d in degs), default=0)
-        words = max((_word_length(t.left) + _word_length(t.right) for t in terms), default=0)
-        self.width = max(1, max(times, words).bit_length())
-        bound = top = 0
+    def __init__(self, lhs, rhs):
+        terms = lhs + rhs
+        times = words = bound = top = 0
         for t in terms:
-            bound += _l1(t.prefactor.scale(scale)) * _l1(t.left, t.left_derivs) * _l1(t.right, t.right_derivs)
-            top = max(top, min(_ad_power(t.left), _ad_power(t.right)))
+            # degree 2j in u and x, 2j' in v and y, and the prefactor's
+            degs = (t.left,) * 2 + (t.right,) * 2
+            times = max(times, *(e + d for m in t.prefactor for e, d in zip(m, degs)))
+            words = max(words, t.left + t.right)
+            pre = sum(abs(v) for c in t.prefactor.values() for v in c.values())
+            left = _tau_table(t.left)[1] * t.left ** len(t.left_derivs)
+            bound += pre * left * _tau_table(t.right)[1] * t.right ** len(t.right_derivs)
+            top = max(top, min(t.left, t.right))
+        self.width = width = max(1, max(times, words).bit_length())
         self.bits = _kronecker_bits(bound << top)
-        # the b field, then the c field, above the times
-        self._b_at = len(vars) * self.width
-        # every field of a time variable that some right factor has
-        self._right = _pack([((1 << self.width) - 1) * any(r) for r in zip(*(d[2] for d in degs))], self.width)
+        # the b field, then the c field, above the times; v and y are the
+        # fields of the right factors
+        self._b_at = len(LM_VARS) * width
+        self._right = _pack((0, 0, 1, 1), width) * ((1 << width) - 1)
         self._factors = {}
+        self.lhs, self.rhs = self.sum(lhs), self.sum(rhs)
+        self.low = min((p[-1] for side in (self.lhs, self.rhs) for pairs in side for p in pairs), default=0)
 
-    def _laurents(self, tp, extra=()):
-        """{time key: Laurent polynomial} of a TimesPoly, ``extra`` in the
-        fields after the times."""
-        return {_pack(m + extra, self.width): c.as_laurent() for m, c in tp.terms.items()}
-
-    def factor(self, p, shifts, derivs):
-        """An NCPoly over funq_sl2 with Laurent coefficients, packed, then
-        q-shifted by each var -> k of ``shifts`` and q-differentiated by each
-        (var, base) of ``derivs``; once per object and operations, so that
-        terms sharing a factor share one object."""
-        key = id(p), tuple(shifts.items()), derivs
-        hit = self._factors.get(key)
-        if hit is not None and hit[0] is p:
-            return hit[1]
+    def factor(self, two_j, right, shifts, derivs):
+        """tau_j packed, flowing in v and y if ``right`` and in u and x
+        otherwise, then q-shifted by each var -> k of ``shifts`` and
+        q-differentiated by each (var, base) of ``derivs``; once per
+        arguments, so that terms sharing a factor share one object."""
+        key = two_j, right, tuple(shifts.items()), derivs
+        out = self._factors.get(key)
+        if out is not None:
+            return out
         if shifts or derivs:
-            out = self.factor(p, {}, ())
+            out = self.factor(two_j, right, {}, ())
             for v, k in shifts.items():
                 out = self.shift(out, v, k)
             for v, b in derivs:
                 out = self.derivative(out, v, b)
         else:
-            laurents = {}
-            for w, tp in p.terms.items():
-                i, k = w.count("b"), w.count("c")
-                n = len(w) - i - k
-                laurents.setdefault((w[0] if n else "a", n), {}).update(self._laurents(tp, (i, k)))
-            low = _lowest(c for d in laurents.values() for c in d.values())
-            out = low, {blk: {k: _encode(c, self.bits, low) for k, c in d.items()} for blk, d in laurents.items()}
-        self._factors[key] = (p, out)
+            blocks = _tau_table(two_j)[0]
+            low = _lowest(c for d in blocks.values() for c in d.values())
+            w, bits, at = self.width, self.bits, self._b_at
+            flow = 2 * w if right else 0  # the field of u or v
+            out = low, {
+                blk: {
+                    (m << flow) + (r << flow + w) + (i << at) + (k << at + w): _encode(c, bits, low)
+                    for (m, r, i, k), c in d.items()
+                }
+                for blk, d in blocks.items()
+            }
+        self._factors[key] = out
         return out
 
     def _exponents(self, p, var):
-        """(field offset, mask, largest exponent) of var in element p."""
-        at = self.vars.index(var) * self.width
+        """(field offset, mask, largest exponent) of var in factor p."""
+        at = LM_VARS.index(var) * self.width
         mask = (1 << self.width) - 1
         return at, mask, max(((key >> at) & mask for d in p.values() for key in d), default=0)
 
@@ -330,13 +323,14 @@ class _LaurentRing:
         return low + base, out
 
     def product(self, left, right):
-        """left * right in normal form."""
+        """left * right, planned: one (block, twisted left terms, right
+        terms, z-polynomial or None, lowest exponent) per block pair, each
+        int as its odd part and zero bits (the shared low leaves zero digits
+        below most coefficients)."""
         (ll, lp), (rl, rp) = left, right
         bits, width, at = self.bits, self.width, self._b_at
         mask = (1 << width) - 1
         z = (1 << at) | (1 << (at + width))
-        # each int is multiplied as its odd part and shifted after: the
-        # shared low leaves zero digits below most coefficients
         rp = {blk: _odd_parts(d) for blk, d in rp.items()}
         pairs = []
         for (x, n), d1 in lp.items():
@@ -347,86 +341,92 @@ class _LaurentRing:
             for (y, m), d2 in rp.items():
                 w, e, twist, zs = funq_sl2_blocks(x, n, y, m)
                 tlow = twist * (lo if twist > 0 else hi)
-                pairs.append(((w, e), d1, d2, twist, tlow, zs, _lowest(c for _, c in zs)))
-        # one low for every pair, so a product's low is the sum of its
-        # factors' lows and this
-        low = min((tlow + zlow for *_, tlow, _, zlow in pairs), default=0)
-        acc = {}
-        for blk, d1, d2, twist, tlow, zs, zlow in pairs:
-            twisted = [(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1]
-            a = acc.setdefault(blk, {})
-            if len(zs) == 1:  # z-polynomial 1: the convolution goes straight in
-                _addmul_odd(a, twisted, d2, bits * (tlow - low))
-                continue
-            zp = [(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs]
-            _addmul_odd(a, _odd_parts(_addmul_odd({}, twisted, d2, 0)), zp, bits * (tlow + zlow - low))
-        return ll + rl + low, acc
+                twisted = [(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1]
+                zlow = _lowest(c for _, c in zs)
+                # a z-polynomial 1 (equal letters or a power 0) leaves the convolution as it is
+                zp = [(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs] if len(zs) > 1 else None
+                pairs.append(((w, e), twisted, d2, zp, ll + rl + tlow + zlow))
+        return pairs
 
     def combine(self, *parts):
-        """The sum of sign * element over (sign, element) pairs, with zero
-        ints dropped."""
-        low = min((f[0] for _, f in parts), default=0)
+        """The sum of the factors ``parts``, with zero ints dropped."""
+        low = min(f[0] for f in parts)
         acc = {}
-        for sign, (fl, p) in parts:
+        for fl, p in parts:
             s = self.bits * (fl - low)
             for w, d in p.items():
                 a = acc.setdefault(w, {})
                 for key, c in d.items():
-                    c = sign * (c << s) if s or sign < 0 else c
+                    c <<= s
                     a[key] = a[key] + c if key in a else c
         return low, _trim_words(acc)
 
     def sum(self, terms):
-        """The sum of the terms, each times scale, one product per group.  A
-        monomial m of scale * prefactor (Laurent coefficients) is central and
-        folds into a factor: m in a right-factor variable into the right one,
-        as L (sum m R) with the others of left factor L; m in another one as
-        (sum m L) R; a constant joins a group that has one of its factors."""
+        """The planned products of the terms, one per group.  A monomial m
+        of a prefactor is central and folds into a factor: m in v or y into
+        the right one, as L (sum m R) with the others of left factor L; m
+        in u or x as (sum m L) R; a constant joins a group that has one of
+        its factors."""
         pieces = []
         for t in terms:
-            lf = self.factor(t.left, t.left_shifts, t.left_derivs)
-            rf = self.factor(t.right, t.right_shifts, t.right_derivs)
-            laurents = self._laurents(t.prefactor.scale(self.scale))
-            low = _lowest(laurents.values())
-            pieces += [(key, (low, {key: _encode(c, self.bits, low)}), lf, rf) for key, c in laurents.items()]
+            lf = self.factor(t.left, False, t.left_shifts, t.left_derivs)
+            rf = self.factor(t.right, True, t.right_shifts, t.right_derivs)
+            for mono, c in t.prefactor.items():
+                low = min(c)
+                pieces.append((_pack(mono, self.width), low, _encode(c, self.bits, low), lf, rf))
         # constants last, to find the others' groups; a group is keyed by
-        # (1 if it shares the right factor, the shared factor's id)
+        # (whether it shares the right factor, the shared factor's id)
         groups = {}
-        for key, (ml, mp), lf, rf in sorted(pieces, key=lambda p: not p[0]):
-            side = not key & self._right if key else (1, id(rf)) in groups
+        for key, ml, mc, lf, rf in sorted(pieces, key=lambda p: not p[0]):
+            side = not key & self._right if key else (True, id(rf)) in groups
             f, (gl, gp) = (rf, lf) if side else (lf, rf)
-            folded = ml + gl, {blk: _addmul({}, mp, d) for blk, d in gp.items()}  # m * g by block
-            groups.setdefault((side, id(f)), (f, []))[1].append((1, folded))
+            folded = ml + gl, {blk: _addmul({}, {key: mc}, d) for blk, d in gp.items()}  # m * g by block
+            groups.setdefault((side, id(f)), (f, []))[1].append(folded)
         parts = ((side, f, self.combine(*g)) for (side, _), (f, g) in groups.items())
-        return self.combine(*((1, self.product(g, f) if side else self.product(f, g)) for side, f, g in parts))
+        return [self.product(g, f) if side else self.product(f, g) for side, f, g in parts]
 
-    def to_ncpoly(self, f, divisor):
-        """f / divisor as an NCPoly over Q(q), decoded digit by digit."""
-        low, p = f
+    def add(self, acc, products, sign=1):
+        """acc += sign * the planned products, at ``low``."""
+        bits, low = self.bits, self.low
+        for pairs in products:
+            for blk, twisted, d2, zp, plow in pairs:
+                a = acc.setdefault(blk, {})
+                shift = bits * (plow - low)
+                if zp is None:
+                    _addmul_odd(a, twisted, d2, shift, sign)
+                else:
+                    _addmul_odd(a, _odd_parts(_addmul_odd({}, twisted, d2, 0)), zp, shift, sign)
+        return acc
+
+    def to_ncpoly(self, acc, divisor):
+        """acc / divisor as an NCPoly over Q(q), decoded digit by digit."""
         inv = divisor.inv()
-        n = len(self.vars)
+        n = len(LM_VARS)
         terms = {}
-        for (x, e), d in p.items():
+        for (x, e), d in acc.items():
             for key, c in d.items():
-                *m, i, k = _unpack(key, n + 2, self.width)
-                word = (x,) * e + ("b",) * i + ("c",) * k
-                terms.setdefault(word, {})[tuple(m)] = QScalar.from_terms(_decode(c, self.bits, low)) * inv
-        return NCPoly(funq_sl2(), self.vars, {w: TimesPoly(self.vars, t) for w, t in terms.items()})
+                if c:
+                    *m, i, k = _unpack(key, n + 2, self.width)
+                    word = (x,) * e + ("b",) * i + ("c",) * k
+                    terms.setdefault(word, {})[tuple(m)] = QScalar.from_terms(_decode(c, self.bits, self.low)) * inv
+        return NCPoly(funq_sl2(), LM_VARS, {w: TimesPoly(LM_VARS, t) for w, t in terms.items()})
 
 
 @dataclass
 class BilinearTerm:
-    """One product term of a bilinear identity:
+    """One product term of the general identity over the times ``LM_VARS``:
 
-        prefactor * D_left(left) * D_right(right),
+        prefactor * D_left(tau_left(u, x)) * D_right(tau_right(v, y)),
 
-    each factor first q-shifted per variable (``*_shifts``: var -> k means
-    var -> q^k var), then q-differentiated (``*_derivs``: (var, base) pairs,
-    D^(q^base)_var, applied in order).  The left factor stays to the left."""
+    the prefactor a {time monomial: {q-exponent: int}} and each factor the
+    tau table of twice its spin (``funq._tau_table``), first q-shifted per
+    variable (``*_shifts``: var -> k means var -> q^k var), then
+    q-differentiated (``*_derivs``: (var, base) pairs, D^(q^base)_var,
+    applied in order).  The left factor stays to the left."""
 
-    prefactor: TimesPoly
-    left: NCPoly
-    right: NCPoly
+    prefactor: dict
+    left: int
+    right: int
     left_shifts: dict
     right_shifts: dict
     left_derivs: tuple = ()
@@ -445,84 +445,68 @@ class HierarchyCoefficient:
 # ---------------------------------------------------------------------------
 
 LM_VARS = ("u", "x", "v", "y")
+_ONE, _U, _X, _V, _Y = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
 
 def lm_sides(j, jp):
-    """LHS and RHS of the general identity as lists of BilinearTerms over the
-    times ``LM_VARS``."""
-    vars = LM_VARS
+    """LHS and RHS of the general identity times [2j][2j'], as lists of
+    BilinearTerms:
+
+        [2j] tau D_y tau' - q^-2j [2j'] D_x tau tau'
+            + (q^(2j'-2j-1) y - q^(2j-1) x) D_x tau D_y tau'
+        = [2j][2j'] (v - q^-2j u) tau_{j-1/2}(u, q^-1 x) tau_{j'-1/2}(q^-1 v, y),
+
+    tau = tau_j(u, x), tau' = tau_j'(v, y), every derivative of base q^-2.
+    [2j][2j'] clears the brackets of the unscaled identity; it is a nonzero
+    element of Q(q), so either scaled side, and their difference, is zero
+    exactly when it is unscaled."""
     two_j, two_jp = twice(j), twice(jp)
     if two_j < 1 or two_jp < 1:
         raise ValueError("both spins must be at least 1/2")
-    tj = tau_q(Fraction(two_j, 2), "u", "x", vars)
-    tjp = tau_q(Fraction(two_jp, 2), "v", "y", vars)
-    dx = (("x", -2),)
-    dy = (("y", -2),)
-    br_j = bracket(two_j)
-    br_jp = bracket(two_jp)
-    one = TimesPoly.one(vars)
-
+    dx, dy = (("x", -2),), (("y", -2),)
+    br_j, br_jp = _q_bracket(two_j), _q_bracket(two_jp)
     lhs = [
-        BilinearTerm(one.scale(br_jp.inv()), tj, tjp, {}, {}, (), dy),
-        BilinearTerm(
-            one.scale(-(QScalar.q_power(-two_j) * br_j.inv())), tj, tjp, {}, {}, dx, ()
-        ),
-        BilinearTerm(
-            (
-                TimesPoly.var(vars, "y", coeff=QScalar.q_power(two_jp - two_j - 1))
-                - TimesPoly.var(vars, "x", coeff=QScalar.q_power(two_j - 1))
-            ).scale((br_j * br_jp).inv()),
-            tj,
-            tjp,
-            {},
-            {},
-            dx,
-            dy,
-        ),
+        BilinearTerm({_ONE: br_j}, two_j, two_jp, {}, {}, (), dy),
+        BilinearTerm({_ONE: {e - two_j: -c for e, c in br_jp.items()}}, two_j, two_jp, {}, {}, dx, ()),
+        BilinearTerm({_Y: {two_jp - two_j - 1: 1}, _X: {two_j - 1: -1}}, two_j, two_jp, {}, {}, dx, dy),
     ]
-    tjm = tau_q(Fraction(two_j - 1, 2), "u", "x", vars)
-    tjpm = tau_q(Fraction(two_jp - 1, 2), "v", "y", vars)
-    rhs = [
-        BilinearTerm(
-            TimesPoly.var(vars, "v") - TimesPoly.var(vars, "u", coeff=QScalar.q_power(-two_j)),
-            tjm,
-            tjpm,
-            {"x": -1},
-            {"v": -1},
-        )
-    ]
-    return lhs, rhs
+    scale = _laurent_mul(br_j, br_jp)
+    pre = {_V: scale, _U: {e - two_j: -c for e, c in scale.items()}}
+    return lhs, [BilinearTerm(pre, two_j - 1, two_jp - 1, {"x": -1}, {"v": -1})]
 
 
 def _lm_packed(j, jp):
-    """(ring, scale, LHS, RHS): both sides times scale = [2j][2j'],
-    Kronecker-packed.  The scale clears the only denominators of the
-    prefactors, the brackets; it is nonzero, so either side, and their
-    difference, is zero exactly when it is zero before scaling."""
-    lhs, rhs = lm_sides(j, jp)
-    scale = bracket(twice(j)) * bracket(twice(jp))
-    ring = _LaurentRing(lhs[0].prefactor.vars, lhs + rhs, scale)
-    return ring, scale, ring.sum(lhs), ring.sum(rhs)
+    """Both sides of the general identity times [2j][2j'], Kronecker-packed
+    and planned: the ring, with its ``lhs`` and ``rhs`` products."""
+    return _LaurentRing(*lm_sides(j, jp))
+
+
+def _lm_scale(j, jp):
+    """[2j][2j'] in Q(q), the divisor for decoding."""
+    return bracket(twice(j)) * bracket(twice(jp))
 
 
 def lm_residual(j, jp):
     """(LHS, RHS) of the general identity as NCPolys over Q(q), both decoded
     from one packed build; the identity holds when they are equal."""
-    ring, scale, lhs, rhs = _lm_packed(j, jp)
-    return ring.to_ncpoly(lhs, scale), ring.to_ncpoly(rhs, scale)
+    ring = _lm_packed(j, jp)
+    scale = _lm_scale(j, jp)
+    return ring.to_ncpoly(ring.add({}, ring.lhs), scale), ring.to_ncpoly(ring.add({}, ring.rhs), scale)
 
 
 def verify_lm(j, jp):
     """Exact zero test of the general bilinear identity for the spin pair:
     every packed int of LHS - RHS must be 0.  A zero LHS fails: the identity
     would then hold vacuously."""
-    ring, scale, lhs, rhs = _lm_packed(j, jp)
+    ring = _lm_packed(j, jp)
     params = {"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)}
-    if not lhs[1]:
+    acc = ring.add({}, ring.lhs)
+    if not _nonzero(acc):
         failures = ["the left-hand side is zero, so the identity holds vacuously"]
+    elif _nonzero(ring.add(acc, ring.rhs, -1)):
+        failures = [str(ring.to_ncpoly(acc, _lm_scale(j, jp)))]
     else:
-        res = ring.combine((1, lhs), (-1, rhs))
-        failures = [str(ring.to_ncpoly(res, scale))] if res[1] else []
+        failures = []
     return VerificationReport.from_failures(failures, params)
 
 

@@ -92,11 +92,7 @@ def make_rep(j):
 @cache
 def _rep(two_j):
     n = two_j + 1
-
-    def bracket(m):
-        return {2 * i + 1 - m: 1 for i in range(m)}
-
-    E = [{r + 1: _laurent_mul(bracket(r + 1), bracket(two_j - r))} if r < two_j else {} for r in range(n)]
+    E = [{r + 1: _laurent_mul(_q_bracket(r + 1), _q_bracket(two_j - r))} if r < two_j else {} for r in range(n)]
     F = [{r - 1: _LAURENT_ONE} if r else {} for r in range(n)]
     K = [{r: {two_j - 2 * r: 1}} for r in range(n)]
     Kinv = [{r: {2 * r - two_j: 1}} for r in range(n)]
@@ -208,6 +204,11 @@ def _q_exp(summands, two_js):
         powers.append(power)
         power = [_trim_words(row) for row in la.lau_mul(power, A)]
     return tuple(powers)
+
+
+def _q_bracket(n):
+    """[n] = q^(n-1) + q^(n-3) + ... + q^(1-n) as {q-exponent: int}."""
+    return {2 * i + 1 - n: 1 for i in range(n)}
 
 
 def _q_paren(n, base):

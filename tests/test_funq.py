@@ -16,7 +16,6 @@ from tau_forge.funq import (
     gauss_relation_residuals,
     gauss_t_matrix,
     t_matrix,
-    tau_q,
     verify_corep,
     verify_gauss_relations,
 )
@@ -97,6 +96,18 @@ def test_counit_gives_identity():
                 assert val == want
 
 
+def tau_q(j, e_var, f_var, vars):
+    """tau_j as an NCPoly over Q(q), the e-side flow in ``e_var`` and the
+    f-side flow in ``f_var``: the view of ``funq._tau_table`` that the
+    flow-contraction tests and the Q(q) oracle of the general identity read."""
+    terms = {}
+    for (x, n), d in funq._tau_table(int(2 * j))[0].items():
+        for (m, r, i, k), c in d.items():
+            mono = tuple(m if v == e_var else r if v == f_var else 0 for v in vars)
+            terms.setdefault((x,) * n + ("b",) * i + ("c",) * k, {})[mono] = QScalar.from_terms(c)
+    return NCPoly(funq_sl2(), vars, {w: TimesPoly(vars, t) for w, t in terms.items()})
+
+
 def test_tau_half_is_affine_in_each_slot():
     tau = tau_q(HALF, "u", "x", ("u", "x"))
     by_word = {w[0]: t for w, t in tau.terms.items()}
@@ -134,12 +145,6 @@ def test_tau_is_the_flow_contraction(two_j, e_var, f_var, vars):
     assert tau_q(j, e_var, f_var, vars) == _flow_contraction(j, e_var, f_var, vars)
 
 
-@pytest.mark.parametrize("e_var,f_var", [("u", "u"), ("u", "z")])
-def test_tau_flow_variables_must_be_two_of_vars(e_var, f_var):
-    with pytest.raises(ValueError):
-        tau_q(1, e_var, f_var, ("u", "x"))
-
-
 def test_closed_form_builds_without_intertwiners(fresh_caches, monkeypatch):
     def refuse(*args):
         raise AssertionError("T^(j) and tau_j are built without intertwiner solves")
@@ -154,11 +159,11 @@ def test_closed_form_builds_without_intertwiners(fresh_caches, monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(QScalar, "__mul__", counting)
-    tau_q(2, "u", "x", ("u", "x"))
+    funq._tau_table(4)
     assert calls == []
     for two_j in range(5):
         t_matrix(Fraction(two_j, 2))
-        tau_q(Fraction(two_j, 2), "u", "x", ("u", "x"))
+        funq._tau_table(two_j)
 
 
 def test_tau_constant_coefficient_is_corner_entry():
@@ -325,5 +330,5 @@ def test_mutant_plane_relation_fails(fresh_caches, monkeypatch):
     ],
 )
 def test_mutant_tau_fails_lm(fresh_caches, monkeypatch, old, new, check_id):
-    monkeypatch.setattr(qhirota, "tau_q", _mutate(monkeypatch, funq, "tau_q", old, new))
+    monkeypatch.setattr(qhirota, "_tau_table", _mutate(monkeypatch, funq, "_tau_table", old, new))
     assert _verdicts(check_id) == [False]

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tau_forge import ncalg, qhirota
+from tau_forge import ncalg, qhirota, qscalar
 from tau_forge._kernels import _decode, _encode, _kronecker_bits
 from tau_forge.cli import run_check
-from tau_forge.funq import tau_q
 from tau_forge.ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
     BilinearTerm,
@@ -26,7 +25,7 @@ from tau_forge.qhirota import (
     verify_lm,
 )
 from tau_forge.qscalar import ONE, Q, QScalar, bracket, qs
-from test_funq import _mutate
+from test_funq import _mutate, tau_q
 
 HALF = Fraction(1, 2)
 
@@ -194,7 +193,7 @@ def test_lm_sides_match_qq_oracle(j, jp):
 
 @pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(Fraction(5, 2), Fraction(3, 2))])
 def test_lm_field_width_holds_every_term(j, jp):
-    ring = qhirota._lm_packed(j, jp)[0]
+    ring = qhirota._lm_packed(j, jp)
     # tau_j has degree at most 2j in each of its variables (E and F are
     # nilpotent of order 2j + 1) and a prefactor at most 1, so no term of
     # either side has an exponent above max(2j, 2j') + 1; a word of tau_j
@@ -249,14 +248,15 @@ def test_kronecker_nonzero_never_encodes_to_zero(bound):
 @pytest.mark.parametrize("j,jp", ORACLE_PAIRS)
 def test_lm_digit_width_holds_every_coefficient(j, jp):
     # the l1 bound behind bits holds every coefficient of both scaled sides
-    ring, _, lhs, rhs = qhirota._lm_packed(j, jp)
-    for side in (lhs, rhs, ring.combine((1, lhs), (-1, rhs))):
-        low, p = side
-        for d in p.values():
-            for v in d.values():
-                lau = _decode(v, ring.bits, low)
+    # and of the residual accumulated from them, at the shared low
+    ring = qhirota._lm_packed(j, jp)
+    residual = ring.add(ring.add({}, ring.lhs), ring.rhs, -1)
+    for side in (ring.add({}, ring.lhs), ring.add({}, ring.rhs), residual):
+        for d in side.values():
+            for v in filter(None, d.values()):
+                lau = _decode(v, ring.bits, ring.low)
                 assert max(abs(c) for c in lau.values()) < 1 << (ring.bits - 1)
-                assert _encode(lau, ring.bits, low) == v
+                assert _encode(lau, ring.bits, ring.low) == v
 
 
 @pytest.mark.parametrize(
@@ -278,16 +278,17 @@ def test_lm_fails_with_a_mutant_twist(fresh_caches, monkeypatch, old, new):
     assert lm_residual(j, jp) != (lhs, rhs)
 
 
-def test_ring_product_with_cancelling_terms():
+def test_ring_product_with_cancelling_terms(monkeypatch):
     # (b - c)(b + c) = b^2 - c^2: the two b*c terms meet under one key of
-    # one block pair and cancel to a zero int
-    vars = ("u",)
-    one = TimesPoly.one(vars)
-    left = NCPoly(funq_sl2(), vars, {("b",): one, ("c",): -one})
-    right = NCPoly(funq_sl2(), vars, {("b",): one, ("c",): one})
-    term = BilinearTerm(one, left, right, {}, {})
-    ring = qhirota._LaurentRing(vars, [term], ONE)
-    assert ring.to_ncpoly(ring.sum([term]), ONE) == left.mul(right)
+    # one block pair and cancel to a zero int, which decoding skips
+    tables = {
+        1: ({("a", 0): {(0, 0, 1, 0): {0: 1}, (0, 0, 0, 1): {0: -1}}}, 2),
+        2: ({("a", 0): {(0, 0, 1, 0): {0: 1}, (0, 0, 0, 1): {0: 1}}}, 2),
+    }
+    monkeypatch.setattr(qhirota, "_tau_table", tables.__getitem__)
+    ring = qhirota._LaurentRing([BilinearTerm({(0, 0, 0, 0): {0: 1}}, 1, 2, {}, {})], [])
+    b, c = (NCPoly.generator(funq_sl2(), g, qhirota.LM_VARS) for g in "bc")
+    assert ring.to_ncpoly(ring.add({}, ring.lhs), ONE) == (b - c).mul(b + c)
 
 
 def test_lm_does_not_rewrite(fresh_caches):
@@ -303,10 +304,14 @@ def test_lm_does_not_rewrite(fresh_caches):
 _LM_SIDES = qhirota.lm_sides
 
 
+def _times_q(lau):
+    return {e + 1: v for e, v in lau.items()}
+
+
 def _lm_sides_rhs_scaled_by_q(j, jp):
     lhs, rhs = _LM_SIDES(j, jp)
     rhs = [
-        BilinearTerm(t.prefactor.scale(Q), t.left, t.right, t.left_shifts, t.right_shifts)
+        BilinearTerm({m: _times_q(c) for m, c in t.prefactor.items()}, t.left, t.right, t.left_shifts, t.right_shifts)
         for t in rhs
     ]
     return lhs, rhs
@@ -324,15 +329,14 @@ def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
 
 def _lm_sides_cross_monomial_scaled_by_q(var):
     """lm_sides with only the ``var`` monomial of the third LHS term's
-    prefactor, (q^(2j'-2j-1) y - q^(2j-1) x) / ([2j][2j']), scaled by q."""
+    prefactor, q^(2j'-2j-1) y - q^(2j-1) x, scaled by q."""
 
     def sides(j, jp):
         lhs, rhs = _LM_SIDES(j, jp)
         t = lhs[2]
-        at = t.prefactor.vars.index(var)
-        terms = {m: c * Q if m[at] else c for m, c in t.prefactor.terms.items()}
-        assert len(terms) == 2 and sum(m[at] for m in terms) == 1
-        pre = TimesPoly(t.prefactor.vars, terms)
+        at = qhirota.LM_VARS.index(var)
+        pre = {m: _times_q(c) if m[at] else c for m, c in t.prefactor.items()}
+        assert len(pre) == 2 and sum(m[at] for m in pre) == 1
         lhs[2] = BilinearTerm(pre, t.left, t.right, t.left_shifts, t.right_shifts, t.left_derivs, t.right_derivs)
         return lhs, rhs
 
@@ -385,12 +389,10 @@ def test_hierarchy_check_packs_the_identity_once(monkeypatch):
     assert calls == [(HALF, HALF)]
 
 
-def test_hierarchy_check_fails_when_the_lhs_is_zero(monkeypatch):
+def test_hierarchy_check_fails_when_the_lhs_is_zero(fresh_caches, monkeypatch):
     # non-vacuity guard: with zero taus every P_k,l of both sides is zero
     # and they agree, but nothing was checked
-    monkeypatch.setattr(
-        qhirota, "tau_q", lambda j, e_var, f_var, vars: NCPoly.zero(funq_sl2(), vars)
-    )
+    monkeypatch.setattr(qhirota, "_tau_table", lambda two_j: ({}, 0))
     (report,) = run_check("qliouville.hierarchy")
     assert not report.verdict
     assert "holds vacuously" in report.residual
@@ -443,15 +445,40 @@ def test_suite_classical_limit_fails_with_mutated_ad_rule(monkeypatch):
     assert report.details == ["classical limit residual nonzero: b*c"]
 
 
-def test_lm_fails_when_the_lhs_is_zero(monkeypatch):
+def test_lm_fails_when_the_lhs_is_zero(fresh_caches, monkeypatch):
     # non-vacuity guard: with zero taus both sides vanish and the residual
     # is zero, but nothing was checked
-    monkeypatch.setattr(
-        qhirota, "tau_q", lambda j, e_var, f_var, vars: NCPoly.zero(funq_sl2(), vars)
-    )
+    monkeypatch.setattr(qhirota, "_tau_table", lambda two_j: ({}, 0))
     report = verify_lm(HALF, HALF)
     assert not report.verdict
     assert "left-hand side is zero" in report.residual
+
+
+def _counting(calls, name, original):
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    return counted
+
+
+# the spin workload's ladder, as (2j, 2j') pairs
+LM_LADDER = [(Fraction(a, 2), Fraction(b, 2)) for a, b in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4))]
+
+
+def test_lm_pass_path_makes_no_qq_arithmetic(fresh_caches, monkeypatch):
+    # the tau tables, the Laurent prefactors and the packed products are all
+    # over Z[q, q^-1]: Q(q) enters only to decode lm_residual and FAIL text
+    calls = []
+    for name in ("__mul__", "__add__", "inv", "as_laurent"):
+        monkeypatch.setattr(QScalar, name, _counting(calls, name, getattr(QScalar, name)))
+    from_terms = _counting(calls, "from_terms", QScalar.from_terms)
+    monkeypatch.setattr(QScalar, "from_terms", classmethod(lambda cls, *args: from_terms(*args)))
+    monkeypatch.setattr(qscalar, "ipoly_gcd", _counting(calls, "ipoly_gcd", qscalar.ipoly_gcd))
+    for _ in range(2):  # every cache cleared, then warm
+        for j, jp in LM_LADDER:
+            assert verify_lm(j, jp).verdict
+    assert calls == []
 
 
 def test_lm_rejects_spin_zero():

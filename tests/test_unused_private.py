@@ -1,6 +1,7 @@
-"""Module-level private functions (``def _name``) in ``src/`` that nothing in
-``src/`` references, found by scanning the syntax trees.  A helper that only
-tests still call is dead code of the program."""
+"""Private functions (``def _name``) in ``src/``, at module level or in the
+body of a module-level class, that nothing in ``src/`` references, found by
+scanning the syntax trees.  A helper that only tests still call is dead code
+of the program."""
 
 import ast
 from collections import Counter
@@ -18,16 +19,23 @@ def _refs(node):
             yield n.attr
 
 
+def _functions(tree):
+    """The module-level functions of a syntax tree and the methods of its
+    module-level classes."""
+    for node in tree.body:
+        for n in node.body if isinstance(node, ast.ClassDef) else (node,):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield n
+
+
 def unused_private_functions(sources):
     """``sources`` maps a label to module text; returns "label:line name"
-    for each private module-level function referenced only by its own body."""
+    for each private function or method referenced only by its own body."""
     trees = {label: ast.parse(text) for label, text in sources.items()}
     refs = Counter(name for tree in trees.values() for name in _refs(tree))
     found = []
     for label, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in _functions(tree):
             name = node.name
             if not name.startswith("_") or name.startswith("__"):
                 continue
@@ -55,6 +63,16 @@ def test_scan_finds_an_unreferenced_helper():
         "c.py": "def _attr_used():\n    return 2\n",
     }
     assert unused_private_functions(sources) == ["a.py:1 _orphan"]
+
+
+def test_scan_finds_an_unreferenced_method():
+    sources = {
+        "a.py": "class Ring:\n    def _orphan(self):\n        return self._orphan()\n\n"
+        "    def _used(self):\n        return 1\n\n    def __init__(self):\n        self.x = self._used()\n",
+        "b.py": "from .a import Ring\n\nY = Ring()._called_from_b()\n",
+        "c.py": "class Other:\n    def _called_from_b(self):\n        return 2\n",
+    }
+    assert unused_private_functions(sources) == ["a.py:2 _orphan"]
 
 
 def test_scan_would_catch_the_old_word_sweep():

@@ -112,7 +112,7 @@ def _random_scalar(rng):
 def run_qscalar_qnumbers(params):
     failures = []
     for n in range(1, 21):
-        lhs = qscalar.bracket(n, 1)
+        lhs = qscalar.bracket(n)
         rhs = qscalar.QScalar.q_power(1 - n) * qscalar.paren(n, 2)
         if lhs != rhs:
             failures.append(f"[{n}]_q mismatch")
@@ -124,7 +124,7 @@ def run_qscalar_qnumbers(params):
             (qscalar.bracket_factorial, Fraction(math.factorial(n))),
         )
         for fn, want in pairs:
-            got = fn(n, 1).eval_q1()
+            got = fn(n).eval_q1()
             if got != want:
                 failures.append(f"eval_q1 {fn.__name__}({n}) = {got} != {want}")
     return VerificationReport.from_failures(failures)

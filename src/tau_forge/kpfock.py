@@ -112,10 +112,12 @@ class FockSpace:
         return BoundaryCertificate(self.M, self.min_changed, self.max_changed)
 
     def state_from_partition(self, n, partition):
-        """Occupied modes n - i + lambda_i (i = 1, 2, ...) inside the window."""
-        parts = list(partition) + [0] * (self.M + n)
-        modes = [n - i + parts[i - 1] for i in range(1, self.M + n + 1)]
-        if any(not self.in_window(m) for m in modes):
+        """Occupied modes n - i + lambda_i (i = 1, ..., M + n) inside the
+        window; a part past the M + n window particles does not fit."""
+        count = self.M + n
+        parts = list(partition) + [0] * count
+        modes = [n - i + parts[i - 1] for i in range(1, count + 1)]
+        if count < 0 or any(partition[count:]) or any(not self.in_window(m) for m in modes):
             raise BoundaryError("partition does not fit the window")
         state = sum(1 << (m + self.M) for m in set(modes))
         if state.bit_count() != len(modes):

@@ -29,16 +29,16 @@ The general identity is evaluated without Q(q) arithmetic.  Every tau
 coefficient is a Laurent polynomial in q with integer coefficients, held
 once per spin in ``funq._tau_table`` beside its l1 norm, and the only other
 denominators are the brackets [2j] and [2j'] of the prefactors, so
-``lm_sides`` states the identity times [2j][2j'], as BilinearTerms over
-the tables with Laurent prefactors.  Both sides are built in
-``_LaurentRing``, over Z[q, q^-1] Kronecker-packed in q (Kronecker 1882;
-Harvey 2009, "Faster polynomial multiplication via multipoint Kronecker
-substitution"): each (normal word, time monomial) holds one integer, its
-Laurent polynomial evaluated at q = 2^B with a lowest exponent kept
-beside it.  A q-shift moves that exponent, a q-derivative multiplies by an
-encoded q-number, each monomial of the central prefactors folds into a
-factor, so that terms sharing a factor make one product (two per side),
-and words multiply by PBW block (the power of a or d) with the closed form
+``lm_sides`` states the identity times [2j][2j'] as two products per side,
+each a pair of sums of tau tables times central time monomials with
+Laurent coefficients.  Both sides are built in ``_LaurentRing``, over
+Z[q, q^-1] Kronecker-packed in q (Kronecker 1882; Harvey 2009, "Faster
+polynomial multiplication via multipoint Kronecker substitution"): each
+(normal word, time monomial) holds one integer, its Laurent polynomial
+evaluated at q = 2^B with a lowest exponent kept beside it.  A q-shift
+moves that exponent, a q-derivative multiplies by an encoded q-number, the
+summands of each side of a product fold into one packed factor, and words
+multiply by PBW block (the power of a or d) with the closed form
 ``funq_sl2_blocks``, without rewriting.  Every product adds into one
 {block: {key: int}} at one lowest exponent fixed before the first product.
 B comes from a proven l1 bound on every coefficient of LHS - RHS, taken
@@ -61,10 +61,10 @@ from functools import cache
 
 from .funq import _tau_table
 from .ncalg import NCPoly, Presentation, TimesPoly, _map_terms, funq_sl2, funq_sl2_blocks
-from ._kernels import _addmul, _decode, _encode, _kronecker_bits, _laurent_mul, _pack, _trim_words, _unpack
-from .qscalar import ONE, PoleAtQOne, Q, QScalar, bracket, paren
+from ._kernels import _decode, _encode, _kronecker_bits, _laurent_mul, _pack, _trim_words, _unpack
+from .qscalar import ONE, PoleAtQOne, Q, QScalar, _q_bracket, bracket, paren
 from .report import VerificationReport
-from .uqsl2 import _q_bracket, twice
+from .uqsl2 import twice
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,11 @@ def _lowest(laurents):
     return min(map(min, laurents), default=0)
 
 
+def _l1(summands):
+    """An l1 bound on a sum of ``lm_sides`` summands (see ``_LaurentRing``)."""
+    return sum(sum(map(abs, c.values())) * _tau_table(tj)[1] * tj ** len(d) for c, _, tj, _, d in summands)
+
+
 def _nonzero(acc):
     """Whether a {block: {key: int}} holds an int other than 0."""
     return any(any(d.values()) for d in acc.values())
@@ -181,18 +186,19 @@ def _nonzero(acc):
 class _LaurentRing:
     """Polynomials in the times ``LM_VARS`` over funq_sl2 with coefficients
     in Z[q, q^-1], Kronecker-packed in q, for the two sides of one
-    bilinear identity.  A factor is ``(low, {block: {key: int}})``.
+    bilinear identity as ``lm_sides`` states them.  A factor is
+    ``(low, {block: {key: int}})``.
 
     A normal word of funq_sl2 is x^n b^i c^k with x in {a, d}; (x, n) is
     its block, ("a", 0) for no a or d.  A key holds the exponents of u, x,
     v and y and then i and k in ``width``-bit fields (``_kernels._pack``).
-    The factors are tau tables (``funq._tau_table``): tau_j has degree at
-    most 2j in each of its flows and words of length at most 2j, a left
-    factor flows in u and x and a right one in v and y.  No field
-    overflows: a term's time degrees are at most the sums of its
-    prefactor's and factors' (a shift keeps degrees, a derivative lowers
-    them), and the b and c degrees of x^n b^i c^k times y^m b^i' c^k' are
-    i + i' + r and k + k' + r, r <= min(n, m), at most 2j + 2j'.
+    The summands are tau tables (``funq._tau_table``) times time monomials:
+    tau_j has degree at most 2j in each of its flows and words of length at
+    most 2j, a left summand flows in u and x and a right one in v and y.
+    No field overflows: a product's time degrees are at most the sums of
+    its monomials' and its tables' (a shift keeps degrees, a derivative
+    lowers them), and the b and c degrees of x^n b^i c^k times y^m b^i' c^k'
+    are i + i' + r and k + k' + r, r <= min(n, m), at most 2j + 2j'.
     A factor's int under (block, key) is that coefficient's Laurent
     polynomial times q^-low, evaluated at q = 2^bits, its ``low`` at most
     every exponent in it.  Evaluation at q = 2^bits is a ring homomorphism
@@ -202,14 +208,15 @@ class _LaurentRing:
     blocks' terms, and a polynomial in z = bc, whose z^r term shifts the b
     and c fields by r.
 
-    Both sides are planned when the ring is built: each side's terms fold
-    into one product per group of terms that share a factor (``sum``), and
-    each product into one entry per block pair, with its lowest exponent
-    (``product``).  The ring's ``low``, the least of these over both
-    sides, is fixed before any product is taken, and ``add`` adds products
-    into one {block: {key: int}} at that low, so no product is shifted and
-    re-added whole: ``verify_lm`` adds the LHS, tests it, subtracts the RHS
-    into the same dict and tests that.
+    Both sides are planned when the ring is built: the left summands of
+    each stated product fold into one packed factor and its right summands
+    into another (``fold``), and the product of the two into one entry per
+    block pair, with its lowest exponent (``product``).  The ring's
+    ``low``, the least of these over both sides, is fixed before any
+    product is taken, and ``add`` adds products into one {block: {key:
+    int}} at that low, so no product is shifted and re-added whole:
+    ``verify_lm`` adds the LHS, tests it, subtracts the RHS into the same
+    dict and tests that.
 
     Only the zero test and decoding need a bound.  A polynomial whose
     coefficients are all below 2^(bits-1) in absolute value is its balanced
@@ -217,60 +224,52 @@ class _LaurentRing:
     ``_decode`` recovers it.  ``bits`` comes from l1 bounds (the sum of
     |coefficient| over words, time monomials and powers of q); the l1 norm
     is subadditive and submultiplicative.  A tau table's norm is cached
-    beside it, a shift moves powers of q only, and D^(q^b) in a variable of
-    degree n maps c x^m to c (m)_{q^b} x^(m-1), whose l1 is m <= n <= 2j
-    times that of c.  Term t of either side contributes to each
-    coefficient at most
-
-        l1(prefactor) * l1(left') * l1(right') * 2^min(2j, 2j'),
-
-    where left' and right' are the factors after their shifts and
-    derivatives: the twist is a monomial, and the z-polynomial of a block
-    pair has l1 norm sum_r [p choose r]_{q^2}(1) = 2^p, p = min(n, m) (1
-    for equal letters), n <= 2j and m <= 2j' the blocks' powers.  A
-    product is (sum m L) R or L (sum m R) over monomials m of the terms'
-    prefactors; l1(m L) <= l1(m) l1(L), and a prefactor's monomials' l1
-    norms sum to its own, so the sum of this bound over the terms of both
-    sides bounds every coefficient of each product and of LHS, RHS and
-    LHS - RHS; ``_kronecker_bits`` takes one bit more than it.  Decoding,
-    a Python loop over digits, runs only for ``lm_residual`` and the FAIL
-    text.
+    beside it, a shift or a monomial moves exponents only, and D^(q^b) in a
+    variable of degree n maps c x^m to c (m)_{q^b} x^(m-1), whose l1 is
+    m <= n <= 2j times that of c; so l1 of a side of a product (``_l1``)
+    is at most the sum over its summands of l1(coefficient) * l1(table) *
+    2j^(number of derivatives).  A product contributes to each coefficient
+    at most l1(left) * l1(right) * 2^min(2j, 2j'): the twist is a monomial,
+    and the z-polynomial of a block pair has l1 norm sum_r [p choose
+    r]_{q^2}(1) = 2^p, p = min(n, m) (1 for equal letters), n <= 2j and
+    m <= 2j' the blocks' powers.  The sum of this bound over the products
+    of both sides bounds every coefficient of each product and of LHS, RHS
+    and LHS - RHS; ``_kronecker_bits`` takes one bit more than it.
+    Decoding, a Python loop over digits, runs only for ``lm_residual`` and
+    the FAIL text.
     """
 
     def __init__(self, lhs, rhs):
-        terms = lhs + rhs
         times = words = bound = top = 0
-        for t in terms:
-            # degree 2j in u and x, 2j' in v and y, and the prefactor's
-            degs = (t.left,) * 2 + (t.right,) * 2
-            times = max(times, *(e + d for m in t.prefactor for e, d in zip(m, degs)))
-            words = max(words, t.left + t.right)
-            pre = sum(abs(v) for c in t.prefactor.values() for v in c.values())
-            left = _tau_table(t.left)[1] * t.left ** len(t.left_derivs)
-            bound += pre * left * _tau_table(t.right)[1] * t.right ** len(t.right_derivs)
-            top = max(top, min(t.left, t.right))
+        for left, right in lhs + rhs:
+            dl, dr = max(s[2] for s in left), max(s[2] for s in right)
+            # degree 2j in u and x, 2j' in v and y, and the monomials'
+            degs = (dl, dl, dr, dr)
+            times = max(times, *(e + d for s in left + right for e, d in zip(s[1], degs)))
+            words = max(words, dl + dr)
+            bound += _l1(left) * _l1(right)
+            top = max(top, min(dl, dr))
         self.width = width = max(1, max(times, words).bit_length())
         self.bits = _kronecker_bits(bound << top)
         # the b field, then the c field, above the times; v and y are the
         # fields of the right factors
         self._b_at = len(LM_VARS) * width
-        self._right = _pack((0, 0, 1, 1), width) * ((1 << width) - 1)
         self._factors = {}
-        self.lhs, self.rhs = self.sum(lhs), self.sum(rhs)
+        self.lhs, self.rhs = ([self.product(self.fold(l, False), self.fold(r, True)) for l, r in s] for s in (lhs, rhs))
         self.low = min((p[-1] for side in (self.lhs, self.rhs) for pairs in side for p in pairs), default=0)
 
     def factor(self, two_j, right, shifts, derivs):
         """tau_j packed, flowing in v and y if ``right`` and in u and x
-        otherwise, then q-shifted by each var -> k of ``shifts`` and
+        otherwise, then q-shifted by each (var, k) of ``shifts`` and
         q-differentiated by each (var, base) of ``derivs``; once per
-        arguments, so that terms sharing a factor share one object."""
-        key = two_j, right, tuple(shifts.items()), derivs
+        arguments, as two products read D_x tau and D_y tau'."""
+        key = two_j, right, shifts, derivs
         out = self._factors.get(key)
         if out is not None:
             return out
         if shifts or derivs:
-            out = self.factor(two_j, right, {}, ())
-            for v, k in shifts.items():
+            out = self.factor(two_j, right, (), ())
+            for v, k in shifts:
                 out = self.shift(out, v, k)
             for v, b in derivs:
                 out = self.derivative(out, v, b)
@@ -288,6 +287,27 @@ class _LaurentRing:
             }
         self._factors[key] = out
         return out
+
+    def fold(self, summands, right):
+        """One side of a product as one packed factor: the sum of c m f over
+        its summands, c, m and f their coefficients, monomials and
+        ``factor``s, with zero ints dropped."""
+        bits, width = self.bits, self.width
+        parts = []
+        for c, mono, two_j, shifts, derivs in summands:
+            fl, fp = self.factor(two_j, right, shifts, derivs)
+            cl = min(c)
+            parts.append((fl + cl, _pack(mono, width), _encode(c, bits, cl), fp))
+        low = min(p[0] for p in parts)
+        acc = {}
+        for fl, m, c, fp in parts:
+            c <<= bits * (fl - low)
+            for blk, d in fp.items():
+                a = acc.setdefault(blk, {})
+                for key, v in d.items():
+                    key += m
+                    a[key] = a[key] + c * v if key in a else c * v
+        return low, _trim_words(acc)
 
     def _exponents(self, p, var):
         """(field offset, mask, largest exponent) of var in factor p."""
@@ -348,43 +368,6 @@ class _LaurentRing:
                 pairs.append(((w, e), twisted, d2, zp, ll + rl + tlow + zlow))
         return pairs
 
-    def combine(self, *parts):
-        """The sum of the factors ``parts``, with zero ints dropped."""
-        low = min(f[0] for f in parts)
-        acc = {}
-        for fl, p in parts:
-            s = self.bits * (fl - low)
-            for w, d in p.items():
-                a = acc.setdefault(w, {})
-                for key, c in d.items():
-                    c <<= s
-                    a[key] = a[key] + c if key in a else c
-        return low, _trim_words(acc)
-
-    def sum(self, terms):
-        """The planned products of the terms, one per group.  A monomial m
-        of a prefactor is central and folds into a factor: m in v or y into
-        the right one, as L (sum m R) with the others of left factor L; m
-        in u or x as (sum m L) R; a constant joins a group that has one of
-        its factors."""
-        pieces = []
-        for t in terms:
-            lf = self.factor(t.left, False, t.left_shifts, t.left_derivs)
-            rf = self.factor(t.right, True, t.right_shifts, t.right_derivs)
-            for mono, c in t.prefactor.items():
-                low = min(c)
-                pieces.append((_pack(mono, self.width), low, _encode(c, self.bits, low), lf, rf))
-        # constants last, to find the others' groups; a group is keyed by
-        # (whether it shares the right factor, the shared factor's id)
-        groups = {}
-        for key, ml, mc, lf, rf in sorted(pieces, key=lambda p: not p[0]):
-            side = not key & self._right if key else (True, id(rf)) in groups
-            f, (gl, gp) = (rf, lf) if side else (lf, rf)
-            folded = ml + gl, {blk: _addmul({}, {key: mc}, d) for blk, d in gp.items()}  # m * g by block
-            groups.setdefault((side, id(f)), (f, []))[1].append(folded)
-        parts = ((side, f, self.combine(*g)) for (side, _), (f, g) in groups.items())
-        return [self.product(g, f) if side else self.product(f, g) for side, f, g in parts]
-
     def add(self, acc, products, sign=1):
         """acc += sign * the planned products, at ``low``."""
         bits, low = self.bits, self.low
@@ -413,27 +396,6 @@ class _LaurentRing:
 
 
 @dataclass
-class BilinearTerm:
-    """One product term of the general identity over the times ``LM_VARS``:
-
-        prefactor * D_left(tau_left(u, x)) * D_right(tau_right(v, y)),
-
-    the prefactor a {time monomial: {q-exponent: int}} and each factor the
-    tau table of twice its spin (``funq._tau_table``), first q-shifted per
-    variable (``*_shifts``: var -> k means var -> q^k var), then
-    q-differentiated (``*_derivs``: (var, base) pairs, D^(q^base)_var,
-    applied in order).  The left factor stays to the left."""
-
-    prefactor: dict
-    left: int
-    right: int
-    left_shifts: dict
-    right_shifts: dict
-    left_derivs: tuple = ()
-    right_derivs: tuple = ()
-
-
-@dataclass
 class HierarchyCoefficient:
     k: int
     l: int
@@ -449,30 +411,47 @@ _ONE, _U, _X, _V, _Y = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (
 
 
 def lm_sides(j, jp):
-    """LHS and RHS of the general identity times [2j][2j'], as lists of
-    BilinearTerms:
+    """LHS and RHS of the general identity times [2j][2j'], each as two
+    products:
 
-        [2j] tau D_y tau' - q^-2j [2j'] D_x tau tau'
-            + (q^(2j'-2j-1) y - q^(2j-1) x) D_x tau D_y tau'
-        = [2j][2j'] (v - q^-2j u) tau_{j-1/2}(u, q^-1 x) tau_{j'-1/2}(q^-1 v, y),
+        ([2j] tau - q^(2j-1) x D_x tau) D_y tau'
+            + D_x tau (q^(2j'-2j-1) y D_y tau' - q^-2j [2j'] tau')
+        = tau_- ([2j][2j'] v tau'_-) + (-q^-2j [2j][2j'] u tau_-) tau'_-,
 
-    tau = tau_j(u, x), tau' = tau_j'(v, y), every derivative of base q^-2.
+    tau = tau_j(u, x), tau' = tau_j'(v, y), tau_- = tau_{j-1/2}(u, q^-1 x)
+    and tau'_- = tau_{j'-1/2}(q^-1 v, y), every derivative of base q^-2.
     [2j][2j'] clears the brackets of the unscaled identity; it is a nonzero
     element of Q(q), so either scaled side, and their difference, is zero
-    exactly when it is unscaled."""
+    exactly when it is unscaled.  A product is a (left summands, right
+    summands) pair.  A summand (c, m, 2j, shifts, derivs) is the Laurent
+    coefficient c times the central time monomial m times the tau table of
+    twice its spin (``funq._tau_table``), flowing in u and x on the left and
+    in v and y on the right, q-shifted by each (var, k) of ``shifts`` (var
+    -> q^k var), then q-differentiated by each (var, base) of ``derivs``."""
     two_j, two_jp = twice(j), twice(jp)
     if two_j < 1 or two_jp < 1:
         raise ValueError("both spins must be at least 1/2")
     dx, dy = (("x", -2),), (("y", -2),)
+    x1, v1 = (("x", -1),), (("v", -1),)
     br_j, br_jp = _q_bracket(two_j), _q_bracket(two_jp)
-    lhs = [
-        BilinearTerm({_ONE: br_j}, two_j, two_jp, {}, {}, (), dy),
-        BilinearTerm({_ONE: {e - two_j: -c for e, c in br_jp.items()}}, two_j, two_jp, {}, {}, dx, ()),
-        BilinearTerm({_Y: {two_jp - two_j - 1: 1}, _X: {two_j - 1: -1}}, two_j, two_jp, {}, {}, dx, dy),
-    ]
     scale = _laurent_mul(br_j, br_jp)
-    pre = {_V: scale, _U: {e - two_j: -c for e, c in scale.items()}}
-    return lhs, [BilinearTerm(pre, two_j - 1, two_jp - 1, {"x": -1}, {"v": -1})]
+    one = {0: 1}
+
+    def minus_q_2j(lau):  # -q^-2j lau
+        return {e - two_j: -c for e, c in lau.items()}
+
+    lhs = [
+        ([(br_j, _ONE, two_j, (), ()), ({two_j - 1: -1}, _X, two_j, (), dx)], [(one, _ONE, two_jp, (), dy)]),
+        (
+            [(one, _ONE, two_j, (), dx)],
+            [({two_jp - two_j - 1: 1}, _Y, two_jp, (), dy), (minus_q_2j(br_jp), _ONE, two_jp, (), ())],
+        ),
+    ]
+    rhs = [
+        ([(one, _ONE, two_j - 1, x1, ())], [(scale, _V, two_jp - 1, v1, ())]),
+        ([(minus_q_2j(scale), _U, two_j - 1, x1, ())], [(one, _ONE, two_jp - 1, v1, ())]),
+    ]
+    return lhs, rhs
 
 
 def _lm_packed(j, jp):

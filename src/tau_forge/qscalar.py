@@ -391,26 +391,36 @@ def qs(value):
 # -- q-combinatorics ------------------------------------------------------
 
 
-def _check_q_number(n, base_power):
+def _check_q_number(n, base_power=1):
     if n < 0:
         raise ValueError("q-numbers require n >= 0")
     if base_power == 0:
         raise ValueError("base power must be nonzero")
 
 
+def _q_paren(n, base):
+    """(n)_{q^base} = 1 + q^base + ... + q^(base (n-1)) as {q-exponent:
+    int}: a factor t takes t^(n-1)/(n-1)! to (n)_{q^base} t^n/(n)!."""
+    return {base * i: 1 for i in range(n)}
+
+
+def _q_bracket(n):
+    """[n] = q^(n-1) + q^(n-3) + ... + q^(1-n) as {q-exponent: int}."""
+    return {2 * i + 1 - n: 1 for i in range(n)}
+
+
 @cache
 def paren(n, base_power=1):
     """(n)_{q^k} = 1 + q^k + ... + q^{k(n-1)}, for k = base_power."""
     _check_q_number(n, base_power)
-    return QScalar.from_terms({base_power * i: 1 for i in range(n)})
+    return QScalar.from_terms(_q_paren(n, base_power))
 
 
 @cache
-def bracket(n, base_power=1):
-    """[n]_{q^k} = (q^{kn} - q^{-kn}) / (q^k - q^{-k}), for k = base_power."""
-    _check_q_number(n, base_power)
-    body = QScalar.from_terms({2 * base_power * i: 1 for i in range(n)})
-    return QScalar.q_power(-base_power * (n - 1)) * body if n else ZERO
+def bracket(n):
+    """[n]_q = (q^n - q^-n) / (q - q^-1)."""
+    _check_q_number(n)
+    return QScalar.from_terms(_q_bracket(n))
 
 
 @cache
@@ -421,7 +431,7 @@ def paren_factorial(n, base_power=1):
 
 
 @cache
-def bracket_factorial(n, base_power=1):
-    """[n]_{q^k}! = [1][2]...[n]; [0]! = 1."""
-    _check_q_number(n, base_power)
-    return bracket_factorial(n - 1, base_power) * bracket(n, base_power) if n else ONE
+def bracket_factorial(n):
+    """[n]_q! = [1][2]...[n]; [0]! = 1."""
+    _check_q_number(n)
+    return bracket_factorial(n - 1) * bracket(n) if n else ONE

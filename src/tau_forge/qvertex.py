@@ -49,13 +49,12 @@ from . import funq
 from . import linalg as la
 from ._kernels import _LAURENT_ONE, _laurent_mul
 from .linalg import ConventionError
-from .qscalar import ONE, Q, QScalar, ZERO, bracket
+from .qscalar import ONE, Q, QScalar, ZERO, _q_paren, bracket
 from .report import VerificationReport
 from .uqsl2 import (
     COPRODUCT,
     Rep,
     _q_exp,
-    _q_paren,
     _rep,
     antipode_inv_matrices,
     antipode_matrices,

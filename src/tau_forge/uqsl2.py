@@ -44,6 +44,7 @@ from . import linalg as la
 from ._kernels import _LAURENT_ONE, _laurent_mul, _trim_words
 from .linalg import NonNilpotentError  # noqa: F401  (re-exported; _q_exp raises it)
 from .ncalg import _q2_binomial
+from .qscalar import _q_bracket
 from .report import VerificationReport
 
 
@@ -189,7 +190,7 @@ def _q_exp(summands, two_js):
     sum_m t^m A^m / (m)_{q^b}!, so power m is the t^m coefficient times its
     scale (m)_{q^b}!, for either base b; the base enters only where a
     product or a factor t moves a term between degrees (``_series_mul``,
-    ``_q_paren``).
+    ``qscalar._q_paren``).
 
     The series terminates at n; a non-nilpotent A raises NonNilpotentError,
     because it would not.  Equal arguments return the same cached tuple,
@@ -204,17 +205,6 @@ def _q_exp(summands, two_js):
         powers.append(power)
         power = [_trim_words(row) for row in la.lau_mul(power, A)]
     return tuple(powers)
-
-
-def _q_bracket(n):
-    """[n] = q^(n-1) + q^(n-3) + ... + q^(1-n) as {q-exponent: int}."""
-    return {2 * i + 1 - n: 1 for i in range(n)}
-
-
-def _q_paren(n, base):
-    """(n)_{q^base} = 1 + q^base + ... + q^(base (n-1)): a factor t takes
-    t^(n-1)/(n-1)! to (n)_{q^base} t^n/(n)!."""
-    return {base * i: 1 for i in range(n)}
 
 
 def _series_mul(S1, S2, base):

@@ -45,6 +45,17 @@ def test_vacuum_and_partitions():
     assert sp.partition_of_state(st) == (0, (3, 1))
 
 
+def test_partition_with_more_parts_than_particles_does_not_fit():
+    # the charge-n window holds M + n particles; a part past them would
+    # empty a mode below the window, so it cannot be dropped silently
+    sp = FockSpace(3)
+    assert sp.partition_of_state(sp.state_from_partition(0, (1, 1, 1))) == (0, (1, 1, 1))
+    assert sp.partition_of_state(sp.state_from_partition(0, (2, 1, 0, 0))) == (0, (2, 1))
+    for n, partition in ((0, (1, 1, 1, 1)), (-3, (1,)), (-2, (2, 1)), (-4, ())):
+        with pytest.raises(BoundaryError, match="does not fit the window"):
+            sp.state_from_partition(n, partition)
+
+
 def test_vacuum_charge_bounds():
     # the window [-M, M-1] holds M + n modes of the charge-n vacuum, so
     # -M <= n <= M; above M the modes would leave the window

@@ -9,7 +9,6 @@ from tau_forge._kernels import _decode, _encode, _kronecker_bits
 from tau_forge.cli import run_check
 from tau_forge.ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
 from tau_forge.qhirota import (
-    BilinearTerm,
     commutative_sl2,
     eq_half_residual,
     expand_hierarchy,
@@ -286,7 +285,8 @@ def test_ring_product_with_cancelling_terms(monkeypatch):
         2: ({("a", 0): {(0, 0, 1, 0): {0: 1}, (0, 0, 0, 1): {0: 1}}}, 2),
     }
     monkeypatch.setattr(qhirota, "_tau_table", tables.__getitem__)
-    ring = qhirota._LaurentRing([BilinearTerm({(0, 0, 0, 0): {0: 1}}, 1, 2, {}, {})], [])
+    one = {0: 1}, (0, 0, 0, 0)
+    ring = qhirota._LaurentRing([([(*one, 1, (), ())], [(*one, 2, (), ())])], [])
     b, c = (NCPoly.generator(funq_sl2(), g, qhirota.LM_VARS) for g in "bc")
     assert ring.to_ncpoly(ring.add({}, ring.lhs), ONE) == (b - c).mul(b + c)
 
@@ -308,13 +308,15 @@ def _times_q(lau):
     return {e + 1: v for e, v in lau.items()}
 
 
+def _scaled_by_q(summand):
+    c, *rest = summand
+    return (_times_q(c), *rest)
+
+
 def _lm_sides_rhs_scaled_by_q(j, jp):
+    # each RHS product scaled by q through its left factor
     lhs, rhs = _LM_SIDES(j, jp)
-    rhs = [
-        BilinearTerm({m: _times_q(c) for m, c in t.prefactor.items()}, t.left, t.right, t.left_shifts, t.right_shifts)
-        for t in rhs
-    ]
-    return lhs, rhs
+    return lhs, [([_scaled_by_q(s) for s in left], right) for left, right in rhs]
 
 
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1)])
@@ -328,16 +330,14 @@ def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
 
 
 def _lm_sides_cross_monomial_scaled_by_q(var):
-    """lm_sides with only the ``var`` monomial of the third LHS term's
-    prefactor, q^(2j'-2j-1) y - q^(2j-1) x, scaled by q."""
+    """lm_sides with only the LHS summand of monomial ``var``, the x of
+    -q^(2j-1) x D_x tau or the y of q^(2j'-2j-1) y D_y tau', scaled by q."""
 
     def sides(j, jp):
         lhs, rhs = _LM_SIDES(j, jp)
-        t = lhs[2]
         at = qhirota.LM_VARS.index(var)
-        pre = {m: _times_q(c) if m[at] else c for m, c in t.prefactor.items()}
-        assert len(pre) == 2 and sum(m[at] for m in pre) == 1
-        lhs[2] = BilinearTerm(pre, t.left, t.right, t.left_shifts, t.right_shifts, t.left_derivs, t.right_derivs)
+        lhs = [tuple([_scaled_by_q(s) if s[1][at] else s for s in half] for half in p) for p in lhs]
+        assert sum(s[1][at] for p in lhs for half in p for s in half) == 1
         return lhs, rhs
 
     return sides
@@ -357,16 +357,50 @@ def test_lm_fails_with_one_cross_monomial_scaled_by_q(monkeypatch, var):
 
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1), (2, 2)])
 def test_lm_builds_each_side_in_two_products(monkeypatch, j, jp):
-    # the three LHS terms share factors, so they make two products, and the
-    # RHS prefactor's two monomials two; a product takes its two factors only
+    # lm_sides states each side as two products, and the ring takes one
+    # product of two folded factors per stated product
+    assert [len(side) for side in qhirota.lm_sides(j, jp)] == [2, 2]
     ring = qhirota._LaurentRing
     assert list(inspect.signature(ring.product).parameters) == ["self", "left", "right"]
     calls = []
-    product, side = ring.product, ring.sum
+    product, fold = ring.product, ring.fold
     monkeypatch.setattr(ring, "product", lambda self, *args: calls.append(len(args)) or product(self, *args))
-    monkeypatch.setattr(ring, "sum", lambda self, terms: calls.append("side") or side(self, terms))
-    qhirota._lm_packed(j, jp)
-    assert calls == ["side", 2, 2, "side", 2, 2]
+    monkeypatch.setattr(ring, "fold", lambda self, *args: calls.append("fold") or fold(self, *args))
+    packed = qhirota._lm_packed(j, jp)
+    assert calls == ["fold", "fold", 2] * 4
+    assert len(packed.lhs) == len(packed.rhs) == 2
+
+
+_SUMMANDS = [
+    (side, p, half, i)
+    for side, products in enumerate(_LM_SIDES(1, 1))
+    for p, product in enumerate(products)
+    for half, summands in enumerate(product)
+    for i in range(len(summands))
+]
+
+
+def _lm_sides_one_summand_scaled_by_q(at):
+    side, p, half, i = at
+
+    def sides(j, jp):
+        out = _LM_SIDES(j, jp)
+        summands = out[side][p][half]
+        summands[i] = _scaled_by_q(summands[i])
+        return out
+
+    return sides
+
+
+@pytest.mark.parametrize("at", _SUMMANDS, ids=["{}-{}-{}-{}".format(*at) for at in _SUMMANDS])
+def test_lm_fails_with_any_one_summand_scaled_by_q(monkeypatch, at):
+    # every summand of the statement reaches the build: scaling any one
+    # coefficient by q makes a false identity, which FAILs and which the
+    # Q(q) oracle tells apart
+    monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_one_summand_scaled_by_q(at))
+    assert any(not verify_lm(j, jp).verdict for j, jp in LM_GRID)
+    lhs, rhs = _lm_sides_over_qq(HALF, HALF)
+    assert lm_residual(HALF, HALF) != (lhs, rhs)
 
 
 def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(monkeypatch):

@@ -57,18 +57,21 @@ def test_division_by_zero():
 
 
 def test_q_number_examples():
-    assert bracket(2, 1) == Q + QINV
+    assert bracket(2) == Q + QINV
     assert paren(3, 1) == ONE + Q + Q * Q
     # factorial of (n)_{q^2}: (1)(1+q^2)(1+q^2+q^4)
     expect = (ONE) * (ONE + Q**2) * (ONE + Q**2 + Q**4)
     assert paren_factorial(3, 2) == expect
     assert paren_factorial(0, 1) == ONE
-    assert bracket_factorial(0, 3) == ONE
-    for fn in (paren, bracket, paren_factorial, bracket_factorial):
+    assert bracket_factorial(0) == ONE
+    for fn in (paren, paren_factorial):
         with pytest.raises(ValueError):
             fn(-1, 1)
         with pytest.raises(ValueError):
             fn(2, 0)
+    for fn in (bracket, bracket_factorial):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 def test_repeated_factorial_makes_no_make_call(monkeypatch):
@@ -93,9 +96,9 @@ def test_bracket_paren_relation():
 def test_eval_q1_classical_values():
     for n in range(0, 11):
         assert paren(n, 1).eval_q1() == n
-        assert bracket(n, 1).eval_q1() == n
+        assert bracket(n).eval_q1() == n
         assert paren_factorial(n, 1).eval_q1() == math.factorial(n)
-        assert bracket_factorial(n, 2).eval_q1() == math.factorial(n)
+        assert bracket_factorial(n).eval_q1() == math.factorial(n)
 
 
 def test_eval_q1_brackets():

@@ -13,29 +13,38 @@ edge raises :class:`BoundaryError`, and the range of modes actually changed
 is recorded, so a finished computation carries a certificate that the
 window truncation was invisible at the reported degrees.
 
-One build serves every KP check.  For each g and charge n,
+Every KP tau is Sato's expansion over one cached table per cap,
 
     tau_n(t, s) = <n| exp(sum t_k a_k) g exp(sum s_k a_{-k}) |n>
+                = sum_{lambda, mu} S_lambda(t) <lambda, n| g |mu, n> S_mu(s),
 
-is flowed once, truncated by weighted degree (t_k and s_k carry weight k)
-with one cap per time set.  The Hirota residuals need the product
+truncated by weighted degree (t_k and s_k carry weight k) with one cap per
+time set.  The table {lambda: cap! S_lambda = cap! <lambda| exp(sum t_k
+a_{-k}) |0>} is flowed once per cap in its own window; S_lambda does not
+depend on the charge, and a_k^T = a_{-k} on the basis states, so a row is
+also <n| exp(sum t_k a_k) |lambda, n>.  No Fock vector is flowed per g or
+per charge.  Rows flowed outside the check's window are still exact: a
+lowering move stays between a state's holes and particles, and the check's
+window still guards every placed state and every fermion of g.
+
+The Hirota residuals need the product
 tau_a(x + y, u + v) tau_b(x - y, u - v).  It is formed from the two built
 taus in one capped product, with no substituted tau: the exponents a and b
 of a time in the two factors expand by Krawtchouk's coefficients,
 (x + y)^a (x - y)^b = sum_i K_i(a, b) x^(a+b-i) y^i.  The substitution
-keeps every weighted degree, so the product is exact to the same caps and no
-flow runs in four time sets.
+keeps every weighted degree, so the product is exact to the same caps.
 
 Polynomials are {packed monomial: int} dicts (KP is q-free), and each
 build carries one int scale: it holds scale times the value it stands for.
-A flow to cap D multiplies by D!, g by the product of the denominators of
-its thetas, a Schur pair by (bound!)^2, and a product by the product of the
-scales.  Only a residual or a tau leaving the module is divided by its
-scale, once, as it becomes a TimesPoly.  A packed monomial holds each
-exponent in a bit field and, in two more fields, its weighted degree in the
-(x, y) and in the (u, v) times, so adding packed monomials multiplies them
-and adds their weights.  The field width comes from the largest cap, and no
-product is formed past a cap: capped products bucket terms by weight.
+A table row of cap D is D! S_lambda, g is scaled by the product of the
+denominators of its thetas, a Schur pair by (bound!)^2, and a product by
+the product of the scales.  Only a residual or a tau leaving the module is
+divided by its scale, once, as it becomes a TimesPoly.  A packed monomial
+holds each exponent in a bit field and, in two more fields, its weighted
+degree in the (x, y) and in the (u, v) times, so adding packed monomials
+multiplies them and adds their weights.  The field width comes from the
+largest cap, and no product is formed past a cap: capped products bucket
+terms by weight.
 
 The caps are derived from the Schur operators, not fixed: the pair
 S_j(2y) S_{j+o}(-dtilde_y) lowers the (x, y) weight by o, so that set is
@@ -49,8 +58,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, perm, prod
+from operator import mul
 
-from ._kernels import _trim
+from ._kernels import _trim, _trim_words
 from .ncalg import TimesPoly
 from .qscalar import qs
 from .report import VerificationReport
@@ -71,10 +81,9 @@ class BoundaryCertificate:
         return (-self.window + 1) <= self.min_changed and self.max_changed <= (self.window - 2)
 
     def __str__(self):
-        return (
-            f"window [-{self.window},{self.window - 1}], "
-            f"changes in [{self.min_changed},{self.max_changed}]"
-        )
+        if self.max_changed < self.min_changed:
+            return f"window [-{self.window},{self.window - 1}], no mode changed"
+        return f"window [-{self.window},{self.window - 1}], changes in [{self.min_changed},{self.max_changed}]"
 
 
 class FockSpace:
@@ -84,8 +93,7 @@ class FockSpace:
         if window < 3:
             raise ValueError("window too small")
         self.M = window
-        self.min_changed = window
-        self.max_changed = -window
+        self.min_changed, self.max_changed = window, -window  # no mode changed yet
 
     def note_change(self, mode):
         if mode <= -self.M or mode >= self.M - 1:
@@ -107,8 +115,6 @@ class FockSpace:
         return state.bit_count() - self.M
 
     def certificate(self):
-        if self.max_changed < self.min_changed:  # nothing changed
-            return BoundaryCertificate(self.M, 0, 0)
         return BoundaryCertificate(self.M, self.min_changed, self.max_changed)
 
     def state_from_partition(self, n, partition):
@@ -125,11 +131,11 @@ class FockSpace:
         return state
 
     def partition_of_state(self, state):
-        n = self.charge(state)
-        desc = [b - self.M for b in range(state.bit_length() - 1, -1, -1) if state >> b & 1]
-        parts = [m - (n - i) for i, m in enumerate(desc, start=1)]
-        while parts and parts[-1] == 0:
-            parts.pop()
+        # lambda_i = m_i - (n - i), m_i the i-th highest occupied mode
+        n, parts = self.charge(state), []
+        while state and (part := state.bit_length() - self.M - n + len(parts)):
+            parts.append(part)
+            state ^= 1 << (state.bit_length() - 1)
         return n, tuple(parts)
 
 
@@ -302,7 +308,7 @@ def _sum_diff_product(ta, tb, lay, pairs, caps):
 
 
 # ---------------------------------------------------------------------------
-# flows and the one tau build
+# the Schur table and the tau build
 # ---------------------------------------------------------------------------
 
 
@@ -311,64 +317,74 @@ def _flow_weights(cap):
     return [perm(cap, cap - m) for m in range(cap + 1)]
 
 
-def flow(space, sign, units, vec, lay, group, cap):
-    """cap! exp(sum_k t_k a_{sign k}) on {state: packed int polynomial}, with
-    t_k the packed monomial units[k-1] of weight k in ``group``.  Term order m
-    is carried as A^m vec, A = sum_k t_k a_{sign k}, and added with the weight
-    cap!/m!, which is an int: each t_k adds weight k >= 1, so a term of order
-    m past cap is empty.  Terms past ``cap`` are dropped before they move, so
-    the boundary guard only ever sees modes reached by terms that survive the
-    truncation."""
-    weights = _flow_weights(cap)
-    acc = {state: {mono: weights[0] * c for mono, c in p.items()} for state, p in vec.items()}
-    term = vec
-    moves = {}  # (state, k) -> a_{sign k} |state>, for the terms that survive the cap
+def flow(space, lay, cap):
+    """cap! exp(sum_k t_k a_{-k}) |0> as {state: packed int polynomial}, t_k
+    the k-th time of ``lay``.  Term order m is A^m |0>, A = sum_k t_k a_{-k},
+    added with the int weight cap!/m!.  Every term of a state weighs the
+    state's energy, so a_{-k} acts only where that stays within ``cap``."""
+    weights, units = _flow_weights(cap), [lay.unit[v] for v in lay.vars]
+    term, acc = {space.vacuum(0): {0: 1}}, {space.vacuum(0): {0: weights[0]}}
     for w in weights[1:]:
         nxt = {}
         for state, poly in term.items():
-            by_weight = {}
-            for mono, c in poly.items():
-                by_weight.setdefault(lay.weight(mono, group), []).append((mono, c))
-            for k, unit in enumerate(units, 1):
-                kept = [(mono + unit, c) for wt, terms in by_weight.items() if wt + k <= cap for mono, c in terms]
-                if not kept:
-                    continue
-                if (state, k) not in moves:
-                    moves[state, k] = _flow_moves(space, sign * k, state)
-                for nstate, s in moves[state, k]:
+            room = cap - lay.weight(next(iter(poly)), 0)
+            for k, unit in enumerate(units[:room], 1):
+                for nstate, sign in _flow_moves(space, -k, state):
                     tgt = nxt.setdefault(nstate, {})
-                    for mono, c in kept:
-                        tgt[mono] = tgt.get(mono, 0) + (c if s > 0 else -c)
-        term = {}
-        for state, poly in nxt.items():
-            poly = _trim(poly)
-            if poly:
-                term[state] = poly
-                tgt = acc.setdefault(state, {})
-                for mono, c in poly.items():
-                    tgt[mono] = tgt.get(mono, 0) + w * c
-        if not term:
-            break
+                    for mono, c in poly.items():
+                        tgt[mono + unit] = tgt.get(mono + unit, 0) + sign * c
+        term = _trim_words(nxt)
+        for state, poly in term.items():
+            tgt = acc.setdefault(state, {})
+            for mono, c in poly.items():
+                tgt[mono] = tgt.get(mono, 0) + w * c
     return acc
+
+
+@cache
+def _schur_table(cap):
+    """{lambda: cap! S_lambda} for |lambda| <= cap, each row a tuple of
+    (exponent tuple over t_1..t_cap, int) pairs.  Cached: callers only read
+    the rows."""
+    space, lay = FockSpace(cap + 3), _Layout(_var_names("t", cap), cap)
+    shifts = [lay.shift[v] for v in lay.vars]
+    return {
+        space.partition_of_state(state)[1]: tuple((tuple(m >> s & lay.mask for s in shifts), c) for m, c in p.items())
+        for state, p in flow(space, lay, cap).items()
+    }
+
+
+def _read_rows(space, vec, vacuum, lay, prefix, cap):
+    """cap! <vacuum| exp(sum_k t_k a_k) vec>, t_k = prefix<k> of ``lay``, off
+    the table at ``cap``.  Notes where each state of ``vec`` differs from
+    ``vacuum``, a range that holds every mode the flow between them moves."""
+    table, units, out = _schur_table(cap), [lay.unit[v] for v in _var_names(prefix, cap)], {}
+    for state, c in vec.items():
+        if diff := state ^ vacuum:
+            space.note_change((diff & -diff).bit_length() - 1 - space.M)
+            space.note_change(diff.bit_length() - 1 - space.M)
+        for e, cx in table.get(space.partition_of_state(state)[1], ()):
+            m = sum(map(mul, e, units))
+            out[m] = out.get(m, 0) + c * cx
+    return out
 
 
 def _tau(g, n, lay, caps, window):
     """tau_n with the x and u fields of ``lay`` as the times t and s, exact to
     the weighted-degree caps (D_x, D_u): ({packed: int}, scale, certificate),
-    the polynomial being scale * tau_n."""
+    the polynomial being scale * tau_n: the sum over mu of the D_u table of
+    mu's u-row times the x-rows of g|mu, n>, both placed in the check's window."""
     space = FockSpace(window)
-    _check_window_budget(space, n, caps[0], caps[1], g)
-    vec = {space.vacuum(n): {0: 1}}
-    vec = flow(space, -1, [lay.unit[v] for v in _var_names("u", caps[1])], vec, lay, 1, caps[1])
-    moved = {}
-    for state, poly in vec.items():
-        for image, x in g.scaled_apply(space, {state: 1})[0].items():
-            tgt = moved.setdefault(image, {})
-            for mono, c in poly.items():
-                tgt[mono] = tgt.get(mono, 0) + x * c
-    moved = flow(space, 1, [lay.unit[v] for v in _var_names("x", caps[0])], moved, lay, 0, caps[0])
-    scale = factorial(caps[0]) * factorial(caps[1]) * g.denominator()
-    return _trim(moved.get(space.vacuum(n), {})), scale, space.certificate()
+    _check_window_budget(space, n, caps[1], g)
+    vacuum, out = space.vacuum(n), {}
+    for mu in _schur_table(caps[1]):
+        placed = {space.state_from_partition(n, mu): 1}
+        us = _read_rows(space, placed, vacuum, lay, "u", caps[1])
+        xs = _read_rows(space, g.scaled_apply(space, placed)[0], vacuum, lay, "x", caps[0])
+        for mu_mono, cu in us.items():
+            for m, cx in xs.items():
+                out[m + mu_mono] = out.get(m + mu_mono, 0) + cx * cu
+    return _trim(out), factorial(caps[0]) * factorial(caps[1]) * g.denominator(), space.certificate()
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +580,8 @@ def _residual(lay, lhs, sl, rhs=None, sr=1):
 
 
 def tau_kp(g, n, deg_x, deg_u=0, *, window):
-    """tau as the vacuum-to-vacuum matrix element of flows around g.
+    """tau as <n| exp(sum x_k a_k) g exp(sum u_k a_{-k}) |n>, by Sato's
+    expansion over the cached Schur tables.
 
     One-sided for deg_u = 0; otherwise the two-sided version with raising
     times u_k.  Returns (TimesPoly, BoundaryCertificate); all coefficients of
@@ -575,13 +592,12 @@ def tau_kp(g, n, deg_x, deg_u=0, *, window):
     return lay.to_times(poly, scale), cert
 
 
-def _check_window_budget(space, n, deg_x, deg_u, g):
+def _check_window_budget(space, n, deg_u, g):
     # raising by total weight deg_u lifts particles to at most n - 1 + deg_u
     # and vacates down to n - deg_u; lowering moves particles into existing
     # holes, so holes only move up; g factors act within their mode span
-    span = g.mode_span() if g.factors else 0
-    top = max(n - 1 + deg_u, span)
-    bottom = min(n - deg_u, -span)
+    span = g.mode_span()
+    top, bottom = max(n - 1 + deg_u, span), min(n - deg_u, -span)
     if top > space.M - 2 or bottom < -space.M + 1:
         raise BoundaryError(
             f"degree/charge budget (top {top}, bottom {bottom}) exceeds the "
@@ -595,6 +611,8 @@ def m3_residual(g, degree, window):
 
     The vector sum_j psi_j g|0> ox psi*_j g|0> is already zero before the
     linear flows act, so this checks g and the fermion signs, not the flows.
+    g|0> is built once, and psi_j g|0> and psi*_j g|0> read the table rows
+    at charges +1 and -1.  Returns (residual, [certificate]).
 
     Insertion modes beyond the guarded window are omitted; their terms need
     more energy than ``degree`` supplies, which is only sound while the
@@ -605,29 +623,18 @@ def m3_residual(g, degree, window):
             f"window [-{window - 1},{window - 2}]; increase the window"
         )
     D = degree
-    x_names, y_names = _var_names("x", D), _var_names("y", D)
-    lay = _Layout(x_names + y_names, 2 * D)
-    _check_window_budget(FockSpace(window), 1, D, 0, g)
-
-    def element(kind, j, names, charge):
-        # the matrix element times g.denominator() * D!, the same for every j
-        sp = FockSpace(window)
-        vec = apply_fermion(sp, kind, j, g.scaled_apply(sp, {sp.vacuum(0): 1})[0])
-        vec = flow(sp, 1, [lay.unit[v] for v in names], {s: {0: c} for s, c in vec.items()}, lay, 0, D)
-        return vec.get(sp.vacuum(charge)), sp
-
-    acc, certs = {}, []
+    lay = _Layout(_var_names("x", D) + _var_names("y", D), 2 * D)
+    space = FockSpace(window)
+    _check_window_budget(space, 1, 0, g)
+    ground = g.scaled_apply(space, {space.vacuum(0): 1})[0]
+    acc = {}
     for j in range(-window + 1, window - 1):
-        left, sx = element("psi", j, x_names, 1)
-        if left is None:
-            continue
-        right, sy = element("psi_star", j, y_names, -1)
-        if right is None:
-            continue
-        certs.extend([sx.certificate(), sy.certificate()])
+        # each matrix element times g.denominator() * D!
+        left = _read_rows(space, apply_fermion(space, "psi", j, ground), space.vacuum(1), lay, "x", D)
+        right = _read_rows(space, apply_fermion(space, "psi_star", j, ground), space.vacuum(-1), lay, "y", D)
         for m, c in _mul_capped(left, right, lay, (2 * D, 0)).items():
             acc[m] = acc.get(m, 0) + c
-    return lay.to_times(acc, (g.denominator() * factorial(D)) ** 2), certs
+    return lay.to_times(acc, (g.denominator() * factorial(D)) ** 2), [space.certificate()]
 
 
 def m4_residual(g, degree, window):

@@ -1,6 +1,7 @@
+import copy
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -13,6 +14,7 @@ from tau_forge.kpfock import (
     _krawtchouk_row,
     _mul_capped,
     _schur_ints,
+    _schur_table,
     _sum_diff_product,
     _tau,
     _var_names,
@@ -391,6 +393,63 @@ def test_sato_expansion_matches_the_build():
             assert built == _sato_tau(g, n, 6), (g, n)
 
 
+def test_schur_table_rows_are_jacobi_trudi_and_checks_leave_them_unchanged(fresh_caches):
+    # row lambda of the table of cap is cap! s_lambda over the first cap
+    # times, flowed once per cap; the cache hands one table to every build,
+    # so no build may write to it
+    tables = {cap: _schur_table(cap) for cap in range(7)}
+    for cap, table in tables.items():
+        assert sorted(table) == sorted(lam for w in range(cap + 1) for lam in _partitions(w))
+        for lam, row in table.items():
+            assert isinstance(row, tuple)
+            # _det pads the empty partition's monomial to six times
+            want = {m[:cap]: c * factorial(cap) for m, c in _schur_function(lam, cap).items()}
+            assert dict(row) == want, (cap, lam)
+    before = copy.deepcopy(tables)
+    run_check("*")
+    for cap, table in tables.items():
+        assert _schur_table(cap) is table
+        assert table == before[cap] == _schur_table.__wrapped__(cap)
+
+
+def test_kp_checks_flow_once_per_distinct_cap(monkeypatch, fresh_caches):
+    """Every KP tau reads the cached tables, so a cold run of the KP checks
+    flows once per distinct cap (m3 at 6, m4 at (7, 0), h6 at (5, 4) and
+    (6, 4), cauchy at (5, 5)) and a warm run flows nothing: no Fock vector
+    is flowed per g, per charge or per fermion."""
+    import tau_forge.kpfock as kpfock
+
+    flow, caps = kpfock.flow, []
+
+    def counted(space, lay, cap):
+        caps.append(cap)
+        return flow(space, lay, cap)
+
+    monkeypatch.setattr(kpfock, "flow", counted)
+    assert all(r.verdict for r in run_check("kp.*"))
+    assert sorted(caps) == [0, 4, 5, 6, 7]
+    caps.clear()
+    assert all(r.verdict for r in run_check("kp.*"))
+    assert caps == []
+
+
+def test_certificate_of_a_build_that_changed_nothing():
+    # the one-sided tau of g = identity moves no mode of the window
+    _, cert = tau_kp(GroupElementSpec.identity(), 0, 4, window=8)
+    assert cert.ok
+    assert str(cert) == "window [-8,7], no mode changed"
+    sp = FockSpace(8)
+    assert sp.certificate().ok and str(sp.certificate()) == str(cert)
+    sp.note_change(0)
+    assert str(sp.certificate()) == "window [-8,7], changes in [0,0]"
+    _, cert = tau_kp(GroupElementSpec.single(Fraction(1), 0, -1), 0, 4, window=8)
+    assert cert.ok and str(cert) == "window [-8,7], changes in [-1,0]"
+    # the flows to (5, 5) would move modes -5 .. 4: the build notes where
+    # each placed state and each image differ from the vacuum
+    _, _, cert = cauchy_pair(5, window=8)
+    assert cert.ok and str(cert) == "window [-8,7], changes in [-5,4]"
+
+
 def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
     import tau_forge.kpfock as kpfock
 
@@ -410,7 +469,7 @@ def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
         assert built and set(built) == {rep.params["caps"]}
 
 
-def test_flow_weight_mutant_fails_sato_m4_and_h6(monkeypatch):
+def test_flow_weight_mutant_fails_sato_m4_and_h6(monkeypatch, fresh_caches):
     """A flow that adds term order 2 with the weight cap!/1! in place of
     cap!/2! no longer builds Sato's tau, and FAILs kp.m4 and kp.h6.  kp.m3
     is blind to every flow mutant: its residual is <1|F(x) (x) <-1|F(y)
@@ -454,7 +513,7 @@ def test_wrong_scale_on_one_charge_fails_h6(monkeypatch):
     assert not all(r.verdict for r in run_check("kp.h6"))
 
 
-def test_flow_sign_mutant_fails_sato_and_the_flow_checks(monkeypatch):
+def test_flow_sign_mutant_fails_sato_and_the_flow_checks(monkeypatch, fresh_caches):
     """A flow move p -> t signed only by the occupied modes above t after
     the removal, without the sign of removing p, no longer builds Sato's
     tau, and FAILs kp.m4, kp.h6, kp.cauchy and kp.heisenberg.  kp.m3 still

@@ -37,8 +37,10 @@ keeps every weighted degree, so the product is exact to the same caps.
 Polynomials are {packed monomial: int} dicts (KP is q-free), and each
 build carries one int scale: it holds scale times the value it stands for.
 A table row of cap D is D! S_lambda, g is scaled by the product of the
-denominators of its thetas, a Schur pair by (bound!)^2, and a product by
-the product of the scales.  Only a residual or a tau leaving the module is
+denominators of its thetas, and a product by the product of the scales.
+The Schur operators read the same table: both factors of a Schur pair are
+rows (k,) of the table at the layout's bound, each bound! S_k, so the pair
+carries (bound!)^2.  Only a residual or a tau leaving the module is
 divided by its scale, once, as it becomes a TimesPoly.  A packed monomial
 holds each exponent in a bit field and, in two more fields, its weighted
 degree in the (x, y) and in the (u, v) times, so adding packed monomials
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, perm, prod
-from operator import mul
+from operator import add, mul
 
 from ._kernels import _trim, _trim_words
 from .ncalg import TimesPoly
@@ -75,10 +77,6 @@ class BoundaryCertificate:
     window: int
     min_changed: int
     max_changed: int
-
-    @property
-    def ok(self):
-        return (-self.window + 1) <= self.min_changed and self.max_changed <= (self.window - 2)
 
     def __str__(self):
         if self.max_changed < self.min_changed:
@@ -455,68 +453,6 @@ class GroupElementSpec:
         return max((max(abs(i), abs(j)) for _, i, j in self.factors), default=0)
 
 
-# ---------------------------------------------------------------------------
-# Schur polynomials, on exponent tuples over the slots t_1, t_2, ...
-# ---------------------------------------------------------------------------
-
-
-@cache
-def schur_exponents(j):
-    """S_j as {exponent tuple over slots 1..j: Fraction} from the recurrence
-    j S_j = sum_k k x_k S_{j-k}.  Cached: callers only read the dict."""
-    if j < 0:
-        return {}
-    table = [{(): Fraction(1)}]
-    for n in range(1, j + 1):
-        cur = {}
-        for k in range(1, n + 1):
-            for mono, c in table[n - k].items():
-                ex = list(mono) + [0] * (n - len(mono))
-                ex[k - 1] += 1
-                ex = tuple(ex)
-                cur[ex] = cur.get(ex, Fraction(0)) + Fraction(k, n) * c
-        table.append({m: c for m, c in cur.items() if c})
-    return table[j]
-
-
-@cache
-def _schur_ints(j):
-    """j! S_j, an int polynomial: S_j's monomial prod t_k^(x_k) has the
-    coefficient 1 / prod x_k!, and sum x_k <= j.  Cached: callers only read
-    the dict."""
-    f = factorial(max(j, 0))
-    return {mono: int(c * f) for mono, c in schur_exponents(j).items()}
-
-
-def schur_poly(j, slots, slot_scale=1):
-    """j! S_j(slot_scale * t) over the first ``slots`` times, as {exponent
-    tuple of length slots: int}, for an int slot_scale; later times are
-    frozen to zero."""
-    out = {}
-    for mono, c in _schur_ints(j).items():
-        if not any(mono[slots:]):
-            out[(mono + (0,) * slots)[:slots]] = c * slot_scale ** sum(mono)
-    return out
-
-
-def schur_diff_apply(j, mono, slot_scale=-1):
-    """j! S_j(slot_scale * dtilde) on the monomial t^mono, slot k acting as
-    (slot_scale / k) d/dt_k (slots past len(mono) act as zero), as {exponent
-    tuple: int} for an int slot_scale.  It is integral because j! over
-    prod x_k! k^(x_k) counts the permutations of j things with x_k cycles of
-    length k, for every monomial prod t_k^(x_k) of S_j."""
-    out = {}
-    for d, c in _schur_ints(j).items():
-        if any(d[len(mono):]) or any(x > e for x, e in zip(d, mono)):
-            continue
-        d = d[: len(mono)] + (0,) * (len(mono) - len(d))
-        c //= prod(k**x for k, x in enumerate(d, 1))
-        for x, e in zip(d, mono):
-            c *= slot_scale**x * perm(e, x)
-        out[tuple(e - x for e, x in zip(mono, d))] = c
-    return out
-
-
 def schur_pair_caps(degree, offset):
     """(D_xy, D_uv), the weighted degrees to which the taus of a Schur-pair
     residual are built.  The y-side pair S_j(2y) S_{j+o}(-dtilde_y) lowers the
@@ -525,20 +461,47 @@ def schur_pair_caps(degree, offset):
     return degree + max(offset, 0), degree + max(-offset, 0)
 
 
+@cache
+def _pair_image(ez, a, b, sigma, bound):
+    """sum_{j>=0} S_{j+a}(2 sigma z) S_{j+b}(-sigma dtilde_z) z^ez times
+    (bound!)^2, z the first len(ez) times (later times frozen to zero), as a
+    tuple of (exponent tuple, int) pairs.  Both factors are rows (k,) of the
+    table at ``bound``, each bound! S_k, so no term needs a weight.  Slot k
+    of dtilde acts as d/dt_k / k; the quotient stays an int, since bound! S_k
+    is bound!/k! times k! S_k and k! over prod x_i! i^(x_i) counts the
+    permutations of k things with x_i cycles of length i.  Cached: callers
+    only read the tuple."""
+    table, slots, acc = _schur_table(bound), len(ez), {}
+    for j in range(max(0, -a, -b), sum(k * e for k, e in enumerate(ez, 1)) - b + 1):
+        dpart = []
+        for d, c in table[(j + b,) if j + b else ()]:
+            if any(d[slots:]) or any(x > e for x, e in zip(d, ez)):
+                continue
+            c //= prod(k**x for k, x in enumerate(d, 1))
+            for x, e in zip(d, ez):
+                c *= (-sigma) ** x * perm(e, x)
+            dpart.append((tuple(e - x for e, x in zip(ez, d)), c))
+        for s, cs in table[(j + a,) if j + a else ()]:
+            if any(s[slots:]):
+                continue
+            cs *= (2 * sigma) ** sum(s)
+            for md, cd in dpart:
+                key = tuple(map(add, s, md))
+                acc[key] = acc.get(key, 0) + cs * cd
+    return tuple((e, c) for e, c in acc.items() if c)
+
+
 def _schur_pair(G, lay, z, a, b, sigma, degree):
     """sum_{j>=0} S_{j+a}(2 sigma z) S_{j+b}(-sigma dtilde_z) G, kept to
     ``degree`` in both time sets, times L = (bound!)^2: (integer poly, L).
 
     The pair acts on the z times alone and moves their weight by a - b, so
-    it is applied once per distinct z-monomial of G and multiplied back onto
-    the rest of each term.  Term j is built from the int tables
-    (j+a)! S_{j+a} and (j+b)! S_{j+b} and weighted by L / ((j+a)! (j+b)!),
-    an int because j + a, j + b <= bound."""
+    each distinct z-monomial of G takes its cached image
+    (:func:`_pair_image`), packed once per call into ``lay``, and the image
+    is multiplied back onto the rest of each term."""
     group = lay.group[z[0]]
     shifts = [lay.shift[v] for v in z]
     zmask = sum(lay.mask << s for s in shifts)
-    L = factorial(lay.bound) ** 2
-    slots = len(z)
     images, out = {}, {}
     for m, c in G.items():
         if lay.weight(m, group) + a - b > degree or lay.weight(m, 1 - group) > degree:
@@ -547,23 +510,14 @@ def _schur_pair(G, lay, z, a, b, sigma, degree):
         image = images.get(zbits)
         if image is None:
             ez = tuple((zbits >> s) & lay.mask for s in shifts)
-            acc = {}
-            for j in range(max(0, -a, -b), sum(k * e for k, e in enumerate(ez, 1)) - b + 1):
-                w, r = divmod(L, factorial(j + a) * factorial(j + b))
-                if r:
-                    raise ArithmeticError("Schur-pair coefficient not cleared by (bound!)^2")
-                dpart = schur_diff_apply(j + b, ez, -sigma)
-                for ms, cs in schur_poly(j + a, slots, 2 * sigma).items():
-                    for md, cd in dpart.items():
-                        key = lay.pack(z, map(sum, zip(ms, md)))
-                        acc[key] = acc.get(key, 0) + w * cs * cd
-            image = images[zbits] = (lay.pack(z, ez), [(mz, v) for mz, v in acc.items() if v])
+            terms = [(lay.pack(z, e), v) for e, v in _pair_image(ez, a, b, sigma, lay.bound)]
+            image = images[zbits] = (lay.pack(z, ez), terms)
         zmono, terms = image
         rest = m - zmono
         for mz, cz in terms:
             key = rest + mz
             out[key] = out.get(key, 0) + c * cz
-    return _trim(out), L
+    return _trim(out), factorial(lay.bound) ** 2
 
 
 def _residual(lay, lhs, sl, rhs=None, sr=1):
@@ -710,6 +664,8 @@ def cauchy_pair(degree, window):
 
 
 def verify_hirota_kp(which, g, degree, window, charges=(0, 0)):
+    if which in ("M3", "M4") and tuple(charges) != (0, 0):
+        raise ValueError(f"{which} is a charge-0 relation; got charges {charges}")
     caps = None
     if which == "M3":
         res, certs = m3_residual(g, degree, window)

@@ -352,15 +352,20 @@ def _schur_table(cap):
     }
 
 
+def _note_moves(space, state, vacuum):
+    """Notes where ``state`` differs from ``vacuum``, a range that holds every
+    mode the flow between them moves."""
+    if diff := state ^ vacuum:
+        space.note_change((diff & -diff).bit_length() - 1 - space.M)
+        space.note_change(diff.bit_length() - 1 - space.M)
+
+
 def _read_rows(space, vec, vacuum, lay, prefix, cap):
     """cap! <vacuum| exp(sum_k t_k a_k) vec>, t_k = prefix<k> of ``lay``, off
-    the table at ``cap``.  Notes where each state of ``vec`` differs from
-    ``vacuum``, a range that holds every mode the flow between them moves."""
+    the table at ``cap``, noting each state's moves (``_note_moves``)."""
     table, units, out = _schur_table(cap), [lay.unit[v] for v in _var_names(prefix, cap)], {}
     for state, c in vec.items():
-        if diff := state ^ vacuum:
-            space.note_change((diff & -diff).bit_length() - 1 - space.M)
-            space.note_change(diff.bit_length() - 1 - space.M)
+        _note_moves(space, state, vacuum)
         for e, cx in table.get(space.partition_of_state(state)[1], ()):
             m = sum(map(mul, e, units))
             out[m] = out.get(m, 0) + c * cx
@@ -371,14 +376,19 @@ def _tau(g, n, lay, caps, window):
     """tau_n with the x and u fields of ``lay`` as the times t and s, exact to
     the weighted-degree caps (D_x, D_u): ({packed: int}, scale, certificate),
     the polynomial being scale * tau_n: the sum over mu of the D_u table of
-    mu's u-row times the x-rows of g|mu, n>, both placed in the check's window."""
+    mu's u-row times the x-rows of g|mu, n>, both placed in the check's
+    window.  The u-row is read off the table by mu itself; the placed state
+    is noted as ``_read_rows`` would note it."""
     space = FockSpace(window)
     _check_window_budget(space, n, caps[1], g)
     vacuum, out = space.vacuum(n), {}
-    for mu in _schur_table(caps[1]):
-        placed = {space.state_from_partition(n, mu): 1}
-        us = _read_rows(space, placed, vacuum, lay, "u", caps[1])
-        xs = _read_rows(space, g.scaled_apply(space, placed)[0], vacuum, lay, "x", caps[0])
+    units = [lay.unit[v] for v in _var_names("u", caps[1])]
+    for mu, row in _schur_table(caps[1]).items():
+        placed = space.state_from_partition(n, mu)
+        _note_moves(space, placed, vacuum)
+        # distinct exponent tuples pack to distinct monomials
+        us = {sum(map(mul, e, units)): cu for e, cu in row}
+        xs = _read_rows(space, g.scaled_apply(space, {placed: 1})[0], vacuum, lay, "x", caps[0])
         for mu_mono, cu in us.items():
             for m, cx in xs.items():
                 out[m + mu_mono] = out.get(m + mu_mono, 0) + cx * cu

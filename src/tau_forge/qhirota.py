@@ -39,8 +39,10 @@ evaluated at q = 2^B with a lowest exponent kept beside it.  A q-shift
 moves that exponent, a q-derivative multiplies by an encoded q-number, the
 summands of each side of a product fold into one packed factor, and words
 multiply by PBW block (the power of a or d) with the closed form
-``funq_sl2_blocks``, without rewriting.  Every product adds into one
-{block: {key: int}} at one lowest exponent fixed before the first product.
+``funq_sl2_blocks``, without rewriting.  The packed plan of both sides is
+built once per spin pair (``_lm_packed``, cached on (2j, 2j')), and every
+call adds its products into one fresh {block: {key: int}} at one lowest
+exponent fixed before the first product.
 B comes from a proven l1 bound on every coefficient of LHS - RHS, taken
 from the table norms (see ``_LaurentRing``), so ``verify_lm`` decides by
 testing integers for zero: the LHS first, then the LHS with the RHS
@@ -216,7 +218,11 @@ class _LaurentRing:
     product is taken, and ``add`` adds products into one {block: {key:
     int}} at that low, so no product is shifted and re-added whole:
     ``verify_lm`` adds the LHS, tests it, subtracts the RHS into the same
-    dict and tests that.
+    dict and tests that.  The plan (``bits``, ``width``, ``low``, ``lhs``
+    and ``rhs``) is read-only after the build, its products tuples:
+    ``_lm_packed`` keeps one ring per spin pair for every caller, and
+    ``add`` writes only into the accumulator it is given.  The packed tau tables (``factor``) are a
+    memo of the build alone.
 
     Only the zero test and decoding need a bound.  A polynomial whose
     coefficients are all below 2^(bits-1) in absolute value is its balanced
@@ -254,21 +260,26 @@ class _LaurentRing:
         # the b field, then the c field, above the times; v and y are the
         # fields of the right factors
         self._b_at = len(LM_VARS) * width
-        self._factors = {}
-        self.lhs, self.rhs = ([self.product(self.fold(l, False), self.fold(r, True)) for l, r in s] for s in (lhs, rhs))
+        # the packed tau tables of this build, read by no caller after it
+        factors = {}
+        self.lhs, self.rhs = (
+            tuple([self.product(self.fold(l, False, factors), self.fold(r, True, factors)) for l, r in s])
+            for s in (lhs, rhs)
+        )
         self.low = min((p[-1] for side in (self.lhs, self.rhs) for pairs in side for p in pairs), default=0)
 
-    def factor(self, two_j, right, shifts, derivs):
+    def factor(self, factors, two_j, right, shifts, derivs):
         """tau_j packed, flowing in v and y if ``right`` and in u and x
         otherwise, then q-shifted by each (var, k) of ``shifts`` and
         q-differentiated by each (var, base) of ``derivs``; once per
-        arguments, as two products read D_x tau and D_y tau'."""
+        arguments in the build's memo ``factors``, as two products read
+        D_x tau and D_y tau'."""
         key = two_j, right, shifts, derivs
-        out = self._factors.get(key)
+        out = factors.get(key)
         if out is not None:
             return out
         if shifts or derivs:
-            out = self.factor(two_j, right, (), ())
+            out = self.factor(factors, two_j, right, (), ())
             for v, k in shifts:
                 out = self.shift(out, v, k)
             for v, b in derivs:
@@ -285,17 +296,17 @@ class _LaurentRing:
                 }
                 for blk, d in blocks.items()
             }
-        self._factors[key] = out
+        factors[key] = out
         return out
 
-    def fold(self, summands, right):
+    def fold(self, summands, right, factors):
         """One side of a product as one packed factor: the sum of c m f over
         its summands, c, m and f their coefficients, monomials and
         ``factor``s, with zero ints dropped."""
         bits, width = self.bits, self.width
         parts = []
         for c, mono, two_j, shifts, derivs in summands:
-            fl, fp = self.factor(two_j, right, shifts, derivs)
+            fl, fp = self.factor(factors, two_j, right, shifts, derivs)
             cl = min(c)
             parts.append((fl + cl, _pack(mono, width), _encode(c, bits, cl), fp))
         low = min(p[0] for p in parts)
@@ -343,15 +354,15 @@ class _LaurentRing:
         return low + base, out
 
     def product(self, left, right):
-        """left * right, planned: one (block, twisted left terms, right
-        terms, z-polynomial or None, lowest exponent) per block pair, each
-        int as its odd part and zero bits (the shared low leaves zero digits
-        below most coefficients)."""
+        """left * right, planned: a tuple of one (block, twisted left terms,
+        right terms, z-polynomial or None, lowest exponent) per block pair,
+        the terms tuples, each int as its odd part and zero bits (the shared
+        low leaves zero digits below most coefficients)."""
         (ll, lp), (rl, rp) = left, right
         bits, width, at = self.bits, self.width, self._b_at
         mask = (1 << width) - 1
         z = (1 << at) | (1 << (at + width))
-        rp = {blk: _odd_parts(d) for blk, d in rp.items()}
+        rp = {blk: tuple(_odd_parts(d)) for blk, d in rp.items()}
         pairs = []
         for (x, n), d1 in lp.items():
             # (key, b and c degree, odd part, zero bits) of each left term
@@ -361,12 +372,12 @@ class _LaurentRing:
             for (y, m), d2 in rp.items():
                 w, e, twist, zs = funq_sl2_blocks(x, n, y, m)
                 tlow = twist * (lo if twist > 0 else hi)
-                twisted = [(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1]
+                twisted = tuple([(k, c, t + bits * (twist * s - tlow)) for k, s, c, t in d1])
                 zlow = _lowest(c for _, c in zs)
                 # a z-polynomial 1 (equal letters or a power 0) leaves the convolution as it is
-                zp = [(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs] if len(zs) > 1 else None
+                zp = tuple([(r * z, *_odd_part(_encode(c, bits, zlow))) for r, c in zs]) if len(zs) > 1 else None
                 pairs.append(((w, e), twisted, d2, zp, ll + rl + tlow + zlow))
-        return pairs
+        return tuple(pairs)
 
     def add(self, acc, products, sign=1):
         """acc += sign * the planned products, at ``low``."""
@@ -454,22 +465,26 @@ def lm_sides(j, jp):
     return lhs, rhs
 
 
-def _lm_packed(j, jp):
+@cache
+def _lm_packed(two_j, two_jp):
     """Both sides of the general identity times [2j][2j'], Kronecker-packed
-    and planned: the ring, with its ``lhs`` and ``rhs`` products."""
-    return _LaurentRing(*lm_sides(j, jp))
+    and planned, once per spin pair: the ring, with its ``lhs`` and ``rhs``
+    products.  Every caller reads the plan and adds it into a fresh
+    accumulator of its own."""
+    return _LaurentRing(*lm_sides(Fraction(two_j, 2), Fraction(two_jp, 2)))
 
 
-def _lm_scale(j, jp):
+def _lm_scale(two_j, two_jp):
     """[2j][2j'] in Q(q), the divisor for decoding."""
-    return bracket(twice(j)) * bracket(twice(jp))
+    return bracket(two_j) * bracket(two_jp)
 
 
 def lm_residual(j, jp):
     """(LHS, RHS) of the general identity as NCPolys over Q(q), both decoded
     from one packed build; the identity holds when they are equal."""
-    ring = _lm_packed(j, jp)
-    scale = _lm_scale(j, jp)
+    two_j, two_jp = twice(j), twice(jp)
+    ring = _lm_packed(two_j, two_jp)
+    scale = _lm_scale(two_j, two_jp)
     return ring.to_ncpoly(ring.add({}, ring.lhs), scale), ring.to_ncpoly(ring.add({}, ring.rhs), scale)
 
 
@@ -477,13 +492,14 @@ def verify_lm(j, jp):
     """Exact zero test of the general bilinear identity for the spin pair:
     every packed int of LHS - RHS must be 0.  A zero LHS fails: the identity
     would then hold vacuously."""
-    ring = _lm_packed(j, jp)
-    params = {"j": Fraction(twice(j), 2), "jprime": Fraction(twice(jp), 2)}
+    two_j, two_jp = twice(j), twice(jp)
+    ring = _lm_packed(two_j, two_jp)
+    params = {"j": Fraction(two_j, 2), "jprime": Fraction(two_jp, 2)}
     acc = ring.add({}, ring.lhs)
     if not _nonzero(acc):
         failures = ["the left-hand side is zero, so the identity holds vacuously"]
     elif _nonzero(ring.add(acc, ring.rhs, -1)):
-        failures = [str(ring.to_ncpoly(acc, _lm_scale(j, jp)))]
+        failures = [str(ring.to_ncpoly(acc, _lm_scale(two_j, two_jp)))]
     else:
         failures = []
     return VerificationReport.from_failures(failures, params)

@@ -2,10 +2,11 @@
 the checks run before it or on what is already cached."""
 
 import copy
+import itertools
 
 from conftest import PACKAGE_CACHES
 
-from tau_forge import cli, funq
+from tau_forge import cli, funq, qhirota
 
 
 def _clear():
@@ -40,11 +41,22 @@ def test_reports_do_not_depend_on_order_or_caches(fresh_caches):
 
 
 def test_checks_leave_the_cached_tau_tables_unchanged(fresh_caches):
-    # the cache hands one table per spin to every caller, so no caller may
-    # write to it
+    # the cache hands one table per spin, and one lm plan per spin pair, to
+    # every caller, so no caller may write to it
     tables = {two_j: funq._tau_table(two_j) for two_j in range(9)}
     before = copy.deepcopy(tables)
     cli.run_check("*")
     for two_j, table in tables.items():
         assert funq._tau_table(two_j) is table
         assert table == before[two_j] == funq._tau_table.__wrapped__(two_j)
+    plans = qhirota._lm_packed
+    cached = plans.cache_info().currsize
+    assert cached > 0
+    seen = 0
+    for two in itertools.product(range(1, 5), repeat=2):
+        hits = plans.cache_info().hits
+        plan = plans(*two)
+        if plans.cache_info().hits > hits:  # a plan the checks built
+            seen += 1
+            assert vars(plan) == vars(plans.__wrapped__(*two)), two
+    assert seen == cached

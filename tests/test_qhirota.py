@@ -1,3 +1,4 @@
+import copy
 import inspect
 import random
 from fractions import Fraction
@@ -192,7 +193,7 @@ def test_lm_sides_match_qq_oracle(j, jp):
 
 @pytest.mark.parametrize("j,jp", ORACLE_PAIRS + [(Fraction(5, 2), Fraction(3, 2))])
 def test_lm_field_width_holds_every_term(j, jp):
-    ring = qhirota._lm_packed(j, jp)
+    ring = qhirota._lm_packed(int(2 * j), int(2 * jp))
     # tau_j has degree at most 2j in each of its variables (E and F are
     # nilpotent of order 2j + 1) and a prefactor at most 1, so no term of
     # either side has an exponent above max(2j, 2j') + 1; a word of tau_j
@@ -248,7 +249,7 @@ def test_kronecker_nonzero_never_encodes_to_zero(bound):
 def test_lm_digit_width_holds_every_coefficient(j, jp):
     # the l1 bound behind bits holds every coefficient of both scaled sides
     # and of the residual accumulated from them, at the shared low
-    ring = qhirota._lm_packed(j, jp)
+    ring = qhirota._lm_packed(int(2 * j), int(2 * jp))
     residual = ring.add(ring.add({}, ring.lhs), ring.rhs, -1)
     for side in (ring.add({}, ring.lhs), ring.add({}, ring.rhs), residual):
         for d in side.values():
@@ -320,7 +321,7 @@ def _lm_sides_rhs_scaled_by_q(j, jp):
 
 
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1)])
-def test_lm_fails_with_rhs_prefactor_scaled_by_q(monkeypatch, j, jp):
+def test_lm_fails_with_rhs_prefactor_scaled_by_q(fresh_caches, monkeypatch, j, jp):
     # negative control: a canonical form that collapsed to a false zero
     # would pass this mutant
     monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_rhs_scaled_by_q)
@@ -344,7 +345,7 @@ def _lm_sides_cross_monomial_scaled_by_q(var):
 
 
 @pytest.mark.parametrize("var", ["x", "y"])
-def test_lm_fails_with_one_cross_monomial_scaled_by_q(monkeypatch, var):
+def test_lm_fails_with_one_cross_monomial_scaled_by_q(fresh_caches, monkeypatch, var):
     # the x monomial folds into the left factor and the y monomial into the
     # right one, each in its own product: each is read from lm_sides and
     # reaches the build on its own
@@ -356,7 +357,7 @@ def test_lm_fails_with_one_cross_monomial_scaled_by_q(monkeypatch, var):
 
 
 @pytest.mark.parametrize("j,jp", [(HALF, HALF), (Fraction(3, 2), 1), (2, 2)])
-def test_lm_builds_each_side_in_two_products(monkeypatch, j, jp):
+def test_lm_builds_each_side_in_two_products(fresh_caches, monkeypatch, j, jp):
     # lm_sides states each side as two products, and the ring takes one
     # product of two folded factors per stated product
     assert [len(side) for side in qhirota.lm_sides(j, jp)] == [2, 2]
@@ -366,9 +367,32 @@ def test_lm_builds_each_side_in_two_products(monkeypatch, j, jp):
     product, fold = ring.product, ring.fold
     monkeypatch.setattr(ring, "product", lambda self, *args: calls.append(len(args)) or product(self, *args))
     monkeypatch.setattr(ring, "fold", lambda self, *args: calls.append("fold") or fold(self, *args))
-    packed = qhirota._lm_packed(j, jp)
+    packed = qhirota._lm_packed(int(2 * j), int(2 * jp))
     assert calls == ["fold", "fold", 2] * 4
     assert len(packed.lhs) == len(packed.rhs) == 2
+
+
+def test_a_second_verify_lm_builds_no_ring_and_adds_both_sides(fresh_caches, monkeypatch):
+    # the plan is built once per spin pair, but every call still does the
+    # identity's arithmetic: the LHS into a fresh accumulator, then the RHS
+    # subtracted into it, each tested for zero
+    ring = qhirota._LaurentRing
+    assert verify_lm(1, 1).verdict
+    builds, adds = [], []
+    init, add = ring.__init__, ring.add
+    monkeypatch.setattr(ring, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+
+    def counted(self, acc, products, sign=1):
+        adds.append((copy.deepcopy(acc), products, sign))
+        return add(self, acc, products, sign)
+
+    monkeypatch.setattr(ring, "add", counted)
+    assert verify_lm(1, 1).verdict
+    assert builds == []
+    plan = qhirota._lm_packed(2, 2)
+    (fresh, lhs, one), (summed, rhs, minus) = adds
+    assert fresh == {} and lhs is plan.lhs and one == 1
+    assert summed == add(plan, {}, plan.lhs) and rhs is plan.rhs and minus == -1
 
 
 _SUMMANDS = [
@@ -393,7 +417,7 @@ def _lm_sides_one_summand_scaled_by_q(at):
 
 
 @pytest.mark.parametrize("at", _SUMMANDS, ids=["{}-{}-{}-{}".format(*at) for at in _SUMMANDS])
-def test_lm_fails_with_any_one_summand_scaled_by_q(monkeypatch, at):
+def test_lm_fails_with_any_one_summand_scaled_by_q(fresh_caches, monkeypatch, at):
     # every summand of the statement reaches the build: scaling any one
     # coefficient by q makes a false identity, which FAILs and which the
     # Q(q) oracle tells apart
@@ -403,24 +427,26 @@ def test_lm_fails_with_any_one_summand_scaled_by_q(monkeypatch, at):
     assert lm_residual(HALF, HALF) != (lhs, rhs)
 
 
-def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(monkeypatch):
+def test_hierarchy_check_fails_with_rhs_prefactor_scaled_by_q(fresh_caches, monkeypatch):
     # every P_k,l of the RHS is scaled by q, so exactly the nonzero ones differ
     lhs, _ = lm_residual(HALF, HALF)
     nonzero = [c for c in expand_hierarchy(lhs, 1, -1, 3, 3) if not c.value.is_zero()]
     assert 0 < len(nonzero) < 16
     monkeypatch.setattr(qhirota, "lm_sides", _lm_sides_rhs_scaled_by_q)
+    qhirota._lm_packed.cache_clear()  # the plan of the true sides is cached
     (report,) = run_check("qliouville.hierarchy")
     assert not report.verdict
     assert report.details == [f"P_{c.k},{c.l} differs between the two sides" for c in nonzero]
 
 
-def test_hierarchy_check_packs_the_identity_once(monkeypatch):
+def test_hierarchy_check_packs_the_identity_once(fresh_caches, monkeypatch):
     calls = []
     packed = qhirota._lm_packed
-    monkeypatch.setattr(qhirota, "_lm_packed", lambda j, jp: calls.append((j, jp)) or packed(j, jp))
+    monkeypatch.setattr(qhirota, "_lm_packed", lambda *two: calls.append(two) or packed(*two))
     (report,) = run_check("qliouville.hierarchy")
     assert report.verdict
-    assert calls == [(HALF, HALF)]
+    assert calls == [(1, 1)]
+    assert packed.cache_info().misses == 1
 
 
 def test_hierarchy_check_fails_when_the_lhs_is_zero(fresh_caches, monkeypatch):

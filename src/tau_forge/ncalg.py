@@ -16,16 +16,22 @@ Three layers:
   and :func:`normal_form` convert a normal form's Laurent coefficients to
   QScalar only where they meet a TimesPoly.
 
-Built-in presentations: the quantized coordinate ring of SL2 with generators
-a, b, c, d (:func:`funq_sl2`), and the q-exponential parameter algebra with
-two commuting nilpotent-like parameters and a group-like Q (:func:`gauss_param`).
+Built-in presentations, each built once: the quantized coordinate ring of
+SL2 with generators a, b, c, d (:func:`funq_sl2`), the q-exponential
+parameter algebra with two commuting nilpotent-like parameters and a
+group-like Q (:func:`gauss_param`), and the q-commuting pair y x = q x y
+(:func:`q_commuting_pair`).  Over the pair, the q-exponential addition
+theorem e_q(x + y) = e_q(x) e_q(y) is checked degree by degree with no
+division: times (n)_q!, its degree-n part is the q-binomial theorem
+(x + y)^n = sum_k [n choose k]_q x^k y^(n-k), whose Gaussian binomials are
+Laurent polynomials (:func:`_q2_binomial` at half the exponents).
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .qscalar import ONE, QScalar, ZERO, paren_factorial, qs
+from .qscalar import ONE, QScalar, ZERO, qs
 from ._kernels import _LAURENT_ONE, _addmul, _laurent_mul, _trim_words, tup_add
 from .report import VerificationReport
 
@@ -430,15 +436,13 @@ class NCPoly:
             return self.scale(other)
         return NotImplemented
 
-    def mul(self, other, max_word_len=None):
+    def mul(self, other):
         self._check(other)
         out = {}
         pres = self.pres
         budget = [_DEFAULT_STEP_BUDGET]
         for w1, t1 in self.terms.items():
             for w2, t2 in other.terms.items():
-                if max_word_len is not None and len(w1) + len(w2) > max_word_len:
-                    continue
                 t = t1 * t2
                 if t.is_zero():
                     continue
@@ -535,18 +539,6 @@ def normal_form(p):
             add = _times_laurent(t, c)
             _accumulate(out, ww, add)
     return NCPoly(pres, p.vars, out)
-
-
-def nc_exp_q(p, base_power, max_degree):
-    """Truncated q-exponential sum_n p^n / (n)_{q^base}! up to word length max_degree."""
-    acc = NCPoly.one(p.pres, p.vars)
-    pw = NCPoly.one(p.pres, p.vars)
-    for n in range(1, max_degree + 1):
-        pw = pw.mul(p, max_word_len=max_degree)
-        if pw.is_zero():
-            break
-        acc = acc + pw.scale(paren_factorial(n, base_power).inv())
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +724,10 @@ def _gauss_param(convention):
     )
 
 
+@cache
 def q_commuting_pair():
-    """Two generators with y x = q x y (the q-exponent addition-theorem algebra)."""
+    """Two generators with y x = q x y (the q-exponential addition-theorem
+    algebra)."""
     return Presentation(
         "q_pair",
         ("x", "y"),

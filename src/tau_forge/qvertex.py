@@ -23,20 +23,21 @@ intertwining relations (with antipode twists), the canonical identification
 of the "dual" components with components for the twisted-dual auxiliary
 space, and the eight commutation relations with the q-exponential flows.
 
-All but the normalizations run over Z[q, q^-1], with no division and no
-gcd, on one source: ``_raw_components``, the undivided intertwiner solves
+Every check runs over Z[q, q^-1], with no division and no gcd, on one
+source: ``_raw_components``, the undivided intertwiner solves
 (``linalg.intertwiner``), cached once per target spin.  The legs and
 antipode tables are Laurent matrices, and the q-exponentials are in
 divided powers (``uqsl2._q_exp``): the t^m coefficient times
 (m)_{q^+-2}! is the Laurent matrix x^m.  Every relation is linear in the
 components of one pair, and a raw pair is its normalized pair times the
-entry it is normalized by, so its residual over Z[q, q^-1] (in t^m, for
-the flows) is the Q(q) residual times a nonzero scale, and Z[q, q^-1] has
-no zero divisors: it is zero exactly when the Q(q) residual is.  The dual
-identification compares raw pairs by cross products.  Q(q) enters only in
-``solve_vertex_components``, which divides each raw pair once by its
-normalizing entry (``_normalizers``) for the normalizations and the public
-view.
+entry it is normalized by (``_normalizers``), so its residual over
+Z[q, q^-1] (in t^m, for the flows) is the Q(q) residual times a nonzero
+scale, and Z[q, q^-1] has no zero divisors: it is zero exactly when the
+Q(q) residual is.  The normalizations are cross-multiplied alike: a raw
+column times [2j] against the normalizing entry times q^{1-2j} f |j>, for
+example.  The dual identification compares raw pairs by cross products.
+Q(q) appears only in the public ``solve_vertex_components``, which divides
+each raw pair once by its normalizing entry.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from functools import cache
 
 from . import funq
 from . import linalg as la
-from ._kernels import _LAURENT_ONE, _laurent_mul
+from ._kernels import _LAURENT_ONE, _addmul, _laurent_mul, _trim
 from .linalg import ConventionError
-from .qscalar import ONE, Q, QScalar, ZERO, _q_paren, bracket
+from .qscalar import _q_bracket, _q_paren
 from .report import VerificationReport
 from .uqsl2 import (
     COPRODUCT,
@@ -104,8 +105,6 @@ def _vertex_components(two_j):
     operators enter Q(q)."""
     raw = _raw_components(two_j)
     phi, psi, up, dn = _normalizers(raw)
-    if psi is None:
-        raise ConventionError("Psi^- does not reach the highest weight vector")
 
     def divided(pair, den):
         return tuple(la.lau_divided(M, two_j, den) for M in pair)
@@ -126,10 +125,13 @@ def _vertex_components(two_j):
 def _normalizers(raw):
     """The entry each raw pair is divided by, in the order Phi_+-, Psi^+-,
     phi_up, psi_dn: pi[0][0] for the two embedding projections (as
-    ``funq.embed_chain``), Psi^-'s highest-weight entry (None if it is
-    zero) and phi_up's first nonzero entry."""
+    ``funq.embed_chain``), Psi^-'s highest-weight entry (ConventionError if
+    it is zero) and phi_up's first nonzero entry."""
+    psi = raw.psi_minus[0].get(0)
+    if psi is None:
+        raise ConventionError("Psi^- does not reach the highest weight vector")
     up = next(row[min(row)] for M in raw.phi_up for row in M if row)
-    return raw.phi_plus[0][0], raw.psi_minus[0].get(0), up, raw.psi_dn[0][0][0]
+    return raw.phi_plus[0][0], psi, up, raw.psi_dn[0][0][0]
 
 
 @cache
@@ -189,36 +191,42 @@ def _family_components(two_j, family, aux):
 
 
 def vacuum_normalization_residuals(j):
-    """Exact residuals of the six highest-weight actions of Phi_+-, Psi^+-."""
+    """{name: residual} of the eight highest-weight actions of Phi_+- and
+    Psi^+- (module docstring) over Z[q, q^-1], each a Laurent vector.  An
+    action reads column 0 or row 0 of a normalized component, and its target
+    is (a / b) times a basis vector, a, b Laurent; the residual is that
+    column or row of the raw component times b minus the pair's normalizing
+    entry (``_normalizers``) times a on that vector, the Q(q) residual times
+    b and the entry."""
     two_j = twice(j)
-    comps = solve_vertex_components(j)
-    ds = two_j
-    dt = ds + 1
-    res = {}
+    raw = _raw_components(two_j)
+    phi, psi, _up, _dn = _normalizers(raw)
+    one, zero, bracket = _LAURENT_ONE, {}, _q_bracket(two_j)
 
-    def col(M, r):
-        return [M[i][r] for i in range(len(M))]
+    def col(M):
+        return [row.get(0, {}) for row in M]
 
-    e0 = [ONE] + [ZERO] * (dt - 1)
-    f_high = [ZERO, ONE] + [ZERO] * (dt - 2)  # f|j> = v_1
-    c_phi_minus = QScalar.q_power(1 - two_j) * bracket(two_j).inv()
-    c_psi_plus = -(Q * bracket(two_j).inv())
+    def row(M):
+        return [M[0].get(c, {}) for c in range(two_j)]
 
-    res["phi+|hw>"] = _vec_sub(col(comps.phi_plus, 0), e0)
-    res["phi-|hw>"] = _vec_sub(col(comps.phi_minus, 0), [x * c_phi_minus for x in f_high])
-    res["psi+|hw>"] = _vec_sub(col(comps.psi_plus, 0), [x * c_psi_plus for x in f_high])
-    res["psi-|hw>"] = _vec_sub(col(comps.psi_minus, 0), e0)
-    # left-vacuum rows: <j|phi+ = <j-1/2|, <j|phi- = <j|psi+ = 0, <j|psi- = <j-1/2|
-    e0s = [ONE] + [ZERO] * (ds - 1)
-    res["<hw|phi+"] = _vec_sub(list(comps.phi_plus[0]), e0s)
-    res["<hw|phi-"] = list(comps.phi_minus[0])
-    res["<hw|psi+"] = list(comps.psi_plus[0])
-    res["<hw|psi-"] = _vec_sub(list(comps.psi_minus[0]), e0s)
-    return res
-
-
-def _vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
+    # name: (raw vector, normalizing entry, b, a, index of the basis vector):
+    # |j> and <j-1/2| are index 0, f|j> is index 1
+    actions = {
+        "phi+|hw>": (col(raw.phi_plus), phi, one, one, 0),
+        "phi-|hw>": (col(raw.phi_minus), phi, bracket, {1 - two_j: 1}, 1),
+        "psi+|hw>": (col(raw.psi_plus), psi, bracket, {1: -1}, 1),
+        "psi-|hw>": (col(raw.psi_minus), psi, one, one, 0),
+        "<hw|phi+": (row(raw.phi_plus), phi, one, one, 0),
+        "<hw|phi-": (row(raw.phi_minus), phi, one, zero, 0),
+        "<hw|psi+": (row(raw.psi_plus), psi, one, zero, 0),
+        "<hw|psi-": (row(raw.psi_minus), psi, one, one, 0),
+    }
+    out = {}
+    for name, (vec, entry, b, a, at) in actions.items():
+        res = [_addmul({}, b, v) for v in vec]
+        _addmul(res[at], a, entry, -1)
+        out[name] = [_trim(p) for p in res]
+    return out
 
 
 # -- Proposition-style component relations -----------------------------------

@@ -94,10 +94,9 @@ class TodaInstance:
             raise ValueError("g must not be empty")
         if any(len(r) != size for r in rows):
             raise ValueError("g must be square")
-        inst = cls(size=size, g=rows)
-        if inst.det_g() == 0:
+        if not _tp_det(_integer_rows(rows)[1])[-1]:
             raise ValueError("g must be invertible")
-        return inst
+        return cls(size=size, g=rows)
 
     @classmethod
     def random(cls, rng, size):
@@ -114,32 +113,12 @@ class TodaInstance:
             except ValueError:
                 continue
 
-    def det_g(self):
-        return _det_fraction([list(r) for r in self.g])
 
-
-def _det_fraction(m):
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+def _integer_rows(g):
+    """(L, G): L the lcm of the denominators of the rational matrix g and
+    G = L g, an integer matrix, singular exactly when g is."""
+    L = lcm(*(f.denominator for row in g for f in row))
+    return L, [[int(f * L) for f in row] for row in g]
 
 
 def _expand(row, mask, D):
@@ -185,8 +164,7 @@ def _minors(inst):
     and, for 0 < k < size, bordered[k] the c^k-scaled minors that
     d_x tau_k, d_u tau_k and d_x d_u tau_k equal (module docstring)."""
     n = inst.size
-    L = lcm(*(f.denominator for row in inst.g for f in row))
-    G = [[int(f * L) for f in row] for row in inst.g]
+    L, G = _integer_rows(inst.g)
     N = [[factorial(n - 1) // factorial(s - i) if s >= i else 0 for s in range(n)] for i in range(n)]
     table = _tp_det(N)
     # P = N(x) G: the coefficient of x^a in P[i][j] is N[i][i + a] G[i + a][j]

@@ -100,21 +100,6 @@ def _rep(two_j):
     return Rep(two_j, E, F, K, Kinv)
 
 
-def rep_relations_residuals(rep):
-    """Residual matrices of the defining relations over Z[q, q^-1], [e, f]
-    times q - q^-1; all zero for a valid rep."""
-    ke, ef, kk = _relations(rep.E, rep.F, rep.K, rep.Kinv)
-    kf = la.lau_lin([(_LAURENT_ONE, la.lau_mul(rep.K, rep.F)), ({-2: -1}, la.lau_mul(rep.F, rep.K))])
-    return {
-        "ke=q2ek": ke,
-        "kf=q-2fk": kf,
-        "[e,f]": ef,
-        "kk-1": kk,
-        "e^dim": reduce(la.lau_mul, [rep.E] * rep.dim),
-        "f^dim": reduce(la.lau_mul, [rep.F] * rep.dim),
-    }
-
-
 def _relations(E, F, K, Kinv):
     """The residuals of k e = q^2 e k, (q - q^-1)[e, f] = k - k^-1 and
     k k^-1 = 1 over Z[q, q^-1]."""

@@ -206,6 +206,19 @@ def test_flag_no_selected_check_takes_is_usage_error(capsys):
         run_check("lm.grid", {"j": 1})
 
 
+def test_jmax_flag_reaches_the_spin_rungs(capsys):
+    assert main(["verify", "hopf.matrices", "--jmax", "2"]) == 0
+    assert capsys.readouterr().out.startswith("PASS hopf.matrices")
+    assert main(["verify", "hopf.matrices", "--jmax", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["params"] == {"jmax": "2"}
+    # _spins rejects a jmax below 1/2
+    assert main(["verify", "hopf.matrices", "--jmax", "0"]) == 2
+    assert "jmax must be at least 1/2" in capsys.readouterr().err
+    # no selected check takes jmax
+    assert main(["verify", "lm", "--jmax", "2"]) == 2
+    assert "--jmax" in capsys.readouterr().err
+
+
 def test_kp_degree5_window10_passes(capsys):
     # a true identity the old one-spare-weight margin failed (FAIL, 18 s)
     t0 = time.perf_counter()

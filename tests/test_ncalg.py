@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tau_forge import funq, ncalg, qhirota
+from tau_forge.cli import run_check
 from tau_forge.ncalg import (
     NCPoly,
     Presentation,
@@ -13,11 +15,10 @@ from tau_forge.ncalg import (
     funq_sl2,
     funq_sl2_blocks,
     gauss_param,
-    nc_exp_q,
     normal_form,
     q_commuting_pair,
 )
-from tau_forge.qscalar import ONE, Q, QINV, QScalar, qs
+from tau_forge.qscalar import ONE, Q, QINV, QScalar, paren_factorial, qs
 from test_funq import _mutate
 from test_qhirota import LM_GRID
 
@@ -202,14 +203,97 @@ def test_counit_is_ring_map():
         assert lhs == rhs
 
 
-def test_qexp_addition_theorem():
+def truncated(p, max_len):
+    """The NCPoly p with its words longer than ``max_len`` dropped."""
+    return NCPoly(p.pres, p.vars, {w: t for w, t in p.terms.items() if len(w) <= max_len})
+
+
+def nc_exp_q(p, base_power, max_degree):
+    """The q-exponential sum_n p^n / (n)_{q^base}! over Q(q), truncated at
+    word length max_degree: the oracle of ``ncalg.qexp-addition``."""
+    acc = pw = NCPoly.one(p.pres, p.vars)
+    for n in range(1, max_degree + 1):
+        pw = truncated(pw.mul(p), max_degree)
+        acc = acc + pw.scale(paren_factorial(n, base_power).inv())
+    return acc
+
+
+def _q_pair_generators():
     pres = q_commuting_pair()
-    x = NCPoly.generator(pres, "x")
-    y = NCPoly.generator(pres, "y")
+    return NCPoly.generator(pres, "x"), NCPoly.generator(pres, "y")
+
+
+def test_qexp_addition_theorem():
+    x, y = _q_pair_generators()
     deg = 8
     lhs = nc_exp_q(x + y, 1, deg)
-    rhs = nc_exp_q(x, 1, deg).mul(nc_exp_q(y, 1, deg), max_word_len=deg)
+    rhs = truncated(nc_exp_q(x, 1, deg).mul(nc_exp_q(y, 1, deg)), deg)
     assert (lhs - rhs).is_zero()
+
+
+def test_qexp_addition_degree_parts_are_the_q_binomial_sums():
+    # the check's route: the oracle's degree-n part times (n)_q! is both
+    # (x + y)^n and sum_k [n choose k]_q x^k y^(n-k), [n choose k]_q being
+    # _q2_binomial at half the exponents
+    x, y = _q_pair_generators()
+    pres, deg = x.pres, 8
+    exp_sum = nc_exp_q(x + y, 1, deg)
+    power = NCPoly.one(pres)
+    for n in range(1, deg + 1):
+        power = power.mul(x + y)
+        part = NCPoly(pres, (), {w: t for w, t in exp_sum.terms.items() if len(w) == n})
+        binomials = [QScalar.from_terms({e // 2: v for e, v in ncalg._q2_binomial(n, k).items()}) for k in range(n + 1)]
+        expansion = NCPoly.zero(pres)
+        for k, c in enumerate(binomials):
+            expansion = expansion + NCPoly.word(pres, ("x",) * k + ("y",) * (n - k), coeff=c)
+        assert part.scale(paren_factorial(n, 1)) == power == expansion, n
+        assert [c.eval_q1() for c in binomials] == [math.comb(n, k) for k in range(n + 1)]
+    (report,) = run_check("ncalg.qexp-addition")
+    assert report.verdict and report.details == []
+
+
+def _qexp_failing_degrees(report):
+    assert not report.verdict
+    return [int(d.split(":")[0].removeprefix("degree ")) for d in report.details]
+
+
+def test_qexp_addition_fails_with_one_binomial_in_base_q2(monkeypatch, fresh_caches):
+    # [3 choose 1] = 1 + q + q^2 replaced by 1 + q^2 + q^4
+    binomial = ncalg._q2_binomial
+
+    def mutant(n, k):
+        b = binomial(n, k)
+        return {2 * e: v for e, v in b.items()} if (n, k) == (3, 1) else b
+
+    monkeypatch.setattr(ncalg, "_q2_binomial", mutant)
+    (report,) = run_check("ncalg.qexp-addition", {"degree": 3})
+    assert _qexp_failing_degrees(report) == [3]
+    assert report.details[0].startswith("degree 3: (x+y)^3 - sum_k [3 choose k]_q x^k y^(3-k) = ")
+
+
+def test_qexp_addition_fails_with_every_binomial_in_base_q2(monkeypatch, fresh_caches):
+    from tau_forge import cli
+
+    run = _mutate(monkeypatch, cli, "run_qexp_addition", "{e // 2: v", "{e: v")
+    assert _qexp_failing_degrees(run({"degree": 8})) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_qexp_addition_fails_with_the_pair_rule_at_q_inverse(monkeypatch, fresh_caches):
+    # y x = q^-1 x y in place of y x = q x y
+    _mutate(monkeypatch, ncalg, "q_commuting_pair", ": _Q}", ": _QI}")
+    assert ncalg.q_commuting_pair().rules[("y", "x")] == {("x", "y"): {-1: 1}}
+    (report,) = run_check("ncalg.qexp-addition")
+    assert _qexp_failing_degrees(report) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_q_commuting_pair_is_built_once(fresh_caches):
+    pres = q_commuting_pair()
+    assert q_commuting_pair() is pres
+    run_check("ncalg.qexp-addition")
+    # the warm check reduces no word again
+    memo = dict(pres._memo)
+    run_check("ncalg.qexp-addition")
+    assert pres._memo == memo and memo
 
 
 def test_step_budget_guards_nontermination():

@@ -18,7 +18,6 @@ from tau_forge.qhirota import (
     q_derivative,
     q_shift,
     q_taylor,
-    q_taylor_reconstruct,
     spin_half_suite,
     spin_half_tau,
     verify_eq_half,
@@ -28,6 +27,24 @@ from tau_forge.qscalar import ONE, Q, QScalar, bracket, qs
 from test_funq import _mutate, tau_q
 
 HALF = Fraction(1, 2)
+
+
+def q_taylor_reconstruct(coeffs, var, center_var, alpha, base_power, vars):
+    """Re-sum q-Taylor coefficients against the node products (exact identity
+    up to the expansion order): the inverse of ``q_taylor``."""
+    is_nc = isinstance(coeffs[0], NCPoly)
+    acc = None
+    node_prod = None
+    for m, c in enumerate(coeffs):
+        if m == 0:
+            term = c
+        else:
+            node_q = QScalar.q_power(alpha + base_power * (m - 1))
+            node = TimesPoly.var(vars, var) - TimesPoly.var(vars, center_var, coeff=node_q)
+            node_prod = node if node_prod is None else node_prod * node
+            term = c.mul_times(node_prod) if is_nc else c * node_prod
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def tp(vars, name, **kw):

@@ -34,8 +34,42 @@ def test_component_at_one():
 @pytest.mark.parametrize("j", SPINS)
 def test_vacuum_normalizations(j):
     res = vacuum_normalization_residuals(j)
+    assert len(res) == 8
     for name, vec in res.items():
-        assert all(x.is_zero() for x in vec), name
+        assert vec and not any(vec), name
+
+
+def _normalization_failures():
+    from tau_forge.cli import run_check
+
+    (report,) = run_check("vertex.normalizations")
+    assert not report.verdict
+    return report.details
+
+
+def test_normalizations_fail_with_another_psi_normalizer(monkeypatch, fresh_caches):
+    # Psi^+-'s normalizing entry taken from Psi^+ f|j> in place of Psi^- |j>
+    from tau_forge import qvertex
+
+    normalizers = qvertex._normalizers
+
+    def mutant(raw):
+        phi, _psi, up, dn = normalizers(raw)
+        return phi, raw.psi_plus[1][0], up, dn
+
+    monkeypatch.setattr(qvertex, "_normalizers", mutant)
+    assert _normalization_failures() == [
+        f"j={j}: {name} mismatch" for j in SPINS for name in ("psi+|hw>", "psi-|hw>", "<hw|psi-")
+    ]
+
+
+def test_normalizations_fail_with_the_phi_minus_target_at_q_to_minus_2j(monkeypatch, fresh_caches):
+    # Phi_- |j-1/2> = q^(-2j)/[2j] f|j> in place of q^(1-2j)/[2j] f|j>
+    from tau_forge import qvertex
+    from test_funq import _mutate
+
+    _mutate(monkeypatch, qvertex, "vacuum_normalization_residuals", "{1 - two_j: 1}", "{-two_j: 1}")
+    assert _normalization_failures() == [f"j={j}: phi-|hw> mismatch" for j in SPINS]
 
 
 @pytest.mark.parametrize("j", SPINS)

@@ -1,21 +1,38 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from uq_oracle import q_exp_nilpotent, qs_matrix, tp_lift, tp_scale_var
 
 from tau_forge import linalg as la
+from tau_forge._kernels import _LAURENT_ONE
 from tau_forge.cli import run_check
 from tau_forge.qscalar import ONE, Q, QINV, ZERO
 from tau_forge.uqsl2 import (
     NonNilpotentError,
     _q_exp,
+    _relations,
     make_rep,
-    rep_relations_residuals,
     twice,
     verify_hopf_matrices,
 )
 
 HALF = Fraction(1, 2)
+
+
+def rep_relations_residuals(rep):
+    """Residual matrices of the defining relations over Z[q, q^-1], [e, f]
+    times q - q^-1; all zero for a valid rep."""
+    ke, ef, kk = _relations(rep.E, rep.F, rep.K, rep.Kinv)
+    kf = la.lau_lin([(_LAURENT_ONE, la.lau_mul(rep.K, rep.F)), ({-2: -1}, la.lau_mul(rep.F, rep.K))])
+    return {
+        "ke=q2ek": ke,
+        "kf=q-2fk": kf,
+        "[e,f]": ef,
+        "kk-1": kk,
+        "e^dim": reduce(la.lau_mul, [rep.E] * rep.dim),
+        "f^dim": reduce(la.lau_mul, [rep.F] * rep.dim),
+    }
 
 
 def test_twice():

@@ -24,18 +24,23 @@ Q(q) arithmetic.  Under the weight grading
 deg a = (1,1), deg b = (1,-1), deg c = (-1,1), deg d = (-1,-1) the entry
 (m, r) is homogeneous of degree (2(j-m), 2(j-r)).
 
-The representation matrices are Laurent matrices over Z[q, q^-1]
-(``uqsl2``).  Q(q) enters as the coefficients of the function-algebra
-entries, and in :func:`embed_chain`, which divides the Laurent projection
-(:func:`_projection`) by its normalizing entry; the factorized element
-reads the powers of E and F from ``uqsl2._q_exp`` and divides them by
-their q-factorials there.
+Every check here runs over Z[q, q^-1] and divides nothing.  The plane
+table, the diagonal scales D_m (:func:`_d_steps`), the undivided
+intertwiners (:func:`_projection`, :func:`_iota`) and the factorized
+element times S = (2j)_{q^-2}! (2j)_{q^2}! (:func:`_gauss_scaled`, from the
+divided powers of ``uqsl2._q_exp``) are all Laurent.  Their entries
+multiply as {normal word: Laurent} by ``ncalg._word_mul``, and each
+identity is compared cross-multiplied by its D and factorial scales, so
+each residual is the Q(q) one times a nonzero scale per entry.  Q(q)
+enters only in the public views :func:`t_matrix`, :func:`gauss_t_matrix`
+and :func:`embed_chain`, each a Laurent build divided once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 from . import linalg as la
 from ._kernels import _LAURENT_ONE, _addmul, _laurent_mul, _trim_words
@@ -43,19 +48,18 @@ from .ncalg import (
     FROZEN_GAUSS_CONVENTION,
     GAUSS_CONVENTIONS,
     NCPoly,
-    Presentation,
     TimesPoly,
     _q2_binomial,
     _times_laurent,
+    _word_lin,
+    _word_mul,
     funq_sl2,
     funq_sl2_blocks,
     gauss_param,
 )
-from .qscalar import ONE, Q, QINV, QScalar, paren, paren_factorial
+from .qscalar import Q, QINV, QScalar, _q_paren, _q_paren_factorial
 from .report import VerificationReport
 from .uqsl2 import _q_exp, _rep, coproduct, twice
-
-SCALAR_PRESENTATION = Presentation("scalar", (), {})
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +86,28 @@ def embed_chain(j1, j2):
 def _projection(tj1, tj2):
     """pi of ``embed_chain`` undivided, a Laurent matrix: the intertwiner
     from V_{j1} ox V_{j2} onto V_{j1+j2}, solved once here for the public
-    pi and the vertex operators of ``qvertex``."""
+    pi, the corepresentation check and the vertex operators of
+    ``qvertex``."""
     return la.intertwiner(_rep(tj1 + tj2).action, coproduct(_rep(tj1), _rep(tj2)))
 
 
 @cache
-def _embed(tj1, tj2):
+def _iota(tj1, tj2):
+    """iota of ``embed_chain``, a Laurent matrix: column r is (Delta F)^r
+    applied to the tensor highest weight vector."""
     dim_T = (tj1 + 1) * (tj2 + 1)
     delta_f = coproduct(_rep(tj1), _rep(tj2))[1]
-    # iota column r = (Delta F)^r applied to the tensor highest weight vector
-    col = [{0: _LAURENT_ONE}] + [{} for _ in range(dim_T - 1)]
-    cols = [col]
+    cols = [[{0: _LAURENT_ONE}] + [{} for _ in range(dim_T - 1)]]
     for _ in range(tj1 + tj2):
         cols.append(la.lau_mul(delta_f, cols[-1]))
-    iota = [{r: c[i][0] for r, c in enumerate(cols) if c[i].get(0)} for i in range(dim_T)]
+    return [{r: c[i][0] for r, c in enumerate(cols) if c[i].get(0)} for i in range(dim_T)]
+
+
+@cache
+def _embed(tj1, tj2):
     pi = _projection(tj1, tj2)
-    return la.lau_divided(iota, len(cols), _LAURENT_ONE), la.lau_divided(pi, dim_T, pi[0][0])
-
-
-def _top_block(semA, semB):
-    """Spin-(j+j') block of the ordered entry products of the semantic
-    matrices T^(j) and T^(j'):
-
-        out[m][r] = sum pi[m][(b1, b2)] iota[(k1, k2)][r] T^(j)_{b1 k1} T^(j')_{b2 k2}
-
-    with (iota, pi) = embed_chain(j, j'), the T^(j) entry leftmost.
-    """
-    iota, pi = embed_chain(Fraction(len(semA) - 1, 2), Fraction(len(semB) - 1, 2))
-    return la.mat_mul(la.mat_mul(pi, la.kron(semA, semB)), iota)
+    iota = la.lau_divided(_iota(tj1, tj2), tj1 + tj2 + 1, _LAURENT_ONE)
+    return iota, la.lau_divided(pi, len(iota), pi[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +139,32 @@ def _plane(two_j):
     return [[_trim_words(entry) for entry in row] for row in table]
 
 
+def _d_steps(two_j):
+    """The diagonal scales of T^(j) in steps: step m is q^-m (2j-m)_{q^2},
+    and D_m, the product of the first m steps, is
+    q^(-m(m-1)/2) (2j)_{q^2}! / (2j-m)_{q^2}!."""
+    return [_laurent_mul({-m: 1}, _q_paren(two_j - m, 2)) for m in range(two_j)]
+
+
+def _d_scales(two_j):
+    """(D, R) over Z[q, q^-1], D[m] = D_m and R[m] = D_2j / D_m: the
+    products of the steps of :func:`_d_steps` before m and from m on."""
+    steps = _d_steps(two_j)
+    D, R = (list(accumulate(s, _laurent_mul, initial=_LAURENT_ONE)) for s in (steps, steps[::-1]))
+    return D, R[::-1]
+
+
 @cache
 def _semantic_t(two_j):
     """Semantic spin-j matrix over funq_sl2: entry (m, r) pairs bra index m
-    with ket index r, and is (D_r / D_m) P[r][m] over :func:`_plane`, with
-    D_m = q^(-m(m-1)/2) (2j)_{q^2}! / (2j-m)_{q^2}!.  The plane is a module
-    algebra under D(f) = 1 ox f + f ox k, with f x = y, k x = q x,
-    k y = q^-1 y, so f(x^n y^p) = q^-p (n)_{q^2} x^(n-1) y^(p+1) and
-    make_rep's v_m = F^m x^(2j) is D_m x^(2j-m) y^m.  The coaction
+    with ket index r, and is (D_r / D_m) P[r][m] over :func:`_plane` and
+    :func:`_d_steps`.  The plane is a module algebra under
+    D(f) = 1 ox f + f ox k, with f x = y, k x = q x, k y = q^-1 y, so
+    f(x^n y^p) = q^-p (n)_{q^2} x^(n-1) y^(p+1) and make_rep's
+    v_m = F^m x^(2j) is D_m x^(2j-m) y^m.  The coaction
     x -> a ox x + b ox y, y -> c ox x + d ox y is an algebra map: P on the
     monomials, (D_m / D_r) P[m][r] on v, and its transpose here."""
-    D = [ONE]
-    for m in range(two_j):
-        D.append(D[-1] * QScalar.q_power(-m) * paren(two_j - m, 2))
+    D = [QScalar.from_terms(d) for d in _d_scales(two_j)[0]]
     P = _plane(two_j)
 
     def entry(m, r):
@@ -164,44 +175,56 @@ def _semantic_t(two_j):
 
 
 @cache
-def _semantic_gauss(two_j, convention):
+def _gauss_scaled(two_j, convention):
+    """(S, S G) over Z[q, q^-1], S = (2j)_{q^-2}! (2j)_{q^2}! and G the
+    factorized spin-j matrix over gauss_param(convention), semantic
+    orientation, as {normal word: Laurent}: with lam = q - q^-1, entry
+    (i, l) of S G is the sum of
+
+        lam^m (2j)!/(m)! (E^m)[i][t] . s^m Q^(2j-2t) sbar^n . (-lam)^n (2j)!/(n)! (F^n)[t][l]
+
+    over the divided powers E^m, F^n of ``uqsl2._q_exp``, the factorials in
+    base q^-2 on the e side and q^2 on the f side."""
     pres = gauss_param(convention)
-    dim = two_j + 1
-    lam = Q - QINV
-    zero = NCPoly.zero(pres)
 
-    def q_exp(leg, letter, coeff, base):
-        """exp_{q^base}(coeff letter x) = sum_m (coeff letter)^m / (m)_{q^base}! x^m
-        for the leg x of V_j, from the powers x^m of ``uqsl2._q_exp``."""
-        out = la.zeros(dim, dim, zero)
-        for m, power in enumerate(_q_exp(((leg,),), (two_j,))):
-            w = NCPoly.word(pres, (letter,) * m, coeff=coeff**m * paren_factorial(m, base).inv())
-            for i, row in enumerate(power):
-                for j, p in row.items():
-                    out[i][j] = out[i][j] + w * QScalar.from_terms(p)
-        return out
+    def series(leg, lam, base):
+        """(lam^m (2j)_{q^base}! / (m)_{q^base}!, x^m) for the leg x."""
+        powers = _q_exp(((leg,),), (two_j,))
+        lams = accumulate([lam] * len(powers), _laurent_mul, initial=_LAURENT_ONE)
+        return [(_laurent_mul(c, _q_paren_factorial(two_j, base, m)), x) for m, (c, x) in enumerate(zip(lams, powers))]
 
-    R = q_exp("e", "s", lam, -2)
-    Rbar = q_exp("f", "sbar", -lam, 2)
-    K = la.zeros(dim, dim, zero)
-    for r in range(dim):
-        k = two_j - 2 * r
-        word = ("Q",) * k if k >= 0 else ("Qinv",) * (-k)
-        K[r][r] = NCPoly.word(pres, word)
-    return la.mat_mul(la.mat_mul(R, K), Rbar)
+    terms = [[[] for _ in range(two_j + 1)] for _ in range(two_j + 1)]
+    for m, (cm, Em) in enumerate(series("e", {1: 1, -1: -1}, -2)):
+        for n, (cn, Fn) in enumerate(series("f", {1: -1, -1: 1}, 2)):
+            c = _laurent_mul(cm, cn)
+            for i, row in enumerate(Em):
+                for t, e in row.items():
+                    k = two_j - 2 * t
+                    word = pres.reduce_word(("s",) * m + (("Q",) * k if k >= 0 else ("Qinv",) * -k) + ("sbar",) * n)
+                    for l, f in Fn[t].items():
+                        terms[i][l].append((_laurent_mul(_laurent_mul(c, e), f), word))
+    S = _laurent_mul(_q_paren_factorial(two_j, -2, 0), _q_paren_factorial(two_j, 2, 0))
+    return S, [[_word_lin(entry) for entry in row] for row in terms]
 
 
 def t_matrix(j):
     """Public spin-j matrix of coordinate functions over funq_sl2 (see the
     module docstring for the index convention); spin 1/2 is exactly
     [[a, b], [c, d]]."""
-    return la.mat_transpose(_semantic_t(twice(j)))
+    return [list(col) for col in zip(*_semantic_t(twice(j)))]
 
 
 def gauss_t_matrix(j, convention=FROZEN_GAUSS_CONVENTION):
     """Public spin-j matrix of the factorized group-like element over
-    gauss_param(convention), in the index convention of :func:`t_matrix`."""
-    return la.mat_transpose(_semantic_gauss(twice(j), convention))
+    gauss_param(convention), in the index convention of :func:`t_matrix`:
+    :func:`_gauss_scaled` divided once by its S."""
+    S, SG = _gauss_scaled(twice(j), convention)
+    pres, inv = gauss_param(convention), QScalar.from_terms(S).inv()
+
+    def entry(x):
+        return NCPoly(pres, (), {w: TimesPoly((), {(): QScalar.from_terms(c) * inv}) for w, c in x.items()})
+
+    return [[entry(row[x]) for row in SG] for x in range(len(SG))]
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +279,6 @@ def gauss_relation_residuals(convention):
     return {name: fn(a, b, c, d) for name, fn in _F_RELATIONS}
 
 
-def counit_map():
-    """Generator images under a -> 1, b -> 0, c -> 0, d -> 1."""
-    one = NCPoly.one(SCALAR_PRESENTATION)
-    zero = NCPoly.zero(SCALAR_PRESENTATION)
-    return {"a": one, "d": one, "b": zero, "c": zero}
-
-
 def verify_gauss_relations():
     """The defining relations hold for the factorized group-like entries on
     exactly one convention toggle, the frozen one: the other convention must
@@ -282,9 +298,7 @@ def verify_corep(j, jp):
     """The spin-(j+jp) block of the ordered entry products of T^(j) and
     T^(jp) equals T^(j+jp) (group-like/corepresentation law)."""
     two_j, two_jp = twice(j), twice(jp)
-    return _zero_matrix_report(
-        corep_residual(two_j, two_jp), {"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)}
-    )
+    return _zero_matrix_report(corep_residual(two_j, two_jp), {"j": Fraction(two_j, 2), "jp": Fraction(two_jp, 2)})
 
 
 def verify_dual_route(j):
@@ -295,41 +309,94 @@ def verify_dual_route(j):
 
 
 def _zero_matrix_report(res, params):
-    bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if not res[m][r].is_zero()]
+    bad = [(m, r) for m in range(len(res)) for r in range(len(res)) if res[m][r]]
     return VerificationReport.from_failures([f"nonzero entries at {bad}"] if bad else [], params)
 
 
 def corep_residual(two_j, two_jp):
-    """Semantic residual of the corepresentation law for the pair (j, j')."""
-    block = _top_block(_semantic_t(two_j), _semantic_t(two_jp))
-    return la.mat_sub(block, _semantic_t(two_j + two_jp))
+    """Residual of the corepresentation law for (j, j') over Z[q, q^-1], in
+    the semantic orientation, as {normal word: Laurent}.  With P, D the
+    plane and scales of spin j, P', D' of j' and P'', D'' of j + j',
+    (pi, iota) the undivided ``embed_chain(j, j')`` and tensor indices
+    b = (b1, b2), k = (k1, k2), entry (m, r) is
+
+        D''_m sum_{b,k} pi[m][b] (D_2j/D_b1)(D'_2j'/D'_b2) iota[k][r] D_k1 D'_k2 P[k1][b1] P'[k2][b2]
+          - pi[0][0] D_2j D'_2j' D''_r P''[r][m]:
+
+    the Q(q) residual of the spin-(j+j') block of T^(j) ox T^(j'), the
+    T^(j) entry leftmost, against T^(j+j') times pi[0][0] D_2j D'_2j' D''_m."""
+    two_jt, dim_p = two_j + two_jp, two_jp + 1
+    (D1, R1), (D2, R2), (D, _) = _d_scales(two_j), _d_scales(two_jp), _d_scales(two_jt)
+    P1, P2, P = _plane(two_j), _plane(two_jp), _plane(two_jt)
+
+    # the scales of the tensor indices, and pi and iota times them
+    RR, DD = ([_laurent_mul(x, y) for x in X1 for y in X2] for X1, X2 in ((R1, R2), (D1, D2)))
+    pi = _projection(two_j, two_jp)
+    top = _laurent_mul(la.lau_neg(pi[0][0]), RR[0])
+    pi = [{b: _laurent_mul(_laurent_mul(D[m], c), RR[b]) for b, c in row.items()} for m, row in enumerate(pi)]
+    iota = [{r: _laurent_mul(c, DD[k]) for r, c in row.items()} for k, row in enumerate(_iota(two_j, two_jp))]
+
+    def entry(m, r):
+        products = [
+            (_laurent_mul(cb, row[r]), _word_mul(funq_sl2(), P1[k // dim_p][b // dim_p], P2[k % dim_p][b % dim_p]))
+            for b, cb in pi[m].items()
+            for k, row in enumerate(iota)
+            if r in row
+        ]
+        return _word_lin(products + [(_laurent_mul(top, D[r]), P[r][m])])
+
+    return [[entry(m, r) for r in range(two_jt + 1)] for m in range(two_jt + 1)]
 
 
 def dual_route_residuals(two_j):
-    """Entrywise difference between the generator-substituted T^(j) of
-    :func:`t_matrix` and :func:`gauss_t_matrix` at spin j, on the frozen
-    convention."""
-    (a, b), (c, d) = gauss_t_matrix(Fraction(1, 2))
-    images = {"a": a, "b": b, "c": c, "d": d}
-    A, G = t_matrix(Fraction(two_j, 2)), gauss_t_matrix(Fraction(two_j, 2))
-    return [[x.apply_generator_map(images) - g for x, g in zip(ra, rg)] for ra, rg in zip(A, G)]
+    """Residual of the dual route over Z[q, q^-1], in the public orientation,
+    as {normal word: Laurent}: entry (x, y) is D_x S phi(P[x][y]) -
+    D_y (S G)[y][x], phi sending a, b, c, d to the spin-1/2 entries of
+    :func:`_gauss_scaled` (where S = 1) on the frozen convention, that is
+    the Q(q) residual of phi(t_matrix(j)) against gauss_t_matrix(j) times
+    D_y S."""
+    pres = gauss_param()
+    (a, c), (b, d) = _gauss_scaled(1, FROZEN_GAUSS_CONVENTION)[1]
+    images = {(): {(): _LAURENT_ONE}, ("a",): a, ("b",): b, ("c",): c, ("d",): d}
 
+    def image(word):
+        if word not in images:
+            images[word] = _word_mul(pres, image(word[:-1]), images[word[-1:]])
+        return images[word]
 
-# ---------------------------------------------------------------------------
-# gradings
-# ---------------------------------------------------------------------------
+    S, SG = _gauss_scaled(two_j, FROZEN_GAUSS_CONVENTION)
+    D, _ = _d_scales(two_j)
+
+    def entry(x, y, plane):
+        lhs = [(_laurent_mul(_laurent_mul(D[x], S), c), image(w)) for w, c in plane.items()]
+        return _word_lin(lhs + [(la.lau_neg(D[y]), SG[y][x])])
+
+    return [[entry(x, y, plane) for y, plane in enumerate(row)] for x, row in enumerate(_plane(two_j))]
+
 
 _GEN_DEGREE = {"a": (1, 1), "b": (1, -1), "c": (-1, 1), "d": (-1, -1)}
 
 
-def entry_grading_ok(j, m, r, poly):
-    """Entry (m, r) of the public matrix must be homogeneous of degree
-    (2(j-m), 2(j-r)) under the generator weight grading."""
-    two_j = twice(j)
-    want = (two_j - 2 * m, two_j - 2 * r)
-    for w in poly.terms:
-        d0 = sum(_GEN_DEGREE[g][0] for g in w)
-        d1 = sum(_GEN_DEGREE[g][1] for g in w)
-        if (d0, d1) != want:
-            return False
-    return True
+def entry_grading_ok(j, m, r, words):
+    """Entry (m, r) of the public matrix, given by its words, must be
+    homogeneous of degree (2(j-m), 2(j-r)) under the generator weight
+    grading."""
+    want = (twice(j) - 2 * m, twice(j) - 2 * r)
+    return all(tuple(sum(_GEN_DEGREE[g][i] for g in w) for i in (0, 1)) == want for w in words)
+
+
+def grading_failures(j):
+    """The failure lines of the weight grading and the counit on T^(j), read
+    from the plane: public entry (m, r) is (D_m / D_r) P[m][r], the ratio 1
+    for m = r and nonzero otherwise, so it has the words of P[m][r], and its
+    counit (a, d -> 1; b, c -> 0) is delta_mr exactly when the sum of the
+    coefficients of P[m][r]'s b,c-free words is."""
+    failures = []
+    for m, row in enumerate(_plane(twice(j))):
+        for r, entry in enumerate(row):
+            if not entry_grading_ok(j, m, r, entry):
+                failures.append(f"grading fails at j={j} entry ({m},{r})")
+            counit = _word_lin((c, {(): _LAURENT_ONE}) for w, c in entry.items() if "b" not in w and "c" not in w)
+            if counit != ({(): {0: 1}} if m == r else {}):
+                failures.append(f"counit fails at j={j} entry ({m},{r})")
+    return failures

@@ -1,21 +1,12 @@
-"""Small exact-matrix helpers: products over QScalar (and any ring with +,
-*, -), and the matrices over Z[q, q^-1] of the U_q(sl2) layer.
-
-Matrices over a ring are plain lists of lists.  The products cost in
-proportion to the nonzero entries: :func:`mat_mul` forms A[i][t] B[t][j]
-only where both factors are nonzero, :func:`kron` gives a zero block for a
-zero entry of A without multiplying, and :func:`mat_sub` passes the left
-entry through where the right one is zero.  Zero means the exact
-``is_zero()``.  A :func:`mat_mul` entry with no nonzero term is the zero of
-the product's ring, as a dense sum would give it: a TimesPoly zero keeps its
-``vars`` and an NCPoly zero its presentation, also beside a QScalar factor.
+"""Exact matrices over Z[q, q^-1], the one matrix form of the U_q(sl2) layer.
 
 A Laurent matrix is a list of rows {column: {q-exponent: int}} with zero
 entries absent; the representations, their tensor products, the antipode
-tables and the intertwiners are Laurent matrices.  Entries multiply by
-``_kernels._addmul`` (the one-variable case of its packed monomials), which
-may leave cancelled terms as zero coefficients, so the zero test reads the
-coefficients and needs no bound.
+tables, the intertwiners and the embeddings are Laurent matrices, and no
+other matrix form is kept.  Entries multiply by ``_kernels._addmul`` (the
+one-variable case of its packed monomials), which may leave cancelled
+terms as zero coefficients, so the zero test reads the coefficients and
+needs no bound.
 
 * :func:`intertwiner` solves L_x M = M R_x for x = e, f, k by one
   nullspace; it serves the vertex operators and the tensor projections.
@@ -40,61 +31,6 @@ from .qscalar import QScalar, ZERO
 
 class ConventionError(RuntimeError):
     """An intertwiner solution space had dimension != 1."""
-
-
-class NonNilpotentError(ValueError):
-    """A nilpotent exponential was handed a matrix that is not nilpotent."""
-
-
-def zeros(n, m, zero=ZERO):
-    return [[zero for _ in range(m)] for _ in range(n)]
-
-
-def mat_sub(A, B):
-    return [[a if b.is_zero() else a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_mul(A, B):
-    """A B with one product per pair of nonzero entries A[i][t], B[t][j];
-    each entry sums its products in increasing t."""
-    m = len(B[0])
-    B_nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
-    zero = None
-    out = []
-    for Ai in A:
-        acc = {}
-        for t, a in enumerate(Ai):
-            if a.is_zero():
-                continue
-            for j, b in B_nonzero[t]:
-                term = a * b
-                acc[j] = acc[j] + term if j in acc else term
-        if len(acc) < m and zero is None:
-            # an entry j with no nonzero term has A[i][0] or B[0][j] zero
-            a, b = Ai[0], B[0][next(j for j in range(m) if j not in acc)]
-            zero = (a if a.is_zero() else b) if type(a) is type(b) else a * b
-        out.append([acc.get(j, zero) for j in range(m)])
-    return out
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def kron(A, B):
-    out = []
-    for Ai in A:
-        blocks = [(a, a.is_zero()) for a in Ai]
-        for Bk in B:
-            row = []
-            for a, a_zero in blocks:
-                # a zero block takes mat_mul's zero: a itself within one ring
-                row.extend(a if a_zero and type(a) is type(b) else a * b for b in Bk)
-            out.append(row)
-    return out
-
-
-# -- matrices over Z[q, q^-1] -------------------------------------------------
 
 
 def nullspace(A):

@@ -14,7 +14,9 @@ Three layers:
   TimesPoly coefficients.  Products are reduced to normal form eagerly, so
   equality is structural and "residual is zero" is decidable.  ``NCPoly.mul``
   and :func:`normal_form` convert a normal form's Laurent coefficients to
-  QScalar only where they meet a TimesPoly.
+  QScalar only where they meet a TimesPoly.  Over Z[q, q^-1] alone an
+  element is a {normal word: Laurent} dict, and :func:`_word_mul` is its
+  product through ``reduce_word``, with no QScalar.
 
 Built-in presentations, each built once: the quantized coordinate ring of
 SL2 with generators a, b, c, d (:func:`funq_sl2`), the q-exponential
@@ -431,11 +433,6 @@ class NCPoly:
             return self.mul_times(other)
         return self.mul(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, QScalar):
-            return self.scale(other)
-        return NotImplemented
-
     def mul(self, other):
         self._check(other)
         out = {}
@@ -462,28 +459,6 @@ class NCPoly:
 
     def map_coefficients(self, fn):
         return _map_terms(self, lambda t: t.map_coefficients(fn))
-
-    def coefficient_of_word(self, word):
-        return self.terms.get(tuple(word), TimesPoly.zero(self.vars))
-
-    def constant_word(self):
-        return self.coefficient_of_word(())
-
-    def apply_generator_map(self, images):
-        """Algebra map defined by generator images (all over one target algebra).
-
-        Well-defined only when the images satisfy the source relations; callers
-        verify that separately (e.g. the counit or a model of the same algebra).
-        """
-        some = next(iter(images.values()))
-        target_pres, target_vars = some.pres, some.vars
-        acc = NCPoly.zero(target_pres, target_vars)
-        for w, t in self.terms.items():
-            img = NCPoly.from_times(target_pres, TimesPoly(target_vars, dict(t.terms)))
-            for g in w:
-                img = img.mul(images[g])
-            acc = acc + img
-        return acc
 
     def __str__(self):
         if not self.terms:
@@ -526,6 +501,25 @@ def _times_laurent(t, c):
     """The TimesPoly t times the nonzero Laurent polynomial c: where a
     normal form meets Q(q)."""
     return t if c == _LAURENT_ONE else t.scale(QScalar.from_terms(c))
+
+
+def _word_lin(terms):
+    """sum c X over the pairs (c, X) of ``terms``, c a Laurent polynomial
+    and X a {normal word: Laurent} element, in the same form."""
+    out = {}
+    for c, X in terms:
+        for w, x in X.items():
+            _addmul(out.setdefault(w, {}), c, x)
+    return _trim_words(out)
+
+
+def _word_mul(pres, A, B):
+    """A B for {normal word: Laurent} elements of ``pres``'s algebra,
+    reduced by ``reduce_word``: ``NCPoly.mul`` over Z[q, q^-1], with no
+    QScalar."""
+    return _word_lin(
+        (_laurent_mul(c1, c2), pres.reduce_word(w1 + w2)) for w1, c1 in A.items() for w2, c2 in B.items()
+    )
 
 
 def normal_form(p):

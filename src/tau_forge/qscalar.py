@@ -29,10 +29,11 @@ evaluation at q = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
 
 from ._kernels import (
+    _laurent_mul,
     ipoly_divexact,
     ipoly_gcd,
     ipoly_lin,
@@ -402,6 +403,12 @@ def _q_paren(n, base):
     """(n)_{q^base} = 1 + q^base + ... + q^(base (n-1)) as {q-exponent:
     int}: a factor t takes t^(n-1)/(n-1)! to (n)_{q^base} t^n/(n)!."""
     return {base * i: 1 for i in range(n)}
+
+
+def _q_paren_factorial(n, base, m):
+    """(n)_{q^base}! / (m)_{q^base}! = (m+1)_{q^base} ... (n)_{q^base} as
+    {q-exponent: int}, for 0 <= m <= n; the q-factorial for m = 0."""
+    return reduce(_laurent_mul, (_q_paren(i, base) for i in range(m + 1, n + 1)), _ONE_POLY)
 
 
 def _q_bracket(n):

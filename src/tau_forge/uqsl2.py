@@ -19,9 +19,10 @@ tables.
 Everything here is over Z[q, q^-1], with no division and no gcd: the
 representation matrices E, F, K, K^-1, their coproducts (``_leg_sum``) and
 the antipode tables are ``linalg``'s Laurent matrices, the one form of
-every U_q(sl2) matrix in the package.  Q(q) enters only where
-``funq.embed_chain`` and ``qvertex.solve_vertex_components`` divide an
-intertwiner solve by its normalizing entry.  A q-exponential
+every U_q(sl2) matrix in the package.  Q(q) enters only in the public
+views that divide a Laurent build once: ``funq.embed_chain``,
+``funq.t_matrix``, ``funq.gauss_t_matrix`` and
+``qvertex.solve_vertex_components``.  A q-exponential
 exp_{q^b}(t A) = sum_m t^m A^m / (m)_{q^b}! is kept in divided powers
 (``_q_exp``): its t^m coefficient times the scale (m)_{q^b}! is the
 Laurent matrix A^m, and a product of two such series has Gaussian binomial
@@ -42,10 +43,13 @@ from functools import cache, cached_property, reduce
 
 from . import linalg as la
 from ._kernels import _LAURENT_ONE, _laurent_mul, _trim_words
-from .linalg import NonNilpotentError  # noqa: F401  (re-exported; _q_exp raises it)
 from .ncalg import _q2_binomial
 from .qscalar import _q_bracket
 from .report import VerificationReport
+
+
+class NonNilpotentError(ValueError):
+    """A nilpotent exponential was handed a matrix that is not nilpotent."""
 
 
 def twice(j):
@@ -186,7 +190,7 @@ def _q_exp(summands, two_js):
     power = A
     while any(power):
         if len(powers) == len(A):
-            raise la.NonNilpotentError("matrix is not nilpotent; the exponential would not terminate")
+            raise NonNilpotentError("matrix is not nilpotent; the exponential would not terminate")
         powers.append(power)
         power = [_trim_words(row) for row in la.lau_mul(power, A)]
     return tuple(powers)

@@ -2,14 +2,24 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from uq_oracle import identity, mat_is_zero, q_exp_nilpotent, qs_matrix
+import uq_oracle
+from uq_oracle import (
+    apply_generator_map,
+    counit_map,
+    identity,
+    mat_is_zero,
+    mat_mul,
+    mat_sub,
+    q_exp_nilpotent,
+    qs_matrix,
+    top_block,
+)
 
 from tau_forge import cli, funq, ncalg, qhirota
 from tau_forge import linalg as la
 from tau_forge.funq import (
     _semantic_t,
-    _top_block,
-    counit_map,
+    corep_residual,
     dual_route_residuals,
     embed_chain,
     entry_grading_ok,
@@ -43,7 +53,7 @@ def test_embedding_projects_back(j):
     assert pairs
     for j1, j2 in pairs:
         iota, pi = embed_chain(j1, j2)
-        assert la.mat_mul(pi, iota) == identity(int(2 * j) + 1)
+        assert mat_mul(pi, iota) == identity(int(2 * j) + 1)
         # highest weight goes to the product of highest weights
         col0 = [iota[t][0] for t in range(len(iota))]
         assert col0[0] == ONE and all(x.is_zero() for x in col0[1:])
@@ -55,12 +65,8 @@ def test_embedding_intertwines():
         tgt = make_rep(j1 + j2)
         for big, small in zip(coproduct(make_rep(j1), make_rep(j2)), tgt.action):
             big, small = qs_matrix(big), qs_matrix(small)
-            assert mat_is_zero(
-                la.mat_sub(la.mat_mul(big, iota), la.mat_mul(iota, small))
-            )
-            assert mat_is_zero(
-                la.mat_sub(la.mat_mul(pi, big), la.mat_mul(small, pi))
-            )
+            assert mat_is_zero(mat_sub(mat_mul(big, iota), mat_mul(iota, small)))
+            assert mat_is_zero(mat_sub(mat_mul(pi, big), mat_mul(small, pi)))
 
 
 def test_t_matrix_half_display():
@@ -80,7 +86,7 @@ def test_t_matrix_spin_one_frozen():
     ]
     # middle entry at q = 1 with commuting entries is ad + bc = 1 + 2bc
     mid = M[1][1]
-    coeff_bc = mid.coefficient_of_word(("b", "c")).constant_term()
+    coeff_bc = mid.terms[("b", "c")].constant_term()
     assert coeff_bc.eval_q1() == 2
 
 
@@ -91,7 +97,7 @@ def test_counit_gives_identity():
         n = len(M)
         for m in range(n):
             for r in range(n):
-                val = M[m][r].apply_generator_map(eps)
+                val = apply_generator_map(M[m][r], eps)
                 want = NCPoly.from_scalar(val.pres, ONE if m == r else ZERO)
                 assert val == want
 
@@ -233,18 +239,19 @@ def test_corep_times_half(two_j):
     assert verify_corep(Fraction(two_j, 2), HALF).verdict
 
 
-def test_corep_fails_on_transposed_factor():
-    # negative control: the spin-1 factor in the public (transposed) index
-    # convention must not reproduce T^(3/2)
-    block = _top_block(_semantic_t(1), t_matrix(1))
-    res = la.mat_sub(block, _semantic_t(3))
-    assert any(not x.is_zero() for row in res for x in row)
+def test_corep_fails_on_transposed_factor(monkeypatch):
+    # negative control: the spin-1 plane factor transposed must not
+    # reproduce T^(3/2)
+    plane = funq._plane
+    monkeypatch.setattr(funq, "_plane", lambda tj: [list(c) for c in zip(*plane(tj))] if tj == 2 else plane(tj))
+    assert any(x for row in corep_residual(1, 2) for x in row)
+    assert not verify_corep(HALF, 1).verdict
 
 
 @pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), 2, Fraction(5, 2)])
 def test_dual_route(j):
     res = dual_route_residuals(int(2 * j))
-    assert all(x.is_zero() for row in res for x in row)
+    assert not any(x for row in res for x in row)
 
 
 @pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), Fraction(5, 2), 3])
@@ -252,7 +259,7 @@ def test_homogeneous_entries(j):
     M = t_matrix(j)
     for m in range(len(M)):
         for r in range(len(M)):
-            assert entry_grading_ok(j, m, r, M[m][r])
+            assert entry_grading_ok(j, m, r, M[m][r].terms)
 
 
 def test_gauss_route_spin_one_diagonal():
@@ -262,10 +269,10 @@ def test_gauss_route_spin_one_diagonal():
 
 
 def test_top_block_entries_are_ncpolys():
-    # the projection pi is a QScalar matrix, but an empty sum in mat_mul is
-    # the zero of the product's ring
+    # the embedding iota is a QScalar matrix, but an empty sum in the
+    # oracle's mat_mul is the zero of the product's ring
     for two_j in range(2, 6):
-        block = _top_block(_semantic_t(two_j - 1), _semantic_t(1))
+        block = top_block(_semantic_t(two_j - 1), _semantic_t(1))
         assert all(isinstance(x, NCPoly) and x.pres is funq_sl2() for row in block for x in row)
 
 
@@ -280,13 +287,13 @@ def test_cache_keys_are_normalized(fresh_caches):
     t_matrix(1), t_matrix(Fraction(2, 2))
     assert funq._semantic_t.cache_info().currsize == 1
     gauss_t_matrix(1), gauss_t_matrix(1.0, FROZEN_GAUSS_CONVENTION)
-    assert funq._semantic_gauss.cache_info().currsize == 1
+    assert funq._gauss_scaled.cache_info().currsize == 1
 
 
 def test_unknown_gauss_convention_caches_nothing(fresh_caches):
     with pytest.raises(ValueError):
         gauss_t_matrix(1, "bogus")
-    for cached in (funq._semantic_gauss, ncalg._gauss_param):
+    for cached in (funq._gauss_scaled, ncalg._gauss_param):
         assert cached.cache_info().currsize == 0
 
 
@@ -305,20 +312,75 @@ def _verdicts(*check_ids):
     return [cli.run_check(check_id)[0].verdict for check_id in check_ids]
 
 
+# mutants of the plane table and of D, each (function, old, new); both
+# routes of the function-algebra checks read them through ``funq``
+MUTANTS = {
+    # D_m = q^(-m(m-1)/2) (2j)_{q^2}! / (2j-m)_{q^2}! times q^-m
+    "d": ("_d_steps", "{-m: 1}", "{-m - 1: 1}"),
+    # yx = q^-1 xy in place of yx = q xy
+    "plane-relation": ("_plane", "{k * (p - l): 1}", "{-k * (p - l): 1}"),
+    # the bc pairs of a^n d^m keep their b and lose their c
+    "plane-word": ("_plane", '("c",) * (p - l + r)', '("c",) * (p - l)'),
+    # every plane coefficient times q
+    "plane-shift": ("_plane", "{twist * (k + p - l): 1}", "{twist * (k + p - l) + 1: 1}"),
+}
+FUNQ_CHECKS = ("funq.corep", "funq.dual-route", "funq.gradings")
+
+
 def test_mutant_d_fails_dual_route(fresh_caches, monkeypatch):
-    # D_m = q^(-m(m+1)/2) (2j)_{q^2}! / (2j-m)_{q^2}!.  funq.corep cannot see
-    # it: a diagonal similarity that scales each weight space commutes with
-    # the weight-preserving embed_chain, so it only moves T^(j) to another
-    # basis of the same corepresentation.
-    _mutate(monkeypatch, funq, "_semantic_t", "QScalar.q_power(-m)", "QScalar.q_power(-m - 1)")
+    # funq.corep cannot see D: a diagonal similarity that scales each weight
+    # space commutes with the weight-preserving embed_chain, so it only
+    # moves T^(j) to another basis of the same corepresentation
+    _mutate(monkeypatch, funq, *MUTANTS["d"])
     assert not funq.verify_dual_route(HALF).verdict
-    assert _verdicts("funq.corep") == [True]
+    assert _verdicts(*FUNQ_CHECKS) == [True, False, True]
 
 
 def test_mutant_plane_relation_fails(fresh_caches, monkeypatch):
-    # yx = q^-1 xy in place of yx = q xy
-    _mutate(monkeypatch, funq, "_plane", "{k * (p - l): 1}", "{-k * (p - l): 1}")
+    _mutate(monkeypatch, funq, *MUTANTS["plane-relation"])
     assert _verdicts("funq.corep", "funq.dual-route", "lm.grid") == [False, False, False]
+
+
+def test_mutant_plane_word_fails_gradings(fresh_caches, monkeypatch):
+    _mutate(monkeypatch, funq, *MUTANTS["plane-word"])
+    (report,) = cli.run_check("funq.gradings")
+    assert report.details == [
+        "grading fails at j=1 entry (1,1)",
+        "grading fails at j=3/2 entry (1,1)",
+        "grading fails at j=3/2 entry (1,2)",
+        "grading fails at j=3/2 entry (2,1)",
+        "grading fails at j=3/2 entry (2,2)",
+    ]
+
+
+def test_mutant_plane_shift_fails_counit(fresh_caches, monkeypatch):
+    _mutate(monkeypatch, funq, *MUTANTS["plane-shift"])
+    (report,) = cli.run_check("funq.gradings")
+    assert report.details == [
+        f"counit fails at j={Fraction(two_j, 2)} entry ({m},{m})" for two_j in (1, 2, 3) for m in range(two_j + 1)
+    ]
+
+
+def _same_zeros(new, old):
+    """Whether a Laurent residual and its Q(q) oracle are zero at the same
+    entries."""
+    return [[not x for x in row] for row in new] == [[x.is_zero() for x in row] for row in old]
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_oracle_route_gives_the_laurent_verdicts(fresh_caches, monkeypatch, mutant):
+    # the Q(q) route (top_block over embed_chain, the generator map over
+    # t_matrix and gauss_t_matrix) has its nonzero residual entries and its
+    # failure lines where the Laurent route has them, at the default pairs
+    # and spins of the three checks
+    if mutant:
+        _mutate(monkeypatch, funq, *MUTANTS[mutant])
+    for two_j, two_jp in ((1, 1), (2, 1), (1, 2)):
+        assert _same_zeros(corep_residual(two_j, two_jp), uq_oracle.corep_residual(two_j, two_jp))
+    for two_j in (1, 2, 3):
+        assert _same_zeros(dual_route_residuals(two_j), uq_oracle.dual_route_residuals(two_j))
+        j = Fraction(two_j, 2)
+        assert funq.grading_failures(j) == uq_oracle.grading_failures(j)
 
 
 @pytest.mark.parametrize(

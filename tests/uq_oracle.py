@@ -8,16 +8,62 @@ with QScalar coefficients, and every residual is built in Q(q), term by
 term as the identities read.  The functions read ``COPRODUCT``, the
 antipode tables and ``solve_vertex_components`` through their modules at
 call time, so a test that patches one of them patches both routes.
+
+The function-algebra checks of ``funq`` have their Q(q) route here too:
+the spin-(j+j') block :func:`top_block` over ``embed_chain`` and the
+generator substitution :func:`apply_generator_map` over ``t_matrix`` and
+``gauss_t_matrix``, with the generic-ring products :func:`mat_mul`,
+:func:`kron` and :func:`mat_sub` they multiply with.  These read ``funq``
+at call time as well, so a mutant of ``funq`` reaches both routes.
 """
 
 from fractions import Fraction
 from functools import reduce
 
-from tau_forge import linalg as la
-from tau_forge import qvertex, uqsl2
-from tau_forge.linalg import NonNilpotentError
-from tau_forge.ncalg import TimesPoly
+from tau_forge import funq, qvertex, uqsl2
+from tau_forge.ncalg import NCPoly, Presentation, TimesPoly, funq_sl2
 from tau_forge.qscalar import ONE, Q, QINV, QScalar, ZERO, paren_factorial, qs
+from tau_forge.uqsl2 import NonNilpotentError
+
+
+def mat_sub(A, B):
+    return [[a if b.is_zero() else a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_mul(A, B):
+    """A B with one product per pair of nonzero entries A[i][t], B[t][j];
+    each entry sums its products in increasing t."""
+    m = len(B[0])
+    B_nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
+    zero = None
+    out = []
+    for Ai in A:
+        acc = {}
+        for t, a in enumerate(Ai):
+            if a.is_zero():
+                continue
+            for j, b in B_nonzero[t]:
+                term = a * b
+                acc[j] = acc[j] + term if j in acc else term
+        if len(acc) < m and zero is None:
+            # an entry j with no nonzero term has A[i][0] or B[0][j] zero
+            a, b = Ai[0], B[0][next(j for j in range(m) if j not in acc)]
+            zero = (a if a.is_zero() else b) if type(a) is type(b) else a * b
+        out.append([acc.get(j, zero) for j in range(m)])
+    return out
+
+
+def kron(A, B):
+    out = []
+    for Ai in A:
+        blocks = [(a, a.is_zero()) for a in Ai]
+        for Bk in B:
+            row = []
+            for a, a_zero in blocks:
+                # a zero block takes mat_mul's zero: a itself within one ring
+                row.extend(a if a_zero and type(a) is type(b) else a * b for b in Bk)
+            out.append(row)
+    return out
 
 
 def qs_matrix(M, ncols=None):
@@ -70,7 +116,7 @@ def nilpotent_exp(A, weight, one, zero):
             for j, x in enumerate(row):
                 if not x.is_zero():
                     out[i][j] = out[i][j] + w * x
-        power = la.mat_mul(power, A)
+        power = mat_mul(power, A)
     return out
 
 
@@ -97,7 +143,7 @@ def tp_scale_var(M, name, factor):
 def delta(x, repA, repB):
     """The QScalar matrix of D(x) on repA ox repB, summed over COPRODUCT."""
     A, B = qs_table(repA.legs), qs_table(repB.legs)
-    return reduce(mat_add, [la.kron(A[x1], B[x2]) for x1, x2 in uqsl2.COPRODUCT[x]])
+    return reduce(mat_add, [kron(A[x1], B[x2]) for x1, x2 in uqsl2.COPRODUCT[x]])
 
 
 def hopf_residuals(j, jp):
@@ -108,23 +154,23 @@ def hopf_residuals(j, jp):
     dE, dF, dK, dKi = (delta(x, repA, repB) for x in ("e", "f", "k", "kinv"))
     lam = Q - QINV
     out = [
-        ("delta:ke=q2ek", la.mat_sub(la.mat_mul(dK, dE), mat_scale(la.mat_mul(dE, dK), Q * Q))),
-        ("delta:[e,f]", la.mat_sub(
-            la.mat_sub(la.mat_mul(dE, dF), la.mat_mul(dF, dE)),
-            mat_scale(la.mat_sub(dK, dKi), lam.inv()),
+        ("delta:ke=q2ek", mat_sub(mat_mul(dK, dE), mat_scale(mat_mul(dE, dK), Q * Q))),
+        ("delta:[e,f]", mat_sub(
+            mat_sub(mat_mul(dE, dF), mat_mul(dF, dE)),
+            mat_scale(mat_sub(dK, dKi), lam.inv()),
         )),
-        ("delta:kk^-1", la.mat_sub(la.mat_mul(dK, dKi), identity(len(dE)))),
+        ("delta:kk^-1", mat_sub(mat_mul(dK, dKi), identity(len(dE)))),
     ]
     A, B = qs_table(repA.legs), qs_table(repB.legs)
     for x, var, base, label in (("e", "t", 2, "exp_{q^2}(t e)"), ("f", "s", -2, "exp_{q^-2}(s f)")):
         lhs = q_exp_nilpotent(delta(x, repA, repB), var, base, (var,))
-        factors = [q_exp_nilpotent(la.kron(A[x1], B[x2]), var, base, (var,)) for x1, x2 in uqsl2.COPRODUCT[x]]
-        out.append((f"factorization of {label}", la.mat_sub(lhs, reduce(la.mat_mul, factors))))
+        factors = [q_exp_nilpotent(kron(A[x1], B[x2]), var, base, (var,)) for x1, x2 in uqsl2.COPRODUCT[x]]
+        out.append((f"factorization of {label}", mat_sub(lhs, reduce(mat_mul, factors))))
     for rep in {r.two_j: r for r in (repA, repB)}.values():
         S, legs = qs_table(uqsl2.antipode_matrices(rep)), qs_table(rep.legs)
         for x, summands in uqsl2.COPRODUCT.items():
-            total = reduce(mat_add, [la.mat_mul(S[x1], legs[x2]) for x1, x2 in summands])
-            res = la.mat_sub(total, mat_scale(legs["one"], qs(uqsl2.COUNIT[x])))
+            total = reduce(mat_add, [mat_mul(S[x1], legs[x2]) for x1, x2 in summands])
+            res = mat_sub(total, mat_scale(legs["one"], qs(uqsl2.COUNIT[x])))
             out.append((f"antipode axiom on {x} at spin {rep.spin}", res))
     return out
 
@@ -150,13 +196,13 @@ def component_relation_residuals(j):
         for name, comp, swapped, side, on_tgt, on_src in families:
             for i in (0, 1):
                 lhs = reduce(mat_add, [
-                    la.mat_mul(on_tgt[legs[side]], la.mat_mul(comp[i], on_src[legs[1 - side]]))
+                    mat_mul(on_tgt[legs[side]], mat_mul(comp[i], on_src[legs[1 - side]]))
                     for legs in uqsl2.COPRODUCT[x]
                 ])
                 for jj in (0, 1):
                     coef = rho[x][jj][i] if swapped else rho[x][i][jj]
                     if not coef.is_zero():
-                        lhs = la.mat_sub(lhs, mat_scale(comp[jj], coef))
+                        lhs = mat_sub(lhs, mat_scale(comp[jj], coef))
                 out[name, x, i] = lhs
     return out
 
@@ -180,7 +226,7 @@ def qexp_commutation_residuals(two_j):
     Bp, Bm = lift(comps.psi_plus), lift(comps.psi_minus)
     Kinv_s, K_t = lift(src["kinv"]), lift(tgt["k"])
     tvar, svar = TimesPoly.var(tvars, "t"), TimesPoly.var(tvars, "s")
-    mm, ms = la.mat_mul, la.mat_sub
+    mm, ms = mat_mul, mat_sub
     Es_q, Es_qi = tp_scale_var(Es, "t", Q), tp_scale_var(Es, "t", QINV)
     Ft_q, Ft_qi = tp_scale_var(Ft, "s", Q), tp_scale_var(Ft, "s", QINV)
     return {
@@ -193,3 +239,78 @@ def qexp_commutation_residuals(two_j):
         "psi+exp(sf)": ms(mm(Bp, Fs), mm(Ft, Bp)),
         "psi-exp(sf)": ms(mm(Bm, Fs), mm(Ft, mat_add(Bm, mat_scale(mm(K_t, Bp), svar)))),
     }
+
+
+# -- the function-algebra checks over Q(q) -------------------------------------
+
+SCALAR_PRESENTATION = Presentation("scalar", (), {})
+
+
+def apply_generator_map(p, images):
+    """The algebra map defined by generator images (all over one target
+    algebra), applied to the NCPoly p.
+
+    Well-defined only when the images satisfy the source relations; callers
+    verify that separately (e.g. the counit or a model of the same algebra).
+    """
+    some = next(iter(images.values()))
+    target_pres, target_vars = some.pres, some.vars
+    acc = NCPoly.zero(target_pres, target_vars)
+    for w, t in p.terms.items():
+        img = NCPoly.from_times(target_pres, TimesPoly(target_vars, dict(t.terms)))
+        for g in w:
+            img = img.mul(images[g])
+        acc = acc + img
+    return acc
+
+
+def counit_map():
+    """Generator images under a -> 1, b -> 0, c -> 0, d -> 1."""
+    one = NCPoly.one(SCALAR_PRESENTATION)
+    zero = NCPoly.zero(SCALAR_PRESENTATION)
+    return {"a": one, "d": one, "b": zero, "c": zero}
+
+
+def top_block(semA, semB):
+    """Spin-(j+j') block of the ordered entry products of the semantic
+    matrices T^(j) and T^(j'):
+
+        out[m][r] = sum pi[m][(b1, b2)] iota[(k1, k2)][r] T^(j)_{b1 k1} T^(j')_{b2 k2}
+
+    with (iota, pi) = embed_chain(j, j'), the T^(j) entry leftmost.
+    """
+    iota, pi = funq.embed_chain(Fraction(len(semA) - 1, 2), Fraction(len(semB) - 1, 2))
+    # an NCPoly scales by a QScalar only from the right, so pi is lifted
+    pi = [[NCPoly.from_scalar(funq_sl2(), x) for x in row] for row in pi]
+    return mat_mul(mat_mul(pi, kron(semA, semB)), iota)
+
+
+def corep_residual(two_j, two_jp):
+    """Semantic Q(q) residual of the corepresentation law for (j, j')."""
+    T = funq._semantic_t
+    return mat_sub(top_block(T(two_j), T(two_jp)), T(two_j + two_jp))
+
+
+def dual_route_residuals(two_j):
+    """Entrywise Q(q) difference between the generator-substituted T^(j) of
+    ``t_matrix`` and ``gauss_t_matrix`` at spin j, on the frozen convention."""
+    (a, b), (c, d) = funq.gauss_t_matrix(Fraction(1, 2))
+    images = {"a": a, "b": b, "c": c, "d": d}
+    A, G = funq.t_matrix(Fraction(two_j, 2)), funq.gauss_t_matrix(Fraction(two_j, 2))
+    return [[apply_generator_map(x, images) - g for x, g in zip(ra, rg)] for ra, rg in zip(A, G)]
+
+
+def grading_failures(j):
+    """The failure lines of ``funq.gradings`` at spin j, read from
+    ``t_matrix`` with the counit applied as an algebra map."""
+    failures = []
+    eps = counit_map()
+    M = funq.t_matrix(j)
+    for m in range(len(M)):
+        for r in range(len(M)):
+            if not funq.entry_grading_ok(j, m, r, M[m][r].terms):
+                failures.append(f"grading fails at j={j} entry ({m},{r})")
+            val = apply_generator_map(M[m][r], eps)
+            if val != NCPoly.from_scalar(val.pres, ONE if m == r else ZERO):
+                failures.append(f"counit fails at j={j} entry ({m},{r})")
+    return failures

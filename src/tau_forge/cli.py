@@ -1,7 +1,7 @@
 """Command-line driver: enumerate and run the named verification suites.
 
     tau-forge list
-    tau-forge verify <selector> [--json] [--degree N] [--window M]
+    tau-forge verify <selector> [--json] [--degree N]
                      [--j J] [--jprime J'] [--jmax J] [--seed S]
 
 Selectors match check ids exactly or as shell-style globs; the matching
@@ -231,7 +231,7 @@ def _g_suite(seed):
 def run_kp(which):
     def runner(params):
         return _combine([
-            kpfock.verify_hirota_kp(which, g, degree=params["degree"], window=params["window"])
+            kpfock.verify_hirota_kp(which, g, degree=params["degree"])
             for g in _g_suite(params["seed"])
         ])
 
@@ -241,13 +241,13 @@ def run_kp(which):
 def run_h6(params):
     spec = kpfock.GroupElementSpec
     return _combine([
-        kpfock.verify_hirota_kp("H6", g, charges=charges, degree=params["degree"], window=params["window"])
+        kpfock.verify_hirota_kp("H6", g, charges=charges, degree=params["degree"])
         for g, charges in ((spec.identity(), (0, 0)), (spec.single(Fraction(1), 0, -1), (1, 0)))
     ])
 
 
 def run_cauchy(params):
-    tau, direct, cert = kpfock.cauchy_pair(params["degree"], params["window"])
+    tau, direct, cert = kpfock.cauchy_pair(params["degree"])
     res = tau - direct
     return VerificationReport.from_failures([] if res.is_zero() else [str(res)], details=[str(cert)])
 
@@ -263,7 +263,7 @@ def _vec_sum(a, b, sign=1):
 def run_heisenberg(params):
     failures = []
     kmax = params["kmax"]
-    space = kpfock.FockSpace(params["window"])
+    space = kpfock.FockSpace(kmax + 1)  # a_-l changes vacuum modes -kmax .. kmax - 1
     base = {space.vacuum(0): 1}
     for k in range(1, kmax + 1):
         for l in range(1, kmax + 1):
@@ -278,13 +278,14 @@ def run_heisenberg(params):
 def run_fermions(params):
     rng = random.Random(params["seed"])
     failures = []
+    top = 4  # the fermions change modes -top .. top, which window top + 2 admits
     for _ in range(params["trials"]):
-        space = kpfock.FockSpace(params["window"])
+        space = kpfock.FockSpace(top + 2)
         n = rng.randint(-1, 1)
         partition = sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 3))), reverse=True)
         vec = {space.state_from_partition(n, tuple(partition)): 1}
-        i = rng.randint(-4, 4)
-        j = rng.randint(-4, 4)
+        i = rng.randint(-top, top)
+        j = rng.randint(-top, top)
         # {psi_i, psi*_j} = delta_ij, {psi_i, psi_j} = 0
         x = kpfock.apply_fermion(space, "psi", i, kpfock.apply_fermion(space, "psi_star", j, vec))
         y = kpfock.apply_fermion(space, "psi_star", j, kpfock.apply_fermion(space, "psi", i, vec))
@@ -425,32 +426,32 @@ def build_registry():
         CheckDescriptor(
             "kp.m3",
             "fermion-sum bilinear relation for one-sided taus",
-            {"degree": 6, "window": 8, "seed": 0}, run_kp("M3"),
+            {"degree": 6, "seed": 0}, run_kp("M3"),
         ),
         CheckDescriptor(
             "kp.m4",
             "Schur-operator Hirota relation for one-sided taus",
-            {"degree": 6, "window": 8, "seed": 0}, run_kp("M4"),
+            {"degree": 6, "seed": 0}, run_kp("M4"),
         ),
         CheckDescriptor(
             "kp.h6",
             "two-sided Hirota relation across neighbouring charges",
-            {"degree": 4, "window": 8}, run_h6,
+            {"degree": 4}, run_h6,
         ),
         CheckDescriptor(
             "kp.cauchy",
             "two-sided vacuum tau equals the exponential pairing",
-            {"degree": 5, "window": 8}, run_cauchy,
+            {"degree": 5}, run_cauchy,
         ),
         CheckDescriptor(
             "kp.heisenberg",
             "flow-generator commutators on the mode window",
-            {"window": 8, "kmax": 4}, run_heisenberg,
+            {"kmax": 4}, run_heisenberg,
         ),
         CheckDescriptor(
             "kp.fermions",
             "canonical anticommutation relations on window states",
-            {"window": 8, "seed": 0, "trials": 60}, run_fermions,
+            {"seed": 0, "trials": 60}, run_fermions,
         ),
         CheckDescriptor(
             "toda.worked",
@@ -530,7 +531,6 @@ def main(argv=None):
     pv.add_argument("selector", help="check id or glob, e.g. 'kp.*'")
     pv.add_argument("--json", action="store_true", help="machine-readable output")
     pv.add_argument("--degree", type=_degree, default=None)
-    pv.add_argument("--window", type=int, default=None)
     pv.add_argument("--j", type=_spin, default=None)
     pv.add_argument("--jprime", type=_spin, default=None)
     pv.add_argument("--jmax", type=_spin, default=None)
@@ -546,20 +546,13 @@ def main(argv=None):
     if args.command != "verify":
         parser.print_help()
         return 2
-    overrides = {
-        "degree": args.degree,
-        "window": args.window,
-        "j": args.j,
-        "jprime": args.jprime,
-        "jmax": args.jmax,
-        "seed": args.seed,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "selector", "json")}
     try:
         reports = run_check(args.selector, overrides)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, kpfock.BoundaryError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     emit_report(reports, "json" if args.json else "text")

@@ -23,9 +23,23 @@ time set.  The table {lambda: cap! S_lambda = cap! <lambda| exp(sum t_k
 a_{-k}) |0>} is flowed once per cap in its own window; S_lambda does not
 depend on the charge, and a_k^T = a_{-k} on the basis states, so a row is
 also <n| exp(sum t_k a_k) |lambda, n>.  No Fock vector is flowed per g or
-per charge.  Rows flowed outside the check's window are still exact: a
-lowering move stays between a state's holes and particles, and the check's
+per charge.  Rows flowed outside a build's window are still exact: a
+lowering move stays between a state's holes and particles, and the build's
 window still guards every placed state and every fermion of g.
+
+Each build derives its window from its inputs (:func:`_window`).  A build at
+charge n with (u, v) cap D_u places states mu of weight at most D_u, which
+lift particles to at most n - 1 + D_u and vacate modes down to n - D_u; the
+x-rows only move particles into existing holes, so they reach no new mode;
+g's factors act within its mode span [-s, s].  The guard admits changes in
+[-M + 1, M - 2], so M - 2 >= max(n - 1 + D_u, s) and -M + 1 <= min(n - D_u,
+-s), and the least window is
+
+    M = max(3, s + 2, |n| + D_u + 1),
+
+3 being the least window :class:`FockSpace` takes; :func:`m3_residual`
+needs that of charge 1 and D_u = 0 at every degree.  No window is a user
+input: the guard stays as the proof that each derived window was enough.
 
 The Hirota residuals need the product
 tau_a(x + y, u + v) tau_b(x - y, u - v).  It is formed from the two built
@@ -372,15 +386,20 @@ def _read_rows(space, vec, vacuum, lay, prefix, cap):
     return out
 
 
-def _tau(g, n, lay, caps, window):
+def _window(g, n, cap_u):
+    """The least window of a build at charge n with (u, v) cap ``cap_u``
+    (see the module docstring)."""
+    return max(3, g.mode_span() + 2, abs(n) + cap_u + 1)
+
+
+def _tau(g, n, lay, caps):
     """tau_n with the x and u fields of ``lay`` as the times t and s, exact to
     the weighted-degree caps (D_x, D_u): ({packed: int}, scale, certificate),
     the polynomial being scale * tau_n: the sum over mu of the D_u table of
-    mu's u-row times the x-rows of g|mu, n>, both placed in the check's
+    mu's u-row times the x-rows of g|mu, n>, both placed in the build's
     window.  The u-row is read off the table by mu itself; the placed state
     is noted as ``_read_rows`` would note it."""
-    space = FockSpace(window)
-    _check_window_budget(space, n, caps[1], g)
+    space = FockSpace(_window(g, n, caps[1]))
     vacuum, out = space.vacuum(n), {}
     units = [lay.unit[v] for v in _var_names("u", caps[1])]
     for mu, row in _schur_table(caps[1]).items():
@@ -409,6 +428,10 @@ class GroupElementSpec:
     """
 
     factors: tuple
+
+    def __post_init__(self):
+        if any(i == j for _, i, j in self.factors):
+            raise ValueError("factors need i != j")
 
     @classmethod
     def identity(cls):
@@ -440,8 +463,6 @@ class GroupElementSpec:
         """(Q g vec, Q) with Q = :meth:`denominator`: a factor with theta =
         p/q acts as q + p psi_i psi*_j, so int coefficients stay int."""
         for theta, i, j in reversed(self.factors):
-            if i == j:
-                raise ValueError("factors need i != j")
             p, q = theta.numerator, theta.denominator
             moved = apply_fermion(space, "psi", i, apply_fermion(space, "psi_star", j, vec))
             out = {state: q * c for state, c in vec.items()}
@@ -543,7 +564,7 @@ def _residual(lay, lhs, sl, rhs=None, sr=1):
 # ---------------------------------------------------------------------------
 
 
-def tau_kp(g, n, deg_x, deg_u=0, *, window):
+def tau_kp(g, n, deg_x, deg_u=0):
     """tau as <n| exp(sum x_k a_k) g exp(sum u_k a_{-k}) |n>, by Sato's
     expansion over the cached Schur tables.
 
@@ -552,47 +573,29 @@ def tau_kp(g, n, deg_x, deg_u=0, *, window):
     monomials within the stated weighted degrees are exact.
     """
     lay = _Layout(_var_names("x", deg_x) + _var_names("u", deg_u), max(deg_x, deg_u))
-    poly, scale, cert = _tau(g, n, lay, (deg_x, deg_u), window)
+    poly, scale, cert = _tau(g, n, lay, (deg_x, deg_u))
     return lay.to_times(poly, scale), cert
 
 
-def _check_window_budget(space, n, deg_u, g):
-    # raising by total weight deg_u lifts particles to at most n - 1 + deg_u
-    # and vacates down to n - deg_u; lowering moves particles into existing
-    # holes, so holes only move up; g factors act within their mode span
-    span = g.mode_span()
-    top, bottom = max(n - 1 + deg_u, span), min(n - deg_u, -span)
-    if top > space.M - 2 or bottom < -space.M + 1:
-        raise BoundaryError(
-            f"degree/charge budget (top {top}, bottom {bottom}) exceeds the "
-            f"guarded window [-{space.M - 1},{space.M - 2}]"
-        )
-
-
-def m3_residual(g, degree, window):
-    """The window sum of products of charge +-1 matrix elements that the
-    invariance of Omega = sum psi_j ox psi*_j forces to vanish.
+def m3_residual(g, degree):
+    """The sum of products of charge +-1 matrix elements that the invariance
+    of Omega = sum psi_j ox psi*_j forces to vanish.
 
     The vector sum_j psi_j g|0> ox psi*_j g|0> is already zero before the
     linear flows act, so this checks g and the fermion signs, not the flows.
     g|0> is built once, and psi_j g|0> and psi*_j g|0> read the table rows
     at charges +1 and -1.  Returns (residual, [certificate]).
 
-    Insertion modes beyond the guarded window are omitted; their terms need
-    more energy than ``degree`` supplies, which is only sound while the
-    degree stays at least two modes clear of the window edge."""
-    if degree > window - 2:
-        raise BoundaryError(
-            f"degree {degree} needs insertion modes beyond the guarded "
-            f"window [-{window - 1},{window - 2}]; increase the window"
-        )
+    g|0> is |0> outside g's mode span [-s, s]: below it every mode is
+    occupied, so psi_j kills g|0>, and above it every mode is empty, so
+    psi*_j does.  The sum runs over j in [-s, s] alone, in the window of a
+    charge +-1 build with no (u, v) times, at every degree."""
     D = degree
     lay = _Layout(_var_names("x", D) + _var_names("y", D), 2 * D)
-    space = FockSpace(window)
-    _check_window_budget(space, 1, 0, g)
+    space = FockSpace(_window(g, 1, 0))
     ground = g.scaled_apply(space, {space.vacuum(0): 1})[0]
-    acc = {}
-    for j in range(-window + 1, window - 1):
+    acc, span = {}, g.mode_span()
+    for j in range(-span, span + 1):
         # each matrix element times g.denominator() * D!
         left = _read_rows(space, apply_fermion(space, "psi", j, ground), space.vacuum(1), lay, "x", D)
         right = _read_rows(space, apply_fermion(space, "psi_star", j, ground), space.vacuum(-1), lay, "y", D)
@@ -601,7 +604,7 @@ def m3_residual(g, degree, window):
     return lay.to_times(acc, (g.denominator() * factorial(D)) ** 2), [space.certificate()]
 
 
-def m4_residual(g, degree, window):
+def m4_residual(g, degree):
     """Literal transcription of the one-sided Hirota sum:
 
         sum_{j>=0} S_j(2 y) . S_{j+1}(-dtilde_y) [tau(x+y) tau(x-y)],
@@ -613,13 +616,13 @@ def m4_residual(g, degree, window):
     x_names, y_names = _var_names("x", D), _var_names("y", D)
     lay = _Layout(x_names + y_names, D)
     caps = (D, 0)
-    tau, scale, cert = _tau(g, 0, lay, caps, window)
+    tau, scale, cert = _tau(g, 0, lay, caps)
     G = _sum_diff_product(tau, tau, lay, list(zip(x_names, y_names)), caps)
     lhs, L = _schur_pair(G, lay, y_names, 0, 1, 1, degree)
     return _residual(lay, lhs, L * scale * scale), [cert], caps
 
 
-def h6_residual(g, n, m, degree, window):
+def h6_residual(g, n, m, degree):
     """Two-sided Hirota residual for charges (n, m): LHS with the y-side
     Schur pair at offset o = n - m + 1 minus RHS with the v-side pair at the
     same offset and charges (n+1, m-1); certified to ``degree`` per time set,
@@ -634,7 +637,7 @@ def h6_residual(g, n, m, degree, window):
 
     def tau(charge):
         if charge not in built:
-            poly, scale, cert = _tau(g, charge, lay, caps, window)
+            poly, scale, cert = _tau(g, charge, lay, caps)
             built[charge] = poly, scale
             certs.append(cert)
         return built[charge]
@@ -654,10 +657,10 @@ def h6_residual(g, n, m, degree, window):
     return _residual(lay, lhs, sl, rhs, sr), certs, caps
 
 
-def cauchy_pair(degree, window):
+def cauchy_pair(degree):
     """Two independent routes to the two-sided vacuum tau at g = identity:
     the Fock matrix element and the direct expansion of exp(sum k x_k u_k)."""
-    tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree, window=window)
+    tau, cert = tau_kp(GroupElementSpec.identity(), 0, degree, degree)
     lay = _Layout(tau.vars, degree)
     direct, scale = {0: 1}, 1
     for k in range(1, degree + 1):
@@ -673,19 +676,19 @@ def cauchy_pair(degree, window):
 # ---------------------------------------------------------------------------
 
 
-def verify_hirota_kp(which, g, degree, window, charges=(0, 0)):
+def verify_hirota_kp(which, g, degree, charges=(0, 0)):
     if which in ("M3", "M4") and tuple(charges) != (0, 0):
         raise ValueError(f"{which} is a charge-0 relation; got charges {charges}")
     caps = None
     if which == "M3":
-        res, certs = m3_residual(g, degree, window)
+        res, certs = m3_residual(g, degree)
     elif which == "M4":
-        res, certs, caps = m4_residual(g, degree, window)
+        res, certs, caps = m4_residual(g, degree)
     elif which == "H6":
-        res, certs, caps = h6_residual(g, charges[0], charges[1], degree, window)
+        res, certs, caps = h6_residual(g, charges[0], charges[1], degree)
     else:
         raise ValueError(f"unknown check {which!r}")
-    params = {"g": len(g.factors), "charges": charges, "degree": degree, "window": window}
+    params = {"g": len(g.factors), "charges": charges, "degree": degree}
     if caps is not None:
         params["caps"] = caps
     return VerificationReport.from_failures(

@@ -609,6 +609,7 @@ _Q = QScalar.q_power(1)
 _QI = QScalar.q_power(-1)
 
 
+@cache
 def funq_sl2():
     """Quantized coordinate ring of SL2 on generators a, b, c, d.
 
@@ -624,7 +625,19 @@ def funq_sl2():
     pass a^m at q^m and d^m at q^-m, and d^n a^m, a^n d^m expand by the
     q-binomial theorem into a^|n-m| or d^|n-m| times a polynomial in bc.
     """
-    return _FUNQ_SL2
+    return Presentation(
+        "funq_sl2",
+        ("a", "d", "b", "c"),
+        {
+            ("d", "a"): {(): ONE, ("b", "c"): _Q},
+            ("a", "d"): {(): ONE, ("b", "c"): _QI},
+            ("b", "a"): {("a", "b"): _Q},
+            ("c", "a"): {("a", "c"): _Q},
+            ("b", "d"): {("d", "b"): _QI},
+            ("c", "d"): {("d", "c"): _QI},
+            ("c", "b"): {("b", "c"): ONE},
+        },
+    )
 
 
 @cache
@@ -665,20 +678,6 @@ def funq_sl2_blocks(x, n, y, m):
     )
     return w, abs(n - m), twist, zs
 
-
-_FUNQ_SL2 = Presentation(
-    "funq_sl2",
-    ("a", "d", "b", "c"),
-    {
-        ("d", "a"): {(): ONE, ("b", "c"): _Q},
-        ("a", "d"): {(): ONE, ("b", "c"): _QI},
-        ("b", "a"): {("a", "b"): _Q},
-        ("c", "a"): {("a", "c"): _Q},
-        ("b", "d"): {("d", "b"): _QI},
-        ("c", "d"): {("d", "c"): _QI},
-        ("c", "b"): {("b", "c"): ONE},
-    },
-)
 
 #: The q <-> q^-1 convention toggle for the Gauss parameter algebra.  The
 #: setting "q_inverse" (Q s = q^-1 s Q) is the one on which the quantized-SL2

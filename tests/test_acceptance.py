@@ -133,7 +133,7 @@ def test_criterion_08_one_sided_hirota():
     for g in _g_suite():
         for which in ("M3", "M4"):
             t0 = time.perf_counter()
-            rep = kpfock.verify_hirota_kp(which, g, degree=6, window=8)
+            rep = kpfock.verify_hirota_kp(which, g, degree=6)
             worst = max(worst, time.perf_counter() - t0)
             ok = ok and rep.verdict
     ok = ok and worst < 300.0
@@ -142,12 +142,9 @@ def test_criterion_08_one_sided_hirota():
 
 def test_criterion_09_two_sided_hirota():
     t0 = time.perf_counter()
-    r1 = kpfock.verify_hirota_kp(
-        "H6", kpfock.GroupElementSpec.identity(), charges=(0, 0), degree=4, window=8
-    )
+    r1 = kpfock.verify_hirota_kp("H6", kpfock.GroupElementSpec.identity(), charges=(0, 0), degree=4)
     r2 = kpfock.verify_hirota_kp(
-        "H6", kpfock.GroupElementSpec.single(Fraction(1), 0, -1), charges=(1, 0), degree=4,
-        window=8,
+        "H6", kpfock.GroupElementSpec.single(Fraction(1), 0, -1), charges=(1, 0), degree=4
     )
     dt = time.perf_counter() - t0
     _report(9, "two-sided Hirota relation at charges (0,0) and (1,0)", r1.verdict and r2.verdict, dt)
@@ -155,7 +152,7 @@ def test_criterion_09_two_sided_hirota():
 
 def test_criterion_10_cauchy_identity():
     t0 = time.perf_counter()
-    tau, direct, _ = kpfock.cauchy_pair(5, window=8)
+    tau, direct, _ = kpfock.cauchy_pair(5)
     ok = (tau - direct).is_zero()
     dt = time.perf_counter() - t0
     _report(10, "two-sided vacuum tau equals the exponential pairing to degree 5", ok, dt)

@@ -1,10 +1,13 @@
 import io
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tau_forge.cli as cli
 from tau_forge.cli import REGISTRY, UsageError, emit_report, main, run_check, select_checks
 from tau_forge.report import VerificationReport
 
@@ -13,6 +16,24 @@ def test_registry_ids_unique_and_documented():
     assert len(REGISTRY) == len({c.check_id for c in REGISTRY.values()})
     for desc in REGISTRY.values():
         assert desc.anchor
+
+
+def _long_flags(text):
+    return set(re.findall(r"--(\w+)", text))
+
+
+def test_verify_flags_match_the_registry_and_the_docs(capsys):
+    # every override flag sets a param some check takes, and the usage lines
+    # of the module docstring and the README list exactly the parser's flags
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    flags = _long_flags(capsys.readouterr().out) - {"help"}
+    assert "degree" in flags and "window" not in flags
+    assert flags - {"json"} <= {key for desc in REGISTRY.values() for key in desc.params}
+    assert _long_flags(cli.__doc__.split("\n\n")[1]) == flags
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert _long_flags(readme.split("## Command line", 1)[1].split("```")[1]) == flags
 
 
 def test_select_exact_and_glob():
@@ -161,14 +182,7 @@ def test_component_relations_report_does_not_depend_on_caches(fresh_caches):
     assert report() == cold
 
 
-def test_boundary_guard_surfaces_as_usage_error(capsys):
-    assert main(["verify", "kp.m3", "--degree", "8"]) == 2
-    assert "window" in capsys.readouterr().err
-
-
 def test_exit_one_on_failure(monkeypatch, capsys):
-    import tau_forge.cli as cli
-
     def failing(params):
         return VerificationReport(check_id="", verdict=False, residual="boom")
 
@@ -219,32 +233,70 @@ def test_jmax_flag_reaches_the_spin_rungs(capsys):
     assert "--jmax" in capsys.readouterr().err
 
 
-def test_kp_degree5_window10_passes(capsys):
-    # a true identity the old one-spare-weight margin failed (FAIL, 18 s)
+def test_kp_high_degrees_pass_with_no_other_flag(capsys):
+    # each build derives its window from the degree; kp.h6 at degree 5 is a
+    # true identity that a one-spare-weight Schur margin fails (FAIL, 18 s)
     t0 = time.perf_counter()
-    assert main(["verify", "kp.h6", "--degree", "5", "--window", "10"]) == 0
+    assert main(["verify", "kp.h6", "--degree", "5"]) == 0
     assert time.perf_counter() - t0 < 10.0
     assert capsys.readouterr().out.startswith("PASS kp.h6")
+    for argv in (["kp.h6", "--degree", "7"], ["kp.m3", "--degree", "8"]):
+        assert main(["verify", *argv]) == 0, argv
+        assert capsys.readouterr().out.startswith(f"PASS {argv[0]}")
 
 
-@pytest.mark.parametrize("window", [8, 10])
-def test_kp_parameter_domain_never_fails(window, capsys):
-    # around the defaults every run is a PASS or a usage error, never a FAIL
-    runs = [["kp.h6", "--degree", str(d)] for d in (3, 4, 5)]
-    runs += [["kp.m4", "--degree", str(d), "--seed", str(s)] for d in (5, 6, 7) for s in (0, 1, 2)]
-    runs += [["kp.m3", "--degree", str(d), "--seed", str(s)] for d in (5, 6, 7) for s in (0, 1, 2)]
-    runs += [["kp.cauchy", "--degree", str(d)] for d in (4, 5, 6)]
+def test_window_is_no_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kp.m3", "--window", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window 8" in capsys.readouterr().err
+    assert all("window" not in desc.params for desc in REGISTRY.values())
+
+
+def test_kp_parameter_domain_never_fails(capsys):
+    # every KP check PASSes at degrees 1-6 and seeds 0-2, where it takes them
+    runs = []
+    for cid, desc in sorted(REGISTRY.items()):
+        if cid.startswith("kp."):
+            degrees = [["--degree", str(d)] for d in range(1, 7)] if "degree" in desc.params else [[]]
+            seeds = [["--seed", str(s)] for s in range(3)] if "seed" in desc.params else [[]]
+            runs += [[cid, *d, *s] for d in degrees for s in seeds]
+    assert len(runs) == 6 * 3 + 6 * 3 + 6 + 6 + 1 + 3
     for argv in runs:
-        code = main(["verify", *argv, "--window", str(window)])
+        code = main(["verify", *argv])
         out = capsys.readouterr().out
-        assert code in (0, 2), (argv, out)
+        assert code == 0, (argv, out)
 
 
-def test_heisenberg_runs_on_the_window_it_reports(capsys):
-    # a_-l raises modes up to l = kmax = 4 on the vacuum: window 4 reaches its edge
-    assert main(["verify", "kp.heisenberg", "--window", "4"]) == 2
-    assert "touches the window edge" in capsys.readouterr().err
-    assert main(["verify", "kp.heisenberg", "--window", "5"]) == 0
+def test_heisenberg_runs_on_the_window_it_reports(monkeypatch):
+    # a_-l raises modes up to l - 1 on the vacuum and vacates down to -l, so
+    # kmax = 4 runs on window kmax + 1 = 5; window 4 reaches its edge
+    import tau_forge.kpfock as kpfock
+
+    windows, space = [], kpfock.FockSpace
+
+    def recorded(window):
+        windows.append(window)
+        return space(window)
+
+    monkeypatch.setattr(kpfock, "FockSpace", recorded)
+    assert all(r.verdict for r in run_check("kp.heisenberg"))
+    assert windows == [5]
+    monkeypatch.setattr(kpfock, "FockSpace", lambda window: space(window - 1))
+    with pytest.raises(kpfock.BoundaryError, match="touches the window edge"):
+        run_check("kp.heisenberg")
+
+
+def test_fermions_run_on_the_least_window(monkeypatch):
+    # the drawn modes reach +-4, so the guard needs window 6; window 5
+    # refuses mode 4
+    import tau_forge.kpfock as kpfock
+
+    space = kpfock.FockSpace
+    assert all(r.verdict for r in run_check("kp.fermions"))
+    monkeypatch.setattr(kpfock, "FockSpace", lambda window: space(window - 1))
+    with pytest.raises(kpfock.BoundaryError, match="mode 4 touches the window edge"):
+        run_check("kp.fermions")
 
 
 def test_lm_parameter_domain_passes():

@@ -91,6 +91,16 @@ def test_double_insertion_vanishes():
     assert apply_fermion(sp, "psi", 1, vec) == {}
 
 
+def test_group_element_refuses_a_diagonal_factor():
+    # (psi_i psi*_i)^2 != 0, so exp(theta psi_i psi*_i) is not 1 + theta
+    # psi_i psi*_i; the spec refuses it when built, before any window is
+    # derived from its mode span
+    with pytest.raises(ValueError, match="i != j"):
+        GroupElementSpec.single(1, 0, 0)
+    with pytest.raises(ValueError, match="i != j"):
+        GroupElementSpec(factors=((Fraction(1), 1, -1), (Fraction(2), 2, 2)))
+
+
 def test_fermion_anticommutation_randomized():
     rng = random.Random(0)
     for _ in range(80):
@@ -312,19 +322,19 @@ def test_schur_diff_example():
 
 
 def test_tau_identity_is_one():
-    tau, cert = tau_kp(GroupElementSpec.identity(), 0, 4, window=8)
+    tau, cert = tau_kp(GroupElementSpec.identity(), 0, 4)
     assert tau == TimesPoly.one(tau.vars)
 
 
 def test_tau_single_factor():
     g = GroupElementSpec.single(Fraction(2, 3), 0, -1)
-    tau, cert = tau_kp(g, 0, 3, window=8)
+    tau, cert = tau_kp(g, 0, 3)
     assert tau == TimesPoly.one(tau.vars) + TimesPoly.var(tau.vars, "x1", coeff=qs(Fraction(2, 3)))
 
 
 def test_two_sided_cauchy_value():
     # frozen from the independent product expansion at degrees (3, 3)
-    tau, direct, cert = cauchy_pair(3, window=8)
+    tau, direct, cert = cauchy_pair(3)
     assert (tau - direct).is_zero()
     assert tau.coefficient((1, 0, 0, 1, 0, 0)) == ONE          # x1 u1
     assert tau.coefficient((2, 0, 0, 2, 0, 0)) == qs(Fraction(1, 2))  # x1^2 u1^2 / 2
@@ -334,12 +344,12 @@ def test_two_sided_cauchy_value():
 
 
 def test_m4_trivial_tau():
-    res, _, _ = m4_residual(GroupElementSpec.identity(), degree=4, window=8)
+    res, _, _ = m4_residual(GroupElementSpec.identity(), degree=4)
     assert res.is_zero()
 
 
 def test_m4_single_factor_degree6():
-    res, _, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6, window=8)
+    res, _, _ = m4_residual(GroupElementSpec.single(Fraction(1), 0, -1), degree=6)
     assert res.is_zero()
 
 
@@ -348,44 +358,133 @@ def test_m3_residuals():
         GroupElementSpec.identity(),
         GroupElementSpec.single(Fraction(1), 0, -1),
     ):
-        res, _ = m3_residual(g, degree=4, window=8)
+        res, _ = m3_residual(g, degree=4)
         assert res.is_zero()
 
 
 def test_m3_m4_random_product_seeded():
     rng = random.Random(0)
     g = GroupElementSpec.random_unipotent(rng)
-    res, _, _ = m4_residual(g, degree=5, window=8)
+    res, _, _ = m4_residual(g, degree=5)
     assert res.is_zero()
-    res, _ = m3_residual(g, degree=5, window=8)
+    res, _ = m3_residual(g, degree=5)
     assert res.is_zero()
 
 
 def test_h6_identity_small():
-    res, _, _ = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3, window=8)
+    res, _, _ = h6_residual(GroupElementSpec.identity(), 0, 0, degree=3)
     assert res.is_zero()
 
 
 def test_h6_nontrivial_charges_small():
-    res, _, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3, window=8)
+    res, _, _ = h6_residual(GroupElementSpec.single(Fraction(1), 0, -1), 1, 0, degree=3)
     assert res.is_zero()
 
 
-def test_window_budget_precondition():
-    with pytest.raises(BoundaryError):
-        tau_kp(GroupElementSpec.identity(), 0, 9, 9, window=8)
+# Each build derives its window (kpfock._window).  The entry points run over
+# the seeded g suite at degrees 1-6; the h6 charge pairs put the Schur pair
+# at offsets 1, 2 and -1.
+_H6_CHARGES = ((0, 0), (1, 0), (0, 2))
+_WINDOW_ENTRY_POINTS = ("cauchy_pair", "h6_residual", "m3_residual", "m4_residual", "tau_kp", "verify_hirota_kp")
 
 
-def test_m3_degree_needs_window_margin():
+def _cert_text(cert):
+    """A certificate line without its window bounds."""
+    return str(cert).split(", ", 1)[1]
+
+
+def _entry_point_runs(entry, g, d):
+    """[(residual text or None, value texts, certificate lines without the
+    window)] for each call of an entry point."""
+    if entry == "tau_kp":
+        return [(None, str(t), [_cert_text(c)]) for t, c in (tau_kp(g, n, d, du) for n in (-1, 0, 1) for du in (0, 2))]
+    if entry == "m3_residual":
+        res, certs = m3_residual(g, d)
+        return [(str(res), None, [_cert_text(c) for c in certs])]
+    if entry == "m4_residual":
+        res, certs, _ = m4_residual(g, d)
+        return [(str(res), None, [_cert_text(c) for c in certs])]
+    if entry == "h6_residual":
+        runs = (h6_residual(g, n, m, d) for n, m in _H6_CHARGES)
+        return [(str(res), None, [_cert_text(c) for c in certs]) for res, certs, _ in runs]
+    if entry == "cauchy_pair":
+        tau, direct, cert = cauchy_pair(d)
+        return [(str(tau - direct), str(tau), [_cert_text(cert)])]
+    reps = [verify_hirota_kp(w, g, d) for w in ("M3", "M4")] + [verify_hirota_kp("H6", g, d, charges=(1, 0))]
+    return [(r.residual or "0", None, [_cert_text(line) for line in r.details]) for r in reps]
+
+
+def _window_outcomes(entry, monkeypatch, delta):
+    """{(g, degree): (the runs or the error raised, the derived windows)}
+    with every build on its derived window plus ``delta``."""
+    import tau_forge.kpfock as kpfock
+    from tau_forge.cli import _g_suite
+
+    derive, seen = kpfock._window, []
+
+    def shifted(g, n, cap_u):
+        seen.append(derive(g, n, cap_u))
+        return seen[-1] + delta
+
+    monkeypatch.setattr(kpfock, "_window", shifted)
+    out = {}
+    for g in _g_suite(0):
+        for d in range(1, 7):
+            seen.clear()
+            try:
+                runs = _entry_point_runs(entry, g, d)
+            except (BoundaryError, ValueError) as exc:
+                runs = exc
+            out[g, d] = runs, tuple(seen)
+    return out
+
+
+@pytest.mark.parametrize("entry", _WINDOW_ENTRY_POINTS)
+def test_derived_window_passes_and_is_the_least(entry, monkeypatch):
+    """On its derived window every build of the entry point runs and every
+    residual is zero.  One smaller, at each degree at least one build hits
+    the guard, unless every derived window was 3, the least a FockSpace
+    takes: the guard stays live and the derivation is the least."""
+    for key, (runs, windows) in _window_outcomes(entry, monkeypatch, 0).items():
+        assert windows and not isinstance(runs, Exception), (key, runs)
+        assert all(res in (None, "0") for res, _, _ in runs), key
+    smaller = _window_outcomes(entry, monkeypatch, -1)
+    for d in range(1, 7):
+        cells = [cell for (_, deg), cell in smaller.items() if deg == d]
+        if all(w == 3 for _, windows in cells for w in windows):
+            assert all(isinstance(runs, ValueError) for runs, _ in cells), (entry, d)
+        else:
+            assert any(isinstance(runs, BoundaryError) for runs, _ in cells), (entry, d)
+
+
+@pytest.mark.parametrize("entry", _WINDOW_ENTRY_POINTS)
+def test_larger_window_changes_nothing(entry, monkeypatch):
+    """Two modes more on every window leave residuals, taus and each
+    certificate's changed range as they are."""
+    derived = {key: runs for key, (runs, _) in _window_outcomes(entry, monkeypatch, 0).items()}
+    larger = {key: runs for key, (runs, _) in _window_outcomes(entry, monkeypatch, 2).items()}
+    assert larger == derived
+
+
+def test_window_budget_precondition(monkeypatch):
+    # a build at charge n with (u, v) cap D_u, g of mode span s, derives
+    # M = max(3, s + 2, |n| + D_u + 1): the identity's two-sided tau to
+    # (9, 9) at charge -1 builds on window 11, and its placed states change
+    # modes n - D_u = -10 to n - 1 + D_u = 7 ...
+    import tau_forge.kpfock as kpfock
+
     g = GroupElementSpec.identity()
-    with pytest.raises(BoundaryError):
-        m3_residual(g, degree=7, window=8)
-    res, _ = m3_residual(g, degree=7, window=10)
-    assert res.is_zero()
+    _, cert = tau_kp(g, -1, 9, 9)
+    assert str(cert) == "window [-11,10], changes in [-10,7]"
+    # ... which window 10 refuses
+    derive = kpfock._window
+    monkeypatch.setattr(kpfock, "_window", lambda g, n, cap_u: derive(g, n, cap_u) - 1)
+    with pytest.raises(BoundaryError, match="touches the window edge"):
+        tau_kp(g, -1, 9, 9)
 
 
 def test_certificates_reported():
-    rep = verify_hirota_kp("M4", GroupElementSpec.identity(), degree=4, window=8)
+    rep = verify_hirota_kp("M4", GroupElementSpec.identity(), degree=4)
     assert rep.verdict
     assert any("window" in d for d in rep.details)
 
@@ -394,9 +493,8 @@ def test_h6_margin_covers_the_schur_offset():
     # charges (1, 0) put the y-side pair at offset 2, two weights past the
     # certified degree; with one spare weight this g gave a nonzero residual
     g = GroupElementSpec.random_unipotent(random.Random(0))
-    for window in (8, 10):
-        res, _, _ = h6_residual(g, 1, 0, degree=3, window=window)
-        assert res.is_zero()
+    res, _, _ = h6_residual(g, 1, 0, degree=3)
+    assert res.is_zero()
 
 
 def test_h6_old_margin_mutant_fails(monkeypatch):
@@ -404,17 +502,17 @@ def test_h6_old_margin_mutant_fails(monkeypatch):
 
     monkeypatch.setattr(kpfock, "schur_pair_caps", lambda degree, offset: (degree + 1, degree + 1))
     g = GroupElementSpec.random_unipotent(random.Random(0))
-    res, _, _ = h6_residual(g, 1, 0, degree=3, window=8)
+    res, _, _ = h6_residual(g, 1, 0, degree=3)
     assert not res.is_zero()
 
 
 def test_caps_on_report():
     g = GroupElementSpec.single(Fraction(1), 0, -1)
-    rep = verify_hirota_kp("H6", g, charges=(1, 0), degree=4, window=8)
+    rep = verify_hirota_kp("H6", g, charges=(1, 0), degree=4)
     assert rep.params["caps"] == (6, 4) and rep.params["degree"] == 4
-    rep = verify_hirota_kp("H6", g, charges=(0, 2), degree=3, window=8)
+    rep = verify_hirota_kp("H6", g, charges=(0, 2), degree=3)
     assert rep.params["caps"] == (3, 4)
-    assert verify_hirota_kp("M4", g, degree=4, window=8).params["caps"] == (5, 0)
+    assert verify_hirota_kp("M4", g, degree=4).params["caps"] == (5, 0)
 
 
 # Sato's expansion tau_n(x, u) = sum_{lambda, mu} s_lambda(x) <lambda, n| g |mu, n> s_mu(u)
@@ -499,7 +597,7 @@ def test_sato_expansion_matches_the_build():
     assert _schur_function((2, 1), 3) == {(3, 0, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1)}
     for g in _g_suite(0):
         for n in (-1, 0, 1):
-            tau, cert = tau_kp(g, n, 6, 6, window=8)
+            tau, cert = tau_kp(g, n, 6, 6)
             assert tau.vars == tuple(f"x{k}" for k in range(1, 7)) + tuple(f"u{k}" for k in range(1, 7))
             built = {m: c.as_rational() for m, c in tau.terms.items()}
             assert built == _sato_tau(g, n, 6), (g, n)
@@ -551,19 +649,21 @@ def test_kp_checks_flow_once_per_distinct_cap(monkeypatch, fresh_caches):
 
 
 def test_certificate_of_a_build_that_changed_nothing():
-    # the one-sided tau of g = identity moves no mode of the window
-    _, cert = tau_kp(GroupElementSpec.identity(), 0, 4, window=8)
-    assert str(cert) == "window [-8,7], no mode changed"
-    sp = FockSpace(8)
+    # the one-sided tau of g = identity moves no mode of its window, the
+    # least one (3)
+    _, cert = tau_kp(GroupElementSpec.identity(), 0, 4)
+    assert str(cert) == "window [-3,2], no mode changed"
+    sp = FockSpace(3)
     assert str(sp.certificate()) == str(cert)
     sp.note_change(0)
-    assert str(sp.certificate()) == "window [-8,7], changes in [0,0]"
-    _, cert = tau_kp(GroupElementSpec.single(Fraction(1), 0, -1), 0, 4, window=8)
-    assert str(cert) == "window [-8,7], changes in [-1,0]"
+    assert str(sp.certificate()) == "window [-3,2], changes in [0,0]"
+    _, cert = tau_kp(GroupElementSpec.single(Fraction(1), 0, -1), 0, 4)
+    assert str(cert) == "window [-3,2], changes in [-1,0]"
     # the flows to (5, 5) would move modes -5 .. 4: the build notes where
-    # each placed state and each image differ from the vacuum
-    _, _, cert = cauchy_pair(5, window=8)
-    assert str(cert) == "window [-8,7], changes in [-5,4]"
+    # each placed state and each image differ from the vacuum, in the
+    # window 5 + 1 that cap 5 derives
+    _, _, cert = cauchy_pair(5)
+    assert str(cert) == "window [-6,5], changes in [-5,4]"
 
 
 def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
@@ -572,15 +672,15 @@ def test_report_caps_are_the_caps_the_taus_were_built_to(monkeypatch):
     built = []
     tau = kpfock._tau
 
-    def recording_tau(g, n, lay, caps, window):
+    def recording_tau(g, n, lay, caps):
         built.append(tuple(caps))
-        return tau(g, n, lay, caps, window)
+        return tau(g, n, lay, caps)
 
     monkeypatch.setattr(kpfock, "_tau", recording_tau)
     g = GroupElementSpec.single(Fraction(1), 0, -1)
     for which, charges, degree in (("M4", (0, 0), 4), ("H6", (1, 0), 3), ("H6", (0, 2), 3)):
         built.clear()
-        rep = verify_hirota_kp(which, g, charges=charges, degree=degree, window=8)
+        rep = verify_hirota_kp(which, g, charges=charges, degree=degree)
         assert rep.verdict
         assert built and set(built) == {rep.params["caps"]}
 
@@ -605,7 +705,7 @@ def test_flow_weight_mutant_fails_sato_m4_and_h6(monkeypatch, fresh_caches):
     monkeypatch.setattr(kpfock, "_flow_weights", off_by_one_factorial)
     for g in _g_suite(0):
         for n in (-1, 0, 1):
-            tau, _ = tau_kp(g, n, 6, 6, window=8)
+            tau, _ = tau_kp(g, n, 6, 6)
             built = {m: c.as_rational() for m, c in tau.terms.items()}
             assert built != _sato_tau(g, n, 6), (g, n)
     for check_id in ("kp.m4", "kp.h6"):
@@ -631,15 +731,14 @@ def test_shifted_schur_pair_mutant_fails_m4_and_h6(monkeypatch, fresh_caches):
 
 
 def test_flipped_schur_pair_sign_fails_h6_and_m4_is_blind(monkeypatch, fresh_caches):
-    """The pair with -sigma in place of sigma FAILs kp.h6 but PASSes kp.m4,
-    at its defaults and at degree 6, window 10: tau(x + y) tau(x - y) is
+    """The pair with -sigma in place of sigma FAILs kp.h6 but PASSes kp.m4
+    at its defaults (degree 6): tau(x + y) tau(x - y) is
     even in y, and the flipped pair on it is the right pair at -y, so its
     m4 residual is R(x, -y), zero exactly when R is.  Only kp.h6, whose two
     sides pair different charges, sees the sign."""
     _mutate_pair_image(monkeypatch, lambda ez, a, b, sigma, bound: (ez, a, b, -sigma, bound))
     assert not all(r.verdict for r in run_check("kp.h6"))
     assert all(r.verdict for r in run_check("kp.m4"))
-    assert all(r.verdict for r in run_check("kp.m4", {"degree": 6, "window": 10}))
 
 
 def test_one_sided_relations_refuse_nonzero_charges():
@@ -648,10 +747,10 @@ def test_one_sided_relations_refuse_nonzero_charges():
     g = GroupElementSpec.identity()
     for which in ("M3", "M4"):
         with pytest.raises(ValueError, match="charge"):
-            verify_hirota_kp(which, g, 3, 8, charges=(1, 0))
-        rep = verify_hirota_kp(which, g, 3, 8)
+            verify_hirota_kp(which, g, 3, charges=(1, 0))
+        rep = verify_hirota_kp(which, g, 3)
         assert rep.verdict and rep.params["charges"] == (0, 0)
-    assert verify_hirota_kp("H6", g, 3, 8, charges=(1, 0)).params["charges"] == (1, 0)
+    assert verify_hirota_kp("H6", g, 3, charges=(1, 0)).params["charges"] == (1, 0)
 
 
 def test_wrong_scale_on_one_charge_fails_h6(monkeypatch):
@@ -663,8 +762,8 @@ def test_wrong_scale_on_one_charge_fails_h6(monkeypatch):
 
     tau = kpfock._tau
 
-    def doubled_scale(g, n, lay, caps, window):
-        poly, scale, cert = tau(g, n, lay, caps, window)
+    def doubled_scale(g, n, lay, caps):
+        poly, scale, cert = tau(g, n, lay, caps)
         return poly, scale * 2 if n == 1 else scale, cert
 
     monkeypatch.setattr(kpfock, "_tau", doubled_scale)
@@ -693,7 +792,7 @@ def test_flow_sign_mutant_fails_sato_and_the_flow_checks(monkeypatch, fresh_cach
     monkeypatch.setattr(kpfock, "_flow_moves", above_t_only)
     for g in _g_suite(0):
         for n in (-1, 0, 1):
-            tau, _ = tau_kp(g, n, 6, 6, window=8)
+            tau, _ = tau_kp(g, n, 6, 6)
             built = {m: c.as_rational() for m, c in tau.terms.items()}
             assert built != _sato_tau(g, n, 6), (g, n)
     for check_id in ("kp.m4", "kp.h6", "kp.cauchy", "kp.heisenberg"):
@@ -741,11 +840,11 @@ def _sum_diff_cases():
         D = 5
         names = _var_names("x", D) + _var_names("y", D)
         lay = _Layout(names, D)
-        tau = _tau(g, 0, lay, (D, 0), 8)[0]
+        tau = _tau(g, 0, lay, (D, 0))[0]
         yield "m4", tau, tau, lay, list(zip(names[:D], names[D:])), (D, 0)
         degree, offset = 3, 2
         lay, pairs, caps = _h6_layout(degree, offset)
-        taus = {n: _tau(g, n, lay, caps, 8)[0] for n in (-1, 0, 1, 2)}
+        taus = {n: _tau(g, n, lay, caps)[0] for n in (-1, 0, 1, 2)}
         for n in (-1, 0, 1):
             # the y-side pair raises the x cap by the offset, the v-side
             # pair lowers the u cap by it
@@ -833,10 +932,9 @@ def test_swapped_factor_mutant_fails_the_oracle_and_h6(monkeypatch):
 
 
 def test_m4_is_blind_to_swapped_factors(monkeypatch):
-    """kp.m4 PASSes with swapped factors, at its defaults and at degree 6,
-    window 10: its two factors are one tau, so no m4 input can see which
+    """kp.m4 PASSes with swapped factors at its defaults (degree 6): its
+    two factors are one tau, so no m4 input can see which
     one takes x + y.  Only kp.h6 (charges (1, 0)) and the oracle catch the
     swap (the test above)."""
     _swap_sum_diff_factors(monkeypatch)
     assert all(r.verdict for r in run_check("kp.m4"))
-    assert all(r.verdict for r in run_check("kp.m4", {"degree": 6, "window": 10}))

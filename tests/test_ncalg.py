@@ -23,20 +23,17 @@ from test_funq import _mutate
 from test_qhirota import LM_GRID
 from uq_oracle import apply_generator_map, counit_map
 
-PRES = funq_sl2()
-
-
 def word(letters, coeff=ONE):
-    return NCPoly.word(PRES, letters, coeff=coeff)
+    return NCPoly.word(funq_sl2(), letters, coeff=coeff)
 
 
 def test_normal_form_examples():
     assert word("ba") == word("ab", coeff=Q)
-    assert word("da") == NCPoly.one(PRES) + word("bc", coeff=Q)
-    assert word("ad") == NCPoly.one(PRES) + word("bc", coeff=QINV)
+    assert word("da") == NCPoly.one(funq_sl2()) + word("bc", coeff=Q)
+    assert word("ad") == NCPoly.one(funq_sl2()) + word("bc", coeff=QINV)
     # unit law: a times the empty word
-    a = NCPoly.generator(PRES, "a")
-    assert a.mul(NCPoly.one(PRES)) == a
+    a = NCPoly.generator(funq_sl2(), "a")
+    assert a.mul(NCPoly.one(funq_sl2())) == a
 
 
 def test_normal_form_idempotent():
@@ -45,15 +42,15 @@ def test_normal_form_idempotent():
 
 
 def test_defining_relations_normal_to_zero():
-    a, b, c, d = (NCPoly.generator(PRES, g) for g in "abcd")
+    a, b, c, d = (NCPoly.generator(funq_sl2(), g) for g in "abcd")
     relations = [
         a.mul(b) - b.mul(a).scale(QINV),
         a.mul(c) - c.mul(a).scale(QINV),
         b.mul(d) - d.mul(b).scale(QINV),
         c.mul(d) - d.mul(c).scale(QINV),
         b.mul(c) - c.mul(b),
-        a.mul(d) - b.mul(c).scale(QINV) - NCPoly.one(PRES),
-        d.mul(a) - b.mul(c).scale(Q) - NCPoly.one(PRES),
+        a.mul(d) - b.mul(c).scale(QINV) - NCPoly.one(funq_sl2()),
+        d.mul(a) - b.mul(c).scale(Q) - NCPoly.one(funq_sl2()),
     ]
     for rel in relations:
         assert rel.is_zero()
@@ -95,11 +92,11 @@ def test_confluence_report_names_order_and_ambiguities():
 
 def _funq_variant(change):
     """funq_sl2 with ``change`` applied to its {left side: {word: Laurent}} rules."""
-    rules = {lhs: dict(rhs) for lhs, rhs in PRES.rule_list}
+    rules = {lhs: dict(rhs) for lhs, rhs in funq_sl2().rule_list}
     change(rules)
     return Presentation(
         "funq_sl2_mutant",
-        PRES.gens,
+        funq_sl2().gens,
         {lhs: {w: QScalar.from_terms(c) for w, c in rhs.items()} for lhs, rhs in rules.items()},
     )
 
@@ -164,12 +161,12 @@ def test_multiplicative_consistency_randomized():
     # reducing the raw concatenated word equals multiplying the two
     # already-reduced factors
     rng = random.Random(0)
-    gens = PRES.gens
+    gens = funq_sl2().gens
     for _ in range(60):
         w1 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
         w2 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
-        staged = NCPoly.word(PRES, w1).mul(NCPoly.word(PRES, w2))
-        at_once = NCPoly.word(PRES, w1 + w2)
+        staged = NCPoly.word(funq_sl2(), w1).mul(NCPoly.word(funq_sl2(), w2))
+        at_once = NCPoly.word(funq_sl2(), w1 + w2)
         assert staged == at_once
 
 
@@ -178,12 +175,12 @@ def test_single_step_preserves_normal_form():
     # normal form unchanged (the rewriting respects the ideal)
     rng = random.Random(7)
     for _ in range(40):
-        w = tuple(rng.choice(PRES.gens) for _ in range(rng.randint(2, 6)))
-        base = NCPoly.word(PRES, w)
-        for _, combo in PRES.one_step_reductions(w):
+        w = tuple(rng.choice(funq_sl2().gens) for _ in range(rng.randint(2, 6)))
+        base = NCPoly.word(funq_sl2(), w)
+        for _, combo in funq_sl2().one_step_reductions(w):
             alt = sum(
-                (NCPoly.word(PRES, w2, coeff=QScalar.from_terms(c)) for w2, c in combo.items()),
-                NCPoly.zero(PRES),
+                (NCPoly.word(funq_sl2(), w2, coeff=QScalar.from_terms(c)) for w2, c in combo.items()),
+                NCPoly.zero(funq_sl2()),
             )
             assert alt == base
 
@@ -191,12 +188,12 @@ def test_single_step_preserves_normal_form():
 def test_counit_is_ring_map():
     rng = random.Random(1)
     eps = counit_map()
-    gens = PRES.gens
+    gens = funq_sl2().gens
     for _ in range(30):
         w1 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
         w2 = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
-        p = NCPoly.word(PRES, w1)
-        r = NCPoly.word(PRES, w2)
+        p = NCPoly.word(funq_sl2(), w1)
+        r = NCPoly.word(funq_sl2(), w2)
         lhs = apply_generator_map(p.mul(r), eps)
         rhs = apply_generator_map(p, eps).mul(apply_generator_map(r, eps))
         assert lhs == rhs
@@ -295,6 +292,20 @@ def test_q_commuting_pair_is_built_once(fresh_caches):
     assert pres._memo == memo and memo
 
 
+def test_funq_sl2_is_a_cache_the_package_clears(fresh_caches):
+    # clearing the package caches drops funq_sl2 and its reduce_word memo
+    from conftest import PACKAGE_CACHES
+
+    pres = funq_sl2()
+    assert funq_sl2() is pres
+    pres.reduce_word(("d", "a", "d"))
+    assert pres._memo
+    for cached in PACKAGE_CACHES:
+        cached.cache_clear()
+    fresh = funq_sl2()
+    assert fresh is not pres and not fresh._memo
+
+
 def test_step_budget_guards_nontermination():
     # x y -> q y x together with y x -> q x y ping-pongs forever
     loop = Presentation(
@@ -311,14 +322,14 @@ def test_step_budget_guards_nontermination():
 
 def test_unknown_generator():
     with pytest.raises(PresentationError):
-        NCPoly.generator(PRES, "z")
+        NCPoly.generator(funq_sl2(), "z")
     with pytest.raises(PresentationError):
         Presentation("oops", ("x",), {("x", "w"): {(): ONE}})
 
 
 def test_times_variables_commute_through_words():
     vars = ("t",)
-    a = NCPoly.generator(PRES, "a", vars)
+    a = NCPoly.generator(funq_sl2(), "a", vars)
     t = TimesPoly.var(vars, "t")
     left = a.mul_times(t).mul(a)
     right = a.mul(a.mul_times(t))
@@ -329,10 +340,10 @@ def test_render_sample():
     # the text a FAIL residual prints
     vars = ("u",)
     p = (
-        NCPoly.word(PRES, ("d", "a"), vars)
-        .mul(NCPoly.generator(PRES, "b", vars))
+        NCPoly.word(funq_sl2(), ("d", "a"), vars)
+        .mul(NCPoly.generator(funq_sl2(), "b", vars))
         .mul_times(TimesPoly.var(vars, "u"))
-        + NCPoly.from_scalar(PRES, Q + QINV, vars)
+        + NCPoly.from_scalar(funq_sl2(), Q + QINV, vars)
     )
     assert str(p) == "(q^2+1)/q + u*b + (q*u)*b*b*c"
 
@@ -367,15 +378,15 @@ def _raise(*args):
 def test_cold_reduction_does_no_qscalar_arithmetic(monkeypatch):
     fresh = Presentation(
         "funq_sl2_fresh",
-        PRES.gens,
-        {pair: {w: QScalar.from_terms(c) for w, c in rhs.items()} for pair, rhs in PRES.rules.items()},
+        funq_sl2().gens,
+        {pair: {w: QScalar.from_terms(c) for w, c in rhs.items()} for pair, rhs in funq_sl2().rules.items()},
     )
     rng = random.Random(11)
-    words = [tuple(rng.choice(PRES.gens) for _ in range(rng.randint(2, 9))) for _ in range(40)]
+    words = [tuple(rng.choice(funq_sl2().gens) for _ in range(rng.randint(2, 9))) for _ in range(40)]
     monkeypatch.setattr(QScalar, "__mul__", _raise)
     monkeypatch.setattr(QScalar, "__add__", _raise)
     for w in words:
-        assert fresh.reduce_word(w) == PRES.reduce_word(w)
+        assert fresh.reduce_word(w) == funq_sl2().reduce_word(w)
     assert len(fresh._memo) > len(words)
 
 
@@ -404,7 +415,7 @@ def _block_mismatches(blocks):
                 _pbw(w, e, i + i2 + r, k + k2 + r): {s + twist * (i + k): v for s, v in c.items()}
                 for r, c in zs
             }
-            bad += closed != PRES.reduce_word(_pbw(x, n, i, k) + _pbw(y, m, i2, k2))
+            bad += closed != funq_sl2().reduce_word(_pbw(x, n, i, k) + _pbw(y, m, i2, k2))
     return bad
 
 

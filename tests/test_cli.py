@@ -233,13 +233,28 @@ def test_jmax_flag_reaches_the_spin_rungs(capsys):
     assert "--jmax" in capsys.readouterr().err
 
 
-def test_kp_high_degrees_pass_with_no_other_flag(capsys):
-    # each build derives its window from the degree; kp.h6 at degree 5 is a
-    # true identity that a one-spare-weight Schur margin fails (FAIL, 18 s)
+def test_kp_degree5_window10_passes(monkeypatch, capsys):
+    # a true identity that a one-spare-weight Schur margin fails (FAIL, 18 s);
+    # it took --window 10 before each build derived its own, the largest of
+    # which is now 8
+    import tau_forge.kpfock as kpfock
+
+    windows, derive = [], kpfock._window
+
+    def recorded(g, n, cap_u):
+        windows.append(derive(g, n, cap_u))
+        return windows[-1]
+
+    monkeypatch.setattr(kpfock, "_window", recorded)
     t0 = time.perf_counter()
     assert main(["verify", "kp.h6", "--degree", "5"]) == 0
     assert time.perf_counter() - t0 < 10.0
     assert capsys.readouterr().out.startswith("PASS kp.h6")
+    assert max(windows) == 8
+
+
+def test_kp_high_degrees_pass_with_no_other_flag(capsys):
+    # each build derives its window from the degree
     for argv in (["kp.h6", "--degree", "7"], ["kp.m3", "--degree", "8"]):
         assert main(["verify", *argv]) == 0, argv
         assert capsys.readouterr().out.startswith(f"PASS {argv[0]}")
@@ -253,8 +268,16 @@ def test_window_is_no_flag(capsys):
     assert all("window" not in desc.params for desc in REGISTRY.values())
 
 
-def test_kp_parameter_domain_never_fails(capsys):
-    # every KP check PASSes at degrees 1-6 and seeds 0-2, where it takes them
+@pytest.mark.parametrize("window", [None, 8, 10], ids=["derived", "8", "10"])
+def test_kp_parameter_domain_never_fails(window, monkeypatch, capsys):
+    # every KP check PASSes at degrees 1-6 and seeds 0-2, where it takes them,
+    # on the derived windows and with every derived window raised to at least
+    # 8 or 10: a build on more modes than it needs reaches the same verdict
+    if window is not None:
+        import tau_forge.kpfock as kpfock
+
+        derive = kpfock._window
+        monkeypatch.setattr(kpfock, "_window", lambda g, n, cap_u: max(derive(g, n, cap_u), window))
     runs = []
     for cid, desc in sorted(REGISTRY.items()):
         if cid.startswith("kp."):
